@@ -1,32 +1,22 @@
 #!/usr/bin/env python3
-"""Distributed serving: parallel verification speedup and e2e node runs.
+"""Distributed serving: end-to-end node runs.
 
-Measures the two parallel axes `repro.net.workers` exposes at nb = 4096
-(K = 2 provers, p128-sim — identical code paths to production groups):
-
-* **per prover** — the single-process verifier's batched
-  ``verify_all_coin_commitments`` vs a :class:`VerificationPool` with 1
-  and with N worker processes (one task per prover), and
-* **per chunk**  — a streamed prover's 8 × 512-coin chunks verified
-  sequentially vs pooled (workers fast-forward the shared transcript by
-  hashing, then verify their own chunk's multiexp).
-
-Then runs the full 2-server multi-client session as separate OS
-processes over both ``MultiprocessTransport`` and ``SocketTransport``
-and records wall time, exact front-end wire bytes and the
+Runs the full 2-server multi-client session (K = 2 provers, p128-sim —
+identical code paths to production groups) as separate OS processes
+over both ``MultiprocessTransport`` and ``SocketTransport`` and records
+wall time, exact front-end wire bytes and the
 byte-identical-to-in-process check.  Emits ``BENCH_distributed.json``.
 
-Speedups scale with available cores (``cpu_count`` is recorded; on a
-single-core container the pool's value is isolation, not speed).
+Sharded verification (``ShardWorker``) is measured by
+``benchmarks/bench_sharded_session.py``.
 
 Usage:
-    python benchmarks/bench_distributed_session.py          # nb = 4096
+    python benchmarks/bench_distributed_session.py          # nb = 512
     REPRO_DIST_NB=1024 python benchmarks/bench_distributed_session.py
 """
 
 import os
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -34,105 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.api.queries import CountQuery  # noqa: E402
 from repro.bench.format import print_table  # noqa: E402
 from repro.bench.runner import write_bench_json  # noqa: E402
-from repro.core.params import setup  # noqa: E402
-from repro.core.prover import Prover  # noqa: E402
-from repro.core.verifier import PublicVerifier  # noqa: E402
-from repro.crypto.serialization import decode_message, encode_message  # noqa: E402
 from repro.net.serve import run_distributed_session  # noqa: E402
-from repro.net.workers import VerificationPool  # noqa: E402
-from repro.utils.rng import SeededRNG  # noqa: E402
 
 GROUP = "p128-sim"
-CONTEXT = b"bench-distributed"
-
-
-def bench_parallel_verification(nb: int, num_provers: int = 2) -> list[dict]:
-    params = setup(1.0, 2**-10, num_provers=num_provers, group=GROUP, nb_override=nb)
-    cores = os.cpu_count() or 1
-    rows = []
-
-    # Per-prover axis: K monolithic coin messages.
-    frames = []
-    for k in range(num_provers):
-        prover = Prover(f"prover-{k}", params, SeededRNG(f"bench-{k}"))
-        frames.append(encode_message(prover.commit_coins(CONTEXT)))
-
-    # Apples to apples: every mode starts from wire frames, as a serving
-    # front-end does — decoding (with its per-element membership checks)
-    # is part of the verification work wherever it runs.
-    verifier = PublicVerifier(params, SeededRNG("bench-v"))
-    start = time.perf_counter()
-    messages = [decode_message(params.group, frame) for frame in frames]
-    verdicts = verifier.verify_all_coin_commitments(messages, CONTEXT)
-    single = time.perf_counter() - start
-    assert all(verdicts.values())
-
-    timings = {"single-process": single}
-    for workers in sorted({1, 2, cores}):
-        with VerificationPool(params, processes=workers) as pool:
-            start = time.perf_counter()
-            results = pool.verify_prover_messages(frames, CONTEXT)
-            timings[f"pool-{workers}"] = time.perf_counter() - start
-        assert all(ok for _, ok, _ in results)
-    for label, seconds in timings.items():
-        rows.append(
-            {
-                "axis": "per-prover",
-                "mode": label,
-                "nb": nb,
-                "provers": num_provers,
-                "group": GROUP,
-                "cpu_count": cores,
-                "seconds": seconds,
-                "speedup_vs_single": single / seconds if seconds else float("inf"),
-            }
-        )
-
-    # Per-chunk axis: one prover streamed in 8 chunks.
-    chunks = 8
-    chunk_rows = nb // chunks
-    prover = Prover("prover-0", params, SeededRNG("bench-chunked"))
-    prover.begin_coin_stream(CONTEXT)
-    chunk_frames = []
-    for _ in range(chunks):
-        message = prover.commit_coin_chunk(chunk_rows)
-        chunk_frames.append(encode_message(message))
-        prover.absorb_public_bits([[0]] * chunk_rows)
-
-    stream_verifier = PublicVerifier(params, SeededRNG("bench-sv"))
-    stream_verifier.begin_coin_stream("prover-0", CONTEXT)
-    start = time.perf_counter()
-    for frame in chunk_frames:
-        assert stream_verifier.verify_coin_chunk(decode_message(params.group, frame))
-        stream_verifier.apply_public_bits_chunk(
-            "prover-0", [[0]] * chunk_rows
-        )
-    assert stream_verifier.finish_coin_stream("prover-0")
-    sequential = time.perf_counter() - start
-
-    chunk_timings = {"single-process": sequential}
-    for workers in sorted({1, 2, cores}):
-        with VerificationPool(params, processes=workers) as pool:
-            start = time.perf_counter()
-            ok, note = pool.verify_chunked_stream(
-                chunk_frames, CONTEXT, rows_per_chunk=chunk_rows
-            )
-            chunk_timings[f"pool-{workers}"] = time.perf_counter() - start
-        assert ok, note
-    for label, seconds in chunk_timings.items():
-        rows.append(
-            {
-                "axis": "per-chunk",
-                "mode": label,
-                "nb": nb,
-                "provers": 1,
-                "group": GROUP,
-                "cpu_count": cores,
-                "seconds": seconds,
-                "speedup_vs_single": sequential / seconds if seconds else float("inf"),
-            }
-        )
-    return rows
 
 
 def bench_end_to_end(nb: int) -> list[dict]:
@@ -168,20 +62,10 @@ def bench_end_to_end(nb: int) -> list[dict]:
 
 
 def main() -> int:
-    nb = int(os.environ.get("REPRO_DIST_NB", "4096"))
-    rows = bench_parallel_verification(nb)
-    rows += bench_end_to_end(min(nb, 512))
+    rows = bench_end_to_end(int(os.environ.get("REPRO_DIST_NB", "512")))
     write_bench_json("distributed", rows)
-    print_table(
-        [r for r in rows if r["axis"] != "end-to-end"],
-        title=f"== parallel coin verification (nb={nb}, {GROUP}) ==",
-    )
-    print_table(
-        [r for r in rows if r["axis"] == "end-to-end"],
-        title="== end-to-end distributed sessions ==",
-    )
-    bad = [r for r in rows if r["axis"] == "end-to-end" and not r["byte_identical"]]
-    if bad:
+    print_table(rows, title="== end-to-end distributed sessions ==")
+    if not all(row["byte_identical"] for row in rows):
         print("FAIL: distributed release not byte-identical", file=sys.stderr)
         return 1
     print("OK: distributed releases byte-identical to in-process Session")

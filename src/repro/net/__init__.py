@@ -11,17 +11,19 @@ This package closes that gap without touching the protocol engine:
 * :mod:`repro.net.wire` — framing for the node protocol (setup specs, RPC
   envelopes, enrollment bundles) over the typed message registry of
   :mod:`repro.crypto.serialization`.
-* :mod:`repro.net.nodes` — :class:`AnalystNode` (drives the unchanged
-  :class:`repro.api.engine.ProtocolEngine` against :class:`RemoteProver`
-  proxies), :class:`ServerNode` (hosts one real prover) and
-  :class:`ClientRunner` (submits wire-encoded enrollments).
-* :mod:`repro.net.workers` — a process pool for parallel per-prover and
-  per-chunk coin verification (the streams are embarrassingly parallel).
-* :mod:`repro.net.shard` — sharded serving: a :class:`ShardedAnalyst`
-  front-end partitions one client stream across S :class:`ShardWorker`
-  verification peers and merges their verdicts/products into a release
-  byte-identical to the unsharded path (``python -m repro serve
-  --shards S``).
+* :mod:`repro.net.nodes` — :class:`AnalystNode` (the one session
+  skeleton: drives the unchanged :class:`repro.api.engine.ProtocolEngine`
+  against :class:`RemoteProver` proxies), :class:`ServerNode` (hosts one
+  real prover) and :class:`ClientRunner` (submits wire-encoded
+  enrollments).
+* :mod:`repro.net.shard` — sharded serving: :class:`ShardedAnalyst`
+  adds the sharding hooks to that skeleton — it partitions one client
+  stream across S :class:`ShardWorker` verification peers and merges
+  their verdicts/products into a release byte-identical to the
+  unsharded path (``python -m repro serve --shards S``).
+* :mod:`repro.net.roles` — the cast every serving path shares: one
+  front-end factory (S = 0 is the plain analyst), one peer launcher,
+  the seed → RNG convention and the solo replay it is checked against.
 * :mod:`repro.net.aio` — async serving: an :class:`AsyncSocketTransport`
   over asyncio streams (wire compatible with the blocking transport) and
   a :class:`SessionMux` front-end that multiplexes N concurrent sessions
@@ -64,7 +66,6 @@ from repro.net.transport import (
     Transport,
     multiprocess_star,
 )
-from repro.net.workers import VerificationPool
 
 __all__ = [
     "Transport",
@@ -77,7 +78,6 @@ __all__ = [
     "ServerNode",
     "ClientRunner",
     "RemoteProver",
-    "VerificationPool",
     "ShardedAnalyst",
     "ShardWorker",
     "run_distributed_session",

@@ -53,14 +53,15 @@ from dataclasses import dataclass
 from repro.api.engine import EngineResult
 from repro.api.queries import Query
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
+from repro.net.nodes import ClientRunner, ServerNode
+from repro.net.roles import build_analyst
 from repro.net.transport import (
     _HANDSHAKE_MAX_BYTES,
     _LEN,
-    _MAX_DROPPED_NOTES,
     _V2_FLAG,
     DEFAULT_MAX_FRAME_BYTES,
     SESSION_ANY,
+    HandshakeGate,
     Transport,
     check_frame_size,
     check_session_id,
@@ -68,7 +69,7 @@ from repro.net.transport import (
     pack_handshake,
     split_header_word,
 )
-from repro.utils.rng import RNG, SystemRNG
+from repro.utils.rng import RNG
 
 __all__ = [
     "AsyncSocketTransport",
@@ -149,8 +150,8 @@ class AsyncSocketTransport:
         self.bytes_received = 0
         self.frames_sent = 0
         self.frames_received = 0
-        self.dropped_handshakes: list[str] = []
-        self._dropped_overflow = 0
+        self._gate = HandshakeGate()
+        self.dropped_handshakes = self._gate.dropped
         self._conns: dict[tuple[str, int], _Conn] = {}
         self._queues: dict[tuple[str, int], asyncio.Queue] = {}
         self._server: asyncio.base_events.Server | None = None
@@ -226,7 +227,7 @@ class AsyncSocketTransport:
             # Serving topologies are fixed at accept time; a connection
             # arriving mid-session is hostile (or lost) and must not be
             # registered, read from, or buffered.
-            self._note_dropped("<connection after lockdown>")
+            self._gate.note_dropped("<connection after lockdown>")
             writer.close()
             return
         try:
@@ -239,7 +240,7 @@ class AsyncSocketTransport:
             )
             peer = raw.decode()
         except (ProtocolAbort, UnicodeDecodeError, asyncio.TimeoutError, OSError):
-            self._note_dropped("<unreadable handshake>")
+            self._gate.note_dropped("<unreadable handshake>")
             writer.close()
             return
         if self._locked_down:
@@ -248,44 +249,18 @@ class AsyncSocketTransport:
             # lockdown must not slip past the (now disarmed) expectation
             # filter and register — e.g. claiming an expected name under
             # a session scope to capture that session's routing.
-            self._note_dropped("<connection after lockdown>")
+            self._gate.note_dropped("<connection after lockdown>")
             writer.close()
             return
-        if not self._handshake_expected(peer, scope):
-            label = "" if scope == SESSION_ANY else f" (session {scope})"
-            self._note_dropped(f"unexpected name {peer[:64]!r}{label}")
-            writer.close()
-            return
-        if (peer, scope) in self._conns:
-            label = "" if scope == SESSION_ANY else f" (session {scope})"
-            self._note_dropped(f"duplicate name {peer[:64]!r}{label}")
+        # The standing filter applies whenever no accept() is in flight.
+        expected = (
+            self._accept_expected if self._accept_active else self.default_expected
+        )
+        if not self._gate.admit(peer, scope, expected, self._conns):
             writer.close()
             return
         self._register(_Conn(peer, scope, reader, writer))
         self._accepted.put_nowait(peer)
-
-    def _handshake_expected(self, peer: str, scope: int) -> bool:
-        """Apply the accept() expectation filter to one handshake.
-
-        A plain name admits that peer at any scope; a ``(name, scope)``
-        pair pins the scope too — which is what stops an impostor from
-        registering an expected *name* under a session scope the real
-        (``SESSION_ANY``) peer does not occupy and hijacking that
-        session's traffic (exact-scope connections outrank the ANY one
-        on the send path).
-        """
-        expected = (
-            self._accept_expected if self._accept_active else self.default_expected
-        )
-        if expected is None:
-            return True
-        for entry in expected:
-            if isinstance(entry, tuple):
-                if entry == (peer, scope):
-                    return True
-            elif entry == peer:
-                return True
-        return False
 
     def _handshake_timeout(self) -> float:
         if self._accept_deadline is not None:
@@ -305,12 +280,11 @@ class AsyncSocketTransport:
 
         ``expected`` entries are peer names, or ``(name, scope)`` pairs
         to additionally pin the handshake's session scope — a front-end
-        whose topology is known should pin scopes, so a hostile peer
-        cannot claim an expected name under an unoccupied session scope.
-
-        Mirrors the blocking transport's hardening: broken, duplicate or
-        unexpected handshakes are dropped while accepting continues under
-        one overall monotonic deadline, and the timeout abort names every
+        whose topology is known should pin scopes (see
+        :class:`~repro.net.transport.HandshakeGate`, the admit/drop
+        decision shared with the blocking listener).  Broken or refused
+        handshakes are dropped while accepting continues under one
+        overall monotonic deadline, and the timeout abort names every
         dropped handshake.  Call :meth:`lockdown` once the topology is
         complete.
         """
@@ -323,15 +297,12 @@ class AsyncSocketTransport:
         names: list[str] = []
         try:
             while len(names) < count:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ProtocolAbort(self._accept_timeout_message())  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
+                # An already-elapsed deadline times out in wait_for too.
+                remaining = None if deadline is None else deadline - time.monotonic()
                 try:
                     names.append(await asyncio.wait_for(self._accepted.get(), remaining))
                 except asyncio.TimeoutError as exc:
-                    raise ProtocolAbort(self._accept_timeout_message()) from exc  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
+                    raise ProtocolAbort(self._gate.timeout_message()) from exc  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
             return names
         finally:
             self._accept_deadline = None
@@ -347,21 +318,6 @@ class AsyncSocketTransport:
         long as the mux serves.
         """
         self._locked_down = True
-
-    def _note_dropped(self, label: str) -> None:
-        if len(self.dropped_handshakes) < _MAX_DROPPED_NOTES:
-            self.dropped_handshakes.append(label)
-        else:
-            self._dropped_overflow += 1
-
-    def _accept_timeout_message(self) -> str:
-        message = "timed out accepting peers"
-        if self.dropped_handshakes:
-            dropped = ", ".join(self.dropped_handshakes)
-            if self._dropped_overflow:
-                dropped += f", and {self._dropped_overflow} more"
-            message += f" (dropped: {dropped})"
-        return message
 
     # Frame IO ---------------------------------------------------------------
 
@@ -499,14 +455,8 @@ class AsyncSocketTransport:
                 conn = self._conn_for(peer, session)
                 if conn is not None and conn.failure is not None:
                     raise ProtocolAbort(conn.failure, party=peer)
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ProtocolAbort(
-                            f"{self.name!r} timed out waiting for {peer!r}",
-                            party=peer,
-                        )
+                # An already-elapsed deadline times out in wait_for too.
+                remaining = None if deadline is None else deadline - time.monotonic()
                 try:
                     frame = await asyncio.wait_for(queue.get(), remaining)
                 except asyncio.TimeoutError as exc:
@@ -539,18 +489,10 @@ class AsyncSocketTransport:
         """
         if not 0 <= session < SESSION_ANY:
             raise ParameterError("session id out of range")
-        for (peer, scope), conn in list(self._conns.items()):
-            if scope != session:
-                continue
-            del self._conns[(peer, scope)]
-            if conn.task is not None:
-                conn.task.cancel()
-            conn.writer.close()
-            if conn.task is not None:
-                try:
-                    await conn.task
-                except (asyncio.CancelledError, Exception):  # pragma: no cover  # repro: allow[REP004] -- reaping a cancelled reader task at session close; its failure already surfaced as a queue abort with attribution
-                    pass
+        for key, conn in list(self._conns.items()):
+            if key[1] == session:
+                del self._conns[key]
+                await self._close_conn(conn)
         for key in [k for k in self._queues if k[1] == session]:
             del self._queues[key]
 
@@ -563,15 +505,17 @@ class AsyncSocketTransport:
             except Exception:  # pragma: no cover  # repro: allow[REP004] -- best-effort listener close during teardown; nothing protocol-visible can be lost here
                 pass
         for conn in list(self._conns.values()):
-            if conn.task is not None:
-                conn.task.cancel()
-            conn.writer.close()
-        for conn in list(self._conns.values()):
-            if conn.task is not None:
-                try:
-                    await conn.task
-                except (asyncio.CancelledError, Exception):  # pragma: no cover  # repro: allow[REP004] -- reaping cancelled reader tasks at transport close; reader failures already surfaced as queue aborts with attribution
-                    pass
+            await self._close_conn(conn)
+
+    @staticmethod
+    async def _close_conn(conn: _Conn) -> None:
+        """Cancel and reap one connection's reader task, close its socket."""
+        conn.task.cancel()
+        conn.writer.close()
+        try:
+            await conn.task
+        except (asyncio.CancelledError, Exception):  # pragma: no cover  # repro: allow[REP004] -- reaping a cancelled reader task at close; its failure already surfaced as a queue abort with attribution
+            pass
 
 
 class SessionChannel(Transport):
@@ -617,11 +561,11 @@ class SessionSpec:
     ``rng`` seeds the session exactly as it would a solo
     :class:`repro.api.Session` — same fork labels, hence byte-identical
     releases.  A non-empty ``shards`` names :class:`ShardWorker` peers
-    (scoped to this session on the shared transport) and the session is
-    driven by a :class:`~repro.net.shard.ShardedAnalyst` instead of a
-    plain :class:`~repro.net.nodes.AnalystNode` — the ``--async
-    --shards`` composition: one front-end multiplexes N sessions, each
-    fanning its verification across S shard workers.
+    (scoped to this session on the shared transport) and
+    :func:`~repro.net.roles.build_analyst` drives the session through a
+    :class:`~repro.net.shard.ShardedAnalyst` — the ``--async --shards``
+    composition: one front-end multiplexes N sessions, each fanning its
+    verification across S shard workers.
     """
 
     query: Query
@@ -657,9 +601,9 @@ class SessionMux:
       sessions arrive as a stream, up to ``max_concurrency`` run at a
       time, and the mux lives until :meth:`close`.
 
-    Results, errors and timings are dictionaries keyed by session id
-    (static mode uses ids ``0..N-1``, so list-style indexing still
-    reads naturally).
+    Results, errors, timings and effective chunk sizes are dictionaries
+    keyed by session id (static mode uses ids ``0..N-1``, so list-style
+    indexing still reads naturally).
     """
 
     def __init__(
@@ -688,6 +632,7 @@ class SessionMux:
         self.results: dict[int, EngineResult] = _SessionMap()
         self.errors: dict[int, BaseException] = _SessionMap()
         self.session_seconds: dict[int, float] = _SessionMap()
+        self.chunk_sizes: dict[int, int | None] = _SessionMap()
         # Optional repro.net.metrics.ServingMetrics: when set, the mux
         # keeps the admitted/completed/aborted/crashed ledger and feeds
         # per-phase engine timings — the fleet worker's mux leaves this
@@ -710,37 +655,21 @@ class SessionMux:
         self, session: int, spec: SessionSpec, loop: asyncio.AbstractEventLoop
     ) -> EngineResult:
         start = time.perf_counter()
-        channel = SessionChannel(self.transport, session, loop)
-        if spec.shards:
-            # Late import: shard.py imports from nodes.py which sits
-            # beside this module; importing at call time keeps the
-            # module graph acyclic.
-            from repro.net.shard import ShardedAnalyst
-
-            analyst = ShardedAnalyst(
-                spec.query,
-                channel,
-                self.servers,
-                list(spec.shards),
-                group=spec.group,
-                nb_override=spec.nb_override,
-                chunk_size=spec.chunk_size,
-                rng=spec.rng if spec.rng is not None else SystemRNG(),
-                clients_peer=self.clients_peer,
-                timeout=self.timeout,
-            )
-        else:
-            analyst = AnalystNode(
-                spec.query,
-                channel,
-                self.servers,
-                group=spec.group,
-                nb_override=spec.nb_override,
-                chunk_size=spec.chunk_size,
-                rng=spec.rng if spec.rng is not None else SystemRNG(),
-                clients_peer=self.clients_peer,
-                timeout=self.timeout,
-            )
+        analyst = build_analyst(
+            spec.query,
+            SessionChannel(self.transport, session, loop),
+            self.servers,
+            spec.shards,
+            group=spec.group,
+            nb_override=spec.nb_override,
+            chunk_size=spec.chunk_size,
+            rng=spec.rng,
+            clients_peer=self.clients_peer,
+            timeout=self.timeout,
+        )
+        # The chunk size the session actually runs at (a sharded session
+        # picks its own default): what a solo replay must be given.
+        self.chunk_sizes[session] = analyst.chunk_size
         result = analyst.run()
         self.session_seconds[session] = time.perf_counter() - start
         return result

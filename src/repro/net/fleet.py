@@ -55,16 +55,19 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 
 from repro.api.queries import Query
-from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ProtocolAbort, ReproError
 from repro.net import wire
 from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
 from repro.net.metrics import ServingMetrics
-from repro.net.nodes import ClientRunner, ServerNode
-from repro.net.shard import ShardWorker
-from repro.net.transport import SocketTransport
-from repro.utils.rng import RNG, SeededRNG, SystemRNG
+from repro.net.roles import (
+    dial,
+    peer_roles,
+    role_names,
+    root_rng,
+    run_role,
+    solo_release_bytes,
+)
 
 __all__ = [
     "FleetConfig",
@@ -89,15 +92,6 @@ def session_values(values: list, session: int) -> list:
     session *s* sees the shared values rotated by *s*."""
     shift = session % len(values) if values else 0
     return values[shift:] + values[:shift]
-
-
-def _request_rng(seed: str | None) -> RNG:
-    return SeededRNG(seed) if seed is not None else SystemRNG()
-
-
-def _peer_rng(seed: str | None, name: str) -> RNG:
-    # Matches the in-process engine: prover k draws from root.fork(name).
-    return SeededRNG(seed).fork(name) if seed is not None else SystemRNG()
 
 
 @dataclass
@@ -199,55 +193,6 @@ class SessionOutcome:
 # Front-end worker process -----------------------------------------------------
 
 
-def _server_peer_main(name, host, port, sid, seed, timeout, reply_delay):
-    try:
-        transport = SocketTransport.connect(
-            name, "analyst", host, port, session=sid, timeout=timeout
-        )
-    except OSError:
-        return
-    try:
-        ServerNode(
-            transport, _peer_rng(seed, name), timeout=timeout, reply_delay=reply_delay
-        ).run()
-    except (ReproError, SystemExit):
-        pass
-    finally:
-        transport.close()
-
-
-def _shard_peer_main(name, host, port, sid, timeout):
-    try:
-        transport = SocketTransport.connect(
-            name, "analyst", host, port, session=sid, timeout=timeout
-        )
-    except OSError:
-        return
-    try:
-        ShardWorker(transport, timeout=timeout).run()
-    except (ReproError, SystemExit):
-        pass
-    finally:
-        transport.close()
-
-
-def _clients_peer_main(host, port, sid, query, values, seed, timeout):
-    try:
-        transport = SocketTransport.connect(
-            "clients", "analyst", host, port, session=sid, timeout=timeout
-        )
-    except OSError:
-        return
-    try:
-        ClientRunner(
-            transport, query, values, rng=_request_rng(seed), timeout=timeout
-        ).run()
-    except (ReproError, SystemExit):
-        pass
-    finally:
-        transport.close()
-
-
 def _frontend_main(name: str, conn, config: FleetConfig) -> None:
     """Worker process entry: run one front-end until told to stop."""
     try:
@@ -275,8 +220,9 @@ class _FrontEnd:
         self.name = name
         self.conn = conn
         self.config = config
-        self.server_names = [f"prover-{k}" for k in range(config.num_servers)]
-        self.shard_names = tuple(f"shard-{j}" for j in range(config.shards))
+        self.roles = peer_roles(config.num_servers, config.shards)
+        self.server_names = role_names(self.roles, "server")
+        self.shard_names = tuple(role_names(self.roles, "shard"))
         self.pending: deque[SessionRequest] = deque()
         self.inflight: dict[int, asyncio.Task] = {}
         self.completed = 0
@@ -405,7 +351,6 @@ class _FrontEnd:
         sid = self._next_session
         self._next_session += 1
         start = time.perf_counter()
-        peer_names = [*self.server_names, *self.shard_names, "clients"]
         threads: list[threading.Thread] = []
         try:
             # Serialize placements through the accept: scoped peers of
@@ -415,7 +360,7 @@ class _FrontEnd:
             # threads exist, so a handshake racing ahead of accept() is
             # admitted, not dropped.
             async with self._accept_lock:
-                pins = [(name, sid) for name in peer_names]
+                pins = [(name, sid) for _, name in self.roles]
                 self.transport.default_expected = pins
                 try:
                     threads = self._start_peers(request, sid)
@@ -424,23 +369,12 @@ class _FrontEnd:
                     )
                 finally:
                     self.transport.default_expected = []
-            chunk = self.config.chunk_size
-            if self.shard_names and chunk is None:
-                # Pin the sharded default explicitly (at least two
-                # chunks per shard) so the outcome can name the chunk
-                # size the solo-replay equivalence check must use.
-                params = request.query.build_params(
-                    num_provers=len(self.server_names),
-                    group=self.config.group,
-                    nb_override=self.config.nb_override,
-                )
-                chunk = max(1, -(-params.nb // (2 * len(self.shard_names))))
             spec = SessionSpec(
                 request.query,
-                rng=_request_rng(request.seed),
+                rng=root_rng(request.seed),
                 group=self.config.group,
                 nb_override=self.config.nb_override,
-                chunk_size=chunk,
+                chunk_size=self.config.chunk_size,
                 shards=self.shard_names,
             )
             result = await self.mux.serve_session(sid, spec)
@@ -480,7 +414,9 @@ class _FrontEnd:
                     "accepted": result.release.accepted,
                     "estimate": tuple(result.release.estimate),
                     "release": encode_message(result.release),
-                    "chunk_size": chunk,
+                    # The chunk size the session ran at, so the solo
+                    # replay equivalence check can use the same.
+                    "chunk_size": self.mux.chunk_sizes[sid],
                     "elapsed_s": time.perf_counter() - start,
                     # Engine stage timings (including the per-phase
                     # ``phase:*`` entries) travel with the outcome so the
@@ -495,48 +431,29 @@ class _FrontEnd:
             await self.transport.release_session(sid)
 
     def _start_peers(self, request: SessionRequest, sid: int) -> list:
-        host, port = self.config.host, self.transport.port
-        delay = (
-            request.reply_delay
-            if request.reply_delay is not None
-            else self.config.reply_delay
+        """One session-scoped thread per peer, each dialling back in."""
+        host, port, timeout = self.config.host, self.transport.port, self.config.timeout
+        options = dict(
+            seed=request.seed,
+            query=request.query,
+            values=list(request.values),
+            timeout=timeout,
+            reply_delay=(
+                request.reply_delay
+                if request.reply_delay is not None
+                else self.config.reply_delay
+            ),
         )
-        timeout = self.config.timeout
-        threads = []
-        for name in self.server_names:
-            threads.append(
-                threading.Thread(
-                    target=_server_peer_main,
-                    args=(name, host, port, sid, request.seed, timeout, delay),
-                    name=f"{self.name}-{name}-s{sid}",
-                    daemon=True,
-                )
-            )
-        for name in self.shard_names:
-            threads.append(
-                threading.Thread(
-                    target=_shard_peer_main,
-                    args=(name, host, port, sid, timeout),
-                    name=f"{self.name}-{name}-s{sid}",
-                    daemon=True,
-                )
-            )
-        threads.append(
+        threads = [
             threading.Thread(
-                target=_clients_peer_main,
-                args=(
-                    host,
-                    port,
-                    sid,
-                    request.query,
-                    list(request.values),
-                    request.seed,
-                    timeout,
-                ),
-                name=f"{self.name}-clients-s{sid}",
+                target=run_role,
+                args=(role, name, dial(name, host, port, session=sid, timeout=timeout)),
+                kwargs=options,
+                name=f"{self.name}-{name}-s{sid}",
                 daemon=True,
             )
-        )
+            for role, name in self.roles
+        ]
         for thread in threads:
             thread.start()
         return threads
@@ -545,7 +462,7 @@ class _FrontEnd:
         """Session-scoped :func:`~repro.net.nodes.abort_peers`: tell every
         peer of the dead session to stop waiting, best-effort."""
         frame = wire.encode_control("abort", reason.encode())
-        for name in [*self.server_names, *self.shard_names, "clients"]:
+        for _, name in self.roles:
             try:
                 await self.transport.send(name, frame, session=sid)
             except (ReproError, OSError):
@@ -828,11 +745,11 @@ class FleetDispatcher:
 
     def _handle_event(self, worker: _Worker, event: dict) -> None:
         kind = event.get("event")
-        if kind == "released":
+        if kind in ("released", "aborted", "failed"):
             request_id = event["request_id"]
             worker.placed.pop(request_id, None)
-            self._record_outcome(
-                SessionOutcome(
+            if kind == "released":
+                outcome = SessionOutcome(
                     request_id,
                     worker.name,
                     "released",
@@ -841,33 +758,24 @@ class FleetDispatcher:
                     release_frame=event["release"],
                     chunk_size=event["chunk_size"],
                     elapsed_s=event["elapsed_s"],
-                ),
-                stages=event.get("stages"),
-            )
-        elif kind == "aborted":
-            request_id = event["request_id"]
-            worker.placed.pop(request_id, None)
-            self._record_outcome(
-                SessionOutcome(
+                )
+            elif kind == "aborted":
+                outcome = SessionOutcome(
                     request_id,
                     worker.name,
                     "aborted",
                     party=event.get("party"),
                     reason=event.get("reason"),
                 )
-            )
-        elif kind == "failed":
-            request_id = event["request_id"]
-            worker.placed.pop(request_id, None)
-            self._record_outcome(
-                SessionOutcome(
+            else:
+                outcome = SessionOutcome(
                     request_id,
                     worker.name,
                     "crashed",
                     party=worker.name,
                     reason=event.get("reason"),
                 )
-            )
+            self._record_outcome(outcome, stages=event.get("stages"))
         elif kind == "stats":
             worker.stats = {
                 key: event[key]
@@ -1064,17 +972,14 @@ def run_fleet(
                 release_bytes=len(outcome.release_frame),
             )
             if verify_equivalence and request.seed is not None:
-                solo = Session(
+                row["byte_identical"] = outcome.release_frame == solo_release_bytes(
                     request.query,
-                    num_provers=config.num_servers,
+                    request.values,
+                    seed=request.seed,
+                    num_servers=config.num_servers,
                     group=config.group,
                     nb_override=config.nb_override,
                     chunk_size=outcome.chunk_size,
-                    rng=SeededRNG(request.seed),
-                )
-                solo.submit(request.values)
-                row["byte_identical"] = (
-                    encode_message(solo.release().release) == outcome.release_frame
                 )
         else:
             row.update(party=outcome.party, reason=outcome.reason)

@@ -67,7 +67,6 @@ class FleetGateway:
         self.rejected = 0
         self._closed = threading.Event()
         self._conns: set[socket.socket] = set()
-        self._threads: list[threading.Thread] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -89,11 +88,9 @@ class FleetGateway:
                 return  # listener closed
             with self._lock:
                 self._conns.add(conn)
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._serve_conn, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            ).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
         write_lock = threading.Lock()
@@ -232,10 +229,13 @@ class FleetGateway:
         if self._closed.is_set():
             return
         self._closed.set()
+        # Closing a listening socket does not wake a thread parked in
+        # accept() on Linux; shutting it down first does.
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
         with self._lock:
             conns = list(self._conns)
         for conn in conns:

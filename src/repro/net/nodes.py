@@ -41,7 +41,6 @@ from repro.core.messages import (
     Release,
 )
 from repro.core.params import PublicParams
-from repro.core.plan import AggregationPlan
 from repro.core.prover import Prover
 from repro.crypto.serialization import (
     decode_message,
@@ -67,6 +66,8 @@ __all__ = [
     "ServerNode",
     "AnalystNode",
     "ClientRunner",
+    "read_reply",
+    "serve_requests",
     "shutdown_peers",
     "abort_peers",
 ]
@@ -77,6 +78,37 @@ _CLIENTS = "clients"
 # Teardown is post-release housekeeping: a dead peer must not stall it
 # for the full protocol timeout, let alone timeout × remaining peers.
 _SHUTDOWN_GRACE = 5.0
+
+
+def read_reply(transport, peer, timeout, what=None, parse=None):
+    """Read ``peer``'s reply frame, or abort naming ``peer``.
+
+    Everything a peer can get wrong in a reply is that peer's fault and
+    becomes a :class:`ProtocolAbort` with ``party=peer`` — an undecodable
+    frame, an abort status (``what`` prefixes the peer's reason), or ok
+    parts that ``parse`` cannot make sense of (bad lengths, non-elements,
+    unknown codes) — never a raw decoding error crashing the front-end
+    with nobody attributed.  Returns ``parse(parts)``, or the parts.
+    """
+    prefix = f"{what}: " if what else ""
+    frame = transport.recv(peer, timeout)
+    try:
+        ok, parts = wire.decode_reply(frame)
+    except EncodingError as exc:
+        raise ProtocolAbort(
+            f"{prefix}undecodable reply from peer: {exc}", party=peer
+        ) from exc
+    if not ok:
+        reason = parts[0].decode(errors="replace") if parts else "aborted, no reason"
+        raise ProtocolAbort(prefix + reason, party=peer)
+    if parse is None:
+        return parts
+    try:
+        return parse(parts)
+    except (ValueError, KeyError, IndexError) as exc:  # incl. Encoding/NotOnGroup
+        raise ProtocolAbort(
+            f"{prefix}malformed reply from peer: {exc}", party=peer
+        ) from exc
 
 
 def shutdown_peers(transport, peers, timeout, audit=None, *, grace=_SHUTDOWN_GRACE):
@@ -144,6 +176,36 @@ def abort_peers(transport, peers, reason, *, clients_peer=None):
             pass
 
 
+def serve_requests(transport, analyst, timeout, handle, on_error) -> None:
+    """The loop every analyst-facing peer runs once set up.
+
+    Hands each RPC frame to ``handle(method, parts)`` until the
+    ``shutdown`` control (acked) or the one-way ``abort`` control (the
+    session died on the front-end: no reply, just a prompt exit) arrives,
+    then closes the transport.  Anything malformed goes to
+    ``on_error(message)`` — an abort reply from a server, a remembered
+    error from a shard worker — never a dead peer: the analyst
+    attributes and moves on.
+    """
+    try:
+        while True:
+            frame = transport.recv(analyst, timeout)
+            try:
+                if wire.frame_kind(frame) == "ctrl":
+                    ctrl, _ = wire.decode_control(frame)
+                    if ctrl == "shutdown":
+                        transport.send(analyst, wire.encode_reply())
+                        return
+                    if ctrl == "abort":
+                        return
+                    raise EncodingError(f"unexpected control {ctrl!r}")
+                handle(*wire.decode_rpc(frame))
+            except (ReproError, ValueError, IndexError, KeyError) as exc:
+                on_error(f"{type(exc).__name__}: {exc}")
+    finally:
+        transport.close()
+
+
 class RemoteProver(MorraParticipant):
     """Engine-facing proxy for a prover living behind a transport.
 
@@ -168,22 +230,9 @@ class RemoteProver(MorraParticipant):
 
     # RPC plumbing -----------------------------------------------------------
 
-    def _call(self, method: str, *parts: bytes) -> list[bytes]:
+    def _call(self, method: str, *parts: bytes, parse=None):
         self.transport.send(self.name, wire.encode_rpc(method, *parts))
-        frame = self.transport.recv(self.name, self.timeout)
-        try:
-            ok, reply = wire.decode_reply(frame)
-        except EncodingError as exc:
-            # A garbage reply is the server's fault: abort with the
-            # server named so the engine records it, never a raw
-            # EncodingError crashing the front-end.
-            raise ProtocolAbort(
-                f"undecodable reply from server: {exc}", party=self.name
-            ) from exc
-        if not ok:
-            reason = reply[0].decode() if reply else "remote prover aborted"
-            raise ProtocolAbort(reason, party=self.name)
-        return reply
+        return read_reply(self.transport, self.name, self.timeout, parse=parse)
 
     # Client phase -----------------------------------------------------------
 
@@ -213,19 +262,19 @@ class RemoteProver(MorraParticipant):
     # Coin phase -------------------------------------------------------------
 
     def commit_coins(self, context: bytes) -> CoinCommitmentMessage:
-        return self._coin_message(self._call("commit-coins", context))
+        return self._coin_message("commit-coins", context)
 
     def begin_coin_stream(self, context: bytes) -> None:
         self._call("begin-coin-stream", context)
 
     def commit_coin_chunk(self, count: int) -> CoinCommitmentMessage:
-        return self._coin_message(self._call("commit-coin-chunk", int_to_bytes(count)))
+        return self._coin_message("commit-coin-chunk", int_to_bytes(count))
 
     def absorb_public_bits(self, public_bits) -> None:
         self._call("absorb-bits", wire.encode_bit_matrix(public_bits))
 
-    def _coin_message(self, reply: list[bytes]) -> CoinCommitmentMessage:
-        message = self._decoded(reply, CoinCommitmentMessage)
+    def _coin_message(self, method: str, part: bytes) -> CoinCommitmentMessage:
+        message = self._call(method, part, parse=self._decoder(CoinCommitmentMessage))
         if message.prover_id != self.name:
             raise ProtocolAbort(
                 f"server answered for {message.prover_id!r}", party=self.name
@@ -235,30 +284,26 @@ class RemoteProver(MorraParticipant):
     # Output phase -----------------------------------------------------------
 
     def compute_output(self, valid_ids, public_bits) -> ProverOutputMessage:
-        reply = self._call(
+        return self._call(
             "compute-output",
             wire.encode_str_list(valid_ids),
             wire.encode_bit_matrix(public_bits),
+            parse=self._decoder(ProverOutputMessage),
         )
-        return self._decoded(reply, ProverOutputMessage)
 
     def finish_output(self) -> ProverOutputMessage:
-        return self._decoded(self._call("finish-output"), ProverOutputMessage)
+        return self._call("finish-output", parse=self._decoder(ProverOutputMessage))
 
-    def _decoded(self, reply: list[bytes], expected_type):
-        if not reply:
-            raise ProtocolAbort("empty reply from server", party=self.name)
-        try:
+    def _decoder(self, expected_type):
+        """A reply parser: the first part as one ``expected_type`` message."""
+
+        def parse(reply: list[bytes]):
             message = decode_message(self.params.group, reply[0])
-        except (EncodingError, ValueError) as exc:  # incl. NotOnGroupError
-            raise ProtocolAbort(
-                f"undecodable message from server: {exc}", party=self.name
-            ) from exc
-        if not isinstance(message, expected_type):
-            raise ProtocolAbort(
-                f"expected {expected_type.__name__} from server", party=self.name
-            )
-        return message
+            if not isinstance(message, expected_type):
+                raise EncodingError(f"expected {expected_type.__name__}")
+            return message
+
+        return parse
 
     # Morra (Algorithm 1), proxied --------------------------------------------
 
@@ -278,33 +323,23 @@ class RemoteProver(MorraParticipant):
         return [0] * count
 
     def commitments(self, scheme: HashCommitmentScheme, values):
-        reply = self._call("morra-commit", scheme.domain)
-        if not reply:
-            raise ProtocolAbort("malformed morra commit from server", party=self.name)
-        try:
-            digests = wire.decode_bytes_list(reply[0])
-        except EncodingError as exc:
-            raise ProtocolAbort(
-                f"malformed morra commit from server: {exc}", party=self.name
-            ) from exc
-        commitments = [HashCommitment(d) for d in digests]
-        if len(commitments) != len(values):
+        digests = self._call(
+            "morra-commit", scheme.domain, parse=lambda r: wire.decode_bytes_list(r[0])
+        )
+        if len(digests) != len(values):
             raise ProtocolAbort("morra commit count mismatch", party=self.name)
         # The opening randomness stays on the server until reveal.
-        return commitments, [b""] * len(commitments)
+        return [HashCommitment(d) for d in digests], [b""] * len(digests)
 
     def reveal(self, values, randomness, observed):
-        reply = self._call("morra-reveal")
-        if len(reply) != 2:
-            raise ProtocolAbort("malformed morra reveal from server", party=self.name)
-        try:
-            opened_values = wire.decode_int_list(reply[0])
-            opened_randomness = wire.decode_bytes_list(reply[1])
-        except EncodingError as exc:
-            raise ProtocolAbort(
-                f"malformed morra reveal from server: {exc}", party=self.name
-            ) from exc
-        return opened_values, opened_randomness
+        def parse(reply: list[bytes]):
+            opened_values, opened_randomness = reply
+            return (
+                wire.decode_int_list(opened_values),
+                wire.decode_bytes_list(opened_randomness),
+            )
+
+        return self._call("morra-reveal", parse=parse)
 
 
 class ServerNode:
@@ -345,42 +380,18 @@ class ServerNode:
     def run(self) -> None:
         """Serve one session: setup, RPC loop, shutdown."""
         self._setup()
-        try:
-            while True:
-                frame = self.transport.recv(self.analyst, self.timeout)
-                try:
-                    kind = wire.frame_kind(frame)
-                except EncodingError as exc:
-                    self.transport.send(
-                        self.analyst, wire.encode_abort_reply(str(exc))
-                    )
-                    continue
-                if kind == "ctrl":
-                    ctrl, _ = wire.decode_control(frame)
-                    if ctrl == "shutdown":
-                        self.transport.send(self.analyst, wire.encode_reply())
-                        return
-                    if ctrl == "abort":
-                        # One-way: the session died on the front-end; no
-                        # reply is expected, just a prompt exit.
-                        return
-                    self.transport.send(
-                        self.analyst,
-                        wire.encode_abort_reply(f"unexpected control {ctrl!r}"),
-                    )
-                    continue
-                try:
-                    method, parts = wire.decode_rpc(frame)
-                    reply = self._dispatch(method, parts)
-                except (ReproError, ValueError, IndexError, KeyError) as exc:
-                    # Malformed or short frames get an abort reply, never a
-                    # dead server: the analyst attributes and moves on.
-                    reply = wire.encode_abort_reply(f"{type(exc).__name__}: {exc}")
-                if self.reply_delay:
-                    time.sleep(self.reply_delay)
-                self.transport.send(self.analyst, reply)
-        finally:
-            self.transport.close()
+        serve_requests(
+            self.transport,
+            self.analyst,
+            self.timeout,
+            lambda method, parts: self._reply(self._dispatch(method, parts)),
+            lambda message: self._reply(wire.encode_abort_reply(message)),
+        )
+
+    def _reply(self, frame: bytes) -> None:
+        if self.reply_delay:
+            time.sleep(self.reply_delay)
+        self.transport.send(self.analyst, frame)
 
     def _setup(self) -> None:
         frame = self.transport.recv(self.analyst, self.timeout)
@@ -456,10 +467,12 @@ class AnalystNode:
     """The serving front-end: verifier plus the unchanged protocol engine.
 
     Builds parameters from a declarative query exactly as
-    :class:`repro.api.Session` does, ships setup frames to the servers
-    and a parameter announcement to the client peer, ingests wire-encoded
-    enrollments through ``engine.submit_prepared``, then drives the phase
-    machine to a release and publishes it back to the clients.
+    :class:`repro.api.Session` does, and owns the whole session skeleton
+    every topology runs: peer set-up, the parameter announcement, the
+    enrollment loop with its one validation routine, the release, peer
+    shutdown and publication.  Sharding plugs into the four ``# hook``
+    methods (:class:`repro.net.shard.ShardedAnalyst`); nothing else
+    differs between S = 0 and S > 0.
     """
 
     def __init__(
@@ -488,6 +501,7 @@ class AnalystNode:
         params = query.build_params(
             num_provers=len(servers), group=group, nb_override=nb_override
         )
+        self.chunk_size, verifier = self._verification(params, chunk_size)
         self.engine = build_engine(
             query,
             num_provers=len(servers),
@@ -496,8 +510,9 @@ class AnalystNode:
                 RemoteProver(name, transport, params, timeout=timeout)
                 for name in self.servers
             ],
+            verifier=verifier,
             rng=self.rng,
-            chunk_size=chunk_size,
+            chunk_size=self.chunk_size,
         )
         self.params = self.engine.params
         self.plan = self.engine.plan
@@ -507,54 +522,53 @@ class AnalystNode:
         """Serve one full session and return the engine result."""
         params_frame = wire.encode_params(self.params)
         plan_frame = wire.encode_plan(self.plan)
-        for name in self.servers:
-            self.transport.send(
-                name,
-                wire.encode_control("setup", params_frame, plan_frame, name.encode()),
-            )
-            ok, reply = wire.decode_reply(self.transport.recv(name, self.timeout))
-            if not ok:
-                reason = reply[0].decode() if reply else "setup rejected"
-                raise ProtocolAbort(f"server setup failed: {reason}", party=name)
+        peers = self._setup_peers(params_frame, plan_frame)
         self.transport.send(
             self.clients_peer, wire.encode_control("params", params_frame, plan_frame)
         )
         self._ingest()
         self.result = self.engine.run_release()
-        # Servers shut down *before* the release is published: an
+        # Peers shut down *before* the release is published: an
         # unresponsive peer's audit note must land in the bytes the
         # clients receive, not mutate the audit record of an
         # already-shipped release.
-        self._shutdown_servers()
+        shutdown_peers(self.transport, peers, self.timeout, self.engine.verifier.audit)
         self.transport.send(
             self.clients_peer,
             wire.encode_control("release", encode_message(self.result.release)),
         )
         return self.result
 
+    @property
+    def release(self) -> Release:
+        if self.result is None:
+            raise ParameterError("session has not released yet")
+        return self.result.release
+
+    # Enrollment ---------------------------------------------------------------
+
     def _ingest(self) -> None:
         """Accept enrollment bundles until the finalize control arrives.
 
-        A frame that fails to decode — truncated, bit-flipped into a
-        non-element, wrong shape — drops exactly that enrollment (with an
-        audit note), never the session: a hostile client cannot crash the
-        front-end.
+        A hostile frame drops exactly that enrollment (with an audit
+        note), never the session: a client cannot crash the front-end.
         """
-        group = self.params.group
+        audit = self.engine.verifier.audit
         while True:
             frame = self.transport.recv(self.clients_peer, self.timeout)
             try:
                 kind = wire.frame_kind(frame)
             except EncodingError:
-                self.engine.verifier.audit.note("dropped an unclassifiable frame")
+                audit.note("dropped an unclassifiable frame")
                 continue
             if kind == "ctrl":
                 try:
                     ctrl, _ = wire.decode_control(frame)
                 except EncodingError:
-                    self.engine.verifier.audit.note("dropped a malformed control frame")
+                    audit.note("dropped a malformed control frame")
                     continue
                 if ctrl == "finalize":
+                    self._finish_enrollment()
                     return
                 raise ProtocolAbort(
                     f"unexpected control {ctrl!r} during enrollment",
@@ -565,54 +579,87 @@ class AnalystNode:
                     f"unexpected {kind!r} frame during enrollment",
                     party=self.clients_peer,
                 )
-            try:
-                broadcast, privates = wire.decode_enrollment(group, frame)
-            except (EncodingError, NotOnGroupError, ValueError) as exc:
-                self.engine.verifier.audit.note(f"dropped undecodable enrollment: {exc}")
-                continue
-            if (
-                len(broadcast.share_commitments) != self.params.num_provers
-                or any(
-                    len(row) != self.params.dimension
-                    for row in broadcast.share_commitments
-                )
-            ):
-                # A shape lie (e.g. fewer commitment rows than provers)
-                # must never reach the share-check RPCs: a prover indexing
-                # a missing row would abort the session blaming itself.
-                self.engine.verifier.audit.note(
-                    f"rejected enrollment from {broadcast.client_id!r}: "
-                    "share commitments do not match K provers x M coordinates"
-                )
-                continue
-            if any(m.client_id != broadcast.client_id for m in privates):
-                # Same class of lie: a mismatched share id would raise
-                # ParameterError inside the prover's check, aborting the
-                # session with blame on the honest prover.
-                self.engine.verifier.audit.note(
-                    f"rejected enrollment from {broadcast.client_id!r}: "
-                    "private share client id does not match the broadcast"
-                )
+            enrollment = self._validated_enrollment(frame)
+            if enrollment is None:
                 continue
             try:
-                self.engine.submit_prepared([(broadcast, privates)])
+                self._admit(*enrollment)
             except ParameterError as exc:
-                # Duplicate/reserved client id, wrong share count, … — a
-                # hostile enrollment is dropped, never the session.
-                self.engine.verifier.audit.note(
-                    f"rejected enrollment from {broadcast.client_id!r}: {exc}"
-                )
+                # Rule 6: a duplicate or reserved client id.
+                client_id = enrollment[0].client_id
+                audit.note(f"rejected enrollment from {client_id!r}: {exc}")
 
-    def _shutdown_servers(self) -> None:
-        shutdown_peers(
-            self.transport, self.servers, self.timeout, self.engine.verifier.audit
-        )
+    def _validated_enrollment(self, frame: bytes):
+        """The one enrollment validation routine, for every S.
 
-    @property
-    def release(self) -> Release:
-        if self.result is None:
-            raise ParameterError("session has not released yet")
-        return self.result.release
+        Rules run in this order and the first broken one decides the
+        audit note, so a hostile bundle reads the same — and the release
+        bytes match — whether or not the session is sharded:
+
+        1. it decodes — else ``dropped undecodable enrollment: …``;
+        2. it is a broadcast plus share messages — else ``dropped an
+           enrollment with wrong message types``;
+        3. one private share message per prover;
+        4. share commitments shaped K provers × M coordinates (a prover
+           indexing a missing row would abort blaming itself);
+        5. every share message carries the broadcast's client id (a
+           mismatch would raise inside an honest prover's check);
+        6. the client id is new (checked at admission, in :meth:`_ingest`).
+
+        Rules 3–6 note ``rejected enrollment from '<id>': <rule>``.
+        Returns ``(broadcast, privates, broadcast frame)`` or ``None``.
+        """
+        audit = self.engine.verifier.audit
+        params = self.params
+        try:
+            broadcast_frame, private_frames = wire.split_enrollment(frame)
+            broadcast = decode_message(params.group, broadcast_frame)
+            privates = [decode_message(params.group, raw) for raw in private_frames]
+        except (EncodingError, NotOnGroupError, ValueError) as exc:
+            audit.note(f"dropped undecodable enrollment: {exc}")
+            return None
+        if not isinstance(broadcast, ClientBroadcast) or not all(
+            isinstance(m, ClientShareMessage) for m in privates
+        ):
+            audit.note("dropped an enrollment with wrong message types")
+            return None
+        if len(privates) != params.num_provers:
+            rule = "one private share message per prover required"
+        elif len(broadcast.share_commitments) != params.num_provers or any(
+            len(row) != params.dimension for row in broadcast.share_commitments
+        ):
+            rule = "share commitments do not match K provers x M coordinates"
+        elif any(m.client_id != broadcast.client_id for m in privates):
+            rule = "private share client id does not match the broadcast"
+        else:
+            return broadcast, privates, broadcast_frame
+        audit.note(f"rejected enrollment from {broadcast.client_id!r}: {rule}")
+        return None
+
+    # Sharding hooks (overridden by ShardedAnalyst) -----------------------------
+
+    def _verification(self, params: PublicParams, chunk_size: int | None):
+        """hook: the (chunk size, verifier) the engine runs with; ``None``
+        is the engine's own :class:`~repro.core.verifier.PublicVerifier`."""
+        return chunk_size, None
+
+    def _setup_peers(self, params_frame: bytes, plan_frame: bytes) -> list[str]:
+        """hook: ship setup frames; returns every peer to shut down later."""
+        for name in self.servers:
+            self.transport.send(
+                name,
+                wire.encode_control("setup", params_frame, plan_frame, name.encode()),
+            )
+            read_reply(self.transport, name, self.timeout, "server setup failed")
+        return self.servers
+
+    def _admit(self, broadcast, privates, broadcast_frame: bytes) -> None:
+        """hook: enroll one validated bundle (raises ``ParameterError`` on
+        a duplicate or reserved client id)."""
+        self.engine.submit_prepared([(broadcast, privates)])
+
+    def _finish_enrollment(self) -> None:
+        """hook: the finalize control arrived."""
 
 
 class ClientRunner:

@@ -18,6 +18,7 @@ redesign promises (same engine, same RNG streams, different substrate).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import statistics
 import sys
@@ -26,7 +27,6 @@ import time
 from multiprocessing import get_context
 
 from repro.api.queries import CountQuery, HistogramQuery, Query
-from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ProtocolAbort
 from repro.net.aio import (
@@ -45,15 +45,22 @@ from repro.net.fleet import (
 )
 from repro.net.gateway import FleetGateway
 from repro.net.metrics import MetricsServer, ServingMetrics
-from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
-from repro.net.shard import ShardWorker, ShardedAnalyst
+from repro.net.roles import (
+    build_analyst,
+    dial,
+    peer_rng,
+    peer_roles,
+    role_names,
+    root_rng,
+    run_role,
+    solo_release_bytes,
+)
 from repro.net.transport import (
     SESSION_ANY,
     InMemoryHub,
     SocketTransport,
     multiprocess_star,
 )
-from repro.utils.rng import RNG, SeededRNG, SystemRNG
 
 __all__ = [
     "run_distributed_session",
@@ -74,64 +81,15 @@ EXIT_PROTOCOL_ABORT = 3  # a party broke the protocol; stderr names it
 EXIT_INFRA_CRASH = 4  # sockets/processes/unexpected exceptions died
 
 
-def _root_rng(seed: str | None) -> RNG:
-    return SeededRNG(seed) if seed is not None else SystemRNG()
-
-
-def _server_rng(seed: str | None, name: str) -> RNG:
-    # Matches the in-process engine: prover k draws from root.fork(name).
-    return SeededRNG(seed).fork(name) if seed is not None else SystemRNG()
-
-
-# Every multiplexed session gets its own root seed (f"{seed}/s{s}") and
-# a rotated population; the canonical definitions live in repro.net.fleet
-# so the async and fleet drivers can never drift apart on them.
-_session_seed = session_seed
-_session_values = session_values
-
-
-def _terminate_processes(processes) -> None:
-    """Best-effort teardown of started children on a failure path."""
+def _terminate_processes(workers) -> None:
+    """Best-effort teardown of started peers on a failure path (threads
+    cannot be terminated; closing the analyst transport unblocks them)."""
+    processes = [worker for worker in workers if hasattr(worker, "terminate")]
     for process in processes:
         if process.is_alive():
             process.terminate()
     for process in processes:
         process.join(timeout=5.0)
-
-
-def _server_main_pipes(
-    transport, seed: str | None, name: str, timeout: float = 60.0
-) -> None:
-    ServerNode(transport, _server_rng(seed, name), timeout=timeout).run()
-
-
-def _clients_main_pipes(
-    transport, query: Query, values, seed: str | None, timeout: float = 60.0
-) -> None:
-    ClientRunner(transport, query, values, rng=_root_rng(seed), timeout=timeout).run()
-
-
-def _server_main_socket(
-    name: str, host: str, port: int, seed: str | None, timeout: float = 60.0
-) -> None:
-    transport = SocketTransport.connect(name, "analyst", host, port)
-    ServerNode(transport, _server_rng(seed, name), timeout=timeout).run()
-
-
-def _shard_main_pipes(transport, timeout: float = 60.0) -> None:
-    ShardWorker(transport, timeout=timeout).run()
-
-
-def _shard_main_socket(name: str, host: str, port: int, timeout: float = 60.0) -> None:
-    transport = SocketTransport.connect(name, "analyst", host, port)
-    ShardWorker(transport, timeout=timeout).run()
-
-
-def _clients_main_socket(
-    host: str, port: int, query: Query, values, seed: str | None, timeout: float = 60.0
-) -> None:
-    transport = SocketTransport.connect("clients", "analyst", host, port)
-    ClientRunner(transport, query, values, rng=_root_rng(seed), timeout=timeout).run()
 
 
 def run_distributed_session(
@@ -165,49 +123,26 @@ def run_distributed_session(
     if shards < 0:
         raise ParameterError("shards must be >= 0 (0 = unsharded front-end)")
     values = list(values)
-    server_names = [f"prover-{k}" for k in range(num_servers)]
-    shard_names = [f"shard-{s}" for s in range(shards)]
+    roles = peer_roles(num_servers, shards)
     if verify_equivalence is None:
         verify_equivalence = seed is not None
 
     start = time.perf_counter()
-    if transport == "memory":
-        analyst_transport, cleanup = _start_memory(
-            query, values, server_names, shard_names, seed, timeout
-        )
-    elif transport == "multiprocess":
-        analyst_transport, cleanup = _start_multiprocess(
-            query, values, server_names, shard_names, seed, timeout
-        )
-    else:
-        analyst_transport, cleanup = _start_socket(
-            query, values, server_names, shard_names, seed, host, port, timeout
-        )
-
+    analyst_transport, cleanup = _start_peers(
+        transport, roles, query, values, seed, host, port, timeout
+    )
     try:
-        if shards:
-            analyst = ShardedAnalyst(
-                query,
-                analyst_transport,
-                server_names,
-                shard_names,
-                group=group,
-                nb_override=nb_override,
-                chunk_size=chunk_size,
-                rng=_root_rng(seed),
-                timeout=timeout,
-            )
-        else:
-            analyst = AnalystNode(
-                query,
-                analyst_transport,
-                server_names,
-                group=group,
-                nb_override=nb_override,
-                chunk_size=chunk_size,
-                rng=_root_rng(seed),
-                timeout=timeout,
-            )
+        analyst = build_analyst(
+            query,
+            analyst_transport,
+            role_names(roles, "server"),
+            role_names(roles, "shard"),
+            group=group,
+            nb_override=nb_override,
+            chunk_size=chunk_size,
+            rng=root_rng(seed),
+            timeout=timeout,
+        )
         result = analyst.run()
     finally:
         # Close the analyst transport *before* joining children: after an
@@ -218,7 +153,6 @@ def run_distributed_session(
         analyst_transport.close()
         cleanup()
     elapsed = time.perf_counter() - start
-    effective_chunk = getattr(analyst, "chunk_size", chunk_size)
 
     release_bytes = encode_message(result.release)
     outcome = {
@@ -228,7 +162,7 @@ def run_distributed_session(
         "n_clients": len(values),
         "nb": analyst.params.nb,
         "group": group,
-        "chunk_size": effective_chunk,
+        "chunk_size": analyst.chunk_size,
         "accepted": result.release.accepted,
         "estimate": result.release.estimate,
         "elapsed_s": elapsed,
@@ -241,148 +175,75 @@ def run_distributed_session(
     }
 
     if verify_equivalence:
-        session = Session(
+        outcome["byte_identical"] = release_bytes == solo_release_bytes(
             query,
-            num_provers=num_servers,
+            values,
+            seed=seed,
+            num_servers=num_servers,
             group=group,
             nb_override=nb_override,
-            chunk_size=effective_chunk,
-            rng=_root_rng(seed),
+            chunk_size=analyst.chunk_size,
         )
-        session.submit(values)
-        in_process = session.release().release
-        outcome["byte_identical"] = encode_message(in_process) == release_bytes
     return outcome
 
 
-# Per-transport node launchers -------------------------------------------------
+def _start_peers(transport, roles, query, values, seed, host, port, timeout):
+    """Start every peer of one session on ``transport``; returns the
+    analyst's transport and a cleanup that joins the peers.
 
-
-def _start_memory(query, values, server_names, shard_names, seed, timeout):
-    hub = InMemoryHub()
-    analyst_transport = hub.endpoint("analyst")
-    threads = []
-    for name in server_names:
-        node = ServerNode(hub.endpoint(name), _server_rng(seed, name), timeout=timeout)
-        threads.append(threading.Thread(target=node.run, name=name, daemon=True))
-    for name in shard_names:
-        worker = ShardWorker(hub.endpoint(name), timeout=timeout)
-        threads.append(threading.Thread(target=worker.run, name=name, daemon=True))
-    runner = ClientRunner(
-        hub.endpoint("clients"), query, values, rng=_root_rng(seed), timeout=timeout
-    )
-    threads.append(threading.Thread(target=runner.run, name="clients", daemon=True))
-    for thread in threads:
-        thread.start()
-
-    def cleanup():
-        for thread in threads:
-            thread.join(timeout=10.0)
-
-    return analyst_transport, cleanup
-
-
-def _start_multiprocess(query, values, server_names, shard_names, seed, timeout):
-    context = get_context("fork")
-    analyst_transport, peer_transports = multiprocess_star(
-        "analyst", server_names + shard_names + ["clients"]
-    )
-    processes = [
-        context.Process(
-            target=_server_main_pipes,
-            args=(peer_transports[name], seed, name, timeout),
+    The three transports differ only in how a peer gets its channel — a
+    hub endpoint, an inherited pipe end, a socket it dials — and whether
+    it is a thread or a forked process; every peer runs
+    :func:`~repro.net.roles.run_role`.
+    """
+    names = [name for _, name in roles]
+    spawn = get_context("fork").Process
+    if transport == "memory":
+        hub = InMemoryHub()
+        analyst_transport = hub.endpoint("analyst")
+        channels = {name: hub.endpoint(name) for name in names}
+        spawn = threading.Thread
+    elif transport == "multiprocess":
+        analyst_transport, channels = multiprocess_star("analyst", names)
+    else:
+        analyst_transport = SocketTransport.listen("analyst", host, port)
+        channels = {
+            name: dial(name, host, analyst_transport.port) for name in names
+        }
+    workers = [
+        spawn(
+            target=run_role,
+            args=(role, name, channels[name]),
+            kwargs=dict(seed=seed, query=query, values=values, timeout=timeout),
+            name=name,
             daemon=True,
         )
-        for name in server_names
+        for role, name in roles
     ]
-    processes += [
-        context.Process(
-            target=_shard_main_pipes,
-            args=(peer_transports[name], timeout),
-            daemon=True,
-        )
-        for name in shard_names
-    ]
-    processes.append(
-        context.Process(
-            target=_clients_main_pipes,
-            args=(peer_transports["clients"], query, values, seed, timeout),
-            daemon=True,
-        )
-    )
     started: list = []
     try:
-        for process in processes:
-            process.start()
-            started.append(process)
-        # The child ends of the pipes belong to the children now.
-        for peer_transport in peer_transports.values():
-            peer_transport.close()
+        for worker in workers:
+            worker.start()
+            started.append(worker)
+        if transport == "multiprocess":
+            # The child ends of the pipes belong to the children now.
+            for channel in channels.values():
+                channel.close()
+        elif transport == "socket":
+            analyst_transport.accept(len(workers), timeout, expected=names)
     except BaseException:
-        # A failed start must not leak the children already running (or
-        # the analyst's pipe ends): this cleanup used to exist only in
-        # the returned closure, which a raising startup never reached.
+        # A failed start — a fork that raises, an accept that times out
+        # or is fed hostile handshakes — must not leak the children
+        # already running or the listener/pipe ends: the cleanup closure
+        # below is only ever returned on success.
         _terminate_processes(started)
         analyst_transport.close()
         raise
 
     def cleanup():
-        for process in processes:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung child
-                process.terminate()
-
-    return analyst_transport, cleanup
-
-
-def _start_socket(query, values, server_names, shard_names, seed, host, port, timeout):
-    context = get_context("fork")
-    analyst_transport = SocketTransport.listen("analyst", host, port)
-    bound_port = analyst_transport.port
-    processes = [
-        context.Process(
-            target=_server_main_socket,
-            args=(name, host, bound_port, seed, timeout),
-            daemon=True,
-        )
-        for name in server_names
-    ]
-    processes += [
-        context.Process(
-            target=_shard_main_socket,
-            args=(name, host, bound_port, timeout),
-            daemon=True,
-        )
-        for name in shard_names
-    ]
-    processes.append(
-        context.Process(
-            target=_clients_main_socket,
-            args=(host, bound_port, query, values, seed, timeout),
-            daemon=True,
-        )
-    )
-    started: list = []
-    try:
-        for process in processes:
-            process.start()
-            started.append(process)
-        analyst_transport.accept(
-            len(processes), timeout, expected=server_names + shard_names + ["clients"]
-        )
-    except BaseException:
-        # accept() raising (timeout, hostile handshakes, listener error)
-        # used to leak every started child *and* the listening socket —
-        # the cleanup closure was only returned on success.
-        _terminate_processes(started)
-        analyst_transport.close()
-        raise
-
-    def cleanup():
-        for process in processes:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung child
-                process.terminate()
+        for worker in workers:
+            worker.join(timeout=30.0)
+        _terminate_processes(workers)  # only a hung child is still alive
 
     return analyst_transport, cleanup
 
@@ -405,10 +266,7 @@ def _async_server_main(
         transport = await AsyncSocketTransport.connect(name, "analyst", host, port)
         node = AsyncServerNode(
             transport,
-            {
-                s: _server_rng(_session_seed(seed, s), name)
-                for s in range(sessions)
-            },
+            {s: peer_rng(session_seed(seed, s), name) for s in range(sessions)},
             timeout=timeout,
             reply_delay=reply_delay,
         )
@@ -436,8 +294,8 @@ def _async_clients_main(
             {
                 s: (
                     query,
-                    _session_values(list(values), s),
-                    _root_rng(_session_seed(seed, s)),
+                    session_values(list(values), s),
+                    root_rng(session_seed(seed, s)),
                 )
                 for s in range(sessions)
             },
@@ -449,35 +307,19 @@ def _async_clients_main(
     asyncio.run(go())
 
 
-def _async_shard_main(
-    name: str,
-    host: str,
-    port: int,
-    sessions: int,
-    timeout: float = 60.0,
+def _session_shards_main(
+    name: str, host: str, port: int, sessions: int, timeout: float = 60.0
 ) -> None:
-    """Child process: one blocking ShardWorker thread per session, each
+    """Child process: one blocking shard-worker thread per session, each
     over its own session-scoped connection (the worker itself is the
     unchanged single-session code — scoped channels do the routing)."""
-
-    def one(session: int) -> None:
-        try:
-            transport = SocketTransport.connect(
-                name, "analyst", host, port, session=session, timeout=timeout
-            )
-        except OSError:
-            return
-        try:
-            ShardWorker(transport, timeout=timeout).run()
-        except ParameterError:
-            raise
-        except Exception:  # repro: allow[REP004] -- shard worker thread: the front-end already attributed the abort; re-raising here would only crash the demo harness
-            pass  # an aborted session already has attribution front-end side
-        finally:
-            transport.close()
-
     threads = [
-        threading.Thread(target=one, args=(s,), daemon=True)
+        threading.Thread(
+            target=run_role,
+            args=("shard", name, dial(name, host, port, session=s, timeout=timeout)),
+            kwargs=dict(timeout=timeout),
+            daemon=True,
+        )
         for s in range(sessions)
     ]
     for thread in threads:
@@ -519,8 +361,8 @@ def run_async_sessions(
     ``shards > 0`` backs *every* session with that many
     :class:`ShardWorker` peers — the ``--async --shards`` composition:
     one front-end multiplexes N sessions, each fanning verification
-    across S session-scoped shard workers, with the effective chunk size
-    pinned so the solo replay stays byte-identical.
+    across S session-scoped shard workers; the solo replay runs at the
+    chunk size the mux reports each session actually used.
 
     ``reply_delay`` makes every server sleep that long before each RPC
     reply — simulated remote-prover latency, the idle time the mux
@@ -531,20 +373,14 @@ def run_async_sessions(
     if shards < 0:
         raise ParameterError("shards must be >= 0 (0 = unsharded sessions)")
     values = list(values)
-    server_names = [f"prover-{k}" for k in range(num_servers)]
-    shard_names = tuple(f"shard-{j}" for j in range(shards))
+    roles = peer_roles(num_servers, shards)
+    server_names = role_names(roles, "server")
+    shard_names = tuple(role_names(roles, "shard"))
     if verify_equivalence is None:
         verify_equivalence = seed is not None
-
     params = query.build_params(
         num_provers=num_servers, group=group, nb_override=nb_override
     )
-    effective_chunk = chunk_size
-    if shard_names and effective_chunk is None:
-        # The sharded default (at least two chunks per shard), pinned
-        # here so the solo-replay equivalence check runs with the same
-        # chunking the ShardedAnalyst will pick.
-        effective_chunk = max(1, -(-params.nb // (2 * len(shard_names))))
 
     # Bind the listener before forking so children know the port; the
     # asyncio server adopts this socket inside the loop.
@@ -565,7 +401,7 @@ def run_async_sessions(
     ]
     processes += [
         context.Process(
-            target=_async_shard_main,
+            target=_session_shards_main,
             args=(name, host, bound_port, sessions, timeout),
             daemon=True,
         )
@@ -607,10 +443,10 @@ def run_async_sessions(
             specs = [
                 SessionSpec(
                     query,
-                    rng=_root_rng(_session_seed(seed, s)),
+                    rng=root_rng(session_seed(seed, s)),
                     group=group,
                     nb_override=nb_override,
-                    chunk_size=effective_chunk,
+                    chunk_size=chunk_size,
                     shards=shard_names,
                 )
                 for s in range(sessions)
@@ -638,8 +474,7 @@ def run_async_sessions(
     finally:
         for process in started:
             process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung child
-                process.terminate()
+        _terminate_processes(started)  # only a hung child is still alive
     elapsed = time.perf_counter() - start
 
     mux = mux_box["mux"]
@@ -658,17 +493,14 @@ def run_async_sessions(
             "release_bytes": len(release_bytes),
         }
         if verify_equivalence:
-            solo = Session(
+            row["byte_identical"] = release_bytes == solo_release_bytes(
                 query,
-                num_provers=num_servers,
+                session_values(values, s),
+                seed=session_seed(seed, s),
+                num_servers=num_servers,
                 group=group,
                 nb_override=nb_override,
-                chunk_size=effective_chunk,
-                rng=_root_rng(_session_seed(seed, s)),
-            )
-            solo.submit(_session_values(values, s))
-            row["byte_identical"] = (
-                encode_message(solo.release().release) == release_bytes
+                chunk_size=mux.chunk_sizes[s],
             )
         session_rows.append(row)
 
@@ -680,7 +512,7 @@ def run_async_sessions(
         "n_clients": len(values),
         "nb": params.nb,
         "group": group,
-        "chunk_size": effective_chunk,
+        "chunk_size": mux.chunk_sizes[0],
         "reply_delay_s": reply_delay,
         "elapsed_s": elapsed,
         "sessions_per_sec": sessions / elapsed if elapsed else float("inf"),
@@ -772,24 +604,29 @@ def _dispatch(args) -> int:
     return 0 if outcome["accepted"] else 1
 
 
-def _start_metrics(args):
+@contextlib.contextmanager
+def _metrics_endpoint(args):
     """Optional /metrics endpoint for a serving run (``--metrics-port``).
 
-    Returns ``(metrics, server)`` — both ``None`` without the flag.
-    Port 0 binds an ephemeral port; the bound port is announced on
-    stdout either way so scrapers can find it.
+    Yields the :class:`ServingMetrics` to feed — ``None`` without the
+    flag — and closes the endpoint on exit.  Port 0 binds an ephemeral
+    port; the bound port is announced on stdout either way so scrapers
+    can find it.
     """
     if getattr(args, "metrics_port", None) is None:
-        return None, None
+        yield None
+        return
     metrics = ServingMetrics()
     server = MetricsServer(metrics.registry, host=args.host, port=args.metrics_port)
     print(f"metrics: http://{args.host}:{server.port}/metrics", flush=True)
-    return metrics, server
+    try:
+        yield metrics
+    finally:
+        server.close()
 
 
 def _main_async(args, query: Query, values) -> int:
-    metrics, metrics_server = _start_metrics(args)
-    try:
+    with _metrics_endpoint(args) as metrics:
         outcome = run_async_sessions(
             query,
             values,
@@ -805,9 +642,6 @@ def _main_async(args, query: Query, values) -> int:
             timeout=args.timeout,
             metrics=metrics,
         )
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
     sharded = f", S={outcome['shards']} shards/session" if outcome["shards"] else ""
     print(
         f"== async multiplexed serving (N={outcome['sessions']} sessions, "
@@ -860,8 +694,7 @@ def _main_fleet(args, query: Query, values) -> int:
         )
     if getattr(args, "listen", None) is not None:
         return _main_fleet_gateway(args, query, config)
-    metrics, metrics_server = _start_metrics(args)
-    try:
+    with _metrics_endpoint(args) as metrics:
         outcome = run_fleet(
             query,
             values,
@@ -870,9 +703,6 @@ def _main_fleet(args, query: Query, values) -> int:
             seed=args.seed,
             metrics=metrics,
         )
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
     sharded = f", S={outcome['shards']} shards/session" if outcome["shards"] else ""
     print(
         f"== fleet serving (F={outcome['frontends']} front-ends x "
@@ -924,44 +754,41 @@ def _main_fleet_gateway(args, query: Query, config: FleetConfig) -> int:
     fixed batch.  Runs until ``--serve-seconds`` elapses (or forever,
     Ctrl-C to stop), then drains: everything admitted finishes, nothing
     new is let in."""
-    metrics, metrics_server = _start_metrics(args)
-    dispatcher = FleetDispatcher(config, metrics=metrics)
-    dispatcher.start()
-    gateway = None
-    try:
-        gateway = FleetGateway(
-            dispatcher,
-            query,
-            host=args.host,
-            port=args.listen,
-            timeout=config.timeout,
-        )
-        print(
-            f"fleet gateway: {args.host}:{gateway.port} "
-            f"(F={config.frontends} x capacity {config.capacity}, "
-            f"K={config.num_servers}, nb={config.nb_override}, "
-            f"{config.group})",
-            flush=True,
-        )
-        serve_seconds = getattr(args, "serve_seconds", None)
-        try:
-            if serve_seconds is not None:
-                time.sleep(serve_seconds)
-            else:
-                while True:
-                    time.sleep(1.0)
-        except KeyboardInterrupt:
-            pass
-        admitted = gateway.admitted
-        gateway.close()
+    with _metrics_endpoint(args) as metrics:
+        dispatcher = FleetDispatcher(config, metrics=metrics)
+        dispatcher.start()
         gateway = None
-        drained = dispatcher.drain(timeout=config.timeout)
-    finally:
-        if gateway is not None:
+        try:
+            gateway = FleetGateway(
+                dispatcher,
+                query,
+                host=args.host,
+                port=args.listen,
+                timeout=config.timeout,
+            )
+            print(
+                f"fleet gateway: {args.host}:{gateway.port} "
+                f"(F={config.frontends} x capacity {config.capacity}, "
+                f"K={config.num_servers}, nb={config.nb_override}, "
+                f"{config.group})",
+                flush=True,
+            )
+            serve_seconds = getattr(args, "serve_seconds", None)
+            try:
+                if serve_seconds is not None:
+                    time.sleep(serve_seconds)
+                else:
+                    while True:
+                        time.sleep(1.0)
+            except KeyboardInterrupt:
+                pass
+            admitted = gateway.admitted
             gateway.close()
-        dispatcher.stop()
-        if metrics_server is not None:
-            metrics_server.close()
+            drained = dispatcher.drain(timeout=config.timeout)
+        finally:
+            if gateway is not None:
+                gateway.close()  # idempotent
+            dispatcher.stop()
     statuses: dict[str, int] = {}
     for outcome in dispatcher.outcomes.values():
         statuses[outcome.status] = statuses.get(outcome.status, 0) + 1

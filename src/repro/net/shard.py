@@ -15,11 +15,14 @@ that bottleneck:
   (:meth:`PublicVerifier.skip_coin_chunk`), so every shard holds the
   correct transcript state while paying the RLC multi-exponentiation for
   only 1/S of the stream.
-* :class:`ShardedAnalyst` — the front-end.  It drives the *unchanged*
-  :class:`~repro.api.engine.ProtocolEngine` (same RNG fork labels, same
-  Morra draws) but plugs in a :class:`_ShardedVerifier` whose heavy
-  verification methods fan work out to the shards and whose
-  ``finish_coin_stream`` merges their answers.
+* :class:`ShardedAnalyst` — the front-end: the
+  :class:`~repro.net.nodes.AnalystNode` session skeleton (same engine,
+  same RNG fork labels, same Morra draws, same enrollment validation)
+  plus the sharding hooks — shard set-up, round-robin client fan-out,
+  and a :class:`_ShardedVerifier` whose heavy verification methods fan
+  work out to the shards and whose ``finish_coin_stream`` merges their
+  answers.  :func:`repro.net.roles.build_analyst` is how every
+  serving path picks between the two.
 
 **Merge rules** (why a sharded release is byte-identical to an unsharded
 seeded :class:`~repro.api.Session` at the same ``chunk_size``):
@@ -45,12 +48,10 @@ draws are simply wasted on a run that will not release.
 
 from __future__ import annotations
 
-from repro.api.engine import EngineResult, fork_rng
-from repro.api.queries import ComposedQuery, Query
-from repro.api.session import build_engine
-from repro.core.messages import ClientStatus, CoinCommitmentMessage, Release
+from repro.api.engine import fork_rng
+from repro.api.queries import Query
+from repro.core.messages import ClientStatus, CoinCommitmentMessage
 from repro.core.params import PublicParams
-from repro.core.plan import AggregationPlan
 from repro.core.verifier import PublicVerifier
 from repro.crypto.pedersen import Commitment
 from repro.crypto.serialization import (
@@ -63,10 +64,9 @@ from repro.errors import (
     NotOnGroupError,
     ParameterError,
     ProtocolAbort,
-    ReproError,
 )
 from repro.net import wire
-from repro.net.nodes import RemoteProver, shutdown_peers
+from repro.net.nodes import AnalystNode, read_reply, serve_requests
 from repro.net.transport import Transport
 from repro.utils.encoding import (
     bytes_to_int,
@@ -74,12 +74,11 @@ from repro.utils.encoding import (
     encode_length_prefixed,
     int_to_bytes,
 )
-from repro.utils.rng import RNG, SystemRNG
+from repro.utils.rng import SystemRNG
 
-__all__ = ["ShardWorker", "ShardedAnalyst"]
+__all__ = ["ShardWorker", "ShardedAnalyst", "sharded_chunk_size"]
 
 _ANALYST = "analyst"
-_CLIENTS = "clients"
 
 _STATUS_CODE = {
     ClientStatus.VALID: 0,
@@ -87,10 +86,6 @@ _STATUS_CODE = {
     ClientStatus.BAD_OPENING: 2,
 }
 _CODE_STATUS = {code: status for status, code in _STATUS_CODE.items()}
-
-
-def _encode_element(element) -> bytes:
-    return element.to_bytes()
 
 
 class ShardWorker:
@@ -128,32 +123,9 @@ class ShardWorker:
     def run(self) -> None:
         """Serve one session: setup, dispatch loop, shutdown."""
         self._setup()
-        try:
-            while True:
-                frame = self.transport.recv(self.analyst, self.timeout)
-                try:
-                    kind = wire.frame_kind(frame)
-                except EncodingError as exc:
-                    self._note_error(f"unclassifiable frame: {exc}")
-                    continue
-                if kind == "ctrl":
-                    ctrl, _ = wire.decode_control(frame)
-                    if ctrl == "shutdown":
-                        self.transport.send(self.analyst, wire.encode_reply())
-                        return
-                    if ctrl == "abort":
-                        # One-way: the front-end's session died; exit
-                        # promptly instead of waiting out the timeout.
-                        return
-                    self._note_error(f"unexpected control {ctrl!r}")
-                    continue
-                try:
-                    method, parts = wire.decode_rpc(frame)
-                    self._dispatch(method, parts)
-                except (ReproError, ValueError, IndexError, KeyError) as exc:
-                    self._note_error(f"{type(exc).__name__}: {exc}")
-        finally:
-            self.transport.close()
+        serve_requests(
+            self.transport, self.analyst, self.timeout, self._dispatch, self._note_error
+        )
 
     def _setup(self) -> None:
         frame = self.transport.recv(self.analyst, self.timeout)
@@ -216,25 +188,20 @@ class ShardWorker:
     def _clients_finish(self) -> bytes:
         if self._error is not None:
             return wire.encode_abort_reply(self._error)
-        chunk_blobs = []
-        for start, verdicts in self._client_chunks:
-            chunk_blobs.append(
-                encode_length_prefixed(
-                    int_to_bytes(start),
-                    wire.encode_str_list([cid for cid, _ in verdicts]),
-                    bytes(_STATUS_CODE[status] for _, status in verdicts),
-                )
+        chunk_blobs = [
+            encode_length_prefixed(
+                int_to_bytes(start),
+                wire.encode_str_list([cid for cid, _ in verdicts]),
+                bytes(_STATUS_CODE[status] for _, status in verdicts),
             )
-        product_rows = []
-        for row in self.verifier.client_products():
-            product_rows.append(
-                encode_length_prefixed(
-                    *[
-                        b"" if element is None else _encode_element(element)
-                        for element in row
-                    ]
-                )
+            for start, verdicts in self._client_chunks
+        ]
+        product_rows = [
+            encode_length_prefixed(
+                *[b"" if element is None else element.to_bytes() for element in row]
             )
+            for row in self.verifier.client_products()
+        ]
         return wire.encode_reply(
             encode_length_prefixed(*chunk_blobs), encode_length_prefixed(*product_rows)
         )
@@ -300,7 +267,7 @@ class ShardWorker:
                     b"\x01",
                     b"",
                     int_to_bytes(received),
-                    *[_encode_element(product.element) for product in products],
+                    *[product.element.to_bytes() for product in products],
                 )
             note = "coin stream unhealthy"
         return wire.encode_reply(b"\x00", note.encode(), int_to_bytes(received))
@@ -339,16 +306,25 @@ class _ShardedVerifier(PublicVerifier):
         return True
 
 
-class ShardedAnalyst:
+def sharded_chunk_size(nb: int, shards: int) -> int:
+    """The default chunk size of a session with S shards: at least two
+    chunks per shard, so coin-chunk ownership round-robins."""
+    return max(1, -(-nb // (2 * shards)))
+
+
+class ShardedAnalyst(AnalystNode):
     """A serving front-end that spreads verification over S shards.
 
-    Drop-in for :class:`~repro.net.nodes.AnalystNode` with one extra peer
-    group: ``shards`` names S :class:`ShardWorker` peers on the same
-    transport.  Clients are dispatched round-robin in engine-sized
-    chunks; every coin chunk goes to every shard (owners verify, the
-    rest fast-forward); Morra, ε-accounting and the release stay single.
-    Under a seed the merged release is byte-identical to an unsharded
-    :class:`~repro.api.Session` run at the same ``chunk_size``.
+    :class:`~repro.net.nodes.AnalystNode` with one extra peer group:
+    ``shards`` names S :class:`ShardWorker` peers on the same transport.
+    The session skeleton — set-up, enrollment loop and validation,
+    release, shutdown, publish — is the base class's; this class is only
+    what sharding adds.  Clients are dispatched round-robin in
+    engine-sized chunks; every coin chunk goes to every shard (owners
+    verify, the rest fast-forward); Morra, ε-accounting and the release
+    stay single.  Under a seed the merged release is byte-identical to
+    an unsharded :class:`~repro.api.Session` run at the same
+    ``chunk_size``.
     """
 
     def __init__(
@@ -357,72 +333,34 @@ class ShardedAnalyst:
         transport: Transport,
         servers: list[str],
         shards: list[str],
-        *,
-        group: str = "modp-2048",
-        nb_override: int | None = None,
-        chunk_size: int | None = None,
-        rng: RNG | None = None,
-        clients_peer: str = _CLIENTS,
-        timeout: float | None = 60.0,
+        **options,
     ) -> None:
-        if isinstance(query, ComposedQuery):
-            raise ParameterError("composed queries are not served sharded yet")
-        if not servers:
-            raise ParameterError("need at least one server (K >= 1)")
         if not shards:
             raise ParameterError("need at least one shard worker (S >= 1)")
-        self.query = query
-        self.transport = transport
-        self.servers = list(servers)
         self.shards = list(shards)
-        self.clients_peer = clients_peer
-        self.timeout = timeout
-        self.rng = rng if rng is not None else SystemRNG()
-        params = query.build_params(
-            num_provers=len(servers), group=group, nb_override=nb_override
-        )
-        if chunk_size is None:
-            # At least two chunks per shard so ownership round-robins.
-            chunk_size = max(1, -(-params.nb // max(2 * len(self.shards), 1)))
-        self.chunk_size = chunk_size
-        plan = query.build_plan()
-        verifier = _ShardedVerifier(
-            params, fork_rng(self.rng, "verifier"), plan=plan, analyst=self
-        )
-        self.engine = build_engine(
-            query,
-            num_provers=len(servers),
-            params=params,
-            provers=[
-                RemoteProver(name, transport, params, timeout=timeout)
-                for name in self.servers
-            ],
-            verifier=verifier,
-            rng=self.rng,
-            chunk_size=chunk_size,
-        )
-        self.params = self.engine.params
-        self.plan = self.engine.plan
-        self.result: EngineResult | None = None
         # Round-robin dispatch state.
         self._chunk_counter = 0
         self._pending: list[tuple] = []  # (broadcast, privates, broadcast frame)
         self._dispatched = 0  # clients shipped to shards so far
         self._client_chunks = 0
         self._coin_owners: dict[str, list[int]] = {}  # FIFO of owners per prover
+        super().__init__(query, transport, servers, **options)
 
-    # Serving -----------------------------------------------------------------
+    # AnalystNode hooks -------------------------------------------------------
 
-    def run(self) -> EngineResult:
-        """Serve one full session and return the engine result."""
-        params_frame = wire.encode_params(self.params)
-        plan_frame = wire.encode_plan(self.plan)
-        for name in self.servers:
-            self.transport.send(
-                name,
-                wire.encode_control("setup", params_frame, plan_frame, name.encode()),
-            )
-            self._expect_ok(name, "server setup failed")
+    def _verification(self, params: PublicParams, chunk_size: int | None):
+        if chunk_size is None:
+            chunk_size = sharded_chunk_size(params.nb, len(self.shards))
+        verifier = _ShardedVerifier(
+            params,
+            fork_rng(self.rng, "verifier"),
+            plan=self.query.build_plan(),
+            analyst=self,
+        )
+        return chunk_size, verifier
+
+    def _setup_peers(self, params_frame: bytes, plan_frame: bytes) -> list[str]:
+        servers = super()._setup_peers(params_frame, plan_frame)
         for index, name in enumerate(self.shards):
             self.transport.send(
                 name,
@@ -434,122 +372,20 @@ class ShardedAnalyst:
                     int_to_bytes(len(self.shards)),
                 ),
             )
-            self._expect_ok(name, "shard setup failed")
-        self.transport.send(
-            self.clients_peer, wire.encode_control("params", params_frame, plan_frame)
-        )
-        self._ingest()
+            read_reply(self.transport, name, self.timeout, "shard setup failed")
+        return servers + self.shards
+
+    def _admit(self, broadcast, privates, broadcast_frame: bytes) -> None:
+        self.engine.adopt_enrollment(broadcast)
+        self._pending.append((broadcast, privates, broadcast_frame))
+        if len(self._pending) >= self.chunk_size:
+            self._dispatch_client_chunk()
+
+    def _finish_enrollment(self) -> None:
+        self._dispatch_client_chunk()
         self._finish_clients()
-        self.result = self.engine.run_release()
-        # Peers shut down *before* the release is published, so an
-        # unresponsive peer's audit note is part of the published bytes
-        # (never a post-publication mutation of the shipped record).
-        self._shutdown_peers()
-        self.transport.send(
-            self.clients_peer,
-            wire.encode_control(
-                "release", encode_message_cached(self.result.release)
-            ),
-        )
-        return self.result
-
-    def _expect_ok(self, name: str, what: str) -> None:
-        ok, reply = wire.decode_reply(self.transport.recv(name, self.timeout))
-        if not ok:
-            reason = reply[0].decode() if reply else "rejected"
-            raise ProtocolAbort(f"{what}: {reason}", party=name)
-
-    @property
-    def release(self) -> Release:
-        if self.result is None:
-            raise ParameterError("session has not released yet")
-        return self.result.release
 
     # Client phase ------------------------------------------------------------
-
-    def _ingest(self) -> None:
-        """Accept enrollments until finalize, dispatching full chunks.
-
-        Hostile-input handling mirrors :class:`AnalystNode`: an
-        enrollment that fails to decode, lies about its shape, or reuses
-        a client id is dropped with an audit note, never the session.
-        """
-        audit = self.engine.verifier.audit
-        group = self.params.group
-        while True:
-            frame = self.transport.recv(self.clients_peer, self.timeout)
-            try:
-                kind = wire.frame_kind(frame)
-            except EncodingError:
-                audit.note("dropped an unclassifiable frame")
-                continue
-            if kind == "ctrl":
-                try:
-                    ctrl, _ = wire.decode_control(frame)
-                except EncodingError:
-                    audit.note("dropped a malformed control frame")
-                    continue
-                if ctrl == "finalize":
-                    self._dispatch_client_chunk()
-                    return
-                raise ProtocolAbort(
-                    f"unexpected control {ctrl!r} during enrollment",
-                    party=self.clients_peer,
-                )
-            if kind != "enroll":
-                raise ProtocolAbort(
-                    f"unexpected {kind!r} frame during enrollment",
-                    party=self.clients_peer,
-                )
-            try:
-                broadcast_frame, private_frames = wire.split_enrollment(frame)
-                broadcast = decode_message(group, broadcast_frame)
-                privates = [decode_message(group, raw) for raw in private_frames]
-            except (EncodingError, NotOnGroupError, ValueError) as exc:
-                audit.note(f"dropped undecodable enrollment: {exc}")
-                continue
-            if not self._enrollment_shape_ok(broadcast, privates, audit):
-                continue
-            try:
-                self.engine.adopt_enrollment(broadcast)
-            except ParameterError as exc:
-                audit.note(
-                    f"rejected enrollment from {broadcast.client_id!r}: {exc}"
-                )
-                continue
-            self._pending.append((broadcast, privates, broadcast_frame))
-            if len(self._pending) >= self.chunk_size:
-                self._dispatch_client_chunk()
-
-    def _enrollment_shape_ok(self, broadcast, privates, audit) -> bool:
-        from repro.core.messages import ClientBroadcast, ClientShareMessage
-
-        if not isinstance(broadcast, ClientBroadcast) or not all(
-            isinstance(m, ClientShareMessage) for m in privates
-        ):
-            audit.note("dropped an enrollment with wrong message types")
-            return False
-        if len(privates) != self.params.num_provers:
-            audit.note(
-                f"rejected enrollment from {broadcast.client_id!r}: "
-                "one private share message per prover required"
-            )
-            return False
-        if len(broadcast.share_commitments) != self.params.num_provers or any(
-            len(row) != self.params.dimension for row in broadcast.share_commitments
-        ):
-            audit.note(
-                f"rejected enrollment from {broadcast.client_id!r}: "
-                "share commitments do not match K provers x M coordinates"
-            )
-            return False
-        if any(m.client_id != broadcast.client_id for m in privates):
-            audit.note(
-                f"rejected enrollment from {broadcast.client_id!r}: "
-                "private share client id does not match the broadcast"
-            )
-            return False
-        return True
 
     def _dispatch_client_chunk(self) -> None:
         entries = self._pending
@@ -578,46 +414,54 @@ class ShardedAnalyst:
         self._dispatched += len(entries)
         self._client_chunks += 1
 
+    def _shard_reply(self, index: int, method: str, *parts: bytes, parse):
+        """One collection RPC to shard ``index``; a bad answer aborts
+        naming that shard (:func:`~repro.net.nodes.read_reply`)."""
+        shard = self.shards[index]
+        self.transport.send(shard, wire.encode_rpc(method, *parts))
+        return read_reply(
+            self.transport, shard, self.timeout, f"shard {index}", parse
+        )
+
+    def _parse_client_verdicts(self, reply: list[bytes]):
+        """A ``clients-finish`` reply → (chunk records, partial products)."""
+        chunk_blobs, product_rows = reply
+        records = []
+        for blob in decode_length_prefixed(chunk_blobs):
+            start_raw, ids_raw, codes = decode_length_prefixed(blob)
+            ids = wire.decode_str_list(ids_raw)
+            if len(codes) != len(ids):
+                raise EncodingError("verdict shape mismatch")
+            records.append(
+                (
+                    bytes_to_int(start_raw),
+                    [(cid, _CODE_STATUS[code]) for cid, code in zip(ids, codes)],
+                )
+            )
+        partial = [
+            [
+                None
+                if raw == b""
+                else decode_commitment(self.params.group, raw).element
+                for raw in decode_length_prefixed(row)
+            ]
+            for row in decode_length_prefixed(product_rows)
+        ]
+        if len(partial) != self.params.num_provers or any(
+            len(row) != self.params.dimension for row in partial
+        ):
+            raise EncodingError("client product shape mismatch")
+        return records, partial
+
     def _finish_clients(self) -> None:
         """Collect every shard's verdicts and products, merge in order."""
         verifier = self.engine.verifier
         chunk_records: list[tuple[int, list[tuple[str, ClientStatus]]]] = []
-        for index, shard in enumerate(self.shards):
-            self.transport.send(shard, wire.encode_rpc("clients-finish"))
-            ok, reply = wire.decode_reply(self.transport.recv(shard, self.timeout))
-            if not ok or len(reply) != 2:
-                reason = reply[0].decode() if reply else "no client verdicts"
-                raise ProtocolAbort(f"shard {index}: {reason}", party=shard)
-            for blob in decode_length_prefixed(reply[0]):
-                start_raw, ids_raw, codes = decode_length_prefixed(blob)
-                ids = wire.decode_str_list(ids_raw)
-                if len(codes) != len(ids):
-                    raise ProtocolAbort(
-                        f"shard {index}: verdict shape mismatch", party=shard
-                    )
-                chunk_records.append(
-                    (
-                        bytes_to_int(start_raw),
-                        [
-                            (cid, _CODE_STATUS[code])
-                            for cid, code in zip(ids, codes)
-                        ],
-                    )
-                )
-            product_rows = decode_length_prefixed(reply[1])
-            if len(product_rows) != self.params.num_provers:
-                raise ProtocolAbort(
-                    f"shard {index}: client product shape mismatch", party=shard
-                )
-            partial = [
-                [
-                    None
-                    if raw == b""
-                    else decode_commitment(self.params.group, raw).element
-                    for raw in decode_length_prefixed(row)
-                ]
-                for row in product_rows
-            ]
+        for index in range(len(self.shards)):
+            records, partial = self._shard_reply(
+                index, "clients-finish", parse=self._parse_client_verdicts
+            )
+            chunk_records += records
             verifier.merge_client_products(partial)
         chunk_records.sort(key=lambda record: record[0])
         if len(chunk_records) != self._client_chunks or sum(
@@ -672,6 +516,16 @@ class ShardedAnalyst:
             ),
         )
 
+    def _parse_coin_verdict(self, reply: list[bytes]):
+        """A ``coin-finish`` reply → (accepted, note, coins seen, partials)."""
+        accepted, note, received = reply[0] == b"\x01", reply[1], reply[2]
+        products = [
+            decode_commitment(self.params.group, raw).element for raw in reply[3:]
+        ]
+        if accepted and len(products) != self.plan.lanes:
+            raise EncodingError("Line 12 partials do not match the plan")
+        return accepted, note.decode(errors="replace"), bytes_to_int(received), products
+
     def _collect_coin_stream(
         self, prover_id: str
     ) -> tuple[bool, str, list[Commitment]]:
@@ -684,60 +538,21 @@ class ShardedAnalyst:
         """
         merged: list | None = None
         failure: str | None = None
-        for index, shard in enumerate(self.shards):
-            self.transport.send(
-                shard, wire.encode_rpc("coin-finish", prover_id.encode())
+        for index in range(len(self.shards)):
+            accepted, note, received, products = self._shard_reply(
+                index, "coin-finish", prover_id.encode(), parse=self._parse_coin_verdict
             )
-            ok, reply = wire.decode_reply(self.transport.recv(shard, self.timeout))
-            if not ok:
-                reason = reply[0].decode() if reply else "shard aborted"
-                raise ProtocolAbort(f"shard {index}: {reason}", party=shard)
-            if len(reply) < 3:
-                raise ProtocolAbort(
-                    f"shard {index}: malformed coin verdict", party=shard
-                )
-            accepted = reply[0] == b"\x01"
-            received = bytes_to_int(reply[2])
             if not accepted:
-                note = reply[1].decode() or "coin stream rejected"
-                if failure is None:
-                    failure = f"shard {index}: {note}"
-                continue
-            if received != self.params.nb:
-                if failure is None:
-                    failure = (
-                        f"shard {index}: incomplete coin stream "
-                        f"({received}/{self.params.nb} coins)"
-                    )
-                continue
-            products = reply[3:]
-            if len(products) != self.plan.lanes:
-                raise ProtocolAbort(
-                    f"shard {index}: Line 12 partials do not match the plan",
-                    party=shard,
+                failure = failure or f"shard {index}: {note or 'coin stream rejected'}"
+            elif received != self.params.nb:
+                failure = failure or (
+                    f"shard {index}: incomplete coin stream "
+                    f"({received}/{self.params.nb} coins)"
                 )
-            if merged is None:
-                merged = [
-                    decode_commitment(self.params.group, raw).element
-                    for raw in products
-                ]
+            elif merged is None:
+                merged = products
             else:
-                merged = [
-                    held * decode_commitment(self.params.group, raw).element
-                    for held, raw in zip(merged, products)
-                ]
+                merged = [held * element for held, element in zip(merged, products)]
         if failure is not None:
             return False, failure, []
-        if merged is None:  # pragma: no cover - shards list is never empty
-            return False, "no shards reported", []
         return True, "", [Commitment(element) for element in merged]
-
-    # Teardown ----------------------------------------------------------------
-
-    def _shutdown_peers(self) -> None:
-        shutdown_peers(
-            self.transport,
-            self.servers + self.shards,
-            self.timeout,
-            self.engine.verifier.audit,
-        )

@@ -41,6 +41,7 @@ __all__ = [
     "MultiprocessTransport",
     "SocketTransport",
     "multiprocess_star",
+    "HandshakeGate",
     "DEFAULT_MAX_FRAME_BYTES",
     "SESSION_ANY",
     "pack_frame",
@@ -129,6 +130,76 @@ def check_frame_size(size: int, max_bytes: int, party: str) -> None:
         raise ProtocolAbort(
             f"{party!r} announced an oversized frame ({size} bytes)", party=party
         )
+
+
+class HandshakeGate:
+    """The listener-side admit/drop decision for one handshake — the one
+    copy both listeners (:class:`SocketTransport` and the asyncio
+    :class:`repro.net.aio.AsyncSocketTransport`) put every handshake
+    through, so a hardening fix lands on both.
+
+    ``session`` is the one session a blocking listener serves (it keys
+    connections by name and refuses foreign scopes); ``None`` is a
+    multi-session listener, which keys them by ``(name, scope)``.
+    ``expected`` entries are peer names, or ``(name, scope)`` pairs that
+    pin the scope too — what stops an impostor claiming an expected
+    *name* under a session scope the real peer does not occupy.  Names
+    are first-come-first-served: a squatter racing an expected peer to
+    its name degrades to the malicious-server scenario ΠBin already
+    tolerates (DESIGN.md); a hardened deployment would authenticate.
+    """
+
+    def __init__(self, session: int | None = None) -> None:
+        self.session = session
+        self.dropped: list[str] = []
+        self._overflow = 0
+
+    def admit(self, peer: str, scope: int, expected, registered) -> bool:
+        """True to register the connection; otherwise it is recorded as
+        dropped and the caller closes it and keeps accepting."""
+        label = repr(peer[:64])
+        key: object = peer
+        if self.session is None:
+            key = (peer, scope)
+            if scope != SESSION_ANY:
+                label += f" (session {scope})"
+        elif scope not in (SESSION_ANY, self.session):
+            # A peer bound to a different session has no business on a
+            # single-session listener — connect it to a SessionMux.
+            self.note_dropped(
+                f"session-{scope} handshake from {label} "
+                f"on a session-{self.session} listener"
+            )
+            return False
+        if expected is not None and not any(
+            entry == (peer, scope) if isinstance(entry, tuple) else entry == peer
+            for entry in expected
+        ):
+            self.note_dropped(f"unexpected name {label}")
+            return False
+        if key in registered:
+            self.note_dropped(f"duplicate name {label}")
+            return False
+        return True
+
+    def note_dropped(self, label: str) -> None:
+        # Bounded: hostile connections must not grow the diagnostic list
+        # (and the eventual abort message) without limit.
+        if len(self.dropped) < _MAX_DROPPED_NOTES:
+            self.dropped.append(label)
+        else:
+            self._overflow += 1
+
+    def timeout_message(self) -> str:
+        """The accept-timeout abort text; naming every dropped handshake
+        keeps an honest misconfiguration (a shared name) diagnosable."""
+        message = "timed out accepting peers"
+        if self.dropped:
+            dropped = ", ".join(self.dropped)
+            if self._overflow:
+                dropped += f", and {self._overflow} more"
+            message += f" (dropped: {dropped})"
+        return message
 
 
 class Transport(abc.ABC):
@@ -323,8 +394,8 @@ class SocketTransport(Transport):
             raise ParameterError("session id out of range")
         self.max_frame_bytes = max_frame_bytes
         self.session = session
-        self.dropped_handshakes: list[str] = []
-        self._dropped_overflow = 0
+        self._gate = HandshakeGate(session)
+        self.dropped_handshakes = self._gate.dropped
         self._sockets: dict[str, socket.socket] = {}
         self._listener: socket.socket | None = None
         self.port: int | None = None
@@ -361,20 +432,14 @@ class SocketTransport(Transport):
         """Accept ``count`` handshaking peers; returns their names.
 
         A connection whose handshake is broken — unreadable frame,
-        non-UTF-8 name, a name already claimed, or (with ``expected``) a
-        name outside the expected peer set — is dropped and accepting
-        continues: an unauthenticated peer must not be able to kill the
-        listener.  ``timeout`` is an overall monotonic deadline for the
-        whole call (never re-armed per connection), so hostile peers can
-        at worst exhaust it, after which the abort message names every
-        dropped handshake — also kept on :attr:`dropped_handshakes` — so
-        an honest misconfiguration (two workers sharing a name) stays
-        diagnosable.
-
-        Names are first-come-first-served: a squatter racing an expected
-        peer to its name degrades to the malicious-server scenario ΠBin
-        already tolerates (see DESIGN.md); a hardened deployment would
-        authenticate the handshake.
+        non-UTF-8 name, or one the :class:`HandshakeGate` refuses (a
+        foreign session scope, a name outside ``expected``, a name
+        already claimed) — is dropped and accepting continues: an
+        unauthenticated peer must not be able to kill the listener.
+        ``timeout`` is an overall monotonic deadline for the whole call
+        (never re-armed per connection), so hostile peers can at worst
+        exhaust it, after which the abort message names every dropped
+        handshake — also kept on :attr:`dropped_handshakes`.
         """
         if self._listener is None:
             raise ParameterError("accept requires a listening transport")
@@ -385,7 +450,7 @@ class SocketTransport(Transport):
                 return None
             left = deadline - time.monotonic()
             if left <= 0:
-                raise ProtocolAbort(self._accept_timeout_message())  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
+                raise ProtocolAbort(self._gate.timeout_message())  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
             return left
 
         names: list[str] = []
@@ -394,14 +459,14 @@ class SocketTransport(Transport):
                 self._listener.settimeout(remaining())
                 sock, _ = self._listener.accept()
             except TimeoutError as exc:  # socket.timeout is an alias
-                raise ProtocolAbort(self._accept_timeout_message()) from exc  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
+                raise ProtocolAbort(self._gate.timeout_message()) from exc  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
             except OSError as exc:
                 # A connection that died in the accept queue (RST) is the
                 # peer's problem; anything else (EMFILE, EBADF, ...) is a
                 # listener failure that retrying would busy-spin on.
                 if exc.errno not in (errno.ECONNABORTED, errno.ECONNRESET):
                     raise
-                self._note_dropped("<aborted connection>")
+                self._gate.note_dropped("<aborted connection>")
                 continue
             # Taken before the read so deadline expiry propagates with
             # the accept-timeout message instead of being misrecorded as
@@ -422,45 +487,14 @@ class SocketTransport(Transport):
                 # deadline expired mid-read — that peer did nothing wrong
                 # and must not be recorded as a bad handshake.
                 remaining()
-                self._note_dropped("<unreadable handshake>")
+                self._gate.note_dropped("<unreadable handshake>")
                 continue
-            if scope not in (SESSION_ANY, self.session):
-                # A peer bound to a different session has no business on a
-                # single-session listener — connect it to a SessionMux.
+            if not self._gate.admit(peer, scope, expected, self._sockets):
                 sock.close()
-                self._note_dropped(
-                    f"session-{scope} handshake from {peer[:64]!r} "
-                    f"on a session-{self.session} listener"
-                )
-                continue
-            if expected is not None and peer not in expected:
-                sock.close()
-                self._note_dropped(f"unexpected name {peer[:64]!r}")
-                continue
-            if peer in self._sockets:
-                sock.close()
-                self._note_dropped(f"duplicate name {peer[:64]!r}")
                 continue
             self._sockets[peer] = sock
             names.append(peer)
         return names
-
-    def _note_dropped(self, label: str) -> None:
-        # Bounded: hostile connections must not grow the diagnostic list
-        # (and the eventual abort message) without limit.
-        if len(self.dropped_handshakes) < _MAX_DROPPED_NOTES:
-            self.dropped_handshakes.append(label)
-        else:
-            self._dropped_overflow += 1
-
-    def _accept_timeout_message(self) -> str:
-        message = "timed out accepting peers"
-        if self.dropped_handshakes:
-            dropped = ", ".join(self.dropped_handshakes)
-            if self._dropped_overflow:
-                dropped += f", and {self._dropped_overflow} more"
-            message += f" (dropped: {dropped})"
-        return message
 
     @classmethod
     def connect(

@@ -5,13 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.serialization import (
+    advance_coin_transcript,
+    advance_coin_transcript_frame,
     decode_bit_proof,
     decode_commitment,
     decode_one_hot_proof,
     decode_opening_proof,
     decode_schnorr_proof,
     encode_bit_proof,
+    decode_message,
     encode_commitment,
+    encode_message,
     encode_one_hot_proof,
     encode_opening_proof,
     encode_schnorr_proof,
@@ -222,3 +226,72 @@ class TestOpeningRoundtrip:
                 pedersen64.group,
                 encode_length_prefixed(b"repro.opening.v1", b"x"),
             )
+
+
+class TestCoinTranscriptFastForward:
+    """Replaying a coin chunk through the transcript without verifying it
+    must land on exactly the state verification would have left — it is
+    what lets a shard skip chunks it does not own."""
+
+    CONTEXT = b"fast-forward-test"
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        from repro.core.params import setup
+
+        return setup(1.0, 2**-10, num_provers=2, group="p64-sim", nb_override=64)
+
+    def _chunk_frames(self, params, chunks=2, rows=8):
+        from repro.core.prover import Prover
+
+        prover = Prover("prover-0", params, SeededRNG("chunked"))
+        prover.begin_coin_stream(self.CONTEXT)
+        frames = []
+        for _ in range(chunks):
+            frames.append(encode_message(prover.commit_coin_chunk(rows)))
+            prover.absorb_public_bits([[0]] * rows)
+        return frames
+
+    def _transcript(self, params):
+        from repro.core.prover import coin_transcript
+
+        return coin_transcript(params, "prover-0", self.CONTEXT)
+
+    def test_advance_equals_verify_then_continue(self, params):
+        first = decode_message(params.group, self._chunk_frames(params)[0])
+        advanced = self._transcript(params)
+        advance_coin_transcript(params, advanced, first)
+        verified = self._transcript(params)
+        for c_row, p_row in zip(first.commitments, first.proofs):
+            for commitment, proof in zip(c_row, p_row):
+                verify_bit(params.pedersen, commitment, proof, verified)
+        assert advanced.challenge_bytes("probe", 16) == verified.challenge_bytes(
+            "probe", 16
+        )
+
+    def test_frame_advance_equals_decode_then_advance(self, params):
+        """The byte-level fast-forward (no element decoding) reaches the
+        same transcript state as advancing over the decoded message."""
+        frame = self._chunk_frames(params, chunks=1)[0]
+        decoded_path = self._transcript(params)
+        advance_coin_transcript(
+            params, decoded_path, decode_message(params.group, frame)
+        )
+        raw_path = self._transcript(params)
+        advance_coin_transcript_frame(params, raw_path, frame)
+        assert raw_path.challenge_bytes("probe", 16) == decoded_path.challenge_bytes(
+            "probe", 16
+        )
+
+    def test_undecodable_prior_chunk_is_rejected_not_raised(self, params):
+        """A structurally broken earlier chunk is an ``EncodingError`` at
+        the codec and a clean ``False`` from the verifier that skips over
+        it — never a crash of whoever is fast-forwarding."""
+        from repro.core.verifier import PublicVerifier
+
+        broken = self._chunk_frames(params)[0][:-40]
+        with pytest.raises(EncodingError):
+            advance_coin_transcript_frame(params, self._transcript(params), broken)
+        verifier = PublicVerifier(params, SeededRNG("v"))
+        verifier.begin_coin_stream("prover-0", self.CONTEXT)
+        assert not verifier.skip_coin_chunk("prover-0", broken, 8)

@@ -15,6 +15,7 @@ Pinned here:
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -137,6 +138,27 @@ class TestGatewayE2E:
         finally:
             gateway.close()
             dispatcher.stop()
+
+    @pytest.mark.parametrize("live_connection", [False, True])
+    def test_close_wakes_the_accept_thread(self, live_connection):
+        """``close()`` used to sit out its whole 5 s join: closing a
+        listening socket does not wake a thread parked in ``accept()``.
+        Idle or with a client attached, it returns promptly and leaves
+        no accept thread behind."""
+        gateway = FleetGateway(FleetDispatcher(self._fleet_config()), QUERY)
+        conn = None
+        if live_connection:
+            conn = socket.create_connection(("127.0.0.1", gateway.port), 10.0)
+            conn.sendall(b'{"op":"ping"}\n')
+            assert json.loads(conn.makefile("rb").readline()) == {"ok": True}
+        time.sleep(0.2)  # let the accept thread park in accept()
+        start = time.monotonic()
+        gateway.close()
+        assert time.monotonic() - start < 1.0
+        assert not gateway._accept_thread.is_alive()
+        gateway.close()  # idempotent
+        if conn is not None:
+            conn.close()
 
 
 def _scrape(port: int) -> dict[str, float]:

@@ -147,7 +147,7 @@ class TestWireTampering:
         """Multiprocess session; prover-1's first coin frame is bit-flipped."""
         from multiprocessing import get_context
 
-        from repro.net.serve import _clients_main_pipes, _server_main_pipes
+        from repro.net.roles import peer_roles, run_role
 
         query = CountQuery(epsilon=1.0, delta=DELTA)
         values = [1, 0, 1, 1]
@@ -157,17 +157,13 @@ class TestWireTampering:
         context = get_context("fork")
         processes = [
             context.Process(
-                target=_server_main_pipes, args=(peers[name], seed, name), daemon=True
-            )
-            for name in server_names
-        ]
-        processes.append(
-            context.Process(
-                target=_clients_main_pipes,
-                args=(peers["clients"], query, values, seed),
+                target=run_role,
+                args=(role, name, peers[name]),
+                kwargs=dict(seed=seed, query=query, values=values),
                 daemon=True,
             )
-        )
+            for role, name in peer_roles(2, 0)
+        ]
         for process in processes:
             process.start()
         for peer in peers.values():

@@ -2,7 +2,7 @@
 
 Bugs fixed in the serve layer, pinned here:
 
-* a failed ``accept`` in ``_start_socket`` used to leak every started
+* a failed ``accept`` in the socket launcher used to leak every started
   child process *and* the listening socket — the cleanup closure was
   only returned on success;
 * peer shutdown used to be serial with a full protocol-timeout recv per
@@ -57,8 +57,7 @@ class TestFailedStartupLeaks:
         def never_connects(*args, **kwargs):  # runs in the forked child
             time.sleep(120)
 
-        monkeypatch.setattr(serve, "_server_main_socket", never_connects)
-        monkeypatch.setattr(serve, "_clients_main_socket", never_connects)
+        monkeypatch.setattr(serve, "run_role", never_connects)
         spawned = []
         real_get_context = serve.get_context
         monkeypatch.setattr(
@@ -67,14 +66,23 @@ class TestFailedStartupLeaks:
             lambda kind: _RecordingContext(real_get_context(kind), spawned),
         )
 
+        listeners = []
+        real_listen = serve.SocketTransport.listen
+
+        def recording_listen(*args, **kwargs):
+            listeners.append(real_listen(*args, **kwargs))
+            return listeners[-1]
+
+        monkeypatch.setattr(serve.SocketTransport, "listen", recording_listen)
+
         query = CountQuery(epsilon=1.0, delta=DELTA)
         start = time.monotonic()
         with pytest.raises(ProtocolAbort):
-            serve._start_socket(
+            serve._start_peers(
+                "socket",
+                serve.peer_roles(2, 0),
                 query,
                 [1, 0],
-                ["prover-0", "prover-1"],
-                [],
                 "leak",
                 "127.0.0.1",
                 0,
@@ -82,6 +90,8 @@ class TestFailedStartupLeaks:
             )
         assert time.monotonic() - start < 30.0
         assert len(spawned) == 3  # 2 servers + 1 client runner
+        (listener,) = listeners
+        assert listener._listener.fileno() == -1, "failed accept leaked the listener"
         for process in spawned:
             process.join(timeout=10.0)
         assert all(not process.is_alive() for process in spawned), (

@@ -24,10 +24,14 @@ from repro.core.prover import (
 )
 from repro.core.verifier import PublicVerifier
 from repro.crypto.serialization import decode_message, encode_message
-from repro.net.nodes import ClientRunner, ServerNode
+from repro.errors import ProtocolAbort
+from repro.net import wire
+from repro.net.nodes import AnalystNode, ClientRunner, ServerNode, abort_peers
+from repro.net.roles import build_analyst
 from repro.net.serve import run_distributed_session
-from repro.net.shard import ShardWorker, ShardedAnalyst
-from repro.net.transport import InMemoryHub
+from repro.net.shard import ShardWorker
+from repro.net.transport import InMemoryHub, Transport
+from repro.utils.encoding import encode_length_prefixed, int_to_bytes
 from repro.utils.rng import SeededRNG
 
 DELTA = 2**-10
@@ -57,8 +61,10 @@ def run_sharded_memory(
     chunk_size=8,
     prover_factory_for=None,
     tamper=None,
+    wrap_analyst_transport=None,
 ):
-    """One full sharded session over the in-memory hub (node threads)."""
+    """One full session over the in-memory hub (node threads); ``shards=0``
+    is the unsharded front-end."""
     hub = InMemoryHub()
     threads = []
     for k in range(num_servers):
@@ -83,13 +89,24 @@ def run_sharded_memory(
         timeout=30.0,
         tamper=tamper,
     )
-    threads.append(threading.Thread(target=runner.run, name="clients", daemon=True))
+
+    def run_clients():
+        try:
+            runner.run()
+        except ProtocolAbort:
+            pass  # the front-end aborted the session; the test asserts on it
+
+    threads.append(threading.Thread(target=run_clients, name="clients", daemon=True))
     for thread in threads:
         thread.start()
-    analyst = ShardedAnalyst(
+    transport = hub.endpoint("analyst")
+    if wrap_analyst_transport is not None:
+        transport = wrap_analyst_transport(transport)
+    server_names = [f"prover-{k}" for k in range(num_servers)]
+    analyst = build_analyst(
         query,
-        hub.endpoint("analyst"),
-        [f"prover-{k}" for k in range(num_servers)],
+        transport,
+        server_names,
         shard_names,
         group="p64-sim",
         nb_override=nb,
@@ -97,10 +114,41 @@ def run_sharded_memory(
         rng=SeededRNG(seed),
         timeout=30.0,
     )
-    result = analyst.run()
+    try:
+        result = analyst.run()
+    except ProtocolAbort:
+        # Free the peer threads instead of leaving them to time out.
+        abort_peers(
+            transport, server_names + shard_names, "test", clients_peer="clients"
+        )
+        raise
     for thread in threads:
         thread.join(timeout=10.0)
     return result
+
+
+class _ReplaceNthFrame(Transport):
+    """Wraps a transport; the ``index``-th frame received from ``target``
+    is replaced wholesale — a peer answering with hostile bytes."""
+
+    def __init__(self, inner, target, index, replacement):
+        super().__init__(inner.name)
+        self._inner = inner
+        self._target = target
+        self._index = index
+        self._replacement = replacement
+        self._seen = 0
+
+    def _send(self, peer, frame):
+        self._inner.send(peer, frame)
+
+    def _recv(self, peer, timeout):
+        frame = self._inner.recv(peer, timeout)
+        if peer == self._target:
+            self._seen += 1
+            if self._seen - 1 == self._index:
+                return self._replacement
+        return frame
 
 
 class TestShardedEquivalence:
@@ -317,6 +365,189 @@ class TestCrossShardPinpointing:
         assert release.accepted
         assert "client-2" not in release.audit.clients
         assert any("dropped" in note for note in release.audit.notes)
+
+
+def _hostile_bundles():
+    """name → (tamper for client-2's frame, the one audit note expected)."""
+    import dataclasses
+
+    group = CountQuery(epsilon=1.0, delta=DELTA).build_params(
+        num_provers=2, group="p64-sim", nb_override=16
+    ).group
+
+    def rebuild(edit):
+        frames = {}
+
+        def tamper(index, frame):
+            frames[index] = frame
+            if index != 2:
+                return frame
+            broadcast, privates = wire.decode_enrollment(group, frame)
+            return edit(broadcast, privates, frames)
+
+        return tamper
+
+    def short_commitments(broadcast):
+        return dataclasses.replace(
+            broadcast, share_commitments=broadcast.share_commitments[:1]
+        )
+
+    rejected = "rejected enrollment from 'client-2': "
+    return {
+        "wrong-message-types": (
+            rebuild(lambda b, p, _: wire.encode_enrollment(p[0], [b, p[1]])),
+            "dropped an enrollment with wrong message types",
+        ),
+        "wrong-share-count": (
+            rebuild(lambda b, p, _: wire.encode_enrollment(b, p[:1])),
+            rejected + "one private share message per prover required",
+        ),
+        "shape-lie": (
+            rebuild(lambda b, p, _: wire.encode_enrollment(short_commitments(b), p)),
+            rejected + "share commitments do not match K provers x M coordinates",
+        ),
+        "mismatched-share-id": (
+            rebuild(
+                lambda b, p, _: wire.encode_enrollment(
+                    b, [dataclasses.replace(p[0], client_id="evil"), p[1]]
+                )
+            ),
+            rejected + "private share client id does not match the broadcast",
+        ),
+        "duplicate-client-id": (
+            rebuild(lambda b, p, frames: frames[0]),
+            None,  # worded by the engine's registry; only S-agreement is pinned
+        ),
+        # Two rules broken at once: the earlier rule (share count) decides.
+        "share-count-and-shape-lie": (
+            rebuild(
+                lambda b, p, _: wire.encode_enrollment(short_commitments(b), p[:1])
+            ),
+            rejected + "one private share message per prover required",
+        ),
+        "unclassifiable-frame": (
+            rebuild(lambda b, p, _: b"\x00\x00\x00\x07garbage"),
+            "dropped an unclassifiable frame",
+        ),
+    }
+
+
+class TestHostileEnrollmentsReadTheSameAtEveryS:
+    """One validation routine, one note vocabulary: the same malformed
+    bundle yields the same audit notes and the same release bytes at
+    S = 0 and S = 2 — the survivors-only solo release plus that note."""
+
+    VALUES = [1, 0, 1, 1]
+
+    @pytest.mark.parametrize("case", sorted(_hostile_bundles()))
+    def test_notes_and_release_bytes_agree(self, case):
+        tamper, expected_note = _hostile_bundles()[case]
+        query = CountQuery(epsilon=1.0, delta=DELTA)
+        releases = [
+            run_sharded_memory(
+                query,
+                self.VALUES,
+                seed="hostile",
+                shards=shards,
+                nb=16,
+                chunk_size=2,
+                tamper=tamper,
+            ).release
+            for shards in (0, 2)
+        ]
+        unsharded, sharded = releases
+        assert unsharded.accepted
+        assert unsharded.audit.notes == sharded.audit.notes
+        assert len(unsharded.audit.notes) == 1
+        if expected_note is not None:
+            assert unsharded.audit.notes == [expected_note]
+        assert encode_message(unsharded) == encode_message(sharded)
+
+        # Survivors only, in process, plus the note.
+        solo = Session(
+            query,
+            num_provers=2,
+            group="p64-sim",
+            nb_override=16,
+            chunk_size=2,
+            rng=SeededRNG("hostile"),
+        )
+        solo.submit(
+            query.make_client(
+                f"client-{i}", self.VALUES[i], SeededRNG("hostile").fork(f"client-{i}")
+            )
+            for i in (0, 1, 3)
+        )
+        solo._engines[0][1].verifier.audit.note(unsharded.audit.notes[0])
+        assert encode_message(solo.release().release) == encode_message(unsharded)
+
+
+class TestHostilePeerReplies:
+    """A peer's garbage reply is that peer's fault: ``ProtocolAbort``
+    naming it (exit 3 through ``repro serve``, fleet status ``aborted``)
+    — never a raw decoding error that reads as the front-end crashing."""
+
+    def test_garbage_server_setup_reply_names_the_server(self):
+        hub = InMemoryHub()
+        transport = hub.endpoint("analyst")
+        hub.endpoint("prover-0").send("analyst", b"garbage")
+        analyst = AnalystNode(
+            CountQuery(epsilon=1.0, delta=DELTA),
+            transport,
+            ["prover-0"],
+            group="p64-sim",
+            nb_override=16,
+            timeout=5.0,
+        )
+        with pytest.raises(ProtocolAbort) as err:
+            analyst.run()
+        assert err.value.party == "prover-0"
+
+    # Frames the analyst reads from a shard, in order: the setup ack,
+    # the clients-finish reply, then one coin-finish reply per prover.
+    @pytest.mark.parametrize(
+        "index, reply",
+        [
+            (0, b"garbage"),
+            (1, b"garbage"),
+            (1, wire.encode_reply(b"\xff", b"\xff")),
+            (1, wire.encode_reply(b"only-one-part")),
+            (
+                1,  # a verdict code no ClientStatus maps to
+                wire.encode_reply(
+                    encode_length_prefixed(
+                        encode_length_prefixed(
+                            int_to_bytes(0), wire.encode_str_list(["client-0"]), b"\x09"
+                        )
+                    ),
+                    encode_length_prefixed(),
+                ),
+            ),
+            (2, b"garbage"),
+            (2, wire.encode_reply(b"\x01")),
+            (2, wire.encode_reply(b"\x01", b"", int_to_bytes(32), b"not-an-element")),
+        ],
+        ids=[
+            "setup-garbage",
+            "clients-finish-garbage",
+            "clients-finish-bad-blobs",
+            "clients-finish-one-part",
+            "clients-finish-unknown-verdict-code",
+            "coin-finish-garbage",
+            "coin-finish-short",
+            "coin-finish-non-element",
+        ],
+    )
+    def test_garbage_shard_reply_names_the_shard(self, index, reply):
+        with pytest.raises(ProtocolAbort) as err:
+            run_sharded_memory(
+                CountQuery(epsilon=1.0, delta=DELTA),
+                [1, 0, 1, 1],
+                wrap_analyst_transport=lambda inner: _ReplaceNthFrame(
+                    inner, "shard-1", index, reply
+                ),
+            )
+        assert err.value.party == "shard-1"
 
 
 class TestMergeHelpers:

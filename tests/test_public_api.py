@@ -30,6 +30,7 @@ class TestPublicApi:
             "repro.api", "repro.core", "repro.crypto", "repro.crypto.sigma",
             "repro.dp", "repro.mpc", "repro.sharing", "repro.baselines",
             "repro.attacks", "repro.analysis", "repro.bench", "repro.utils",
+            "repro.net", "repro.lint",
         ],
     )
     def test_subpackage_exports_resolve(self, module):

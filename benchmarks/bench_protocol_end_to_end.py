@@ -3,8 +3,7 @@
 Covers the workloads of the paper's two deployment models (curator and
 2-server MPC) plus the non-verifiable baseline, making the cost of
 verifiability directly visible (the paper's core overhead story).  Runs
-go through the Query/Session API — the same phase-driven engine the
-legacy entry points now shim onto — in both buffered and streamed modes.
+go through the Query/Session API in both buffered and streamed modes.
 """
 
 from repro.api import CountQuery, Session

@@ -43,8 +43,6 @@ from repro.core import (
     PublicVerifier,
     Prover,
     Release,
-    VerifiableBinomialProtocol,
-    VerifiableHistogram,
     encode_choice,
     setup,
 )
@@ -66,7 +64,7 @@ from repro.errors import (
     VerificationError,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # Declarative query/session API (the advertised surface).
@@ -87,9 +85,6 @@ __all__ = [
     "PublicVerifier",
     "Release",
     "encode_choice",
-    # Legacy shims (deprecated; kept for one release).
-    "VerifiableBinomialProtocol",
-    "VerifiableHistogram",
     # Mechanisms.
     "BinomialMechanism",
     "LaplaceMechanism",

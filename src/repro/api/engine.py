@@ -4,14 +4,16 @@ One :class:`ProtocolEngine` executes one ΠBin instance — a counting
 query, a histogram, or a weighted-lane (bounded-sum) query, as described
 by its :class:`~repro.core.plan.AggregationPlan` — over the
 :mod:`repro.core.messages` types and the :mod:`repro.mpc.bus` transport.
-It replaces the monolithic ``run_*()`` methods with an explicit phase
-machine (:mod:`repro.api.phases`) and supports two execution modes:
+It is an explicit phase machine (:mod:`repro.api.phases`) with two
+execution modes:
 
-**Buffered** (``chunk_size=None``) retains every public message, exactly
-reproducing the legacy ``VerifiableBinomialProtocol.run`` execution order
-— same RNG draw sequence per party, hence byte-identical releases under
-seeded RNGs — and yields a result that can still be published to a
-bulletin board for third-party replay.
+**Buffered** (``chunk_size=None``) retains every public message and runs
+Figure 2 in line order — all clients, then all provers' coin commitments
+in one cross-prover batch, then Morra and Line 12 per prover.  Each
+party's RNG draw sequence under that order is an invariant: seeded
+releases are byte-identical across commits
+(``tests/api/golden_releases.json`` pins them), and the result can be
+published to a bulletin board for third-party replay.
 
 **Streaming** (``chunk_size=n``) accepts clients in chunks and verifies
 coins in chunks: client validity proofs fold into per-chunk Σ-batches and
@@ -199,6 +201,11 @@ class ProtocolEngine:
         for observer in list(_PHASE_OBSERVERS):
             observer(previous, self.phase, elapsed)
 
+    @property
+    def client_count(self) -> int:
+        """How many clients have enrolled so far (valid or not)."""
+        return self._client_count
+
     def _require(self, phase: Phase, what: str) -> None:
         if self.phase is not phase:
             raise SessionStateError(
@@ -216,8 +223,8 @@ class ProtocolEngine:
         """
         self._require(Phase.ENROLL, "submit")
         for client in clients:
-            # Unconditional: a duplicate client id is a ParameterError, as
-            # in the legacy entry point — a client must not enroll twice.
+            # Unconditional: a duplicate client id is a ParameterError —
+            # a client must not enroll twice.
             self.network.register(client.name)
             with self.timer.stage(STAGE_CLIENT_PROOF):
                 broadcast, privates = client.submit(self.params)
@@ -353,9 +360,8 @@ class ProtocolEngine:
         return self._result
 
     def _coin_phases_buffered(self, context: bytes):
-        """Lines 4–9 exactly as the legacy monolithic run: all provers
-        commit, one cross-prover batch verification, then Morra + Line 12
-        per prover."""
+        """Lines 4–9 in Figure 2's order: all provers commit, one
+        cross-prover batch verification, then Morra + Line 12 per prover."""
         params = self.params
         self._advance(Phase.COMMIT_COINS)
         coin_messages = []

@@ -165,7 +165,7 @@ class Session:
         K = 1 is the trusted-curator model, K >= 2 the client-server MPC
         model (each prover adds its own noise; the release debiases all).
     chunk_size:
-        None buffers the whole run (audit-replayable, legacy-identical);
+        None buffers the whole run (audit-replayable, golden-pinned bytes);
         an integer streams it with O(chunk) verifier memory.
     accountant:
         Shared budget ledger; a fresh one is created when omitted.  Each
@@ -230,7 +230,7 @@ class Session:
 
     @property
     def client_count(self) -> int:
-        return self._engines[0][1]._client_count
+        return self._engines[0][1].client_count
 
     # Submission -------------------------------------------------------------
 
@@ -265,7 +265,7 @@ class Session:
             if isinstance(value, Client):
                 yield value
                 continue
-            name = f"client-{engine._client_count}"
+            name = f"client-{engine.client_count}"
             yield query.make_client(name, value, fork_rng(engine.rng, name))
 
     # Release ----------------------------------------------------------------

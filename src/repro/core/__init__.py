@@ -14,9 +14,8 @@ The package implements Figure 2 end to end, in both models:
 
 Entry point: :class:`repro.api.Session` executes declarative queries
 (count, histogram, bounded sum, composed) over the substrate defined
-here.  The legacy :class:`repro.core.protocol.VerifiableBinomialProtocol`
-and :class:`repro.core.histogram.VerifiableHistogram` classes remain as
-deprecated shims over the same engine.
+here; :class:`repro.api.ProtocolEngine` is the same run with custom
+(cheating, remote, sharded) provers or verifiers slotted in.
 """
 
 from repro.core.params import PublicParams, setup
@@ -39,10 +38,7 @@ from repro.core.prover import (
     InputInjectingProver,
 )
 from repro.core.verifier import PublicVerifier
-from repro.core.protocol import VerifiableBinomialProtocol
-from repro.core.histogram import VerifiableHistogram
 from repro.core.simulator import simulate_curator_view, simulate_mpc_view
-from repro.core.bounded_sum import VerifiableBoundedSum
 from repro.core.bulletin import BulletinBoard, replay_audit
 
 __all__ = [
@@ -64,11 +60,8 @@ __all__ = [
     "InputDroppingProver",
     "InputInjectingProver",
     "PublicVerifier",
-    "VerifiableBinomialProtocol",
-    "VerifiableHistogram",
     "simulate_curator_view",
     "simulate_mpc_view",
-    "VerifiableBoundedSum",
     "BulletinBoard",
     "replay_audit",
 ]

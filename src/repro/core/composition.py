@@ -1,12 +1,11 @@
 """Composing ΠBin with existing (non-verifiable) DP-MPC systems.
 
-.. deprecated::
-    :class:`VerifiableNoiseWrapper` warns once per calling module; new code
-    should run full queries through :class:`repro.api.Session`.  The
-    wrapper remains for the PRIO/Poplar composition story and now rides
-    the same coin-phase machinery as the session engine
-    (:meth:`repro.core.prover.Prover.begin_coin_stream` and friends)
-    instead of carrying its own copy.
+This module is substrate, not a wrapper over :class:`repro.api.Session`:
+a session runs the full ΠBin client flow, and nothing else in the
+library attests noise onto an aggregate that an *outer* system computed.
+The coin phase itself is the session engine's prover machinery
+(:meth:`repro.core.prover.Prover.begin_coin_stream` and friends), not a
+second copy.
 
 The paper (contribution 3) notes that ΠBin "can be combined with existing
 (non-verifiable) DP-MPC protocols, such as PRIO and Poplar, to enforce
@@ -41,7 +40,6 @@ from repro.crypto.pedersen import Commitment
 from repro.crypto.sigma.or_bit import BitProof, verify_bit
 from repro.errors import VerificationError
 from repro.mpc.morra import MorraParticipant, run_morra_batch
-from repro.utils.deprecation import warn_once
 from repro.utils.rng import RNG, default_rng
 
 __all__ = ["NoiseAttestation", "VerifiableNoiseWrapper"]
@@ -61,19 +59,9 @@ class NoiseAttestation:
 
 
 class VerifiableNoiseWrapper:
-    """Attach verifiable Binomial noise to an outer aggregate.
-
-    .. deprecated:: prefer full ``repro.api.Session`` queries; the
-       wrapper verifies noise only.
-    """
+    """Attach verifiable Binomial noise to an outer aggregate."""
 
     def __init__(self, params: PublicParams, rng: RNG | None = None) -> None:
-        warn_once(
-            "VerifiableNoiseWrapper",
-            "VerifiableNoiseWrapper is deprecated; prefer running full "
-            "queries through repro.api.Session (it verifies the aggregate "
-            "too, not just the noise)",
-        )
         if params.dimension != 1:
             raise VerificationError("wrapper operates per scalar aggregate; wrap each bin")
         self.params = params

@@ -2,7 +2,7 @@
 
 A deployment wants a machine-readable record of every release: what was
 published, under what budget, who was excluded and why, and whether the
-release stands.  :func:`run_report` turns a :class:`ProtocolResult` into
+release stands.  :func:`run_report` turns a :class:`EngineResult` into
 a plain-JSON-serializable dict (and :func:`render_report` into text for
 logs).  The report contains *only public information* — it can be
 attached to the release itself.
@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 
+from repro.api.engine import EngineResult
 from repro.core.params import PublicParams
-from repro.core.protocol import ProtocolResult
 
 __all__ = ["run_report", "render_report"]
 
 
-def run_report(params: PublicParams, result: ProtocolResult) -> dict:
+def run_report(params: PublicParams, result: EngineResult) -> dict:
     """A JSON-serializable public summary of one protocol run."""
     release = result.release
     return {
@@ -51,6 +51,6 @@ def run_report(params: PublicParams, result: ProtocolResult) -> dict:
     }
 
 
-def render_report(params: PublicParams, result: ProtocolResult) -> str:
+def render_report(params: PublicParams, result: EngineResult) -> str:
     """Human-readable rendering (stable key order for log diffing)."""
     return json.dumps(run_report(params, result), indent=2, sort_keys=True)

@@ -3,10 +3,11 @@
 PoK{ (x, r₁, r₂) : c₁ = g^x h^{r₁} ∧ c₂ = g^x h^{r₂} }.
 
 Equivalently a Schnorr proof of knowledge of r₁ - r₂ for the statement
-c₁/c₂ = h^{r₁-r₂}; we implement that reduction directly.  Used by the
-composition layer (:mod:`repro.core.composition`) to tie a commitment
-published inside ΠBin to a commitment consumed by an outer system such as
-PRIO, enforcing that both protocols talk about the same value.
+c₁/c₂ = h^{r₁-r₂}; we implement that reduction directly.  A building
+block for tying a commitment published inside ΠBin to one consumed by an
+outer system such as PRIO, so both protocols talk about the same value;
+nothing in the library calls it yet — :mod:`repro.core.composition`
+commits to the outer aggregate itself instead.
 """
 
 from __future__ import annotations

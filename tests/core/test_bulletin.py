@@ -2,27 +2,31 @@
 
 import pytest
 
+from repro.api import CountQuery, ProtocolEngine, Session
 from repro.core.bulletin import replay_audit
 from repro.core.client import Client, NonBinaryClient
 from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
-from repro.core.prover import OutputTamperingProver, Prover
+from repro.core.prover import OutputTamperingProver
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
 
 
-def run_and_publish(*, provers=None, clients=None, k=1, dimension=1, seed="bb"):
-    params = setup(
-        1.0, 2**-10, num_provers=k, group=GROUP, nb_override=16, dimension=dimension
+def run_and_publish(*, k=1, seed="bb"):
+    session = Session(
+        CountQuery(1.0, 2**-10),
+        num_provers=k, group=GROUP, nb_override=16, rng=SeededRNG(seed),
     )
-    protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG(seed))
-    if clients is None:
-        result = protocol.run_bits([1, 0, 1])
-    else:
-        result = protocol.run(clients)
-    return params, result, result.to_bulletin(params)
+    session.submit([1, 0, 1])
+    result = session.release()[0].engine_result
+    return session.params, result, result.to_bulletin(session.params)
+
+
+def run_clients(params, clients, *, provers=None, seed):
+    engine = ProtocolEngine(params, provers=provers, rng=SeededRNG(seed))
+    engine.submit_clients(clients)
+    return engine.run_release()
 
 
 class TestHonestReplay:
@@ -40,12 +44,11 @@ class TestHonestReplay:
 
     def test_replay_histogram_dimension(self):
         params = setup(1.0, 2**-10, num_provers=2, dimension=3, group=GROUP, nb_override=8)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("bbh"))
         clients = [
             Client(f"c{i}", [1 if m == i % 3 else 0 for m in range(3)], SeededRNG(f"c{i}"))
             for i in range(5)
         ]
-        result = protocol.run(clients)
+        result = run_clients(params, clients, seed="bbh")
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.all_provers_honest()
 
@@ -61,17 +64,16 @@ class TestDishonestRunsReplay:
     def test_cheating_prover_detected_from_bytes(self):
         params = setup(1.0, 2**-10, num_provers=1, group=GROUP, nb_override=16)
         cheater = OutputTamperingProver("prover-0", params, SeededRNG("c"), bias=4)
-        protocol = VerifiableBinomialProtocol(params, provers=[cheater], rng=SeededRNG("bb4"))
-        result = protocol.run_bits([1, 0])
+        clients = [Client(f"c{i}", [bit], SeededRNG(f"c{i}")) for i, bit in enumerate([1, 0])]
+        result = run_clients(params, clients, provers=[cheater], seed="bb4")
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.provers["prover-0"] is ProverStatus.FAILED_FINAL_CHECK
 
     def test_dishonest_client_rejected_from_bytes(self):
         params = setup(1.0, 2**-10, num_provers=2, group=GROUP, nb_override=8)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("bb5"))
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(3)]
         clients.append(NonBinaryClient("evil", [4], SeededRNG("e")))
-        result = protocol.run(clients)
+        result = run_clients(params, clients, seed="bb5")
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.clients["evil"] is ClientStatus.INVALID_PROOF
         assert replayed.clients["c0"] is ClientStatus.VALID

@@ -7,13 +7,22 @@ consistency — must hold for every configuration.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import CountQuery, ProtocolEngine, Session
 from repro.core.client import Client
 from repro.core.messages import ClientStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
+
+
+def run_count(bits, *, k=1, nb, seed):
+    session = Session(
+        CountQuery(1.0, 2**-10),
+        num_provers=k, group=GROUP, nb_override=nb, rng=SeededRNG(seed),
+    )
+    session.submit(bits)
+    return session.release()[0].engine_result
 
 
 class TestCompletenessProperties:
@@ -24,10 +33,7 @@ class TestCompletenessProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_honest_run_invariants(self, bits, k, nb):
-        params = setup(1.0, 2**-10, num_provers=k, group=GROUP, nb_override=nb)
-        seed = f"prop-{len(bits)}-{k}-{nb}"
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG(seed))
-        result = protocol.run_bits(bits)
+        result = run_count(bits, k=k, nb=nb, seed=f"prop-{len(bits)}-{k}-{nb}")
         release = result.release
 
         # 1. Honest runs always accept (completeness, δc = 0).
@@ -54,18 +60,16 @@ class TestCompletenessProperties:
         params = setup(
             1.0, 2**-10, num_provers=2, dimension=dimension, group=GROUP, nb_override=6
         )
-        protocol = VerifiableBinomialProtocol(
-            params, rng=SeededRNG(f"h-{dimension}-{len(choices)}")
-        )
-        clients = [
+        engine = ProtocolEngine(params, rng=SeededRNG(f"h-{dimension}-{len(choices)}"))
+        engine.submit_clients(
             Client(
                 f"c{i}",
                 [1 if m == choice else 0 for m in range(dimension)],
                 SeededRNG(f"c{i}"),
             )
             for i, choice in enumerate(choices)
-        ]
-        result = protocol.run(clients)
+        )
+        result = engine.run_release()
         assert result.release.accepted
         true = [choices.count(m) for m in range(dimension)]
         for m in range(dimension):
@@ -76,8 +80,7 @@ class TestCompletenessProperties:
     @settings(max_examples=10, deadline=None)
     def test_determinism_per_seed(self, bits):
         """Same seed ⇒ identical release; different seed ⇒ fresh noise."""
-        params = setup(1.0, 2**-10, group=GROUP, nb_override=8)
-        one = VerifiableBinomialProtocol(params, rng=SeededRNG("det")).run_bits(bits)
-        two = VerifiableBinomialProtocol(params, rng=SeededRNG("det")).run_bits(bits)
+        one = run_count(bits, nb=8, seed="det")
+        two = run_count(bits, nb=8, seed="det")
         assert one.release.raw == two.release.raw
         assert one.public_bits == two.public_bits

@@ -7,10 +7,10 @@ private coins) are *not* flagged.
 
 import pytest
 
+from repro.api import ProtocolEngine
 from repro.core.client import Client, InconsistentShareClient, NonBinaryClient
 from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.prover import (
     BiasedCoinProver,
     InputDroppingProver,
@@ -31,9 +31,19 @@ def params_k(k, nb=32, dimension=1):
     )
 
 
+def run_clients(params, clients, *, provers=None, seed):
+    engine = ProtocolEngine(params, provers=provers, rng=SeededRNG(seed))
+    engine.submit_clients(clients)
+    return engine.run_release()
+
+
 def run_with_provers(provers, params, bits, seed="s"):
-    protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG(seed))
-    return protocol.run_bits(bits)
+    rng = SeededRNG(seed)
+    clients = [
+        Client(f"client-{i}", [bit], rng.fork(f"client-{i}"))
+        for i, bit in enumerate(bits)
+    ]
+    return run_clients(params, clients, provers=provers, seed=seed)
 
 
 BITS = [1, 0, 1, 1, 0, 0, 1]
@@ -121,10 +131,7 @@ class TestHarmlessDeviations:
         noises = []
         for t in range(100):
             cheater = BiasedCoinProver("prover-0", params, SeededRNG(f"bc{t}"))
-            protocol = VerifiableBinomialProtocol(
-                params, provers=[cheater], rng=SeededRNG(f"r{t}")
-            )
-            result = protocol.run_bits([1])
+            result = run_with_provers([cheater], params, [1], seed=f"r{t}")
             noises.append(result.release.raw[0] - 1)
         assert binomial_goodness_of_fit(noises, nb) > 0.001
 
@@ -132,10 +139,9 @@ class TestHarmlessDeviations:
 class TestDishonestClients:
     def test_non_binary_client_rejected(self):
         params = params_k(2)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("nb"))
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(4)]
         clients.append(NonBinaryClient("evil", [5], SeededRNG("evil")))
-        result = protocol.run(clients)
+        result = run_clients(params, clients, seed="nb")
         assert result.release.accepted  # provers are honest; release stands
         assert result.release.audit.clients["evil"] is ClientStatus.INVALID_PROOF
         # The four honest inputs (all 1) are counted; evil's 5 votes are not.
@@ -144,12 +150,11 @@ class TestDishonestClients:
 
     def test_inconsistent_share_client_excluded_everywhere(self):
         params = params_k(2)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("inc"))
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(3)]
         clients.append(
             InconsistentShareClient("evil", [1], victim_prover=1, rng=SeededRNG("e"))
         )
-        result = protocol.run(clients)
+        result = run_clients(params, clients, seed="inc")
         assert result.release.accepted
         assert result.release.audit.clients["evil"] is ClientStatus.BAD_OPENING
         assert result.release.audit.clients["c0"] is ClientStatus.VALID
@@ -159,10 +164,9 @@ class TestDishonestClients:
         the rejected client's bit must never be counted.  Here nb small
         and inputs chosen so the bound is tight."""
         params = params_k(1, nb=4)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("ex"))
         clients = [Client("c0", [0], SeededRNG("c0"))]
         clients.append(NonBinaryClient("evil", [7], SeededRNG("ev")))
-        result = protocol.run(clients)
+        result = run_clients(params, clients, seed="ex")
         # Only honest input 0 plus noise in [0, 4]: raw <= 4 < 7.
         assert result.release.raw[0] <= 4
 
@@ -188,10 +192,9 @@ class TestMultipleCheaters:
             Prover("prover-0", params, SeededRNG("p0")),
             OutputTamperingProver("prover-1", params, SeededRNG("p1"), bias=3),
         ]
-        protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG("cc"))
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(3)]
         clients.append(NonBinaryClient("evil", [9], SeededRNG("e")))
-        result = protocol.run(clients)
+        result = run_clients(params, clients, provers=provers, seed="cc")
         audit = result.release.audit
         assert audit.clients["evil"] is ClientStatus.INVALID_PROOF
         assert audit.provers["prover-1"] is ProverStatus.FAILED_FINAL_CHECK

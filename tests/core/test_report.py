@@ -2,8 +2,9 @@
 
 import json
 
+from repro.api import CountQuery, ProtocolEngine, Session
+from repro.core.client import Client
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.prover import OutputTamperingProver
 from repro.core.report import render_report, run_report
 from repro.utils.rng import SeededRNG
@@ -11,10 +12,12 @@ from repro.utils.rng import SeededRNG
 GROUP = "p64-sim"
 
 
-def run_once(provers=None, seed="rep"):
-    params = setup(1.0, 2**-10, num_provers=1, group=GROUP, nb_override=8)
-    protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG(seed))
-    return params, protocol.run_bits([1, 0, 1])
+def run_once(seed="rep"):
+    session = Session(
+        CountQuery(1.0, 2**-10), group=GROUP, nb_override=8, rng=SeededRNG(seed)
+    )
+    session.submit([1, 0, 1])
+    return session.params, session.release()[0].engine_result
 
 
 class TestRunReport:
@@ -43,8 +46,9 @@ class TestRunReport:
     def test_cheater_visible_in_report(self):
         params = setup(1.0, 2**-10, num_provers=1, group=GROUP, nb_override=8)
         cheater = OutputTamperingProver("prover-0", params, SeededRNG("c"), bias=3)
-        protocol = VerifiableBinomialProtocol(params, provers=[cheater], rng=SeededRNG("r"))
-        result = protocol.run_bits([1])
+        engine = ProtocolEngine(params, provers=[cheater], rng=SeededRNG("r"))
+        engine.submit_clients([Client("client-0", [1], SeededRNG("c0"))])
+        result = engine.run_release()
         report = run_report(params, result)
         assert report["release"]["accepted"] is False
         assert report["audit"]["provers"]["prover-0"] == "failed-final-check"

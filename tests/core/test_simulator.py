@@ -9,9 +9,9 @@ components the verifier actually sees.
 import pytest
 
 from repro.analysis.distributions import binomial_goodness_of_fit, chi_square_uniform
+from repro.api import CountQuery, Session
 from repro.core.client import Client
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.simulator import simulate_curator_view, simulate_mpc_view
 from repro.dp.binomial import sample_binomial
 from repro.errors import ParameterError
@@ -96,9 +96,12 @@ class TestIndistinguishability:
 
         real_noise = []
         for t in range(80):
-            protocol = VerifiableBinomialProtocol(params, rng=SeededRNG(f"real{t}"))
-            result = protocol.run_bits(bits)
-            real_noise.append(result.release.raw[0] - true)
+            session = Session(
+                CountQuery(1.0, 2**-10),
+                group=GROUP, nb_override=nb, rng=SeededRNG(f"real{t}"),
+            )
+            session.submit(bits)
+            real_noise.append(session.release().release.raw[0] - true)
 
         sim_noise = []
         commitments = public_client_commitments(params, bits)

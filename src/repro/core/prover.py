@@ -32,7 +32,12 @@ from repro.core.params import PublicParams
 from repro.core.plan import AggregationPlan
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.pedersen import Commitment, Opening
-from repro.crypto.sigma.or_bit import BitProof, prove_bit
+from repro.crypto.sigma.or_bit import (
+    BitProof,
+    _bind,
+    prove_bits,
+    simulate_bit_transcript,
+)
 from repro.errors import ParameterError, ProtocolAbort
 from repro.mpc.morra import MorraParticipant
 from repro.utils.rng import RNG
@@ -155,8 +160,12 @@ class Prover(MorraParticipant):
         commitments = broadcast.share_commitments[prover_index]
         if len(commitments) != self.params.dimension:
             return False
-        for commitment, opening in zip(commitments, message.openings):
-            if not self.params.pedersen.opens_to(commitment, opening):
+        recomputed = self.params.pedersen.commit_many(
+            [opening.value for opening in message.openings],
+            [opening.randomness for opening in message.openings],
+        )
+        for commitment, expected in zip(commitments, recomputed):
+            if expected.element != commitment.element:
                 return False
         self._client_openings[message.client_id] = message.openings
         return True
@@ -209,19 +218,24 @@ class Prover(MorraParticipant):
             [o.value for o in flat_openings],
             [o.randomness for o in flat_openings],
         )
-        commitments = [
-            flat_commitments[j * lanes : (j + 1) * lanes] for j in range(count)
-        ]
-        openings = [flat_openings[j * lanes : (j + 1) * lanes] for j in range(count)]
-        proofs = [
-            [self._prove_coin(c, o, transcript) for c, o in zip(c_row, o_row)]
-            for c_row, o_row in zip(commitments, openings)
-        ]
-        return commitments, openings, proofs
+        flat_proofs = self._prove_coins(flat_commitments, flat_openings, transcript)
 
-    def _prove_coin(self, commitment: Commitment, opening: Opening, transcript: Transcript) -> BitProof:
-        """Hook so :class:`NonBitCoinProver` can attempt forgery."""
-        return prove_bit(self.params.pedersen, commitment, opening, transcript, self.rng)
+        def rows(flat: list) -> list[list]:
+            return [flat[j * lanes : (j + 1) * lanes] for j in range(count)]
+
+        return rows(flat_commitments), rows(flat_openings), rows(flat_proofs)
+
+    def _prove_coins(
+        self,
+        commitments: list[Commitment],
+        openings: list[Opening],
+        transcript: Transcript,
+    ) -> list[BitProof]:
+        """Prove one chunk of coins (row-major) over the shared transcript.
+
+        Hook so :class:`NonBitCoinProver` can attempt forgery.
+        """
+        return prove_bits(self.params.pedersen, commitments, openings, transcript, self.rng)
 
     # Phase C: XOR adjustment and output (Lines 9-11) ------------------------
 
@@ -321,7 +335,7 @@ class Prover(MorraParticipant):
     # The session engine's O(chunk)-memory mode: client shares and coin
     # openings fold into running sums as soon as their phase commitments
     # are settled, so the prover never holds more than one chunk of
-    # openings.  The same cheat hooks (`choose_coin`, `_prove_coin`,
+    # openings.  The same cheat hooks (`choose_coin`, `_prove_coins`,
     # `adjusted_coin`, `select_client_ids`, `_emit_output`) apply, so the
     # cheating subclasses misbehave identically mid-stream.
 
@@ -447,21 +461,27 @@ class NonBitCoinProver(Prover):
     def choose_coin(self, j: int, m: int) -> int:
         return self.bad_value
 
-    def _prove_coin(self, commitment: Commitment, opening: Opening, transcript: Transcript):
-        from repro.crypto.sigma.or_bit import simulate_bit_transcript
-
+    def _prove_coins(
+        self,
+        commitments: list[Commitment],
+        openings: list[Opening],
+        transcript: Transcript,
+    ) -> list[BitProof]:
         # Forge: simulate against a self-chosen challenge. The transcript
         # must still be advanced the same way an honest proof would, or
         # every later proof would also fail (hiding which coin cheated).
-        from repro.crypto.sigma.or_bit import _bind  # same binding as honest path
-
-        _bind(transcript, self.params.pedersen, commitment)
-        fake_challenge = self.rng.field_element(self.params.q)
-        proof = simulate_bit_transcript(self.params.pedersen, commitment, fake_challenge, self.rng)
-        transcript.append_element("d0", proof.d0)
-        transcript.append_element("d1", proof.d1)
-        transcript.challenge_scalar("or-challenge", self.params.q)
-        return proof
+        pedersen = self.params.pedersen
+        q = self.params.q
+        proofs = []
+        for commitment in commitments:
+            _bind(transcript, pedersen, commitment)
+            fake_challenge = self.rng.field_element(q)
+            proof = simulate_bit_transcript(pedersen, commitment, fake_challenge, self.rng)
+            transcript.append_element("d0", proof.d0)
+            transcript.append_element("d1", proof.d1)
+            transcript.challenge_scalar("or-challenge", q)
+            proofs.append(proof)
+        return proofs
 
 
 class SkipAdjustmentProver(Prover):

@@ -73,6 +73,36 @@ class Commitment:
         return self.element.to_bytes()
 
 
+def _shared_tables(
+    group: Group, h_label: bytes
+) -> tuple[GroupElement, FixedBaseTable, FixedBaseTable]:
+    """``(h, g-table, h-table)`` for ``(group, h_label)``, built once per process.
+
+    Every session, decoded wire params and fleet peer thread on one group
+    shares one pair of comb tables instead of rebuilding them (33 ms on
+    ristretto255, 0.8 s on modp-2048).  The memo hangs off the group object:
+    table entries reference their group, so a module-level weak map could
+    never release them, whereas here an ad-hoc group and its tables are one
+    garbage cycle.  An entry is published with a single ``setdefault`` only
+    once fully built (raw rows included) and is never written again, so
+    threads racing to build the same tables each get a complete set and
+    all but one copy is dropped.
+    """
+    memo = group.__dict__.setdefault("_pedersen_tables", {})
+    entry = memo.get(h_label)
+    if entry is None:
+        g = group.generator()
+        h = group.hash_to_group(h_label)
+        if h == g or h.is_identity():
+            raise ParameterError("degenerate h; choose a different label")
+        kernel = kernel_for(group)
+        tables = (FixedBaseTable(g), FixedBaseTable(h))
+        for table in tables:
+            table.raw_tables(kernel)
+        entry = memo.setdefault(h_label, (h, *tables))
+    return entry
+
+
 class PedersenParams:
     """Public parameters (pp) for Pedersen commitments over ``group``.
 
@@ -83,14 +113,10 @@ class PedersenParams:
     def __init__(self, group: Group, *, h_label: bytes = b"repro.pedersen.h") -> None:
         self.group = group
         self.g = group.generator()
-        self.h = group.hash_to_group(h_label)
-        if self.h == self.g or self.h.is_identity():
-            raise ParameterError("degenerate h; choose a different label")
         self.q = group.order
         # Fixed-base tables: the protocol commits to thousands of coins with
         # the same two generators, so comb tables pay for themselves fast.
-        self._g_table = FixedBaseTable(self.g)
-        self._h_table = FixedBaseTable(self.h)
+        self.h, self._g_table, self._h_table = _shared_tables(group, h_label)
         # Com(0,0) = 1 and Com(1,0) = g come up on every Line 12 update;
         # cache them instead of re-walking the comb table.
         self._const_zero = Commitment(group.identity())

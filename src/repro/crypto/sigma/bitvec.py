@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.pedersen import Commitment, Opening, PedersenParams
-from repro.crypto.sigma.or_bit import BitProof, prove_bit, verify_bit
+from repro.crypto.sigma.or_bit import BitProof, prove_bits, verify_bit
 from repro.errors import ParameterError, ProofRejected
-from repro.utils.rng import RNG, default_rng
+from repro.utils.rng import RNG
 
 __all__ = ["BitVectorProof", "prove_bit_vector", "verify_bit_vector"]
 
@@ -54,13 +54,9 @@ def prove_bit_vector(
         raise ParameterError("bit vector must have at least one coordinate")
     if len(commitments) != len(openings):
         raise ParameterError("commitments and openings length mismatch")
-    rng = default_rng(rng)
     _bind_dimension(transcript, len(commitments))
     return BitVectorProof(
-        tuple(
-            prove_bit(params, c, o, transcript, rng)
-            for c, o in zip(commitments, openings)
-        )
+        tuple(prove_bits(params, commitments, openings, transcript, rng))
     )
 
 

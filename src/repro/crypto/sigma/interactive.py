@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.crypto.group import GroupElement
 from repro.crypto.pedersen import Commitment, Opening, PedersenParams
-from repro.crypto.sigma.or_bit import BitProof, branch_statements
+from repro.crypto.sigma.or_bit import BitProof, _announce, _respond, branch_statements
 from repro.errors import ParameterError, ProofRejected
 from repro.utils.rng import RNG, default_rng
 
@@ -69,34 +69,18 @@ class InteractiveBitProver:
     def announce(self) -> Announcement:
         """Move 1: honest announcement on the real branch, simulated on
         the other (the challenge split happens in move 3)."""
-        params = self.params
-        q = params.q
-        bit = self.opening.value % q
-        t0, t1 = branch_statements(params, self.commitment)
-        targets = (t0, t1)
-        sim = 1 - bit
-        e_sim = self.rng.field_element(q)
-        v_sim = self.rng.field_element(q)
-        d_sim = (params.h ** v_sim) * (targets[sim] ** ((-e_sim) % q))
-        nonce = self.rng.field_element(q)
-        d_real = params.h ** nonce
-        d0, d1 = (d_real, d_sim) if bit == 0 else (d_sim, d_real)
-        self._state = (bit, nonce, e_sim, v_sim)
+        *state, d0, d1 = _announce(
+            self.params, [self.commitment], [self.opening], self.rng
+        )[0]
+        self._state = tuple(state)
         return Announcement(d0, d1)
 
     def respond(self, challenge: int) -> tuple[int, int, int, int]:
         """Move 3: (e0, e1, v0, v1) with e0 + e1 == challenge mod q."""
         if self._state is None:
             raise ParameterError("respond() before announce()")
-        params = self.params
-        q = params.q
-        bit, nonce, e_sim, v_sim = self._state
-        self._state = None
-        e_real = (challenge - e_sim) % q
-        v_real = (nonce + e_real * self.opening.randomness) % q
-        if bit == 0:
-            return e_real, e_sim, v_real, v_sim
-        return e_sim, e_real, v_sim, v_real
+        state, self._state = self._state, None
+        return _respond(self.params.q, self.opening, *state, challenge)
 
 
 class InteractiveBitVerifier:
@@ -141,9 +125,9 @@ class InteractiveBitVerifier:
         if (e0 + e1) % q != self._challenge % q:
             raise ProofRejected("challenge split mismatch")
         t0, t1 = branch_statements(params, self.commitment)
-        if params.h ** v0 != self._announcement.d0 * (t0 ** e0):
+        if params.pow_h(v0) != self._announcement.d0 * (t0 ** e0):
             raise ProofRejected("branch-0 equation failed")
-        if params.h ** v1 != self._announcement.d1 * (t1 ** e1):
+        if params.pow_h(v1) != self._announcement.d1 * (t1 ** e1):
             raise ProofRejected("branch-1 equation failed")
         self._announcement = None
         self._challenge = None

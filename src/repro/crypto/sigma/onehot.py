@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.pedersen import Commitment, Opening, PedersenParams
-from repro.crypto.sigma.or_bit import BitProof, prove_bit, verify_bit
+from repro.crypto.sigma.or_bit import BitProof, prove_bits, verify_bit
 from repro.errors import ParameterError, ProofRejected
-from repro.utils.rng import RNG, default_rng
+from repro.utils.rng import RNG
 
 __all__ = ["OneHotProof", "prove_one_hot", "verify_one_hot"]
 
@@ -65,11 +65,8 @@ def prove_one_hot(
     if total % params.q != 1 or any(o.value % params.q not in (0, 1) for o in openings):
         raise ParameterError("witness vector is not one-hot")
 
-    rng = default_rng(rng)
     transcript.append_int("dimension", len(commitments))
-    proofs = tuple(
-        prove_bit(params, c, o, transcript, rng) for c, o in zip(commitments, openings)
-    )
+    proofs = tuple(prove_bits(params, commitments, openings, transcript, rng))
     r_sum = sum(o.randomness for o in openings) % params.q
     return OneHotProof(proofs, r_sum)
 

@@ -33,6 +33,24 @@ figures' final line.  Completeness for both witness values is covered by
 This proof dominates the cost of ΠBin (Table 1: the Σ-proof and
 Σ-verification columns), so the module also provides the vectorized
 :func:`prove_bits` / :func:`verify_bits` used for the nb private coins.
+
+Proving uses the witness.  A witness-less simulator computes the false
+branch's announcement from the statement, ``d_sim = h^v · T_sim^(−e)`` —
+a variable-base power.  The prover holds ``(x, r)`` and therefore knows
+the statement's representation ``T_sim = g^(x−sim) · h^r``, so
+
+    d_sim = h^v · (g^(x−sim) · h^r)^(−e) = Com((sim−x)·e, v − r·e)
+
+is the same group element (same canonical bytes, so the same transcript,
+challenge and proof) from the fixed bases g and h alone; ``(e, v)`` are
+still uniform and independent of the witness, so the distribution of a
+proof is untouched.  :func:`prove_bits` computes every announcement this
+way, and per proof costs 4 comb-walk equivalents — the witness check
+``Com(x, r)`` (x is a bit: one walk), ``d_sim`` (a fused g/h walk: two)
+and ``d_real = Com(0, b)`` (one) — and 0 variable-base powers, all of it
+in two :meth:`PedersenParams.commit_many` passes per call.  The
+witness-less formula remains in :func:`simulate_bit_transcript` (which has
+no witness) and as the oracle in ``tests/crypto/test_or_bit.py``.
 """
 
 from __future__ import annotations
@@ -86,46 +104,60 @@ def _challenge(transcript: Transcript, params: PedersenParams) -> int:
     return transcript.challenge_scalar("or-challenge", params.q)
 
 
-def _prove_with_challenge(
+def _announce(
     params: PedersenParams,
-    commitment: Commitment,
-    opening: Opening,
-    challenge_of: "callable",
+    commitments: list[Commitment],
+    openings: list[Opening],
     rng: RNG,
-) -> BitProof:
-    """Shared body of interactive and FS proving.
+) -> list[tuple[int, int, int, int, GroupElement, GroupElement]]:
+    """First move of every proof in a list: ``(bit, e_sim, v_sim, b, d0, d1)``.
 
-    ``challenge_of(d0, d1)`` supplies the challenge after the announcements
-    are fixed (either from the transcript hash or from a live verifier).
+    The one place an announcement is computed, for the Fiat–Shamir and the
+    interactive prover alike.  Checks every witness first (``x`` a bit,
+    ``Com(x, r) == c``) and raises :class:`ParameterError` for the first
+    that fails, before any draw; then draws ``(e_sim, v_sim, b)`` per proof
+    in proof order and sends all 2n announcements — ``Com((sim−x)·e_sim,
+    v_sim − r·e_sim)`` on the simulated branch, ``Com(0, b)`` on the real
+    one — through one :meth:`PedersenParams.commit_many` pass.
     """
     q = params.q
-    bit = opening.value % q
-    if bit not in (0, 1):
-        raise ParameterError(f"witness value {bit} is not a bit; L_Bit requires 0 or 1")
-    if not params.opens_to(commitment, opening):
-        raise ParameterError("opening does not match commitment")
+    bits = [opening.value % q for opening in openings]
+    expected = params.commit_many(bits, [opening.randomness for opening in openings])
+    for bit, commitment, recomputed in zip(bits, commitments, expected):
+        if bit not in (0, 1):
+            raise ParameterError(f"witness value {bit} is not a bit; L_Bit requires 0 or 1")
+        if recomputed.element != commitment.element:
+            raise ParameterError("opening does not match commitment")
 
-    t0, t1 = branch_statements(params, commitment)
-    real, sim = (0, 1) if bit == 0 else (1, 0)
-    targets = (t0, t1)
+    field_element = rng.field_element
+    states: list[tuple[int, int, int, int]] = []
+    values: list[int] = []
+    randomness: list[int] = []
+    for bit, opening in zip(bits, openings):
+        e_sim, v_sim, b = field_element(q), field_element(q), field_element(q)
+        states.append((bit, e_sim, v_sim, b))
+        # sim − x is +1 for x = 0 (simulating branch 1) and −1 for x = 1.
+        values += (-e_sim if bit else e_sim, 0)
+        randomness += (v_sim - opening.randomness * e_sim, b)
+    announced = params.commit_many(values, randomness)
+    out = []
+    for i, state in enumerate(states):
+        d_sim = announced[2 * i].element
+        d_real = announced[2 * i + 1].element
+        out.append((*state, d_sim, d_real) if state[0] else (*state, d_real, d_sim))
+    return out
 
-    # Simulated branch: sample (e_sim, v_sim), derive announcement.
-    e_sim = rng.field_element(q)
-    v_sim = rng.field_element(q)
-    d_sim = params.pow_h(v_sim) * (targets[sim] ** ((-e_sim) % q))
 
-    # Real branch: honest Schnorr announcement.
-    b = rng.field_element(q)
-    d_real = params.pow_h(b)
-
-    d0, d1 = (d_real, d_sim) if real == 0 else (d_sim, d_real)
-    e = challenge_of(d0, d1)
-    e_real = (e - e_sim) % q
+def _respond(
+    q: int, opening: Opening, bit: int, e_sim: int, v_sim: int, b: int, challenge: int
+) -> tuple[int, int, int, int]:
+    """Third move ``(e0, e1, v0, v1)``: the real branch takes the forced
+    sub-challenge ``e − e_sim`` and answers it with the witness."""
+    e_real = (challenge - e_sim) % q
     v_real = (b + e_real * opening.randomness) % q
-
-    if real == 0:
-        return BitProof(d0, d1, e_real, e_sim, v_real, v_sim)
-    return BitProof(d0, d1, e_sim, e_real, v_sim, v_real)
+    if bit:
+        return e_sim, e_real, v_sim, v_real
+    return e_real, e_sim, v_real, v_sim
 
 
 def prove_bit(
@@ -136,15 +168,7 @@ def prove_bit(
     rng: RNG | None = None,
 ) -> BitProof:
     """Non-interactive (Fiat–Shamir) proof that ``commitment`` is to a bit."""
-    rng = default_rng(rng)
-    _bind(transcript, params, commitment)
-
-    def challenge_of(d0: GroupElement, d1: GroupElement) -> int:
-        transcript.append_element("d0", d0)
-        transcript.append_element("d1", d1)
-        return _challenge(transcript, params)
-
-    return _prove_with_challenge(params, commitment, opening, challenge_of, rng)
+    return prove_bits(params, [commitment], [opening], transcript, rng)[0]
 
 
 def verify_bit(
@@ -184,14 +208,28 @@ def prove_bits(
     The proofs share one transcript, so each challenge is bound to *all*
     previous commitments and proofs — parallel composition, as the paper
     notes both Π_morra and Π_or compose in parallel (footnote 7).
+
+    All group work happens up front in :func:`_announce`; what remains per
+    proof is hashing (bind → absorb d₀, d₁ → challenge) and two modular
+    multiplications.  Proofs, transcript state and RNG position equal those
+    of n sequential :func:`prove_bit` calls.  A bad witness anywhere in the
+    list raises :class:`ParameterError` with nothing absorbed or drawn.
     """
     if len(commitments) != len(openings):
         raise ParameterError("commitments and openings length mismatch")
-    rng = default_rng(rng)
-    return [
-        prove_bit(params, c, o, transcript, rng)
-        for c, o in zip(commitments, openings)
-    ]
+    q = params.q
+    proofs: list[BitProof] = []
+    for commitment, opening, (bit, e_sim, v_sim, b, d0, d1) in zip(
+        commitments, openings, _announce(params, commitments, openings, default_rng(rng))
+    ):
+        _bind(transcript, params, commitment)
+        transcript.append_element("d0", d0)
+        transcript.append_element("d1", d1)
+        e = _challenge(transcript, params)
+        proofs.append(
+            BitProof(d0, d1, *_respond(q, opening, bit, e_sim, v_sim, b, e))
+        )
+    return proofs
 
 
 def verify_bits(

@@ -78,6 +78,32 @@ class TestCheatingProversCaught:
         assert not result.release.accepted
         assert result.release.audit.provers["prover-0"] is ProverStatus.BAD_COIN_PROOF
 
+    @pytest.mark.parametrize("chunk_size", [None, 8])
+    def test_non_bit_coin_blames_only_the_forger(self, chunk_size):
+        """The chunk-level forgery hook (`_prove_coins`) is caught buffered
+        and streamed, and nobody else's verdict moves."""
+        params = params_k(2)
+        provers = [
+            Prover("prover-0", params, SeededRNG("h")),
+            NonBitCoinProver("prover-1", params, SeededRNG("nb")),
+        ]
+        rng = SeededRNG("nb2")
+        engine = ProtocolEngine(
+            params, provers=provers, rng=SeededRNG("nb2"), chunk_size=chunk_size
+        )
+        engine.submit_clients(
+            Client(f"client-{i}", [bit], rng.fork(f"client-{i}"))
+            for i, bit in enumerate(BITS)
+        )
+        release = engine.run_release().release
+        assert not release.accepted
+        assert release.audit.provers["prover-1"] is ProverStatus.BAD_COIN_PROOF
+        assert release.audit.provers["prover-0"] is ProverStatus.HONEST
+        assert all(
+            release.audit.clients[f"client-{i}"] is ClientStatus.VALID
+            for i in range(len(BITS))
+        )
+
     def test_input_dropping_fails(self):
         params = params_k(2)
         provers = [

@@ -92,12 +92,92 @@ class TestDualPowerValidation:
         with pytest.raises(ParameterError):
             dual_power(wide, 1, narrow, 1)
 
-    def test_tables_cached_per_params(self):
-        """One comb table pair per PedersenParams — the cache the hot
-        paths rely on (rebuilding per call would erase the win)."""
-        from repro.crypto.schnorr_group import SchnorrGroup
 
-        p = PedersenParams(SchnorrGroup.named("p64-sim"))
-        assert p._g_table is p._g_table
-        assert p._g_table.base == p.g
-        assert p._h_table.base == p.h
+def _adhoc_group(name="p128-sim"):
+    """A fresh, unregistered group object (``SchnorrGroup.named`` is cached)."""
+    from repro.crypto.schnorr_group import NAMED_GROUPS, SchnorrGroup
+
+    return SchnorrGroup(NAMED_GROUPS[name], name=f"adhoc-{name}", check=False)
+
+
+class TestSharedTables:
+    """One comb table pair per (group object, h_label) per process — the
+    memo every session, decoded params and fleet peer thread relies on
+    (rebuilding per ``PedersenParams`` was ~10% of a ristretto255 session)."""
+
+    def test_params_on_one_group_share_tables(self):
+        group = _adhoc_group()
+        a, b = PedersenParams(group), PedersenParams(group)
+        assert a._g_table is b._g_table and a._h_table is b._h_table
+        assert a.h is b.h
+        assert a._g_table.base == a.g
+        assert a._h_table.base == a.h
+
+    def test_other_label_or_group_object_does_not_share(self):
+        group = _adhoc_group()
+        a = PedersenParams(group)
+        relabelled = PedersenParams(group, h_label=b"another.h")
+        assert relabelled.h != a.h
+        assert relabelled._h_table is not a._h_table
+        assert relabelled._h_table.base == relabelled.h
+        twin = PedersenParams(_adhoc_group())
+        assert twin._g_table is not a._g_table
+        assert twin.h.to_bytes() == a.h.to_bytes()
+
+    def test_degenerate_label_still_rejected_and_not_memoised(self, monkeypatch):
+        group = _adhoc_group("p64-sim")
+        monkeypatch.setattr(group, "hash_to_group", lambda label: group.generator())
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                PedersenParams(group)
+
+    def test_adhoc_group_is_not_pinned_by_its_tables(self):
+        import gc
+        import weakref
+
+        group = _adhoc_group("p64-sim")
+        PedersenParams(group).commit(1, 2)
+        probe = weakref.ref(group)
+        del group
+        gc.collect()
+        assert probe() is None
+
+    def test_concurrent_construction_publishes_one_complete_entry(self):
+        """8 threads race to build the tables of one unseen group: each gets
+        tables that commit correctly, and all end up on the one published
+        pair (a half-built or torn entry would break either)."""
+        import sys
+        import threading
+
+        group = _adhoc_group()
+        g = group.generator()
+        start = threading.Barrier(8)
+        results, errors = [], []
+
+        def worker(i):
+            try:
+                start.wait(timeout=30)
+                params = PedersenParams(group)
+                x, r = 1000 + i, 2**100 + i
+                assert params.commit(x, r).element == (g ** x) * (params.h ** r)
+                assert params.commit_many([x], [r])[0].element == (g ** x) * (params.h ** r)
+                results.append(params)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == 8
+        assert len({id(p._g_table) for p in results}) == 1
+        assert len({id(p._h_table) for p in results}) == 1
+        assert PedersenParams(group)._g_table is results[0]._g_table

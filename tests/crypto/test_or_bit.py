@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.params import setup
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.pedersen import Opening
+from repro.crypto.serialization import encode_bit_proof
 from repro.crypto.sigma.or_bit import (
     BitProof,
     branch_statements,
@@ -164,3 +166,99 @@ class TestZeroKnowledge:
         t0, t1 = branch_statements(pedersen64, c)
         assert pedersen64.h ** proof.v0 == proof.d0 * (t0 ** proof.e0)
         assert pedersen64.h ** proof.v1 == proof.d1 * (t1 ** proof.e1)
+
+
+def reference_prove_bit(params, commitment, opening, transcript, rng):
+    """The textbook CDS94 prover, kept as the oracle for the production one.
+
+    It simulates the false branch the way a party *without* the witness
+    would — ``d_sim = h^v · T_sim^(−e)``, one variable-base power on the
+    branch statement — which is what :func:`prove_bit` did before it used
+    the witness to compute the same element from fixed bases only.
+    """
+    q = params.q
+    bit = opening.value % q
+    sim = 1 - bit
+    e_sim = rng.field_element(q)
+    v_sim = rng.field_element(q)
+    t_sim = branch_statements(params, commitment)[sim]
+    d_sim = params.pow_h(v_sim) * (t_sim ** ((-e_sim) % q))
+    b = rng.field_element(q)
+    d_real = params.pow_h(b)
+    d0, d1 = (d_sim, d_real) if bit else (d_real, d_sim)
+    transcript.append_bytes("pp", params.transcript_bytes())
+    transcript.append_element("bit-commitment", commitment.element)
+    transcript.append_element("d0", d0)
+    transcript.append_element("d1", d1)
+    e_real = (transcript.challenge_scalar("or-challenge", q) - e_sim) % q
+    v_real = (b + e_real * opening.randomness) % q
+    if bit:
+        return BitProof(d0, d1, e_sim, e_real, v_sim, v_real)
+    return BitProof(d0, d1, e_real, e_sim, v_real, v_sim)
+
+
+class TestWitnessAwareAnnouncement:
+    """d_sim from the witness, Com((sim−x)·e, v − r·e), is the element the
+    witness-less formula gives — so proofs, transcripts and releases are
+    byte-for-byte what they were."""
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("name", ["p64-sim", "p128-sim", "p256", "ristretto255"])
+    def test_simulated_announcement_matches_reference_formula(self, name, bit):
+        params = setup(1.0, 2**-10, group=name, nb_override=32).pedersen
+        q = params.q
+        c, o = params.commit_fresh(bit, SeededRNG(f"coin-{bit}"))
+        proof = prove_bit(params, c, o, Transcript("t"), SeededRNG("prover"))
+
+        sim = 1 - bit
+        e_sim, v_sim = ((proof.e0, proof.v0), (proof.e1, proof.v1))[sim]
+        d_sim = (proof.d0, proof.d1)[sim]
+        t_sim = branch_statements(params, c)[sim]
+        expected = params.pow_h(v_sim) * (t_sim ** ((-e_sim) % q))
+        assert d_sim == expected
+        assert d_sim.to_bytes() == expected.to_bytes()
+
+        reference = reference_prove_bit(params, c, o, Transcript("t"), SeededRNG("prover"))
+        assert encode_bit_proof(proof) == encode_bit_proof(reference)
+        verify_bit(params, c, proof, Transcript("t"))
+
+
+def _probe(transcript, rng):
+    """Fingerprint of where a transcript and an RNG stand."""
+    return transcript.challenge_bytes("probe", 32), rng.random_bytes(16)
+
+
+class TestBatchedProving:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_batch_equals_sequential_proofs(self, pedersen64, n):
+        setup_rng = SeededRNG(f"batch-{n}")
+        bits = [setup_rng.coin() for _ in range(n)]
+        cs, os_ = pedersen64.commit_vector(bits, setup_rng)
+
+        runs = []
+        for prove_one in (prove_bit, reference_prove_bit):
+            transcript, rng = Transcript("b"), SeededRNG("prover")
+            proofs = [prove_one(pedersen64, c, o, transcript, rng) for c, o in zip(cs, os_)]
+            runs.append(([encode_bit_proof(p) for p in proofs], _probe(transcript, rng)))
+        transcript, rng = Transcript("b"), SeededRNG("prover")
+        batched = prove_bits(pedersen64, cs, os_, transcript, rng)
+        runs.append(([encode_bit_proof(p) for p in batched], _probe(transcript, rng)))
+
+        assert runs[0] == runs[1] == runs[2]
+        verify_bits(pedersen64, cs, batched, Transcript("b"))
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("fault", ["non-bit", "mismatch"])
+    def test_bad_witness_anywhere_refuses_whole_batch(self, pedersen64, position, fault):
+        setup_rng = SeededRNG("bad-witness")
+        cs, os_ = pedersen64.commit_vector([0, 1, 1, 0, 1, 0, 0], setup_rng)
+        if fault == "non-bit":
+            cs[position], os_[position] = pedersen64.commit_fresh(2, setup_rng)
+        else:
+            os_[position] = Opening(os_[position].value, os_[position].randomness + 1)
+
+        transcript, rng = Transcript("b"), SeededRNG("prover")
+        with pytest.raises(ParameterError):
+            prove_bits(pedersen64, cs, os_, transcript, rng)
+        # No proof was emitted: nothing absorbed, nothing drawn.
+        assert _probe(transcript, rng) == _probe(Transcript("b"), SeededRNG("prover"))

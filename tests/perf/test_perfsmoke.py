@@ -23,6 +23,22 @@ pytestmark = pytest.mark.perfsmoke
 N = 192
 
 
+def best_of(fn, repeats: int = 3) -> float:
+    """Fastest of ``repeats`` timed calls of ``fn``, in seconds.
+
+    Every comparison in this module times both sides through here: the
+    host's speed flips 1.0×↔1.5× within seconds, and the minimum is the
+    sample least disturbed by it, so a ratio of two minima is far steadier
+    than a ratio of two single shots.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 @pytest.fixture(scope="module")
 def pedersen128():
     return PedersenParams(SchnorrGroup.named("p128-sim"))
@@ -39,13 +55,10 @@ def proof_batch(pedersen128):
 
 def test_batch_beats_sequential(pedersen128, proof_batch):
     cs, proofs = proof_batch
-    start = time.perf_counter()
-    verify_bits(pedersen128, cs, proofs, Transcript("ps"))
-    sequential = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batch_verify_bits(pedersen128, cs, proofs, Transcript("ps"), SeededRNG("g"))
-    batched = time.perf_counter() - start
+    sequential = best_of(lambda: verify_bits(pedersen128, cs, proofs, Transcript("ps")))
+    batched = best_of(
+        lambda: batch_verify_bits(pedersen128, cs, proofs, Transcript("ps"), SeededRNG("g"))
+    )
     # Expected ~4-7x at n=192; 1.5x is the do-not-regress floor.
     assert batched * 1.5 < sequential, (
         f"batched {batched * 1e3:.1f}ms vs sequential {sequential * 1e3:.1f}ms"
@@ -55,9 +68,9 @@ def test_batch_beats_sequential(pedersen128, proof_batch):
 def test_batch_absolute_budget(pedersen128, proof_batch):
     """Batched verification of 192 proofs stays under a generous budget."""
     cs, proofs = proof_batch
-    start = time.perf_counter()
-    batch_verify_bits(pedersen128, cs, proofs, Transcript("ps"), SeededRNG("g"))
-    batched = time.perf_counter() - start
+    batched = best_of(
+        lambda: batch_verify_bits(pedersen128, cs, proofs, Transcript("ps"), SeededRNG("g"))
+    )
     assert batched < 0.25, f"batched path took {batched * 1e3:.0f}ms for {N} proofs"
 
 
@@ -72,15 +85,8 @@ def test_fixed_base_tables_beat_naive_pow(pedersen128):
     exps = [rng.field_element(pedersen128.q) for _ in range(300)]
     h = pedersen128.h
 
-    start = time.perf_counter()
-    for e in exps:
-        h ** e
-    naive = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for e in exps:
-        pedersen128.pow_h(e)
-    table = time.perf_counter() - start
+    naive = best_of(lambda: [h ** e for e in exps])
+    table = best_of(lambda: [pedersen128.pow_h(e) for e in exps])
 
     assert table * 1.3 < naive, (
         f"fixed-base table {table * 1e3:.1f}ms vs naive pow {naive * 1e3:.1f}ms"
@@ -109,23 +115,17 @@ def test_serialization_overhead_at_nb4096(pedersen128):
     prover = Prover("prover-0", params, SeededRNG("ser-perf"))
     message = prover.commit_coins(b"perfsmoke")
 
-    start = time.perf_counter()
     frame = encode_message(message)
-    encode_s = time.perf_counter() - start
-
-    start = time.perf_counter()
     decoded = decode_message(params.group, frame)
-    decode_s = time.perf_counter() - start
+    encode_s = best_of(lambda: encode_message(message))
+    decode_s = best_of(lambda: decode_message(params.group, frame))
 
-    batch_verifier = PublicVerifier(params, SeededRNG("v"))
-    start = time.perf_counter()
-    assert batch_verifier.verify_coin_commitments(decoded, b"perfsmoke")
-    batch_s = time.perf_counter() - start
+    def verify(seed: str, batch: bool) -> None:
+        verifier = PublicVerifier(params, SeededRNG(seed), batch=batch)
+        assert verifier.verify_coin_commitments(decoded, b"perfsmoke")
 
-    seq_verifier = PublicVerifier(params, SeededRNG("v2"), batch=False)
-    start = time.perf_counter()
-    assert seq_verifier.verify_coin_commitments(decoded, b"perfsmoke")
-    seq_s = time.perf_counter() - start
+    batch_s = best_of(lambda: verify("v", True))
+    seq_s = best_of(lambda: verify("v2", False))
 
     assert encode_s < 0.5 * batch_s, (
         f"encoding 4096 coins took {encode_s * 1e3:.0f}ms vs "
@@ -147,15 +147,8 @@ def test_fused_commit_beats_two_pows(pedersen128):
     ]
     g, h = pedersen128.g, pedersen128.h
 
-    start = time.perf_counter()
-    for x, r in pairs:
-        (g ** x) * (h ** r)
-    naive = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for x, r in pairs:
-        pedersen128.commit(x, r)
-    fused = time.perf_counter() - start
+    naive = best_of(lambda: [(g ** x) * (h ** r) for x, r in pairs])
+    fused = best_of(lambda: [pedersen128.commit(x, r) for x, r in pairs])
 
     assert fused * 1.2 < naive, (
         f"fused commit {fused * 1e3:.1f}ms vs two pows {naive * 1e3:.1f}ms"
@@ -187,12 +180,12 @@ def test_signed_pippenger_not_slower_where_selected(pedersen128):
     assert _pippenger_variant(nb, bits, group.multiexp_kernel().neg_muls)[0] == (
         "pippenger-signed"
     )
-    start = time.perf_counter()
-    multi_exponentiation(group, bases, exps, algorithm="pippenger-unsigned")
-    unsigned = time.perf_counter() - start
-    start = time.perf_counter()
-    multi_exponentiation(group, bases, exps, algorithm="pippenger-signed")
-    signed = time.perf_counter() - start
+    unsigned = best_of(
+        lambda: multi_exponentiation(group, bases, exps, algorithm="pippenger-unsigned")
+    )
+    signed = best_of(
+        lambda: multi_exponentiation(group, bases, exps, algorithm="pippenger-signed")
+    )
     assert signed < unsigned * 1.15, (
         f"signed {signed * 1e3:.1f}ms vs unsigned {unsigned * 1e3:.1f}ms on ristretto"
     )
@@ -201,12 +194,39 @@ def test_signed_pippenger_not_slower_where_selected(pedersen128):
     rng = SeededRNG("signed-perfsmoke-128")
     bases = [group128.random_element(rng) for _ in range(nb)]
     exps = [rng.field_element(group128.order) for _ in range(nb)]
-    start = time.perf_counter()
-    multi_exponentiation(group128, bases, exps, algorithm="pippenger-unsigned")
-    unsigned = time.perf_counter() - start
-    start = time.perf_counter()
-    multi_exponentiation(group128, bases, exps, algorithm="pippenger")
-    auto = time.perf_counter() - start
+    unsigned = best_of(
+        lambda: multi_exponentiation(group128, bases, exps, algorithm="pippenger-unsigned")
+    )
+    auto = best_of(
+        lambda: multi_exponentiation(group128, bases, exps, algorithm="pippenger")
+    )
     assert auto < unsigned * 1.25, (
         f"auto pippenger {auto * 1e3:.1f}ms vs unsigned {unsigned * 1e3:.1f}ms on p128"
+    )
+
+
+def test_proving_a_coin_is_fixed_base_work_only():
+    """``prove_bits`` of 64 coins on ristretto255 vs one full-width
+    ``commit_many`` of 64.
+
+    A proof is 4 comb-walk equivalents (witness check, a fused two-scalar
+    announcement, a one-scalar announcement) plus hashing: measured ≈ 2.7×
+    the commit pass.  A variable-base power creeping back into the prover
+    (the old ``T_sim ** -e_sim``) costs ≈ 6×; 5× is the floor between.
+    """
+    from repro.crypto.ristretto import RistrettoGroup
+
+    pedersen = PedersenParams(RistrettoGroup.instance())
+    rng = SeededRNG("prove-perf")
+    n = 64
+    cs, os_ = pedersen.commit_vector([rng.coin() for _ in range(n)], rng)
+    xs = [rng.field_element(pedersen.q) for _ in range(n)]
+    rs = [rng.field_element(pedersen.q) for _ in range(n)]
+
+    commit = best_of(lambda: pedersen.commit_many(xs, rs))
+    prove = best_of(
+        lambda: prove_bits(pedersen, cs, os_, Transcript("pp"), SeededRNG("p"))
+    )
+    assert prove < 5 * commit, (
+        f"proving {n} coins {prove * 1e3:.1f}ms vs committing {commit * 1e3:.1f}ms"
     )

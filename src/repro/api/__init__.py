@@ -4,8 +4,9 @@ Queries are composable descriptions (*what* to release, at what budget);
 a :class:`Session` is the phase-driven engine that executes them
 (*how*): ENROLL → VALIDATE → COMMIT_COINS → MORRA → ADJUST → RELEASE,
 over the :mod:`repro.core.messages` types and the :mod:`repro.mpc.bus`
-transport, buffered for audit replay or streamed in chunks for O(chunk)
-verifier memory at paper scale.
+transport, in chunks — one chunk by default, which keeps the messages
+for audit replay; smaller ones for O(chunk) verifier memory at paper
+scale.
 
 Quick start::
 

@@ -4,27 +4,28 @@ One :class:`ProtocolEngine` executes one ΠBin instance — a counting
 query, a histogram, or a weighted-lane (bounded-sum) query, as described
 by its :class:`~repro.core.plan.AggregationPlan` — over the
 :mod:`repro.core.messages` types and the :mod:`repro.mpc.bus` transport.
-It is an explicit phase machine (:mod:`repro.api.phases`) with two
-execution modes:
+It is an explicit phase machine (:mod:`repro.api.phases`) with one
+pipeline, parameterised by ``chunk_size``.
 
-**Buffered** (``chunk_size=None``) retains every public message and runs
-Figure 2 in line order — all clients, then all provers' coin commitments
-in one cross-prover batch, then Morra and Line 12 per prover.  Each
-party's RNG draw sequence under that order is an invariant: seeded
-releases are byte-identical across commits
-(``tests/api/golden_releases.json`` pins them), and the result can be
-published to a bulletin board for third-party replay.
+Clients are accepted in chunks and coins are verified in chunks: client
+validity proofs fold into per-chunk Σ-batches and running Line 13
+products, coin proofs fold into a per-prover evolving transcript with
+per-chunk RLC checks, and Line 12 products accumulate as chunks retire.
+Each coin is committed strictly before its Morra bit is drawn, and
+chunking only reorders *independent* messages, so soundness does not
+depend on the chunk size.
 
-**Streaming** (``chunk_size=n``) accepts clients in chunks and verifies
-coins in chunks: client validity proofs fold into per-chunk Σ-batches and
-running Line 13 products, coin proofs fold into a per-prover evolving
-transcript with per-chunk RLC checks, and Line 12 products accumulate as
-chunks retire.  Nothing proportional to nb or to the client count is
-retained — peak verifier memory is O(chunk) — which is what lets the
-paper-scale nb = 262,144 workload run on a laptop
-(``benchmarks/bench_streaming_session.py``).  Each coin is still
-committed strictly before its Morra bit is drawn, so the soundness
-argument is unchanged; chunking only reorders *independent* messages.
+``chunk_size=None`` is one chunk of every client and all nb coins.  Every
+party draws from its own RNG stream, so its seeded release bytes are
+those of any chunk size that covers the run
+(``tests/api/test_chunk_equivalence.py``), and they are pinned across
+commits (``tests/api/golden_releases.json``).  A one-chunk run folds
+nothing away before the release, so it is also the run that retains its
+public messages for third-party bulletin replay.  ``chunk_size=n`` drops
+each chunk once folded — peak verifier memory is O(chunk), nothing
+proportional to nb or to the client count is kept — which is what lets
+the paper-scale nb = 262,144 workload run on a laptop
+(``benchmarks/bench_streaming_session.py``).
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def fork_rng(rng: RNG, label: str) -> RNG:
 # hooks engine phase timings here without the engine importing it.  Each
 # observer is called as ``observer(previous_phase, new_phase, elapsed_s)``
 # where ``elapsed_s`` is the wall-clock time the engine spent in
-# ``previous_phase`` (per transition, so a streamed run's repeated
-# COMMIT_COINS -> MORRA -> ADJUST loop yields one observation per lap).
+# ``previous_phase`` (per transition, so the COMMIT_COINS -> MORRA ->
+# ADJUST loop yields one observation per prover per chunk).
 # Observers run on the engine's thread and must be cheap and non-raising.
 _PHASE_OBSERVERS: list = []
 
@@ -100,11 +101,11 @@ def remove_phase_observer(observer) -> None:
 class EngineResult:
     """One protocol run's release plus run metadata.
 
-    Buffered runs retain the public messages (``broadcasts``,
-    ``coin_messages``, ``public_bits``, ``outputs``) so the run can be
+    One-chunk runs (``chunk_size=None``) retain the public messages
+    (``broadcasts``, ``coin_messages``, ``public_bits``) so the run can be
     published for byte-level third-party audit replay
-    (:func:`repro.core.bulletin.publish_run`); streamed runs drop them —
-    that is the point — and keep only the release and audit record.
+    (:func:`repro.core.bulletin.publish_run`); chunked runs drop them —
+    that is the point — and keep only the outputs, release and audit record.
     """
 
     release: Release
@@ -138,7 +139,6 @@ class ProtocolEngine:
         rng: RNG | None = None,
         chunk_size: int | None = None,
         network: SimulatedNetwork | None = None,
-        retain_messages: bool | None = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ParameterError("chunk_size must be positive")
@@ -148,10 +148,9 @@ class ProtocolEngine:
             raise ParameterError("plan dimension does not match params dimension")
         self.rng = rng if rng is not None else SystemRNG()
         self.chunk_size = chunk_size
-        self.streaming = chunk_size is not None
-        self.retain_messages = (
-            retain_messages if retain_messages is not None else not self.streaming
-        )
+        # One chunk (chunk_size=None) never folds a message away before the
+        # release, so it is also the run that keeps its public messages.
+        self._retain = chunk_size is None
         if provers is None:
             provers = [
                 Prover(f"prover-{k}", params, fork_rng(self.rng, f"prover-{k}"), plan=self.plan)
@@ -168,7 +167,7 @@ class ProtocolEngine:
         self.verifier = verifier or PublicVerifier(
             params, fork_rng(self.rng, "verifier"), plan=self.plan
         )
-        self.network = network or SimulatedNetwork(buffering=self.retain_messages)
+        self.network = network or SimulatedNetwork(buffering=self._retain)
         for name in [self.verifier.name] + names:
             if name not in self.network.parties:
                 self.network.register(name)
@@ -179,11 +178,10 @@ class ProtocolEngine:
         # Client-phase state.
         self._context = ContextAccumulator()
         self._client_count = 0
-        self._valid_ids: list[str] = []
         self._chunk_entries: list[tuple[ClientBroadcast, list[ClientShareMessage]]] = []
-        # Buffered-mode retention.
+        # Public messages, kept only when ``_retain``.
         self._broadcasts: list[ClientBroadcast] = []
-        self._privates: list[list[ClientShareMessage]] = []
+        self._coin_messages: list = []
         self._public_bits: dict[str, list[list[int]]] = {}
         self._result: EngineResult | None = None
 
@@ -196,7 +194,7 @@ class ProtocolEngine:
         elapsed = now - self._phase_entered
         self._phase_entered = now
         # Wall-clock per phase, alongside Table 1's work-stage timings:
-        # ``phase:<name>`` accumulates across a streamed run's chunk laps.
+        # ``phase:<name>`` accumulates across the coin phase's chunk laps.
         self.timer.add(f"phase:{previous.value}", elapsed)
         for observer in list(_PHASE_OBSERVERS):
             observer(previous, self.phase, elapsed)
@@ -217,9 +215,9 @@ class ProtocolEngine:
     def submit_clients(self, clients) -> None:
         """Enroll :class:`~repro.core.client.Client` objects (any iterable).
 
-        Streaming engines process every ``chunk_size`` enrollments
-        immediately — validation, audit verdicts, Line 13 folds — and drop
-        the chunk; buffered engines retain everything for the audit replay.
+        Every ``chunk_size`` enrollments are processed immediately —
+        validation, audit verdicts, Line 13 folds — and dropped; with
+        ``chunk_size=None`` the one chunk closes at :meth:`run_release`.
         """
         self._require(Phase.ENROLL, "submit")
         for client in clients:
@@ -242,13 +240,12 @@ class ProtocolEngine:
     #
     # A sharded front-end (repro.net.shard) validates clients on shard
     # workers and routes private shares itself; the engine still owns the
-    # two pieces of client-phase state every later phase depends on — the
-    # broadcast-context digest that binds all coin transcripts, and the
-    # ordered valid-id list the release aggregates over.  These hooks let
-    # the front-end feed both without the engine re-verifying anything,
-    # while RNG consumption stays exactly that of an unsharded run (the
-    # hooks draw nothing), which is what keeps sharded releases
-    # byte-identical.
+    # client-phase state every later phase depends on — the client
+    # registry and the broadcast-context digest that binds all coin
+    # transcripts.  This hook lets the front-end feed it without the
+    # engine re-verifying anything, while RNG consumption stays exactly
+    # that of an unsharded run (the hook draws nothing), which is what
+    # keeps sharded releases byte-identical.
 
     def adopt_enrollment(self, broadcast: ClientBroadcast) -> None:
         """Record an enrollment whose validation happens elsewhere:
@@ -260,11 +257,6 @@ class ProtocolEngine:
         self._context.absorb(broadcast)
         self._client_count += 1
 
-    def adopt_valid_ids(self, valid_ids) -> None:
-        """Append externally validated client ids (submission order)."""
-        self._require(Phase.ENROLL, "submit")
-        self._valid_ids.extend(valid_ids)
-
     def _enroll(
         self, broadcast: ClientBroadcast, privates: list[ClientShareMessage]
     ) -> None:
@@ -275,16 +267,12 @@ class ProtocolEngine:
             self.network.send(broadcast.client_id, prover.name, message)
         self._context.absorb(broadcast)
         self._client_count += 1
-        if self.streaming:
-            self._chunk_entries.append((broadcast, privates))
-            if len(self._chunk_entries) >= self.chunk_size:
-                self._process_client_chunk()
-        else:
-            self._broadcasts.append(broadcast)
-            self._privates.append(privates)
+        self._chunk_entries.append((broadcast, privates))
+        if self.chunk_size is not None and len(self._chunk_entries) >= self.chunk_size:
+            self._process_client_chunk()
 
     def _process_client_chunk(self) -> None:
-        """Validate one chunk of enrollments and fold it away (streaming)."""
+        """Validate one chunk of enrollments and fold it away."""
         entries = self._chunk_entries
         self._chunk_entries = []
         if not entries:
@@ -299,6 +287,8 @@ class ProtocolEngine:
             if bad:
                 complaints[prover.name] = bad
         broadcasts = [broadcast for broadcast, _ in entries]
+        if self._retain:
+            self._broadcasts = broadcasts
         with self.timer.stage(STAGE_CLIENT_VERIFY):
             valid = self.verifier.validate_clients(broadcasts, complaints)
         self.verifier.fold_client_commitments(broadcasts, valid)
@@ -306,7 +296,6 @@ class ProtocolEngine:
         invalid = [b.client_id for b in broadcasts if b.client_id not in valid_set]
         for prover in self.provers:
             prover.absorb_validated_clients(valid, discard=invalid)
-        self._valid_ids.extend(valid)
 
     # The protocol body ------------------------------------------------------
 
@@ -318,32 +307,11 @@ class ProtocolEngine:
         if self._result is not None:
             return self._result
         self._require(Phase.ENROLL, "release")
-        # VALIDATE: finalize the public client record and context digest.
-        if self.streaming:
-            self._process_client_chunk()
-            self._advance(Phase.VALIDATE)
-            valid_ids = self._valid_ids
-        else:
-            self._advance(Phase.VALIDATE)
-            complaints: dict[str, list[str]] = {}
-            for k, prover in enumerate(self.provers):
-                bad = [
-                    broadcast.client_id
-                    for broadcast, privates in zip(self._broadcasts, self._privates)
-                    if not prover.receive_client_share(broadcast, privates[k], k)
-                ]
-                if bad:
-                    complaints[prover.name] = bad
-            with self.timer.stage(STAGE_CLIENT_VERIFY):
-                valid_ids = self.verifier.validate_clients(self._broadcasts, complaints)
-            self._valid_ids = valid_ids
-        context = self._context.digest()
-
-        if self.streaming:
-            coin_ok, coin_messages = self._coin_phases_streamed(context)
-        else:
-            coin_ok, coin_messages = self._coin_phases_buffered(context)
-
+        # VALIDATE: close the last client chunk, which finalizes the
+        # public client record and the context digest.
+        self._advance(Phase.VALIDATE)
+        self._process_client_chunk()
+        coin_ok = self._coin_phases(self._context.digest())
         self._advance(Phase.RELEASE)
         release, outputs = self._assemble_release(coin_ok)
         self._advance(Phase.DONE)
@@ -352,57 +320,20 @@ class ProtocolEngine:
             timer=self.timer,
             network=self.network,
             client_count=self._client_count,
-            public_bits=self._public_bits if not self.streaming else {},
+            public_bits=self._public_bits,
             broadcasts=self._broadcasts,
-            coin_messages=coin_messages if not self.streaming else [],
+            coin_messages=self._coin_messages,
             outputs=outputs,
         )
         return self._result
 
-    def _coin_phases_buffered(self, context: bytes):
-        """Lines 4–9 in Figure 2's order: all provers commit, one
-        cross-prover batch verification, then Morra + Line 12 per prover."""
-        params = self.params
-        self._advance(Phase.COMMIT_COINS)
-        coin_messages = []
-        for prover in self.provers:
-            with self.timer.stage(STAGE_SIGMA_PROOF):
-                message = prover.commit_coins(context)
-            coin_messages.append(message)
-            self.network.broadcast(prover.name, message)
-        with self.timer.stage(STAGE_SIGMA_VERIFY):
-            coin_ok = self.verifier.verify_all_coin_commitments(coin_messages, context)
-
-        lanes = self.plan.lanes
-        for prover in self.provers:
-            if not coin_ok[prover.name]:
-                continue
-            self._advance(Phase.MORRA)
-            with self.timer.stage(STAGE_MORRA):
-                outcome = run_morra_batch(
-                    [prover, self.verifier],
-                    params.q,
-                    params.nb * lanes,
-                    network=self.network,
-                )
-                flat = outcome.bits()
-            bits = [
-                flat[j * lanes : (j + 1) * lanes] for j in range(params.nb)
-            ]
-            self._public_bits[prover.name] = bits
-            self._advance(Phase.ADJUST)
-            with self.timer.stage(STAGE_CHECK):
-                self.verifier.apply_public_bits(prover.name, bits)
-        return coin_ok, coin_messages
-
-    def _coin_phases_streamed(self, context: bytes):
+    def _coin_phases(self, context: bytes) -> dict[str, bool]:
         """Lines 4–9 chunk by chunk per prover: commit chunk → verify
         chunk → Morra chunk → fold Line 12 → drop chunk."""
         params = self.params
         lanes = self.plan.lanes
-        chunk = self.chunk_size
+        chunk = self.chunk_size or params.nb
         coin_ok: dict[str, bool] = {}
-        self._public_bits = {}
         for prover in self.provers:
             prover.begin_coin_stream(context)
             self.verifier.begin_coin_stream(prover.name, context)
@@ -414,8 +345,20 @@ class ProtocolEngine:
                 with self.timer.stage(STAGE_SIGMA_PROOF):
                     message = prover.commit_coin_chunk(count)
                 self.network.broadcast(prover.name, message)
-                with self.timer.stage(STAGE_SIGMA_VERIFY):
-                    ok = self.verifier.verify_coin_chunk(message)
+                if self._retain:
+                    self._coin_messages.append(message)
+                # The chunk schedule is the engine's: a chunk of any other
+                # size is the prover's fault, not a crash two steps later.
+                ok = len(message.commitments) == count
+                if ok:
+                    with self.timer.stage(STAGE_SIGMA_VERIFY):
+                        ok = self.verifier.verify_coin_chunk(message)
+                else:
+                    audit = self.verifier.audit
+                    audit.provers[prover.name] = ProverStatus.BAD_COIN_PROOF
+                    audit.note(
+                        f"{prover.name}: coin chunk is not the {count} coins asked for"
+                    )
                 if not ok:
                     break
                 self._advance(Phase.MORRA)
@@ -428,6 +371,8 @@ class ProtocolEngine:
                     )
                     flat = outcome.bits()
                 bits = [flat[j * lanes : (j + 1) * lanes] for j in range(count)]
+                if self._retain:
+                    self._public_bits[prover.name] = bits
                 self._advance(Phase.ADJUST)
                 with self.timer.stage(STAGE_CHECK):
                     self.verifier.apply_public_bits_chunk(prover.name, bits)
@@ -437,7 +382,7 @@ class ProtocolEngine:
                 with self.timer.stage(STAGE_SIGMA_VERIFY):
                     ok = self.verifier.finish_coin_stream(prover.name)
             coin_ok[prover.name] = ok
-        return coin_ok, []
+        return coin_ok
 
     def _assemble_release(self, coin_ok: dict[str, bool]):
         """Lines 10–13 plus aggregation into the public release."""
@@ -447,46 +392,21 @@ class ProtocolEngine:
         verifier = self.verifier
         outputs: dict[str, object] = {}
         all_outputs = []
-        if self.streaming:
-            for k, prover in enumerate(self.provers):
-                if not coin_ok.get(prover.name):
+        for k, prover in enumerate(self.provers):
+            if not coin_ok.get(prover.name):
+                continue
+            with self.timer.stage(STAGE_AGGREGATION):
+                try:
+                    output = prover.finish_output()
+                except ProtocolAbort as exc:
+                    verifier.audit.provers[prover.name] = ProverStatus.ABORTED
+                    verifier.audit.note(str(exc))
                     continue
-                with self.timer.stage(STAGE_AGGREGATION):
-                    try:
-                        output = prover.finish_output()
-                    except ProtocolAbort as exc:
-                        verifier.audit.provers[prover.name] = ProverStatus.ABORTED
-                        verifier.audit.note(str(exc))
-                        continue
-                all_outputs.append(output)
-                self.network.broadcast(prover.name, output)
-                with self.timer.stage(STAGE_CHECK):
-                    if verifier.check_prover_output_folded(output, k):
-                        outputs[prover.name] = output
-        else:
-            valid_set = set(self._valid_ids)
-            included = [b for b in self._broadcasts if b.client_id in valid_set]
-            for k, prover in enumerate(self.provers):
-                if not coin_ok.get(prover.name):
-                    continue
-                with self.timer.stage(STAGE_AGGREGATION):
-                    try:
-                        output = prover.compute_output(
-                            self._valid_ids, self._public_bits[prover.name]
-                        )
-                    except ProtocolAbort as exc:
-                        verifier.audit.provers[prover.name] = ProverStatus.ABORTED
-                        verifier.audit.note(str(exc))
-                        continue
-                all_outputs.append(output)
-                self.network.broadcast(prover.name, output)
-                client_commitments = [
-                    [b.share_commitments[k][m] for b in included]
-                    for m in range(params.dimension)
-                ]
-                with self.timer.stage(STAGE_CHECK):
-                    if verifier.check_prover_output(output, client_commitments):
-                        outputs[prover.name] = output
+            all_outputs.append(output)
+            self.network.broadcast(prover.name, output)
+            with self.timer.stage(STAGE_CHECK):
+                if verifier.check_prover_output_folded(output, k):
+                    outputs[prover.name] = output
 
         audit = verifier.audit
         accepted = (

@@ -3,24 +3,29 @@
 ΠBin (Figure 2) is one protocol machine; the phases name its rounds:
 
 ``ENROLL``
-    Clients submit share commitments + validity proofs; provers check
-    their private openings.  Streaming sessions fold each chunk's
-    validation and Line 13 client products here, eagerly, so nothing but
-    the audit verdicts and running products survives the chunk.
+    Clients submit share commitments + validity proofs.  Every full
+    chunk of ``chunk_size`` enrollments is closed here, eagerly: provers
+    check their private openings, the verifier validates the proofs and
+    folds the Line 13 client products, and nothing but the audit verdicts
+    and running products survives the chunk.
 ``VALIDATE``
-    The public client record is finalized (Line 3) and the context digest
-    binding all broadcasts is fixed — after this point no client can join
-    and every coin proof is bound to the complete client phase.
+    The last client chunk closes (with ``chunk_size=None``: the only one,
+    holding every client), which finalizes the public client record
+    (Line 3) and fixes the context digest binding all broadcasts — after
+    this point no client can join and every coin proof is bound to the
+    complete client phase.
 ``COMMIT_COINS``
-    Provers commit nb × L private coins with Σ-OR bit proofs (Lines 4–6);
-    the verifier checks them (batched, or chunk by chunk).
+    A prover commits one chunk of coins × L lanes with Σ-OR bit proofs
+    (Lines 4–6); the verifier checks the chunk.
 ``MORRA``
-    Prover and verifier co-sample public bits (Lines 7–8, Algorithm 1).
+    Prover and verifier co-sample the chunk's public bits (Lines 7–8,
+    Algorithm 1).
 ``ADJUST``
-    Line 9/12: provers fold v̂ = v ⊕ b into their running sums, the
-    verifier folds the homomorphic ĉ' products.  Streaming sessions loop
-    ``COMMIT_COINS → MORRA → ADJUST`` once per chunk per prover — each
-    coin is still committed strictly before its public bit is drawn.
+    Line 9/12: the prover folds v̂ = v ⊕ b into its running sums, the
+    verifier folds the homomorphic ĉ' products.  The engine loops
+    ``COMMIT_COINS → MORRA → ADJUST`` once per chunk per prover (with
+    ``chunk_size=None``: once per prover, one chunk of nb) — each coin is
+    committed strictly before its public bit is drawn.
 ``RELEASE``
     Prover outputs (Lines 10–11), the Line 13 check, aggregation and the
     audit record.
@@ -56,14 +61,14 @@ class Phase(Enum):
 TRANSITIONS: dict[Phase, frozenset[Phase]] = {
     Phase.ENROLL: frozenset({Phase.VALIDATE}),
     Phase.VALIDATE: frozenset({Phase.COMMIT_COINS}),
-    # COMMIT_COINS → COMMIT_COINS covers a streamed prover failing its
-    # first chunk while the next prover starts; → RELEASE covers every
-    # prover failing coin validation (the run still releases an audit).
+    # COMMIT_COINS → COMMIT_COINS covers a prover failing a chunk while
+    # the next prover starts; → RELEASE covers the last prover failing
+    # coin validation (the run still releases an audit).
     Phase.COMMIT_COINS: frozenset(
         {Phase.MORRA, Phase.COMMIT_COINS, Phase.RELEASE}
     ),
     Phase.MORRA: frozenset({Phase.ADJUST}),
-    Phase.ADJUST: frozenset({Phase.COMMIT_COINS, Phase.MORRA, Phase.RELEASE}),
+    Phase.ADJUST: frozenset({Phase.COMMIT_COINS, Phase.RELEASE}),
     Phase.RELEASE: frozenset({Phase.DONE}),
     Phase.DONE: frozenset(),
 }

@@ -2,8 +2,8 @@
 
 A query describes *what* to release — the input language, the release
 lanes, the privacy budget — and the :class:`repro.api.Session` engine
-decides *how*: one phase-driven protocol instance per query, buffered or
-streamed.  This is the muBench-style run-table shape (factors × sizes as
+decides *how*: one phase-driven protocol instance per query, verified
+``chunk_size`` at a time.  This is the muBench-style run-table shape (factors × sizes as
 data, one engine underneath) applied to verifiable DP:
 
 * :class:`CountQuery` — how many clients hold a 1 (ΠBin, M = 1).

@@ -12,10 +12,10 @@ and executes it end to end::
     print(result.estimate)
 
 Clients arrive in **chunks** — ``submit`` accepts any iterable, may be
-called repeatedly, and with ``chunk_size`` set the underlying engine
-validates and folds each chunk instead of buffering the run, so peak
-verifier memory is O(chunk) at any nb (see
-:mod:`repro.api.engine`).  A :class:`~repro.api.queries.ComposedQuery`
+called repeatedly, and the underlying engine validates and folds each
+``chunk_size`` of them (and of the nb coins) as it completes, so peak
+verifier memory is O(chunk) at any nb; the default ``chunk_size=None``
+is one chunk holding the whole run (see :mod:`repro.api.engine`).  A :class:`~repro.api.queries.ComposedQuery`
 runs one protocol instance per subquery over the same client population
 (records are tuples, one entry per subquery) and charges each subquery's
 honest budget to the session's
@@ -49,7 +49,6 @@ def build_engine(
     rng: RNG | None = None,
     provers=None,
     verifier=None,
-    retain_messages: bool | None = None,
     params=None,
 ) -> ProtocolEngine:
     """One :class:`ProtocolEngine` for a single (non-composed) query.
@@ -79,7 +78,6 @@ def build_engine(
         verifier=verifier,
         rng=rng,
         chunk_size=chunk_size,
-        retain_messages=retain_messages,
     )
 
 
@@ -165,8 +163,11 @@ class Session:
         K = 1 is the trusted-curator model, K >= 2 the client-server MPC
         model (each prover adds its own noise; the release debiases all).
     chunk_size:
-        None buffers the whole run (audit-replayable, golden-pinned bytes);
-        an integer streams it with O(chunk) verifier memory.
+        How many clients, and how many of the nb coins per prover, are
+        verified and folded away at a time — O(chunk) verifier memory.
+        None is one chunk of everything: the same pipeline, the same
+        seeded release bytes as any chunk that covers the run, and the
+        only setting that retains the public messages for audit replay.
     accountant:
         Shared budget ledger; a fresh one is created when omitted.  Each
         executed query charges its honest end-to-end (ε, δ) on release.
@@ -182,7 +183,6 @@ class Session:
         chunk_size: int | None = None,
         rng: RNG | None = None,
         accountant: PrivacyAccountant | None = None,
-        retain_messages: bool | None = None,
     ) -> None:
         self.query = query
         self.rng = rng if rng is not None else SystemRNG()
@@ -199,7 +199,6 @@ class Session:
                 nb_override=nb_override,
                 rng=engine_rng,
                 chunk_size=chunk_size,
-                retain_messages=retain_messages,
             )
             self._engines.append((subquery, engine))
         self._charged: set[int] = set()

@@ -644,8 +644,8 @@ def run_streaming(
     """Streamed vs buffered session verification: throughput and memory.
 
     Runs the same CountQuery twice through ``repro.api.Session`` — once
-    buffered (the legacy execution shape: all nb proofs and messages held
-    at once) and once streamed in chunks — and reports proofs
+    as one chunk (``buffered``: all nb proofs and messages held at once)
+    and once streamed in chunks of ``chunk`` — and reports proofs
     verified/sec plus the tracemalloc peak, the in-process stand-in for
     peak verifier RSS.  Emits ``BENCH_streaming.json``: the evidence that
     a paper-scale nb fits in O(chunk) memory.  Set ``REPRO_PAPER_SCALE=1``

@@ -96,7 +96,10 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bins", type=int, default=1, help=">1 runs a histogram query")
     parser.add_argument("--group", default="p64-sim", help="group backend name")
     parser.add_argument(
-        "--chunk", type=int, default=None, help="streaming chunk size (default: buffered)"
+        "--chunk",
+        type=int,
+        default=None,
+        help="clients and coins verified per chunk (default: one chunk of nb)",
     )
     parser.add_argument(
         "--seed",

@@ -31,6 +31,7 @@ from repro.core.messages import (
     ProverOutputMessage,
 )
 from repro.core.params import PublicParams
+from repro.core.prover import broadcast_context_digest
 from repro.core.verifier import PublicVerifier
 from repro.crypto.serialization import (
     decode_bit_proof,
@@ -41,7 +42,7 @@ from repro.crypto.serialization import (
     encode_one_hot_proof,
 )
 from repro.crypto.sigma.or_bit import BitProof
-from repro.errors import EncodingError
+from repro.errors import EncodingError, ReproError
 from repro.utils.encoding import (
     decode_length_prefixed,
     encode_length_prefixed,
@@ -127,6 +128,8 @@ def _encode_coin_message(message: CoinCommitmentMessage) -> bytes:
 
 def _decode_coin_message(params: PublicParams, data: bytes) -> CoinCommitmentMessage:
     parts = decode_length_prefixed(data)
+    if not parts:
+        raise EncodingError("coin message is empty")
     prover_id = parts[0].decode()
     commitments = []
     proofs = []
@@ -146,8 +149,13 @@ def _encode_bits(bits: list[list[int]]) -> bytes:
     return encode_length_prefixed(*[bytes(row) for row in bits])
 
 
-def _decode_bits(data: bytes) -> list[list[int]]:
-    return [list(row) for row in decode_length_prefixed(data)]
+def _decode_bits(params: PublicParams, data: bytes) -> list[list[int]]:
+    bits = [list(row) for row in decode_length_prefixed(data)]
+    if len(bits) != params.nb or any(
+        len(row) != params.dimension or set(row) - {0, 1} for row in bits
+    ):
+        raise EncodingError("not an nb x M matrix of bits")
+    return bits
 
 
 def _encode_output(output: ProverOutputMessage, params: PublicParams) -> bytes:
@@ -161,10 +169,10 @@ def _encode_output(output: ProverOutputMessage, params: PublicParams) -> bytes:
 
 def _decode_output(params: PublicParams, data: bytes) -> ProverOutputMessage:
     parts = decode_length_prefixed(data)
-    prover_id = parts[0].decode()
     m = params.dimension
     if len(parts) != 1 + 2 * m:
         raise EncodingError("prover output has wrong arity")
+    prover_id = parts[0].decode()
     values = [int.from_bytes(raw, "big") for raw in parts[1:]]
     return ProverOutputMessage(prover_id, tuple(values[:m]), tuple(values[m:]))
 
@@ -202,15 +210,46 @@ def publish_run(
     return board
 
 
+def _published(
+    params: PublicParams,
+    board: BulletinBoard,
+    prefix: str,
+    decode,
+    id_field: str | None = None,
+) -> dict:
+    """``decode(params, payload)`` of the entries under ``prefix``, keyed
+    by publishing party.
+
+    A board is bytes from outside the program: a payload that does not
+    decode, a party publishing twice under one prefix, or a message
+    naming a different party than its entry raises :class:`EncodingError`
+    naming the topic.
+    """
+    found: dict = {}
+    for entry in board.topic(prefix):
+        if entry.party in found:
+            raise EncodingError(f"{entry.topic}: published more than once")
+        try:
+            decoded = decode(params, entry.payload)
+        except (ReproError, ValueError) as exc:
+            raise EncodingError(f"{entry.topic}: {exc}") from exc
+        if id_field is not None and getattr(decoded, id_field) != entry.party:
+            raise EncodingError(f"{entry.topic}: payload names another party")
+        found[entry.party] = decoded
+    return found
+
+
 def replay_audit(params: PublicParams, board: BulletinBoard):
     """Re-run the complete public verification from serialized bytes.
 
     Returns a fresh :class:`AuditRecord` derived only from the board.
     Any third party holding (pp, board) computes the same verdicts as the
-    original verifier — the auditability property, end to end.
+    original verifier — the auditability property, end to end.  The board
+    is replayed through the verifier's chunk primitives as the one-chunk
+    run it records; a structurally broken board (see :func:`_published`,
+    or a prover without its ``morra-bits`` entry) raises
+    :class:`EncodingError`, everything else lands in the verdicts.
     """
-    from repro.core.prover import broadcast_context_digest
-
     # batch=False: the batched path's random-linear-combination weights
     # are only sound when unpredictable to the proof author, and a replay
     # auditor's RNG is public by construction (anyone must be able to
@@ -220,37 +259,38 @@ def replay_audit(params: PublicParams, board: BulletinBoard):
         params, SeededRNG("replay-auditor"), name="auditor", batch=False
     )
 
-    broadcasts = [
-        _decode_client_broadcast(params, e.payload)
-        for e in board.topic("client-broadcast/")
-    ]
-    valid_ids = auditor.validate_clients(broadcasts)
+    broadcasts = list(
+        _published(
+            params, board, "client-broadcast/", _decode_client_broadcast, "client_id"
+        ).values()
+    )
+    auditor.fold_client_commitments(broadcasts, auditor.validate_clients(broadcasts))
     context = broadcast_context_digest(broadcasts)
 
-    coin_messages = [
-        _decode_coin_message(params, e.payload)
-        for e in board.topic("coin-commitments/")
-    ]
-    bits_by_prover = {
-        e.party: _decode_bits(e.payload) for e in board.topic("morra-bits/")
-    }
-    outputs = [
-        _decode_output(params, e.payload) for e in board.topic("prover-output/")
-    ]
+    coin_messages = _published(
+        params, board, "coin-commitments/", _decode_coin_message, "prover_id"
+    )
+    if len(coin_messages) > params.num_provers:
+        raise EncodingError(
+            f"coin-commitments/: {len(coin_messages)} entries for "
+            f"{params.num_provers} provers"
+        )
+    bits_by_prover = _published(params, board, "morra-bits/", _decode_bits)
+    outputs = _published(
+        params, board, "prover-output/", _decode_output, "prover_id"
+    )
 
-    included = [b for b in broadcasts if b.client_id in set(valid_ids)]
-    order = {msg.prover_id: k for k, msg in enumerate(coin_messages)}
-    for message in coin_messages:
-        if not auditor.verify_coin_commitments(message, context):
+    for k, (prover_id, message) in enumerate(coin_messages.items()):
+        auditor.begin_coin_stream(prover_id, context)
+        if not auditor.verify_coin_chunk(message):
             continue
-        auditor.apply_public_bits(message.prover_id, bits_by_prover[message.prover_id])
-    for output in outputs:
-        if output.prover_id not in auditor._adjusted_products:
-            continue
-        k = order[output.prover_id]
-        client_commitments = [
-            [b.share_commitments[k][m] for b in included]
-            for m in range(params.dimension)
-        ]
-        auditor.check_prover_output(output, client_commitments)
+        bits = bits_by_prover.get(prover_id)
+        if bits is None:
+            raise EncodingError(f"morra-bits/{prover_id}: missing from the board")
+        # A short chunk keeps its rows pending, so finish_coin_stream
+        # records the incomplete stream against the prover.
+        if len(message.commitments) == len(bits):
+            auditor.apply_public_bits_chunk(prover_id, bits)
+        if auditor.finish_coin_stream(prover_id) and prover_id in outputs:
+            auditor.check_prover_output_folded(outputs[prover_id], k)
     return auditor.audit

@@ -120,11 +120,9 @@ class Prover(MorraParticipant):
         self.plan = plan if plan is not None else AggregationPlan.identity(params.dimension)
         if self.plan.dimension != params.dimension:
             raise ParameterError("plan dimension does not match params dimension")
-        # State accumulated across phases.
+        # Openings of enrolled clients awaiting their chunk's verdicts.
         self._client_openings: dict[str, tuple[Opening, ...]] = {}
-        self._coin_openings: list[list[Opening]] = []  # [j][lane]
-        self._coin_commitments: list[list[Commitment]] = []
-        # Streaming state (begin_coin_stream / absorb_* / finish_output).
+        # Coin-stream state (begin_coin_stream / absorb_* / finish_output).
         self._stream_transcript: Transcript | None = None
         self._coins_emitted = 0
         self._coins_absorbed = 0
@@ -181,27 +179,6 @@ class Prover(MorraParticipant):
         """
         return self.rng.coin()
 
-    def commit_coins(self, context: bytes) -> CoinCommitmentMessage:
-        """Commit to nb × L private coins and prove each is a bit.
-
-        One row per coin, one column per release lane (L = M for the
-        paper's identity plan).  All nb·L commitments go through one fused
-        :meth:`~repro.crypto.pedersen.PedersenParams.commit_many` pass
-        (shared comb tables, interleaved g/h digits); the Σ-OR proofs are
-        then produced over the shared transcript in the same order.
-        """
-        transcript = coin_transcript(self.params, self.name, context)
-        commitments, openings, proofs = self._make_coins(
-            transcript, 0, self.params.nb
-        )
-        self._coin_commitments = commitments
-        self._coin_openings = openings
-        return CoinCommitmentMessage(
-            prover_id=self.name,
-            commitments=tuple(tuple(row) for row in commitments),
-            proofs=tuple(tuple(row) for row in proofs),
-        )
-
     def _make_coins(
         self, transcript: Transcript, start: int, count: int
     ) -> tuple[list[list[Commitment]], list[list[Opening]], list[list[BitProof]]]:
@@ -254,41 +231,6 @@ class Prover(MorraParticipant):
         """Which validated clients to aggregate (honest: all of them)."""
         return list(valid_ids)
 
-    def compute_output(
-        self, valid_ids: list[str], public_bits: list[list[int]]
-    ) -> ProverOutputMessage:
-        """Aggregate shares and adjusted coins into (y_k, z_k) per lane."""
-        params = self.params
-        q = params.q
-        lanes = self.plan.lanes
-        if len(public_bits) != params.nb or any(
-            len(row) != lanes for row in public_bits
-        ):
-            raise ProtocolAbort("public bit matrix has wrong shape", party=self.name)
-        share_y = [0] * params.dimension
-        share_z = [0] * params.dimension
-        for client_id in self.select_client_ids(valid_ids):
-            openings = self._client_openings.get(client_id)
-            if openings is None:
-                raise ProtocolAbort(
-                    f"validated client {client_id!r} never sent this prover a share",
-                    party=self.name,
-                )
-            for m, opening in enumerate(openings):
-                share_y[m] = (share_y[m] + opening.value) % q
-                share_z[m] = (share_z[m] + opening.randomness) % q
-        noise_y = [0] * lanes
-        noise_z = [0] * lanes
-        for j in range(params.nb):
-            for lane in range(lanes):
-                value, randomness = self.adjusted_coin(
-                    self._coin_openings[j][lane], public_bits[j][lane]
-                )
-                noise_y[lane] = (noise_y[lane] + value) % q
-                noise_z[lane] = (noise_z[lane] + randomness) % q
-        y, z = self._combine_lanes(share_y, share_z, noise_y, noise_z)
-        return self._emit_output(y, z)
-
     def _combine_lanes(
         self,
         share_y: list[int],
@@ -330,14 +272,15 @@ class Prover(MorraParticipant):
         """Hook so :class:`OutputTamperingProver` can lie at the last step."""
         return ProverOutputMessage(prover_id=self.name, y=tuple(y), z=tuple(z))
 
-    # Streaming (chunked) execution ------------------------------------------
+    # Chunked execution --------------------------------------------------------
     #
-    # The session engine's O(chunk)-memory mode: client shares and coin
-    # openings fold into running sums as soon as their phase commitments
-    # are settled, so the prover never holds more than one chunk of
-    # openings.  The same cheat hooks (`choose_coin`, `_prove_coins`,
-    # `adjusted_coin`, `select_client_ids`, `_emit_output`) apply, so the
-    # cheating subclasses misbehave identically mid-stream.
+    # What the session engine drives: client shares and coin openings
+    # fold into running sums as soon as their chunk's commitments are
+    # settled, so the prover never holds more than one chunk of openings
+    # (an unchunked run is one chunk of everything).  The cheat hooks
+    # (`choose_coin`, `_prove_coins`, `adjusted_coin`,
+    # `select_client_ids`, `_emit_output`, `finish_output`) all sit on
+    # this path, so the cheating subclasses misbehave at every chunk size.
 
     def absorb_validated_clients(
         self, valid_ids: list[str], *, discard: list[str] = ()
@@ -366,10 +309,9 @@ class Prover(MorraParticipant):
             self._client_openings.pop(client_id, None)
 
     def begin_coin_stream(self, context: bytes) -> None:
-        """Start the chunked coin phase: one evolving transcript for all nb
-        coins, exactly as the monolithic :meth:`commit_coins` would bind
-        them — a streamed run's proofs are byte-identical to a buffered
-        run's under the same coin draws."""
+        """Start the coin phase: one evolving transcript binds all nb
+        coins, so the proofs are byte-identical at every chunk size under
+        the same coin draws."""
         self._stream_transcript = coin_transcript(self.params, self.name, context)
         self._coins_emitted = 0
         self._coins_absorbed = 0
@@ -416,7 +358,7 @@ class Prover(MorraParticipant):
         self._pending_openings = []
 
     def finish_output(self) -> ProverOutputMessage:
-        """Emit (y_k, z_k) from the running sums (streamed Line 11)."""
+        """Emit (y_k, z_k) from the running sums (Line 11)."""
         if self._coins_absorbed != self.params.nb or self._pending_openings:
             raise ProtocolAbort(
                 f"coin stream incomplete ({self._coins_absorbed}/{self.params.nb} absorbed)",
@@ -426,6 +368,21 @@ class Prover(MorraParticipant):
         share_z = self._share_z or [0] * self.params.dimension
         y, z = self._combine_lanes(share_y, share_z, self._noise_y, self._noise_z)
         return self._emit_output(y, z)
+
+    # Pinned by benchmarks/e2e/tracer.py::TARGETS; the engine never calls it.
+    def commit_coins(self, context: bytes) -> CoinCommitmentMessage:
+        """All nb coins as one chunk of a fresh coin stream."""
+        self.begin_coin_stream(context)
+        return self.commit_coin_chunk(self.params.nb)
+
+    # Pinned by benchmarks/e2e/tracer.py::TARGETS; the engine never calls it.
+    def compute_output(
+        self, valid_ids: list[str], public_bits: list[list[int]]
+    ) -> ProverOutputMessage:
+        """One chunk of clients and one chunk of bits, then the output."""
+        self.absorb_validated_clients(valid_ids)
+        self.absorb_public_bits(public_bits)
+        return self.finish_output()
 
 
 # --------------------------------------------------------------------------
@@ -535,10 +492,7 @@ class InputInjectingProver(Prover):
 
     Adds ``extra`` phantom votes to its aggregate; no public commitment
     backs them, so Line 13 fails.  The injection happens in the
-    ``_emit_output`` hook — the last step both the buffered
-    (:meth:`~Prover.compute_output`) and streamed
-    (:meth:`~Prover.finish_output`) paths run — so the attack is
-    exercised (and caught) identically in either mode.
+    ``_emit_output`` hook, the last step of :meth:`~Prover.finish_output`.
     """
 
     def __init__(self, name: str, params: PublicParams, rng: RNG | None = None, *, extra: int = 5, plan=None) -> None:

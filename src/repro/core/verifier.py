@@ -16,8 +16,8 @@ Because all five steps consume only public messages, *anyone* can replay
 them: the audit record produced here is reproducible by third parties,
 which is the "publicly auditable" property of Table 2.
 
-Verification is **batched by default**: all Σ-OR equations — every
-prover's nb coin proofs and every client's validity proof — are folded
+Verification is **batched by default**: the Σ-OR equations of one chunk
+— a prover's coin proofs, or the clients' validity proofs — are folded
 into a :class:`repro.crypto.sigma.batch.SigmaBatch` random linear
 combination and checked with one Pippenger multi-exponentiation.  A batch
 rejection cannot name the cheater, so on failure the verifier replays
@@ -25,13 +25,15 @@ the sequential per-proof path to pinpoint (and audit-record) exactly
 which proof failed; construct with ``batch=False`` to force the
 sequential path throughout (the ablation benchmarks do).
 
-Verification is also **streamable**: the ``begin_coin_stream`` /
+Verification is **chunked**: the ``begin_coin_stream`` /
 ``verify_coin_chunk`` / ``apply_public_bits_chunk`` / ``finish_coin_stream``
 family verifies a prover's nb proofs chunk by chunk over one evolving
 Fiat–Shamir transcript, folding each chunk's Line 12 update into a
-running product and then discarding it — peak memory O(chunk) instead of
-O(nb), which is what lets a 262,144-coin run fit on a laptop (see
-``repro.api.Session``).
+running product and then discarding it, and ``fold_client_commitments`` /
+``check_prover_output_folded`` do the same for Line 13.  An unchunked run
+is one chunk of nb coins and every client; a chunked one keeps peak
+memory O(chunk) instead of O(nb), which is what lets a 262,144-coin run
+fit on a laptop (see ``repro.api.Session``).
 """
 
 from __future__ import annotations
@@ -114,12 +116,13 @@ class PublicVerifier(MorraParticipant):
         # must use ``batch=False`` instead.
         self.gamma_rng = gamma_rng if gamma_rng is not None else SystemRNG()
         self.audit = AuditRecord()
-        # Adjusted coin-commitment products per prover, filled in phase 4.
-        self._coin_messages: dict[str, CoinCommitmentMessage] = {}
+        # Per-lane ĉ' products of each prover whose coin stream finished.
         self._adjusted_products: dict[str, list[Commitment]] = {}
-        # Streaming state.
+        # Running folds: open coin streams and Line 13 client products.
         self._coin_streams: dict[str, _CoinStream] = {}
-        self._client_products: list[list[GroupElement | None]] | None = None
+        self._client_products: list[list[GroupElement | None]] = [
+            [None] * params.dimension for _ in range(params.num_provers)
+        ]
 
     @property
     def lanes(self) -> int:
@@ -177,8 +180,8 @@ class PublicVerifier(MorraParticipant):
         failed that prover's check; such clients are excluded with status
         BAD_OPENING (the public record resolving Figure 1's ambiguity).
 
-        Incremental by construction: the streaming session calls this
-        once per chunk and the audit record simply accumulates.
+        Incremental by construction: the engine calls this once per
+        chunk and the audit record simply accumulates.
         """
         if self.batch:
             statuses = self._validate_clients_batched(broadcasts)
@@ -284,16 +287,12 @@ class PublicVerifier(MorraParticipant):
         self, partial: list[list[GroupElement | None]]
     ) -> None:
         """Fold one shard's per-(prover, coordinate) commitment products
-        into the running products the streamed Line 13 check consumes."""
+        into the running products the Line 13 check consumes."""
         params = self.params
         if len(partial) != params.num_provers or any(
             len(row) != params.dimension for row in partial
         ):
             raise ParameterError("partial client products have the wrong shape")
-        if self._client_products is None:
-            self._client_products = [
-                [None] * params.dimension for _ in range(params.num_provers)
-            ]
         for held_row, partial_row in zip(self._client_products, partial):
             for m, element in enumerate(partial_row):
                 if element is None:
@@ -303,22 +302,14 @@ class PublicVerifier(MorraParticipant):
 
     def client_products(self) -> list[list[GroupElement | None]]:
         """The running per-(prover, coordinate) products (shard export)."""
-        params = self.params
-        if self._client_products is None:
-            return [[None] * params.dimension for _ in range(params.num_provers)]
         return [list(row) for row in self._client_products]
 
     def fold_client_commitments(
         self, broadcasts: list[ClientBroadcast], valid_ids: list[str]
     ) -> None:
         """Fold included clients' share commitments into the running
-        per-(prover, coordinate) products the streamed Line 13 check
+        per-(prover, coordinate) products the Line 13 check
         consumes — after which the broadcasts can be dropped."""
-        params = self.params
-        if self._client_products is None:
-            self._client_products = [
-                [None] * params.dimension for _ in range(params.num_provers)
-            ]
         included = set(valid_ids)
         for broadcast in broadcasts:
             if broadcast.client_id not in included:
@@ -335,12 +326,10 @@ class PublicVerifier(MorraParticipant):
 
     # Phase 2: prover coin validation (Lines 5-6) ----------------------------
 
-    def _coin_shape_ok(
-        self, message: CoinCommitmentMessage, expected_rows: int | None = None
-    ) -> bool:
-        rows = self.params.nb if expected_rows is None else expected_rows
+    def _coin_shape_ok(self, message: CoinCommitmentMessage) -> bool:
+        """One proof per commitment, every row one entry per lane."""
         lanes = self.lanes
-        if len(message.commitments) != rows or len(message.proofs) != rows:
+        if len(message.proofs) != len(message.commitments):
             return False
         return all(
             len(c_row) == lanes and len(p_row) == lanes
@@ -352,7 +341,7 @@ class PublicVerifier(MorraParticipant):
         transcript: Transcript,
         commitments,
         proofs,
-        start: int = 0,
+        start: int,
     ) -> str | None:
         """Replay coin proofs one by one on ``transcript``.
 
@@ -371,105 +360,17 @@ class PublicVerifier(MorraParticipant):
                     )
         return None
 
-    def _sequential_coin_note(
-        self, message: CoinCommitmentMessage, context: bytes
-    ) -> str | None:
-        """Replay one prover's full coin message from a fresh transcript."""
-        transcript = coin_transcript(self.params, message.prover_id, context)
-        return self._replay_coin_rows(transcript, message.commitments, message.proofs)
-
-    def _fold_coin_message(
-        self, batch: SigmaBatch, message: CoinCommitmentMessage, context: bytes
-    ) -> None:
-        transcript = coin_transcript(self.params, message.prover_id, context)
-        for c_row, p_row in zip(message.commitments, message.proofs):
-            for commitment, proof in zip(c_row, p_row):
-                batch.add_bit_proof(commitment, proof, transcript)
-
     def _reject_coins(self, prover_id: str, note: str) -> None:
         self.audit.provers[prover_id] = ProverStatus.BAD_COIN_PROOF
         self.audit.note(f"{prover_id}: {note}")
 
-    def verify_coin_commitments(self, message: CoinCommitmentMessage, context: bytes) -> bool:
-        """Check every coin commitment is a bit; record verdict on failure.
-
-        Batched by default: one random-linear-combination multiexp over
-        all nb·L proofs, with the sequential path replayed on rejection
-        so the audit note names the exact failing coin.
-        """
-        if not self._coin_shape_ok(message):
-            self._reject_coins(message.prover_id, "malformed coin message")
-            return False
-        if self.batch:
-            batch = SigmaBatch(self.params.pedersen, self.gamma_rng)
-            try:
-                self._fold_coin_message(batch, message, context)
-                batch.verify()
-            except VerificationError:
-                note = self._sequential_coin_note(message, context)
-                if note is None:  # pragma: no cover - batch/sequential divergence (bug)
-                    note = "batched coin verification rejected (sequential replay accepted)"
-                self._reject_coins(message.prover_id, note)
-                return False
-        else:
-            note = self._sequential_coin_note(message, context)
-            if note is not None:
-                self._reject_coins(message.prover_id, note)
-                return False
-        self._coin_messages[message.prover_id] = message
-        return True
-
-    def verify_all_coin_commitments(
-        self, messages: list[CoinCommitmentMessage], context: bytes
-    ) -> dict[str, bool]:
-        """Lines 5–6 for *all* provers with one multi-exponentiation.
-
-        Every well-formed prover message is staged into a single
-        cross-prover :class:`SigmaBatch`; only if the combined check
-        rejects does the verifier narrow down per prover (and then per
-        proof) to name the cheater.
-        """
-        results: dict[str, bool] = {}
-        if not self.batch:
-            for message in messages:
-                results[message.prover_id] = self.verify_coin_commitments(message, context)
-            return results
-        combined = SigmaBatch(self.params.pedersen, self.gamma_rng)
-        staged: list[CoinCommitmentMessage] = []
-        for message in messages:
-            if not self._coin_shape_ok(message):
-                self._reject_coins(message.prover_id, "malformed coin message")
-                results[message.prover_id] = False
-                continue
-            if not self._stage_into(
-                combined, lambda sub: self._fold_coin_message(sub, message, context)
-            ):
-                note = self._sequential_coin_note(message, context)
-                self._reject_coins(message.prover_id, note or "coin proof rejected")
-                results[message.prover_id] = False
-                continue
-            staged.append(message)
-        if staged:
-            if not self._verify_staged(combined):
-                # Narrow per prover; verify_coin_commitments pinpoints.
-                for message in staged:
-                    results[message.prover_id] = self.verify_coin_commitments(
-                        message, context
-                    )
-                return results
-            for message in staged:
-                self._coin_messages[message.prover_id] = message
-                results[message.prover_id] = True
-        return results
-
-    # Streamed coin validation (Lines 5-6, chunked) ---------------------------
+    # Coin streams (Lines 5-6 and 12, chunk by chunk) -------------------------
 
     def begin_coin_stream(self, prover_id: str, context: bytes) -> None:
         """Open a chunked verification stream for one prover's coins.
 
         The stream shares one evolving Fiat–Shamir transcript across all
-        chunks, so the accepted proofs are exactly those a monolithic
-        :meth:`verify_coin_commitments` call would accept.
+        chunks, so the accepted proofs do not depend on the chunk size.
         """
         self._coin_streams[prover_id] = _CoinStream(
             transcript=coin_transcript(self.params, prover_id, context),
@@ -497,7 +398,7 @@ class PublicVerifier(MorraParticipant):
         rows = len(message.commitments)
         if (
             rows == 0
-            or not self._coin_shape_ok(message, expected_rows=rows)
+            or not self._coin_shape_ok(message)
             or stream.received + rows > self.params.nb
             or stream.pending
         ):
@@ -590,6 +491,25 @@ class PublicVerifier(MorraParticipant):
             products.append(Commitment(element))
         return products
 
+    # Pinned by benchmarks/e2e/tracer.py::TARGETS; the engine never calls it.
+    def verify_coin_commitments(self, message: CoinCommitmentMessage, context: bytes) -> bool:
+        """Open a prover's coin stream and verify ``message`` as its one chunk."""
+        self.begin_coin_stream(message.prover_id, context)
+        return self.verify_coin_chunk(message)
+
+    # Pinned by benchmarks/e2e/tracer.py::TARGETS; the engine never calls it.
+    def verify_all_coin_commitments(
+        self, messages: list[CoinCommitmentMessage], context: bytes
+    ) -> dict[str, bool]:
+        """:meth:`verify_coin_commitments` per prover; verdicts are independent."""
+        return {m.prover_id: self.verify_coin_commitments(m, context) for m in messages}
+
+    # Pinned by benchmarks/e2e/tracer.py::TARGETS; the engine never calls it.
+    def apply_public_bits(self, prover_id: str, public_bits: list[list[int]]) -> bool:
+        """Fold the one chunk's Line 12 update and close the stream."""
+        self.apply_public_bits_chunk(prover_id, public_bits)
+        return self.finish_coin_stream(prover_id)
+
     # Shard-mergeable coin state ---------------------------------------------
     #
     # One prover's chunked stream can be verified by S shard workers: the
@@ -643,48 +563,37 @@ class PublicVerifier(MorraParticipant):
         self._adjusted_products[prover_id] = list(products)
         self._coin_streams.pop(prover_id, None)
 
-    # Phase 3/4: Morra results and the Line 12 update -------------------------
-
-    def apply_public_bits(self, prover_id: str, public_bits: list[list[int]]) -> None:
-        """Compute Π_j ĉ'_j per lane from the public bits (Line 12).
-
-        One homomorphic pass: coins with b = 0 multiply in as-is, coins
-        with b = 1 contribute Com(1,0)·c⁻¹, so the whole column folds to
-
-            Com(k₁, 0) · Π_{b=0} c_j · (Π_{b=1} c_j)⁻¹
-
-        with k₁ the number of flipped coins — two kernel products and a
-        single inversion instead of nb divisions.
-        """
-        params = self.params
-        group = params.group
-        message = self._coin_messages[prover_id]
-        products: list[Commitment] = []
-        for lane in range(self.lanes):
-            keep = []
-            flip = []
-            for j in range(params.nb):
-                element = message.commitments[j][lane].element
-                (flip if public_bits[j][lane] == 1 else keep).append(element)
-            element = group.product(keep)
-            if flip:
-                constant = params.pedersen.commitment_to_constant(len(flip))
-                element = constant.element * element / group.product(flip)
-            products.append(Commitment(element))
-        self._adjusted_products[prover_id] = products
-
     # Phase 5: final homomorphic check (Line 13) ------------------------------
 
+    # Pinned by benchmarks/e2e/tracer.py::TARGETS; the engine never calls it.
     def check_prover_output(
         self,
         output: ProverOutputMessage,
         client_commitments: list[list[Commitment]],
     ) -> bool:
-        """Line 13 for one prover, as a single multi_scale identity check.
+        """Line 13 against explicit columns: ``client_commitments[m]`` lists
+        the included clients' commitments to this prover's coordinate m."""
+        group = self.params.group
+        return self._check_output_against(
+            output, [group.product(c.element for c in col) for col in client_commitments]
+        )
 
-        ``client_commitments[m]`` lists the included clients' commitments
-        to this prover's shares of coordinate m.  All L lane equations are
-        γ-weighted into one product
+    def check_prover_output_folded(self, output: ProverOutputMessage, prover_index: int) -> bool:
+        """Line 13 against the running client products accumulated by
+        :meth:`fold_client_commitments` (or merged from shards)."""
+        identity = self.params.group.identity()
+        products = [
+            p if p is not None else identity
+            for p in self._client_products[prover_index]
+        ]
+        return self._check_output_against(output, products)
+
+    def _check_output_against(
+        self, output: ProverOutputMessage, coordinate_products: list[GroupElement]
+    ) -> bool:
+        """Line 13 for one prover over per-coordinate client products.
+
+        All L lane equations are γ-weighted into one product
 
             Π_l [ ĉ'_l^{Δ_l} · Π_m (Π_i c_{i,m})^{w_{l,m}} ]^{γ_l}
               · g^{-Σγ_l y_l} · h^{-Σγ_l z_l} == 1
@@ -693,32 +602,6 @@ class PublicVerifier(MorraParticipant):
         per-lane check to name the mismatching coordinate.  With
         ``batch=False`` only the per-lane products run.
         """
-        if len(client_commitments) != self.params.dimension:
-            self.audit.provers[output.prover_id] = ProverStatus.FAILED_FINAL_CHECK
-            return False
-        group = self.params.group
-        products = [
-            group.product(c.element for c in column) for column in client_commitments
-        ]
-        return self._check_output_against(output, products)
-
-    def check_prover_output_folded(self, output: ProverOutputMessage, prover_index: int) -> bool:
-        """Streamed Line 13: check against the running client products
-        accumulated by :meth:`fold_client_commitments`."""
-        params = self.params
-        if self._client_products is None:
-            products = [params.group.identity()] * params.dimension
-        else:
-            products = [
-                p if p is not None else params.group.identity()
-                for p in self._client_products[prover_index]
-            ]
-        return self._check_output_against(output, products)
-
-    def _check_output_against(
-        self, output: ProverOutputMessage, coordinate_products: list[GroupElement]
-    ) -> bool:
-        """Shared Line 13 body over precomputed per-coordinate products."""
         params = self.params
         plan = self.plan
         lanes = plan.lanes
@@ -726,7 +609,11 @@ class PublicVerifier(MorraParticipant):
         if prover_id not in self._adjusted_products:
             self.audit.provers[prover_id] = ProverStatus.ABORTED
             return False
-        if len(output.y) != lanes or len(output.z) != lanes:
+        if (
+            len(output.y) != lanes
+            or len(output.z) != lanes
+            or len(coordinate_products) != plan.dimension
+        ):
             self.audit.provers[prover_id] = ProverStatus.FAILED_FINAL_CHECK
             return False
         q = params.q

@@ -15,7 +15,7 @@ numbers in benchmarks equal actual wire bytes.  Sizing reuses the
 encode-once fan-out cache (:func:`repro.crypto.serialization.
 encode_message_cached`, populated when a front-end ships the same
 message to K servers or S shard workers) whenever an encoding is
-already at hand, but never inserts into it — a buffered session retains
+already at hand, but never inserts into it — a one-chunk session retains
 its messages, and accounting must not pin every frame alongside them.
 The accounted byte counts are identical either way.  Payloads without a
 codec fall back to a best-effort ``to_bytes``/``__len__`` estimate.

@@ -261,38 +261,33 @@ class RemoteProver(MorraParticipant):
 
     # Coin phase -------------------------------------------------------------
 
-    def commit_coins(self, context: bytes) -> CoinCommitmentMessage:
-        return self._coin_message("commit-coins", context)
-
     def begin_coin_stream(self, context: bytes) -> None:
         self._call("begin-coin-stream", context)
 
     def commit_coin_chunk(self, count: int) -> CoinCommitmentMessage:
-        return self._coin_message("commit-coin-chunk", int_to_bytes(count))
-
-    def absorb_public_bits(self, public_bits) -> None:
-        self._call("absorb-bits", wire.encode_bit_matrix(public_bits))
-
-    def _coin_message(self, method: str, part: bytes) -> CoinCommitmentMessage:
-        message = self._call(method, part, parse=self._decoder(CoinCommitmentMessage))
+        message = self._call(
+            "commit-coin-chunk",
+            int_to_bytes(count),
+            parse=self._decoder(CoinCommitmentMessage),
+        )
         if message.prover_id != self.name:
             raise ProtocolAbort(
                 f"server answered for {message.prover_id!r}", party=self.name
             )
         return message
 
-    # Output phase -----------------------------------------------------------
+    def absorb_public_bits(self, public_bits) -> None:
+        self._call("absorb-bits", wire.encode_bit_matrix(public_bits))
 
-    def compute_output(self, valid_ids, public_bits) -> ProverOutputMessage:
-        return self._call(
-            "compute-output",
-            wire.encode_str_list(valid_ids),
-            wire.encode_bit_matrix(public_bits),
-            parse=self._decoder(ProverOutputMessage),
-        )
+    # Output phase -----------------------------------------------------------
 
     def finish_output(self) -> ProverOutputMessage:
         return self._call("finish-output", parse=self._decoder(ProverOutputMessage))
+
+    # Pinned by benchmarks/e2e/tracer.py::TARGETS; the engine never calls
+    # them.  The one-chunk compositions are the prover's own, over the RPCs.
+    commit_coins = Prover.commit_coins
+    compute_output = Prover.compute_output
 
     def _decoder(self, expected_type):
         """A reply parser: the first part as one ``expected_type`` message."""
@@ -419,8 +414,6 @@ class ServerNode:
                 wire.decode_str_list(parts[0]), discard=wire.decode_str_list(parts[1])
             )
             return wire.encode_reply()
-        if method == "commit-coins":
-            return wire.encode_reply(encode_message(prover.commit_coins(parts[0])))
         if method == "begin-coin-stream":
             prover.begin_coin_stream(parts[0])
             return wire.encode_reply()
@@ -430,11 +423,6 @@ class ServerNode:
         if method == "absorb-bits":
             prover.absorb_public_bits(wire.decode_bit_matrix(parts[0]))
             return wire.encode_reply()
-        if method == "compute-output":
-            output = prover.compute_output(
-                wire.decode_str_list(parts[0]), wire.decode_bit_matrix(parts[1])
-            )
-            return wire.encode_reply(encode_message(output))
         if method == "finish-output":
             return wire.encode_reply(encode_message(prover.finish_output()))
         if method == "morra-sample":

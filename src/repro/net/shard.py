@@ -470,7 +470,6 @@ class ShardedAnalyst(AnalystNode):
             raise ProtocolAbort("shards returned an incomplete client record")  # repro: allow[REP004] -- aggregate merge inconsistency across shards; per-shard faults were attributed when their frames were read
         ordered = [pair for _, verdicts in chunk_records for pair in verdicts]
         valid = verifier.record_client_verdicts(ordered)
-        self.engine.adopt_valid_ids(valid)
         valid_set = set(valid)
         invalid = [cid for cid, _ in ordered if cid not in valid_set]
         for prover in self.engine.provers:

@@ -27,6 +27,9 @@ class TestTransitions:
             (Phase.ENROLL, Phase.MORRA),
             (Phase.VALIDATE, Phase.ENROLL),
             (Phase.MORRA, Phase.COMMIT_COINS),
+            # Bits are drawn once per committed chunk: a second Morra
+            # needs a second commitment.
+            (Phase.ADJUST, Phase.MORRA),
             (Phase.RELEASE, Phase.ENROLL),
             (Phase.DONE, Phase.ENROLL),
         ],
@@ -40,7 +43,7 @@ class TestTransitions:
         where the coins are already committed."""
         for phase, targets in TRANSITIONS.items():
             if Phase.MORRA in targets:
-                assert phase in (Phase.COMMIT_COINS, Phase.ADJUST)
+                assert phase is Phase.COMMIT_COINS
 
     def test_done_is_terminal(self):
         assert TRANSITIONS[Phase.DONE] == frozenset()
@@ -91,6 +94,26 @@ class TestSessionLifecycle:
         session.submit([Client("same", [1], SeededRNG("a"))])
         with pytest.raises(ParameterError):
             session.submit([Client("same", [1], SeededRNG("b"))])
+
+    def test_unchunked_phase_sequence_is_one_lap_per_prover(self):
+        """chunk_size=None is one chunk of nb coins, so the coin loop runs
+        exactly once per prover — the same machine as any chunked run."""
+        from repro.api.engine import add_phase_observer, remove_phase_observer
+
+        seen = [Phase.ENROLL]
+
+        def observer(previous, new, elapsed):
+            seen.append(new)
+
+        session = make_session(num_provers=2, rng=SeededRNG("sequence"))
+        session.submit([1, 0, 1])
+        add_phase_observer(observer)
+        try:
+            assert session.release().accepted
+        finally:
+            remove_phase_observer(observer)
+        lap = [Phase.COMMIT_COINS, Phase.MORRA, Phase.ADJUST]
+        assert seen == [Phase.ENROLL, Phase.VALIDATE, *lap, *lap, Phase.RELEASE, Phase.DONE]
 
     def test_streaming_phases_cycle_per_chunk(self):
         session = make_session(chunk_size=2, rng=SeededRNG("cycle"))

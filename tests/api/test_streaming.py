@@ -62,8 +62,8 @@ class TestChunkedSubmission:
         assert result.results[0].argmax() == 0
 
     def test_streamed_drops_public_messages(self):
-        """Streaming is incompatible with bulletin replay by design: the
-        messages are gone.  Buffered runs retain them."""
+        """Chunking is incompatible with bulletin replay by design: the
+        messages are gone.  The one-chunk run retains them."""
         streamed = streamed_session(2, seed="drop")
         streamed.submit(self.BITS)
         engine_result = streamed.release().results[0].engine_result
@@ -109,11 +109,9 @@ class TestMidStreamPinpointing:
         assert audit.provers["prover-0"] is ProverStatus.BAD_COIN_PROOF
         assert any("coin 0" in note for note in audit.notes)
 
-    def test_injecting_prover_caught_streamed_and_buffered(self):
-        """Ballot stuffing cheats through the _emit_output hook, which both
-        the buffered and streamed release paths run — the streamed engine
-        must catch it exactly like the buffered one (regression: an early
-        draft cheated via compute_output, which streaming never calls)."""
+    def test_injecting_prover_caught_at_every_chunk_size(self):
+        """Ballot stuffing cheats through the _emit_output hook, the last
+        step of finish_output, and is caught whatever the chunking."""
         from repro.core.client import Client
         from repro.core.prover import InputInjectingProver
 

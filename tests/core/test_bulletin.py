@@ -3,11 +3,13 @@
 import pytest
 
 from repro.api import CountQuery, ProtocolEngine, Session
-from repro.core.bulletin import replay_audit
+from repro.core.bulletin import BoardEntry, replay_audit
 from repro.core.client import Client, NonBinaryClient
 from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.params import setup
 from repro.core.prover import OutputTamperingProver
+from repro.errors import EncodingError
+from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
@@ -21,6 +23,12 @@ def run_and_publish(*, k=1, seed="bb"):
     session.submit([1, 0, 1])
     result = session.release()[0].engine_result
     return session.params, result, result.to_bulletin(session.params)
+
+
+def rewrite(board, topic, payload):
+    """Replace the payload of the first entry under ``topic``."""
+    entry = board.topic(topic)[0]
+    board.entries[board.entries.index(entry)] = BoardEntry(entry.topic, entry.party, payload)
 
 
 def run_clients(params, clients, *, provers=None, seed):
@@ -84,13 +92,9 @@ class TestTamperedBoard:
         """An adversary rewriting the board's output entry cannot produce
         an accepting audit: the commitments pin the true value."""
         params, result, board = run_and_publish(seed="bb6")
-        entry = board.topic("prover-output/")[0]
-        payload = bytearray(entry.payload)
+        payload = bytearray(board.topic("prover-output/")[0].payload)
         payload[-1] ^= 0x01  # flip a bit of z
-        idx = board.entries.index(entry)
-        from repro.core.bulletin import BoardEntry
-
-        board.entries[idx] = BoardEntry(entry.topic, entry.party, bytes(payload))
+        rewrite(board, "prover-output/", bytes(payload))
         replayed = replay_audit(params, board)
         assert replayed.provers["prover-0"] is ProverStatus.FAILED_FINAL_CHECK
 
@@ -102,3 +106,46 @@ class TestTamperedBoard:
         board.entries.remove(victim)
         replayed = replay_audit(params, board)
         assert not replayed.all_provers_honest()
+
+
+class TestHostileBoard:
+    """A third-party auditor reads bytes from outside the program: a
+    broken board is an ``EncodingError`` naming the topic (or a verdict),
+    never a bare ``KeyError``/``IndexError``/``ParameterError``."""
+
+    def test_missing_morra_bits_names_the_topic(self):
+        params, _, board = run_and_publish(k=2, seed="hb1")
+        board.entries.remove(board.topic("morra-bits/prover-1")[0])
+        with pytest.raises(EncodingError, match="morra-bits/prover-1"):
+            replay_audit(params, board)
+
+    def test_truncated_morra_bits_names_the_topic(self):
+        params, _, board = run_and_publish(seed="hb2")
+        payload = board.topic("morra-bits/")[0].payload
+        for cut in (payload[:-1], payload[:-5], b""):  # mid-row, one row short, none
+            rewrite(board, "morra-bits/prover-0", cut)
+            with pytest.raises(EncodingError, match="morra-bits/prover-0"):
+                replay_audit(params, board)
+
+    def test_empty_coin_commitments_names_the_topic(self):
+        params, _, board = run_and_publish(seed="hb3")
+        rewrite(board, "coin-commitments/prover-0", b"")
+        with pytest.raises(EncodingError, match="coin-commitments/prover-0"):
+            replay_audit(params, board)
+
+    def test_duplicated_coin_commitments_names_the_topic(self):
+        params, _, board = run_and_publish(k=2, seed="hb4")
+        board.entries.append(board.topic("coin-commitments/prover-1")[0])
+        with pytest.raises(EncodingError, match="coin-commitments/prover-1"):
+            replay_audit(params, board)
+
+    def test_short_coin_message_is_the_provers_verdict(self):
+        """Dropping a coin row is not a decoding problem: the message is
+        well-formed, its proofs verify, and the stream it leaves is
+        incomplete — BAD_COIN_PROOF with a note, as in a live run."""
+        params, _, board = run_and_publish(seed="hb5")
+        parts = decode_length_prefixed(board.topic("coin-commitments/")[0].payload)
+        rewrite(board, "coin-commitments/prover-0", encode_length_prefixed(*parts[:-1]))
+        replayed = replay_audit(params, board)
+        assert replayed.provers["prover-0"] is ProverStatus.BAD_COIN_PROOF
+        assert any("incomplete coin stream" in note for note in replayed.notes)

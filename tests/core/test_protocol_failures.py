@@ -1,5 +1,7 @@
 """Failure injection: aborts, silence, and malformed messages mid-protocol."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import ProtocolEngine
@@ -17,9 +19,9 @@ def make_params(k=1, nb=8):
     return setup(1.0, 2**-10, num_provers=k, group=GROUP, nb_override=nb)
 
 
-def run_bits(params, provers, bits, seed):
+def run_bits(params, provers, bits, seed, chunk_size=None):
     rng = SeededRNG(seed)
-    engine = ProtocolEngine(params, provers=provers, rng=rng)
+    engine = ProtocolEngine(params, provers=provers, rng=rng, chunk_size=chunk_size)
     engine.submit_clients(
         Client(f"client-{i}", [bit], rng.fork(f"client-{i}"))
         for i, bit in enumerate(bits)
@@ -54,10 +56,20 @@ class MisshapenOutputProver(Prover):
         return ProverOutputMessage(prover_id=self.name, y=tuple(y) + (0,), z=tuple(z))
 
 
+class ShortChunkProver(Prover):
+    """Answers every coin-chunk request with one coin too few."""
+
+    def commit_coin_chunk(self, count):
+        message = super().commit_coin_chunk(count)
+        return dataclasses.replace(
+            message, commitments=message.commitments[:-1], proofs=message.proofs[:-1]
+        )
+
+
 class AbortingAggregationProver(Prover):
     """Raises mid-aggregation (e.g. lost its state)."""
 
-    def compute_output(self, valid_ids, public_bits):
+    def finish_output(self):
         raise ProtocolAbort("prover state lost", party=self.name)
 
 
@@ -82,6 +94,24 @@ class TestMorraFailures:
         assert err.value.party == "prover-0"
 
 
+class TestCoinChunkFailures:
+    @pytest.mark.parametrize("chunk_size", [None, 3])
+    def test_short_chunk_blames_the_prover(self, chunk_size):
+        """A chunk that is not the size the engine asked for is a verdict
+        against its prover — never a ParameterError out of the run."""
+        params = make_params(k=2)
+        provers = [
+            Prover("prover-0", params, SeededRNG("h")),
+            ShortChunkProver("prover-1", params, SeededRNG("s")),
+        ]
+        result = run_bits(params, provers, [1, 0], "u", chunk_size)
+        audit = result.release.audit
+        assert not result.release.accepted
+        assert audit.provers["prover-0"] is ProverStatus.HONEST
+        assert audit.provers["prover-1"] is ProverStatus.BAD_COIN_PROOF
+        assert any("prover-1: coin chunk is not" in note for note in audit.notes)
+
+
 class TestOutputFailures:
     def test_misshapen_output_rejected(self):
         params = make_params()
@@ -90,20 +120,22 @@ class TestOutputFailures:
         assert not result.release.accepted
         assert result.release.audit.provers["prover-0"] is ProverStatus.FAILED_FINAL_CHECK
 
-    def test_aggregation_abort_recorded(self):
+    @pytest.mark.parametrize("chunk_size", [None, 3])
+    def test_aggregation_abort_recorded(self, chunk_size):
         params = make_params()
         prover = AbortingAggregationProver("prover-0", params, SeededRNG("a"))
-        result = run_bits(params, [prover], [1], "w")
+        result = run_bits(params, [prover], [1], "w", chunk_size)
         assert not result.release.accepted
         assert result.release.audit.provers["prover-0"] is ProverStatus.ABORTED
 
-    def test_one_aborting_prover_does_not_crash_others(self):
+    @pytest.mark.parametrize("chunk_size", [None, 3])
+    def test_one_aborting_prover_does_not_crash_others(self, chunk_size):
         params = make_params(k=2)
         provers = [
             AbortingAggregationProver("prover-0", params, SeededRNG("a")),
             Prover("prover-1", params, SeededRNG("h")),
         ]
-        result = run_bits(params, provers, [1, 1], "v")
+        result = run_bits(params, provers, [1, 1], "v", chunk_size)
         audit = result.release.audit
         assert audit.provers["prover-0"] is ProverStatus.ABORTED
         assert audit.provers["prover-1"] is ProverStatus.HONEST

@@ -80,8 +80,8 @@ class TestCheatingProversCaught:
 
     @pytest.mark.parametrize("chunk_size", [None, 8])
     def test_non_bit_coin_blames_only_the_forger(self, chunk_size):
-        """The chunk-level forgery hook (`_prove_coins`) is caught buffered
-        and streamed, and nobody else's verdict moves."""
+        """The chunk-level forgery hook (`_prove_coins`) is caught at
+        either chunking, and nobody else's verdict moves."""
         params = params_k(2)
         provers = [
             Prover("prover-0", params, SeededRNG("h")),

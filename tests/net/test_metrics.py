@@ -173,11 +173,13 @@ class TestEnginePhaseObservers:
             result = session.release()
         finally:
             remove_phase_observer(observer)
-        # enroll → validate → commit-coins → morra → (adjust → morra)* →
-        # adjust → release → done; every phase is visited, every
-        # transition carries a non-negative elapsed time.
+        # enroll → validate → (commit-coins → morra → adjust) per prover
+        # → release → done; every phase is visited, every transition
+        # carries a non-negative elapsed time.
         assert seen[0][:2] == ("enroll", "validate")
         assert seen[-1][:2] == ("release", "done")
+        # Unchunked is one chunk of nb: one commit-coins lap per prover.
+        assert [previous for previous, _, _ in seen].count("commit-coins") == 2
         visited = {previous for previous, _, _ in seen}
         assert visited == {
             "enroll",

@@ -189,9 +189,8 @@ class TestWireTampering:
     def test_tampered_coin_frame_names_the_prover(self, chunk_size):
         """Bit-flipped proof bytes → rejected, prover-1 pinpointed.
 
-        ``chunk_size=8`` exercises the streamed snapshot-replay path,
-        ``None`` the buffered batch-then-replay path; both must name the
-        exact coin in the audit note.
+        Four chunks of 8 or one of nb: the chunk's batch rejects and the
+        snapshot replay must name the exact coin in the audit note.
         """
         result = self._run_tampered_prover_session(chunk_size)
         release = result.release

@@ -209,8 +209,8 @@ class TestNodeFraming:
         assert restored_privates == privates
 
     def test_rpc_and_reply(self):
-        method, parts = wire.decode_rpc(wire.encode_rpc("commit-coins", b"ctx"))
-        assert method == "commit-coins" and parts == [b"ctx"]
+        method, parts = wire.decode_rpc(wire.encode_rpc("begin-coin-stream", b"ctx"))
+        assert method == "begin-coin-stream" and parts == [b"ctx"]
         ok, parts = wire.decode_reply(wire.encode_reply(b"a", b"b"))
         assert ok and parts == [b"a", b"b"]
         ok, parts = wire.decode_reply(wire.encode_abort_reply("boom"))

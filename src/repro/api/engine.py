@@ -102,10 +102,11 @@ class EngineResult:
     """One protocol run's release plus run metadata.
 
     One-chunk runs (``chunk_size=None``) retain the public messages
-    (``broadcasts``, ``coin_messages``, ``public_bits``) so the run can be
-    published for byte-level third-party audit replay
-    (:func:`repro.core.bulletin.publish_run`); chunked runs drop them —
-    that is the point — and keep only the outputs, release and audit record.
+    (``broadcasts``, the provers' ``complaints``, ``coin_messages``,
+    ``public_bits``) so the run can be published for byte-level
+    third-party audit replay (:func:`repro.core.bulletin.publish_run`);
+    chunked runs drop them — that is the point — and keep only the
+    outputs, release and audit record.
     """
 
     release: Release
@@ -116,13 +117,19 @@ class EngineResult:
     broadcasts: list = field(default_factory=list)
     coin_messages: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
+    complaints: dict[str, list[str]] = field(default_factory=dict)
 
     def to_bulletin(self, params: PublicParams):
         """Serialize this run's public messages onto a bulletin board."""
         from repro.core.bulletin import publish_run
 
         return publish_run(
-            params, self.broadcasts, self.coin_messages, self.public_bits, self.outputs
+            params,
+            self.broadcasts,
+            self.coin_messages,
+            self.public_bits,
+            self.outputs,
+            self.complaints,
         )
 
 
@@ -181,6 +188,7 @@ class ProtocolEngine:
         self._chunk_entries: list[tuple[ClientBroadcast, list[ClientShareMessage]]] = []
         # Public messages, kept only when ``_retain``.
         self._broadcasts: list[ClientBroadcast] = []
+        self._complaints: dict[str, list[str]] = {}
         self._coin_messages: list = []
         self._public_bits: dict[str, list[list[int]]] = {}
         self._result: EngineResult | None = None
@@ -289,6 +297,7 @@ class ProtocolEngine:
         broadcasts = [broadcast for broadcast, _ in entries]
         if self._retain:
             self._broadcasts = broadcasts
+            self._complaints = complaints
         with self.timer.stage(STAGE_CLIENT_VERIFY):
             valid = self.verifier.validate_clients(broadcasts, complaints)
         self.verifier.fold_client_commitments(broadcasts, valid)
@@ -324,6 +333,7 @@ class ProtocolEngine:
             broadcasts=self._broadcasts,
             coin_messages=self._coin_messages,
             outputs=outputs,
+            complaints=self._complaints,
         )
         return self._result
 

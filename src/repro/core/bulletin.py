@@ -11,6 +11,8 @@ column and the third-party-replay example.
 The board stores (topic, party, payload-bytes) entries in order.  Topics:
 
 * ``client-broadcast/<id>``   — share commitments + validity proof,
+* ``client-complaints/<k>``   — the clients whose private opening failed
+  that prover's check (present only when the prover complained),
 * ``coin-commitments/<k>``    — a prover's coin commitments + Σ-OR proofs,
 * ``morra-bits/<k>``          — the public bits from that prover's Morra,
 * ``prover-output/<k>``       — (y_k, z_k).
@@ -177,6 +179,23 @@ def _decode_output(params: PublicParams, data: bytes) -> ProverOutputMessage:
     return ProverOutputMessage(prover_id, tuple(values[:m]), tuple(values[m:]))
 
 
+def _encode_complaints(client_ids: list[str]) -> bytes:
+    return encode_length_prefixed(*[cid.encode() for cid in client_ids])
+
+
+def _complaints_decoder(published: set[str]):
+    """Decoder for one prover's complaint list against the published clients."""
+
+    def decode(params: PublicParams, data: bytes) -> list[str]:
+        client_ids = [raw.decode() for raw in decode_length_prefixed(data)]
+        for cid in client_ids:
+            if cid not in published:
+                raise EncodingError(f"names unpublished client {cid!r}")
+        return client_ids
+
+    return decode
+
+
 # Publishing and replaying -------------------------------------------------------
 
 
@@ -186,8 +205,16 @@ def publish_run(
     coin_messages: list[CoinCommitmentMessage],
     public_bits: dict[str, list[list[int]]],
     outputs: list[ProverOutputMessage],
+    complaints: dict[str, list[str]] | None = None,
 ) -> BulletinBoard:
-    """Serialize one run's public messages onto a fresh board."""
+    """Serialize one run's public messages onto a fresh board.
+
+    ``complaints`` maps prover name → ids of the clients whose private
+    opening failed that prover's check.  A prover's complaint is the
+    public message that excludes a client as BAD_OPENING; without it an
+    auditor would include the client and blame the provers for the
+    mismatch.  A prover that did not complain publishes nothing.
+    """
     board = BulletinBoard()
     for broadcast in broadcasts:
         board.publish(
@@ -195,6 +222,11 @@ def publish_run(
             broadcast.client_id,
             _encode_client_broadcast(broadcast),
         )
+    for prover_id, client_ids in (complaints or {}).items():
+        if client_ids:
+            board.publish(
+                f"client-complaints/{prover_id}", prover_id, _encode_complaints(client_ids)
+            )
     for message in coin_messages:
         board.publish(
             f"coin-commitments/{message.prover_id}",
@@ -216,19 +248,22 @@ def _published(
     prefix: str,
     decode,
     id_field: str | None = None,
+    provers=None,
 ) -> dict:
     """``decode(params, payload)`` of the entries under ``prefix``, keyed
     by publishing party.
 
     A board is bytes from outside the program: a payload that does not
-    decode, a party publishing twice under one prefix, or a message
-    naming a different party than its entry raises :class:`EncodingError`
-    naming the topic.
+    decode, a party publishing twice under one prefix, a party outside
+    ``provers`` (when given), or a message naming a different party than
+    its entry raises :class:`EncodingError` naming the topic.
     """
     found: dict = {}
     for entry in board.topic(prefix):
         if entry.party in found:
             raise EncodingError(f"{entry.topic}: published more than once")
+        if provers is not None and entry.party not in provers:
+            raise EncodingError(f"{entry.topic}: {entry.party!r} is not a prover")
         try:
             decoded = decode(params, entry.payload)
         except (ReproError, ValueError) as exc:
@@ -259,14 +294,10 @@ def replay_audit(params: PublicParams, board: BulletinBoard):
         params, SeededRNG("replay-auditor"), name="auditor", batch=False
     )
 
-    broadcasts = list(
-        _published(
-            params, board, "client-broadcast/", _decode_client_broadcast, "client_id"
-        ).values()
+    published = _published(
+        params, board, "client-broadcast/", _decode_client_broadcast, "client_id"
     )
-    auditor.fold_client_commitments(broadcasts, auditor.validate_clients(broadcasts))
-    context = broadcast_context_digest(broadcasts)
-
+    broadcasts = list(published.values())
     coin_messages = _published(
         params, board, "coin-commitments/", _decode_coin_message, "prover_id"
     )
@@ -275,6 +306,18 @@ def replay_audit(params: PublicParams, board: BulletinBoard):
             f"coin-commitments/: {len(coin_messages)} entries for "
             f"{params.num_provers} provers"
         )
+    complaints = _published(
+        params,
+        board,
+        "client-complaints/",
+        _complaints_decoder(set(published)),
+        provers=coin_messages,
+    )
+    auditor.fold_client_commitments(
+        broadcasts, auditor.validate_clients(broadcasts, complaints)
+    )
+    context = broadcast_context_digest(broadcasts)
+
     bits_by_prover = _published(params, board, "morra-bits/", _decode_bits)
     outputs = _published(
         params, board, "prover-output/", _decode_output, "prover_id"

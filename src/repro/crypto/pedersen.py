@@ -140,9 +140,11 @@ class PedersenParams:
     def pow_h(self, exponent: int) -> GroupElement:
         """h ** exponent via the cached fixed-base comb table.
 
-        The Σ-OR verification equations are dominated by ``h^v`` powers
-        with full-width exponents; the precomputed table turns each into
-        ~order_bits/window multiplications with no squarings.
+        ``h^v`` with a full-width exponent is the left side of the Σ-OR
+        branch-0 equation; the precomputed table makes it
+        ~order_bits/window multiplications with no squarings.  (The
+        equations are dominated by the variable-base powers of the
+        commitment on their right sides, not by this.)
         """
         return self._h_table.power(exponent)
 

@@ -158,24 +158,21 @@ class RistrettoPoint(GroupElement):
         e = exponent % ELL
         if e == 0:
             return self._group.identity()
-        # 4-bit fixed windows, MSB first.
-        table = [self._group.identity(), self]
+        # 4-bit fixed windows, MSB first, on the kernel's raw tuples: one
+        # point object for the result instead of one per group operation.
+        mul, sqr = _RistrettoKernel.mul, _RistrettoKernel.sqr
+        raw = (self.X, self.Y, self.Z, self.T)
+        table = [None, raw]
         for _ in range(2, 16):
-            table.append(table[-1].combine(self))
-        acc = self._group.identity()
-        started = False
-        for shift in range((e.bit_length() + 3) // 4 * 4 - 4, -1, -4):
-            if started:
-                acc = acc.double().double().double().double()
+            table.append(mul(table[-1], raw))
+        top = (e.bit_length() + 3) // 4 * 4 - 4
+        acc = table[e >> top]
+        for shift in range(top - 4, -1, -4):
+            acc = sqr(sqr(sqr(sqr(acc))))
             digit = (e >> shift) & 0xF
             if digit:
-                acc = acc.combine(table[digit])
-                started = True
-            elif started:
-                pass
-            else:
-                continue
-        return acc
+                acc = mul(acc, table[digit])
+        return RistrettoPoint(self._group, *acc)
 
     def invert(self) -> "RistrettoPoint":
         return RistrettoPoint(self._group, P - self.X, self.Y, self.Z, P - self.T)
@@ -342,7 +339,12 @@ class RistrettoGroup(Group):
         t = x * y % P
         if not was_square or _is_negative(t) or y == 0:
             raise NotOnGroupError("invalid ristretto encoding")
-        return RistrettoPoint(self, x, y, 1, t)
+        point = RistrettoPoint(self, x, y, 1, t)
+        # Decoding is injective on the inputs accepted above, so the
+        # canonical encoding of this point *is* ``data``: hashing it into a
+        # transcript or publishing it again needs no second square root.
+        point._encoding = bytes(data)
+        return point
 
     def hash_to_group(self, label: bytes) -> RistrettoPoint:
         """One-way map from a label to a group element (Elligator 2, twice).

@@ -1,7 +1,9 @@
 """Batch verification of Σ-proofs via random linear combination.
 
-Verifying nb bit proofs one at a time costs 6·nb exponentiations (Table
-1's Σ-verification column).  Because every individual check is a product
+Verifying nb bit proofs one at a time (Table 1's Σ-verification column)
+costs, per proof, three fixed-base comb walks and two variable-base powers
+of the commitment that share one squaring chain — see
+:mod:`repro.crypto.sigma.or_bit`.  Because every individual check is a product
 equation in the group, a verifier can instead check one random linear
 combination: for each proof's two branch equations
 
@@ -19,8 +21,8 @@ Pippenger's bucket method at these sizes.
 :class:`SigmaBatch` is the accumulator behind all of this, and it is
 *cross-message*: the public verifier folds every prover's nb coin proofs
 and every client's validity proof into one accumulator, so the entire
-protocol run costs one multiexp instead of 6·(K·nb + n·M)
-exponentiations.  Each message keeps its own Fiat–Shamir transcript —
+protocol run costs one multiexp instead of K·nb + n·M sequential
+checks.  Each message keeps its own Fiat–Shamir transcript —
 transcript evolution is identical to the sequential verifier's, so batch
 and sequential verification accept exactly the same proofs (up to the
 2⁻¹²⁸ soundness slack).  When a batch rejects, callers fall back to the

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.crypto.group import GroupElement
 from repro.crypto.pedersen import Commitment, Opening, PedersenParams
-from repro.crypto.sigma.or_bit import BitProof, _announce, _respond, branch_statements
+from repro.crypto.sigma.or_bit import BitProof, _announce, _respond, _failed_branch
 from repro.errors import ParameterError, ProofRejected
 from repro.utils.rng import RNG, default_rng
 
@@ -119,16 +119,13 @@ class InteractiveBitVerifier:
         """Verify the final move; raises :class:`ProofRejected`."""
         if self._announcement is None or self._challenge is None:
             raise ParameterError("check() before challenge()")
-        e0, e1, v0, v1 = response
-        params = self.params
-        q = params.q
-        if (e0 + e1) % q != self._challenge % q:
+        proof = self.as_proof(self._announcement, response)
+        q = self.params.q
+        if (proof.e0 + proof.e1) % q != self._challenge % q:
             raise ProofRejected("challenge split mismatch")
-        t0, t1 = branch_statements(params, self.commitment)
-        if params.pow_h(v0) != self._announcement.d0 * (t0 ** e0):
-            raise ProofRejected("branch-0 equation failed")
-        if params.pow_h(v1) != self._announcement.d1 * (t1 ** e1):
-            raise ProofRejected("branch-1 equation failed")
+        failed = _failed_branch(self.params, self.commitment, proof)
+        if failed is not None:
+            raise ProofRejected(f"branch-{failed} equation failed")
         self._announcement = None
         self._challenge = None
 

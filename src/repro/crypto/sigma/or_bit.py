@@ -51,6 +51,28 @@ and ``d_real = Com(0, b)`` (one) — and 0 variable-base powers, all of it
 in two :meth:`PedersenParams.commit_many` passes per call.  The
 witness-less formula remains in :func:`simulate_bit_transcript` (which has
 no witness) and as the oracle in ``tests/crypto/test_or_bit.py``.
+
+Verifying is exact: :func:`verify_bit` checks each proof's two equations
+as they stand, with no random linear combination, because its callers
+either have a public RNG (the bulletin auditor) or need to name the one
+proof that fails (the pinpoint replay after a batch rejects).  The two
+variable-base powers are of *one* base: the branch-1 statement is c/g, so
+
+    h^{v₁} == d₁ · (c/g)^{e₁}    ⇔    g^{e₁} · h^{v₁} == d₁ · c^{e₁}
+
+moves g to the left, where ``g^{e₁}·h^{v₁}`` is one fused comb walk over
+the tables every commitment already uses, and leaves ``c^{e₀}`` and
+``c^{e₁}`` on the right.  :func:`_failed_branch` takes both from a single
+squaring chain (:func:`~repro.crypto.multiexp.shared_base_powers`).  Per
+proof on ristretto255 that is 252 doublings + ≈ 260 additions and no
+generic ``**``, where two independent ladders for ``c^{e₀}`` and
+``(c/g)^{e₁}`` cost 504 doublings + ≈ 243 additions, each through a point
+object.  On the Schnorr integer groups a power is CPython's C ``pow``,
+which no Python-level chain beats and which shares nothing, so there
+branch 1 keeps the figures' form: dividing c by g is one modular
+inversion, cheaper than a comb walk for ``g^{e₁}``.  The kernel's
+``native_pow`` hint tells the two apart; both forms are the same equation
+and give the same verdict.
 """
 
 from __future__ import annotations
@@ -59,6 +81,7 @@ from dataclasses import dataclass
 
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.group import GroupElement
+from repro.crypto.multiexp import kernel_for, shared_base_powers
 from repro.crypto.pedersen import Commitment, Opening, PedersenParams
 from repro.errors import ParameterError, ProofRejected
 from repro.utils.rng import RNG, default_rng
@@ -171,6 +194,39 @@ def prove_bit(
     return prove_bits(params, [commitment], [opening], transcript, rng)[0]
 
 
+def _failed_branch(
+    params: PedersenParams, commitment: Commitment, proof: BitProof
+) -> int | None:
+    """The first branch whose equation fails (0 or 1), or None.
+
+    The one place the two verification equations are evaluated — for
+    :func:`verify_bit`, the interactive verifier and anything else that
+    must check a Σ-OR transcript *exactly*.  No weight is drawn and no
+    equation is combined with another; the challenge split is the
+    caller's check.
+
+    Where a power is a Python ladder (the curve kernels) branch 1 is
+    checked as ``g^{e₁}·h^{v₁} == d₁·c^{e₁}`` so that both ``c`` powers
+    come off one squaring chain and the extra ``g^{e₁}`` rides the comb
+    walk ``h^{v₁}`` needs anyway.  Where it is CPython's C ``pow`` (the
+    Schnorr kernels' ``native_pow``) two ladders share nothing, and the
+    figures' ``h^{v₁} == d₁·(c/g)^{e₁}`` costs one modular inversion
+    instead of a second comb walk.
+    """
+    if kernel_for(params.group).native_pow:
+        t0, t1 = branch_statements(params, commitment)
+        c_e0, right1 = t0**proof.e0, t1**proof.e1
+        left1 = params.pow_h(proof.v1)
+    else:
+        c_e0, right1 = shared_base_powers(commitment.element, (proof.e0, proof.e1))
+        left1 = params.commit(proof.e1, proof.v1).element
+    if params.pow_h(proof.v0) != proof.d0 * c_e0:
+        return 0
+    if left1 != proof.d1 * right1:
+        return 1
+    return None
+
+
 def verify_bit(
     params: PedersenParams,
     commitment: Commitment,
@@ -180,20 +236,19 @@ def verify_bit(
     """Verify a Fiat–Shamir bit proof; raises :class:`ProofRejected`.
 
     Checks (matching Figures 5/6, line 8–9):
-      e₀ + e₁ == e,  h^{v₀} == d₀·c^{e₀},  h^{v₁} == d₁·(c/g)^{e₁}.
+      e₀ + e₁ == e,  h^{v₀} == d₀·c^{e₀},  h^{v₁} == d₁·(c/g)^{e₁}
+    — the last, on the curve backends, as g^{e₁}·h^{v₁} == d₁·c^{e₁}
+    (see the module docstring).
     """
-    q = params.q
     _bind(transcript, params, commitment)
     transcript.append_element("d0", proof.d0)
     transcript.append_element("d1", proof.d1)
     e = _challenge(transcript, params)
-    if (proof.e0 + proof.e1) % q != e:
+    if (proof.e0 + proof.e1) % params.q != e:
         raise ProofRejected("challenge split e0 + e1 != e")
-    t0, t1 = branch_statements(params, commitment)
-    if params.pow_h(proof.v0) != proof.d0 * (t0 ** proof.e0):
-        raise ProofRejected("branch-0 verification equation failed")
-    if params.pow_h(proof.v1) != proof.d1 * (t1 ** proof.e1):
-        raise ProofRejected("branch-1 verification equation failed")
+    failed = _failed_branch(params, commitment, proof)
+    if failed is not None:
+        raise ProofRejected(f"branch-{failed} verification equation failed")
 
 
 def prove_bits(
@@ -260,11 +315,13 @@ def simulate_bit_transcript(
     """
     rng = default_rng(rng)
     q = params.q
-    t0, t1 = branch_statements(params, commitment)
     e0 = rng.field_element(q)
     e1 = (challenge - e0) % q
     v0 = rng.field_element(q)
     v1 = rng.field_element(q)
-    d0 = params.pow_h(v0) * (t0 ** ((-e0) % q))
-    d1 = params.pow_h(v1) * (t1 ** ((-e1) % q))
+    # The verifier's equations solved for the announcements: d₀ = h^{v₀}·c^{−e₀},
+    # d₁ = g^{e₁}·h^{v₁}·c^{−e₁} (= h^{v₁}·(c/g)^{−e₁}).
+    c_e0, c_e1 = shared_base_powers(commitment.element, (-e0, -e1))
+    d0 = params.pow_h(v0) * c_e0
+    d1 = params.commit(e1, v1).element * c_e1
     return BitProof(d0, d1, e0, e1, v0, v1)

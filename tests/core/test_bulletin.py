@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import CountQuery, ProtocolEngine, Session
 from repro.core.bulletin import BoardEntry, replay_audit
-from repro.core.client import Client, NonBinaryClient
+from repro.core.client import Client, InconsistentShareClient, NonBinaryClient
 from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.params import setup
 from repro.core.prover import OutputTamperingProver
@@ -66,6 +66,7 @@ class TestHonestReplay:
         assert len(board.topic("client-broadcast/")) == 3
         assert len(board.topic("coin-commitments/")) == 1
         assert len(board.topic("prover-output/")) == 1
+        assert board.topic("client-complaints/") == []  # nobody complained
 
 
 class TestDishonestRunsReplay:
@@ -85,6 +86,26 @@ class TestDishonestRunsReplay:
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.clients["evil"] is ClientStatus.INVALID_PROOF
         assert replayed.clients["c0"] is ClientStatus.VALID
+
+
+    def test_bad_opening_client_excluded_from_bytes(self):
+        """The provers' complaints are public messages: replayed from the
+        board they exclude the client, and no honest prover is blamed for
+        the commitment products the excluded client no longer enters."""
+        params = setup(1.0, 2**-10, num_provers=2, group=GROUP, nb_override=8)
+        clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(3)]
+        clients.insert(
+            2, InconsistentShareClient("liar", [1], victim_prover=1, rng=SeededRNG("l"))
+        )
+        result = run_clients(params, clients, seed="bb8")
+        audit = result.release.audit
+        assert audit.clients["liar"] is ClientStatus.BAD_OPENING
+        assert audit.all_provers_honest()
+        board = result.to_bulletin(params)
+        replayed = replay_audit(params, board)
+        assert replayed.clients == audit.clients
+        assert replayed.provers == audit.provers
+        assert [e.party for e in board.topic("client-complaints/")] == ["prover-1"]
 
 
 class TestTamperedBoard:
@@ -137,6 +158,22 @@ class TestHostileBoard:
         params, _, board = run_and_publish(k=2, seed="hb4")
         board.entries.append(board.topic("coin-commitments/prover-1")[0])
         with pytest.raises(EncodingError, match="coin-commitments/prover-1"):
+            replay_audit(params, board)
+
+    def test_complaint_from_a_non_prover_names_the_topic(self):
+        params, _, board = run_and_publish(seed="hb6")
+        board.publish(
+            "client-complaints/client-0", "client-0", encode_length_prefixed(b"client-1")
+        )
+        with pytest.raises(EncodingError, match="client-complaints/client-0"):
+            replay_audit(params, board)
+
+    def test_complaint_naming_an_unpublished_client_names_the_topic(self):
+        params, _, board = run_and_publish(seed="hb7")
+        board.publish(
+            "client-complaints/prover-0", "prover-0", encode_length_prefixed(b"nobody")
+        )
+        with pytest.raises(EncodingError, match="client-complaints/prover-0.*nobody"):
             replay_audit(params, board)
 
     def test_short_coin_message_is_the_provers_verdict(self):

@@ -9,12 +9,14 @@ Schnorr, ristretto255, and P-256 kernels plus the generic fallback.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import multiexp
 from repro.crypto.multiexp import (
     FixedBaseTable,
     GenericKernel,
     kernel_for,
     multi_exponentiation,
     select_algorithm,
+    shared_base_powers,
 )
 from repro.errors import ParameterError
 from repro.utils.rng import SeededRNG
@@ -139,6 +141,67 @@ class TestMultiExponentiation:
         g = ristretto.generator()
         bases = [g ** 3, g ** 5]
         assert multi_exponentiation(ristretto, bases, [2, 4]) == g ** 26
+
+
+class TestSharedBasePowers:
+    """Several exact powers of one base equal ``**``, whichever way the
+    ``native_pow`` hint sends them: C ``pow`` per exponent on the Schnorr
+    kernel, the shared squaring chain on every other kernel."""
+
+    @pytest.fixture(params=["schnorr", "schnorr-chain", "generic", "ristretto", "p256"])
+    def group(self, request, group64, ristretto, monkeypatch):
+        from repro.crypto.p256 import P256Group
+
+        if request.param == "schnorr-chain":  # the chain over raw ints
+            monkeypatch.setattr(type(kernel_for(group64)), "native_pow", False)
+        elif request.param == "generic":
+            monkeypatch.setattr(type(group64), "multiexp_kernel", lambda self: None)
+        return {"ristretto": ristretto, "p256": P256Group.instance()}.get(
+            request.param, group64
+        )
+
+    def edge_exponents(self, q):
+        window = multiexp._SHARED_CHAIN_WINDOW
+        all_eights = int("8" * (q.bit_length() // 4), 16)  # every digit borrows
+        return [0, 1, 2, (1 << window) - 1, 1 << window, all_eights, q - 1, q, q + 3, -5]
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_random_exponents(self, group, k):
+        rng = SeededRNG(f"sbp-{group.name}-{k}")
+        base = group.random_element(rng)
+        exps = [rng.randrange(-group.order, 2 * group.order) for _ in range(k)]
+        assert shared_base_powers(base, exps) == [base**e for e in exps]
+
+    def test_edge_exponents(self, group):
+        base = group.random_element(SeededRNG(f"sbp-edge-{group.name}"))
+        exps = self.edge_exponents(group.order)
+        assert shared_base_powers(base, exps) == [base**e for e in exps]
+        for e in exps:  # alone, and beside itself
+            assert shared_base_powers(base, [e]) == [base**e]
+            assert shared_base_powers(base, [e, e]) == [base**e] * 2
+
+    def test_identity_and_generator_bases(self, group):
+        exps = self.edge_exponents(group.order)
+        assert shared_base_powers(group.identity(), exps) == [group.identity()] * len(exps)
+        g = group.generator()
+        assert shared_base_powers(g, exps) == [g**e for e in exps]
+
+    def test_no_exponents(self, group):
+        assert shared_base_powers(group.generator(), []) == []
+
+    def test_native_pow_groups_never_walk_the_python_chain(self, group64, monkeypatch):
+        """A Python chain over ints is ~3× slower than two C ``pow`` calls,
+        so the Schnorr groups must not be sent down it."""
+        kernel = kernel_for(group64)
+        assert kernel.native_pow
+
+        def forbidden(*args):
+            raise AssertionError("shared chain ran on a native_pow kernel")
+
+        monkeypatch.setattr(type(kernel), "mul", forbidden)
+        monkeypatch.setattr(type(kernel), "sqr", forbidden)
+        base = group64.random_element(SeededRNG("sbp-native"))
+        assert shared_base_powers(base, [5, 7]) == [base**5, base**7]
 
 
 class TestSelection:

@@ -223,6 +223,145 @@ class TestWitnessAwareAnnouncement:
         verify_bit(params, c, proof, Transcript("t"))
 
 
+def reference_verify_bit(params, commitment, proof, transcript):
+    """The verifier as Figures 5/6 write it — two independent powers of the
+    branch statements ``c`` and ``c/g`` — kept as the oracle for the
+    shared-chain :func:`verify_bit`: same verdicts, same messages."""
+    q = params.q
+    transcript.append_bytes("pp", params.transcript_bytes())
+    transcript.append_element("bit-commitment", commitment.element)
+    transcript.append_element("d0", proof.d0)
+    transcript.append_element("d1", proof.d1)
+    e = transcript.challenge_scalar("or-challenge", q)
+    if (proof.e0 + proof.e1) % q != e:
+        raise ProofRejected("challenge split e0 + e1 != e")
+    t0, t1 = branch_statements(params, commitment)
+    if params.h ** proof.v0 != proof.d0 * (t0 ** proof.e0):
+        raise ProofRejected("branch-0 verification equation failed")
+    if params.h ** proof.v1 != proof.d1 * (t1 ** proof.e1):
+        raise ProofRejected("branch-1 verification equation failed")
+
+
+def _verdict(verify, params, commitment, proof):
+    """(message or None, transcript fingerprint) of one verification."""
+    transcript = Transcript("t")
+    try:
+        verify(params, commitment, proof, transcript)
+        message = None
+    except ProofRejected as exc:
+        message = str(exc)
+    return message, transcript.challenge_bytes("probe", 32)
+
+
+SPLIT = "challenge split e0 + e1 != e"
+BRANCH0 = "branch-0 verification equation failed"
+BRANCH1 = "branch-1 verification equation failed"
+
+
+@pytest.mark.parametrize("name", ["ristretto255", "p64-sim"])
+class TestExactVerification:
+    """Sharing the squaring chain changed no verdict and no message: audit
+    notes embed the text and ``benchmarks/e2e/golden.json`` pins their
+    digest."""
+
+    @pytest.fixture()
+    def params(self, name):
+        return setup(1.0, 2**-10, group=name, nb_override=32).pedersen
+
+    # One field perturbed at a time.  An announcement or the commitment
+    # moves the Fiat–Shamir challenge; a response breaks its own equation;
+    # shifting the split (e0+1, e1−1) keeps the challenge and breaks both
+    # equations, of which branch 0 is reported.
+    TAMPERS = {
+        "d0": (lambda p, q, g: {"d0": p.d0 * g}, SPLIT),
+        "d1": (lambda p, q, g: {"d1": p.d1 * g}, SPLIT),
+        "e0": (lambda p, q, g: {"e0": (p.e0 + 1) % q}, SPLIT),
+        "e1": (lambda p, q, g: {"e1": (p.e1 + 1) % q}, SPLIT),
+        "v0": (lambda p, q, g: {"v0": (p.v0 + 1) % q}, BRANCH0),
+        "v1": (lambda p, q, g: {"v1": (p.v1 + 1) % q}, BRANCH1),
+        "split": (lambda p, q, g: {"e0": (p.e0 + 1) % q, "e1": (p.e1 - 1) % q}, BRANCH0),
+    }
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("field", sorted(TAMPERS))
+    def test_tampered_field_rejected_with_the_reference_message(self, params, bit, field):
+        from dataclasses import replace
+
+        rng = SeededRNG(f"tamper-{bit}")
+        c, o = params.commit_fresh(bit, rng)
+        proof = prove_bit(params, c, o, Transcript("t"), rng)
+        assert _verdict(verify_bit, params, c, proof)[0] is None
+        tamper, expected = self.TAMPERS[field]
+        forged = replace(proof, **tamper(proof, params.q, params.g))
+        got = _verdict(verify_bit, params, c, forged)
+        assert got == _verdict(reference_verify_bit, params, c, forged)
+        assert got[0] == expected
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_tampered_commitment_rejected_with_the_reference_message(self, params, bit):
+        rng = SeededRNG(f"tamper-c-{bit}")
+        c, o = params.commit_fresh(bit, rng)
+        proof = prove_bit(params, c, o, Transcript("t"), rng)
+        other = params.commit(bit, o.randomness + 1)
+        got = _verdict(verify_bit, params, other, proof)
+        assert got == _verdict(reference_verify_bit, params, other, proof)
+        assert got[0] == SPLIT
+
+    def test_unreduced_scalars_verify_as_their_residues(self, params):
+        """Scalars ≥ q (or negative) are read mod q, as ``**`` reads them."""
+        from dataclasses import replace
+
+        rng = SeededRNG("unreduced")
+        q = params.q
+        c, o = params.commit_fresh(1, rng)
+        proof = prove_bit(params, c, o, Transcript("t"), rng)
+        shifted = replace(
+            proof, e0=proof.e0 + q, e1=proof.e1 - q, v0=proof.v0 + 2 * q, v1=proof.v1 - q
+        )
+        assert _verdict(verify_bit, params, c, shifted)[0] is None
+        assert _verdict(reference_verify_bit, params, c, shifted)[0] is None
+        broken = replace(shifted, v1=shifted.v1 + 1)
+        assert _verdict(verify_bit, params, c, broken)[0] == BRANCH1
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_degenerate_commitments(self, params, value):
+        """c = Com(0, 0) = identity and c = Com(1, 0) = g make one branch
+        statement the identity; honest, forged and simulated proofs for
+        them get the reference verdicts."""
+        from dataclasses import replace
+
+        c = params.commit(value, 0)
+        assert c.element == (params.g if value else params.group.identity())
+        rng = SeededRNG(f"degenerate-{value}")
+        honest = prove_bit(params, c, Opening(value, 0), Transcript("t"), rng)
+        simulated = simulate_bit_transcript(params, c, 99, rng)
+        for proof, expected in (
+            (honest, None),
+            (replace(honest, v0=(honest.v0 + 1) % params.q), BRANCH0),
+            (replace(honest, v1=(honest.v1 + 1) % params.q), BRANCH1),
+            (simulated, SPLIT),
+        ):
+            got = _verdict(verify_bit, params, c, proof)
+            assert got == _verdict(reference_verify_bit, params, c, proof)
+            assert got[0] == expected
+
+    def test_exact_verification_draws_nothing(self, params, monkeypatch):
+        """No weight, no randomness: the auditor's RNG is public, so the
+        exact path must never reach for one."""
+        import repro.utils.rng as rng_module
+
+        rng = SeededRNG("no-draws")
+        c, o = params.commit_fresh(0, rng)
+        proof = prove_bit(params, c, o, Transcript("t"), rng)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact verification drew randomness")
+
+        monkeypatch.setattr(rng_module.SystemRNG, "random_bytes", forbidden)
+        monkeypatch.setattr(rng_module.SeededRNG, "random_bytes", forbidden)
+        verify_bit(params, c, proof, Transcript("t"))
+
+
 def _probe(transcript, rng):
     """Fingerprint of where a transcript and an RNG stand."""
     return transcript.challenge_bytes("probe", 32), rng.random_bytes(16)

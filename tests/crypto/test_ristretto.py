@@ -13,6 +13,19 @@ GENERATOR_MULTIPLES = {
     0: "0000000000000000000000000000000000000000000000000000000000000000",
     1: "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76",
     2: "6a493210f7499cd17fecb510ae0cea23a110e8d5b901f8acadd3095c73a3b919",
+    3: "94741f5d5d52755ece4f23f044ee27d5d1ea1e2bd196b462166b16152a9d0259",
+    4: "da80862773358b466ffadfe0b3293ab3d9fd53c5ea6c955358f568322daf6a57",
+    5: "e882b131016b52c1d3337080187cf768423efccbb517bb495ab812c4160ff44e",
+    6: "f64746d3c92b13050ed8d80236a7f0007c3b3f962f5ba793d19a601ebb1df403",
+    7: "44f53520926ec81fbd5a387845beb7df85a96a24ece18738bdcfa6a7822a176d",
+    8: "903293d8f2287ebe10e2374dc1a53e0bc887e592699f02d077d5263cdd55601c",
+    9: "02622ace8f7303a31cafc63f8fc48fdc16e1c8c8d234b2f0d6685282a9076031",
+    10: "20706fd788b2720a1ed2a5dad4952b01f413bcf0e7564de8cdc816689e2db95f",
+    11: "bce83f8ba5dd2fa572864c24ba1810f9522bc6004afe95877ac73241cafdab42",
+    12: "e4549ee16b9aa03099ca208c67adafcafa4c3f3e4e5303de6026e3ca8ff84460",
+    13: "aa52e000df2e16f55fb1032fc33bc42742dad6bd5a8fc0be0167436c5948501f",
+    14: "46376b80f409b29dc2b5f6f0c52591990896e5716f41477cd30085ab7f10301e",
+    15: "e0c418f7c8d9c4cdd7395b93ea124f3ad99021bb681dfc3302a9d99a2e53e64e",
 }
 
 scalars = st.integers(min_value=0, max_value=2**130)
@@ -30,6 +43,21 @@ class TestSpecVectors:
                 continue
             point = ristretto.from_bytes(bytes.fromhex(encoded))
             assert point == ristretto.generator() ** k
+
+    @pytest.mark.parametrize(
+        "e", [16, 17, 0x10F0, 0xF00F, 2**252, ELL - 1, ELL, ELL + 1, -1, -(2**130)]
+    )
+    def test_scale_matches_double_and_add(self, ristretto, e):
+        """The windowed raw-tuple ladder against bitwise double-and-add on
+        point objects (zero digits, top-window-only digits, reduction)."""
+        base = ristretto.generator() ** 7
+        expected = ristretto.identity()
+        for bit in bin(e % ELL)[2:]:
+            expected = expected.double()
+            if bit == "1":
+                expected = expected.combine(base)
+        assert base**e == expected
+        assert (base**e).to_bytes() == expected.to_bytes()
 
     def test_order(self, ristretto):
         assert ristretto.order == ELL
@@ -69,6 +97,57 @@ class TestGroupLaws:
         assert a == b
         assert hash(a) == hash(b)
         assert a.to_bytes() == b.to_bytes()
+
+
+def recomputed_encoding(point) -> bytes:
+    """``to_bytes`` from the coordinates alone, bypassing the stored encoding."""
+    return type(point)(point.group, point.X, point.Y, point.Z, point.T).to_bytes()
+
+
+class TestDecodedPointsKeepTheirBytes:
+    """``from_bytes`` stores the validated input as the point's encoding:
+    decoding is injective on accepted inputs, so those bytes are what the
+    coordinates encode to.  The store lives on the returned point, so an
+    input that is rejected stores nothing anywhere."""
+
+    def test_spec_vectors(self, ristretto):
+        for encoded in GENERATOR_MULTIPLES.values():
+            data = bytes.fromhex(encoded)
+            point = ristretto.from_bytes(data)
+            assert point.to_bytes() == data == recomputed_encoding(point)
+
+    def test_random_points(self, ristretto):
+        rng = SeededRNG("codec")
+        for _ in range(200):
+            data = ristretto.random_element(rng).to_bytes()
+            point = ristretto.from_bytes(data)
+            assert point.to_bytes() == data == recomputed_encoding(point)
+
+    def test_accepted_junk_roundtrips_and_rejected_junk_raises(self, ristretto):
+        rng = SeededRNG("junk-codec")
+        accepted = 0
+        for _ in range(60):
+            data = bytearray(rng.random_bytes(32))
+            data[31] &= 0x7F
+            data[0] &= 0xFE
+            try:
+                point = ristretto.from_bytes(bytes(data))
+            except NotOnGroupError:
+                continue
+            accepted += 1
+            assert point.to_bytes() == bytes(data) == recomputed_encoding(point)
+        assert accepted >= 5
+
+    def test_stored_encoding_is_a_copy(self, ristretto):
+        data = bytearray(bytes.fromhex(GENERATOR_MULTIPLES[3]))
+        point = ristretto.from_bytes(data)
+        data[0] ^= 0xFF
+        assert point.to_bytes().hex() == GENERATOR_MULTIPLES[3]
+
+    def test_arithmetic_results_do_not_inherit_an_encoding(self, ristretto):
+        point = ristretto.from_bytes(bytes.fromhex(GENERATOR_MULTIPLES[2]))
+        for derived, k in ((point * point, 4), (~point * point, 0), (point**5, 10)):
+            assert derived.to_bytes().hex() == GENERATOR_MULTIPLES[k]
 
 
 class TestEncodingValidation:

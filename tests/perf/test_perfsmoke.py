@@ -230,3 +230,42 @@ def test_proving_a_coin_is_fixed_base_work_only():
     assert prove < 5 * commit, (
         f"proving {n} coins {prove * 1e3:.1f}ms vs committing {commit * 1e3:.1f}ms"
     )
+
+
+def test_exact_verification_walks_one_squaring_chain(monkeypatch):
+    """One exact ``verify_bit`` on ristretto255, counted rather than timed.
+
+    Both ``c`` powers share one chain, so a proof costs at most
+    ``order_bits`` doublings (252 measured) and never calls the generic
+    ``**``; a second ladder creeping back doubles the count on any host.
+    """
+    from repro.crypto import multiexp
+    from repro.crypto.ristretto import RistrettoGroup, RistrettoPoint
+    from repro.crypto.sigma.or_bit import prove_bit, verify_bit
+
+    group = RistrettoGroup.instance()
+    pedersen = PedersenParams(group)
+    rng = SeededRNG("exact-perf")
+    c, o = pedersen.commit_fresh(1, rng)
+    proof = prove_bit(pedersen, c, o, Transcript("ex"), rng)
+
+    kernel = type(group.multiexp_kernel())
+    calls = {"sqr": 0, "mul": 0, "scale": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(kernel, "sqr", staticmethod(counting("sqr", kernel.sqr)))
+    monkeypatch.setattr(kernel, "mul", staticmethod(counting("mul", kernel.mul)))
+    monkeypatch.setattr(RistrettoPoint, "scale", counting("scale", RistrettoPoint.scale))
+
+    verify_bit(pedersen, c, proof, Transcript("ex"))
+
+    assert calls["scale"] == 0
+    assert 0 < calls["sqr"] <= group.order.bit_length() + 2 * multiexp._SHARED_CHAIN_WINDOW
+    # ≈ 260 measured: two bucket walks + folds, three comb walks' lookups.
+    assert calls["mul"] <= 300

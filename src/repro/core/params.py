@@ -83,10 +83,22 @@ class PublicParams:
 
 
 def _resolve_group(group: Group | str) -> Group:
+    """The ``Group`` for a name; a ``Group`` object is returned as it is.
+
+    The one place that knows ristretto255 has two implementations: the
+    name resolves to libsodium's when this host can load it and it passes
+    its known-answer self-test (decided once per process, on the first
+    resolve — nothing is opened before), else to the pure-Python
+    reference.  Both produce the same bytes everywhere, so which one runs
+    is a property of the host, not a setting; passing
+    ``RistrettoGroup.instance()`` explicitly pins the reference.
+    """
     if isinstance(group, Group):
         return group
     if group == "ristretto255":
-        return RistrettoGroup.instance()
+        from repro.crypto.sodium import SodiumRistrettoGroup
+
+        return SodiumRistrettoGroup.instance() or RistrettoGroup.instance()
     if group == "p256":
         from repro.crypto.p256 import P256Group
 

@@ -162,6 +162,19 @@ class Group(abc.ABC):
         """
         return None
 
+    def fixed_base_pair(self, a: GroupElement, b: GroupElement):
+        """How this backend computes ``a^x · b^y`` for two *fixed* bases.
+
+        Returns an object whose ``dual_many(xs, ys)`` is the list of
+        ``a^x · b^y`` — the shape of every Pedersen operation.  The Python
+        kernels precompute comb tables (:class:`repro.crypto.multiexp.
+        CombPair`); a backend whose powers are native and whose additions
+        are not cheap overrides this and builds nothing.
+        """
+        from repro.crypto.multiexp import CombPair
+
+        return CombPair(a, b)
+
     def normalize_many(self, elements: Sequence[GroupElement]) -> list[GroupElement]:
         """Normalize many elements for serialization, batched when possible.
 

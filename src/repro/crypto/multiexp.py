@@ -13,6 +13,9 @@ thousands of terms.  No one algorithm is right across that range, so
     there is no shared work to exploit and the per-call constant is the
     smallest.  (For 2048-bit groups the shared square chain already wins
     at n = 2 — the selector is cost-model driven, not a fixed cutoff.)
+    It is also the tier of a backend whose power is a library call far
+    cheaper than ``bits`` of its own additions (libsodium's ristretto255):
+    per-term scale-and-add, at every n.
 
 ``straus``
     Straus interleaving with width-w NAF recoding and odd-multiple
@@ -71,7 +74,11 @@ crossover points (CPython, full-width exponents; see
   so straus wins from n = 2 (1.6×) and stays ahead to n ≈ 1000 where
   pippenger takes over;
 * ristretto255 / P-256 — no native ``pow``, so straus wins from n = 2
-  and, with curve ops dwarfing bookkeeping, holds until n ≈ 256.
+  and, with curve ops dwarfing bookkeeping, holds until n ≈ 256;
+* ristretto255 on libsodium (:mod:`repro.crypto.sodium`) — the kernel's
+  ``pow_muls`` hint prices a power at 3 of its own (17 µs) additions, so
+  naive — scale each term, add it in, ≈ 70 µs a term — wins at every n:
+  a shared chain built from native additions never pays.
 
 The engine is backend-agnostic but *not* object-per-operation: backends
 may expose a :meth:`~repro.crypto.group.Group.multiexp_kernel` returning
@@ -106,6 +113,7 @@ __all__ = [
     "select_algorithm",
     "kernel_for",
     "FixedBaseTable",
+    "CombPair",
     "GenericKernel",
     "dual_power",
     "shared_base_powers",
@@ -130,7 +138,9 @@ class GenericKernel:
       backend can, e.g. Montgomery batch inversion mod p),
     * ``native_pow`` / ``op_overhead`` — cost-model hints for
       :func:`select_algorithm` (is a single ``**`` a C-speed ``pow``, and
-      how expensive is Python bookkeeping relative to one group op).
+      how expensive is Python bookkeeping relative to one group op),
+    * ``pow_muls`` — optional: what one ``**`` costs in units of ``mul``
+      when that is not ``bits`` (see :func:`select_algorithm`).
     """
 
     __slots__ = ("identity_raw",)
@@ -374,6 +384,7 @@ def select_algorithm(
     native_pow: bool = True,
     op_overhead: float = 1.3,
     neg_muls: float | None = None,
+    pow_muls: float | None = None,
     group_name: str | None = None,
 ) -> str:
     """Pick the cheapest tier for ``n`` pairs of ``bits``-bit exponents.
@@ -386,10 +397,18 @@ def select_algorithm(
     (see :func:`_calibration`), the measured crossovers decide instead of
     the cost model.  Exposed so the benchmarks (and curious tests) can
     introspect the crossover points.
+
+    ``pow_muls`` is for a kernel whose power is a library call priced in
+    its own additions rather than in ``bits`` of them (libsodium: one
+    scalar multiplication ≈ 3 additions, each 4× a Python one): the naive
+    tier — scale each term, add it in — then costs ``n·(pow_muls + 1)``
+    against ≥ ``bits/window`` additions a term for anything that shares a
+    chain, so it wins at every n with full-width exponents.  The measured
+    rows describe the Python kernels and are not consulted for it.
     """
     if n <= 1 or bits <= 1:
         return "naive"
-    if group_name is not None:
+    if group_name is not None and pow_muls is None:
         tuned = _calibration().get(group_name)
         if (
             tuned
@@ -405,7 +424,10 @@ def select_algorithm(
             if n <= tuned["naive_max"]:
                 return "naive"
             return "straus" if n <= tuned["straus_max"] else "pippenger"
-    naive = n * bits * (1.0 if native_pow else 1.3)
+    if pow_muls is not None:
+        naive = n * (pow_muls + 1.0)
+    else:
+        naive = n * bits * (1.0 if native_pow else 1.3)
     straus = _straus_cost(n, bits, _straus_window(bits), op_overhead)
     if neg_muls is None:
         pippenger = _pippenger_cost(n, bits, _pippenger_window(n, bits))
@@ -639,6 +661,7 @@ def multi_exponentiation(
             native_pow=getattr(kernel, "native_pow", False),
             op_overhead=getattr(kernel, "op_overhead", 0.1),
             neg_muls=neg_muls,
+            pow_muls=getattr(kernel, "pow_muls", None),
             group_name=getattr(group, "name", None),
         )
 
@@ -782,11 +805,8 @@ class FixedBaseTable:
         return self._nwindows
 
     def raw_tables(self, kernel) -> list[list]:
-        """The comb rows converted once to ``kernel``-raw values.
-
-        Used by ``PedersenParams.commit_many`` to interleave g/h digit
-        lookups without constructing intermediate ``GroupElement``s.
-        """
+        """The comb rows converted once to ``kernel``-raw values, so the
+        walk never constructs an intermediate ``GroupElement``."""
         if self._raw_tables is None or self._raw_kernel is not kernel:
             self._raw_tables = [
                 [kernel.to_raw(entry) for entry in row] for row in self._tables
@@ -807,17 +827,48 @@ class FixedBaseTable:
         caller converts back, so chained fixed-base products cost one
         normalization total.
         """
-        rows = self.raw_tables(kernel)
-        mul = kernel.mul
-        e = exponent % self._group.order
-        mask = (1 << self._window) - 1
+        return _comb_walk(kernel, self, self, (exponent,), (0,))[0]
+
+
+def _comb_walk(
+    kernel,
+    table_a: FixedBaseTable,
+    table_b: FixedBaseTable,
+    eas: Sequence[int],
+    ebs: Sequence[int],
+) -> list:
+    """Kernel-raw ``a^ea · b^eb`` for every exponent pair: the one digit loop.
+
+    Every fixed-base operation is this walk — a single power is the pair
+    with a zero second exponent.  The a- and b-digit lookups of one window
+    interleave into a single raw accumulation, so a pair costs barely more
+    than one fixed-base power and far less than two generic
+    exponentiations; zero digits cost a mask and a branch.  The tables
+    must share one group and one geometry (checked by the public callers).
+    """
+    rows_a = table_a.raw_tables(kernel)
+    rows_b = table_b.raw_tables(kernel)
+    mul = kernel.mul
+    identity = kernel.identity_raw
+    window = table_a.window
+    mask = (1 << window) - 1
+    order = table_a._group.order
+    out = []
+    for ea, eb in zip(eas, ebs):
+        ea %= order
+        eb %= order
         acc = None
-        for i in range(self._nwindows):
-            digit = (e >> (i * self._window)) & mask
+        for row_a, row_b in zip(rows_a, rows_b):
+            digit = ea & mask
             if digit:
-                entry = rows[i][digit]
-                acc = entry if acc is None else mul(acc, entry)
-        return acc if acc is not None else kernel.identity_raw
+                acc = row_a[digit] if acc is None else mul(acc, row_a[digit])
+            digit = eb & mask
+            if digit:
+                acc = row_b[digit] if acc is None else mul(acc, row_b[digit])
+            ea >>= window
+            eb >>= window
+        out.append(identity if acc is None else acc)
+    return out
 
 
 def dual_power(
@@ -826,36 +877,37 @@ def dual_power(
     """``a ** ea * b ** eb`` over two fixed-base comb tables, in one walk.
 
     This is the shape of every Pedersen operation — ``Com(x, r) = g^x h^r``
-    — and of the folded generator terms in Σ-batch verification.  The g-
-    and h-digit lookups interleave into a single raw accumulation, so the
-    pair costs barely more than one fixed-base power and far less than two
-    generic exponentiations.  Cached per :class:`~repro.crypto.pedersen.
-    PedersenParams`, the tables are shared by every commit, proof and
-    batch-verify call on the same parameters (the ROADMAP fixed-base item).
+    — and of the folded generator terms in Σ-batch verification.
     """
     if table_a._group is not table_b._group:
         raise ParameterError("dual_power requires tables over one group")
     if table_a.window != table_b.window or table_a.nwindows != table_b.nwindows:
         raise ParameterError("dual_power requires tables with matching geometry")
-    group = table_a._group
-    kernel = kernel_for(group)
-    rows_a = table_a.raw_tables(kernel)
-    rows_b = table_b.raw_tables(kernel)
-    mul = kernel.mul
-    window = table_a.window
-    mask = (1 << window) - 1
-    order = group.order
-    ea %= order
-    eb %= order
-    acc = None
-    for i in range(table_a.nwindows):
-        shift = i * window
-        da = (ea >> shift) & mask
-        if da:
-            entry = rows_a[i][da]
-            acc = entry if acc is None else mul(acc, entry)
-        db = (eb >> shift) & mask
-        if db:
-            entry = rows_b[i][db]
-            acc = entry if acc is None else mul(acc, entry)
-    return kernel.from_raw(acc if acc is not None else kernel.identity_raw)
+    kernel = kernel_for(table_a._group)
+    return kernel.from_raw(_comb_walk(kernel, table_a, table_b, (ea,), (eb,))[0])
+
+
+class CombPair:
+    """Two fixed bases behind comb tables of one geometry: what
+    :meth:`Group.fixed_base_pair` returns for the Python kernels.
+
+    Built once per ``(group, h_label)`` and shared by every commit, proof
+    and batch-verify call on those parameters (see
+    :func:`repro.crypto.pedersen._shared_bases`); the raw rows are filled
+    here so a published pair is never written again.
+    """
+
+    __slots__ = ("tables", "_kernel")
+
+    def __init__(self, a: GroupElement, b: GroupElement) -> None:
+        if a.group is not b.group:
+            raise ParameterError("a fixed-base pair lives in one group")
+        self._kernel = kernel_for(a.group)
+        self.tables = (FixedBaseTable(a), FixedBaseTable(b))
+        for table in self.tables:
+            table.raw_tables(self._kernel)
+
+    def dual_many(self, eas: Sequence[int], ebs: Sequence[int]) -> list[GroupElement]:
+        """``[a^x · b^y for x, y in zip(eas, ebs)]``, one walk each."""
+        from_raw = self._kernel.from_raw
+        return [from_raw(raw) for raw in _comb_walk(self._kernel, *self.tables, eas, ebs)]

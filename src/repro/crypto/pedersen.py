@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.crypto.group import Group, GroupElement
-from repro.crypto.multiexp import FixedBaseTable, dual_power, kernel_for
 from repro.errors import CommitmentOpeningError, ParameterError
 from repro.utils.rng import RNG, default_rng
 
@@ -73,20 +72,20 @@ class Commitment:
         return self.element.to_bytes()
 
 
-def _shared_tables(
-    group: Group, h_label: bytes
-) -> tuple[GroupElement, FixedBaseTable, FixedBaseTable]:
-    """``(h, g-table, h-table)`` for ``(group, h_label)``, built once per process.
+def _shared_bases(group: Group, h_label: bytes):
+    """``(h, fixed-base pair for (g, h))`` for ``(group, h_label)``, built
+    once per process.
 
     Every session, decoded wire params and fleet peer thread on one group
-    shares one pair of comb tables instead of rebuilding them (33 ms on
-    ristretto255, 0.8 s on modp-2048).  The memo hangs off the group object:
-    table entries reference their group, so a module-level weak map could
-    never release them, whereas here an ad-hoc group and its tables are one
+    shares one :meth:`Group.fixed_base_pair` instead of rebuilding it (for
+    the Python kernels that is two comb tables: 33 ms on ristretto255,
+    0.8 s on modp-2048).  The memo hangs off the group object: table
+    entries reference their group, so a module-level weak map could never
+    release them, whereas here an ad-hoc group and its tables are one
     garbage cycle.  An entry is published with a single ``setdefault`` only
-    once fully built (raw rows included) and is never written again, so
-    threads racing to build the same tables each get a complete set and
-    all but one copy is dropped.
+    once fully built and is never written again, so threads racing to
+    build the same pair each get a complete one and all but one copy is
+    dropped.
     """
     memo = group.__dict__.setdefault("_pedersen_tables", {})
     entry = memo.get(h_label)
@@ -95,11 +94,7 @@ def _shared_tables(
         h = group.hash_to_group(h_label)
         if h == g or h.is_identity():
             raise ParameterError("degenerate h; choose a different label")
-        kernel = kernel_for(group)
-        tables = (FixedBaseTable(g), FixedBaseTable(h))
-        for table in tables:
-            table.raw_tables(kernel)
-        entry = memo.setdefault(h_label, (h, *tables))
+        entry = memo.setdefault(h_label, (h, group.fixed_base_pair(g, h)))
     return entry
 
 
@@ -114,39 +109,36 @@ class PedersenParams:
         self.group = group
         self.g = group.generator()
         self.q = group.order
-        # Fixed-base tables: the protocol commits to thousands of coins with
-        # the same two generators, so comb tables pay for themselves fast.
-        self.h, self._g_table, self._h_table = _shared_tables(group, h_label)
+        # The protocol commits to thousands of coins with the same two
+        # generators; how ``g^x · h^r`` is best computed for *fixed* g and h
+        # is the backend's call (comb tables on the Python kernels).
+        self.h, self._fixed = _shared_bases(group, h_label)
         # Com(0,0) = 1 and Com(1,0) = g come up on every Line 12 update;
-        # cache them instead of re-walking the comb table.
+        # cache them instead of recomputing.
         self._const_zero = Commitment(group.identity())
         self._const_one = Commitment(self.g)
 
     # Committing ----------------------------------------------------------
 
     def commit(self, value: int, randomness: int) -> Commitment:
-        """Com(value, randomness) = g^value * h^randomness.
-
-        One fused comb walk over the cached g/h tables (interleaved digit
-        lookups, raw-kernel accumulation) — the same inner loop as
-        :meth:`commit_many`, shared via :func:`~repro.crypto.multiexp.dual_power`.
-        """
-        return Commitment(dual_power(self._g_table, value, self._h_table, randomness))
+        """Com(value, randomness) = g^value * h^randomness, as one
+        fixed-base pair product (the same routine as :meth:`commit_many`)."""
+        return Commitment(self._fixed.dual_many((value,), (randomness,))[0])
 
     def pow_g(self, exponent: int) -> GroupElement:
-        """g ** exponent via the cached fixed-base comb table."""
-        return self._g_table.power(exponent)
+        """g ** exponent via the fixed-base pair."""
+        return self._fixed.dual_many((exponent,), (0,))[0]
 
     def pow_h(self, exponent: int) -> GroupElement:
-        """h ** exponent via the cached fixed-base comb table.
+        """h ** exponent via the fixed-base pair.
 
         ``h^v`` with a full-width exponent is the left side of the Σ-OR
-        branch-0 equation; the precomputed table makes it
+        branch-0 equation; on the comb tables it is
         ~order_bits/window multiplications with no squarings.  (The
         equations are dominated by the variable-base powers of the
         commitment on their right sides, not by this.)
         """
-        return self._h_table.power(exponent)
+        return self._fixed.dual_many((0,), (exponent,))[0]
 
     def commit_fresh(self, value: int, rng: RNG | None = None) -> tuple[Commitment, Opening]:
         """Commit with fresh uniform randomness; returns (c, opening)."""
@@ -156,43 +148,14 @@ class PedersenParams:
     def commit_many(
         self, values: Sequence[int], randomness: Sequence[int]
     ) -> list[Commitment]:
-        """Com(x_i, r_i) for every pair, on one fused comb walk each.
+        """Com(x_i, r_i) for every pair.
 
-        Interleaves the g- and h-table digit lookups into a single raw
-        accumulation per pair (no intermediate ``GroupElement`` per
-        generator), using the backend's multiexp kernel.  This is the
-        commit path for every bulk producer: ``commit_vector``, client
+        The commit path for every bulk producer: ``commit_vector``, client
         share commitments, and the prover's nb-coin phase.
         """
         if len(values) != len(randomness):
             raise ParameterError("values and randomness length mismatch")
-        kernel = kernel_for(self.group)
-        g_rows = self._g_table.raw_tables(kernel)
-        h_rows = self._h_table.raw_tables(kernel)
-        mul = kernel.mul
-        from_raw = kernel.from_raw
-        window = self._g_table.window
-        mask = (1 << window) - 1
-        nwindows = self._g_table.nwindows
-        q = self.q
-        out: list[Commitment] = []
-        for value, rand in zip(values, randomness):
-            x = value % q
-            r = rand % q
-            acc = None
-            for i in range(nwindows):
-                shift = i * window
-                dg = (x >> shift) & mask
-                if dg:
-                    entry = g_rows[i][dg]
-                    acc = entry if acc is None else mul(acc, entry)
-                dh = (r >> shift) & mask
-                if dh:
-                    entry = h_rows[i][dh]
-                    acc = entry if acc is None else mul(acc, entry)
-            raw = acc if acc is not None else kernel.identity_raw
-            out.append(Commitment(from_raw(raw)))
-        return out
+        return [Commitment(element) for element in self._fixed.dual_many(values, randomness)]
 
     def commit_vector(
         self, values: Sequence[int], rng: RNG | None = None
@@ -242,7 +205,7 @@ class PedersenParams:
             return self._const_zero
         if value == 1:
             return self._const_one
-        return Commitment(self._g_table.power(value))
+        return Commitment(self.pow_g(value))
 
     def one_minus(self, commitment: Commitment) -> Commitment:
         """Com(1, 0) * c^-1: a commitment to 1 - x with randomness -r.

@@ -18,12 +18,27 @@ The implementation follows the ristretto255 specification
 test vectors for small multiples of the generator are checked in
 ``tests/crypto/test_ristretto.py``.
 
-Performance note: this is pure Python, so a scalar multiplication costs on
-the order of a millisecond (versus 328 µs for the paper's dalek build on an
-M1).  The paper's *relative* finding (EC slower than modp) inverts here:
-255-bit Edwards arithmetic in Python beats CPython's 2048-bit ``pow`` —
-without native field code, bignum width dominates.  The micro benchmark
-(`python -m repro micro`) reports both numbers; see DESIGN.md.
+Two deliberate departures from RFC 9496, both in the one-way map and
+neither in the group: :meth:`RistrettoGroup.hash_to_group` hashes a
+domain-separated label, and the map itself (``_elligator``) yields the
+*inverse* of the RFC's point — see ``SQRT_AD_MINUS_ONE`` below.
+
+Role: this module is the reference implementation of ristretto255 in this
+repository — what the tests compare against and what runs on a host
+without libsodium.  Where libsodium loads, the name ``"ristretto255"``
+resolves to :mod:`repro.crypto.sodium` instead (same bytes everywhere;
+``core.params._resolve_group`` decides).
+
+Performance note: being pure Python, a scalar multiplication costs about a
+millisecond here (328 µs for the paper's dalek build on an M1, 50 µs for
+libsodium on this host), one addition ≈ 4 µs and one encoding ≈ 130 µs (a
+field exponentiation).  Among the *pure* backends the paper's relative
+finding (EC slower than modp) inverts — 255-bit Edwards arithmetic in
+Python beats CPython's 2048-bit ``pow`` because, without native field
+code, bignum width dominates; with the native backend the curve wins
+outright.  ``python -m repro micro`` prints a row for each and names the
+backend the name resolves to; see DESIGN.md "Group backends and how one is
+chosen".
 """
 
 from __future__ import annotations
@@ -98,8 +113,21 @@ def sqrt_ratio_m1(u: int, v: int) -> tuple[bool, int]:
     return was_square, _abs(r)
 
 
-SQRT_AD_MINUS_ONE = sqrt_ratio_m1(((-1 - D) % P), 1)[1]  # sqrt(a*d - 1), a = -1
+# sqrt(a*d - 1) for a = -1: the *non-negative* root.  RFC 9496 fixes this
+# constant to the negative root, and it enters the one-way map as a factor
+# of the Y and Z coordinates, so every ``_elligator`` output — and every sum
+# of two — is the inverse of the RFC's point.  Harmless for Pedersen binding
+# (log_g of −h is as unknown as log_g of h), but flipping it changes h and
+# with it every ristretto255 fingerprint, transcript and golden digest:
+# that belongs to a versioned re-pin (ROADMAP item 1(c)), not to a cleanup.
+SQRT_AD_MINUS_ONE = sqrt_ratio_m1(((-1 - D) % P), 1)[1]
 INVSQRT_A_MINUS_D = sqrt_ratio_m1(1, (-1 - D) % P)[1]  # 1/sqrt(a - d)
+
+
+def label_digest(label: bytes) -> bytes:
+    """The 64 uniform bytes ``hash_to_group`` feeds the one-way map, on
+    every ristretto255 backend: ``h`` depends on nothing else."""
+    return hashlib.sha512(b"repro.ristretto.h2g|" + label).digest()
 
 
 class RistrettoPoint(GroupElement):
@@ -349,18 +377,21 @@ class RistrettoGroup(Group):
     def hash_to_group(self, label: bytes) -> RistrettoPoint:
         """One-way map from a label to a group element (Elligator 2, twice).
 
-        Matches the ristretto255 ``FROM_UNIFORM_BYTES`` construction on the
-        SHA-512 digest of the label: split into two halves, mask to 255
-        bits, map each through Elligator, and add.  The discrete log of the
-        output with respect to the generator is unknown.
+        :meth:`from_uniform_bytes` on the SHA-512 digest of the
+        domain-separated label (:func:`label_digest`).  The discrete log of
+        the output with respect to the generator is unknown.
         """
-        digest = hashlib.sha512(b"repro.ristretto.h2g|" + label).digest()
-        r0 = int.from_bytes(digest[:32], "little") & ((1 << 255) - 1)
-        r1 = int.from_bytes(digest[32:], "little") & ((1 << 255) - 1)
-        return self._elligator(r0).combine(self._elligator(r1))
+        return self.from_uniform_bytes(label_digest(label))
 
     def from_uniform_bytes(self, data: bytes) -> RistrettoPoint:
-        """The spec's FROM_UNIFORM_BYTES on caller-provided 64 bytes."""
+        """The one-way map on caller-provided 64 bytes: split into two
+        halves, mask each to 255 bits, map each through Elligator, and add.
+
+        The *inverse* of RFC 9496's map on the same bytes (the sign of
+        ``SQRT_AD_MINUS_ONE``): ``~from_uniform_bytes(d)`` is the RFC's
+        point, which ``tests/crypto/test_ristretto.py`` pins on the RFC's
+        own vectors.
+        """
         if len(data) != 64:
             raise EncodingError("from_uniform_bytes requires exactly 64 bytes")
         r0 = int.from_bytes(data[:32], "little") & ((1 << 255) - 1)

@@ -64,15 +64,16 @@ moves g to the left, where ``g^{e₁}·h^{v₁}`` is one fused comb walk over
 the tables every commitment already uses, and leaves ``c^{e₀}`` and
 ``c^{e₁}`` on the right.  :func:`_failed_branch` takes both from a single
 squaring chain (:func:`~repro.crypto.multiexp.shared_base_powers`).  Per
-proof on ristretto255 that is 252 doublings + ≈ 260 additions and no
-generic ``**``, where two independent ladders for ``c^{e₀}`` and
+proof on pure-Python ristretto255 that is 252 doublings + ≈ 260 additions
+and no generic ``**``, where two independent ladders for ``c^{e₀}`` and
 ``(c/g)^{e₁}`` cost 504 doublings + ≈ 243 additions, each through a point
-object.  On the Schnorr integer groups a power is CPython's C ``pow``,
-which no Python-level chain beats and which shares nothing, so there
-branch 1 keeps the figures' form: dividing c by g is one modular
-inversion, cheaper than a comb walk for ``g^{e₁}``.  The kernel's
-``native_pow`` hint tells the two apart; both forms are the same equation
-and give the same verdict.
+object.  On the Schnorr integer groups a power is CPython's C ``pow``
+(and on libsodium's ristretto255 a library call), which no Python-level
+chain beats and which shares nothing, so there branch 1 keeps the
+figures' form: dividing c by g is one modular inversion (one native
+subtraction), cheaper than a second fixed-base power for ``g^{e₁}``.
+The kernel's ``native_pow`` hint tells the two apart; both forms are the
+same equation and give the same verdict.
 """
 
 from __future__ import annotations
@@ -205,13 +206,13 @@ def _failed_branch(
     equation is combined with another; the challenge split is the
     caller's check.
 
-    Where a power is a Python ladder (the curve kernels) branch 1 is
+    Where a power is a Python ladder (the pure curve kernels) branch 1 is
     checked as ``g^{e₁}·h^{v₁} == d₁·c^{e₁}`` so that both ``c`` powers
     come off one squaring chain and the extra ``g^{e₁}`` rides the comb
-    walk ``h^{v₁}`` needs anyway.  Where it is CPython's C ``pow`` (the
-    Schnorr kernels' ``native_pow``) two ladders share nothing, and the
-    figures' ``h^{v₁} == d₁·(c/g)^{e₁}`` costs one modular inversion
-    instead of a second comb walk.
+    walk ``h^{v₁}`` needs anyway.  Where it is native (``native_pow``:
+    CPython's C ``pow`` on the Schnorr kernels, libsodium) two ladders
+    share nothing, and the figures' ``h^{v₁} == d₁·(c/g)^{e₁}`` costs one
+    inversion instead of a second fixed-base power.
     """
     if kernel_for(params.group).native_pow:
         t0, t1 = branch_statements(params, commitment)

@@ -20,7 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.api import BoundedSumQuery, CountQuery, HistogramQuery, Session
+from repro.crypto.ristretto import RistrettoGroup
 from repro.crypto.serialization import encode_message
+from repro.crypto.sodium import SodiumRistrettoGroup
 from repro.utils.rng import SeededRNG
 
 GOLDEN_PATH = Path(__file__).with_name("golden_releases.json")
@@ -47,13 +49,14 @@ CASES = [
 ]
 
 
-def observe(case: str) -> dict:
-    kind, group, seed, mode = case.split("/")
+def observe(case: str, group=None) -> dict:
+    """Run ``case``; ``group`` pins a ``Group`` object in place of the name."""
+    kind, group_name, seed, mode = case.split("/")
     query, num_provers, values = KINDS[kind]
     session = Session(
         query,
         num_provers=num_provers,
-        group=group,
+        group=group_name if group is None else group,
         nb_override=NB,
         chunk_size=MODES[mode],
         rng=SeededRNG(seed),
@@ -85,6 +88,21 @@ def test_release_matches_golden(golden, case):
     assert observed["clients"] == pinned["clients"]
     assert observed["provers"] == pinned["provers"]
     assert observed["sha256"] == pinned["sha256"]
+
+
+# The name "ristretto255" resolves to one backend per host; the pinned bytes
+# are a property of the group, so each implementation is also run by object.
+RISTRETTO_BACKENDS = {"pure": RistrettoGroup.instance, "libsodium": SodiumRistrettoGroup.instance}
+
+
+@pytest.mark.parametrize("backend", RISTRETTO_BACKENDS)
+@pytest.mark.parametrize("case", [case for case in CASES if "/ristretto255/" in case])
+def test_ristretto_release_matches_golden_on_each_backend(golden, case, backend):
+    group = RISTRETTO_BACKENDS[backend]()
+    if group is None:
+        pytest.skip("libsodium with ristretto255 is not loadable on this host")
+    observed = observe(case, group)
+    assert observed == golden[case]
 
 
 if __name__ == "__main__":

@@ -52,7 +52,8 @@ class TestFixedBaseTables:
         exps = _exponents(pedersen)
         for a, b in zip(exps, reversed(exps)):
             expected = (pedersen.g ** a) * (pedersen.h ** b)
-            assert dual_power(pedersen._g_table, a, pedersen._h_table, b) == expected
+            g_table, h_table = pedersen._fixed.tables
+            assert dual_power(g_table, a, h_table, b) == expected
 
     def test_commit_is_fused_dual_power(self, pedersen):
         rng = SeededRNG("commit")
@@ -69,7 +70,7 @@ class TestFixedBaseTables:
 
     def test_power_raw_roundtrip(self, pedersen):
         kernel = kernel_for(pedersen.group)
-        table = pedersen._g_table
+        table = pedersen._fixed.tables[0]
         for e in _exponents(pedersen, n=3):
             assert kernel.from_raw(table.power_raw(kernel, e)) == pedersen.g ** e
 
@@ -81,7 +82,7 @@ class TestDualPowerValidation:
         a = PedersenParams(SchnorrGroup.named("p64-sim"))
         b = PedersenParams(SchnorrGroup.named("p128-sim"))
         with pytest.raises(ParameterError):
-            dual_power(a._g_table, 1, b._h_table, 1)
+            dual_power(a._fixed.tables[0], 1, b._fixed.tables[1], 1)
 
     def test_mismatched_geometry_rejected(self):
         from repro.crypto.schnorr_group import SchnorrGroup
@@ -108,20 +109,21 @@ class TestSharedTables:
     def test_params_on_one_group_share_tables(self):
         group = _adhoc_group()
         a, b = PedersenParams(group), PedersenParams(group)
-        assert a._g_table is b._g_table and a._h_table is b._h_table
+        assert a._fixed is b._fixed
         assert a.h is b.h
-        assert a._g_table.base == a.g
-        assert a._h_table.base == a.h
+        g_table, h_table = a._fixed.tables
+        assert g_table.base == a.g
+        assert h_table.base == a.h
 
     def test_other_label_or_group_object_does_not_share(self):
         group = _adhoc_group()
         a = PedersenParams(group)
         relabelled = PedersenParams(group, h_label=b"another.h")
         assert relabelled.h != a.h
-        assert relabelled._h_table is not a._h_table
-        assert relabelled._h_table.base == relabelled.h
+        assert relabelled._fixed is not a._fixed
+        assert relabelled._fixed.tables[1].base == relabelled.h
         twin = PedersenParams(_adhoc_group())
-        assert twin._g_table is not a._g_table
+        assert twin._fixed is not a._fixed
         assert twin.h.to_bytes() == a.h.to_bytes()
 
     def test_degenerate_label_still_rejected_and_not_memoised(self, monkeypatch):
@@ -178,6 +180,5 @@ class TestSharedTables:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert len(results) == 8
-        assert len({id(p._g_table) for p in results}) == 1
-        assert len({id(p._h_table) for p in results}) == 1
-        assert PedersenParams(group)._g_table is results[0]._g_table
+        assert len({id(p._fixed) for p in results}) == 1
+        assert PedersenParams(group)._fixed is results[0]._fixed

@@ -1,5 +1,7 @@
 """ristretto255: official test vectors, group laws, encoding validation."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -200,6 +202,53 @@ class TestHashToGroup:
         for _ in range(5):
             point = ristretto.from_uniform_bytes(rng.random_bytes(64))
             assert ristretto.from_bytes(point.to_bytes()) == point
+
+
+# RFC 9496 appendix A.3: label -> encoding of its one-way map applied to
+# SHA-512(label).
+RFC_HASH_TO_GROUP = {
+    "Ristretto is traditionally a short shot of espresso coffee": (
+        "3066f82a1a747d45120d1740f14358531a8f04bbffe6a819f86dfe50f44a0a46"
+    ),
+    "made with the normal amount of ground coffee but extracted with": (
+        "f26e5b6f7d362d2d2a94c5d0e7602cb4773c95a2e5c31a64f133189fa76ed61b"
+    ),
+    "about half the amount of water in the same amount of time": (
+        "006ccd2a9e6867e6a2c5cea83d3302cc9de128dd2a9a57dd8ee7b9d7ffe02826"
+    ),
+    "by using a finer grind.": (
+        "f8f0c87cf237953c5890aec3998169005dae3eca1fbb04548c635953c817f92a"
+    ),
+    "Just pulling a normal shot short will produce a weaker shot": (
+        "e2705652ff9f5e44d3e841bf1c251cf7dddb77d140870d1ab2ed64f1a9ce8628"
+    ),
+}
+
+
+class TestNotTheRfcMap:
+    """``from_uniform_bytes`` is the *inverse* of RFC 9496's one-way map:
+    ``SQRT_AD_MINUS_ONE`` is the non-negative root where the RFC fixes the
+    negative one.  Pinned because ``h`` — and with it every ristretto255
+    fingerprint and golden digest — depends on it (DESIGN.md "Group
+    backends and how one is chosen")."""
+
+    @pytest.mark.parametrize("label,expected", sorted(RFC_HASH_TO_GROUP.items()))
+    def test_inverse_of_the_rfc_vectors(self, ristretto, label, expected):
+        point = ristretto.from_uniform_bytes(hashlib.sha512(label.encode()).digest())
+        assert (~point).to_bytes().hex() == expected
+        assert point.to_bytes().hex() != expected
+
+    def test_the_constant_is_the_other_root(self):
+        from repro.crypto.ristretto import D, SQRT_AD_MINUS_ONE
+
+        rfc = 25063068953384623474111414158702152701244531502492656460079210482610430750235
+        assert SQRT_AD_MINUS_ONE == P - rfc
+        assert SQRT_AD_MINUS_ONE * SQRT_AD_MINUS_ONE % P == (-D - 1) % P
+        assert SQRT_AD_MINUS_ONE % 2 == 0 and rfc % 2 == 1
+
+    def test_hash_to_group_is_from_uniform_bytes_of_the_labelled_digest(self, ristretto):
+        digest = hashlib.sha512(b"repro.ristretto.h2g|" + b"repro.pedersen.h").digest()
+        assert ristretto.hash_to_group(b"repro.pedersen.h") == ristretto.from_uniform_bytes(digest)
 
 
 class TestSqrtRatio:

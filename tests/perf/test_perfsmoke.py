@@ -269,3 +269,32 @@ def test_exact_verification_walks_one_squaring_chain(monkeypatch):
     assert 0 < calls["sqr"] <= group.order.bit_length() + 2 * multiexp._SHARED_CHAIN_WINDOW
     # ≈ 260 measured: two bucket walks + folds, three comb walks' lookups.
     assert calls["mul"] <= 300
+
+
+def test_native_ristretto_commit_beats_the_pure_one():
+    """``Com(x, r)`` *with its encoding* — what a prover publishes — on
+    libsodium against the pure reference (skipped where the library does
+    not load).
+
+    Measured ≈ 85 µs against ≈ 470 µs (5×: two native powers and an
+    addition against an 86-add comb walk plus a field exponentiation to
+    encode).  2× is the floor: below it the native path has grown Python
+    around its three foreign calls, or lost the base-point routine.
+    """
+    from repro.crypto.ristretto import RistrettoGroup
+    from repro.crypto.sodium import SodiumRistrettoGroup
+
+    native_group = SodiumRistrettoGroup.instance()
+    if native_group is None:
+        pytest.skip("libsodium with ristretto255 is not loadable on this host")
+    pure, native = PedersenParams(RistrettoGroup.instance()), PedersenParams(native_group)
+    rng = SeededRNG("native-perf")
+    xs = [rng.field_element(pure.q) for _ in range(32)]
+    rs = [rng.field_element(pure.q) for _ in range(32)]
+
+    def published(params):
+        return [c.to_bytes() for c in params.commit_many(xs, rs)]
+
+    assert published(pure) == published(native)
+    slow, fast = best_of(lambda: published(pure)), best_of(lambda: published(native))
+    assert fast * 2 < slow, f"native {fast * 1e3:.1f}ms vs pure {slow * 1e3:.1f}ms for 32 commits"

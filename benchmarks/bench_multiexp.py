@@ -4,8 +4,9 @@ The tiered engine in :mod:`repro.crypto.multiexp` is the hot primitive
 under batched Σ-verification, the Line 12/13 checks, and every
 commitment product; this bench pins its crossover behaviour per batch
 size.  ``python -m repro multiexp`` runs the same sweep through the
-bench runner and emits ``BENCH_multiexp.json`` (checked in as the perf
-evidence for the batched-verification pipeline).
+bench runner and writes ``BENCH_multiexp.json`` on demand — a report of
+this host's timings that no code reads back; tier-1's share of this file
+is the ``perfsmoke`` canary in ``tests/perf``.
 """
 
 import pytest
@@ -43,23 +44,6 @@ def test_multiexp_tier(benchmark, group128, n, algorithm):
 def test_multiexp_auto(benchmark, group128, n):
     bases, exps = make_instance(group128, n)
     benchmark(lambda: multi_exponentiation(group128, bases, exps))
-
-
-def test_auto_selection_is_near_optimal(group128):
-    """The automatic tier is never far behind the best measured tier."""
-    import time
-
-    for n in (2, 16, 256):
-        bases, exps = make_instance(group128, n, seed="opt")
-        timings = {}
-        for algorithm in ALGORITHMS + [None]:
-            start = time.perf_counter()
-            for _ in range(3):
-                multi_exponentiation(group128, bases, exps, algorithm=algorithm)
-            timings[algorithm] = time.perf_counter() - start
-        best = min(timings[a] for a in ALGORITHMS)
-        # 2x slack: timer noise plus the coarse cost model.
-        assert timings[None] < best * 2 + 1e-3
 
 
 def test_pippenger_dominates_at_scale(group128):

@@ -33,7 +33,7 @@ from repro.bench.stages import (
     time_sigma_verify,
     time_sketch_validate,
 )
-from repro.core.params import setup
+from repro.core.params import _resolve_group, setup
 from repro.crypto.ristretto import RistrettoGroup
 from repro.crypto.schnorr_group import SchnorrGroup
 from repro.dp.binomial import BinomialMechanism, coins_for_privacy
@@ -241,8 +241,6 @@ def run_micro(*, exponent_bits: int = 256, trials: int | None = None, seed: str 
     ``group="ristretto255"`` session on this host actually runs, and the
     ratio row is taken against it.  Reported honestly.
     """
-    from repro.core.params import _resolve_group
-
     if trials is None:
         trials = 200 if paper_scale() else 50
     rng = SeededRNG(seed)
@@ -459,14 +457,17 @@ def host_metadata() -> dict:
     *coordination overhead*, not parallel speedup, and earlier BENCH
     files repeated exactly that mistake because the rows carried no
     record of where they were measured (see ROADMAP "Measurement
-    caveats").
+    caveats").  ``ristretto255_backend`` is the kernel a row named
+    ``ristretto255`` timed: the name resolves per host (≈ 3.5× apart).
     """
     import platform
 
+    resolved = type(_resolve_group("ristretto255"))
     return {
         "cpu_count": os.cpu_count() or 1,
         "platform": platform.platform(),
         "python": platform.python_version(),
+        "ristretto255_backend": "python" if resolved is RistrettoGroup else "libsodium",
     }
 
 
@@ -505,55 +506,23 @@ def run_multiexp(
 
     Times all three tiers per batch size on the 128-bit Schnorr
     simulation group (plus a few sizes on production modp-2048), reports
-    the automatic selection, and emits ``BENCH_multiexp.json`` — the
-    regression evidence behind the verifier's batched hot path *and* the
-    measured calibration :mod:`repro.crypto.multiexp` auto-tunes its
-    crossovers and Straus windows from (rows carry the exponent width;
-    extra row kinds: ``straus-window`` sweeps the wNAF width,
-    ``pippenger-variants`` compares signed-digit vs unsigned buckets —
-    signed wins where negation is free, i.e. on the curve backends, while
-    unsigned holds on the integer backends where negation is a batched
-    modular inversion worth ~3 multiplications per base).
-
-    Calibration is *disabled for the duration of the sweep*: the rows
-    must measure the uncalibrated defaults, or a stale checked-in file's
-    tuning (a noisy window width, another machine's crossovers) would
-    contaminate its own replacement and self-perpetuate.
+    the automatic selection, and emits ``BENCH_multiexp.json`` — a
+    measurement output that no code reads back: the regression evidence
+    behind the verifier's batched hot path and the check on the cost
+    model's constants (rows carry the exponent width; extra row kinds:
+    ``straus-window`` sweeps the wNAF width, ``pippenger-variants``
+    compares signed-digit vs unsigned buckets — signed wins where
+    negation is free, i.e. on the curve backends, while unsigned holds on
+    the integer backends where negation is a batched modular inversion
+    worth ~3 multiplications per base).
     """
-    from repro.crypto import multiexp as multiexp_mod
     from repro.crypto.multiexp import (
         _straus,
         kernel_for,
         multi_exponentiation,
         select_algorithm,
     )
-    from repro.crypto.ristretto import RistrettoGroup
 
-    held_env = os.environ.get("REPRO_MULTIEXP_CALIBRATION")
-    os.environ["REPRO_MULTIEXP_CALIBRATION"] = "0"
-    multiexp_mod._reset_calibration()
-    try:
-        rows = _run_multiexp_sweep(
-            sizes, wide_sizes, signed_sizes, seed,
-            _straus, kernel_for, multi_exponentiation, select_algorithm,
-            RistrettoGroup,
-        )
-    finally:
-        if held_env is None:
-            os.environ.pop("REPRO_MULTIEXP_CALIBRATION", None)
-        else:
-            os.environ["REPRO_MULTIEXP_CALIBRATION"] = held_env
-        multiexp_mod._reset_calibration()
-    if emit_json:
-        write_bench_json("multiexp", rows)
-    return rows
-
-
-def _run_multiexp_sweep(
-    sizes, wide_sizes, signed_sizes, seed,
-    _straus, kernel_for, multi_exponentiation, select_algorithm,
-    RistrettoGroup,
-) -> list[dict]:
     rows: list[dict] = []
     for group_name, group_sizes, budget in (
         ("p128-sim", sizes, 256),
@@ -589,7 +558,7 @@ def _run_multiexp_sweep(
             )
             rows.append(row)
 
-        # Straus wNAF width sweep: feeds the window auto-tuner.
+        # Straus wNAF width sweep: the evidence for _STRAUS_WINDOWS.
         window_n = 16
         bases = [group.random_element(rng) for _ in range(window_n)]
         exps = [rng.field_element(group.order) for _ in range(window_n)]
@@ -641,6 +610,8 @@ def _run_multiexp_sweep(
                     / max(timings["pippenger-signed"], 1e-9),
                 }
             )
+    if emit_json:
+        write_bench_json("multiexp", rows)
     return rows
 
 

@@ -23,7 +23,7 @@ _DESCRIPTIONS = {
     "fig4": "Figure 4 — client one-hot validation: sigma-OR vs PRIO/Poplar sketch",
     "table2": "Table 2 — qualitative properties of MPC-DP systems (validated live)",
     "micro": "Section 6 — single exponentiation latency, modp vs ristretto",
-    "multiexp": "Multiexp tiers — naive/Straus/Pippenger crossover (emits BENCH_multiexp.json)",
+    "multiexp": "Multiexp tiers — naive/Straus/Pippenger crossover (writes BENCH_multiexp.json; nothing reads it back)",
     "streaming": "Streamed vs buffered session verification (emits BENCH_streaming.json)",
     "err": "DP-Error — central O(1/eps) vs local O(sqrt(n)/eps)",
     "comm": "Communication — serialized proof sizes: sigma-OR vs sketch",

@@ -52,33 +52,40 @@ thousands of terms.  No one algorithm is right across that range, so
     buckets stay faster and the selector keeps them.  The kernel hint
     ``neg_muls`` (multiplications per negation) feeds this decision.
 
-Selection is automatic from the cost model in :func:`select_algorithm`,
-calibrated in units of one group multiplication with three backend hints
-from the kernel: whether single exponentiation is CPython's C ``pow``
-(≈ bits multiplication-units per call — measured 37 µs ≈ 123 modmuls on
-p128-sim), how expensive Python loop bookkeeping is relative to one
-group op, and the negation cost above.  When a measured
-``BENCH_multiexp.json`` is present (repo root, cwd or
-``$REPRO_BENCH_DIR``), per-group crossovers and Straus window widths are
-*auto-tuned from its rows* instead of the hand-picked constants — see
-:func:`_calibration`; with no file the constants below apply.  Measured
-crossover points (CPython, full-width exponents; see
-``benchmarks/bench_multiexp.py`` and the checked-in
-``BENCH_multiexp.json``):
+Selection is :func:`select_algorithm`: a pure function of the batch size,
+the exponent width and the kernel's hints — no file, no environment
+variable, nothing about the host is read.  Costs are in units of one
+group multiplication, skewed by what the kernel says about itself:
+whether a single exponentiation is CPython's C ``pow`` (≈ bits
+multiplication-units per call — measured 37 µs ≈ 123 modmuls on
+p128-sim) or a library call priced in additions (``pow_muls``), how
+expensive Python loop bookkeeping is relative to one group op, and the
+negation cost above.  Measurements validate the model, they do not
+override it: ``python -m repro multiexp`` times all three tiers per size
+into a report that nothing reads back, and ``tests/perf`` holds the
+automatic pick within 1.5× of the fastest forced tier.  Measured
+(CPython 3.11, full-width exponents, best of several runs; see
+``benchmarks/bench_multiexp.py``):
 
-* p128-sim — naive ≤ n ≈ 4, straus n ≈ 5–12, pippenger from n ≈ 16;
-  at n = 256 pippenger is ~3.5× naive and ~3× straus, at n = 4096 ~7×
-  naive (and the batched-verification pipeline built on it verifies
-  4096 Σ-OR proofs ~7× faster than the sequential verifier);
+* p128-sim — naive is fastest to n ≈ 3, straus for n ≈ 4–14, pippenger
+  from n ≈ 16; the model says naive ≤ 5, straus 6–8, pippenger from 9
+  and is never more than 1.15× off the fastest tier in between.  At
+  n = 256 pippenger is 3.6× naive and 2.1× straus, at n = 4096 6.2× and
+  3.7×;
 * modp-2048 — one C ``pow`` already costs ~2047 Python modmuls' worth,
-  so straus wins from n = 2 (1.6×) and stays ahead to n ≈ 1000 where
-  pippenger takes over;
-* ristretto255 / P-256 — no native ``pow``, so straus wins from n = 2
-  and, with curve ops dwarfing bookkeeping, holds until n ≈ 256;
+  so straus (w = 6) wins from n = 2 (1.6×) and is level with pippenger
+  at n ≈ 256; pippenger is 1.15× ahead at n = 512 and 1.35× at 1024.
+  The model holds straus until n ≈ 900, so it is up to 1.3× conservative
+  in that band;
+* ristretto255 / P-256 in pure Python — no native ``pow``, so straus wins
+  from n = 2 (1.7×) and, with curve ops dwarfing bookkeeping, is level
+  with pippenger over n ≈ 64–128; the model switches at n ≈ 148, where
+  pippenger is ~1.2× ahead;
 * ristretto255 on libsodium (:mod:`repro.crypto.sodium`) — the kernel's
   ``pow_muls`` hint prices a power at 3 of its own (17 µs) additions, so
-  naive — scale each term, add it in, ≈ 70 µs a term — wins at every n:
-  a shared chain built from native additions never pays.
+  naive — scale each term, add it in, ≈ 70 µs a term — wins at every n
+  (n = 256: 17 ms against 253 ms straus, 203 ms pippenger): a shared
+  chain built from native additions never pays.
 
 The engine is backend-agnostic but *not* object-per-operation: backends
 may expose a :meth:`~repro.crypto.group.Group.multiexp_kernel` returning
@@ -99,10 +106,7 @@ combination (the public auditor's sequential Σ-OR check).
 
 from __future__ import annotations
 
-import json
-import os
 from itertools import zip_longest
-from pathlib import Path
 from typing import Sequence
 
 from repro.crypto.group import Group, GroupElement
@@ -119,9 +123,10 @@ __all__ = [
     "shared_base_powers",
 ]
 
-# Straus' per-base wNAF window width, by max exponent bit length — the
-# fallback when no measured calibration (BENCH_multiexp.json) is found.
-_STRAUS_WINDOWS = ((64, 3), (256, 4), (1 << 30, 5))
+# Straus' per-base wNAF window width, by max exponent bit length.  The
+# widest row is measured on modp-2048 (n = 16 / 64, w = 4 / 5 / 6 / 7:
+# 108 / 100 / 96 / 102 ms and 361 / 322 / 308 / 335 ms).
+_STRAUS_WINDOWS = ((64, 3), (256, 4), (1023, 5), (1 << 30, 6))
 
 
 class GenericKernel:
@@ -259,122 +264,11 @@ def _pippenger_variant(n: int, bits: int, neg_muls: float) -> tuple[str, float]:
     return "pippenger-unsigned", unsigned
 
 
-def _straus_window(bits: int, group_name: str | None = None) -> int:
-    windows = _calibration().get(group_name, {}).get("straus_windows") if group_name else None
-    if windows:
-        # Measured best width for the nearest calibrated bit length.
-        best = min(windows, key=lambda entry: abs(entry[0] - bits))
-        if 0.5 <= best[0] / max(bits, 1) <= 2.0:
-            return best[1]
+def _straus_window(bits: int) -> int:
     for limit, window in _STRAUS_WINDOWS:
         if bits <= limit:
             return window
     return _STRAUS_WINDOWS[-1][1]  # pragma: no cover - table covers all bits
-
-
-# Measured calibration (auto-tuning) ----------------------------------------
-#
-# When a BENCH_multiexp.json produced by ``python -m repro multiexp`` (or
-# ``benchmarks/bench_multiexp.py``) is on disk, its measured rows replace
-# the hand-picked crossover thresholds and Straus window widths for the
-# groups it covers.  The loader is deliberately forgiving: a missing,
-# stale or malformed file silently falls back to the cost-model
-# constants, and rows are only trusted for exponent widths within 2× of
-# the measured width.
-
-_CALIBRATION: dict | None = None
-
-
-def _calibration_path() -> Path | None:
-    env = os.environ.get("REPRO_BENCH_DIR")
-    candidates = [Path(env)] if env else []
-    candidates.append(Path.cwd())
-    candidates.append(Path(__file__).resolve().parents[3])
-    for directory in candidates:
-        path = directory / "BENCH_multiexp.json"
-        try:
-            if path.is_file():
-                return path
-        except OSError:  # pragma: no cover - unreadable mount
-            continue
-    return None
-
-
-def _calibration() -> dict:
-    """Per-group tuning derived from measured BENCH_multiexp.json rows.
-
-    Returns ``{group_name: {"naive_max", "straus_max", "bits",
-    "straus_windows"}}`` — empty when no usable file exists.  Set
-    ``REPRO_MULTIEXP_CALIBRATION=0`` to disable (tests of the pure cost
-    model do).
-    """
-    global _CALIBRATION
-    if _CALIBRATION is not None:
-        return _CALIBRATION
-    if os.environ.get("REPRO_MULTIEXP_CALIBRATION", "1") == "0":
-        _CALIBRATION = {}
-        return _CALIBRATION
-    path = _calibration_path()
-    rows: list[dict] = []
-    if path is not None:
-        try:
-            payload = json.loads(path.read_text())
-            rows = payload.get("rows", [])
-        except (OSError, ValueError):
-            rows = []
-    tuned: dict[str, dict] = {}
-    for row in rows:
-        group = row.get("group")
-        bits = row.get("bits")
-        if not isinstance(group, str) or not isinstance(bits, int):
-            continue
-        entry = tuned.setdefault(
-            group,
-            {
-                "bits": bits,
-                "naive_max": 0,
-                "straus_max": 0,
-                "measured_max": 0,
-                "straus_windows": [],
-                "has_crossover": False,
-            },
-        )
-        if row.get("kind") == "straus-window":
-            window, ms = row.get("window"), row.get("ms")
-            if isinstance(window, int) and isinstance(ms, (int, float)):
-                entry["straus_windows"].append((bits, window, ms))
-            continue
-        n = row.get("n")
-        timings = {
-            tier: row.get(f"{tier}_ms") for tier in ("naive", "straus", "pippenger")
-        }
-        if not isinstance(n, int) or not all(
-            isinstance(ms, (int, float)) for ms in timings.values()
-        ):
-            continue
-        entry["has_crossover"] = True
-        entry["measured_max"] = max(entry["measured_max"], n)
-        if timings["naive"] <= min(timings["straus"], timings["pippenger"]):
-            entry["naive_max"] = max(entry["naive_max"], n)
-        if timings["straus"] < timings["pippenger"]:
-            entry["straus_max"] = max(entry["straus_max"], n)
-    for entry in tuned.values():
-        # Best measured window per calibrated bit length.
-        best: dict[int, tuple[int, float]] = {}
-        for bits, window, ms in entry["straus_windows"]:
-            held = best.get(bits)
-            if held is None or ms < held[1]:
-                best[bits] = (window, ms)
-        entry["straus_windows"] = [(bits, w) for bits, (w, _) in sorted(best.items())]
-        entry["straus_max"] = max(entry["straus_max"], entry["naive_max"])
-    _CALIBRATION = tuned
-    return _CALIBRATION
-
-
-def _reset_calibration() -> None:
-    """Drop the cached calibration (tests poke the environment)."""
-    global _CALIBRATION
-    _CALIBRATION = None
 
 
 def select_algorithm(
@@ -385,45 +279,27 @@ def select_algorithm(
     op_overhead: float = 1.3,
     neg_muls: float | None = None,
     pow_muls: float | None = None,
-    group_name: str | None = None,
 ) -> str:
     """Pick the cheapest tier for ``n`` pairs of ``bits``-bit exponents.
 
-    Returns ``"naive"``, ``"straus"`` or ``"pippenger"``.  The defaults
-    describe the 128-bit Schnorr simulation groups; callers with a group
-    in hand should let :func:`multi_exponentiation` pass the kernel's own
-    ``native_pow`` / ``op_overhead`` / ``neg_muls`` hints.  When
-    ``group_name`` names a group covered by the measured calibration
-    (see :func:`_calibration`), the measured crossovers decide instead of
-    the cost model.  Exposed so the benchmarks (and curious tests) can
-    introspect the crossover points.
+    Returns ``"naive"``, ``"straus"`` or ``"pippenger"`` — a pure
+    function of its arguments.  The defaults describe the 128-bit Schnorr
+    simulation groups; callers with a group in hand should let
+    :func:`multi_exponentiation` pass the kernel's own ``native_pow`` /
+    ``op_overhead`` / ``neg_muls`` hints.  Straus is priced at the width
+    :func:`_straus_window` gives for ``bits``, which is the width
+    :func:`multi_exponentiation` then runs.  Exposed so the benchmarks
+    (and curious tests) can introspect the crossover points.
 
     ``pow_muls`` is for a kernel whose power is a library call priced in
     its own additions rather than in ``bits`` of them (libsodium: one
     scalar multiplication ≈ 3 additions, each 4× a Python one): the naive
     tier — scale each term, add it in — then costs ``n·(pow_muls + 1)``
     against ≥ ``bits/window`` additions a term for anything that shares a
-    chain, so it wins at every n with full-width exponents.  The measured
-    rows describe the Python kernels and are not consulted for it.
+    chain, so it wins at every n with full-width exponents.
     """
     if n <= 1 or bits <= 1:
         return "naive"
-    if group_name is not None and pow_muls is None:
-        tuned = _calibration().get(group_name)
-        if (
-            tuned
-            and tuned["has_crossover"]
-            and 0.5 <= tuned["bits"] / max(bits, 1) <= 2.0
-            # Interpolation only, never extrapolation: past the largest
-            # measured batch size the rows say nothing about crossovers
-            # (e.g. a sweep whose top row still has Straus winning must
-            # not be read as "Pippenger from here on"), so the cost
-            # model decides there.
-            and n <= tuned["measured_max"]
-        ):
-            if n <= tuned["naive_max"]:
-                return "naive"
-            return "straus" if n <= tuned["straus_max"] else "pippenger"
     if pow_muls is not None:
         naive = n * (pow_muls + 1.0)
     else:
@@ -662,17 +538,15 @@ def multi_exponentiation(
             op_overhead=getattr(kernel, "op_overhead", 0.1),
             neg_muls=neg_muls,
             pow_muls=getattr(kernel, "pow_muls", None),
-            group_name=getattr(group, "name", None),
         )
 
     if algorithm == "naive":
         return _naive(group, live_bases, live_exps)
-    group_name = getattr(group, "name", None)
     if algorithm == "pippenger":
         algorithm = _pippenger_variant(len(live_bases), bits, neg_muls)[0]
     raw_bases = [kernel.to_raw(base) for base in live_bases]
     if algorithm == "straus":
-        raw = _straus(kernel, raw_bases, live_exps, _straus_window(bits, group_name))
+        raw = _straus(kernel, raw_bases, live_exps, _straus_window(bits))
     elif algorithm == "pippenger-signed":
         raw = _pippenger_signed(kernel, raw_bases, live_exps, bits)
     else:

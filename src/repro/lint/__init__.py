@@ -5,7 +5,8 @@ preserve but that dynamic tests only probe point-wise:
 
 * **REP001 determinism** — protocol/wire/crypto paths draw randomness
   from injected :mod:`repro.utils.rng` handles, read clocks
-  monotonically, and never iterate unordered sets.
+  monotonically, never iterate unordered sets, and never read the
+  environment or the working directory.
 * **REP002 wire exhaustiveness** — every message class in
   :mod:`repro.core.messages` has a uniquely-tagged codec in
   :mod:`repro.crypto.serialization`'s registry.

@@ -28,6 +28,11 @@ Flags, inside the protocol/wire/crypto scope:
   comprehension clause) — Python sets iterate in hash order, which is
   salted for strings; anything order-sensitive must ``sorted(...)``
   first.
+* reads of the process's surroundings: ``os.environ``, ``os.getenv()``,
+  ``os.getcwd()``, ``Path.cwd()`` — what a protocol or crypto function
+  returns must follow from its arguments, not from a variable or a
+  directory the caller happened to start in (``repro.bench`` is out of
+  scope: output directories and workload sizes are deployment settings).
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ _WALL_CLOCK = {
 }
 _UUID_BANNED = {"uuid1", "uuid3", "uuid4"}
 _RANDOM_ALLOWED = {"Random"}  # explicit seeded instance is fine
+_OS_AMBIENT_CALLS = {"getenv", "getcwd", "getcwdb"}
+_AMBIENT_ADVICE = "ambient process state; take the value as an argument"
 
 
 def _collect_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
@@ -78,8 +85,8 @@ class DeterminismRule(Rule):
     name = "determinism"
     description = (
         "protocol/wire/crypto paths must draw randomness from injected "
-        "utils.rng handles, read clocks monotonically, and never iterate "
-        "an unordered set"
+        "utils.rng handles, read clocks monotonically, never iterate an "
+        "unordered set, and never read the environment or working directory"
     )
     scope = (
         "repro.core",
@@ -113,6 +120,10 @@ class DeterminismRule(Rule):
                 elif base == "os" and attr == "urandom":
                     flag(node, "os.urandom() — unseeded entropy; use an "
                          "injected utils.rng handle")
+                elif base == "os" and attr in _OS_AMBIENT_CALLS:
+                    flag(node, f"os.{attr}() — {_AMBIENT_ADVICE}")
+                elif attr == "cwd" and from_names.get(func.value.id) == "pathlib.Path":
+                    flag(node, f"Path.cwd() — {_AMBIENT_ADVICE}")
                 elif base == "uuid" and attr in _UUID_BANNED:
                     flag(node, f"uuid.{attr}() — nondeterministic identifier; "
                          "derive ids from session seeds/counters")
@@ -128,16 +139,17 @@ class DeterminismRule(Rule):
                     flag(node, f"datetime.{attr}() — wall clock; protocol "
                          "code needs monotonic time")
             elif isinstance(func, ast.Attribute):
-                # datetime.datetime.now() — two-level attribute chain.
+                # datetime.datetime.now(), pathlib.Path.cwd() — two-level
+                # attribute chains.
                 value = func.value
-                if (
-                    isinstance(value, ast.Attribute)
-                    and isinstance(value.value, ast.Name)
-                    and modules.get(value.value.id) == "datetime"
-                    and func.attr in _WALL_CLOCK["datetime"]
-                ):
+                if not (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)):
+                    return
+                base = modules.get(value.value.id)
+                if base == "datetime" and func.attr in _WALL_CLOCK["datetime"]:
                     flag(node, f"datetime.{value.attr}.{func.attr}() — wall "
                          "clock; protocol code needs monotonic time")
+                elif base == "pathlib" and (value.attr, func.attr) == ("Path", "cwd"):
+                    flag(node, f"pathlib.Path.cwd() — {_AMBIENT_ADVICE}")
             elif isinstance(func, ast.Name):
                 origin = from_names.get(func.id)
                 if origin is None:
@@ -152,6 +164,8 @@ class DeterminismRule(Rule):
                 elif module == "os" and attr == "urandom":
                     flag(node, "urandom() (from os) — unseeded entropy; use "
                          "an injected utils.rng handle")
+                elif module == "os" and attr in _OS_AMBIENT_CALLS:
+                    flag(node, f"{func.id}() (from os) — {_AMBIENT_ADVICE}")
                 elif module == "uuid" and attr in _UUID_BANNED:
                     flag(node, f"{func.id}() (from uuid) — nondeterministic "
                          "identifier")
@@ -166,9 +180,21 @@ class DeterminismRule(Rule):
                 flag(iter_node, "iteration over an unordered set — wrap in "
                      "sorted(...) so the order is deterministic")
 
+        def is_environ(node: ast.AST) -> bool:
+            if isinstance(node, ast.Name):
+                return from_names.get(node.id) == "os.environ"
+            return (
+                isinstance(node, ast.Attribute)
+                and node.attr == "environ"
+                and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id) == "os"
+            )
+
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 check_call(node)
+            elif is_environ(node):
+                flag(node, f"os.environ — {_AMBIENT_ADVICE}")
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 check_iteration(node.iter)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):

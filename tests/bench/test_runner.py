@@ -128,7 +128,7 @@ class TestFormatting:
         assert all(
             r["selected"] in ("naive", "straus", "pippenger") for r in crossover
         )
-        # Calibration feed rows: wNAF width sweep + bucket-variant duel.
+        # Extra row kinds: wNAF width sweep + bucket-variant duel.
         windows = [r for r in rows if r.get("kind") == "straus-window"]
         assert {r["window"] for r in windows} == {3, 4, 5, 6}
         variants = [r for r in rows if r.get("kind") == "pippenger-variants"]
@@ -143,6 +143,13 @@ class TestFormatting:
         payload = json.loads(emitted.read_text())
         assert payload["bench"] == "multiexp"
         assert len(payload["rows"]) == len(rows)
+        # Every stamped row says which kernel the name "ristretto255" ran.
+        from repro.core.params import _resolve_group
+
+        resolved = type(_resolve_group("ristretto255")).__name__
+        assert {r["ristretto255_backend"] for r in payload["rows"]} == {
+            "python" if resolved == "RistrettoGroup" else "libsodium"
+        }
 
     def test_comm_rows(self):
         from repro.bench.runner import run_comm

@@ -245,119 +245,78 @@ class TestSelection:
         assert paid - free == pytest.approx(3.2 * 1024)
 
 
-class TestCalibration:
-    """The measured-BENCH auto-tuner: trusted when present, silent when not."""
+class TestSelectionIsPure:
+    """Tier selection is a function of (n, bits, kernel hints) and nothing
+    else: no file, environment variable or working directory moves it."""
 
-    def _with_bench(self, monkeypatch, tmp_path, payload):
+    @pytest.fixture
+    def hostile_surroundings(self, monkeypatch, tmp_path):
         import json
 
-        from repro.crypto import multiexp
-
-        (tmp_path / "BENCH_multiexp.json").write_text(json.dumps(payload))
+        rows = [
+            {"group": name, "n": 4096, "bits": bits,
+             "naive_ms": 1.0, "straus_ms": 2.0, "pippenger_ms": 3.0}
+            for name, bits in (
+                ("p64-sim", 63), ("p128-sim", 127), ("modp-2048", 2047),
+                ("ristretto255", 253), ("p256", 256),
+            )
+        ]
+        (tmp_path / "BENCH_multiexp.json").write_text(json.dumps({"rows": rows}))
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_MULTIEXP_CALIBRATION", raising=False)
-        multiexp._reset_calibration()
-        return multiexp
 
-    def test_measured_crossovers_override_the_cost_model(self, monkeypatch, tmp_path):
-        rows = [
-            {"group": "x-sim", "n": 4, "bits": 127, "naive_ms": 1.0, "straus_ms": 2.0, "pippenger_ms": 3.0},
-            {"group": "x-sim", "n": 16, "bits": 127, "naive_ms": 3.0, "straus_ms": 1.0, "pippenger_ms": 2.0},
-            {"group": "x-sim", "n": 64, "bits": 127, "naive_ms": 9.0, "straus_ms": 3.0, "pippenger_ms": 1.0},
-        ]
-        multiexp = self._with_bench(monkeypatch, tmp_path, {"rows": rows})
-        try:
-            assert multiexp.select_algorithm(4, 127, group_name="x-sim") == "naive"
-            assert multiexp.select_algorithm(16, 127, group_name="x-sim") == "straus"
-            assert multiexp.select_algorithm(64, 127, group_name="x-sim") == "pippenger"
-            # A very different exponent width must NOT trust the table.
+    def test_selection_ignores_a_hostile_bench_file(self, hostile_surroundings, group128):
+        kernel = kernel_for(group128)
+        for n in (16, 24, 32, 4096):
             assert (
-                multiexp.select_algorithm(4, 2047, group_name="x-sim")
-                == multiexp.select_algorithm(4, 2047)
-            )
-        finally:
-            multiexp._reset_calibration()
-
-    def test_no_extrapolation_past_the_largest_measured_n(self, monkeypatch, tmp_path):
-        # The top measured row still has straus winning; past it the rows
-        # say nothing about a crossover, so the cost model must decide —
-        # the tuner interpolates, never extrapolates.
-        rows = [
-            {"group": "x-wide", "n": 8, "bits": 2047, "naive_ms": 9.0, "straus_ms": 1.0, "pippenger_ms": 2.0},
-            {"group": "x-wide", "n": 32, "bits": 2047, "naive_ms": 30.0, "straus_ms": 3.0, "pippenger_ms": 5.0},
-        ]
-        multiexp = self._with_bench(monkeypatch, tmp_path, {"rows": rows})
-        try:
-            assert multiexp.select_algorithm(32, 2047, group_name="x-wide") == "straus"
-            assert (
-                multiexp.select_algorithm(
-                    64, 2047, native_pow=True, op_overhead=0.05, group_name="x-wide"
+                select_algorithm(
+                    n,
+                    127,
+                    native_pow=kernel.native_pow,
+                    op_overhead=kernel.op_overhead,
+                    neg_muls=kernel.neg_muls,
                 )
-                == multiexp.select_algorithm(64, 2047, native_pow=True, op_overhead=0.05)
+                == "pippenger"
             )
-        finally:
-            multiexp._reset_calibration()
 
-    def test_measured_straus_window_overrides_the_table(self, monkeypatch, tmp_path):
-        rows = [
-            {"group": "x-sim", "kind": "straus-window", "n": 16, "bits": 127, "window": 3, "ms": 5.0},
-            {"group": "x-sim", "kind": "straus-window", "n": 16, "bits": 127, "window": 6, "ms": 1.0},
-        ]
-        multiexp = self._with_bench(monkeypatch, tmp_path, {"rows": rows})
-        try:
-            assert multiexp._straus_window(127, "x-sim") == 6
-            # Far-off widths and unknown groups fall back to the table.
-            assert multiexp._straus_window(2047, "x-sim") == multiexp._straus_window(2047)
-            assert multiexp._straus_window(127, "unknown") == multiexp._straus_window(127)
-        finally:
-            multiexp._reset_calibration()
+    def test_a_batch_runs_the_tier_the_model_picked(
+        self, hostile_surroundings, group128, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n = 64 on p128-sim must run a bucket tier")
 
-    def test_absent_or_garbage_file_falls_back_silently(self, monkeypatch, tmp_path):
-        from repro.crypto import multiexp
+        monkeypatch.setattr(multiexp, "_naive", forbidden)
+        monkeypatch.setattr(multiexp, "_straus", forbidden)
+        bases, exps = random_instance(group128, 64, "pure-64")
+        assert multi_exponentiation(group128, bases, exps) == naive_product(
+            group128, bases, exps
+        )
 
-        # No file anywhere (the checked-in repo-root copy is part of the
-        # default search path, so stub the resolver itself).
-        monkeypatch.setattr(multiexp, "_calibration_path", lambda: None)
-        multiexp._reset_calibration()
-        try:
-            assert multiexp._calibration() == {}
-            garbage = tmp_path / "BENCH_multiexp.json"
-            garbage.write_text("{not json")
-            monkeypatch.setattr(multiexp, "_calibration_path", lambda: garbage)
-            multiexp._reset_calibration()
-            assert multiexp._calibration() == {}
-            assert multiexp.select_algorithm(4096, 127, group_name="x-sim") == "pippenger"
-        finally:
-            multiexp._reset_calibration()
+    def test_straus_runs_at_the_width_it_was_priced_at(self, monkeypatch):
+        """A 2047-bit batch: the window handed to ``_straus`` is the one
+        ``select_algorithm`` put into ``_straus_cost``."""
+        from repro.crypto.schnorr_group import SchnorrGroup
 
-    def test_opt_out_env_var(self, monkeypatch, tmp_path):
-        rows = [
-            {"group": "x-sim", "n": 4096, "bits": 127, "naive_ms": 1.0, "straus_ms": 2.0, "pippenger_ms": 3.0},
-        ]
-        multiexp = self._with_bench(monkeypatch, tmp_path, {"rows": rows})
-        try:
-            assert multiexp.select_algorithm(4096, 127, group_name="x-sim") == "naive"
-            monkeypatch.setenv("REPRO_MULTIEXP_CALIBRATION", "0")
-            multiexp._reset_calibration()
-            assert multiexp.select_algorithm(4096, 127, group_name="x-sim") == "pippenger"
-        finally:
-            multiexp._reset_calibration()
+        priced, run = [], []
+        straus_cost, straus = multiexp._straus_cost, multiexp._straus
 
-    def test_variant_rows_alone_do_not_claim_crossovers(self, monkeypatch, tmp_path):
-        # A group measured only by the signed-vs-unsigned comparison (no
-        # tier timings) must keep cost-model tier selection.
-        rows = [
-            {"group": "x-sim", "kind": "pippenger-variants", "n": 1024, "bits": 127,
-             "unsigned_ms": 5.0, "signed_ms": 6.0, "signed_speedup": 0.83},
-        ]
-        multiexp = self._with_bench(monkeypatch, tmp_path, {"rows": rows})
-        try:
-            assert (
-                multiexp.select_algorithm(2, 127, group_name="x-sim")
-                == multiexp.select_algorithm(2, 127)
-            )
-        finally:
-            multiexp._reset_calibration()
+        def spy_cost(n, bits, window, overhead):
+            priced.append(window)
+            return straus_cost(n, bits, window, overhead)
+
+        def spy_straus(kernel, raw_bases, exps, window):
+            run.append(window)
+            return straus(kernel, raw_bases, exps, window)
+
+        monkeypatch.setattr(multiexp, "_straus_cost", spy_cost)
+        monkeypatch.setattr(multiexp, "_straus", spy_straus)
+        group = SchnorrGroup.named("modp-2048")
+        rng = SeededRNG("priced-width")
+        bases = [group.random_element(rng) for _ in range(4)]
+        exps = [(1 << 2046) | rng.randbits(2046) for _ in range(4)]
+        expected = naive_product(group, bases, exps)
+        assert multi_exponentiation(group, bases, exps) == expected
+        assert priced == run == [multiexp._straus_window(2047)] == [6]
 
 
 class TestKernels:

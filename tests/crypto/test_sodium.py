@@ -330,15 +330,13 @@ class TestMultiexp:
                         op_overhead=kernel.op_overhead,
                         neg_muls=kernel.neg_muls,
                         pow_muls=kernel.pow_muls,
-                        group_name=native.name,
                     )
                     == "naive"
                 )
 
     def test_batch_products_run_scale_and_add(self, native, pairs, monkeypatch):
         """n = 300 full-width terms: no Straus table, no Pippenger bucket —
-        even though the measured BENCH_multiexp.json rows for the *name*
-        ``ristretto255`` (the pure kernel's) say Straus."""
+        where the pure kernel behind the same *name* runs Pippenger."""
         scalars, _, native_points = pairs
 
         def forbidden(*args, **kwargs):

@@ -44,6 +44,22 @@ class TestREP001Determinism:
     def test_clean(self):
         assert run_rule("REP001", "rep001_clean.py") == []
 
+    def test_environment_and_cwd_reads(self):
+        findings = run_rule("REP001", "rep001_ambient_bad.py")
+        assert sorted(f.line for f in findings) == [10, 14, 18, 18, 18, 22, 22, 26]
+        blob = "\n".join(f.message for f in findings)
+        for needle in (
+            "os.environ",
+            "os.getenv()",
+            "os.getcwd()",
+            "Path.cwd()",
+            "pathlib.Path.cwd()",
+            "getenv() (from os)",
+        ):
+            assert needle in blob, f"missing finding for {needle}"
+        assert sum(f.message.startswith("os.environ") for f in findings) == 3
+        assert run_rule("REP001", "rep001_ambient_clean.py") == []
+
     def test_scope_exempts_bench_but_not_protocol(self):
         rule = RULES["REP001"]
         assert rule.applies_to("repro.crypto.pedersen")

@@ -205,6 +205,38 @@ def test_signed_pippenger_not_slower_where_selected(pedersen128):
     )
 
 
+@pytest.mark.parametrize(
+    "name, n",
+    [("p128-sim", 8), ("p128-sim", 32), ("p128-sim", 256), ("p64-sim", 8), ("p64-sim", 64)],
+)
+def test_automatic_tier_is_near_the_fastest_forced_tier(name, n):
+    """The cost model's constants stand alone — no measured table overrides
+    them — so the pick they make must stay within 1.5× of the best tier at
+    sizes on both sides of every crossover of the two simulation groups."""
+    from repro.crypto.multiexp import multi_exponentiation
+
+    group = SchnorrGroup.named(name)
+    rng = SeededRNG(f"auto-tier-{name}-{n}")
+    bases = [group.random_element(rng) for _ in range(n)]
+    exps = [rng.field_element(group.order) for _ in range(n)]
+    calls = max(1, 256 // n)
+
+    def run(algorithm):
+        for _ in range(calls):
+            multi_exponentiation(group, bases, exps, algorithm=algorithm)
+
+    # Best of 5 rounds, the tiers interleaved within a round: a host
+    # slowdown then lands on every tier, not on whichever ran last.
+    best = dict.fromkeys(("naive", "straus", "pippenger", None), float("inf"))
+    for _ in range(5):
+        for tier in best:
+            best[tier] = min(best[tier], best_of(lambda: run(tier), repeats=1))
+    auto = best.pop(None)
+    assert auto <= 1.5 * min(best.values()), (
+        f"auto {auto * 1e3:.2f}ms vs {({k: round(v * 1e3, 2) for k, v in best.items()})}"
+    )
+
+
 def test_proving_a_coin_is_fixed_base_work_only():
     """``prove_bits`` of 64 coins on ristretto255 vs one full-width
     ``commit_many`` of 64.

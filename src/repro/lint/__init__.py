@@ -16,6 +16,9 @@ preserve but that dynamic tests only probe point-wise:
   ``party=``; no bare ``except``; broad handlers justify themselves.
 * **REP005 resource lifecycle** — started processes and opened
   transports are released on the exception path.
+* **REP007 stream sockets prepared** — a dialled or accepted TCP socket
+  in ``repro.net`` / ``repro.loadgen`` gets ``TCP_NODELAY`` in the
+  function that opens it (REP006 is reserved, ROADMAP item 6(e)).
 
 Findings are suppressed per line with ``# repro: allow[RULE] -- why``
 (justification mandatory) or grandfathered via ``lint-baseline.json``.

@@ -45,6 +45,7 @@ from repro.lint import aborts as _aborts  # noqa: F401
 from repro.lint import async_hygiene as _async_hygiene  # noqa: F401
 from repro.lint import determinism as _determinism  # noqa: F401
 from repro.lint import lifecycle as _lifecycle  # noqa: F401
+from repro.lint import sockets as _sockets  # noqa: F401
 from repro.lint import wire as _wire  # noqa: F401
 
 __all__ = ["LintResult", "lint_paths", "collect_files", "module_name_for", "main"]

@@ -49,6 +49,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.api.engine import EngineResult
 from repro.api.queries import Query
@@ -76,6 +77,7 @@ __all__ = [
     "SessionChannel",
     "SessionMux",
     "SessionSpec",
+    "ServedSession",
     "AsyncServerNode",
     "AsyncClientRunner",
 ]
@@ -576,6 +578,16 @@ class SessionSpec:
     shards: tuple[str, ...] = ()
 
 
+class ServedSession(NamedTuple):
+    """What :meth:`SessionMux.serve_session` hands back for one session."""
+
+    result: EngineResult
+    # The chunk size the session actually ran at (a sharded session picks
+    # its own default): what a solo replay must be given.
+    chunk_size: int | None
+    seconds: float
+
+
 class SessionMux:
     """A serving front-end that runs N concurrent sessions in one process.
 
@@ -599,11 +611,13 @@ class SessionMux:
     * **dynamic** — construct with ``specs=None`` and call
       :meth:`serve_session` per placement, as the fleet worker does:
       sessions arrive as a stream, up to ``max_concurrency`` run at a
-      time, and the mux lives until :meth:`close`.
+      time, and the mux lives until :meth:`close` — holding nothing
+      about a session once its :meth:`serve_session` call is over.
 
-    Results, errors, timings and effective chunk sizes are dictionaries
-    keyed by session id (static mode uses ids ``0..N-1``, so list-style
-    indexing still reads naturally).
+    ``results``, ``errors``, ``session_seconds`` and ``chunk_sizes`` are
+    what a static :meth:`run` leaves behind: dictionaries keyed by
+    session id ``0..N-1`` (so list-style indexing still reads
+    naturally), filled when the batch completes.
     """
 
     def __init__(
@@ -653,7 +667,7 @@ class SessionMux:
 
     def _serve_one(
         self, session: int, spec: SessionSpec, loop: asyncio.AbstractEventLoop
-    ) -> EngineResult:
+    ) -> ServedSession:
         start = time.perf_counter()
         analyst = build_analyst(
             spec.query,
@@ -667,40 +681,39 @@ class SessionMux:
             clients_peer=self.clients_peer,
             timeout=self.timeout,
         )
-        # The chunk size the session actually runs at (a sharded session
-        # picks its own default): what a solo replay must be given.
-        self.chunk_sizes[session] = analyst.chunk_size
         result = analyst.run()
-        self.session_seconds[session] = time.perf_counter() - start
-        return result
+        return ServedSession(
+            result, analyst.chunk_size, time.perf_counter() - start
+        )
 
-    async def serve_session(self, session: int, spec: SessionSpec) -> EngineResult:
+    async def serve_session(self, session: int, spec: SessionSpec) -> ServedSession:
         """Serve one session to completion (dynamic mode's unit of work).
 
-        Runs the unchanged analyst on an executor thread; the result (or
-        the failure) is recorded under ``session`` and returned (raised).
+        Runs the unchanged analyst on an executor thread and returns the
+        outcome (or raises the failure).  Nothing about the session is
+        kept on the mux: a dynamic mux serves an unbounded stream, and
+        an ``EngineResult`` holds every retained broadcast and coin
+        message of its run.
         """
         loop = asyncio.get_running_loop()
         if self.metrics is not None:
             self.metrics.session_admitted()
         try:
-            result = await loop.run_in_executor(
+            served = await loop.run_in_executor(
                 self._session_executor(), self._serve_one, session, spec, loop
             )
         except BaseException as exc:
-            self.errors[session] = exc
             if self.metrics is not None:
                 status = "aborted" if isinstance(exc, ProtocolAbort) else "crashed"
                 self.metrics.session_finished(status)
             raise
-        self.results[session] = result
         if self.metrics is not None:
             self.metrics.session_finished(
                 "released",
-                stages=dict(result.timer.stages),
-                elapsed_s=self.session_seconds[session],
+                stages=dict(served.result.timer.stages),
+                elapsed_s=served.seconds,
             )
-        return result
+        return served
 
     async def run(self) -> dict[int, EngineResult]:
         """Serve every constructor-given session concurrently; returns the
@@ -710,7 +723,7 @@ class SessionMux:
                 "this mux is dynamic: place sessions with serve_session"
             )
         try:
-            await asyncio.gather(
+            outcomes = await asyncio.gather(
                 *[
                     self.serve_session(s, spec)
                     for s, spec in enumerate(self.specs)
@@ -721,6 +734,13 @@ class SessionMux:
             # Never block the event loop on thread teardown; session
             # threads hold recv timeouts and die on their own.
             self.close()
+        for s, outcome in enumerate(outcomes):
+            if isinstance(outcome, BaseException):
+                self.errors[s] = outcome
+            else:
+                self.results[s] = outcome.result
+                self.chunk_sizes[s] = outcome.chunk_size
+                self.session_seconds[s] = outcome.seconds
         return self.results
 
     def close(self) -> None:

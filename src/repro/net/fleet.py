@@ -47,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -193,8 +194,27 @@ class SessionOutcome:
 # Front-end worker process -----------------------------------------------------
 
 
-def _frontend_main(name: str, conn, config: FleetConfig) -> None:
+def _cpu_share(cpus: list[int], slot: int, frontends: int) -> list[int]:
+    """The CPUs of ``cpus`` that pool slot ``slot`` of ``frontends`` runs
+    on: the CPUs dealt round the front-ends — disjoint shares while there
+    are at least as many CPUs as front-ends (one front-end keeps them
+    all), one CPU each, reused round-robin, beyond that."""
+    return cpus[slot % len(cpus) :: frontends]
+
+
+def _frontend_main(name: str, conn, config: FleetConfig, slot: int) -> None:
     """Worker process entry: run one front-end until told to stop."""
+    # A front-end is one GIL shared by a dozen threads that wake each
+    # other once per frame.  Left to float, the threads of two busy
+    # front-ends keep landing on each other's core — both run on one CPU
+    # for a second at a time while another idles — so served time
+    # depends on where the kernel last put them (DESIGN.md, "A front-end
+    # keeps to its CPUs").  Each front-end therefore confines itself to
+    # its share of the CPUs the dispatcher may use; a platform without
+    # the call is left to its scheduler.
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, _cpu_share(cpus, slot, config.frontends))
     try:
         asyncio.run(_FrontEnd(name, conn, config).run())
     finally:
@@ -377,7 +397,7 @@ class _FrontEnd:
                 chunk_size=self.config.chunk_size,
                 shards=self.shard_names,
             )
-            result = await self.mux.serve_session(sid, spec)
+            served = await self.mux.serve_session(sid, spec)
         except ProtocolAbort as exc:
             await self._abort_session_peers(sid, str(exc))
             self.aborted += 1
@@ -405,6 +425,7 @@ class _FrontEnd:
                 }
             )
         else:
+            result = served.result
             self.completed += 1
             self._send(
                 {
@@ -416,7 +437,7 @@ class _FrontEnd:
                     "release": encode_message(result.release),
                     # The chunk size the session ran at, so the solo
                     # replay equivalence check can use the same.
-                    "chunk_size": self.mux.chunk_sizes[sid],
+                    "chunk_size": served.chunk_size,
                     "elapsed_s": time.perf_counter() - start,
                     # Engine stage timings (including the per-phase
                     # ``phase:*`` entries) travel with the outcome so the
@@ -479,8 +500,9 @@ class _FrontEnd:
 class _Worker:
     """Dispatcher-side record of one front-end process."""
 
-    def __init__(self, name, process, conn):
+    def __init__(self, name, slot, process, conn):
         self.name = name
+        self.slot = slot  # index in the pool; a respawn keeps it
         self.process = process
         self.conn = conn
         # request_id -> SessionRequest: everything placed here that has
@@ -542,7 +564,7 @@ class FleetDispatcher:
     def start(self) -> "FleetDispatcher":
         with self._lock:
             for i in range(self.config.frontends):
-                self._spawn(f"fe-{i}")
+                self._spawn(f"fe-{i}", i)
         self._thread = threading.Thread(
             target=self._run, name="fleet-dispatcher", daemon=True
         )
@@ -577,17 +599,17 @@ class FleetDispatcher:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _spawn(self, name: str) -> _Worker:
+    def _spawn(self, name: str, slot: int) -> _Worker:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_frontend_main,
-            args=(name, child_conn, self.config),
+            args=(name, child_conn, self.config, slot),
             name=name,
             daemon=True,
         )
         process.start()
         child_conn.close()
-        worker = _Worker(name, process, parent_conn)
+        worker = _Worker(name, slot, process, parent_conn)
         self.workers[name] = worker
         return worker
 
@@ -849,7 +871,7 @@ class FleetDispatcher:
         self.restarts[worker.name] = count + 1
         if self.metrics is not None:
             self.metrics.restarts.inc(frontend=worker.name)
-        self._spawn(worker.name)
+        self._spawn(worker.name, worker.slot)
 
     def _health_tick(self) -> None:
         live = [w for w in self.workers.values() if not w.dead]

@@ -38,6 +38,7 @@ import threading
 from repro.api.queries import Query
 from repro.errors import ParameterError, ProtocolAbort, ReproError
 from repro.net.fleet import FleetDispatcher, SessionRequest
+from repro.net.transport import _prepare_stream_socket
 
 __all__ = ["FleetGateway"]
 
@@ -86,6 +87,9 @@ class FleetGateway:
                 conn, _ = self._sock.accept()
             except OSError:
                 return  # listener closed
+            # Two sessions finishing close together write two outcome
+            # lines on one connection with no read in between.
+            _prepare_stream_socket(conn)
             with self._lock:
                 self._conns.add(conn)
             threading.Thread(

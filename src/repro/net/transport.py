@@ -85,6 +85,18 @@ _HANDSHAKE_MAX_BYTES = 1024
 _MAX_DROPPED_NOTES = 32
 
 
+def _prepare_stream_socket(sock: socket.socket) -> None:
+    """Every TCP stream socket this package opens passes through here.
+
+    A frame is already one ``sendall``, so Nagle has nothing useful to
+    coalesce — but the protocol has write-write-read shapes (the
+    enrolment stream, gateway outcome lines, one-way abort controls)
+    where it holds the second write until the peer's delayed ACK of the
+    first fires, ~40 ms later (DESIGN.md, "Frames and Nagle").
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def pack_frame(frame: bytes, session: int = 0) -> bytes:
     """Wire bytes for one frame: v1 header for session 0, v2 otherwise."""
     if len(frame) >= _V2_FLAG:
@@ -468,6 +480,7 @@ class SocketTransport(Transport):
                     raise
                 self._gate.note_dropped("<aborted connection>")
                 continue
+            _prepare_stream_socket(sock)
             # Taken before the read so deadline expiry propagates with
             # the accept-timeout message instead of being misrecorded as
             # this peer's unreadable handshake.
@@ -515,6 +528,7 @@ class SocketTransport(Transport):
         connection's traffic to session *s*."""
         transport = cls(name, max_frame_bytes=max_frame_bytes, session=session)
         sock = socket.create_connection((host, port), timeout=timeout)
+        _prepare_stream_socket(sock)
         sock.sendall(pack_handshake(name, session))
         transport._sockets[peer] = sock
         return transport

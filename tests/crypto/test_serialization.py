@@ -295,3 +295,43 @@ class TestCoinTranscriptFastForward:
         verifier = PublicVerifier(params, SeededRNG("v"))
         verifier.begin_coin_stream("prover-0", self.CONTEXT)
         assert not verifier.skip_coin_chunk("prover-0", broken, 8)
+
+
+class TestNonCanonicalScalarFence:
+    """Fence, not fix (ROADMAP aim 3: pin exactly what is guaranteed).
+
+    ``decode_bit_proof`` reads scalars with ``int.from_bytes`` and never
+    compares them with the group order, so a scalar field holding
+    ``v + q`` decodes, verifies (``h^(v+q) = h^v``) and re-encodes to the
+    *canonical* bytes — not the bytes that were received.  A received
+    frame is therefore not a sound seed for the encode cache (ROADMAP
+    item 1(a)).  Rejecting ``>= q`` at decode would move a tampered
+    prover frame from a ``BAD_COIN_PROOF`` verdict to an abort at
+    ``read_reply``; that belongs to a versioned wire bump.  When it
+    lands, this test flips to ``pytest.raises(EncodingError)``.
+    """
+
+    def test_v0_plus_q_decodes_verifies_and_reencodes_canonically(self, pedersen128):
+        from repro.utils.encoding import (
+            decode_length_prefixed,
+            encode_length_prefixed,
+            int_to_bytes,
+        )
+
+        group, q = pedersen128.group, pedersen128.q
+        rng = SeededRNG("non-canonical")
+        c, o = pedersen128.commit_fresh(1, rng)
+        proof = prove_bit(pedersen128, c, o, Transcript("t"), rng)
+        canonical = encode_bit_proof(proof)
+
+        parts = decode_length_prefixed(canonical)
+        assert len(parts[5]) == group.scalar_bytes == 16
+        assert proof.v0 + q < 1 << 128  # the alias fits the fixed-width field
+        parts[5] = int_to_bytes(proof.v0 + q, group.scalar_bytes)
+        received = encode_length_prefixed(*parts)
+        assert received != canonical and len(received) == len(canonical)
+
+        restored = decode_bit_proof(group, received)
+        assert restored.v0 == proof.v0 + q
+        verify_bit(pedersen128, c, restored, Transcript("t"))
+        assert encode_bit_proof(restored) == canonical

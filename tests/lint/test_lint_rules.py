@@ -189,10 +189,54 @@ class TestREP005ResourceLifecycle:
         assert "'process'" in findings[0].message
 
 
+class TestREP007StreamSockets:
+    def test_true_positives(self):
+        findings = run_rule("REP007", "rep007_bad.py")
+        blob = "\n".join(f.message for f in findings)
+        assert "'sock', a TCP stream socket dialled here" in blob
+        assert "'conn', a TCP stream socket accepted here" in blob
+        assert "'second', a TCP stream socket accepted here" in blob
+        assert "'first'" not in blob
+        assert [f.line for f in findings] == [7, 13, 18, 25]
+        assert all("create_connection" in f.code or "accept()" in f.code for f in findings)
+
+    def test_clean(self):
+        assert run_rule("REP007", "rep007_clean.py") == []
+
+    def test_scope_is_the_socket_opening_modules(self):
+        rule = RULES["REP007"]
+        assert rule.applies_to("repro.net.transport")
+        assert rule.applies_to("repro.net.gateway")
+        assert rule.applies_to("repro.loadgen")
+        assert not rule.applies_to("repro.bench.runner")
+        assert not rule.applies_to("repro.baselines.sketch")
+
+    def test_every_socket_the_package_opens_is_prepared(self):
+        """The live invariant, and that the rule sees the real sites: the
+        blocking dial and accept, the gateway accept, the load generator."""
+        import repro.loadgen
+        import repro.net.gateway
+        import repro.net.transport
+        from repro.lint.sockets import _opened_sockets
+
+        rule = RULES["REP007"]
+        sites = 0
+        for module in (repro.net.transport, repro.net.gateway, repro.loadgen):
+            ctx = load_real(module.__file__, module.__name__)
+            assert rule.check_module(ctx) == []
+            sites += sum(
+                len(list(_opened_sockets(node)))
+                for node in ast.walk(ctx.tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        assert sites == 4
+
+
 class TestRuleCatalog:
-    def test_all_five_rules_registered(self):
+    def test_all_rules_registered(self):
+        # REP006 is reserved (ROADMAP item 6(e)), not skipped by accident.
         assert sorted(RULES) == [
-            "REP001", "REP002", "REP003", "REP004", "REP005",
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP007",
         ]
 
     def test_descriptions_nonempty(self):

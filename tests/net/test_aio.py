@@ -30,6 +30,7 @@ from repro.net.aio import (
     SessionSpec,
 )
 from repro.net.nodes import ServerNode
+from repro.net.roles import dial, peer_roles, run_role
 from repro.net.transport import SESSION_ANY, SocketTransport, pack_frame
 from repro.utils.rng import SeededRNG
 
@@ -398,3 +399,84 @@ class TestSessionMuxByteIdentity:
         mux = _run_mux_topology(run, 1, sync_sessions={0})
         assert mux.errors[0] is None, mux.errors[0]
         assert encode_message(mux.results[0].release) == _solo_release_bytes(run, 0)
+
+
+class TestDynamicMuxForgets:
+    """A dynamic mux (``specs=None``, the fleet worker's) serves an
+    unbounded stream of sessions, and an ``EngineResult`` retains every
+    broadcast and coin message of its run: once ``serve_session`` is
+    over — returned or raised — the mux holds nothing keyed by that
+    session.  The maps stay the return value of the static ``run()``
+    (:class:`TestSessionMuxByteIdentity` reads them)."""
+
+    SID = 5
+
+    def _serve(self, run: str, *, dead_prover: bool):
+        """One dynamic placement with session-scoped blocking peers, as a
+        fleet worker makes it; ``dead_prover`` replaces prover-1 with a
+        connection that handshakes and hangs up."""
+
+        async def main():
+            listener = await AsyncSocketTransport.listen("analyst")
+            mux = SessionMux(None, listener, SERVERS, timeout=30.0)
+            threads = []
+            for role, name in peer_roles(len(SERVERS), 0):
+                opener = dial(name, "127.0.0.1", listener.port, session=self.SID)
+                if dead_prover and name == "prover-1":
+                    opener().close()
+                    continue
+                threads.append(
+                    threading.Thread(
+                        target=run_role,
+                        args=(role, name, opener),
+                        kwargs=dict(
+                            seed=_seed(run, self.SID),
+                            query=QUERY,
+                            values=_values(self.SID),
+                            timeout=30.0,
+                        ),
+                        daemon=True,
+                    )
+                )
+            for thread in threads:
+                thread.start()
+            spec = SessionSpec(
+                QUERY,
+                rng=SeededRNG(_seed(run, self.SID)),
+                group="p64-sim",
+                nb_override=32,
+            )
+            try:
+                await listener.accept(len(SERVERS) + 1, 15.0)
+                return mux, await mux.serve_session(self.SID, spec)
+            except ProtocolAbort as exc:
+                return mux, exc
+            finally:
+                mux.close()
+                await listener.aclose()  # unblocks the surviving peers
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+
+        return asyncio.run(main())
+
+    @staticmethod
+    def _per_session_entries(mux, session):
+        return [
+            name
+            for name, value in vars(mux).items()
+            if isinstance(value, dict) and session in value
+        ]
+
+    def test_nothing_is_kept_once_a_session_is_served(self):
+        mux, served = self._serve("dynamic-ok", dead_prover=False)
+        assert encode_message(served.result.release) == _solo_release_bytes(
+            "dynamic-ok", self.SID
+        )
+        assert served.chunk_size is None and served.seconds > 0
+        assert self._per_session_entries(mux, self.SID) == []
+
+    def test_nothing_is_kept_once_a_session_has_aborted(self):
+        mux, abort = self._serve("dynamic-abort", dead_prover=True)
+        assert isinstance(abort, ProtocolAbort) and abort.party == "prover-1"
+        assert self._per_session_entries(mux, self.SID) == []

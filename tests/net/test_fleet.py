@@ -9,9 +9,12 @@ The fleet layer's contract, pinned end to end:
   outcome (party = the dead worker), never a hang, and the dispatcher
   restarts the worker and keeps serving;
 * drain finishes everything already admitted and admits nothing new;
-* a hot front-end's queued sessions are stolen onto an idle one.
+* a hot front-end's queued sessions are stolen onto an idle one;
+* every front-end keeps to its share of the CPUs.
 """
 
+import os
+import sys
 import time
 
 import pytest
@@ -24,6 +27,7 @@ from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
     SessionRequest,
+    _cpu_share,
     run_fleet,
     session_seed,
     session_values,
@@ -108,6 +112,46 @@ class TestFleetServing:
             FleetConfig(capacity=0)
         with pytest.raises(ParameterError):
             FleetConfig(shards=-1)
+
+
+class TestCpuShares:
+    def test_cpus_are_dealt_round_the_frontends(self):
+        """Disjoint shares that cover the CPUs while there are enough of
+        them, one front-end keeps them all, and beyond one-per-CPU the
+        CPUs are reused round-robin, one each."""
+        cpus = [0, 1, 2, 3, 6, 7]
+        assert _cpu_share(cpus, 0, 1) == cpus
+        assert [_cpu_share(cpus, s, 2) for s in range(2)] == [[0, 2, 6], [1, 3, 7]]
+        shares = [_cpu_share(cpus, s, 4) for s in range(4)]
+        assert shares == [[0, 6], [1, 7], [2], [3]]
+        assert [_cpu_share([4, 5], s, 5) for s in range(5)] == [[4], [5], [4], [5], [4]]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here"
+    )
+    def test_each_frontend_keeps_to_its_share(self):
+        """Two front-ends that have each served a session run on the
+        shares of this process's CPUs their pool slots were dealt — on a
+        host with two or more CPUs, never on each other's."""
+        config = FleetConfig(
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        cpus = sorted(os.sched_getaffinity(0))
+        with FleetDispatcher(config) as dispatcher:
+            for slot in range(2):
+                dispatcher.place(
+                    SessionRequest(slot, QUERY, [1, 0, 1], seed=f"fleet-cpus/s{slot}"),
+                    f"fe-{slot}",
+                )
+            assert dispatcher.wait({0, 1}, timeout=60.0), dispatcher.outcomes
+            held = [
+                sorted(os.sched_getaffinity(dispatcher.workers[f"fe-{slot}"].process.pid))
+                for slot in range(2)
+            ]
+        assert held == [_cpu_share(cpus, slot, 2) for slot in range(2)]
+        if len(cpus) >= 2:
+            assert not set(held[0]) & set(held[1])
+        assert sorted(os.sched_getaffinity(0)) == cpus  # the dispatcher floats
 
 
 class TestFleetLifecycle:
@@ -234,3 +278,40 @@ class TestFleetLifecycle:
                 outcome = dispatcher.outcomes[request.request_id]
                 assert outcome.status == "released"
                 assert outcome.release_frame == _solo_frame(request, outcome)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status"
+    )
+    def test_worker_memory_is_flat_in_sessions_served(self):
+        """A front-end forgets a session once it is served: 40 sessions
+        through one worker leave its resident set after the 40th within
+        2 MB of where it stood after the 10th.  While the worker's mux
+        kept every ``EngineResult`` this grew ≈ 0.5 MB per session at
+        nb = 128 (≈ +15 MB over the same 30 sessions)."""
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=128, timeout=30.0
+        )
+
+        def worker_rss_mb(dispatcher) -> float:
+            pid = dispatcher.workers["fe-0"].process.pid
+            with open(f"/proc/{pid}/status", encoding="ascii") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1]) / 1024
+            raise AssertionError("no VmRSS line")
+
+        rss_after = {}
+        with FleetDispatcher(config) as dispatcher:
+            for i in range(40):
+                dispatcher.submit(
+                    SessionRequest(
+                        i,
+                        QUERY,
+                        session_values([1, 0, 1, 1, 0, 1, 0, 0], i),
+                        seed=session_seed("fleet-rss", i),
+                    )
+                )
+                assert dispatcher.wait({i}, timeout=60.0), dispatcher.outcomes
+                assert dispatcher.outcomes[i].status == "released"
+                rss_after[i + 1] = worker_rss_mb(dispatcher)
+        assert rss_after[40] - rss_after[10] < 2.0, rss_after

@@ -1,5 +1,7 @@
 """Transport semantics: ordering, timeouts, accounting, process crossing."""
 
+import asyncio
+import json
 import socket
 import struct
 import threading
@@ -7,7 +9,11 @@ import time
 
 import pytest
 
+from repro.api.queries import CountQuery
 from repro.errors import ParameterError, ProtocolAbort
+from repro.net.aio import AsyncSocketTransport
+from repro.net.fleet import FleetConfig, FleetDispatcher
+from repro.net.gateway import FleetGateway
 from repro.net.transport import (
     InMemoryHub,
     MultiprocessTransport,
@@ -273,3 +279,103 @@ class TestSocket:
         greedy.close()
         honest.close()
         listener.close()
+
+
+def _nodelay(sock) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestNoDelay:
+    """No frame waits on a delayed ACK: every TCP stream socket the
+    package opens has ``TCP_NODELAY`` set, on both ends of every pairing
+    (the protocol has write-write-read shapes — DESIGN.md, "Frames and
+    Nagle").  Not configurable, so there is no "off" case to test."""
+
+    @pytest.mark.parametrize("session", [0, 3])
+    def test_blocking_listener_and_blocking_dialer(self, session):
+        listener = SocketTransport.listen("analyst", session=session)
+        client = SocketTransport.connect(
+            "peer-1", "analyst", port=listener.port, session=session
+        )
+        try:
+            assert listener.accept(1, timeout=5.0) == ["peer-1"]
+            assert _nodelay(listener._sockets["peer-1"]) == 1
+            assert _nodelay(client._sockets["analyst"]) == 1
+        finally:
+            client.close()
+            listener.close()
+
+    def test_async_listener_and_blocking_dialer(self):
+        """The fleet / mixed-topology shape: a session-scoped blocking
+        peer dials an asyncio front-end."""
+
+        async def main():
+            listener = await AsyncSocketTransport.listen("analyst")
+            accept = asyncio.ensure_future(listener.accept(1, 5.0))
+            client = await asyncio.get_running_loop().run_in_executor(
+                None,
+                lambda: SocketTransport.connect(
+                    "peer-1", "analyst", port=listener.port, session=2
+                ),
+            )
+            try:
+                assert await accept == ["peer-1"]
+                accepted = listener._conns[("peer-1", 2)].writer
+                assert _nodelay(accepted.get_extra_info("socket")) == 1
+                assert _nodelay(client._sockets["analyst"]) == 1
+            finally:
+                client.close()
+                await listener.aclose()
+
+        asyncio.run(main())
+
+    def test_async_listener_and_async_dialer(self):
+        """asyncio's selector transport sets the option on both the
+        ``start_server`` and the ``open_connection`` side — pinned, not
+        re-coded."""
+
+        async def main():
+            listener = await AsyncSocketTransport.listen("analyst")
+            peer = await AsyncSocketTransport.connect(
+                "peer-1", "analyst", port=listener.port
+            )
+            try:
+                await listener.accept(1, 5.0)
+                for transport in (listener, peer):
+                    (conn,) = transport._conns.values()
+                    assert _nodelay(conn.writer.get_extra_info("socket")) == 1
+            finally:
+                await peer.aclose()
+                await listener.aclose()
+
+        asyncio.run(main())
+
+    def test_gateway_accepted_connection(self):
+        """Two outcome lines finishing close together on one gateway
+        connection are the same write-write-no-read shape."""
+        dispatcher = FleetDispatcher(FleetConfig(frontends=1, num_servers=2))
+        gateway = FleetGateway(dispatcher, CountQuery(epsilon=1.0, delta=2**-10))
+        try:
+            with socket.create_connection(("127.0.0.1", gateway.port), 10.0) as conn:
+                conn.sendall(b'{"op":"ping"}\n')
+                with conn.makefile("rb") as lines:
+                    assert json.loads(lines.readline()) == {"ok": True}
+                (accepted,) = gateway._conns
+                assert _nodelay(accepted) == 1
+        finally:
+            gateway.close()
+
+    def test_refused_handshake_is_still_just_closed(self):
+        """Preparing the socket happens before the gate decides; a
+        refused peer sees EOF and nothing else, and is not registered."""
+        listener = SocketTransport.listen("analyst")
+        mallory = SocketTransport.connect("mallory", "analyst", port=listener.port)
+        honest = SocketTransport.connect("peer-1", "analyst", port=listener.port)
+        try:
+            assert listener.accept(1, timeout=5.0, expected=["peer-1"]) == ["peer-1"]
+            assert list(listener._sockets) == ["peer-1"]
+            with pytest.raises(ProtocolAbort, match="closed the connection"):
+                mallory.recv("analyst", timeout=5.0)
+        finally:
+            for transport in (mallory, honest, listener):
+                transport.close()

@@ -7,6 +7,7 @@ deliberately loose — the canary exists to catch the batch path silently
 degenerating to per-proof work (a >5× regression), not to measure.
 """
 
+import sys
 import time
 
 import pytest
@@ -330,3 +331,46 @@ def test_native_ristretto_commit_beats_the_pure_one():
     assert published(pure) == published(native)
     slow, fast = best_of(lambda: published(pure)), best_of(lambda: published(native))
     assert fast * 2 < slow, f"native {fast * 1e3:.1f}ms vs pure {slow * 1e3:.1f}ms for 32 commits"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="the 40 ms delayed-ACK timer this canary watches for is Linux's",
+)
+def test_an_enrolment_burst_does_not_wait_on_a_delayed_ack():
+    """The stall canary: 17 frames written back to back (one per client
+    plus ``done`` — the enrolment stream at the benchmark's socket sizes)
+    reach a listener that reads them one by one without any of them
+    waiting out the reader's delayed ACK.
+
+    Without ``TCP_NODELAY`` Nagle holds frames 2…17 until frame 1 is
+    ACKed, and once two request/reply exchanges (the handshake and the
+    params exchange of a real session; repeated before every burst,
+    because a one-way burst puts the reader back into quick-ACK mode)
+    have made the connection interactive that ACK is 40 ms away:
+    measured 40.8–57.7 ms per burst without the option, every time,
+    against 0.13–0.20 ms with it.  No sleeps and one thread: loopback
+    buffers hold the whole burst.
+    """
+    from repro.net.transport import SocketTransport
+
+    def session_opening() -> None:
+        for _ in range(2):
+            peer.send("analyst", b"request")
+            listener.recv("clients", timeout=5.0)
+            listener.send("clients", b"reply")
+            peer.recv("analyst", timeout=5.0)
+        for _ in range(17):
+            peer.send("analyst", b"\x00" * 360)
+        for _ in range(17):
+            listener.recv("clients", timeout=5.0)
+
+    listener = SocketTransport.listen("analyst")
+    peer = SocketTransport.connect("clients", "analyst", port=listener.port)
+    try:
+        listener.accept(1, timeout=5.0)
+        best = best_of(session_opening, repeats=5)
+    finally:
+        peer.close()
+        listener.close()
+    assert best < 0.020, f"best of 5 bursts took {best * 1e3:.1f}ms"

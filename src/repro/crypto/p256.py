@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from repro.crypto.group import Group, GroupElement
 from repro.errors import EncodingError, NotOnGroupError
-from repro.utils.numth import batch_inverse, legendre_symbol, sqrt_mod
+from repro.utils.numth import batch_inverse, jacobi_symbol
 
 __all__ = ["P256Group", "P256Point"]
 
@@ -33,6 +33,8 @@ _B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
 _N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 _GX = 0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296
 _GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
+# p ≡ 3 (mod 4), so rhs^((p+1)/4) is a square root of rhs whenever one exists.
+_SQRT_EXP = (_P + 1) // 4
 
 
 class P256Point(GroupElement):
@@ -284,9 +286,10 @@ class P256Group(Group):
         if x >= _P:
             raise NotOnGroupError("x-coordinate out of field range")
         rhs = (x * x % _P * x + _A * x + _B) % _P
-        if legendre_symbol(rhs, _P) == -1:
+        # p ≡ 3 (mod 4): the root candidate's square is the residue test.
+        y = pow(rhs, _SQRT_EXP, _P)
+        if y * y % _P != rhs:
             raise NotOnGroupError("x-coordinate not on the curve")
-        y = sqrt_mod(rhs, _P)
         if (y & 1) != (sign & 1):
             y = (-y) % _P
         return P256Point(self, x, y, 1)
@@ -306,8 +309,8 @@ class P256Group(Group):
             ).digest()
             x = int.from_bytes(digest[:32], "big") % _P
             rhs = (x * x % _P * x + _A * x + _B) % _P
-            if legendre_symbol(rhs, _P) == 1:
-                y = sqrt_mod(rhs, _P)
+            if jacobi_symbol(rhs, _P) == 1:
+                y = pow(rhs, _SQRT_EXP, _P)
                 if digest[32] & 1:
                     y = (-y) % _P
                 return P256Point(self, x, y, 1)

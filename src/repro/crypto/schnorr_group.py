@@ -3,18 +3,21 @@
 This is the paper's default backend ("we adopted Gq ⊂ Z*p based on the
 finite field discrete log problem", Section 6).  For a *safe* prime
 p = 2q + 1, the quadratic residues of Z*p form a cyclic subgroup of prime
-order q; membership is a Legendre-symbol check.
+order q; membership is a Jacobi-symbol check (no exponentiation).
 
-Named parameter sets:
+Named parameter sets (exactly the keys of ``NAMED_GROUPS``):
 
-``modp-2048``, ``modp-3072``
-    RFC 3526 MODP groups (safe primes used by IKE); production strength and
+``modp-2048``
+    RFC 3526 group 14 (a safe prime used by IKE); production strength and
     what the paper's OpenSSL implementation corresponds to.
 ``p256-sim``, ``p128-sim``, ``p64-sim``
     Pre-generated safe primes at reduced sizes for simulation and tests.
     Deterministically generated and re-verified by the test suite.  These
     exercise identical code paths at a fraction of the cost — useful since
     this reproduction is pure Python.
+``p32-sim``
+    A 32-bit toy group, small enough for a discrete-log oracle; used only
+    by the Section 5 separation demo.
 
 Exponentiation uses the built-in ``pow`` (libmpdec-free, GMP-like C path in
 CPython), which is the closest analogue of the paper's OpenSSL BigNum calls.
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 from repro.crypto.group import Group, GroupElement
 from repro.errors import EncodingError, NotOnGroupError, ParameterError
-from repro.utils.numth import batch_inverse, is_probable_prime, legendre_symbol
+from repro.utils.numth import batch_inverse, is_probable_prime, jacobi_symbol
 from repro.utils.encoding import int_to_bytes
 
 __all__ = ["SchnorrGroup", "SchnorrElement", "NAMED_GROUPS"]
@@ -216,7 +219,7 @@ class SchnorrGroup(Group):
         """Wrap an integer, checking subgroup membership."""
         if not 1 <= value < self._p:
             raise NotOnGroupError(f"{value} outside Z*p")
-        if value != 1 and legendre_symbol(value, self._p) != 1:
+        if value != 1 and jacobi_symbol(value, self._p) != 1:
             raise NotOnGroupError("value is not a quadratic residue (not in Gq)")
         return SchnorrElement(self, value)
 
@@ -231,14 +234,18 @@ class SchnorrGroup(Group):
     @staticmethod
     @lru_cache(maxsize=None)
     def named(name: str) -> "SchnorrGroup":
-        """Return a cached named group ('modp-2048', 'p256-sim', ...)."""
+        """Return a cached named group ('modp-2048', 'p256-sim', ...).
+
+        The pinned moduli are proven safe primes by the test suite, not
+        again here (3 s of Miller–Rabin per process at 2048 bits).
+        """
         try:
             p = NAMED_GROUPS[name]
         except KeyError:
             raise ParameterError(
                 f"unknown Schnorr group {name!r}; options: {sorted(NAMED_GROUPS)}"
             ) from None
-        return SchnorrGroup(p, name=name)
+        return SchnorrGroup(p, name=name, check=False)
 
 
 NAMED_GROUPS: dict[str, int] = {

@@ -5,6 +5,7 @@ from repro.utils.numth import (
     next_safe_prime,
     inverse_mod,
     legendre_symbol,
+    jacobi_symbol,
     sqrt_mod,
 )
 from repro.utils.encoding import (
@@ -21,6 +22,7 @@ __all__ = [
     "next_safe_prime",
     "inverse_mod",
     "legendre_symbol",
+    "jacobi_symbol",
     "sqrt_mod",
     "int_to_bytes",
     "bytes_to_int",

@@ -91,6 +91,97 @@ class TestEncoding:
             p256.from_bytes(b"\x02" * 10)
 
 
+def _euler_root(x: int, *, strict: bool):
+    """The curve's y for x the way it was found before the one-modexp
+    path — Euler's criterion first, then the p ≡ 3 (mod 4) root — or
+    None.  ``strict`` is hash-to-group's ``== 1``; decoding used ``!= -1``."""
+    from repro.crypto.p256 import _A, _B, _P
+    from repro.utils.numth import legendre_symbol
+
+    rhs = (x * x * x + _A * x + _B) % _P
+    symbol = legendre_symbol(rhs, _P)
+    if symbol == -1 or (strict and symbol != 1):
+        return None
+    y = pow(rhs, (_P + 1) // 4, _P)
+    assert y * y % _P == rhs
+    return y
+
+
+def _euler_decompress(data: bytes):
+    """Affine (x, y), or the exception class the old decoder raised."""
+    from repro.crypto.p256 import _P
+
+    if data[0] not in (2, 3):
+        return EncodingError
+    x = int.from_bytes(data[1:], "big")
+    if x >= _P:
+        return NotOnGroupError
+    y = _euler_root(x, strict=False)
+    if y is None:
+        return NotOnGroupError
+    return x, y if (y & 1) == (data[0] & 1) else (-y) % _P
+
+
+class TestSameAcceptSetAsEulersCriterion:
+    """Decompression computes the root candidate once and checks its
+    square; ``hash_to_group`` screens with the Jacobi symbol.  Neither may
+    accept, reject or return anything the Legendre-symbol path did not."""
+
+    def test_decompression_matches_the_euler_path(self, p256):
+        import random
+
+        from repro.crypto.p256 import _P
+
+        rng = random.Random("p256-accept-set")
+        xs = [0, 1, 2, 3, _P - 1, _P, _P + 1, 2**256 - 1]
+        xs += [rng.randrange(_P) for _ in range(150)]
+        xs += [(p256.generator() ** rng.randrange(1, p256.order)).affine()[0] for _ in range(6)]
+        outcomes = set()
+        for x in xs:
+            for tag in (2, 3, 4):
+                data = bytes([tag]) + x.to_bytes(32, "big")
+                expected = _euler_decompress(data)
+                if isinstance(expected, type):
+                    outcomes.add(expected)
+                    with pytest.raises(expected):
+                        p256.from_bytes(data)
+                else:
+                    outcomes.add("point")
+                    point = p256.from_bytes(data)
+                    assert point.affine() == expected
+                    assert P256Group._on_curve(*expected)
+                    assert point.to_bytes() == data
+        assert outcomes == {"point", NotOnGroupError, EncodingError}
+
+    def test_hash_to_group_returns_the_same_points(self, p256):
+        import hashlib
+
+        from repro.crypto.p256 import _P
+
+        pinned = {  # produced by the legendre_symbol + sqrt_mod implementation
+            b"": "02a00e753f91780ad3b09b54422e1077c3c51c302ad8aec89122fba11d03854d10",
+            b"repro.pedersen.h": "03be153372e8f5576531294dd31b4d96e54121a135debba141a2c6f4d602c35c87",
+            b"label": "029fd2e8c4abe285e0dc19364f6f881100f6cec6a352d9071873f56e3fb8c9fc3e",
+        }
+        for label, encoded in pinned.items():
+            assert p256.hash_to_group(label).to_bytes().hex() == encoded
+        for i in range(24):
+            label = b"h2g-%d" % i
+            counter = 0
+            while True:  # first candidate x the Euler path puts on the curve
+                digest = hashlib.sha512(
+                    b"repro.p256.h2g|" + label + counter.to_bytes(4, "big")
+                ).digest()
+                x = int.from_bytes(digest[:32], "big") % _P
+                y = _euler_root(x, strict=True)
+                if y is not None:
+                    break
+                counter += 1
+            if digest[32] & 1:
+                y = (-y) % _P
+            assert p256.hash_to_group(label).affine() == (x, y)
+
+
 class TestHashToGroup:
     def test_on_curve_and_deterministic(self, p256):
         h = p256.hash_to_group(b"pedersen-h")

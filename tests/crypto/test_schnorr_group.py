@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.schnorr_group import NAMED_GROUPS, SchnorrGroup
 from repro.errors import EncodingError, NotOnGroupError, ParameterError
-from repro.utils.numth import is_probable_prime
+from repro.utils.numth import is_probable_prime, legendre_symbol
 from repro.utils.rng import SeededRNG
 
 scalars = st.integers(min_value=0, max_value=2**70)
@@ -30,6 +30,33 @@ class TestNamedGroups:
             SchnorrGroup(15, name="bad")
         with pytest.raises(ParameterError):
             SchnorrGroup(13, name="prime-but-not-safe")  # (13-1)/2 = 6
+
+    def test_named_trusts_the_pinned_table_but_a_callers_modulus_is_checked(self, monkeypatch):
+        """``named()`` must not re-prove a constant the test above proves
+        (3 s of Miller–Rabin per process on modp-2048); anything that is
+        not a table entry still goes through the safe-prime check."""
+        from repro.crypto import schnorr_group
+
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_probable_prime(n)
+
+        monkeypatch.setattr(schnorr_group, "is_probable_prime", counting)
+        # Past the lru_cache (session fixtures compare groups by identity,
+        # so the cache itself is left alone): build every entry afresh.
+        build = SchnorrGroup.named.__wrapped__
+        for name, p in NAMED_GROUPS.items():
+            assert build(name).modulus == p
+        assert calls == []
+        for bad in (15, 13):
+            with pytest.raises(ParameterError):
+                SchnorrGroup(bad, name="bad")
+        assert calls, "direct construction must run the primality check"
+        p64 = NAMED_GROUPS["p64-sim"]
+        assert SchnorrGroup(p64, name="mine").order == (p64 - 1) // 2
+        assert p64 in calls
 
     def test_generator_has_prime_order(self, group64):
         g = group64.generator()
@@ -83,12 +110,41 @@ class TestMembershipAndEncoding:
 
     def test_non_residue_rejected(self, group64):
         # Find a quadratic non-residue and check element() rejects it.
-        from repro.utils.numth import legendre_symbol
-
         p = group64.modulus
         value = next(v for v in range(2, 100) if legendre_symbol(v, p) == -1)
         with pytest.raises(NotOnGroupError):
             group64.element(value)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
+    def test_from_bytes_accepts_exactly_what_eulers_criterion_accepts(self, name):
+        """The Jacobi-symbol membership test has the accept set of the
+        Euler-criterion one it replaced, and the same exception types."""
+        import random
+
+        group = SchnorrGroup.named(name)
+        p, width = group.modulus, group.element_bytes
+        rng = random.Random(f"accept-set|{name}")
+        draws = 8 if p.bit_length() > 1024 else 120
+        values = [0, 1, 2, 3, 4, p - 2, p - 1, p, p + 1, (1 << (8 * width)) - 1]
+        values += [rng.randrange(2, p) for _ in range(draws)]
+        values += [pow(rng.randrange(2, p), 2, p) for _ in range(4)]  # residues for sure
+        verdicts = set()
+        for value in values:
+            data = value.to_bytes(width, "big")
+            in_gq = 1 <= value < p and legendre_symbol(value, p) == 1
+            verdicts.add(in_gq)
+            if in_gq:
+                assert group.from_bytes(data).value == value
+                assert group.element(value).to_bytes() == data
+            else:
+                with pytest.raises(NotOnGroupError):
+                    group.from_bytes(data)
+                with pytest.raises(NotOnGroupError):
+                    group.element(value)
+        assert verdicts == {True, False}
+        for data in (b"", bytes(width - 1), bytes(width + 1)):
+            with pytest.raises(EncodingError):
+                group.from_bytes(data)
 
     def test_out_of_range_rejected(self, group64):
         with pytest.raises(NotOnGroupError):

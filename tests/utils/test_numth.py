@@ -9,6 +9,7 @@ from repro.utils.numth import (
     crt_pair,
     inverse_mod,
     is_probable_prime,
+    jacobi_symbol,
     legendre_symbol,
     miller_rabin,
     next_safe_prime,
@@ -115,6 +116,66 @@ class TestLegendreAndSqrt:
 
     def test_sqrt_of_zero(self):
         assert sqrt_mod(0, 13) == 0
+
+
+def _protocol_primes():
+    from repro.crypto.p256 import _P as p256_field
+    from repro.crypto.schnorr_group import NAMED_GROUPS
+
+    return {**NAMED_GROUPS, "p256-field": p256_field}
+
+
+class TestJacobiSymbol:
+    """``jacobi_symbol`` is what decides group membership of received
+    bytes; Euler's criterion (``legendre_symbol``) is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(_protocol_primes()))
+    def test_equals_euler_criterion_on_protocol_primes(self, name):
+        import random
+
+        p = _protocol_primes()[name]
+        rng = random.Random(f"jacobi|{name}")
+        # One Euler test at 2048 bits is ~25 ms; keep that leg short.
+        draws = 12 if p.bit_length() > 1024 else 200
+        values = [0, 1, 2, 4, p - 1, p, p + 1, -1, -2, -p, 3 * p + 2, p * p + 4]
+        values += [rng.randrange(-p, 3 * p) for _ in range(draws)]
+        for a in values:
+            assert jacobi_symbol(a, p) == legendre_symbol(a, p), (name, a)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 257, 65537])
+    def test_equals_euler_criterion_exhaustively_on_small_primes(self, p):
+        for a in range(-p, min(2 * p + 1, 600)):
+            assert jacobi_symbol(a, p) == legendre_symbol(a, p), (a, p)
+
+    @pytest.mark.parametrize(
+        "a, n, expected",
+        [(2, 15, 1), (7, 15, -1), (3, 9, 0), (5, 21, 1), (2, 21, -1),
+         (1001, 9907, -1), (19, 45, 1), (8, 21, -1), (0, 1, 1), (0, 3, 0)],
+    )
+    def test_composite_modulus_table(self, a, n, expected):
+        assert jacobi_symbol(a, n) == expected
+
+    @given(a=st.integers(-10**6, 10**6), m=st.integers(0, 500), n=st.integers(0, 500))
+    @settings(max_examples=100)
+    def test_multiplicative_in_the_modulus(self, a, m, n):
+        m, n = 2 * m + 1, 2 * n + 1
+        assert jacobi_symbol(a, m * n) == jacobi_symbol(a, m) * jacobi_symbol(a, n)
+
+    @pytest.mark.parametrize("n", [0, -1, -15, 2, 4, 16, 2**64])
+    def test_even_or_non_positive_modulus_raises(self, n):
+        with pytest.raises(ParameterError):
+            jacobi_symbol(3, n)
+
+    def test_sqrt_mod_rejects_every_non_residue_like_before(self):
+        """Both branches (p ≡ 3 and p ≡ 1 mod 4): a root for exactly the
+        residues, ``ParameterError`` with the same message otherwise."""
+        for p in (11, 10_007, 13, 1_000_117):
+            for a in range(0, 60):
+                if legendre_symbol(a, p) == -1:
+                    with pytest.raises(ParameterError, match="not a quadratic residue"):
+                        sqrt_mod(a, p)
+                else:
+                    assert sqrt_mod(a, p) ** 2 % p == a % p
 
 
 class TestCrt:

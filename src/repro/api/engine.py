@@ -15,6 +15,17 @@ Each coin is committed strictly before its Morra bit is drawn, and
 chunking only reorders *independent* messages, so soundness does not
 depend on the chunk size.
 
+The coin phase is a two-stage pipeline over one flat schedule of
+(prover, chunk) steps: a step collects its chunk, holds it (shape, count,
+sequence), draws its Morra bits, folds Line 12 — and asks for the *next*
+step's chunk before it checks this one's proofs, so a prover behind a
+wire proves chunk c+1 while chunk c is verified here.  The Σ-OR proof is
+non-interactive and bound to the commitment it arrived with, so checking
+it after the Morra round proves the same statement; a cheating prover is
+named one round later and has had one more request answered.  Every
+party sees the call sequence of the lock-step order (an in-process
+prover's request is a no-op), so no frame, byte or draw moves.
+
 ``chunk_size=None`` is one chunk of every client and all nb coins.  Every
 party draws from its own RNG stream, so its seeded release bytes are
 those of any chunk size that covers the run
@@ -338,61 +349,97 @@ class ProtocolEngine:
         return self._result
 
     def _coin_phases(self, context: bytes) -> dict[str, bool]:
-        """Lines 4–9 chunk by chunk per prover: commit chunk → verify
-        chunk → Morra chunk → fold Line 12 → drop chunk."""
-        params = self.params
-        lanes = self.plan.lanes
-        chunk = self.chunk_size or params.nb
+        """Lines 4–9 as one flat schedule of (prover, chunk) steps: collect
+        the chunk → hold it → Morra → fold Line 12 → ask for the next
+        step's chunk → only then check this chunk's proofs → drop it."""
+        nb = self.params.nb
+        chunk = self.chunk_size or nb
+        verifier = self.verifier
+        per_prover = -(-nb // chunk)
+        steps = per_prover * len(self.provers)
+        asked = -1
+
+        def coins(step: int) -> int:
+            return min(chunk, nb - step % per_prover * chunk)
+
+        def request(step: int) -> None:
+            # Asking for a chunk is what enters COMMIT_COINS, so the check
+            # of the chunk before it runs inside that phase, overlapped
+            # with the proving.  Past the last step there is nothing to ask
+            # for: the last check of the run stays in ADJUST.
+            nonlocal asked
+            if step == asked or step == steps:
+                return
+            asked = step
+            prover = self.provers[step // per_prover]
+            self._advance(Phase.COMMIT_COINS)
+            if step % per_prover == 0:
+                prover.begin_coin_stream(context)
+                verifier.begin_coin_stream(prover.name, context)
+            prover.request_coin_chunk(coins(step))
+
         coin_ok: dict[str, bool] = {}
-        for prover in self.provers:
-            prover.begin_coin_stream(context)
-            self.verifier.begin_coin_stream(prover.name, context)
-            ok = True
-            remaining = params.nb
-            while remaining > 0:
-                count = min(chunk, remaining)
-                self._advance(Phase.COMMIT_COINS)
-                with self.timer.stage(STAGE_SIGMA_PROOF):
-                    message = prover.commit_coin_chunk(count)
-                self.network.broadcast(prover.name, message)
-                if self._retain:
-                    self._coin_messages.append(message)
-                # The chunk schedule is the engine's: a chunk of any other
-                # size is the prover's fault, not a crash two steps later.
-                ok = len(message.commitments) == count
-                if ok:
-                    with self.timer.stage(STAGE_SIGMA_VERIFY):
-                        ok = self.verifier.verify_coin_chunk(message)
-                else:
-                    audit = self.verifier.audit
-                    audit.provers[prover.name] = ProverStatus.BAD_COIN_PROOF
-                    audit.note(
-                        f"{prover.name}: coin chunk is not the {count} coins asked for"
-                    )
-                if not ok:
-                    break
-                self._advance(Phase.MORRA)
-                with self.timer.stage(STAGE_MORRA):
-                    outcome = run_morra_batch(
-                        [prover, self.verifier],
-                        params.q,
-                        count * lanes,
-                        network=self.network,
-                    )
-                    flat = outcome.bits()
-                bits = [flat[j * lanes : (j + 1) * lanes] for j in range(count)]
-                if self._retain:
-                    self._public_bits[prover.name] = bits
-                self._advance(Phase.ADJUST)
-                with self.timer.stage(STAGE_CHECK):
-                    self.verifier.apply_public_bits_chunk(prover.name, bits)
-                prover.absorb_public_bits(bits)
-                remaining -= count
+        step = 0
+        while step < steps:
+            # Already asked for while the step before was being checked —
+            # unless this is the first step, or follows a given-up stream.
+            request(step)
+            prover = self.provers[step // per_prover]
+            count = coins(step)
+            last = (step + 1) % per_prover == 0
+            with self.timer.stage(STAGE_SIGMA_PROOF):
+                message = prover.commit_coin_chunk(count)
+            self.network.broadcast(prover.name, message)
+            if self._retain:
+                self._coin_messages.append(message)
+            # The chunk schedule is the engine's: a chunk of any other
+            # size is the prover's fault, not a crash two steps later.
+            if len(message.commitments) != count:
+                ok = False
+                verifier.audit.provers[prover.name] = ProverStatus.BAD_COIN_PROOF
+                verifier.audit.note(
+                    f"{prover.name}: coin chunk is not the {count} coins asked for"
+                )
+            else:
+                ok = verifier.hold_coin_chunk(message)
             if ok:
+                self._draw_chunk_bits(prover, count)
+                # The request leaves before the check: a remote prover
+                # proves the next chunk (the next prover its first) on its
+                # own core while this one is verified here.
+                request(step + 1)
                 with self.timer.stage(STAGE_SIGMA_VERIFY):
-                    ok = self.verifier.finish_coin_stream(prover.name)
+                    ok = verifier.verify_coin_chunk(message)
+                    if ok and last:
+                        ok = verifier.finish_coin_stream(prover.name)
+            if ok and not last:
+                step += 1
+                continue
+            # The prover's stream is over, complete or given up (a reply it
+            # still owes to a request is its proxy's to settle).
             coin_ok[prover.name] = ok
+            step = (step // per_prover + 1) * per_prover
         return coin_ok
+
+    def _draw_chunk_bits(self, prover: Prover, count: int) -> None:
+        """Lines 7–9 and 12 for the held chunk: Morra, then both folds."""
+        lanes = self.plan.lanes
+        self._advance(Phase.MORRA)
+        with self.timer.stage(STAGE_MORRA):
+            outcome = run_morra_batch(
+                [prover, self.verifier],
+                self.params.q,
+                count * lanes,
+                network=self.network,
+            )
+            flat = outcome.bits()
+        bits = [flat[j * lanes : (j + 1) * lanes] for j in range(count)]
+        if self._retain:
+            self._public_bits[prover.name] = bits
+        self._advance(Phase.ADJUST)
+        with self.timer.stage(STAGE_CHECK):
+            self.verifier.apply_public_bits_chunk(prover.name, bits)
+        prover.absorb_public_bits(bits)
 
     def _assemble_release(self, coin_ok: dict[str, bool]):
         """Lines 10–13 plus aggregation into the public release."""

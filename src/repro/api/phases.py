@@ -15,8 +15,12 @@
     this point no client can join and every coin proof is bound to the
     complete client phase.
 ``COMMIT_COINS``
-    A prover commits one chunk of coins × L lanes with Σ-OR bit proofs
-    (Lines 4–6); the verifier checks the chunk.
+    A prover is asked for one chunk of coins × L lanes with Σ-OR bit
+    proofs (Lines 4–6).  While it proves, the verifier checks the proofs
+    of the chunk before (which has had its Morra round); then the new
+    chunk is collected and held.  The last chunk of the run has no
+    request to enter this phase with: it is checked at the end of
+    ``ADJUST``.
 ``MORRA``
     Prover and verifier co-sample the chunk's public bits (Lines 7–8,
     Algorithm 1).
@@ -25,7 +29,8 @@
     verifier folds the homomorphic ĉ' products.  The engine loops
     ``COMMIT_COINS → MORRA → ADJUST`` once per chunk per prover (with
     ``chunk_size=None``: once per prover, one chunk of nb) — each coin is
-    committed strictly before its public bit is drawn.
+    committed strictly before its public bit is drawn, and its proof is
+    bound to that commitment whenever it is checked.
 ``RELEASE``
     Prover outputs (Lines 10–11), the Line 13 check, aggregation and the
     audit record.

@@ -319,6 +319,12 @@ class Prover(MorraParticipant):
         self._noise_y = [0] * self.plan.lanes
         self._noise_z = [0] * self.plan.lanes
 
+    def request_coin_chunk(self, count: int) -> None:
+        """The engine's notice that :meth:`commit_coin_chunk` ``(count)``
+        comes next, given before it checks the previous chunk.  A prover
+        behind a wire starts proving on it; in process there is nothing
+        to overlap with, and the chunk is made when it is collected."""
+
     def commit_coin_chunk(self, count: int) -> CoinCommitmentMessage:
         """Commit and prove the next ``count`` coins (rows × L lanes)."""
         if self._stream_transcript is None:

@@ -26,10 +26,12 @@ which proof failed; construct with ``batch=False`` to force the
 sequential path throughout (the ablation benchmarks do).
 
 Verification is **chunked**: the ``begin_coin_stream`` /
-``verify_coin_chunk`` / ``apply_public_bits_chunk`` / ``finish_coin_stream``
-family verifies a prover's nb proofs chunk by chunk over one evolving
-Fiat–Shamir transcript, folding each chunk's Line 12 update into a
-running product and then discarding it, and ``fold_client_commitments`` /
+``hold_coin_chunk`` / ``apply_public_bits_chunk`` / ``verify_coin_chunk`` /
+``finish_coin_stream`` family verifies a prover's nb proofs chunk by
+chunk over one evolving Fiat–Shamir transcript (a chunk's proofs may be
+checked before or after its Morra bits are folded, never after the next
+chunk is taken), folding each chunk's Line 12 update into a running
+product and then discarding it, and ``fold_client_commitments`` /
 ``check_prover_output_folded`` do the same for Line 13.  An unchunked run
 is one chunk of nb coins and every client; a chunked one keeps peak
 memory O(chunk) instead of O(nb), which is what lets a 262,144-coin run
@@ -76,8 +78,12 @@ class _CoinStream:
     lanes: int
     received: int = 0
     failed: bool = False
-    # The last verified chunk's commitments, awaiting their Morra bits.
+    # The held chunk's commitments, awaiting their Morra bits (Line 12
+    # needs nothing else of the chunk).
     pending: tuple[tuple[Commitment, ...], ...] = ()
+    # The held chunk while its proofs are unchecked — the engine checks
+    # them after the chunk's Morra round, never after the next hold.
+    unverified: CoinCommitmentMessage | None = None
     # Running Line 12 folds per lane.
     keep: list[GroupElement | None] = field(default_factory=list)
     flip: list[GroupElement | None] = field(default_factory=list)
@@ -383,13 +389,13 @@ class PublicVerifier(MorraParticipant):
             raise ParameterError(f"no open coin stream for {prover_id!r}")
         return stream
 
-    def verify_coin_chunk(self, message: CoinCommitmentMessage) -> bool:
-        """Verify the next chunk of a prover's coin stream.
+    def hold_coin_chunk(self, message: CoinCommitmentMessage) -> bool:
+        """Take the next chunk of a prover's coin stream without checking
+        its proofs: shape, count and sequence only.
 
-        Each chunk is checked eagerly (one RLC multiexp per chunk), so a
-        cheating prover is caught — and the offending coin named, via
-        sequential replay from a transcript snapshot — the moment its
-        chunk arrives, not at the end of the run.
+        The chunk's commitments become ``pending`` — all the Morra round
+        and Line 12 need — and its proofs stay owed to
+        :meth:`verify_coin_chunk`, which must run before the next hold.
         """
         prover_id = message.prover_id
         stream = self._stream_for(prover_id)
@@ -401,10 +407,35 @@ class PublicVerifier(MorraParticipant):
             or not self._coin_shape_ok(message)
             or stream.received + rows > self.params.nb
             or stream.pending
+            or stream.unverified is not None
         ):
             stream.failed = True
             self._reject_coins(prover_id, "malformed coin chunk")
             return False
+        stream.pending = message.commitments
+        stream.unverified = message
+        return True
+
+    def verify_coin_chunk(self, message: CoinCommitmentMessage) -> bool:
+        """Check the proofs of a prover's current chunk (one RLC multiexp).
+
+        The engine holds a chunk, draws its Morra bits and asks the
+        prover for the next chunk *before* calling this, so the check
+        runs while the next chunk is being proved; a direct caller that
+        held nothing gets the hold here.  A coin is committed before its
+        bit is drawn either way and the proof is bound to that
+        commitment, so a cheating prover is caught — and the offending
+        coin named, via sequential replay from a transcript snapshot —
+        one Morra round after its chunk arrives, not at the end of the
+        run.
+        """
+        prover_id = message.prover_id
+        stream = self._stream_for(prover_id)
+        if stream.failed:
+            return False
+        if stream.unverified is not message and not self.hold_coin_chunk(message):
+            return False
+        stream.unverified = None
         snapshot = stream.transcript.clone()
         if self.batch:
             batch = SigmaBatch(self.params.pedersen, self.gamma_rng)
@@ -430,8 +461,7 @@ class PublicVerifier(MorraParticipant):
                 stream.failed = True
                 self._reject_coins(prover_id, note)
                 return False
-        stream.pending = message.commitments
-        stream.received += rows
+        stream.received += len(message.commitments)
         return True
 
     def apply_public_bits_chunk(self, prover_id: str, public_bits: list[list[int]]) -> None:
@@ -464,7 +494,7 @@ class PublicVerifier(MorraParticipant):
         stream = self._stream_for(prover_id)
         if stream.failed:
             return False
-        if stream.received != self.params.nb or stream.pending:
+        if stream.received != self.params.nb or stream.pending or stream.unverified is not None:
             stream.failed = True
             self._reject_coins(
                 prover_id,
@@ -549,7 +579,7 @@ class PublicVerifier(MorraParticipant):
         completeness check — a shard only ever sees its own chunks' folds
         — and the stream stays open."""
         stream = self._stream_for(prover_id)
-        if stream.failed or stream.pending:
+        if stream.failed or stream.pending or stream.unverified is not None:
             return False, []
         return True, self._materialize_line12(stream)
 

@@ -213,6 +213,14 @@ class RemoteProver(MorraParticipant):
     (and :func:`~repro.mpc.morra.run_morra_batch`) calls on a prover by
     round-tripping wire frames to the :class:`ServerNode` of the same
     name.  Holds no secrets and no randomness of its own.
+
+    One request may be outstanding per peer, never more: the engine's
+    :meth:`request_coin_chunk` sends the ``commit-coin-chunk`` frame and
+    returns, so the server proves that chunk while the analyst checks the
+    previous one, and :meth:`commit_coin_chunk` reads the reply.  Every
+    other method is a full round trip.  A request the engine never
+    collects (it gave the prover's stream up) is settled by
+    :meth:`drain` before any other frame goes to the peer.
     """
 
     def __init__(
@@ -227,12 +235,24 @@ class RemoteProver(MorraParticipant):
         self.transport = transport
         self.params = params
         self.timeout = timeout
+        self._requested = False
 
     # RPC plumbing -----------------------------------------------------------
 
-    def _call(self, method: str, *parts: bytes, parse=None):
+    def _send(self, method: str, *parts: bytes) -> None:
+        self.drain(self.timeout)
         self.transport.send(self.name, wire.encode_rpc(method, *parts))
+
+    def _call(self, method: str, *parts: bytes, parse=None):
+        self._send(method, *parts)
         return read_reply(self.transport, self.name, self.timeout, parse=parse)
+
+    def drain(self, timeout: float | None) -> None:
+        """Read and discard the reply to a chunk request nobody will
+        collect, so the peer's next frame answers the next frame sent."""
+        if self._requested:
+            self._requested = False
+            self.transport.recv(self.name, timeout)
 
     # Client phase -----------------------------------------------------------
 
@@ -264,10 +284,18 @@ class RemoteProver(MorraParticipant):
     def begin_coin_stream(self, context: bytes) -> None:
         self._call("begin-coin-stream", context)
 
+    def request_coin_chunk(self, count: int) -> None:
+        self._send("commit-coin-chunk", int_to_bytes(count))
+        self._requested = True
+
     def commit_coin_chunk(self, count: int) -> CoinCommitmentMessage:
-        message = self._call(
-            "commit-coin-chunk",
-            int_to_bytes(count),
+        if not self._requested:
+            self.request_coin_chunk(count)
+        self._requested = False
+        message = read_reply(
+            self.transport,
+            self.name,
+            self.timeout,
             parse=self._decoder(CoinCommitmentMessage),
         )
         if message.prover_id != self.name:
@@ -516,6 +544,15 @@ class AnalystNode:
         )
         self._ingest()
         self.result = self.engine.run_release()
+        # A prover whose stream was given up may still owe the reply to
+        # its last chunk request; shutdown_peers takes the next frame as
+        # the ack, so that reply is read away first.
+        grace = min(_SHUTDOWN_GRACE, self.timeout or _SHUTDOWN_GRACE)
+        for prover in self.engine.provers:
+            try:
+                prover.drain(grace)
+            except ProtocolAbort:
+                pass  # shutdown_peers names a peer that stays silent
         # Peers shut down *before* the release is published: an
         # unresponsive peer's audit note must land in the bytes the
         # clients receive, not mutate the audit record of an

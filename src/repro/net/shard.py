@@ -37,13 +37,16 @@ seeded :class:`~repro.api.Session` at the same ``chunk_size``):
   phase machine, the provers — runs unsharded, once, on the front-end
   and the servers.  Shards only *check*; they never sample.
 
-One deviation from the unsharded failure path: coin chunks are verified
-asynchronously, so a cheating prover's Morra bits for chunks *after* its
-bad one are still drawn (the unsharded engine stops at the bad chunk).
+The coin phase runs the engine's one schedule (hold → Morra → fold →
+ask for the next chunk → check): the hold is where a chunk is dispatched
+to the shards, and the check the engine defers by one Morra round is
+here deferred to ``finish_coin_stream``, when the shards report back.  So
+a cheating prover's Morra bits for *every* chunk after its bad one are
+still drawn (the unsharded engine stops one round after the bad chunk).
 Soundness is unaffected — every coin is still committed before its bit
 is drawn, and the prover is rejected with the same pinpointing note
-(plus shard attribution) when the shards report back — the extra Morra
-draws are simply wasted on a run that will not release.
+(plus shard attribution) — the extra Morra draws are simply wasted on a
+run that will not release.
 """
 
 from __future__ import annotations
@@ -278,8 +281,9 @@ class _ShardedVerifier(PublicVerifier):
 
     Client validation is routed by :class:`ShardedAnalyst` itself (it
     owns the enrollment stream); this subclass intercepts the engine's
-    streamed coin-phase calls.  ``verify_coin_chunk`` dispatches and
-    returns optimistically; the real verdict lands in
+    streamed coin-phase calls.  ``hold_coin_chunk`` dispatches the chunk
+    (its bits follow it to the owning shard), ``verify_coin_chunk`` has
+    nothing left to do here, and the real verdict lands in
     ``finish_coin_stream`` when every shard has answered for the prover.
     """
 
@@ -290,8 +294,11 @@ class _ShardedVerifier(PublicVerifier):
     def begin_coin_stream(self, prover_id: str, context: bytes) -> None:
         self._analyst._begin_coin_stream(prover_id, context)
 
-    def verify_coin_chunk(self, message) -> bool:
+    def hold_coin_chunk(self, message) -> bool:
         self._analyst._dispatch_coin_chunk(message)
+        return True
+
+    def verify_coin_chunk(self, message) -> bool:
         return True
 
     def apply_public_bits_chunk(self, prover_id: str, public_bits) -> None:

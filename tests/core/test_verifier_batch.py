@@ -216,6 +216,107 @@ class TestClientBatching:
         assert verifier.audit.clients["client-0"] is ClientStatus.BAD_OPENING
 
 
+class TestHoldThenVerify:
+    """The engine holds a chunk, draws its Morra bits and checks its
+    proofs afterwards; a direct caller may still verify → apply."""
+
+    def chunks(self, params, sizes, seed="hold"):
+        prover = Prover("prover-0", params, SeededRNG(seed))
+        prover.begin_coin_stream(b"ctx")
+        out = []
+        for size in sizes:
+            out.append(prover.commit_coin_chunk(size))
+            prover.absorb_public_bits([[0]] * size)
+        return out
+
+    def test_hold_bits_verify_equals_verify_bits(self):
+        """Both orders accept the same stream and fold the same Line 12
+        products — the hold is all the Morra round and the fold need."""
+        params = make_params()
+        messages = self.chunks(params, [4, 4, 4, 4])
+        products = []
+        for held_first in (True, False):
+            verifier = PublicVerifier(params, SeededRNG("v"))
+            verifier.begin_coin_stream("prover-0", b"ctx")
+            for index, message in enumerate(messages):
+                bits = [[(index + j) % 2] for j in range(4)]
+                if held_first:
+                    assert verifier.hold_coin_chunk(message)
+                    verifier.apply_public_bits_chunk("prover-0", bits)
+                    assert verifier.verify_coin_chunk(message)
+                else:
+                    assert verifier.verify_coin_chunk(message)
+                    verifier.apply_public_bits_chunk("prover-0", bits)
+            assert verifier.finish_coin_stream("prover-0")
+            products.append(verifier._adjusted_products["prover-0"][0].element)
+        assert products[0] == products[1]
+
+    def test_verify_without_a_hold_holds_verifies_and_leaves_pending(self):
+        params = make_params()
+        (message,) = self.chunks(params, [NB])
+        verifier = PublicVerifier(params, SeededRNG("v"))
+        verifier.begin_coin_stream("prover-0", b"ctx")
+        assert verifier.verify_coin_chunk(message)
+        stream = verifier._coin_streams["prover-0"]
+        assert stream.pending == message.commitments
+        assert stream.unverified is None and stream.received == NB
+        verifier.apply_public_bits_chunk("prover-0", [[1]] * NB)
+        assert verifier.finish_coin_stream("prover-0")
+
+    def test_second_hold_before_the_first_chunks_bits_is_malformed(self):
+        params = make_params()
+        first, second = self.chunks(params, [4, 4])
+        verifier = PublicVerifier(params, SeededRNG("v"))
+        verifier.begin_coin_stream("prover-0", b"ctx")
+        assert verifier.hold_coin_chunk(first)
+        assert not verifier.hold_coin_chunk(second)
+        assert verifier.audit.provers["prover-0"] is ProverStatus.BAD_COIN_PROOF
+        assert verifier.audit.notes == ["prover-0: malformed coin chunk"]
+
+    def test_next_chunk_is_refused_while_one_is_unverified(self):
+        """Bits alone do not retire a held chunk: its proofs run on the
+        one evolving transcript, so they are checked before the next hold
+        — by ``verify_coin_chunk`` of another message as well."""
+        params = make_params()
+        first, second = self.chunks(params, [4, 4])
+        for take in ("hold_coin_chunk", "verify_coin_chunk"):
+            verifier = PublicVerifier(params, SeededRNG("v"))
+            verifier.begin_coin_stream("prover-0", b"ctx")
+            assert verifier.hold_coin_chunk(first)
+            verifier.apply_public_bits_chunk("prover-0", [[0]] * 4)
+            assert not getattr(verifier, take)(second)
+            assert verifier.audit.notes == ["prover-0: malformed coin chunk"]
+
+    def test_finish_rejects_a_held_but_unverified_chunk(self):
+        params = make_params()
+        (message,) = self.chunks(params, [NB])
+        verifier = PublicVerifier(params, SeededRNG("v"))
+        verifier.begin_coin_stream("prover-0", b"ctx")
+        assert verifier.hold_coin_chunk(message)
+        verifier.apply_public_bits_chunk("prover-0", [[0]] * NB)
+        assert not verifier.finish_coin_stream("prover-0")
+        assert verifier.audit.provers["prover-0"] is ProverStatus.BAD_COIN_PROOF
+        assert any("incomplete coin stream (0/16" in note for note in verifier.audit.notes)
+
+    def test_tampered_chunk_is_named_after_its_bits(self):
+        """A cheater is pinpointed by the deferred check exactly as by an
+        eager one: same status, same global coin index."""
+        params = make_params()
+        first, second = self.chunks(params, [8, 8])
+        second = tamper_coin(second, 3, 0, params.q)
+        for batch in (True, False):
+            verifier = PublicVerifier(params, SeededRNG("v"), batch=batch)
+            verifier.begin_coin_stream("prover-0", b"ctx")
+            for message in (first, second):
+                assert verifier.hold_coin_chunk(message)
+                verifier.apply_public_bits_chunk("prover-0", [[1]] * 8)
+                ok = verifier.verify_coin_chunk(message)
+            assert not ok
+            assert verifier.audit.provers["prover-0"] is ProverStatus.BAD_COIN_PROOF
+            assert any("coin 11, coordinate 0" in note for note in verifier.audit.notes)
+            assert not verifier.finish_coin_stream("prover-0")
+
+
 class TestLine12Fold:
     def test_folded_update_matches_per_coin(self):
         """The one-pass Line 12 fold equals the coin-by-coin computation."""

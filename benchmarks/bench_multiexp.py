@@ -3,10 +3,9 @@
 The tiered engine in :mod:`repro.crypto.multiexp` is the hot primitive
 under batched Σ-verification, the Line 12/13 checks, and every
 commitment product; this bench pins its crossover behaviour per batch
-size.  ``python -m repro multiexp`` runs the same sweep through the
-bench runner and writes ``BENCH_multiexp.json`` on demand — a report of
-this host's timings that no code reads back; tier-1's share of this file
-is the ``perfsmoke`` canary in ``tests/perf``.
+size.  ``python -m repro multiexp`` prints the same sweep on this host;
+tier-1's share of this file is the ``perfsmoke`` canary in
+``tests/perf``.
 """
 
 import pytest

@@ -2,8 +2,8 @@
 
 Workload sizing: benchmarks run the paper's *operations* at reduced batch
 sizes (pure Python); per-operation costs are what matter, since every
-stage of ΠBin is linear in its batch size.  The experiment harness
-(``python -m repro <exp>``) prints the extrapolations to paper scale.
+stage of ΠBin is linear in its batch size.  The experiment drivers
+(``python -m repro <exp>``) print the extrapolations to paper scale.
 
 Group choice: ``modp-2048`` is the paper's production backend and is used
 for the microbenchmarks; the protocol-level benchmarks use ``p128-sim``
@@ -15,38 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import write_bench_json
 from repro.core.params import setup
 from repro.utils.rng import SeededRNG
 
 PAPER_DELTA = 2**-10
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the pytest-benchmark suite through ``write_bench_json`` so
-    its rows carry the same host metadata (cpu_count, platform, python)
-    as every other BENCH artifact — a micro number without its
-    measurement context is exactly the mistake ROADMAP's measurement
-    caveat documents."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    rows = []
-    for bench in bench_session.benchmarks:
-        stats = bench.stats
-        rows.append(
-            {
-                "test": bench.fullname,
-                "group": bench.group,
-                "rounds": stats.rounds,
-                "mean_s": stats.mean,
-                "stdev_s": stats.stddev,
-                "min_s": stats.min,
-                "max_s": stats.max,
-            }
-        )
-    path = write_bench_json("micro_suite", rows)
-    print(f"\nbenchmark rows written to {path}")
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ public messages for third-party bulletin replay.  ``chunk_size=n`` drops
 each chunk once folded — peak verifier memory is O(chunk), nothing
 proportional to nb or to the client count is kept — which is what lets
 the paper-scale nb = 262,144 workload run on a laptop
-(``benchmarks/bench_streaming_session.py``).
+(``python -m repro streaming`` prints the streamed and one-chunk peaks).
 """
 
 from __future__ import annotations

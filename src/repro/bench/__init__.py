@@ -1,22 +1,14 @@
-"""Experiment harness regenerating every table and figure of the paper.
+"""Experiment drivers regenerating every table and figure of the paper.
 
 Each ``run_*`` function returns structured rows (plain dicts) and the
-formatting layer prints them paper-style.  The pytest-benchmark suite in
-``benchmarks/`` wraps the same primitives; the CLI (``python -m repro``)
-is the human entry point.  See DESIGN.md for the experiment index and
-the checked-in BENCH_*.json files for measured-vs-paper numbers.
+formatting layer prints them paper-style; the CLI (``python -m repro
+<experiment>``) is the human entry point and nothing is written to disk.
+The pytest-benchmark suite in ``benchmarks/`` wraps the same primitives.
+Serving numbers come from the named benchmark (``benchmarks/e2e``), not
+from here.  See DESIGN.md for the experiment index.
 """
 
 from repro.bench.format import format_table, print_table
-from repro.bench.harness import (
-    RunTable,
-    cell_id,
-    check_baseline,
-    expand,
-    run_cell,
-    run_table,
-    summarize,
-)
 from repro.bench.runner import (
     run_table1,
     run_fig3,
@@ -28,20 +20,12 @@ from repro.bench.runner import (
     run_attacks,
     run_separation,
     run_multiexp,
-    write_bench_json,
     EXPERIMENTS,
 )
 
 __all__ = [
     "format_table",
     "print_table",
-    "RunTable",
-    "cell_id",
-    "check_baseline",
-    "expand",
-    "run_cell",
-    "run_table",
-    "summarize",
     "run_table1",
     "run_fig3",
     "run_fig4",
@@ -52,6 +36,5 @@ __all__ = [
     "run_attacks",
     "run_separation",
     "run_multiexp",
-    "write_bench_json",
     "EXPERIMENTS",
 ]

@@ -1,17 +1,16 @@
 """Experiment drivers, one per paper artifact (see DESIGN.md's index).
 
-All drivers accept a ``scale`` knob: benchmarks run at reduced workload
-sizes by default (this is pure Python) and report both measured numbers
-and the linear extrapolation to the paper's stated sizes.  Set
-``REPRO_PAPER_SCALE=1`` to run the real thing.
+Every driver returns its rows and writes no file.  Workloads run at
+reduced sizes by default (this is pure Python) and report both measured
+numbers and the linear extrapolation to the paper's stated sizes; set
+``REPRO_PAPER_SCALE=1`` — the one workload-size setting — to run the
+real thing.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.analysis.error import empirical_error
 from repro.attacks import (
@@ -53,8 +52,6 @@ __all__ = [
     "run_separation",
     "run_multiexp",
     "run_streaming",
-    "write_bench_json",
-    "host_metadata",
     "EXPERIMENTS",
 ]
 
@@ -449,66 +446,18 @@ def run_separation(*, seed: str = "separation") -> list[dict]:
     ]
 
 
-def host_metadata() -> dict:
-    """The measurement context a BENCH row is meaningless without.
-
-    ``cpu_count`` is the load-bearing field: scaling claims (sharded,
-    distributed, fleet) measured on a 1-core container show
-    *coordination overhead*, not parallel speedup, and earlier BENCH
-    files repeated exactly that mistake because the rows carried no
-    record of where they were measured (see ROADMAP "Measurement
-    caveats").  ``ristretto255_backend`` is the kernel a row named
-    ``ristretto255`` timed: the name resolves per host (≈ 3.5× apart).
-    """
-    import platform
-
-    resolved = type(_resolve_group("ristretto255"))
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "ristretto255_backend": "python" if resolved is RistrettoGroup else "libsodium",
-    }
-
-
-def write_bench_json(
-    name: str, rows: list[dict], directory: str | Path | None = None
-) -> Path:
-    """Persist experiment rows as ``BENCH_<name>.json``.
-
-    The file lands in ``directory`` when given, else ``REPRO_BENCH_DIR``
-    (default: the current working directory, i.e. the repo root when run
-    via ``python -m repro``), and is the checked-in evidence format for
-    perf-sensitive changes.  Every row is stamped with
-    :func:`host_metadata` (the row's own keys win) so a scaling number
-    can never again be read without knowing how many cores measured it.
-    """
-    if directory is None:
-        directory = os.environ.get("REPRO_BENCH_DIR", ".")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name}.json"
-    metadata = host_metadata()
-    stamped = [{**metadata, **row} for row in rows]
-    path.write_text(json.dumps({"bench": name, "rows": stamped}, indent=2) + "\n")
-    return path
-
-
 def run_multiexp(
     *,
     sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096),
     wide_sizes: tuple[int, ...] = (2, 8, 32),
     signed_sizes: tuple[int, ...] = (1024, 4096),
     seed: str = "multiexp",
-    emit_json: bool = True,
 ) -> list[dict]:
     """Multiexp tier crossover: naive vs Straus-wNAF vs Pippenger.
 
     Times all three tiers per batch size on the 128-bit Schnorr
-    simulation group (plus a few sizes on production modp-2048), reports
-    the automatic selection, and emits ``BENCH_multiexp.json`` — a
-    measurement output that no code reads back: the regression evidence
-    behind the verifier's batched hot path and the check on the cost
+    simulation group (plus a few sizes on production modp-2048) and
+    reports the automatic selection beside them — the check on the cost
     model's constants (rows carry the exponent width; extra row kinds:
     ``straus-window`` sweeps the wNAF width, ``pippenger-variants``
     compares signed-digit vs unsigned buckets — signed wins where
@@ -610,8 +559,6 @@ def run_multiexp(
                     / max(timings["pippenger-signed"], 1e-9),
                 }
             )
-    if emit_json:
-        write_bench_json("multiexp", rows)
     return rows
 
 
@@ -622,7 +569,6 @@ def run_streaming(
     n_clients: int = 48,
     group: str = "p64-sim",
     seed: str = "streaming",
-    emit_json: bool = True,
 ) -> list[dict]:
     """Streamed vs buffered session verification: throughput and memory.
 
@@ -630,9 +576,8 @@ def run_streaming(
     as one chunk (``buffered``: all nb proofs and messages held at once)
     and once streamed in chunks of ``chunk`` — and reports proofs
     verified/sec plus the tracemalloc peak, the in-process stand-in for
-    peak verifier RSS.  Emits ``BENCH_streaming.json``: the evidence that
-    a paper-scale nb fits in O(chunk) memory.  Set ``REPRO_PAPER_SCALE=1``
-    (or REPRO_STREAM_NB) for the nb = 65,536+ run.
+    peak verifier RSS: the evidence that a paper-scale nb fits in
+    O(chunk) memory.  Set ``REPRO_PAPER_SCALE=1`` for the nb = 65,536 run.
     """
     import gc
     import tracemalloc
@@ -640,8 +585,7 @@ def run_streaming(
     from repro.api import CountQuery, Session
 
     if nb is None:
-        env = os.environ.get("REPRO_STREAM_NB")
-        nb = int(env) if env else (65_536 if paper_scale() else 1024)
+        nb = 65_536 if paper_scale() else 1024
     if chunk is None:
         chunk = max(64, nb // 64)
     bits = [1 if i % 3 == 0 else 0 for i in range(n_clients)]
@@ -695,8 +639,6 @@ def run_streaming(
             "peak_mem_ratio": peaks["streamed"] / max(peaks["buffered"], 1),
         }
     )
-    if emit_json:
-        write_bench_json("streaming", rows)
     return rows
 
 

@@ -23,8 +23,8 @@ _DESCRIPTIONS = {
     "fig4": "Figure 4 — client one-hot validation: sigma-OR vs PRIO/Poplar sketch",
     "table2": "Table 2 — qualitative properties of MPC-DP systems (validated live)",
     "micro": "Section 6 — single exponentiation latency, modp vs ristretto",
-    "multiexp": "Multiexp tiers — naive/Straus/Pippenger crossover (writes BENCH_multiexp.json; nothing reads it back)",
-    "streaming": "Streamed vs buffered session verification (emits BENCH_streaming.json)",
+    "multiexp": "Multiexp tiers — naive/Straus/Pippenger crossover vs the cost model's pick",
+    "streaming": "Streamed vs buffered session verification — throughput and peak memory",
     "err": "DP-Error — central O(1/eps) vs local O(sqrt(n)/eps)",
     "comm": "Communication — serialized proof sizes: sigma-OR vs sketch",
     "attacks": "Figure 1 — exclusion/collusion/noise-biasing, baseline vs PiBin",
@@ -135,64 +135,6 @@ def _serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Declarative experiment harness: run tables, summaries, "
-        "regression gates (see DESIGN.md 'Measurement & observability')",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser(
-        "run", help="run every cell of a run-table JSON and write BENCH artifacts"
-    )
-    run.add_argument("table", help="run-table JSON file (factors x levels x reps)")
-    run.add_argument(
-        "--out",
-        default=None,
-        help="directory for BENCH artifacts (default: $REPRO_BENCH_DIR or .)",
-    )
-    run.add_argument(
-        "--no-raw",
-        action="store_true",
-        help="skip the one-JSON-per-run raw artifacts (combined file only)",
-    )
-    run.add_argument(
-        "--summary", default=None, help="also write the mean/stdev summary JSON here"
-    )
-    run.add_argument(
-        "--baseline",
-        default=None,
-        help="check the summary against this baseline summary JSON "
-        "(exit 1 on >--max-slowdown regression)",
-    )
-    run.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=2.0,
-        help="regression gate threshold vs the baseline mean (default 2.0x)",
-    )
-    summarize = sub.add_parser(
-        "summarize", help="fold BENCH row files into a mean/stdev summary"
-    )
-    summarize.add_argument("files", nargs="+", help="BENCH_*.json files")
-    summarize.add_argument("--out", default=None, help="write the summary JSON here")
-    summarize.add_argument(
-        "--metric", default="wall_s", help="row metric to aggregate (default wall_s)"
-    )
-    check = sub.add_parser(
-        "check", help="compare a summary against a baseline summary"
-    )
-    check.add_argument("summary", help="summary JSON produced by run/summarize")
-    check.add_argument("baseline", help="baseline summary JSON to compare against")
-    check.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=2.0,
-        help="fail when mean exceeds baseline mean by this factor (default 2.0)",
-    )
-    return parser
-
-
 def _loadgen_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
@@ -246,10 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed == "none":
             args.seed = None
         return serve_main(args)
-    if argv and argv[0] == "bench":
-        from repro.bench.harness import main as bench_main
-
-        return bench_main(_bench_parser().parse_args(argv[1:]))
     if argv and argv[0] == "loadgen":
         return _loadgen_main(_loadgen_parser().parse_args(argv[1:]))
     if argv and argv[0] == "lint":
@@ -265,12 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS)
-        + ["all", "list", "serve", "bench", "loadgen", "lint"],
+        + ["all", "list", "serve", "loadgen", "lint"],
         help="experiment id (see DESIGN.md), 'all'/'list', 'serve' "
-        "(multi-process serving demo), 'bench' (run-table experiment "
-        "harness), 'loadgen' (open-loop fleet load generator), or 'lint' "
-        "(protocol-invariant static analysis); run '<name> --help' for "
-        "options",
+        "(multi-process serving demo), 'loadgen' (open-loop fleet load "
+        "generator), or 'lint' (protocol-invariant static analysis); run "
+        "'<name> --help' for options",
     )
     args = parser.parse_args(argv)
 

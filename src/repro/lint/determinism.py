@@ -32,7 +32,7 @@ Flags, inside the protocol/wire/crypto scope:
   ``os.getcwd()``, ``Path.cwd()`` — what a protocol or crypto function
   returns must follow from its arguments, not from a variable or a
   directory the caller happened to start in (``repro.bench`` is out of
-  scope: output directories and workload sizes are deployment settings).
+  scope: its workload size, ``REPRO_PAPER_SCALE``, is a run setting).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The paper measures local computation only ("we do not include time spent
 to communicate over the network"), so the substrate's job is fidelity of
 *semantics*, not of latency: ordered point-to-point channels, broadcast,
 and per-protocol traffic accounting (bytes and message counts), which the
-bench harness reports alongside timings.
+experiment drivers report alongside timings.
 
 Messages are delivered synchronously in send order per (sender, recipient)
 pair — the model every protocol in the paper assumes.  Traffic accounting

@@ -1,9 +1,9 @@
-"""Timing helpers for the experiment harness.
+"""Timing helpers for the experiment drivers.
 
 The paper reports wall-clock latency per protocol *stage* (Table 1 columns:
 Σ-proof, Σ-verification, Morra, Aggregation, Check).  :class:`StageTimer`
-accumulates named stages across a protocol run so the bench harness can
-print the same rows.
+accumulates named stages across a protocol run so the experiment drivers
+can print the same rows.
 """
 
 from __future__ import annotations

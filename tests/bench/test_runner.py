@@ -117,10 +117,8 @@ class TestFormatting:
     def test_run_multiexp_rows(self, tmp_path, monkeypatch):
         from repro.bench.runner import run_multiexp
 
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-        rows = run_multiexp(
-            sizes=(1, 4), wide_sizes=(2,), signed_sizes=(64,), emit_json=True
-        )
+        monkeypatch.chdir(tmp_path)
+        rows = run_multiexp(sizes=(1, 4), wide_sizes=(2,), signed_sizes=(64,))
         crossover = [r for r in rows if "kind" not in r]
         assert {r["n"] for r in crossover} == {1, 2, 4}
         assert all(r["naive_ms"] > 0 for r in crossover)
@@ -136,20 +134,24 @@ class TestFormatting:
             r["signed_ms"] > 0 and r["unsigned_ms"] > 0 for r in variants
         )
         assert {r["group"] for r in variants} == {"p128-sim", "ristretto255"}
-        emitted = tmp_path / "BENCH_multiexp.json"
-        assert emitted.exists()
-        import json
+        # The rows are the whole output: nothing lands in the working directory.
+        assert list(tmp_path.iterdir()) == []
 
-        payload = json.loads(emitted.read_text())
-        assert payload["bench"] == "multiexp"
-        assert len(payload["rows"]) == len(rows)
-        # Every stamped row says which kernel the name "ristretto255" ran.
-        from repro.core.params import _resolve_group
+    def test_run_streaming_rows(self, tmp_path, monkeypatch):
+        from repro.bench.runner import run_streaming
 
-        resolved = type(_resolve_group("ristretto255")).__name__
-        assert {r["ristretto255_backend"] for r in payload["rows"]} == {
-            "python" if resolved == "RistrettoGroup" else "libsodium"
-        }
+        monkeypatch.chdir(tmp_path)
+        rows = run_streaming(nb=256, n_clients=6)
+        streamed, buffered, ratio = rows
+        assert (streamed["mode"], streamed["chunk"]) == ("streamed", 64)
+        assert (buffered["mode"], buffered["chunk"]) == ("buffered", 256)
+        for row in (streamed, buffered):
+            assert row["nb"] == 256 and row["proofs_per_s"] > 0
+            assert row["peak_mem_mb"] > 0
+        # Ratios live under their own keys, never in the seconds/MB columns.
+        assert ratio["total_ratio"] > 0 and ratio["peak_mem_ratio"] > 0
+        assert "total_s" not in ratio and "peak_mem_mb" not in ratio
+        assert list(tmp_path.iterdir()) == []
 
     def test_comm_rows(self):
         from repro.bench.runner import run_comm

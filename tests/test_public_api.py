@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.bench
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,14 +68,16 @@ class TestPublicApi:
     def test_docstring_pointers_exist(self):
         """The package docstring names README.md and DESIGN.md — both must
         exist (they were once dangling references) — and every test,
-        benchmark, example or experiment file *they* name must exist too."""
+        benchmark, example, experiment or root ``BENCH_*.json`` file
+        *they* or the verify recipe name must exist too."""
         root = README.parent
         named = re.compile(
             r"(?<![\w/.-])((?:tests|benchmarks|examples)/[\w./-]+\.py"
-            r"|experiments/[\w./-]+\.json)\b"
+            r"|experiments/[\w./-]+\.json|BENCH_\w+\.json)\b"
         )
         for name in ("README.md", "DESIGN.md"):
             assert name in repro.__doc__
+        for name in ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"):
             assert (root / name).is_file(), name
             for path in named.findall((root / name).read_text()):
                 assert (root / path).is_file(), f"{name} names missing {path}"
@@ -106,3 +109,48 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["nope"])
+        # `bench` is no sub-command: serving numbers come from benchmarks/e2e.
+        with pytest.raises(SystemExit):
+            main(["bench", "run", "x.json"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["bench", "run", "table.json"],
+            ["bench", "summarize", "out"],
+            ["bench", "check", "summary.json", "baseline.json"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_retired_bench_subcommand_is_a_usage_error(self, argv, capsys):
+        """Every former ``repro bench`` form is an unknown choice (exit 2),
+        not a silently different command."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(repro.bench.EXPERIMENTS))
+    def test_list_describes_every_experiment(self, name, capsys):
+        """``repro list`` prints one described line per registered
+        experiment, and nothing else."""
+        from repro.cli import _DESCRIPTIONS, main
+
+        assert set(_DESCRIPTIONS) == set(repro.bench.EXPERIMENTS)
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(repro.bench.EXPERIMENTS)
+        assert f"{name:12s} {_DESCRIPTIONS[name]}" in lines
+
+    def test_paper_scale_is_the_only_env_setting(self):
+        """``REPRO_PAPER_SCALE`` is the one ``REPRO_*`` name the package
+        mentions: no other workload size or output directory is read
+        from the environment."""
+        src = Path(repro.__file__).resolve().parent
+        names = set()
+        for path in src.rglob("*.py"):
+            names.update(re.findall(r"\bREPRO_[A-Z_]+\b", path.read_text()))
+        assert names == {"REPRO_PAPER_SCALE"}

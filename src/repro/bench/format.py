@@ -18,10 +18,14 @@ def _fmt(value: Any) -> str:
 
 
 def format_table(rows: Sequence[dict], *, title: str | None = None) -> str:
-    """Render a list of homogeneous dicts as a fixed-width text table."""
+    """Render a list of dicts as a fixed-width text table.
+
+    The columns are every key of every row, in first-seen order; a row
+    without a column leaves its cell blank.
+    """
     if not rows:
         return (title + "\n" if title else "") + "(no rows)"
-    columns = list(rows[0].keys())
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     cells = [[_fmt(row.get(col, "")) for col in columns] for row in rows]
     widths = [
         max(len(col), *(len(row[i]) for row in cells)) for i, col in enumerate(columns)

@@ -10,11 +10,13 @@ provided, matching Section 6 of the paper:
 * :class:`repro.crypto.ristretto.RistrettoGroup` — ristretto255, the
   prime-order group over Curve25519 (the paper used curve25519-dalek).
 
-The one optional native piece is :mod:`repro.crypto.sodium`: the same
-ristretto255 computed by libsodium through ``ctypes`` where the host has
-the library.  It is not imported here — the *name* ``"ristretto255"``
-resolves to it in ``core.params._resolve_group``; the classes above are
-the pure reference implementations.
+Two optional native pieces run through ``ctypes`` where the host has the
+library (self-tested, decided once per process, not imported here):
+:mod:`repro.crypto.sodium`, the same ristretto255 computed by libsodium,
+to which the *name* ``"ristretto255"`` resolves in
+``core.params._resolve_group``; and :mod:`repro.crypto.gmp`, libgmp's
+``mpz_jacobi`` as a Schnorr element's membership test.  The classes
+above are the pure reference implementations.
 """
 
 from repro.crypto.group import Group, GroupElement

@@ -3,7 +3,11 @@
 This is the paper's default backend ("we adopted Gq ⊂ Z*p based on the
 finite field discrete log problem", Section 6).  For a *safe* prime
 p = 2q + 1, the quadratic residues of Z*p form a cyclic subgroup of prime
-order q; membership is a Jacobi-symbol check (no exponentiation).
+order q; membership is a Jacobi-symbol check (no exponentiation), computed
+by libgmp's ``mpz_jacobi`` where the host has it (:mod:`repro.crypto.gmp`,
+opened at a process's first membership test) and by the pure loop
+:func:`repro.utils.numth.jacobi_symbol` otherwise — same verdicts, same
+exceptions, nothing to configure.
 
 Named parameter sets (exactly the keys of ``NAMED_GROUPS``):
 
@@ -219,9 +223,20 @@ class SchnorrGroup(Group):
         """Wrap an integer, checking subgroup membership."""
         if not 1 <= value < self._p:
             raise NotOnGroupError(f"{value} outside Z*p")
-        if value != 1 and jacobi_symbol(value, self._p) != 1:
+        if value != 1 and self._symbol(value) != 1:
             raise NotOnGroupError("value is not a quadratic residue (not in Gq)")
         return SchnorrElement(self, value)
+
+    def _symbol(self, value: int) -> int:
+        """(value|p) — this method runs once per group, then the instance
+        attribute it sets shadows it: libgmp's ``mpz_jacobi`` where the host
+        has it (see :mod:`repro.crypto.gmp`), the pure loop otherwise.  Two
+        threads' first tests may both decide; they decide alike."""
+        from repro.crypto.gmp import jacobi_modulo
+
+        p = self._p
+        self._symbol = jacobi_modulo(p) or (lambda a: jacobi_symbol(a, p))
+        return self._symbol(value)
 
     def multiexp_kernel(self) -> _SchnorrKernel:
         """Raw-int kernel consumed by :mod:`repro.crypto.multiexp`."""

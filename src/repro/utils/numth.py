@@ -168,8 +168,10 @@ def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n: 1, -1, or 0.
 
     Equal to :func:`legendre_symbol` for prime n, but by quadratic
-    reciprocity — a Euclid loop, no exponentiation (÷3 at 64 bits, ÷70
-    at 2048).
+    reciprocity — a Euclid loop, no exponentiation (÷2.5 at 64 bits, ÷68
+    at 2048).  The reference for, and the fallback of, libgmp's
+    ``mpz_jacobi`` in :mod:`repro.crypto.gmp`, which is faster again
+    (÷5.6 at 64 bits, ÷10 at 128, ÷16 at 2048, ``ctypes`` included).
     """
     if n <= 0 or not n & 1:
         raise ParameterError(f"Jacobi symbol needs an odd positive modulus, got {n}")

@@ -104,6 +104,14 @@ class TestFormatting:
     def test_format_table(self):
         text = format_table([{"a": 1, "b": 2.5}], title="T")
         assert "T" in text and "a" in text and "2.50" in text
+        # A summary row (the streaming experiment's totals) adds columns
+        # the first row does not have; they are printed, in first-seen order.
+        text = format_table([{"a": 1, "b": 2}, {"a": 3, "total_ratio": 0.5}])
+        header, rule, first, summary = text.splitlines()
+        assert header.split() == ["a", "b", "total_ratio"]
+        assert first.split() == ["1", "2"]
+        assert summary.split() == ["3", "0.50"]
+        assert summary.index("0.50") == header.index("total_ratio")
 
     def test_empty(self):
         assert "(no rows)" in format_table([])

@@ -6,6 +6,10 @@ otherwise — once per process, lazily, with nothing to configure.  These
 tests re-run that decision under a loader or self-test made to fail and
 pin that the fallback is the reference and releases the same bytes, and
 that nothing opens the library before a ristretto255 name is resolved.
+
+The Schnorr groups' membership test is decided the same way: libgmp's
+``mpz_jacobi`` (``crypto/gmp.py``) where it loads and passes its
+self-test, ``numth.jacobi_symbol`` otherwise, opened at the first test.
 """
 
 import ctypes
@@ -21,10 +25,12 @@ import pytest
 
 from repro.api import CountQuery, Session
 from repro.core.params import _resolve_group, setup
-from repro.crypto import sodium
+from repro.crypto import gmp, schnorr_group, sodium
 from repro.crypto.ristretto import RistrettoGroup
+from repro.crypto.schnorr_group import NAMED_GROUPS, SchnorrGroup
 from repro.crypto.serialization import encode_message
 from repro.crypto.sodium import SodiumRistrettoGroup
+from repro.errors import NotOnGroupError
 from repro.net.wire import decode_params, encode_params
 from repro.utils.rng import SeededRNG
 
@@ -110,6 +116,109 @@ class TestFallback:
         assert group._self_test()
 
 
+@pytest.fixture()
+def fresh_gmp_decision(monkeypatch):
+    """Make this test decide again whether libgmp computes membership; the
+    process-wide decision comes back afterwards."""
+    monkeypatch.setattr(gmp, "_native", lru_cache(maxsize=1)(gmp._native.__wrapped__))
+
+
+def probes(p: int) -> tuple[int, ...]:
+    """Out of range, 1, residues and non-residues (a safe prime is
+    ≡ 3 (mod 4), so −1 is a non-residue and so is p minus a square)."""
+    square = pow(p // 5, 2, p)
+    return (0, 1, 4, square, p - square, p - 1, p, p + 1)
+
+
+def membership_verdicts(group: SchnorrGroup) -> list:
+    """What ``from_bytes`` makes of the probes: the element's value, or the
+    rejection's type and message."""
+    verdicts = []
+    for value in probes(group.modulus):
+        try:
+            verdicts.append(group.from_bytes(value.to_bytes(group.element_bytes, "big")).value)
+        except NotOnGroupError as exc:
+            verdicts.append((type(exc), str(exc)))
+    return verdicts
+
+
+def reference_verdicts(p: int) -> list:
+    zero, one, four, square, _, _, top, above = probes(p)
+    not_in_gq = (NotOnGroupError, "value is not a quadratic residue (not in Gq)")
+    outside = [(NotOnGroupError, f"{v} outside Z*p") for v in (zero, top, above)]
+    return [outside[0], one, four, square, not_in_gq, not_in_gq, *outside[1:]]
+
+
+def assert_membership_falls_back_to_the_pure_loop(monkeypatch):
+    calls = []
+    pure = schnorr_group.jacobi_symbol
+    monkeypatch.setattr(
+        schnorr_group, "jacobi_symbol", lambda a, n: calls.append(n) or pure(a, n)
+    )
+    assert gmp.jacobi_modulo(NAMED_GROUPS["p64-sim"]) is None
+    for name in ("p64-sim", "modp-2048"):
+        fresh = SchnorrGroup.named.__wrapped__(name)
+        assert membership_verdicts(fresh) == reference_verdicts(fresh.modulus)
+        assert calls.count(fresh.modulus) == 4  # 4, square, p − square, p − 1
+
+
+class TestGmpFallback:
+    """The libgmp twin of :class:`TestFallback`: a Schnorr group's membership
+    test falls back to ``numth.jacobi_symbol`` with identical verdicts."""
+
+    def test_the_decided_path_gives_the_reference_verdicts(self):
+        for name in ("p64-sim", "modp-2048"):
+            group = SchnorrGroup.named(name)
+            assert membership_verdicts(group) == reference_verdicts(group.modulus)
+
+    def test_loader_finds_no_library(self, fresh_gmp_decision, monkeypatch):
+        monkeypatch.setattr(gmp, "_load_library", lambda: None)
+        assert_membership_falls_back_to_the_pure_loop(monkeypatch)
+
+    def test_dlopen_fails_for_every_soname(self, fresh_gmp_decision, monkeypatch):
+        tried = []
+
+        def refuse(name, *args, **kwargs):
+            tried.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert gmp._load_library() is None
+        assert tried == ["libgmp.so.10", "libgmp.so"]
+        assert_membership_falls_back_to_the_pure_loop(monkeypatch)
+
+    def test_library_without_mpz_jacobi(self, fresh_gmp_decision, monkeypatch):
+        class Minimal:
+            def __getattr__(self, symbol):
+                raise AttributeError(f"undefined symbol: {symbol}")
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *a, **k: Minimal())
+        assert gmp._load_library() is None
+        assert_membership_falls_back_to_the_pure_loop(monkeypatch)
+
+    def test_self_test_fails(self, fresh_gmp_decision, monkeypatch):
+        monkeypatch.setattr(gmp, "_self_test", lambda jacobi, limb_bits: False)
+        assert_membership_falls_back_to_the_pure_loop(monkeypatch)
+
+    def test_a_wrong_answer_fails_the_self_test(self):
+        loaded = gmp._load_library()
+        if loaded is None:
+            pytest.skip("libgmp is not loadable on this host")
+        jacobi, limb_bits = loaded
+        assert gmp._self_test(jacobi, limb_bits)
+
+        def low_limb_only(a, n):  # a library that ignores all but one limb
+            return jacobi(gmp._Mpz(0, min(a._mp_size, 1), a._mp_d), n)
+
+        for wrong in (
+            lambda a, n: -jacobi(a, n),
+            lambda a, n: 1,  # accepts every value
+            low_limb_only,
+        ):
+            assert not gmp._self_test(wrong, limb_bits)
+        assert gmp._self_test(jacobi, limb_bits)
+
+
 class TestResolution:
     def test_decided_once_and_shared_by_setup_and_the_wire(self):
         group = _resolve_group("ristretto255")
@@ -131,23 +240,34 @@ class TestResolution:
 
 
 def test_sim_group_session_never_opens_the_library():
-    """``import repro`` plus a p64-sim session: the native module is not
-    imported and libsodium is not mapped into the process."""
+    """``import repro`` plus a p64-sim session: neither native module is
+    imported and neither libsodium nor libgmp is mapped into the process
+    (an in-process session decodes no element).  The first decode then
+    maps libgmp wherever it passes its self-test — so the absence above
+    is not the library merely being named otherwise."""
     script = (
         "import sys\n"
         "import repro\n"
         "from repro.api import CountQuery, Session\n"
         "from repro.utils.rng import SeededRNG\n"
+        "def maps():\n"
+        "    try:\n"
+        "        return open('/proc/self/maps').read()\n"
+        "    except OSError:\n"
+        "        return ''\n"
         "s = Session(CountQuery(1.0, 2**-10), group='p64-sim', nb_override=8,"
         " rng=SeededRNG('lazy'))\n"
         "s.submit([1, 0, 1])\n"
         "assert s.release().accepted\n"
-        "assert 'repro.crypto.sodium' not in sys.modules, 'native module imported'\n"
-        "try:\n"
-        "    maps = open('/proc/self/maps').read()\n"
-        "except OSError:\n"
-        "    maps = ''\n"
-        "assert 'libsodium' not in maps, 'libsodium mapped'\n"
+        "for module in ('repro.crypto.sodium', 'repro.crypto.gmp'):\n"
+        "    assert module not in sys.modules, module + ' imported'\n"
+        "assert 'libsodium' not in maps(), 'libsodium mapped'\n"
+        "assert 'libgmp' not in maps(), 'libgmp mapped'\n"
+        "g = s.params.group\n"
+        "assert g.from_bytes(g.generator().to_bytes()) == g.generator()\n"
+        "from repro.crypto import gmp\n"
+        "if maps() and gmp._native() is not None:\n"
+        "    assert 'libgmp' in maps(), 'libgmp not mapped by its first use'\n"
         "print('lazy-ok')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,14 +1,45 @@
 """Schnorr group backend: laws, membership, named parameters."""
 
+import sys
+import threading
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import gmp, schnorr_group
 from repro.crypto.schnorr_group import NAMED_GROUPS, SchnorrGroup
 from repro.errors import EncodingError, NotOnGroupError, ParameterError
 from repro.utils.numth import is_probable_prime, legendre_symbol
 from repro.utils.rng import SeededRNG
 
 scalars = st.integers(min_value=0, max_value=2**70)
+
+
+@pytest.fixture(params=["pure", "libgmp"])
+def membership_path(request, monkeypatch):
+    """Which code computes a fresh group's (v|p): the pure loop (libgmp
+    made unavailable for this test) or libgmp (skipped on a host without
+    it).  Yields a counter of the pure loop's calls."""
+    if request.param == "pure":
+        monkeypatch.setattr(gmp, "_native", lru_cache(maxsize=1)(lambda: None))
+    elif gmp._native() is None:
+        pytest.skip("libgmp is not loadable on this host")
+    calls = []
+    pure = schnorr_group.jacobi_symbol
+
+    def counting(a, n):
+        calls.append(n)
+        return pure(a, n)
+
+    monkeypatch.setattr(schnorr_group, "jacobi_symbol", counting)
+    return request.param, calls
+
+
+def fresh_group(name: str) -> SchnorrGroup:
+    """The named group built anew: it decides its membership path at its
+    own first test, under whatever the calling test arranged."""
+    return SchnorrGroup.named.__wrapped__(name)
 
 
 class TestNamedGroups:
@@ -116,12 +147,16 @@ class TestMembershipAndEncoding:
             group64.element(value)
 
     @pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
-    def test_from_bytes_accepts_exactly_what_eulers_criterion_accepts(self, name):
-        """The Jacobi-symbol membership test has the accept set of the
-        Euler-criterion one it replaced, and the same exception types."""
+    def test_from_bytes_accepts_exactly_what_eulers_criterion_accepts(
+        self, name, membership_path
+    ):
+        """The Jacobi-symbol membership test — pure loop or libgmp — has
+        the accept set of the Euler-criterion one it replaced, and the same
+        exception types."""
         import random
 
-        group = SchnorrGroup.named(name)
+        path, pure_calls = membership_path
+        group = fresh_group(name)
         p, width = group.modulus, group.element_bytes
         rng = random.Random(f"accept-set|{name}")
         draws = 8 if p.bit_length() > 1024 else 120
@@ -145,6 +180,49 @@ class TestMembershipAndEncoding:
         for data in (b"", bytes(width - 1), bytes(width + 1)):
             with pytest.raises(EncodingError):
                 group.from_bytes(data)
+        assert (len(pure_calls) > 0) == (path == "pure")
+
+    def test_concurrent_decodes_get_the_pure_verdicts(self):
+        """``ctypes`` releases the GIL inside ``mpz_jacobi``: 8 threads
+        decoding interleaved residues and non-residues on one group must
+        each get exactly the reference verdicts."""
+        group = fresh_group("p256-sim")
+        p, width = group.modulus, group.element_bytes
+        rng = SeededRNG("concurrent-membership")
+        values = []
+        for _ in range(120):
+            square = pow(rng.field_element(p - 2) + 2, 2, p)
+            values += [square, p - square]  # p ≡ 3 (mod 4): −1 is a non-residue
+        expected = [legendre_symbol(v, p) == 1 for v in values]
+        assert expected.count(True) == expected.count(False)
+        start, results = threading.Barrier(8, timeout=30), {}
+
+        def decode(worker: int) -> None:
+            mine = values[worker:] + values[:worker]
+            start.wait()
+            verdicts = []
+            for _ in range(5):
+                for value in mine:
+                    try:
+                        group.from_bytes(value.to_bytes(width, "big"))
+                        verdicts.append(True)
+                    except NotOnGroupError:
+                        verdicts.append(False)
+            results[worker] = verdicts
+
+        threads = [threading.Thread(target=decode, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for worker in range(8):
+            assert results[worker] == (expected[worker:] + expected[:worker]) * 5
 
     def test_out_of_range_rejected(self, group64):
         with pytest.raises(NotOnGroupError):

@@ -143,9 +143,13 @@ def test_serialization_overhead_at_nb4096(pedersen128):
 def test_membership_costs_no_full_width_modexp():
     """Structural canary: decoding a ``modp-2048`` element (length check,
     range check, Jacobi symbol) must stay ≥ 10× cheaper than Euler's
-    criterion on the same value (measured ~70×) — i.e. nobody put a
-    full-width ``pow`` back on the per-element decode path."""
-    from repro.utils.numth import legendre_symbol
+    criterion on the same value (measured ~70× pure, ~1000× on libgmp) —
+    i.e. nobody put a full-width ``pow`` back on the per-element decode
+    path.  Where libgmp loads, decoding must also stay ≥ 5× cheaper than
+    the pure ``numth.jacobi_symbol`` (measured ~16×): a silent fallback to
+    the pure loop fails here."""
+    from repro.crypto import gmp
+    from repro.utils.numth import jacobi_symbol, legendre_symbol
 
     group = SchnorrGroup.named("modp-2048")
     element = group.generator() ** 0xC0FFEE
@@ -157,6 +161,13 @@ def test_membership_costs_no_full_width_modexp():
     assert decode_s * 10 < euler_s, (
         f"from_bytes {decode_s / 5 * 1e6:.0f}µs vs Euler's criterion "
         f"{euler_s / 5 * 1e6:.0f}µs per modp-2048 element"
+    )
+    if gmp._native() is None:
+        return  # no libgmp on this host: the pure loop is the path
+    pure_s = best_of(lambda: [jacobi_symbol(value, p) for _ in range(5)])
+    assert decode_s * 5 < pure_s, (
+        f"from_bytes {decode_s / 5 * 1e6:.0f}µs vs the pure Jacobi loop "
+        f"{pure_s / 5 * 1e6:.0f}µs per modp-2048 element with libgmp loaded"
     )
 
 

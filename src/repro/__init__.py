@@ -48,7 +48,6 @@ from repro.core import (
 )
 from repro.dp import (
     BinomialMechanism,
-    GaussianMechanism,
     LaplaceMechanism,
     RandomizedResponse,
     coins_for_privacy,
@@ -88,7 +87,6 @@ __all__ = [
     # Mechanisms.
     "BinomialMechanism",
     "LaplaceMechanism",
-    "GaussianMechanism",
     "RandomizedResponse",
     "coins_for_privacy",
     "epsilon_for_coins",

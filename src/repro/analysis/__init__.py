@@ -2,7 +2,6 @@
 Section 5 separation demonstration."""
 
 from repro.analysis.error import empirical_error, error_sweep, protocol_error
-from repro.analysis.selection import SelectionAccuracy, selection_accuracy
 from repro.analysis.distributions import (
     chi_square_uniform,
     total_variation_from_binomial,
@@ -19,8 +18,6 @@ __all__ = [
     "empirical_error",
     "error_sweep",
     "protocol_error",
-    "SelectionAccuracy",
-    "selection_accuracy",
     "chi_square_uniform",
     "total_variation_from_binomial",
     "binomial_goodness_of_fit",

@@ -8,17 +8,11 @@
   vulnerable to the Figure 1 attacks.
 * :mod:`repro.baselines.prio` — a PRIO-style 2-server aggregate system:
   secret-shared one-hot inputs, sketch validation, per-server DP noise.
-* :mod:`repro.baselines.dpf` / :mod:`repro.baselines.poplar` — a
-  PRG-based distributed point function and the Poplar-style prefix-tree
-  heavy-hitters workflow built on it.
 """
 
 from repro.baselines.trusted_curator import NonVerifiableCurator, MaliciousCurator
 from repro.baselines.sketch import OneHotSketch, SketchClientPackage
 from repro.baselines.prio import PrioSystem, PrioServer, CorruptPrioServer
-from repro.baselines.dpf import DpfKey, dpf_gen, dpf_eval, dpf_eval_full
-from repro.baselines.poplar import PoplarSystem, HeavyHitter
-from repro.baselines.shuffle import ShuffleAggregator, amplified_epsilon
 
 __all__ = [
     "NonVerifiableCurator",
@@ -28,12 +22,4 @@ __all__ = [
     "PrioSystem",
     "PrioServer",
     "CorruptPrioServer",
-    "DpfKey",
-    "dpf_gen",
-    "dpf_eval",
-    "dpf_eval_full",
-    "PoplarSystem",
-    "HeavyHitter",
-    "ShuffleAggregator",
-    "amplified_epsilon",
 ]

@@ -192,9 +192,9 @@ def run_fig4(
 def run_table2(*, validate: bool = True, seed: str = "table2") -> list[dict]:
     """Table 2: qualitative properties of MPC-DP systems.
 
-    Static rows transcribe the paper's table; the systems implemented in
-    this repository (PRIO, Poplar-style, trusted curator, ours) carry a
-    ``validated`` flag derived by actually running the attack probes.
+    Static rows transcribe the paper's table; the two systems implemented
+    in this repository (PRIO and ours) carry a ``validated`` flag derived
+    by actually running the attack probes.
     """
     rows = [
         {"protocol": "Cryptographic RR [AJL04]", "active": True, "central_dp": False, "auditable": False, "zero_leakage": True, "validated": ""},

@@ -170,12 +170,20 @@ def _encode_output(output: ProverOutputMessage, params: PublicParams) -> bytes:
 
 
 def _decode_output(params: PublicParams, data: bytes) -> ProverOutputMessage:
+    """The inverse of :func:`_encode_output`, and only of it: every y/z
+    part is exactly ``scalar_bytes`` long and below q, so one output has
+    one encoding on the board."""
     parts = decode_length_prefixed(data)
     m = params.dimension
     if len(parts) != 1 + 2 * m:
         raise EncodingError("prover output has wrong arity")
     prover_id = parts[0].decode()
+    width, q = params.group.scalar_bytes, params.group.order
     values = [int.from_bytes(raw, "big") for raw in parts[1:]]
+    if any(len(raw) != width for raw in parts[1:]) or any(v >= q for v in values):
+        raise EncodingError(
+            f"prover output part is not a canonical {width}-byte scalar below q"
+        )
     return ProverOutputMessage(prover_id, tuple(values[:m]), tuple(values[m:]))
 
 

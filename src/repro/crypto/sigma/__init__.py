@@ -10,10 +10,10 @@ The paper verifies two things in zero knowledge with Σ-protocols:
   coordinate is a bit and the coordinates sum to one (Appendix C, final
   paragraph), used for client validation in MPC-DP histograms (Figure 4).
 
-Supporting protocols (:mod:`schnorr_pok`, :mod:`opening_pok`,
-:mod:`equality`) and batch verification (:mod:`batch`) round out the
-toolbox.  All proofs are made non-interactive with the Fiat–Shamir
-transform over :class:`repro.crypto.fiat_shamir.Transcript`; the
+Supporting protocols (:mod:`schnorr_pok`, :mod:`opening_pok`) and batch
+verification (:mod:`batch`) round out the toolbox.  All proofs are made
+non-interactive with the Fiat–Shamir transform over
+:class:`repro.crypto.fiat_shamir.Transcript`; the
 interactive 3-move forms are also exposed because the test-suite exercises
 special soundness (extractors) and honest-verifier zero-knowledge
 (simulators) directly.
@@ -35,7 +35,6 @@ from repro.crypto.sigma.bitvec import (
     prove_bit_vector,
     verify_bit_vector,
 )
-from repro.crypto.sigma.equality import EqualityProof, prove_equal, verify_equal
 from repro.crypto.sigma.batch import SigmaBatch, batch_verify_bits, batch_verify_one_hot
 from repro.crypto.sigma.interactive import (
     InteractiveBitProver,
@@ -62,9 +61,6 @@ __all__ = [
     "BitVectorProof",
     "prove_bit_vector",
     "verify_bit_vector",
-    "EqualityProof",
-    "prove_equal",
-    "verify_equal",
     "SigmaBatch",
     "batch_verify_bits",
     "batch_verify_one_hot",

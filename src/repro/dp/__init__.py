@@ -6,8 +6,8 @@ Appendix B): add Z ~ Binomial(nb, 1/2) to a counting query, with
     ε = 10·sqrt((1/nb)·ln(2/δ))   for nb > 30, i.e.  nb = ⌈100·ln(2/δ)/ε²⌉.
 
 Binomial noise is the only "simple randomness" for which verifiability is
-known (Concluding Remarks); Laplace/Gaussian/randomized-response are
-provided as non-verifiable baselines for the error experiments.
+known (Concluding Remarks); Laplace and randomized response are provided
+as non-verifiable baselines for the error experiments.
 """
 
 from repro.dp.mechanism import Mechanism, MechanismOutput, counting_query, dp_error
@@ -19,10 +19,7 @@ from repro.dp.binomial import (
 )
 from repro.dp.smoothness import smoothness_delta, is_smooth
 from repro.dp.laplace import LaplaceMechanism
-from repro.dp.gaussian import GaussianMechanism
 from repro.dp.randomized_response import RandomizedResponse
-from repro.dp.exponential import ExponentialMechanism, report_noisy_max
-from repro.dp.privacy_curve import hockey_stick_delta, exact_epsilon, privacy_profile
 from repro.dp.accountant import PrivacyAccountant, basic_composition, advanced_composition
 
 __all__ = [
@@ -37,13 +34,7 @@ __all__ = [
     "smoothness_delta",
     "is_smooth",
     "LaplaceMechanism",
-    "GaussianMechanism",
     "RandomizedResponse",
-    "ExponentialMechanism",
-    "report_noisy_max",
-    "hockey_stick_delta",
-    "exact_epsilon",
-    "privacy_profile",
     "PrivacyAccountant",
     "basic_composition",
     "advanced_composition",

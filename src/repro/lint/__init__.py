@@ -21,7 +21,7 @@ preserve but that dynamic tests only probe point-wise:
   function that opens it (REP006 is reserved, ROADMAP item 6(e)).
 
 Findings are suppressed per line with ``# repro: allow[RULE] -- why``
-(justification mandatory) or grandfathered via ``lint-baseline.json``.
+(justification mandatory); nothing is grandfathered.
 Dependency-free by design: pure ``ast`` + stdlib, and it never imports
 the code it checks.
 """

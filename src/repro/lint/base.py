@@ -48,12 +48,8 @@ PRAGMA_RULE = "REP000"
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint finding, anchored to a source line.
-
-    ``code`` is the stripped source text of the flagged line; baseline
-    matching uses ``(rule, path, code)`` and ignores the line number so
-    unrelated edits above a grandfathered finding do not un-baseline it.
-    """
+    """One lint finding, anchored to a source line; ``code`` is the
+    stripped source text of the flagged line."""
 
     rule: str
     path: str
@@ -61,9 +57,6 @@ class Finding:
     col: int
     message: str
     code: str = ""
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        return (self.rule, self.path, self.code)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

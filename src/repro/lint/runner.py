@@ -1,26 +1,17 @@
-"""The ``repro lint`` driver: file collection, pragmas, baseline, output.
+"""The ``repro lint`` driver: file collection, pragmas, output.
 
 Usage (see also ``python -m repro lint --help``)::
 
     python -m repro lint src/                 # report, exit 0
     python -m repro lint --strict src/        # exit 1 on any finding
     python -m repro lint --format json src/   # machine-readable
-    python -m repro lint --write-baseline src/   # grandfather findings
 
-Resolution order for each raw finding:
-
-1. a ``# repro: allow[RULE] -- why`` pragma on the flagged line
-   suppresses it (the justification is mandatory; pragma-hygiene
-   violations surface as REP000 and cannot themselves be suppressed);
-2. a matching entry in the baseline file grandfathers it (matching by
-   ``(rule, path, source line text)``, so findings do not un-baseline
-   themselves when unrelated lines move);
-3. otherwise it is *actionable*: printed, and fatal under ``--strict``.
-
-The baseline file defaults to ``lint-baseline.json`` in the current
-directory when present; baselines are for adopting the linter on an
-existing tree, not for waving new findings through — new code gets a
-pragma with a written justification or a fix.
+A raw finding is suppressed only by a ``# repro: allow[RULE] -- why``
+pragma on the flagged line (the justification is mandatory;
+pragma-hygiene violations surface as REP000 and cannot themselves be
+suppressed).  Every other finding is *actionable*: printed, and fatal
+under ``--strict``.  Nothing is grandfathered: new code gets a pragma
+with a written justification or a fix.
 """
 
 from __future__ import annotations
@@ -49,8 +40,6 @@ from repro.lint import sockets as _sockets  # noqa: F401
 from repro.lint import wire as _wire  # noqa: F401
 
 __all__ = ["LintResult", "lint_paths", "collect_files", "module_name_for", "main"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def collect_files(paths: list[str]) -> list[str]:
@@ -98,7 +87,6 @@ class LintResult:
     def __init__(self) -> None:
         self.findings: list[Finding] = []  # actionable
         self.suppressed: list[tuple[Finding, str]] = []  # (finding, why)
-        self.baselined: list[Finding] = []
         self.errors: list[str] = []  # unreadable/unparseable files
         self.checked_files = 0
 
@@ -113,7 +101,6 @@ class LintResult:
             "suppressed": [
                 dict(f.to_json(), justification=why) for f, why in self.suppressed
             ],
-            "baselined": [f.to_json() for f in self.baselined],
             "errors": self.errors,
             "rules": {
                 code: rule.description for code, rule in sorted(RULES.items())
@@ -136,43 +123,7 @@ def _load_context(path: str, errors: list[str]) -> ModuleContext | None:
     )
 
 
-def _load_baseline(path: str | None, errors: list[str]) -> set[tuple[str, str, str]]:
-    if path is None:
-        return set()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            entries = json.load(handle)
-    except (OSError, ValueError) as exc:
-        errors.append(f"baseline {path}: {type(exc).__name__}: {exc}")
-        return set()
-    fingerprints: set[tuple[str, str, str]] = set()
-    if not isinstance(entries, list):
-        errors.append(f"baseline {path}: expected a JSON list of findings")
-        return fingerprints
-    for entry in entries:
-        if isinstance(entry, dict) and {"rule", "path", "code"} <= set(entry):
-            fingerprints.add((entry["rule"], entry["path"], entry["code"]))
-        else:
-            errors.append(f"baseline {path}: malformed entry {entry!r}")
-    return fingerprints
-
-
-def write_baseline(path: str, findings: list[Finding]) -> None:
-    entries = [
-        {"rule": f.rule, "path": f.path, "line": f.line, "code": f.code}
-        for f in sorted(findings, key=lambda f: (f.path, f.line, f.rule))
-    ]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entries, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def lint_paths(
-    paths: list[str],
-    *,
-    baseline: str | None = None,
-    rules: list[str] | None = None,
-) -> LintResult:
+def lint_paths(paths: list[str], *, rules: list[str] | None = None) -> LintResult:
     """Run the registered rules over ``paths`` and resolve suppressions."""
     result = LintResult()
     try:
@@ -210,16 +161,11 @@ def lint_paths(
         if isinstance(rule, ProjectRule):
             raw.extend(rule.check_project(contexts))
 
-    baseline_fps = _load_baseline(baseline, result.errors)
-
     for finding in raw:
         pragma = pragmas_by_path.get(finding.path, {}).get(finding.line)
         if pragma is not None and finding.rule in pragma.rules:
             pragma.used = True
             result.suppressed.append((finding, pragma.justification))
-            continue
-        if finding.fingerprint() in baseline_fps:
-            result.baselined.append(finding)
             continue
         result.findings.append(finding)
 
@@ -271,25 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit 1 when any non-baselined, unsuppressed finding remains "
-        "(the CI mode)",
+        help="exit 1 when any unsuppressed finding remains (the CI mode)",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="output format (default text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline JSON of grandfathered findings (default: "
-        f"{DEFAULT_BASELINE} when it exists; 'none' disables)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write every current finding to the baseline file and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -326,22 +260,7 @@ def main(args: argparse.Namespace) -> int:
             print(f"unknown rule(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
 
-    baseline = args.baseline
-    if baseline == "none":
-        baseline = None
-    elif baseline is None and not args.write_baseline:
-        baseline = DEFAULT_BASELINE if os.path.isfile(DEFAULT_BASELINE) else None
-
-    result = lint_paths(paths, baseline=baseline, rules=rules)
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        write_baseline(target, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {target} "
-            f"({result.checked_files} files checked)"
-        )
-        return 0 if not result.errors else 1
+    result = lint_paths(paths, rules=rules)
 
     if args.format == "json":
         json.dump(result.to_json(), sys.stdout, indent=2, sort_keys=True)
@@ -354,8 +273,7 @@ def main(args: argparse.Namespace) -> int:
         summary = (
             f"{result.checked_files} file(s) checked: "
             f"{len(result.findings)} finding(s), "
-            f"{len(result.suppressed)} suppressed by pragma, "
-            f"{len(result.baselined)} baselined"
+            f"{len(result.suppressed)} suppressed by pragma"
         )
         print(summary)
 

@@ -9,7 +9,6 @@ active (arbitrarily deviating) participants.
 from repro.mpc.bus import SimulatedNetwork, Envelope
 from repro.mpc.party import Party
 from repro.mpc.commit import HashCommitmentScheme, HashCommitment
-from repro.mpc.pedersen_morra import PedersenMorraScheme
 from repro.mpc.morra import (
     MorraParticipant,
     run_morra,
@@ -31,7 +30,6 @@ __all__ = [
     "Party",
     "HashCommitmentScheme",
     "HashCommitment",
-    "PedersenMorraScheme",
     "MorraParticipant",
     "run_morra",
     "run_morra_batch",

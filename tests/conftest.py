@@ -48,3 +48,27 @@ def rng() -> SeededRNG:
 
 def make_rng(label: str) -> SeededRNG:
     return SeededRNG(f"pytest-{label}")
+
+
+def _mutations(data: bytes, count: int, label: str) -> list[bytes]:
+    """``count`` seeded corruptions of ``data``, cycling through a
+    truncation, one flipped bit, one overwritten byte and appended bytes."""
+    rng = SeededRNG(f"mutate-{label}")
+    out = []
+    for i in range(count):
+        at = rng.randbelow(len(data))
+        if i % 4 == 0:
+            out.append(data[:at])
+        elif i % 4 == 1:
+            out.append(data[:at] + bytes([data[at] ^ (1 << rng.randbelow(8))]) + data[at + 1:])
+        elif i % 4 == 2:
+            out.append(data[:at] + bytes([rng.randbelow(256)]) + data[at + 1:])
+        else:
+            out.append(data + rng.random_bytes(1 + rng.randbelow(8)))
+    return out
+
+
+@pytest.fixture()
+def mutations():
+    """Hostile-bytes generator: ``mutations(data, count, label)``."""
+    return _mutations

@@ -5,20 +5,24 @@ import pytest
 from repro.api import CountQuery, ProtocolEngine, Session
 from repro.core.bulletin import BoardEntry, replay_audit
 from repro.core.client import Client, InconsistentShareClient, NonBinaryClient
-from repro.core.messages import ClientStatus, ProverStatus
+from repro.core.messages import AuditRecord, ClientStatus, ProverStatus
 from repro.core.params import setup
 from repro.core.prover import OutputTamperingProver
 from repro.errors import EncodingError
-from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed
+from repro.utils.encoding import (
+    decode_length_prefixed,
+    encode_length_prefixed,
+    int_to_bytes,
+)
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
 
 
-def run_and_publish(*, k=1, seed="bb"):
+def run_and_publish(*, k=1, seed="bb", group=GROUP):
     session = Session(
         CountQuery(1.0, 2**-10),
-        num_provers=k, group=GROUP, nb_override=16, rng=SeededRNG(seed),
+        num_provers=k, group=group, nb_override=16, rng=SeededRNG(seed),
     )
     session.submit([1, 0, 1])
     result = session.release()[0].engine_result
@@ -186,3 +190,38 @@ class TestHostileBoard:
         replayed = replay_audit(params, board)
         assert replayed.provers["prover-0"] is ProverStatus.BAD_COIN_PROOF
         assert any("incomplete coin stream" in note for note in replayed.notes)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mutated_entries_are_a_verdict_or_an_encoding_error(self, k, mutations):
+        """Corrupt every entry of the board in turn: the replay returns an
+        ``AuditRecord`` or raises ``EncodingError`` — nothing else escapes."""
+        params, _, board = run_and_publish(k=k, seed=f"hb-fuzz{k}")
+        for index, entry in enumerate(list(board.entries)):
+            for payload in mutations(entry.payload, 120, f"{k}-{entry.topic}"):
+                board.entries[index] = BoardEntry(entry.topic, entry.party, payload)
+                try:
+                    assert isinstance(replay_audit(params, board), AuditRecord)
+                except EncodingError:
+                    pass
+            board.entries[index] = entry
+
+
+class TestCanonicalOutput:
+    """The board holds one encoding per prover output: a y or z part that
+    is not exactly ``scalar_bytes`` long and below q is refused, even when
+    ``int.from_bytes`` reads it as the honest value mod q."""
+
+    @pytest.mark.parametrize("group", ["p64-sim", "ristretto255"])
+    @pytest.mark.parametrize("form", ["y+q", "minimal", "leading-zeros"])
+    def test_noncanonical_y_is_refused(self, group, form):
+        params, _, board = run_and_publish(seed=f"canon-{group}", group=group)
+        parts = decode_length_prefixed(board.topic("prover-output/")[0].payload)
+        width, y = params.group.scalar_bytes, int.from_bytes(parts[1], "big")
+        forged = {
+            "y+q": int_to_bytes(y + params.group.order, width),
+            "minimal": y.to_bytes(max(1, (y.bit_length() + 7) // 8), "big"),
+            "leading-zeros": b"\x00" * 3 + parts[1],
+        }[form]
+        rewrite(board, "prover-output/", encode_length_prefixed(parts[0], forged, *parts[2:]))
+        with pytest.raises(EncodingError, match="prover-output/prover-0"):
+            replay_audit(params, board)

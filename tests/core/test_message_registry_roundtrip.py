@@ -19,6 +19,7 @@ import pytest
 from repro.core import messages as m
 from repro.core.params import setup
 from repro.crypto.serialization import _registry, decode_message, encode_message
+from repro.errors import EncodingError, NotOnGroupError
 from repro.utils.rng import SeededRNG
 
 
@@ -134,3 +135,18 @@ def test_registered_codec_roundtrip_identity(params, tag):
         assert encode_message(restored) == data, (
             f"{cls.__name__} (tag {tag!r}) re-encoding is not canonical"
         )
+
+
+@pytest.mark.parametrize("tag", _TAGS)
+def test_hostile_frames_raise_only_decoding_errors(params, tag, mutations):
+    """``decode_message``'s promise on hostile bytes: a message, or
+    ``EncodingError`` / ``NotOnGroupError`` — any other exception escapes
+    and fails the test."""
+    cls = _registry()[0][tag][0]
+    for message in BUILDERS[cls](params):
+        data = encode_message(message)
+        for frame in mutations(data, 64, f"{params.group.name}-{tag!r}"):
+            try:
+                decode_message(params.group, frame)
+            except (EncodingError, NotOnGroupError):
+                pass

@@ -1,10 +1,7 @@
-"""Laplace, Gaussian, randomized response, and the Mechanism interface."""
-
-import math
+"""Laplace, randomized response, and the Mechanism interface."""
 
 import pytest
 
-from repro.dp.gaussian import GaussianMechanism, sample_gaussian
 from repro.dp.laplace import LaplaceMechanism, sample_laplace
 from repro.dp.mechanism import counting_query, dp_error
 from repro.dp.randomized_response import RandomizedResponse
@@ -55,38 +52,6 @@ class TestLaplace:
     def test_dp_error_invalid_trials(self):
         with pytest.raises(ParameterError):
             dp_error(LaplaceMechanism(1.0), 0.0, trials=0)
-
-
-class TestGaussian:
-    def test_sigma_formula(self):
-        mech = GaussianMechanism(1.0, 1e-5)
-        expected = math.sqrt(2 * math.log(1.25 / 1e-5))
-        assert mech.sigma == pytest.approx(expected)
-
-    def test_moments(self):
-        rng = SeededRNG("g")
-        samples = [sample_gaussian(2.0, rng) for _ in range(3000)]
-        mean = sum(samples) / len(samples)
-        var = sum((s - mean) ** 2 for s in samples) / len(samples)
-        assert abs(mean) < 0.15
-        assert var == pytest.approx(4.0, rel=0.15)
-
-    def test_expected_error(self):
-        mech = GaussianMechanism(1.0, 1e-5)
-        assert mech.expected_error() == pytest.approx(mech.sigma * math.sqrt(2 / math.pi))
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            GaussianMechanism(2.0, 1e-5)  # classical calibration needs eps <= 1
-        with pytest.raises(ParameterError):
-            GaussianMechanism(0.5, 0.0)
-        with pytest.raises(ParameterError):
-            sample_gaussian(0.0)
-
-    def test_release_vector(self):
-        mech = GaussianMechanism(1.0, 1e-5)
-        outs = mech.release_vector([1.0, 2.0, 3.0], SeededRNG("v"))
-        assert len(outs) == 3
 
 
 class TestRandomizedResponse:

@@ -1,8 +1,10 @@
 """CLI behaviour of ``python -m repro lint``: output formats, exit
-codes, pragma resolution, and baseline grandfathering."""
+codes, and pragma resolution (the only suppression)."""
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main as cli_main
 from repro.lint.runner import collect_files, lint_paths, module_name_for
@@ -14,7 +16,7 @@ PRAGMAS = str(FIXTURES / "pragmas.py")
 
 
 def run_cli(*argv):
-    return cli_main(["lint", "--baseline", "none", *argv])
+    return cli_main(["lint", *argv])
 
 
 class TestExitCodes:
@@ -44,6 +46,14 @@ class TestExitCodes:
         assert run_cli("--rules", "REP999", REP001_BAD) == 2
         assert "unknown rule" in capsys.readouterr().err
 
+    def test_baseline_option_is_gone(self, capsys):
+        """The pragma is the only suppression: ``--baseline`` is a usage
+        error, not a silently ignored file."""
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("--baseline", "x", REP001_BAD)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
+
 
 class TestOutputFormats:
     def test_text_findings_are_path_line_col_rule(self, capsys):
@@ -72,7 +82,7 @@ class TestPragmas:
     the fixture's docstring)."""
 
     def lint(self):
-        return lint_paths([PRAGMAS], baseline=None)
+        return lint_paths([PRAGMAS])
 
     def test_justified_pragma_suppresses(self):
         result = self.lint()
@@ -112,90 +122,12 @@ class TestPragmas:
 
     def test_dead_pragma_not_flagged_when_its_rule_did_not_run(self):
         # Partial runs must not call pragmas dead for rules they skipped.
-        result = lint_paths([PRAGMAS], baseline=None, rules=["REP004"])
+        result = lint_paths([PRAGMAS], rules=["REP004"])
         assert not any("dead pragma" in f.message for f in result.findings)
         # Pragma *syntax* hygiene still applies on partial runs.
         assert any(
             f.rule == "REP000" and f.line == 14 for f in result.findings
         )
-
-
-class TestBaseline:
-    def write_bad_file(self, tmp_path):
-        target = tmp_path / "legacy.py"
-        target.write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "def deadline():\n"
-            "    return time.time() + 5.0\n",
-            encoding="utf-8",
-        )
-        return target
-
-    def test_write_then_apply_round_trip(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        self.write_bad_file(tmp_path)
-
-        # Grandfather the current findings...
-        assert cli_main(["lint", "--write-baseline", "legacy.py"]) == 0
-        baseline = tmp_path / "lint-baseline.json"
-        entries = json.loads(baseline.read_text(encoding="utf-8"))
-        assert len(entries) == 1 and entries[0]["rule"] == "REP001"
-
-        # ...then a strict run picks the baseline up by default and passes.
-        capsys.readouterr()
-        assert cli_main(["lint", "--strict", "legacy.py"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_baseline_matches_on_source_text_not_line_number(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        target = self.write_bad_file(tmp_path)
-        assert cli_main(["lint", "--write-baseline", "legacy.py"]) == 0
-
-        # Insert lines above the finding: it moves but stays baselined.
-        target.write_text(
-            "import time\n"
-            "\n"
-            "UNRELATED = 1\n"
-            "ALSO_UNRELATED = 2\n"
-            "\n"
-            "\n"
-            "def deadline():\n"
-            "    return time.time() + 5.0\n",
-            encoding="utf-8",
-        )
-        assert cli_main(["lint", "--strict", "legacy.py"]) == 0
-
-    def test_new_findings_are_not_grandfathered(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        target = self.write_bad_file(tmp_path)
-        assert cli_main(["lint", "--write-baseline", "legacy.py"]) == 0
-
-        # A *new* violation (different source text) must fail strict mode.
-        target.write_text(
-            target.read_text(encoding="utf-8")
-            + "\n\ndef jitter():\n    return time.time_ns()\n",
-            encoding="utf-8",
-        )
-        capsys.readouterr()
-        assert cli_main(["lint", "--strict", "legacy.py"]) == 1
-        out = capsys.readouterr().out
-        assert "time_ns" in out and "1 baselined" in out
-
-    def test_baseline_none_disables_default_pickup(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        self.write_bad_file(tmp_path)
-        assert cli_main(["lint", "--write-baseline", "legacy.py"]) == 0
-        assert cli_main(
-            ["lint", "--strict", "--baseline", "none", "legacy.py"]
-        ) == 1
 
 
 class TestCollection:
@@ -217,5 +149,5 @@ class TestCollection:
         assert module_name_for(REP001_BAD) == ""
 
     def test_rules_subset_skips_other_rules(self):
-        result = lint_paths([REP001_BAD], baseline=None, rules=["REP004"])
+        result = lint_paths([REP001_BAD], rules=["REP004"])
         assert result.findings == []

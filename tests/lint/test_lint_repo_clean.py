@@ -11,14 +11,14 @@ SRC = str(REPO_ROOT / "src")
 
 
 def test_src_tree_has_no_actionable_findings():
-    result = lint_paths([SRC], baseline=None)
+    result = lint_paths([SRC])
     assert result.errors == []
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.findings == [], f"new lint findings:\n{rendered}"
 
 
 def test_every_suppression_carries_a_written_justification():
-    result = lint_paths([SRC], baseline=None)
+    result = lint_paths([SRC])
     assert result.suppressed, "expected the audited pragma sites to exist"
     for finding, why in result.suppressed:
         assert why.strip(), f"unjustified pragma at {finding.path}:{finding.line}"
@@ -27,12 +27,3 @@ def test_every_suppression_carries_a_written_justification():
             f"justification too thin at {finding.path}:{finding.line}: {why!r}"
         )
 
-
-def test_checked_in_baseline_is_empty():
-    """The linter was adopted with every finding fixed or pragma'd; the
-    baseline must not silently regrow (new code justifies or fixes)."""
-    import json
-
-    baseline = REPO_ROOT / "lint-baseline.json"
-    assert baseline.is_file(), "lint-baseline.json must be checked in"
-    assert json.loads(baseline.read_text(encoding="utf-8")) == []

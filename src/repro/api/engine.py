@@ -22,9 +22,18 @@ step's chunk before it checks this one's proofs, so a prover behind a
 wire proves chunk c+1 while chunk c is verified here.  The Σ-OR proof is
 non-interactive and bound to the commitment it arrived with, so checking
 it after the Morra round proves the same statement; a cheating prover is
-named one round later and has had one more request answered.  Every
-party sees the call sequence of the lock-step order (an in-process
-prover's request is a no-op), so no frame, byte or draw moves.
+named one round later and has had one more request answered.
+
+Two more requests leave early.  A chunk request names the Morra round
+its bits will take (:meth:`Prover.request_coin_chunk`), so a remote
+prover samples and commits its contributions right after proving and
+the round costs the analyst one round trip, not three.  And prover k+1's
+stream is opened, its first chunk asked for, when prover k's starts, so
+it proves that chunk while prover k's stream runs; the verifier's own
+``begin_coin_stream`` stays where the prover's stream is taken up.  Every
+party still sees the call sequence of the lock-step order (an in-process
+prover's request is a no-op, its ``begin_coin_stream`` only resets
+state), so no frame, byte, draw or phase transition moves.
 
 ``chunk_size=None`` is one chunk of every client and all nb coins.  Every
 party draws from its own RNG stream, so its seeded release bytes are
@@ -354,13 +363,25 @@ class ProtocolEngine:
         step's chunk → only then check this chunk's proofs → drop it."""
         nb = self.params.nb
         chunk = self.chunk_size or nb
+        lanes = self.plan.lanes
         verifier = self.verifier
+        provers = self.provers
         per_prover = -(-nb // chunk)
-        steps = per_prover * len(self.provers)
+        steps = per_prover * len(provers)
         asked = -1
 
         def coins(step: int) -> int:
             return min(chunk, nb - step % per_prover * chunk)
+
+        def ask(step: int) -> None:
+            # The chunk and the Morra round its bits will take.
+            count = coins(step)
+            provers[step // per_prover].request_coin_chunk(count, count * lanes)
+
+        def open_stream(k: int) -> None:
+            if k < len(provers):
+                provers[k].begin_coin_stream(context)
+                ask(k * per_prover)
 
         def request(step: int) -> None:
             # Asking for a chunk is what enters COMMIT_COINS, so the check
@@ -371,12 +392,17 @@ class ProtocolEngine:
             if step == asked or step == steps:
                 return
             asked = step
-            prover = self.provers[step // per_prover]
+            k, c = divmod(step, per_prover)
             self._advance(Phase.COMMIT_COINS)
-            if step % per_prover == 0:
-                prover.begin_coin_stream(context)
-                verifier.begin_coin_stream(prover.name, context)
-            prover.request_coin_chunk(coins(step))
+            if c:
+                ask(step)
+                return
+            # A prover's stream is opened when the one before it starts,
+            # so it proves its first chunk while that stream runs.
+            if k == 0:
+                open_stream(0)
+            open_stream(k + 1)
+            verifier.begin_coin_stream(provers[k].name, context)
 
         coin_ok: dict[str, bool] = {}
         step = 0
@@ -384,7 +410,7 @@ class ProtocolEngine:
             # Already asked for while the step before was being checked —
             # unless this is the first step, or follows a given-up stream.
             request(step)
-            prover = self.provers[step // per_prover]
+            prover = provers[step // per_prover]
             count = coins(step)
             last = (step + 1) % per_prover == 0
             with self.timer.stage(STAGE_SIGMA_PROOF):
@@ -405,8 +431,8 @@ class ProtocolEngine:
             if ok:
                 self._draw_chunk_bits(prover, count)
                 # The request leaves before the check: a remote prover
-                # proves the next chunk (the next prover its first) on its
-                # own core while this one is verified here.
+                # proves its next chunk on its own core while this one is
+                # verified here.
                 request(step + 1)
                 with self.timer.stage(STAGE_SIGMA_VERIFY):
                     ok = verifier.verify_coin_chunk(message)

@@ -210,9 +210,18 @@ class Prover(MorraParticipant):
     ) -> list[BitProof]:
         """Prove one chunk of coins (row-major) over the shared transcript.
 
-        Hook so :class:`NonBitCoinProver` can attempt forgery.
+        Hook so :class:`NonBitCoinProver` can attempt forgery.  The
+        commitments were computed from these openings in
+        :meth:`_make_coins`, so the proof does not recompute them.
         """
-        return prove_bits(self.params.pedersen, commitments, openings, transcript, self.rng)
+        return prove_bits(
+            self.params.pedersen,
+            commitments,
+            openings,
+            transcript,
+            self.rng,
+            recommit=False,
+        )
 
     # Phase C: XOR adjustment and output (Lines 9-11) ------------------------
 
@@ -319,11 +328,14 @@ class Prover(MorraParticipant):
         self._noise_y = [0] * self.plan.lanes
         self._noise_z = [0] * self.plan.lanes
 
-    def request_coin_chunk(self, count: int) -> None:
+    def request_coin_chunk(self, count: int, morra_count: int) -> None:
         """The engine's notice that :meth:`commit_coin_chunk` ``(count)``
-        comes next, given before it checks the previous chunk.  A prover
-        behind a wire starts proving on it; in process there is nothing
-        to overlap with, and the chunk is made when it is collected."""
+        comes next, followed by the chunk's Morra round of ``morra_count``
+        instances (count × L lanes), given before it checks the previous
+        chunk.  A prover behind a wire starts proving on it, then samples
+        and commits its Morra contributions on its own tape; in process
+        there is nothing to overlap with, and the chunk is made when it is
+        collected."""
 
     def commit_coin_chunk(self, count: int) -> CoinCommitmentMessage:
         """Commit and prove the next ``count`` coins (rows × L lanes)."""

@@ -48,9 +48,12 @@ proof is untouched.  :func:`prove_bits` computes every announcement this
 way, and per proof costs 4 comb-walk equivalents — the witness check
 ``Com(x, r)`` (x is a bit: one walk), ``d_sim`` (a fused g/h walk: two)
 and ``d_real = Com(0, b)`` (one) — and 0 variable-base powers, all of it
-in two :meth:`PedersenParams.commit_many` passes per call.  The
-witness-less formula remains in :func:`simulate_bit_transcript` (which has
-no witness) and as the oracle in ``tests/crypto/test_or_bit.py``.
+in two :meth:`PedersenParams.commit_many` passes per call.  The ΠBin
+prover computed ``Com(x, r)`` itself one step earlier, so its proofs skip
+the recomputation (``recommit=False``): each coin is committed once, and
+its proof costs the three announcement walks.  The witness-less formula
+remains in :func:`simulate_bit_transcript` (which has no witness) and as
+the oracle in ``tests/crypto/test_or_bit.py``.
 
 Verifying is exact: :func:`verify_bit` checks each proof's two equations
 as they stand, with no random linear combination, because its callers
@@ -133,24 +136,37 @@ def _announce(
     commitments: list[Commitment],
     openings: list[Opening],
     rng: RNG,
+    recommit: bool = True,
 ) -> list[tuple[int, int, int, int, GroupElement, GroupElement]]:
     """First move of every proof in a list: ``(bit, e_sim, v_sim, b, d0, d1)``.
 
     The one place an announcement is computed, for the Fiat–Shamir and the
     interactive prover alike.  Checks every witness first (``x`` a bit,
-    ``Com(x, r) == c``) and raises :class:`ParameterError` for the first
-    that fails, before any draw; then draws ``(e_sim, v_sim, b)`` per proof
-    in proof order and sends all 2n announcements — ``Com((sim−x)·e_sim,
-    v_sim − r·e_sim)`` on the simulated branch, ``Com(0, b)`` on the real
-    one — through one :meth:`PedersenParams.commit_many` pass.
+    and — unless ``recommit`` is false — ``Com(x, r) == c``) and raises
+    :class:`ParameterError` for the first that fails, before any draw;
+    then draws ``(e_sim, v_sim, b)`` per proof in proof order and sends all
+    2n announcements — ``Com((sim−x)·e_sim, v_sim − r·e_sim)`` on the
+    simulated branch, ``Com(0, b)`` on the real one — through one
+    :meth:`PedersenParams.commit_many` pass.
+
+    Recomputing ``Com(x, r)`` is the check for callers that bring their
+    own commitments (a client's validity proof, the interactive prover,
+    the benchmark stages).  A caller that computed ``c`` from these very
+    openings a moment ago — the ΠBin prover committing its coins — passes
+    ``recommit=False`` and saves one fixed-base pair per proof; the check
+    that ``x`` is a bit runs either way.
     """
     q = params.q
     bits = [opening.value % q for opening in openings]
-    expected = params.commit_many(bits, [opening.randomness for opening in openings])
-    for bit, commitment, recomputed in zip(bits, commitments, expected):
+    expected = (
+        params.commit_many(bits, [opening.randomness for opening in openings])
+        if recommit
+        else None
+    )
+    for i, (bit, commitment) in enumerate(zip(bits, commitments)):
         if bit not in (0, 1):
             raise ParameterError(f"witness value {bit} is not a bit; L_Bit requires 0 or 1")
-        if recomputed.element != commitment.element:
+        if expected is not None and expected[i].element != commitment.element:
             raise ParameterError("opening does not match commitment")
 
     field_element = rng.field_element
@@ -258,6 +274,8 @@ def prove_bits(
     openings: list[Opening],
     transcript: Transcript,
     rng: RNG | None = None,
+    *,
+    recommit: bool = True,
 ) -> list[BitProof]:
     """Prove every commitment in a batch is a bit (one proof each).
 
@@ -270,13 +288,21 @@ def prove_bits(
     multiplications.  Proofs, transcript state and RNG position equal those
     of n sequential :func:`prove_bit` calls.  A bad witness anywhere in the
     list raises :class:`ParameterError` with nothing absorbed or drawn.
+
+    ``Com(x, r) == c`` is checked by recomputing ``c`` — the guard for
+    callers that bring their own commitments.  ``recommit=False`` is for
+    a caller that has just computed ``commitments`` from ``openings``
+    itself (:meth:`repro.core.prover.Prover._prove_coins`): the
+    recomputation could only repeat that work.  That each ``x`` is a bit
+    is checked either way.
     """
     if len(commitments) != len(openings):
         raise ParameterError("commitments and openings length mismatch")
     q = params.q
+    announced = _announce(params, commitments, openings, default_rng(rng), recommit)
     proofs: list[BitProof] = []
     for commitment, opening, (bit, e_sim, v_sim, b, d0, d1) in zip(
-        commitments, openings, _announce(params, commitments, openings, default_rng(rng))
+        commitments, openings, announced
     ):
         _bind(transcript, params, commitment)
         transcript.append_element("d0", d0)

@@ -24,11 +24,20 @@ verifier co-samples, and :func:`repro.mpc.morra.run_morra_batch` checks
 every opening as usual.  A server's contributions never cross the wire
 before the reveal round — the sample RPC reports only a count, so even
 a malicious front-end cannot see the values it must commit against.
+
+A proxy never waits for a reply it does not need yet (the owed-reply
+rule, :class:`RemoteProver`): a chunk request carries its Morra sample
+and commit requests, ``begin-coin-stream`` and ``absorb-bits`` are sent
+without waiting, and each reply is read — in the order the peer owes
+them — when something needs it.  Only *when* the analyst sends and reads
+moves: every server receives the lock-step order's request frames, in
+that order, and answers each with the same bytes.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from repro.api.engine import EngineResult, fork_rng
 from repro.api.queries import ComposedQuery, Query
@@ -78,6 +87,10 @@ _CLIENTS = "clients"
 # Teardown is post-release housekeeping: a dead peer must not stall it
 # for the full protocol timeout, let alone timeout × remaining peers.
 _SHUTDOWN_GRACE = 5.0
+
+# The commitment scheme the engine's Morra rounds run with, and so the
+# one a chunk request's sent-ahead ``morra-commit`` names.
+_MORRA_SCHEME = HashCommitmentScheme()
 
 
 def read_reply(transport, peer, timeout, what=None, parse=None):
@@ -139,7 +152,7 @@ def shutdown_peers(transport, peers, timeout, audit=None, *, grace=_SHUTDOWN_GRA
         try:
             transport.send(name, wire.encode_control("shutdown"))
             pending.append(name)
-        except ReproError:
+        except (ReproError, OSError):  # a dead peer's pipe or socket
             unresponsive.append(name)
     deadline = time.monotonic() + grace
     for name in pending:
@@ -214,13 +227,24 @@ class RemoteProver(MorraParticipant):
     round-tripping wire frames to the :class:`ServerNode` of the same
     name.  Holds no secrets and no randomness of its own.
 
-    One request may be outstanding per peer, never more: the engine's
-    :meth:`request_coin_chunk` sends the ``commit-coin-chunk`` frame and
-    returns, so the server proves that chunk while the analyst checks the
-    previous one, and :meth:`commit_coin_chunk` reads the reply.  Every
-    other method is a full round trip.  A request the engine never
-    collects (it gave the prover's stream up) is settled by
-    :meth:`drain` before any other frame goes to the peer.
+    The owed-reply rule: a request goes out when the engine makes it, and
+    its reply is read when something needs it.  Every frame sent appends
+    its method to a FIFO of replies the peer owes; every read from the
+    peer first reads, in order, what it owes before the reply wanted — an
+    abort or undecodable one among them aborts naming the peer, as if it
+    had been waited for.  So :meth:`request_coin_chunk` sends
+    ``commit-coin-chunk``, ``morra-sample`` and ``morra-commit`` back to
+    back and returns, the server proves and commits while the analyst
+    checks the previous chunk, and :meth:`commit_coin_chunk`,
+    :meth:`sample_values` and :meth:`commitments` take replies already on
+    their way.  ``begin-coin-stream`` and ``absorb-bits`` answer nothing
+    the next step needs and are not waited for — except a stream's last
+    ``absorb-bits``, which is: nothing else is read from the peer before
+    ``finish-output``, whose abort the engine records as a verdict, not a
+    session abort.  Replies nobody will collect (a given-up stream's
+    look-ahead) are read away unchecked by :meth:`drain`, or when a new
+    stream begins.  The server still holds one pending chunk and one
+    Morra slot: it receives the frames in the lock-step order.
     """
 
     def __init__(
@@ -235,23 +259,58 @@ class RemoteProver(MorraParticipant):
         self.transport = transport
         self.params = params
         self.timeout = timeout
-        self._requested = False
+        # Replies the peer owes, oldest first: the method each answers, or
+        # None once nobody will collect it.
+        self._owed: deque[str | None] = deque()
+        self._lost: ProtocolAbort | None = None  # the first send that failed
+        self._absorbed = 0  # coins of the current stream whose bits went out
 
     # RPC plumbing -----------------------------------------------------------
 
     def _send(self, method: str, *parts: bytes) -> None:
-        self.drain(self.timeout)
-        self.transport.send(self.name, wire.encode_rpc(method, *parts))
+        # A peer that died under a pipe or socket is named at the next read
+        # from it, where a waited-for request would have named it — not at
+        # a send the engine may never need an answer to.
+        try:
+            self.transport.send(self.name, wire.encode_rpc(method, *parts))
+        except (ProtocolAbort, OSError) as exc:
+            if self._lost is None:
+                self._lost = ProtocolAbort(f"{method}: send failed: {exc}", party=self.name)
+        self._owed.append(method)
+
+    def _read(self, method: str, parse=None):
+        """The reply to the oldest owed ``method``, after every reply owed
+        before it (checked, then dropped; a given-up one only dropped)."""
+        while True:
+            if self._lost is not None:
+                raise self._lost
+            owed = self._owed.popleft()
+            if owed is None:
+                self.transport.recv(self.name, self.timeout)
+            elif owed != method:
+                read_reply(self.transport, self.name, self.timeout, owed)
+            else:
+                return read_reply(self.transport, self.name, self.timeout, parse=parse)
 
     def _call(self, method: str, *parts: bytes, parse=None):
         self._send(method, *parts)
-        return read_reply(self.transport, self.name, self.timeout, parse=parse)
+        return self._read(method, parse)
+
+    def _collect(self, method: str, *parts: bytes, parse=None):
+        """The reply to ``method``: sent ahead by :meth:`request_coin_chunk`,
+        or sent now."""
+        if method not in self._owed:
+            self._send(method, *parts)
+        return self._read(method, parse)
 
     def drain(self, timeout: float | None) -> None:
-        """Read and discard the reply to a chunk request nobody will
-        collect, so the peer's next frame answers the next frame sent."""
-        if self._requested:
-            self._requested = False
+        """Read and discard every reply still owed — the look-ahead of a
+        stream the engine gave up — so the peer's next frame answers the
+        next frame sent."""
+        owed, self._owed = len(self._owed), deque()
+        if self._lost is not None:
+            raise self._lost
+        for _ in range(owed):
             self.transport.recv(self.name, timeout)
 
     # Client phase -----------------------------------------------------------
@@ -282,20 +341,20 @@ class RemoteProver(MorraParticipant):
     # Coin phase -------------------------------------------------------------
 
     def begin_coin_stream(self, context: bytes) -> None:
-        self._call("begin-coin-stream", context)
+        # A new stream gives up whatever the old one still owes.
+        self._owed = deque(None for _ in self._owed)
+        self._absorbed = 0
+        self._send("begin-coin-stream", context)
 
-    def request_coin_chunk(self, count: int) -> None:
+    def request_coin_chunk(self, count: int, morra_count: int) -> None:
         self._send("commit-coin-chunk", int_to_bytes(count))
-        self._requested = True
+        self._send("morra-sample", int_to_bytes(self.params.q), int_to_bytes(morra_count))
+        self._send("morra-commit", _MORRA_SCHEME.domain)
 
     def commit_coin_chunk(self, count: int) -> CoinCommitmentMessage:
-        if not self._requested:
-            self.request_coin_chunk(count)
-        self._requested = False
-        message = read_reply(
-            self.transport,
-            self.name,
-            self.timeout,
+        message = self._collect(
+            "commit-coin-chunk",
+            int_to_bytes(count),
             parse=self._decoder(CoinCommitmentMessage),
         )
         if message.prover_id != self.name:
@@ -305,7 +364,10 @@ class RemoteProver(MorraParticipant):
         return message
 
     def absorb_public_bits(self, public_bits) -> None:
-        self._call("absorb-bits", wire.encode_bit_matrix(public_bits))
+        self._send("absorb-bits", wire.encode_bit_matrix(public_bits))
+        self._absorbed += len(public_bits)
+        if self._absorbed >= self.params.nb:
+            self._read("absorb-bits")
 
     # Output phase -----------------------------------------------------------
 
@@ -331,22 +393,23 @@ class RemoteProver(MorraParticipant):
     # Morra (Algorithm 1), proxied --------------------------------------------
 
     def sample_values(self, q: int, count: int) -> list[int]:
-        """Ask the server to sample; its contributions stay on the server.
+        """The server's sample; its contributions stay on the server.
 
         The reply carries only a count — returning the actual values
         would hand the analyst every server's secret contribution before
         the commit round, voiding Morra's hiding.  Placeholder zeros are
         enough for :func:`~repro.mpc.morra.run_morra_batch`, which only
         length-checks this list and combines the values from the
-        commitment-verified reveal round.
+        commitment-verified reveal round.  The request normally rode with
+        the chunk request; the server sampled right after proving.
         """
-        reply = self._call("morra-sample", int_to_bytes(q), int_to_bytes(count))
+        reply = self._collect("morra-sample", int_to_bytes(q), int_to_bytes(count))
         if not reply or bytes_to_int(reply[0]) != count:
             raise ProtocolAbort("morra sample count mismatch", party=self.name)
         return [0] * count
 
     def commitments(self, scheme: HashCommitmentScheme, values):
-        digests = self._call(
+        digests = self._collect(
             "morra-commit", scheme.domain, parse=lambda r: wire.decode_bytes_list(r[0])
         )
         if len(digests) != len(values):
@@ -544,9 +607,10 @@ class AnalystNode:
         )
         self._ingest()
         self.result = self.engine.run_release()
-        # A prover whose stream was given up may still owe the reply to
-        # its last chunk request; shutdown_peers takes the next frame as
-        # the ack, so that reply is read away first.
+        # A prover whose stream was given up may still owe the replies to
+        # its last chunk request and the Morra pair that rode with it;
+        # shutdown_peers takes the next frame as the ack, so those
+        # replies are read away first.
         grace = min(_SHUTDOWN_GRACE, self.timeout or _SHUTDOWN_GRACE)
         for prover in self.engine.provers:
             try:

@@ -1,17 +1,22 @@
 """The coin phase as a two-stage pipeline: chunk c is checked while chunk
-c+1 is being proved.
+c+1 is being proved, and the analyst waits for no reply it does not need.
 
 Three promises are pinned here.  *Structure*: the request for the next
-chunk is on the wire before the check of this one starts and its reply
-is taken after the check returns — asserted on the analyst's own frame
-log, no clock — while every peer still sees the parent's method sequence
-and the parent's bytes.  *Verdicts*: every cheating prover ends with the
-status, note and ``accepted`` the lock-step engine gave it (the values
-below were recorded at the parent commit), one Morra round later.
-*Framing*: a request the engine never collects — the prover's stream was
-given up — is drained before the shutdown handshake, on every transport.
+chunk — with the Morra sample and commit requests that ride with it — is
+on the wire before the check of this one starts, and its replies are
+taken after the check returns; ``begin-coin-stream`` and ``absorb-bits``
+replies are read later (a stream's last ``absorb-bits`` excepted); the
+next prover's stream is opened when the one before it starts.  All of it
+is asserted on the analyst's own frame log, no clock, while every peer
+still gets the parent's frames and sends the parent's replies, in each
+direction, byte for byte.  *Verdicts*: every cheating prover ends with
+the status, note and ``accepted`` the lock-step engine gave it (the
+values below were recorded at the parent commit), one Morra round later.
+*Framing*: replies the engine never collects — the prover's stream was
+given up — are drained before the shutdown handshake, on every transport.
 """
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -266,20 +271,76 @@ class TestSameVerdictsOneRoundLater:
             replay_audit(params, result.to_bulletin(params))
 
 
-# SHA-256 over every frame the analyst exchanged with each peer of the
-# seeded session below (direction byte + frame, in order), recorded at
-# the parent commit: the pipeline reorders the analyst's *work*, not one
-# byte or one frame of any peer's conversation.
-PARENT_CONVERSATIONS = {
-    "prover-0": "f2943e18fdb701974aa50918fbad18d9489dc5d649df85f1d6127a345f4af7e9",
-    "prover-1": "173d3bc5023f4f76b4264a60990f36a8d723427c468ee361a408b8682f3de66f",
-    "clients": "e51580008d9e86b9f7ac2ae29decf94750939987e09a6f78096521f032e2cc6d",
+def exchanges(log):
+    """Per ``(server, method)``, ``[log index sent, log index its reply
+    was read]`` for each request in order — a server answers its requests
+    in the order they arrive, so its replies pair with them first in,
+    first out."""
+    pending = collections.defaultdict(collections.deque)
+    out = collections.defaultdict(list)
+    for index, (direction, peer, frame) in enumerate(log):
+        if peer not in SERVERS:
+            continue
+        if direction == "send":
+            kind = wire.frame_kind(frame)
+            decode = wire.decode_rpc if kind == "rpc" else wire.decode_control
+            entry = [index, None]
+            out[peer, decode(frame)[0]].append(entry)
+            pending[peer].append(entry)
+        elif direction == "recv":
+            pending[peer].popleft()[1] = index
+    return out
+
+
+def frame_digests(log, peer):
+    """SHA-256 (first 16 hex digits) of the frames sent to ``peer`` and
+    of those received from it, each in order."""
+    digests = []
+    for direction in ("send", "recv"):
+        h = hashlib.sha256()
+        for d, other, frame in log:
+            if d == direction and other == peer:
+                h.update(len(frame).to_bytes(4, "big") + frame)
+        digests.append(h.hexdigest()[:16])
+    return tuple(digests)
+
+
+# (sent, received) frame digests per peer of the seeded session below,
+# recorded at the parent commit — identical there over memory,
+# multiprocess and socket.  The schedule moves when the analyst sends and
+# reads, not one byte or one frame of any peer's conversation.
+PARENT_FRAMES = {
+    None: {
+        "prover-0": ("8badf7d670f44e1d", "4399e24bce248b9f"),
+        "prover-1": ("d1d4e0c499c9581a", "834700b7c6d476da"),
+        "clients": ("ef307a67eecadfa8", "d16de37d7e38ea9b"),
+    },
+    3: {
+        "prover-0": ("ae98c576922b13de", "a1bf74686d0aeeff"),
+        "prover-1": ("e203f851e20a8c39", "314709f893fb8905"),
+        "clients": ("413b3738b42e51e9", "d16de37d7e38ea9b"),
+    },
+    NB // 4: {
+        "prover-0": ("f890332479679edb", "0427721eac1dd0dd"),
+        "prover-1": ("df18a908996351e3", "ffe6ff9b665643b8"),
+        "clients": ("fe0befa9774bb83a", "d16de37d7e38ea9b"),
+    },
 }
+
+
+@pytest.mark.parametrize("chunk", sorted(PARENT_FRAMES, key=str))
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_each_peer_gets_and_sends_the_parents_frames(kind, chunk):
+    result, log, _ = run_session(kind, "frames", chunk=chunk)
+    assert result.release.accepted
+    for peer, digests in PARENT_FRAMES[chunk].items():
+        assert frame_digests(log, peer) == digests, peer
 
 
 class TestOverlapIsStructural:
     CHUNK = 4
-    STEPS = 2 * NB // CHUNK
+    PER_PROVER = NB // CHUNK
+    STEPS = 2 * PER_PROVER
 
     @pytest.fixture()
     def traced(self, monkeypatch):
@@ -300,49 +361,56 @@ class TestOverlapIsStructural:
                     log.append(("verify-end", None, b""))
 
         monkeypatch.setattr(SigmaBatch, "verify", verify)
-        result, _, workers = run_session("memory", "overlap", chunk=self.CHUNK, log=log)
+        result, _, workers = run_session("memory", "frames", chunk=self.CHUNK, log=log)
         assert result.release.accepted
         assert not any(worker.is_alive() for worker in workers)
         return log
 
     def test_next_request_leaves_before_the_check_and_is_read_after_it(self, traced):
-        begun = next(
-            i
-            for i, (direction, _, frame) in enumerate(traced)
-            if direction == "send" and wire.frame_kind(frame) == "rpc"
-            and wire.decode_rpc(frame)[0] == "begin-coin-stream"
-        )
-        requests, replies, begins, starts, ends = [], [], {}, [], []
-        awaiting = {}
-        for index, (direction, peer, frame) in enumerate(traced):
-            if index < begun:
-                continue  # client validation batches are not coin checks
-            if direction == "verify-start":
-                starts.append(index)
-            elif direction == "verify-end":
-                ends.append(index)
-            elif direction == "send" and wire.frame_kind(frame) == "rpc":
-                method = wire.decode_rpc(frame)[0]
-                if method == "commit-coin-chunk":
-                    assert peer not in awaiting, "two requests outstanding"
-                    requests.append(index)
-                    awaiting[peer] = True
-                elif method == "begin-coin-stream":
-                    begins[peer] = index
-                else:
-                    assert peer not in awaiting, f"{method} sent over a request"
-            elif direction == "recv" and awaiting.pop(peer, False):
-                replies.append(index)
-        assert len(requests) == len(replies) == self.STEPS
+        ex = exchanges(traced)
+        (begin,) = ex["prover-0", "begin-coin-stream"]
+        # Client validation batches before the coin phase are not checks.
+        starts = [i for i, (d, _, _) in enumerate(traced) if d == "verify-start" and i > begin[0]]
+        ends = [i for i, (d, _, _) in enumerate(traced) if d == "verify-end" and i > begin[0]]
         assert len(starts) == len(ends) == self.STEPS
-        for step in range(self.STEPS - 1):
-            assert requests[step + 1] < starts[step], f"step {step}: check ran first"
-            assert ends[step] < replies[step + 1], f"step {step}: reply read early"
-        # Each check still follows its own chunk's arrival and Morra round.
-        assert all(replies[step] < starts[step] for step in range(self.STEPS))
-        # Prover 1 is opened and asked before prover 0's last check.
-        last_of_first = self.STEPS // 2 - 1
-        assert begins["prover-1"] < requests[last_of_first + 1] < starts[last_of_first]
+        ahead = ("commit-coin-chunk", "morra-sample", "morra-commit")
+
+        def rpc(step, method):
+            return ex[SERVERS[step // self.PER_PROVER], method][step % self.PER_PROVER]
+
+        for step in range(self.STEPS):
+            chunk, sample, commit = (rpc(step, method) for method in ahead)
+            reveal, absorb = rpc(step, "morra-reveal"), rpc(step, "absorb-bits")
+            # The Morra pair rides with the chunk request, and the round
+            # costs one round trip: sample and commit replies are read in
+            # the Morra round, the reveal waited for, then the bits sent —
+            # all before this chunk's check.
+            assert chunk[0] + 2 == sample[0] + 1 == commit[0]
+            assert chunk[1] < sample[1] < commit[1] < reveal[0] < reveal[1] < absorb[0]
+            assert absorb[0] < starts[step]
+            last = (step + 1) % self.PER_PROVER == 0
+            if last:
+                # Nothing else is read from this server before its output.
+                assert absorb[1] < starts[step]
+            if step + 1 < self.STEPS:
+                after = [rpc(step + 1, method) for method in ahead]
+                # The next chunk (and its Morra pair) is asked for before
+                # this check starts, and read only after it ends.
+                assert all(sent < starts[step] for sent, _ in after), f"step {step}"
+                assert all(read > ends[step] for _, read in after), f"step {step}"
+            if step + 1 < self.STEPS and not last:
+                # One pending chunk per server: asked after the bits of the
+                # one before, whose empty reply is read late.
+                assert absorb[0] < after[0][0]
+                assert absorb[1] > ends[step]
+        for peer in SERVERS:
+            # begin-coin-stream is not waited for either.
+            (begin,) = ex[peer, "begin-coin-stream"]
+            first = ex[peer, "commit-coin-chunk"][0]
+            assert begin[0] + 1 == first[0]
+        # Prover 1's stream opens when prover 0's starts: its first chunk
+        # is asked for before prover 0's first one is read.
+        assert ex["prover-1", "commit-coin-chunk"][0][0] < ex["prover-0", "commit-coin-chunk"][0][1]
 
     def test_every_peer_sees_the_parents_conversation(self, traced):
         lap = [
@@ -359,14 +427,14 @@ class TestOverlapIsStructural:
             + lap * (NB // self.CHUNK)
             + ["finish-output", "shutdown"]
         )
+        ex = exchanges(traced)
         for peer in SERVERS:
             assert methods_sent_to(traced, peer) == expected
-        for peer, digest in PARENT_CONVERSATIONS.items():
-            conversation = hashlib.sha256()
-            for direction, other, frame in traced:
-                if other == peer:
-                    conversation.update(direction[:1].encode() + frame)
-            assert conversation.hexdigest() == digest, peer
+            # Every request has had its reply read.
+            reads = [read for (to, _), pairs in ex.items() if to == peer for _, read in pairs]
+            assert None not in reads
+        for peer, digests in PARENT_FRAMES[self.CHUNK].items():
+            assert frame_digests(traced, peer) == digests, peer
 
 
 class TestAbandonedRequest:
@@ -403,9 +471,11 @@ class TestAbandonedRequest:
         assert methods_sent_to(log, "prover-1").count("commit-coin-chunk") == -(-NB // chunk)
 
     def test_any_other_call_settles_an_uncollected_request_first(self):
-        """One request may be outstanding per peer, never more: a call made
-        over it reads the stale chunk away first, so every later reply
-        still answers the frame it follows."""
+        """Every read from a peer first reads what that peer owes, in
+        order: a new stream gives the old one's sent-ahead chunk and Morra
+        pair up, and the next collection reads them away (with both
+        streams' empty ``begin-coin-stream`` replies) before its own, so
+        every later reply still answers the frame it follows."""
         params = QUERY.build_params(num_provers=1, group="p64-sim", nb_override=NB)
         hub = InMemoryHub()
         node = ServerNode(hub.endpoint("prover-0"), SeededRNG("settle"), timeout=10.0)
@@ -425,10 +495,12 @@ class TestAbandonedRequest:
         analyst.recv("prover-0", 10.0)
         proxy = RemoteProver("prover-0", analyst, params, timeout=10.0)
         proxy.begin_coin_stream(b"ctx")
-        proxy.request_coin_chunk(4)
+        proxy.request_coin_chunk(4, 4)
         proxy.begin_coin_stream(b"ctx")  # gives the first stream up
-        assert log[-1] == ("recv", "prover-0", wire.encode_reply())
+        assert [d for d, _, _ in log[2:]] == ["send"] * 5  # nothing read yet
         assert len(proxy.commit_coin_chunk(4).commitments) == 4
+        assert [d for d, _, _ in log[2:]] == ["send"] * 6 + ["recv"] * 6
+        assert log[-2] == ("recv", "prover-0", wire.encode_reply())
         analyst.send("prover-0", wire.encode_control("shutdown"))
         assert analyst.recv("prover-0", 10.0) == wire.encode_reply()
         thread.join(timeout=10.0)

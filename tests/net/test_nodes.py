@@ -366,15 +366,19 @@ class TestRemoteProverRobustness:
 
     def test_garbage_reply_aborts_with_server_named(self):
         """An undecodable reply frame is the server's fault: ProtocolAbort
-        naming it (so the engine records ABORTED), never a raw
-        EncodingError crashing the front-end."""
+        naming it, never a raw EncodingError crashing the front-end — also
+        when it answers a request sent ahead (``begin-coin-stream`` is not
+        waited for): the next read from that server reads it first."""
         from repro.errors import ProtocolAbort
 
         proxy, server = self._proxy()
         server.send("analyst", b"garbage")
+        proxy.begin_coin_stream(b"ctx")
+        assert proxy.transport.frames_received == 0
         with pytest.raises(ProtocolAbort) as err:
-            proxy.begin_coin_stream(b"ctx")
+            proxy.commit_coin_chunk(4)
         assert err.value.party == "prover-0"
+        assert "begin-coin-stream" in str(err.value)
 
     def test_garbage_message_in_ok_reply_aborts_with_server_named(self):
         from repro.errors import ProtocolAbort

@@ -416,20 +416,22 @@ def test_an_enrolment_burst_does_not_wait_on_a_delayed_ack():
 def test_chunk_replies_are_waited_for_while_the_previous_chunk_is_checked(monkeypatch):
     """The coin pipeline's canary, on real processes and a real socket:
     at the ``socket-session`` spec the analyst spends far less time in
-    the transport asking for and collecting chunks than the same session
-    driven in lock-step (emulated here by sending each request only when
-    its reply is collected) — the prover proved the chunk while the
-    analyst was checking the one before.
+    the transport asking for and collecting chunks and their Morra
+    sample/commit replies than the same session driven in lock-step
+    (emulated here by sending no request ahead: each chunk, sample and
+    commit is a round trip made when it is collected) — the prover proved
+    the chunk and committed its Morra contributions while the analyst was
+    checking the one before.
 
-    Measured after a few seconds of load: 9–27 ms of a pipelined session
-    against 33–56 ms of a lock-step one, pair by pair 0.2–0.6 ×.  A host
-    coming out of idle runs this VM on one CPU for its first seconds
-    (pairs read 0.9–1.1 × there, as they would if the overlap were gone),
-    so the canary takes pairs until one shows the gap, and fails only if
-    fifteen in a row do not.  The session's wall against a solo
-    ``Session`` does not resolve the same change on this host (≈ 2.0–2.1 ×
-    either way, untraced), which is why the wait itself is watched; the
-    order of frames and checks is pinned without a clock in
+    Measured at the parent schedule (chunk requests only) after a few
+    seconds of load: 9–27 ms of a pipelined session against 33–56 ms of a
+    lock-step one, pair by pair 0.2–0.6 ×.  A host coming out of idle
+    runs this VM on one CPU for its first seconds (pairs read 0.9–1.1 ×
+    there, as they would if the overlap were gone), so the canary takes
+    pairs until one shows the gap, and fails only if fifteen in a row do
+    not.  The session's wall against a solo ``Session`` does not resolve
+    the same change on this host, which is why the wait itself is
+    watched; the order of frames and checks is pinned without a clock in
     ``tests/net/test_coin_pipeline.py``.
     """
     from repro.api.queries import CountQuery
@@ -437,7 +439,6 @@ def test_chunk_replies_are_waited_for_while_the_previous_chunk_is_checked(monkey
     from repro.net.serve import run_distributed_session
     from repro.net.transport import Transport
 
-    request, collect = RemoteProver.request_coin_chunk, RemoteProver.commit_coin_chunk
     state = {"pipelined": True, "chunk_io": False, "blocked": 0.0}
 
     def timed(inner):
@@ -452,30 +453,26 @@ def test_chunk_replies_are_waited_for_while_the_previous_chunk_is_checked(monkey
         return wrapper
 
     def chunk_io(fn):
-        def wrapper(self, count):
+        def wrapper(self, *args):
             state["chunk_io"] = True
             try:
-                return fn(self, count)
+                return fn(self, *args)
             finally:
                 state["chunk_io"] = False
 
         return wrapper
 
-    @chunk_io
-    def request_coin_chunk(self, count):
-        if state["pipelined"]:
-            request(self, count)
+    request = RemoteProver.request_coin_chunk
 
-    @chunk_io
-    def commit_coin_chunk(self, count):
-        if not state["pipelined"]:
-            request(self, count)
-        return collect(self, count)
+    def request_coin_chunk(self, *args):
+        if state["pipelined"]:
+            request(self, *args)
 
     monkeypatch.setattr(Transport, "send", timed(Transport.send))
     monkeypatch.setattr(Transport, "recv", timed(Transport.recv))
-    monkeypatch.setattr(RemoteProver, "request_coin_chunk", request_coin_chunk)
-    monkeypatch.setattr(RemoteProver, "commit_coin_chunk", commit_coin_chunk)
+    monkeypatch.setattr(RemoteProver, "request_coin_chunk", chunk_io(request_coin_chunk))
+    for name in ("commit_coin_chunk", "sample_values", "commitments"):
+        monkeypatch.setattr(RemoteProver, name, chunk_io(getattr(RemoteProver, name)))
     query = CountQuery(epsilon=1.0, delta=2**-10)
     pairs = []
     for _ in range(15):

@@ -54,10 +54,8 @@ from repro.dp import (
     epsilon_for_coins,
 )
 from repro.errors import (
-    ClientInputRejected,
     ProofRejected,
     ProtocolAbort,
-    ProverCheatingDetected,
     ReproError,
     SessionStateError,
     VerificationError,
@@ -95,8 +93,6 @@ __all__ = [
     "VerificationError",
     "ProofRejected",
     "ProtocolAbort",
-    "ProverCheatingDetected",
-    "ClientInputRejected",
     "SessionStateError",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Analysis utilities: error measurement, distribution tests, and the
 Section 5 separation demonstration."""
 
-from repro.analysis.error import empirical_error, error_sweep, protocol_error
+from repro.analysis.error import empirical_error, protocol_error
 from repro.analysis.distributions import (
     chi_square_uniform,
     total_variation_from_binomial,
@@ -16,7 +16,6 @@ from repro.analysis.separation import (
 
 __all__ = [
     "empirical_error",
-    "error_sweep",
     "protocol_error",
     "chi_square_uniform",
     "total_variation_from_binomial",

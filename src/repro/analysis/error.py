@@ -1,4 +1,4 @@
-"""Empirical DP-Error measurement (Definition 6) and sweep utilities.
+"""Empirical DP-Error measurement (Definition 6).
 
 Backs the ``err`` experiment: central-model mechanisms (Binomial,
 Laplace, Gaussian) have Err independent of n and O(1/ε), local
@@ -9,7 +9,6 @@ three relationships are measured here and asserted in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.api import CountQuery, Session
@@ -18,17 +17,7 @@ from repro.dp.randomized_response import RandomizedResponse
 from repro.errors import ParameterError
 from repro.utils.rng import RNG, SeededRNG, default_rng
 
-__all__ = ["ErrorPoint", "empirical_error", "error_sweep", "protocol_error"]
-
-
-@dataclass(frozen=True)
-class ErrorPoint:
-    """One (mechanism, parameters) → measured error entry."""
-
-    mechanism: str
-    epsilon: float
-    n: int
-    error: float
+__all__ = ["empirical_error", "protocol_error"]
 
 
 def empirical_error(
@@ -50,25 +39,6 @@ def empirical_error(
         for _ in range(trials):
             total += abs(mechanism.release(true, rng).value - true)
     return total / trials
-
-
-def error_sweep(
-    mechanisms: dict[str, Mechanism],
-    dataset: Sequence[int],
-    trials: int,
-    rng: RNG | None = None,
-) -> list[ErrorPoint]:
-    """Measure every mechanism on the same dataset."""
-    rng = default_rng(rng)
-    return [
-        ErrorPoint(
-            mechanism=name,
-            epsilon=mechanism.epsilon,
-            n=len(dataset),
-            error=empirical_error(mechanism, dataset, trials, rng),
-        )
-        for name, mechanism in mechanisms.items()
-    ]
 
 
 def protocol_error(

@@ -146,10 +146,6 @@ class SessionResult:
     def __len__(self) -> int:
         return len(self.results)
 
-    def total_budget(self) -> tuple[float, float]:
-        """Cumulative (ε, δ) under basic composition."""
-        return self.accountant.total_basic()
-
 
 class Session:
     """One verifiable-DP query session: enroll clients, then release.

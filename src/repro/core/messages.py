@@ -149,9 +149,6 @@ class AuditRecord:
     def valid_clients(self) -> list[str]:
         return [cid for cid, status in self.clients.items() if status is ClientStatus.VALID]
 
-    def honest_provers(self) -> list[str]:
-        return [pid for pid, status in self.provers.items() if status is ProverStatus.HONEST]
-
     def all_provers_honest(self) -> bool:
         return all(status is ProverStatus.HONEST for status in self.provers.values())
 
@@ -175,8 +172,3 @@ class Release:
     audit: AuditRecord
     epsilon: float
     delta: float
-
-    @property
-    def scalar_estimate(self) -> float:
-        """Convenience accessor for M = 1 counting queries."""
-        return self.estimate[0]

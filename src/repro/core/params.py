@@ -54,11 +54,6 @@ class PublicParams:
         return self.pedersen.q
 
     @property
-    def total_noise_coins(self) -> int:
-        """Coins across all provers and coordinates: K · M · nb."""
-        return self.num_provers * self.dimension * self.nb
-
-    @property
     def noise_mean(self) -> float:
         """Mean of the total added noise per coordinate: K · nb / 2.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 from typing import Iterable, Sequence
 
-from repro.errors import NotOnGroupError, ParameterError
+from repro.errors import NotOnGroupError
 from repro.utils.rng import RNG, default_rng
 
 __all__ = ["Group", "GroupElement"]
@@ -124,14 +124,6 @@ class Group(abc.ABC):
     def random_element(self, rng: RNG | None = None) -> GroupElement:
         """Uniform group element (g^r for uniform r)."""
         return self.generator() ** self.random_scalar(rng)
-
-    def reduce_scalar(self, value: int) -> int:
-        return value % self.order
-
-    def check_scalar(self, value: int) -> int:
-        if not 0 <= value < self.order:
-            raise ParameterError(f"scalar {value} out of range [0, {self.order})")
-        return value
 
     def check_element(self, element: GroupElement) -> GroupElement:
         if element.group is not self:

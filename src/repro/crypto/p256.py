@@ -270,10 +270,6 @@ class P256Group(Group):
     def generator(self) -> P256Point:
         return self._generator
 
-    @staticmethod
-    def _on_curve(x: int, y: int) -> bool:
-        return (y * y - (x * x * x + _A * x + _B)) % _P == 0
-
     def from_bytes(self, data: bytes) -> P256Point:
         if len(data) != 33:
             raise EncodingError(f"P-256 compressed points are 33 bytes, got {len(data)}")

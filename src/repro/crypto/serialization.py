@@ -24,9 +24,7 @@ from repro.crypto.group import Group
 from repro.crypto.pedersen import Commitment
 from repro.crypto.sigma.bitvec import BitVectorProof
 from repro.crypto.sigma.onehot import OneHotProof
-from repro.crypto.sigma.opening_pok import OpeningProof
 from repro.crypto.sigma.or_bit import BitProof
-from repro.crypto.sigma.schnorr_pok import SchnorrProof
 from repro.errors import EncodingError
 from repro.utils.encoding import (
     bytes_to_int,
@@ -47,14 +45,9 @@ __all__ = [
     "decode_bit_vector_proof",
     "encode_validity_proof",
     "decode_validity_proof",
-    "encode_schnorr_proof",
-    "decode_schnorr_proof",
-    "encode_opening_proof",
-    "decode_opening_proof",
     "encode_message",
     "encode_message_cached",
     "decode_message",
-    "advance_coin_transcript",
     "advance_coin_transcript_frame",
     "wire_size",
     "WIRE_MAGIC",
@@ -63,8 +56,6 @@ __all__ = [
 _MAGIC_BIT = b"repro.bitproof.v1"
 _MAGIC_ONEHOT = b"repro.onehot.v1"
 _MAGIC_BITVEC = b"repro.bitvecproof.v1"
-_MAGIC_SCHNORR = b"repro.schnorr.v1"
-_MAGIC_OPENING = b"repro.opening.v1"
 
 
 def _scalar(group: Group, value: int) -> bytes:
@@ -198,52 +189,6 @@ def decode_validity_proof(group: Group, data: bytes):
     if not parts or parts[0] not in _VALIDITY_CODECS:
         raise EncodingError("unknown validity proof tag")
     return _VALIDITY_CODECS[parts[0]](group, data)
-
-
-# Schnorr proofs ----------------------------------------------------------------
-
-
-def encode_schnorr_proof(proof: SchnorrProof) -> bytes:
-    group = proof.announcement.group
-    return encode_length_prefixed(
-        _MAGIC_SCHNORR,
-        proof.announcement.to_bytes(),
-        _scalar(group, proof.response),
-    )
-
-
-def decode_schnorr_proof(group: Group, data: bytes) -> SchnorrProof:
-    parts = _expect_magic(decode_length_prefixed(data), _MAGIC_SCHNORR)
-    if len(parts) != 2:
-        raise EncodingError("schnorr proof needs 2 fields")
-    return SchnorrProof(
-        announcement=group.from_bytes(parts[0]),
-        response=int.from_bytes(parts[1], "big"),
-    )
-
-
-# Opening proofs -----------------------------------------------------------------
-
-
-def encode_opening_proof(proof: OpeningProof) -> bytes:
-    group = proof.announcement.group
-    return encode_length_prefixed(
-        _MAGIC_OPENING,
-        proof.announcement.to_bytes(),
-        _scalar(group, proof.response_value),
-        _scalar(group, proof.response_randomness),
-    )
-
-
-def decode_opening_proof(group: Group, data: bytes) -> OpeningProof:
-    parts = _expect_magic(decode_length_prefixed(data), _MAGIC_OPENING)
-    if len(parts) != 3:
-        raise EncodingError("opening proof needs 3 fields")
-    return OpeningProof(
-        announcement=group.from_bytes(parts[0]),
-        response_value=int.from_bytes(parts[1], "big"),
-        response_randomness=int.from_bytes(parts[2], "big"),
-    )
 
 
 # ==============================================================================
@@ -606,43 +551,25 @@ def encode_message(message) -> bytes:
 # A chunked coin stream's evolving Fiat–Shamir transcript is a
 # deterministic function of the public messages alone — absorb pp, the
 # commitment and both announcements, extract (and discard) the
-# challenge; no group exponentiations.  These helpers replay that
+# challenge; no group exponentiations.  This helper replays that
 # evolution without verifying, which is what lets shard peers
 # (repro.net.shard) hold the correct transcript state for chunks they
-# do not check.  They live here, next
-# to the coin-message codec, because the byte-level variant mirrors its
-# frame layout — a format change must touch both together.
-
-
-def advance_coin_transcript(params, transcript, message) -> None:
-    """Fast-forward a coin transcript over one message without verifying.
-
-    Mirrors exactly the transcript mutations of
-    :func:`repro.crypto.sigma.or_bit.verify_bit` — bind pp and the
-    commitment, absorb both announcements, extract (and discard) the
-    challenge — so a later chunk's verification starts from the identical
-    state, at pure hashing cost.
-    """
-    pedersen = params.pedersen
-    pp = pedersen.transcript_bytes()
-    for c_row, p_row in zip(message.commitments, message.proofs):
-        for commitment, proof in zip(c_row, p_row):
-            transcript.append_bytes("pp", pp)
-            transcript.append_element("bit-commitment", commitment.element)
-            transcript.append_element("d0", proof.d0)
-            transcript.append_element("d1", proof.d1)
-            transcript.challenge_scalar("or-challenge", pedersen.q)
+# do not check.  It lives here, next to the coin-message codec, because
+# it mirrors that frame layout — a format change must touch both.
 
 
 def advance_coin_transcript_frame(params, transcript, frame: bytes) -> None:
     """Fast-forward over a *wire frame* without decoding group elements.
 
-    The transcript absorbs element encodings verbatim, and the frame
-    already carries each element's canonical bytes — so prefix chunks can
-    be replayed by pure length-prefix parsing plus hashing, skipping the
-    per-element membership exponentiations entirely.  This is what makes
-    shard workers cheap: the expensive validation runs exactly once, in
-    the shard that owns the chunk.
+    Mirrors exactly the transcript mutations of
+    :func:`repro.crypto.sigma.or_bit.verify_bit`, so a later chunk's
+    verification starts from the identical state.  The transcript absorbs
+    element encodings verbatim, and the frame already carries each
+    element's canonical bytes — so prefix chunks can be replayed by pure
+    length-prefix parsing plus hashing, skipping the per-element
+    membership exponentiations entirely.  This is what makes shard
+    workers cheap: the expensive validation runs exactly once, in the
+    shard that owns the chunk.
     """
     outer = decode_length_prefixed(frame)
     if len(outer) != 3:

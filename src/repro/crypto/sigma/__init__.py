@@ -10,8 +10,7 @@ The paper verifies two things in zero knowledge with Σ-protocols:
   coordinate is a bit and the coordinates sum to one (Appendix C, final
   paragraph), used for client validation in MPC-DP histograms (Figure 4).
 
-Supporting protocols (:mod:`schnorr_pok`, :mod:`opening_pok`) and batch
-verification (:mod:`batch`) round out the toolbox.  All proofs are made
+Batch verification (:mod:`batch`) rounds out the toolbox.  All proofs are made
 non-interactive with the Fiat–Shamir transform over
 :class:`repro.crypto.fiat_shamir.Transcript`; the
 interactive 3-move forms are also exposed because the test-suite exercises
@@ -19,8 +18,6 @@ special soundness (extractors) and honest-verifier zero-knowledge
 (simulators) directly.
 """
 
-from repro.crypto.sigma.schnorr_pok import SchnorrProof, prove_dlog, verify_dlog
-from repro.crypto.sigma.opening_pok import OpeningProof, prove_opening, verify_opening
 from repro.crypto.sigma.or_bit import (
     BitProof,
     prove_bit,
@@ -43,12 +40,6 @@ from repro.crypto.sigma.interactive import (
 )
 
 __all__ = [
-    "SchnorrProof",
-    "prove_dlog",
-    "verify_dlog",
-    "OpeningProof",
-    "prove_opening",
-    "verify_opening",
     "BitProof",
     "prove_bit",
     "verify_bit",

@@ -78,12 +78,6 @@ class SigmaBatch:
         self._exponents: list[int] = []
         self._g_exp = 0
         self._h_exp = 0
-        self._count = 0
-
-    @property
-    def proof_count(self) -> int:
-        """Number of bit-proof equations folded in so far."""
-        return self._count
 
     def add_bit_proof(
         self, commitment: Commitment, proof: BitProof, transcript: Transcript
@@ -115,7 +109,6 @@ class SigmaBatch:
         )
         self._g_exp = (self._g_exp - gamma1 * proof.e1) % q
         self._h_exp = (self._h_exp - gamma0 * proof.v0 - gamma1 * proof.v1) % q
-        self._count += 1
 
     def add_bit_proofs(
         self,
@@ -179,7 +172,6 @@ class SigmaBatch:
         self._exponents.extend(other._exponents)
         self._g_exp = (self._g_exp + other._g_exp) % self.params.q
         self._h_exp = (self._h_exp + other._h_exp) % self.params.q
-        self._count += other._count
 
     def verify(self) -> None:
         """One multi-exponentiation; raises :class:`ProofRejected` on failure.

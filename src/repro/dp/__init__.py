@@ -10,32 +10,28 @@ known (Concluding Remarks); Laplace and randomized response are provided
 as non-verifiable baselines for the error experiments.
 """
 
-from repro.dp.mechanism import Mechanism, MechanismOutput, counting_query, dp_error
+from repro.dp.mechanism import Mechanism, MechanismOutput, counting_query
 from repro.dp.binomial import (
     BinomialMechanism,
     coins_for_privacy,
     epsilon_for_coins,
     sample_binomial,
 )
-from repro.dp.smoothness import smoothness_delta, is_smooth
+from repro.dp.smoothness import smoothness_delta
 from repro.dp.laplace import LaplaceMechanism
 from repro.dp.randomized_response import RandomizedResponse
-from repro.dp.accountant import PrivacyAccountant, basic_composition, advanced_composition
+from repro.dp.accountant import PrivacyAccountant
 
 __all__ = [
     "Mechanism",
     "MechanismOutput",
     "counting_query",
-    "dp_error",
     "BinomialMechanism",
     "coins_for_privacy",
     "epsilon_for_coins",
     "sample_binomial",
     "smoothness_delta",
-    "is_smooth",
     "LaplaceMechanism",
     "RandomizedResponse",
     "PrivacyAccountant",
-    "basic_composition",
-    "advanced_composition",
 ]

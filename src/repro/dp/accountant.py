@@ -3,43 +3,18 @@
 The MPC instantiation of ΠBin adds K independent copies of Binomial noise
 (one per prover — necessary because up to K-1 provers may collude and
 contribute no noise, Section 4 / Ben-Or et al.), and histogram queries
-release M coordinates.  The accountant tracks cumulative (ε, δ) under
-basic and advanced composition so examples and tests can state end-to-end
-guarantees honestly.
+release M coordinates.  The accountant records each release's (ε, δ)
+charge so examples and tests can state end-to-end guarantees honestly;
+under basic composition the total is the column sums of its ledger.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import ParameterError
 
-__all__ = ["basic_composition", "advanced_composition", "PrivacyAccountant"]
-
-
-def basic_composition(budgets: list[tuple[float, float]]) -> tuple[float, float]:
-    """(Σε_i, Σδ_i): sequential composition, always valid."""
-    if not budgets:
-        return 0.0, 0.0
-    return sum(e for e, _ in budgets), sum(d for _, d in budgets)
-
-
-def advanced_composition(
-    epsilon: float, delta: float, k: int, delta_prime: float
-) -> tuple[float, float]:
-    """Advanced composition for k releases of one (ε, δ)-DP mechanism.
-
-    ε' = ε·sqrt(2k·ln(1/δ')) + k·ε·(e^ε - 1),   δ' += k·δ.
-    """
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    if not 0 < delta_prime < 1:
-        raise ParameterError("delta_prime must be in (0, 1)")
-    eps_total = epsilon * math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) + k * epsilon * (
-        math.exp(epsilon) - 1.0
-    )
-    return eps_total, k * delta + delta_prime
+__all__ = ["PrivacyAccountant"]
 
 
 @dataclass
@@ -62,16 +37,3 @@ class PrivacyAccountant:
             (label, eps, delta)
             for label, (eps, delta) in zip(self.labels, self.spent)
         ]
-
-    def total_basic(self) -> tuple[float, float]:
-        return basic_composition(self.spent)
-
-    def total_advanced(self, delta_prime: float) -> tuple[float, float]:
-        """Advanced composition when all charges are identical, else basic."""
-        if not self.spent:
-            return 0.0, 0.0
-        first = self.spent[0]
-        if all(entry == first for entry in self.spent):
-            return advanced_composition(first[0], first[1], len(self.spent), delta_prime)
-        eps, delta = basic_composition(self.spent)
-        return eps, delta + delta_prime

@@ -114,7 +114,3 @@ class BinomialMechanism(Mechanism):
         z = sample_binomial(self.nb, rng)
         noise = z - (self.nb / 2.0 if self.centred else 0.0)
         return MechanismOutput(true_value + noise, noise)
-
-    def expected_error(self) -> float:
-        """E|Z - nb/2| = sqrt(nb/(2π)) asymptotically (half-normal mean)."""
-        return math.sqrt(self.nb / (2.0 * math.pi))

@@ -62,7 +62,3 @@ class LaplaceMechanism(Mechanism):
     def release(self, true_value: float, rng: RNG | None = None) -> MechanismOutput:
         noise = sample_laplace(self.scale, rng)
         return MechanismOutput(true_value + noise, noise)
-
-    def expected_error(self) -> float:
-        """E|Laplace(b)| = b."""
-        return self.scale

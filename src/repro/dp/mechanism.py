@@ -7,20 +7,19 @@ L1 error relative to the true query answer is
 
 For counting queries, central-model mechanisms (Binomial, Laplace) achieve
 Err = O(1/ε) independent of n, while local randomized response pays
-Err = O(√n) — the separation quoted in Sections 2.2 and 7 and reproduced
-by ``benchmarks/bench_error_vs_epsilon.py``.
+Err = O(√n) — the separation quoted in Sections 2.2 and 7, measured by
+:func:`repro.analysis.error.empirical_error`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.errors import ParameterError
-from repro.utils.rng import RNG, default_rng
+from repro.utils.rng import RNG
 
-__all__ = ["Mechanism", "MechanismOutput", "counting_query", "dp_error"]
+__all__ = ["Mechanism", "MechanismOutput", "counting_query"]
 
 
 def counting_query(dataset: Sequence[int]) -> int:
@@ -50,32 +49,3 @@ class Mechanism(abc.ABC):
     @abc.abstractmethod
     def release(self, true_value: float, rng: RNG | None = None) -> MechanismOutput:
         """Release a noisy version of ``true_value``."""
-
-    def release_vector(
-        self, true_values: Sequence[float], rng: RNG | None = None
-    ) -> list[MechanismOutput]:
-        """Independent coordinate-wise release (M-bin histograms)."""
-        rng = default_rng(rng)
-        return [self.release(v, rng) for v in true_values]
-
-    def expected_error(self) -> float:
-        """Analytic E|noise| when known; subclasses override."""
-        raise NotImplementedError
-
-
-def dp_error(
-    mechanism: Mechanism,
-    true_value: float,
-    trials: int,
-    rng: RNG | None = None,
-    norm: Callable[[float], float] = abs,
-) -> float:
-    """Monte-Carlo estimate of Err (Definition 6) for a scalar query."""
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    rng = default_rng(rng)
-    total = 0.0
-    for _ in range(trials):
-        out = mechanism.release(true_value, rng)
-        total += norm(out.value - true_value)
-    return total / trials

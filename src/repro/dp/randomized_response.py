@@ -5,7 +5,7 @@ aggregator debiases the sum.  Section 7 recounts its two structural
 weaknesses, both reproduced by our experiments:
 
 * **Accuracy**: Err = O(√n / ε) for a binary count, versus O(1/ε) in the
-  central model (``benchmarks/bench_error_vs_epsilon.py``) — the CSU21
+  central model (:func:`repro.analysis.error.empirical_error`) — the CSU21
   generalization says all LDP protocols pay this.
 * **Manipulation**: a small fraction of deviating clients shifts the
   debiased estimate arbitrarily (no input validation is possible on
@@ -79,11 +79,3 @@ class RandomizedResponse(Mechanism):
         estimate = self.aggregate(reports)
         true = float(sum(dataset))
         return MechanismOutput(estimate, estimate - true)
-
-    def expected_error(self) -> float:
-        raise NotImplementedError("error depends on n; measure via run_protocol")
-
-    def expected_error_for_n(self, n: int) -> float:
-        """Std-dev of the debiased estimate: sqrt(n·p·(1-p))/(1-2p) = O(√n/ε)."""
-        p = self.flip_probability
-        return math.sqrt(n * p * (1.0 - p)) / (1.0 - 2.0 * p)

@@ -18,7 +18,7 @@ import math
 
 from repro.errors import ParameterError
 
-__all__ = ["binomial_log_pmf", "smoothness_delta", "is_smooth"]
+__all__ = ["binomial_log_pmf", "smoothness_delta"]
 
 
 def binomial_log_pmf(n: int, y: int) -> float:
@@ -63,8 +63,3 @@ def smoothness_delta(n: int, epsilon: float, k: int = 1) -> float:
                 mass += math.exp(log_pmf[y])
         worst = max(worst, mass)
     return worst
-
-
-def is_smooth(n: int, epsilon: float, delta: float, k: int = 1) -> bool:
-    """True iff Binomial(n, 1/2) is (ε, δ, k)-smooth (exact check)."""
-    return smoothness_delta(n, epsilon, k) <= delta

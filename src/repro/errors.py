@@ -25,8 +25,6 @@ __all__ = [
     "VerificationError",
     "CommitmentOpeningError",
     "ProofRejected",
-    "ClientInputRejected",
-    "ProverCheatingDetected",
     "SessionStateError",
     "ProtocolAbort",
     "EarlyExit",
@@ -76,18 +74,6 @@ class CommitmentOpeningError(VerificationError):
 
 class ProofRejected(VerificationError):
     """A zero-knowledge proof failed verification."""
-
-
-class ClientInputRejected(VerificationError):
-    """A client's input failed the membership check x ∈ L (Line 3 of ΠBin)."""
-
-
-class ProverCheatingDetected(VerificationError):
-    """A prover's messages are inconsistent with its commitments.
-
-    Raised by the public verifier when the Line 13 homomorphic check
-    fails, or when a prover's private-coin commitment is not in L_Bit.
-    """
 
 
 class SessionStateError(ReproError):

@@ -7,9 +7,6 @@ preserve but that dynamic tests only probe point-wise:
   from injected :mod:`repro.utils.rng` handles, read clocks
   monotonically, never iterate unordered sets, and never read the
   environment or the working directory.
-* **REP002 wire exhaustiveness** — every message class in
-  :mod:`repro.core.messages` has a uniquely-tagged codec in
-  :mod:`repro.crypto.serialization`'s registry.
 * **REP003 async hygiene** — no blocking calls inside ``async def``
   bodies; blocking work is awaited or executor-routed.
 * **REP004 abort attribution** — ``ProtocolAbort`` raises carry
@@ -20,8 +17,13 @@ preserve but that dynamic tests only probe point-wise:
   in ``repro.net`` / ``repro.loadgen`` gets ``TCP_NODELAY`` in the
   function that opens it (REP006 is reserved, ROADMAP item 6(e)).
 
-Findings are suppressed per line with ``# repro: allow[RULE] -- why``
-(justification mandatory); nothing is grandfathered.
+REP002, wire exhaustiveness, is a test of the registry itself now
+(``tests/core/test_message_registry_roundtrip.py``); its number is not
+reused.  Every rule reads a name through one import table,
+:meth:`ModuleContext.origin`, so an alias or a ``from`` import does not
+hide a call.  Findings are suppressed per line with
+``# repro: allow[RULE] -- why`` (justification mandatory); nothing is
+grandfathered.
 Dependency-free by design: pure ``ast`` + stdlib, and it never imports
 the code it checks.
 """
@@ -30,7 +32,6 @@ from repro.lint.base import (
     Finding,
     ModuleContext,
     PRAGMA_RULE,
-    ProjectRule,
     Rule,
     RULES,
     parse_pragmas,
@@ -49,7 +50,6 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "PRAGMA_RULE",
-    "ProjectRule",
     "Rule",
     "RULES",
     "parse_pragmas",

@@ -32,18 +32,11 @@ _ABORT_TYPES = {"ProtocolAbort", "EarlyExit"}
 _BROAD = {"Exception", "BaseException"}
 
 
-def _broad_names(type_node: ast.expr | None) -> list[ast.expr]:
-    """The Exception/BaseException name nodes in an except clause."""
-    if type_node is None:
-        return []
+def _broad_names(ctx: ModuleContext, type_node: ast.expr) -> list[tuple[ast.expr, str]]:
+    """``(node, name)`` for each Exception/BaseException in an except clause."""
     candidates = type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
-    out = []
-    for node in candidates:
-        if isinstance(node, ast.Name) and node.id in _BROAD:
-            out.append(node)
-        elif isinstance(node, ast.Attribute) and node.attr in _BROAD:
-            out.append(node)
-    return out
+    named = [(node, (ctx.origin(node) or "").rpartition(".")[2]) for node in candidates]
+    return [(node, name) for node, name in named if name in _BROAD]
 
 
 def _reraises_bare(handler: ast.ExceptHandler) -> bool:
@@ -79,17 +72,12 @@ class AbortAttributionRule(Rule):
         exc = node.exc
         if not isinstance(exc, ast.Call):
             return []
-        func = exc.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
+        name = (ctx.origin(exc.func) or "").rpartition(".")[2]
         if name not in _ABORT_TYPES:
             return []
-        for kw in exc.keywords:
-            if kw.arg == "party":
-                return []
-            if kw.arg is None:  # **kwargs — cannot see inside; trust it
-                return []
+        # party=, or **kwargs — the linter cannot see inside; trust it.
+        if any(kw.arg in ("party", None) for kw in exc.keywords):
+            return []
         return [
             ctx.finding(
                 self.code, node,
@@ -110,15 +98,14 @@ class AbortAttributionRule(Rule):
                     "KeyboardInterrupt; name the exception types",
                 )
             ]
-        broad = _broad_names(node.type)
+        broad = _broad_names(ctx, node.type)
         if not broad or _reraises_bare(node):
             return []
         return [
             ctx.finding(
                 self.code, anchor,
-                f"except {anchor.id if isinstance(anchor, ast.Name) else anchor.attr} "
-                "without re-raise — narrow the type (ReproError/OSError/...) "
+                f"except {name} without re-raise — narrow the type (ReproError/OSError/...) "
                 "or justify the supervisor boundary with a pragma",
             )
-            for anchor in broad
+            for anchor, name in broad
         ]

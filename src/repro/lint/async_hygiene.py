@@ -24,6 +24,10 @@ runs, so blocking calls are legal there):
   and blocking ``socket`` module constructors
   (``socket.create_connection``, ``socket.create_server``);
 * ``subprocess.run/call/check_output`` and ``input()``.
+
+A call is named through the module's imports, so ``_t.sleep()`` after
+``import time as _t`` and ``run()`` after ``from subprocess import run``
+are the calls they stand for.
 """
 
 from __future__ import annotations
@@ -40,85 +44,33 @@ _BLOCKING_SOCKET_FUNCS = {"create_connection", "create_server", "getaddrinfo"}
 _BLOCKING_SUBPROCESS = {"run", "call", "check_call", "check_output"}
 
 
-class _AsyncBodyVisitor(ast.NodeVisitor):
-    """Walks one ``async def`` body; does not descend into nested sync
-    scopes (their bodies run off-loop) but does follow nested async
-    defs (they run on the loop too — handled by their own visit)."""
-
-    def __init__(self, rule: "AsyncHygieneRule", ctx: ModuleContext) -> None:
-        self.rule = rule
-        self.ctx = ctx
-        self.findings: list[Finding] = []
-        self._awaited: set[int] = set()
-
-    def flag(self, node: ast.AST, message: str) -> None:
-        self.findings.append(self.ctx.finding(self.rule.code, node, message))
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass  # sync scope: executor-bound, blocking is legal
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        pass  # visited separately at top level
-
-    def visit_Await(self, node: ast.Await) -> None:
-        if isinstance(node.value, ast.Call):
-            self._awaited.add(id(node.value))
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        awaited = id(node) in self._awaited
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id == "time"
-                and func.attr == "sleep"
-            ):
-                self.flag(node, "time.sleep() blocks the event loop — "
-                          "await asyncio.sleep() instead")
-            elif (
-                isinstance(base, ast.Name)
-                and base.id in _SYNC_TRANSPORTS
-                and func.attr in {"connect", "listen"}
-            ):
-                self.flag(node, f"{base.id}.{func.attr}() is the blocking "
-                          "transport — the loop speaks AsyncSocketTransport; "
-                          "run sync peers in executor threads via "
-                          "SessionChannel")
-            elif (
-                isinstance(base, ast.Name)
-                and base.id == "socket"
-                and func.attr in _BLOCKING_SOCKET_FUNCS
-            ):
-                self.flag(node, f"socket.{func.attr}() blocks the event "
-                          "loop — use asyncio.open_connection/start_server")
-            elif (
-                isinstance(base, ast.Name)
-                and base.id == "subprocess"
-                and func.attr in _BLOCKING_SUBPROCESS
-            ):
-                self.flag(node, f"subprocess.{func.attr}() blocks the event "
-                          "loop — use asyncio.create_subprocess_exec")
-            elif func.attr in _BLOCKING_METHODS and not awaited:
-                self.flag(node, f"un-awaited .{func.attr}() in an async "
-                          "body — blocking I/O must be awaited (async "
-                          "transport) or routed through "
-                          "SessionChannel/run_in_executor")
-        elif isinstance(func, ast.Name):
-            if func.id in _SYNC_TRANSPORTS:
-                self.flag(node, f"{func.id}(...) constructed in an async "
-                          "body — the loop must use the async transport; "
-                          "blocking peers belong in executor threads")
-            elif func.id == "input":
-                self.flag(node, "input() blocks the event loop")
-            elif func.id == "sleep" and not awaited:
-                self.flag(node, "un-awaited sleep() in an async body — "
-                          "if this is time.sleep, use asyncio.sleep")
-        self.generic_visit(node)
+def _blocking(name: str, call: ast.Call, awaited: bool) -> str | None:
+    """Why a call to the dotted ``name`` blocks the loop, or None."""
+    module, _, attr = name.rpartition(".")
+    owner = module.rpartition(".")[2]
+    if name == "time.sleep":
+        return "time.sleep() blocks the event loop — await asyncio.sleep() instead"
+    if owner in _SYNC_TRANSPORTS and attr in {"connect", "listen"}:
+        return (f"{owner}.{attr}() is the blocking transport — the loop speaks "
+                "AsyncSocketTransport; run sync peers in executor threads via "
+                "SessionChannel")
+    if module == "socket" and attr in _BLOCKING_SOCKET_FUNCS:
+        return f"socket.{attr}() blocks the event loop — use asyncio.open_connection/start_server"
+    if module == "subprocess" and attr in _BLOCKING_SUBPROCESS:
+        return f"subprocess.{attr}() blocks the event loop — use asyncio.create_subprocess_exec"
+    if isinstance(call.func, ast.Attribute) and call.func.attr in _BLOCKING_METHODS:
+        if not awaited:
+            return (f"un-awaited .{call.func.attr}() in an async body — blocking I/O "
+                    "must be awaited (async transport) or routed through "
+                    "SessionChannel/run_in_executor")
+    elif attr in _SYNC_TRANSPORTS:
+        return (f"{attr}(...) constructed in an async body — the loop must use the "
+                "async transport; blocking peers belong in executor threads")
+    elif name == "input":
+        return "input() blocks the event loop"
+    elif attr == "sleep" and isinstance(call.func, ast.Name) and not awaited:
+        return "un-awaited sleep() in an async body — if this is time.sleep, use asyncio.sleep"
+    return None
 
 
 @register
@@ -136,10 +88,16 @@ class AsyncHygieneRule(Rule):
 
     def check_module(self, ctx: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                visitor = _AsyncBodyVisitor(self, ctx)
-                for stmt in node.body:
-                    visitor.visit(stmt)
-                findings.extend(visitor.findings)
+        for func in ast.walk(ctx.tree):
+            if not isinstance(func, ast.AsyncFunctionDef):
+                continue
+            # A nested sync def or lambda is what an executor runs, so it
+            # may block; a nested async def is checked on its own.
+            nodes = list(ctx.own_nodes(func))
+            awaited = {id(node.value) for node in nodes if isinstance(node, ast.Await)}
+            for node in nodes:
+                name = ctx.origin(node.func) if isinstance(node, ast.Call) else None
+                why = _blocking(name, node, id(node) in awaited) if name else None
+                if why:
+                    findings.append(ctx.finding(self.code, node, why))
         return findings

@@ -2,11 +2,13 @@
 
 The linter is a *protocol-invariant* checker, not a style tool.  Every
 rule encodes one invariant the test suite can only probe dynamically —
-an unseeded RNG in a protocol path, a message type without a wire codec,
-a blocking call on the event loop, an unattributed abort, a resource
-leaked on the exception path.  Rules work purely on the AST (plus raw
+an unseeded RNG in a protocol path, a blocking call on the event loop,
+an unattributed abort, a resource leaked on the exception path, a
+stream socket left to Nagle.  Rules work purely on the AST (plus raw
 source lines for pragma extraction); nothing here imports the modules it
-checks, so linting cannot execute protocol code.
+checks, so linting cannot execute protocol code.  Every rule reads a
+name the same way, through :meth:`ModuleContext.origin` (the module's one
+import table), so an alias or a ``from`` import cannot hide a call.
 
 Suppression contract
 --------------------
@@ -23,6 +25,7 @@ findings cannot themselves be suppressed.
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -33,10 +36,8 @@ __all__ = [
     "ModuleContext",
     "Pragma",
     "Rule",
-    "ProjectRule",
     "RULES",
     "register",
-    "rule_codes",
     "PRAGMA_RULE",
     "parse_pragmas",
 ]
@@ -86,6 +87,47 @@ class ModuleContext:
         if not self.lines:
             self.lines = self.source.splitlines()
 
+    @functools.cached_property
+    def imports(self) -> dict[str, str]:
+        """Local name → the dotted name an import binds it to, for every
+        import in the module, inside functions too (the last one wins).
+        ``import os.path`` binds ``os`` to ``os``, not to ``os.path``."""
+        table: dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.name if alias.asname else alias.name.split(".")[0]
+                    table[alias.asname or bound] = bound
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                for alias in node.names:
+                    table[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        return table
+
+    def origin(self, expr: ast.AST) -> str | None:
+        """The dotted name a Name or Attribute chain is bound to through
+        the module's imports: ``_t.sleep`` after ``import time as _t`` is
+        ``time.sleep``.  A name no import binds stands for itself (a
+        builtin, a local, a class defined here); any other expression,
+        such as a call's result, is None."""
+        if isinstance(expr, ast.Attribute):
+            base = self.origin(expr.value)
+            return None if base is None else f"{base}.{expr.attr}"
+        if isinstance(expr, ast.Name):
+            return self.imports.get(expr.id, expr.id)
+        return None
+
+    @staticmethod
+    def own_nodes(scope: ast.AST):
+        """``scope``'s nodes below it, stopping at a nested ``def`` or
+        ``lambda``: that is a scope of its own (yielded, not entered).
+        Source order, depth first."""
+        stack = list(ast.iter_child_nodes(scope))[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(list(ast.iter_child_nodes(node))[::-1])
+
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
@@ -132,16 +174,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A cross-module checker (sees every linted file at once)."""
-
-    def check_module(self, ctx: ModuleContext) -> list[Finding]:
-        return []
-
-    def check_project(self, modules: list[ModuleContext]) -> list[Finding]:
-        raise NotImplementedError
-
-
 RULES: dict[str, Rule] = {}
 
 
@@ -154,10 +186,6 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
         raise ValueError(f"duplicate rule code {instance.code}")
     RULES[instance.code] = instance
     return rule_cls
-
-
-def rule_codes() -> list[str]:
-    return sorted(RULES)
 
 
 # Pragma parsing --------------------------------------------------------------

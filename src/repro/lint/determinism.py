@@ -43,30 +43,28 @@ from repro.lint.base import Finding, ModuleContext, Rule, register
 
 __all__ = ["DeterminismRule"]
 
-# Wall-clock attribute calls: module alias -> banned attributes.
-_WALL_CLOCK = {
-    "time": {"time", "time_ns"},
-    "datetime": {"now", "utcnow", "today"},
-}
+_WALL_CLOCK = {"time.time", "time.time_ns"}
+_DATETIME_NOW = {"now", "utcnow", "today"}
 _UUID_BANNED = {"uuid1", "uuid3", "uuid4"}
-_RANDOM_ALLOWED = {"Random"}  # explicit seeded instance is fine
 _OS_AMBIENT_CALLS = {"getenv", "getcwd", "getcwdb"}
 _AMBIENT_ADVICE = "ambient process state; take the value as an argument"
+_ENTROPY_ADVICE = "unseeded entropy; use an injected utils.rng handle"
 
 
-def _collect_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
-    """Map local alias -> module, and local name -> 'module.attr' for
-    ``from module import name`` bindings."""
-    modules: dict[str, str] = {}
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                modules[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return modules, names
+def _banned_call(name: str) -> str | None:
+    """Why a call to the dotted ``name`` breaks determinism, or None."""
+    module, _, attr = name.rpartition(".")
+    if module == "random" and attr != "Random":  # a seeded instance is fine
+        return "module-level RNG; draw from an injected utils.rng handle (SeededRNG in tests)"
+    if module == "secrets" or name == "os.urandom":
+        return _ENTROPY_ADVICE
+    if module == "uuid" and attr in _UUID_BANNED:
+        return "nondeterministic identifier; derive ids from session seeds/counters"
+    if name in _WALL_CLOCK or (name.split(".")[0] == "datetime" and attr in _DATETIME_NOW):
+        return "wall clock; use time.monotonic()/perf_counter() for deadlines and elapsed time"
+    if (module == "os" and attr in _OS_AMBIENT_CALLS) or name == "pathlib.Path.cwd":
+        return _AMBIENT_ADVICE
+    return None
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -100,104 +98,28 @@ class DeterminismRule(Rule):
     )
 
     def check_module(self, ctx: ModuleContext) -> list[Finding]:
-        modules, from_names = _collect_imports(ctx.tree)
         findings: list[Finding] = []
 
         def flag(node: ast.AST, message: str) -> None:
             findings.append(ctx.finding(self.code, node, message))
 
-        def check_call(node: ast.Call) -> None:
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                base = modules.get(func.value.id)
-                attr = func.attr
-                if base == "random" and attr not in _RANDOM_ALLOWED:
-                    flag(node, f"module-level random.{attr}() — draw from an "
-                         "injected utils.rng handle (SeededRNG in tests)")
-                elif base == "secrets":
-                    flag(node, f"secrets.{attr}() — unseeded entropy; use "
-                         "utils.rng.SystemRNG via an injected RNG handle")
-                elif base == "os" and attr == "urandom":
-                    flag(node, "os.urandom() — unseeded entropy; use an "
-                         "injected utils.rng handle")
-                elif base == "os" and attr in _OS_AMBIENT_CALLS:
-                    flag(node, f"os.{attr}() — {_AMBIENT_ADVICE}")
-                elif attr == "cwd" and from_names.get(func.value.id) == "pathlib.Path":
-                    flag(node, f"Path.cwd() — {_AMBIENT_ADVICE}")
-                elif base == "uuid" and attr in _UUID_BANNED:
-                    flag(node, f"uuid.{attr}() — nondeterministic identifier; "
-                         "derive ids from session seeds/counters")
-                elif base in _WALL_CLOCK and attr in _WALL_CLOCK[base]:
-                    flag(node, f"{base}.{attr}() — wall clock; use "
-                         "time.monotonic()/perf_counter() for deadlines "
-                         "and elapsed time")
-                elif (
-                    base is None
-                    and from_names.get(func.value.id) == "datetime.datetime"
-                    and attr in _WALL_CLOCK["datetime"]
-                ):
-                    flag(node, f"datetime.{attr}() — wall clock; protocol "
-                         "code needs monotonic time")
-            elif isinstance(func, ast.Attribute):
-                # datetime.datetime.now(), pathlib.Path.cwd() — two-level
-                # attribute chains.
-                value = func.value
-                if not (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)):
-                    return
-                base = modules.get(value.value.id)
-                if base == "datetime" and func.attr in _WALL_CLOCK["datetime"]:
-                    flag(node, f"datetime.{value.attr}.{func.attr}() — wall "
-                         "clock; protocol code needs monotonic time")
-                elif base == "pathlib" and (value.attr, func.attr) == ("Path", "cwd"):
-                    flag(node, f"pathlib.Path.cwd() — {_AMBIENT_ADVICE}")
-            elif isinstance(func, ast.Name):
-                origin = from_names.get(func.id)
-                if origin is None:
-                    return
-                module, _, attr = origin.rpartition(".")
-                if module == "random" and attr not in _RANDOM_ALLOWED:
-                    flag(node, f"{func.id}() (from random) — draw from an "
-                         "injected utils.rng handle")
-                elif module == "secrets":
-                    flag(node, f"{func.id}() (from secrets) — unseeded "
-                         "entropy; use an injected utils.rng handle")
-                elif module == "os" and attr == "urandom":
-                    flag(node, "urandom() (from os) — unseeded entropy; use "
-                         "an injected utils.rng handle")
-                elif module == "os" and attr in _OS_AMBIENT_CALLS:
-                    flag(node, f"{func.id}() (from os) — {_AMBIENT_ADVICE}")
-                elif module == "uuid" and attr in _UUID_BANNED:
-                    flag(node, f"{func.id}() (from uuid) — nondeterministic "
-                         "identifier")
-                elif module == "time" and attr in _WALL_CLOCK["time"]:
-                    flag(node, f"{func.id}() (from time) — wall clock; use "
-                         "time.monotonic()/perf_counter()")
-                elif module == "datetime" and attr == "datetime":
-                    pass  # the class itself; calls are caught above
-
-        def check_iteration(iter_node: ast.expr) -> None:
-            if _is_set_expr(iter_node):
+        for node in ast.walk(ctx.tree):
+            iters: list[ast.expr] = []
+            if isinstance(node, ast.Call):
+                name = ctx.origin(node.func)
+                why = _banned_call(name) if name else None
+                if why:
+                    written = ast.unparse(node.func)
+                    source = "" if written == name else f" (from {name.rpartition('.')[0]})"
+                    flag(node, f"{written}(){source} — {why}")
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                if ctx.origin(node) == "os.environ":
+                    flag(node, f"os.environ — {_AMBIENT_ADVICE}")
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
+                iters = [node.iter]
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                iters = [gen.iter for gen in node.generators]
+            for iter_node in filter(_is_set_expr, iters):
                 flag(iter_node, "iteration over an unordered set — wrap in "
                      "sorted(...) so the order is deterministic")
-
-        def is_environ(node: ast.AST) -> bool:
-            if isinstance(node, ast.Name):
-                return from_names.get(node.id) == "os.environ"
-            return (
-                isinstance(node, ast.Attribute)
-                and node.attr == "environ"
-                and isinstance(node.value, ast.Name)
-                and modules.get(node.value.id) == "os"
-            )
-
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                check_call(node)
-            elif is_environ(node):
-                flag(node, f"os.environ — {_AMBIENT_ADVICE}")
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                check_iteration(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-                for gen in node.generators:
-                    check_iteration(gen.iter)
         return findings

@@ -16,7 +16,8 @@ failure ordering; statically the discipline is checkable per function:
 * ``var = SocketTransport.connect/listen(...)``,
   ``var = await AsyncSocketTransport.listen(...)``,
   ``var = MultiprocessTransport(...)``, ``var = socket.socket(...)``,
-  ``var = socket.create_server/create_connection(...)``;
+  ``var = socket.create_server/create_connection(...)`` — however the
+  module or class was imported (``import socket as s; s.socket()``);
 * ``var.start()`` where ``var`` is process-like — its name contains
   ``proc`` or it was assigned from a ``*Process(...)`` call.  (Threads
   are deliberately exempt: daemon worker threads are the repo's idiom
@@ -68,19 +69,17 @@ def _unwrap_await(node: ast.expr) -> ast.expr:
     return node.value if isinstance(node, ast.Await) else node
 
 
-def _is_opener_call(node: ast.expr) -> bool:
+def _is_opener_call(ctx: ModuleContext, node: ast.expr) -> bool:
     node = _unwrap_await(node)
-    if not isinstance(node, ast.Call):
+    name = ctx.origin(node.func) if isinstance(node, ast.Call) else None
+    if name is None:
         return False
-    func = node.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        if func.value.id in _TRANSPORT_CLASSES and func.attr in _OPENER_METHODS:
-            return True
-        if func.value.id == "socket" and func.attr in _SOCKET_FUNCS:
-            return True
-    if isinstance(func, ast.Name) and func.id in _TRANSPORT_CLASSES:
-        return True
-    return False
+    module, _, attr = name.rpartition(".")
+    return (
+        attr in _TRANSPORT_CLASSES
+        or (module.rpartition(".")[2] in _TRANSPORT_CLASSES and attr in _OPENER_METHODS)
+        or (module == "socket" and attr in _SOCKET_FUNCS)
+    )
 
 
 def _func_name(call: ast.Call) -> str:
@@ -149,14 +148,14 @@ class _FunctionScan:
             return
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                if _is_opener_call(item.context_expr):
+                if _is_opener_call(self.ctx, item.context_expr):
                     if isinstance(item.optional_vars, ast.Name):
                         self.with_acquired.add(item.optional_vars.id)
                         self.acquires.setdefault(item.optional_vars.id, stmt)
             self._collect(stmt.body, protected)
             return
         if isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While)):
-            self._scan_exprs([stmt], protected, shallow=True)
+            self._scan_stmt(stmt, protected, shallow=True)
             self._collect(stmt.body, protected)
             self._collect(getattr(stmt, "orelse", []) or [], protected)
             return
@@ -170,7 +169,7 @@ class _FunctionScan:
             target = stmt.targets[0]
             value = stmt.value
             if isinstance(target, ast.Name):
-                if _is_opener_call(value):
+                if _is_opener_call(self.ctx, value):
                     self.acquires.setdefault(target.id, stmt)
                 unwrapped = _unwrap_await(value)
                 if isinstance(unwrapped, ast.Call) and _func_name(unwrapped).endswith(
@@ -189,39 +188,25 @@ class _FunctionScan:
                 for name_node in ast.walk(stmt.value):
                     if isinstance(name_node, ast.Name):
                         self.escaped.add(name_node.id)
-        self._scan_exprs([stmt], protected)
+        self._scan_stmt(stmt, protected)
 
     # -- expression-level scanning ----------------------------------------
 
-    def _scan_exprs(self, nodes, protected: bool, *, shallow: bool = False) -> None:
-        for root in nodes:
-            for node in self._walk_no_nested(root, shallow):
-                if isinstance(node, ast.Call):
-                    self._note_call(node, protected)
-                elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                    value = getattr(node, "value", None)
-                    if value is not None:
-                        for name_node in ast.walk(value):
-                            if isinstance(name_node, ast.Name):
-                                self.escaped.add(name_node.id)
-
-    def _walk_no_nested(self, root, shallow: bool):
-        """Walk without descending into nested function bodies; when
-        ``shallow``, only the statement's own header expressions."""
+    def _scan_stmt(self, stmt: ast.stmt, protected: bool, *, shallow: bool = False) -> None:
+        """Releases and escapes in ``stmt``, not inside a nested def;
+        when ``shallow``, only in its header (test, iter, target)."""
         if shallow:
-            for field in ("test", "iter", "target"):
-                child = getattr(root, field, None)
-                if child is not None:
-                    yield from ast.walk(child)
-            return
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            yield node
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    continue
-                stack.append(child)
+            heads = [getattr(stmt, f) for f in ("test", "iter", "target") if hasattr(stmt, f)]
+            nodes = [node for head in heads for node in ast.walk(head)]
+        else:
+            nodes = [stmt, *self.ctx.own_nodes(stmt)]
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                self._note_call(node, protected)
+            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) and node.value:
+                for name_node in ast.walk(node.value):
+                    if isinstance(name_node, ast.Name):
+                        self.escaped.add(name_node.id)
 
     def _note_call(self, call: ast.Call, protected: bool) -> None:
         func = call.func

@@ -23,13 +23,7 @@ import os
 import sys
 
 from repro.lint import base as _base
-from repro.lint.base import (
-    Finding,
-    ModuleContext,
-    ProjectRule,
-    RULES,
-    parse_pragmas,
-)
+from repro.lint.base import Finding, ModuleContext, RULES, parse_pragmas
 
 # Importing the rule modules populates the registry.
 from repro.lint import aborts as _aborts  # noqa: F401
@@ -37,7 +31,6 @@ from repro.lint import async_hygiene as _async_hygiene  # noqa: F401
 from repro.lint import determinism as _determinism  # noqa: F401
 from repro.lint import lifecycle as _lifecycle  # noqa: F401
 from repro.lint import sockets as _sockets  # noqa: F401
-from repro.lint import wire as _wire  # noqa: F401
 
 __all__ = ["LintResult", "lint_paths", "collect_files", "module_name_for", "main"]
 
@@ -152,14 +145,8 @@ def lint_paths(paths: list[str], *, rules: list[str] | None = None) -> LintResul
         pragmas_by_path[ctx.path] = pragmas
         pragma_findings.extend(bad)
         for rule in selected.values():
-            if isinstance(rule, ProjectRule):
-                continue
-            if not rule.applies_to(ctx.module):
-                continue
-            raw.extend(rule.check_module(ctx))
-    for rule in selected.values():
-        if isinstance(rule, ProjectRule):
-            raw.extend(rule.check_project(contexts))
+            if rule.applies_to(ctx.module):
+                raw.extend(rule.check_module(ctx))
 
     for finding in raw:
         pragma = pragmas_by_path.get(finding.path, {}).get(finding.line)

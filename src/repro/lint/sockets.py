@@ -15,7 +15,8 @@ package, and statically the discipline is checkable per function:
     ``setsockopt(..., TCP_NODELAY, ...)`` called on it.
 
 **Bind sites:** ``name = socket.create_connection(...)`` (also as a
-``with`` item), and ``name, _ = <listener>.accept()`` /
+``with`` item, and by any import of it: ``from socket import
+create_connection``), and ``name, _ = <listener>.accept()`` /
 ``name = <listener>.accept()`` — the *zero-argument*, un-awaited
 ``accept`` of a socket; the transports' own ``accept(count, ...)``
 returns peer names and is not a bind site.  asyncio streams are exempt:
@@ -35,19 +36,14 @@ _HELPER = "_prepare_stream_socket"
 _OPTION = "TCP_NODELAY"
 
 
-def _opens_stream_socket(node: ast.expr) -> str | None:
+def _opens_stream_socket(ctx: ModuleContext, node: ast.expr) -> str | None:
     """``"dialled"`` / ``"accepted"`` when ``node`` yields a connected
     TCP socket (for ``accept``, as the first item of its pair)."""
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+    if not isinstance(node, ast.Call):
         return None
-    func = node.func
-    if (
-        func.attr == "create_connection"
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "socket"
-    ):
+    if ctx.origin(node.func) == "socket.create_connection":
         return "dialled"
-    if func.attr == "accept" and not node.args and not node.keywords:
+    if getattr(node.func, "attr", None) == "accept" and not node.args and not node.keywords:
         return "accepted"
     return None
 
@@ -58,58 +54,38 @@ def _bound_name(target: ast.expr | None, how: str) -> str | None:
     return target.id if isinstance(target, ast.Name) else None
 
 
-def _own_nodes(scope: ast.AST):
-    """``scope``'s nodes, stopping at nested function boundaries: a
-    nested function is a scope of its own and reports its own sockets."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _opened_sockets(scope: ast.AST):
-    """``(name, how, call)`` for every socket ``scope`` itself binds."""
-    for node in _own_nodes(scope):
+def _opened_sockets(ctx: ModuleContext, scope: ast.AST):
+    """``(name, how, call)`` for every socket ``scope`` itself binds (a
+    nested function is a scope of its own and reports its own sockets)."""
+    for node in ctx.own_nodes(scope):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             value, target = node.value, node.targets[0]
         elif isinstance(node, ast.withitem):
             value, target = node.context_expr, node.optional_vars
         else:
             continue
-        how = _opens_stream_socket(value)
+        how = _opens_stream_socket(ctx, value)
         name = _bound_name(target, how) if how else None
         if name is not None:
             yield name, how, value
 
 
-def _mentions_option(call: ast.Call) -> bool:
-    return any(
-        (isinstance(arg, ast.Attribute) and arg.attr == _OPTION)
-        or (isinstance(arg, ast.Name) and arg.id == _OPTION)
-        for arg in call.args
-    )
-
-
-def _prepared_names(scope: ast.AST) -> set[str]:
+def _prepared_names(ctx: ModuleContext, scope: ast.AST) -> set[str]:
     """Names prepared anywhere inside ``scope`` — nested functions
     included: a closure that sets the option still covers the socket."""
     prepared: set[str] = set()
     for node in ast.walk(scope):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        # The helper by either spelling: bare, or as transport.<helper>.
-        if _HELPER in (getattr(func, "id", None), getattr(func, "attr", None)):
+        # The helper by any spelling: bare, imported, or as transport.<helper>.
+        if (ctx.origin(node.func) or "").rpartition(".")[2] == _HELPER:
             prepared.update(a.id for a in node.args if isinstance(a, ast.Name))
         elif (
-            isinstance(func, ast.Attribute)
-            and func.attr == "setsockopt"
-            and isinstance(func.value, ast.Name)
-            and _mentions_option(node)
+            getattr(node.func, "attr", None) == "setsockopt"
+            and isinstance(node.func.value, ast.Name)
+            and any((ctx.origin(arg) or "").rpartition(".")[2] == _OPTION for arg in node.args)
         ):
-            prepared.add(func.value.id)
+            prepared.add(node.func.value.id)
     return prepared
 
 
@@ -132,10 +108,10 @@ class StreamSocketRule(Rule):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for scope in scopes:
-            opened = list(_opened_sockets(scope))
+            opened = list(_opened_sockets(ctx, scope))
             if not opened:
                 continue
-            prepared = _prepared_names(scope)
+            prepared = _prepared_names(ctx, scope)
             for name, how, node in opened:
                 if name not in prepared:
                     findings.append(

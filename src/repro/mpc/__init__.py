@@ -9,13 +9,7 @@ active (arbitrarily deviating) participants.
 from repro.mpc.bus import SimulatedNetwork, Envelope
 from repro.mpc.party import Party
 from repro.mpc.commit import HashCommitmentScheme, HashCommitment
-from repro.mpc.morra import (
-    MorraParticipant,
-    run_morra,
-    run_morra_batch,
-    morra_bits,
-    morra_scalar,
-)
+from repro.mpc.morra import MorraParticipant, run_morra_batch
 from repro.mpc.adversary import (
     HonestMorraParticipant,
     BiasedMorraParticipant,
@@ -31,10 +25,7 @@ __all__ = [
     "HashCommitmentScheme",
     "HashCommitment",
     "MorraParticipant",
-    "run_morra",
     "run_morra_batch",
-    "morra_bits",
-    "morra_scalar",
     "HonestMorraParticipant",
     "BiasedMorraParticipant",
     "EquivocatingMorraParticipant",

@@ -160,6 +160,3 @@ class SimulatedNetwork:
 
     def total_bytes(self) -> int:
         return sum(self.bytes_sent.values())
-
-    def total_messages(self) -> int:
-        return sum(self.messages_sent.values())

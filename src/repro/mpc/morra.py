@@ -35,10 +35,7 @@ from repro.mpc.party import Party
 __all__ = [
     "MorraParticipant",
     "MorraOutcome",
-    "run_morra",
     "run_morra_batch",
-    "morra_bits",
-    "morra_scalar",
 ]
 
 
@@ -174,36 +171,3 @@ def run_morra_batch(
         sum(revealed[name][i] for name in names) % q for i in range(count)
     ]
     return MorraOutcome(tuple(totals), q)
-
-
-def run_morra(
-    participants: list[MorraParticipant],
-    q: int,
-    *,
-    network: SimulatedNetwork | None = None,
-    scheme: HashCommitmentScheme | None = None,
-) -> int:
-    """A single Morra instance; returns the uniform value in Z_q."""
-    outcome = run_morra_batch(participants, q, 1, network=network, scheme=scheme)
-    return outcome.values[0]
-
-
-def morra_bits(
-    participants: list[MorraParticipant],
-    q: int,
-    count: int,
-    *,
-    network: SimulatedNetwork | None = None,
-) -> list[int]:
-    """``count`` unbiased public bits (the O_morra oracle of ΠBin)."""
-    return run_morra_batch(participants, q, count, network=network).bits()
-
-
-def morra_scalar(
-    participants: list[MorraParticipant],
-    q: int,
-    *,
-    network: SimulatedNetwork | None = None,
-) -> int:
-    """A uniform public scalar in Z_q (Algorithm 1 without thresholding)."""
-    return run_morra(participants, q, network=network)

@@ -147,9 +147,6 @@ class FleetConfig:
             raise ParameterError(f"unknown fleet config keys: {unknown}")
         return cls(**data)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class SessionRequest:
@@ -697,15 +694,6 @@ class FleetDispatcher:
                 if remaining <= 0:
                     return False
                 self._cond.wait(min(remaining, 0.25))
-
-    def worker_stats(self) -> dict:
-        """Latest health-check stats per live front-end."""
-        with self._lock:
-            return {
-                w.name: dict(w.stats)
-                for w in self.workers.values()
-                if not w.dead
-            }
 
     # Monitor thread ---------------------------------------------------------
 

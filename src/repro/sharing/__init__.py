@@ -3,16 +3,14 @@
 Clients in the MPC model "secret share (or partition) their inputs"
 (Section 3).  The protocol layer uses additive sharing by default; the
 paper notes (footnote 4) that any linear scheme works, so Shamir sharing is
-provided as well and satisfies the same interface.
+provided as well.
 """
 
-from repro.sharing.additive import AdditiveSharing, share_additive, reconstruct_additive
+from repro.sharing.additive import share_additive
 from repro.sharing.shamir import ShamirSharing, ShamirShare
 
 __all__ = [
-    "AdditiveSharing",
     "share_additive",
-    "reconstruct_additive",
     "ShamirSharing",
     "ShamirShare",
 ]

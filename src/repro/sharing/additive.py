@@ -9,12 +9,10 @@ share of the aggregate, which is what lets each prover compute
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ParameterError
 from repro.utils.rng import RNG, default_rng
 
-__all__ = ["AdditiveSharing", "share_additive", "reconstruct_additive"]
+__all__ = ["share_additive"]
 
 
 def share_additive(value: int, parties: int, q: int, rng: RNG | None = None) -> list[int]:
@@ -28,37 +26,3 @@ def share_additive(value: int, parties: int, q: int, rng: RNG | None = None) -> 
     last = (value - sum(shares)) % q
     shares.append(last)
     return shares
-
-
-def reconstruct_additive(shares: list[int], q: int) -> int:
-    """Sum of the shares mod q."""
-    if not shares:
-        raise ParameterError("no shares to reconstruct from")
-    return sum(shares) % q
-
-
-@dataclass(frozen=True)
-class AdditiveSharing:
-    """A convenience object bundling modulus and party count."""
-
-    parties: int
-    q: int
-
-    def share(self, value: int, rng: RNG | None = None) -> list[int]:
-        return share_additive(value, self.parties, self.q, rng)
-
-    def share_vector(self, values: list[int], rng: RNG | None = None) -> list[list[int]]:
-        """Share each coordinate; returns per-party share vectors.
-
-        ``result[k][j]`` is party k's share of coordinate j.
-        """
-        rng = default_rng(rng)
-        per_value = [self.share(v, rng) for v in values]
-        return [[per_value[j][k] for j in range(len(values))] for k in range(self.parties)]
-
-    def reconstruct(self, shares: list[int]) -> int:
-        if len(shares) != self.parties:
-            raise ParameterError(
-                f"additive sharing needs all {self.parties} shares, got {len(shares)}"
-            )
-        return reconstruct_additive(shares, self.q)

@@ -2,11 +2,9 @@
 
 from repro.utils.numth import (
     is_probable_prime,
-    next_safe_prime,
     inverse_mod,
     legendre_symbol,
     jacobi_symbol,
-    sqrt_mod,
 )
 from repro.utils.encoding import (
     int_to_bytes,
@@ -15,15 +13,13 @@ from repro.utils.encoding import (
     decode_length_prefixed,
 )
 from repro.utils.rng import SystemRNG, SeededRNG, RNG, default_rng
-from repro.utils.timing import Stopwatch, StageTimer
+from repro.utils.timing import StageTimer
 
 __all__ = [
     "is_probable_prime",
-    "next_safe_prime",
     "inverse_mod",
     "legendre_symbol",
     "jacobi_symbol",
-    "sqrt_mod",
     "int_to_bytes",
     "bytes_to_int",
     "encode_length_prefixed",
@@ -32,6 +28,5 @@ __all__ = [
     "SeededRNG",
     "RNG",
     "default_rng",
-    "Stopwatch",
     "StageTimer",
 ]

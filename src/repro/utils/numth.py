@@ -2,8 +2,8 @@
 
 Everything here is implemented from scratch on Python integers: the crypto
 substrate of the paper (Schnorr groups over Z*p, Pedersen commitments,
-Σ-protocols) needs primality testing, safe-prime generation, modular
-inverses, Legendre/Jacobi symbols and modular square roots — nothing more.
+Σ-protocols) needs primality testing, modular inverses and the Jacobi
+symbol (with Euler's criterion as its reference) — nothing more.
 
 Miller–Rabin here is used with 64 rounds, giving error probability at most
 4^-64 per composite, far below the 2^-80 bar usually taken as "negligible"
@@ -19,13 +19,9 @@ from repro.errors import ParameterError
 __all__ = [
     "is_probable_prime",
     "miller_rabin",
-    "next_safe_prime",
-    "random_safe_prime",
     "inverse_mod",
     "legendre_symbol",
     "jacobi_symbol",
-    "sqrt_mod",
-    "crt_pair",
 ]
 
 # Small primes for cheap trial division before Miller-Rabin.
@@ -80,34 +76,6 @@ def miller_rabin(n: int, rounds: int = 64, rng: random.Random | None = None) -> 
 def is_probable_prime(n: int) -> bool:
     """Return True if ``n`` is (probably) prime."""
     return miller_rabin(n)
-
-
-def next_safe_prime(start: int) -> int:
-    """Return the smallest safe prime p >= start (p and (p-1)/2 both prime)."""
-    if start < 5:
-        return 5
-    p = start | 1
-    while True:
-        if p % 12 == 11 and is_probable_prime((p - 1) // 2) and is_probable_prime(p):
-            return p
-        p += 2
-
-
-def random_safe_prime(bits: int, rng: random.Random) -> int:
-    """Sample a random safe prime with exactly ``bits`` bits.
-
-    Used only for parameter generation; the library ships pre-generated,
-    verified parameters so this is never on a protocol's hot path.
-    """
-    if bits < 8:
-        raise ParameterError(f"safe primes need at least 8 bits, got {bits}")
-    while True:
-        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        p = 2 * q + 1
-        if p.bit_length() != bits:
-            continue
-        if is_probable_prime(q) and is_probable_prime(p):
-            return p
 
 
 def inverse_mod(a: int, m: int) -> int:
@@ -186,50 +154,3 @@ def jacobi_symbol(a: int, n: int) -> int:
             result = -result
         a, n = n % a, a
     return result if n == 1 else 0
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of ``a`` modulo odd prime ``p`` (Tonelli–Shanks).
-
-    Raises :class:`ParameterError` if ``a`` is a non-residue.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        # The candidate's square is the residue test: one modexp, not two.
-        root = pow(a, (p + 1) // 4, p)
-        if root * root % p != a:
-            raise ParameterError("not a quadratic residue")
-        return root
-    if jacobi_symbol(a, p) != 1:
-        raise ParameterError("not a quadratic residue")
-
-    # Tonelli-Shanks general case.
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi_symbol(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        for i in range(1, m):
-            t2 = (t2 * t2) % p
-            if t2 == 1:
-                break
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, (b * b) % p
-        t, r = (t * c) % p, (r * b) % p
-    return r
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Chinese remaindering for two coprime moduli."""
-    g = inverse_mod(m1, m2)
-    diff = (r2 - r1) % m2
-    return (r1 + m1 * ((diff * g) % m2)) % (m1 * m2)

@@ -12,34 +12,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "StageTimer"]
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating wall-clock timer."""
-
-    elapsed: float = 0.0
-    _started: float | None = None
-
-    def start(self) -> None:
-        self._started = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._started is None:
-            raise RuntimeError("stopwatch not running")
-        delta = time.perf_counter() - self._started
-        self.elapsed += delta
-        self._started = None
-        return delta
-
-    @contextmanager
-    def running(self):
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
+__all__ = ["StageTimer"]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.error import empirical_error, error_sweep, protocol_error
+from repro.analysis.error import empirical_error, protocol_error
 from repro.dp.binomial import BinomialMechanism
 from repro.dp.laplace import LaplaceMechanism
 from repro.dp.randomized_response import RandomizedResponse
@@ -44,18 +44,7 @@ class TestLocalError:
         assert local > 2 * central
 
 
-class TestSweep:
-    def test_sweep_rows(self):
-        rng = SeededRNG("sw")
-        rows = error_sweep(
-            {"binomial": BinomialMechanism(1.0, DELTA), "laplace": LaplaceMechanism(1.0)},
-            [1] * 50,
-            trials=30,
-            rng=rng,
-        )
-        assert {r.mechanism for r in rows} == {"binomial", "laplace"}
-        assert all(r.n == 50 and r.error >= 0 for r in rows)
-
+class TestArguments:
     def test_invalid_trials(self):
         with pytest.raises(ParameterError):
             empirical_error(LaplaceMechanism(1.0), [1], 0)

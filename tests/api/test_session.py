@@ -114,7 +114,7 @@ class TestComposedSessions:
             "count", "histogram[4]", "bounded-sum[4b]"
         ]
         assert ledger[1][1] == pytest.approx(0.5)  # histogram charges 2ε
-        eps_total, delta_total = result.total_budget()
+        eps_total = sum(eps for _, eps, _ in result.accountant.ledger())
         assert eps_total == pytest.approx(0.5 + 0.5 + 0.5)
 
     def test_shared_accountant_accumulates_across_sessions(self):
@@ -126,7 +126,7 @@ class TestComposedSessions:
             )
             session.submit([1, 0])
             session.release()
-        assert accountant.total_basic()[0] == pytest.approx(0.5)
+        assert sum(eps for _, eps, _ in accountant.ledger()) == pytest.approx(0.5)
 
     def test_record_arity_enforced(self):
         query = ComposedQuery([CountQuery(1.0, 0.1), CountQuery(1.0, 0.1)])

@@ -60,7 +60,7 @@ class TestHistogram:
         budget the release is charged is (2ε, 2δ) by composition."""
         hist = make_hist()
         run(hist, [0, 1, 2])
-        assert hist.accountant.total_basic() == (2 * 1.0, 2 * 2**-10)
+        assert [row[1:] for row in hist.accountant.ledger()] == [(2 * 1.0, 2 * 2**-10)]
 
     def test_cheating_prover_rejects_release(self):
         params = setup(1.0, 2**-10, num_provers=2, dimension=2, group=GROUP, nb_override=12)

@@ -1,18 +1,23 @@
-"""Auto-generated encode→decode identity for *every* registered message.
+"""The wire registry is complete, and every codec in it is exact.
 
-Dynamic twin of lint rule **REP002** (wire exhaustiveness): the static
-rule proves every message class in :mod:`repro.core.messages` *has* a
-codec entry; this test proves each registered codec is *correct* —
-instantiate a representative of every type the registry knows about,
-encode, decode, and demand identity plus canonical re-encoding.
+Two halves of one invariant.  :func:`test_every_message_has_exactly_one_tag`
+checks the registry's *shape*: every frozen dataclass defined in
+:mod:`repro.core.messages` is a ``_registry()`` value exactly once, every
+value is such a class, and every tag is ``bytes`` (this was lint rule
+REP002; the number is not reused).  A duplicate tag in the registry's
+dict literal silently drops a class, so "exactly once" catches that too.
 
-The test enumerates the registry itself, so registering a new message
+The rest instantiate a representative of every type the registry knows
+about, encode, decode, and demand identity plus canonical re-encoding.
+The tests enumerate the registry itself, so registering a new message
 type automatically extends coverage: the build fails with an explicit
 "add a builder" message until the new type gets a representative here,
 and the codec bug class (field dropped in encode, order swapped in
 decode) is caught without waiting for a distributed smoke test to
 happen to send that message.
 """
+
+import dataclasses
 
 import pytest
 
@@ -119,6 +124,42 @@ def test_every_registered_type_has_a_builder():
     )
     stale = sorted(cls.__name__ for cls in set(BUILDERS) - registered)
     assert not stale, f"builders for unregistered types (remove them): {stale}"
+
+
+def _registry_gaps(registry):
+    """Every way ``registry`` breaks "one bytes tag per frozen message"."""
+    messages = {
+        cls for cls in vars(m).values()
+        if isinstance(cls, type) and cls.__module__ == m.__name__
+        and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    }
+    types = [entry[0] for entry in registry.values()]
+    gaps = [f"tag {tag!r} is not bytes" for tag in registry if not isinstance(tag, bytes)]
+    gaps += [f"{cls.__name__} is not a frozen message" for cls in types if cls not in messages]
+    gaps += [
+        f"{cls.__name__} has {types.count(cls)} registry entries"
+        for cls in sorted(messages, key=lambda cls: cls.__name__) if types.count(cls) != 1
+    ]
+    return gaps
+
+
+def test_every_message_has_exactly_one_tag():
+    assert _registry_gaps(_registry()[0]) == []
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda reg: reg.pop(b"release"),
+        lambda reg: reg.update({b"audit": (m.AuditRecord, None, None)}),
+        lambda reg: reg.update({b"release-again": reg[b"release"]}),
+    ],
+    ids=["frozen-message-without-entry", "entry-not-a-message", "one-type-two-tags"],
+)
+def test_registry_gaps_are_found(tamper):
+    registry = dict(_registry()[0])
+    tamper(registry)
+    assert _registry_gaps(registry)
 
 
 @pytest.mark.parametrize("tag", _TAGS)

@@ -41,7 +41,6 @@ class TestSetup:
     def test_noise_mean(self):
         params = setup(1.0, 2**-10, group="p64-sim", num_provers=3, nb_override=50)
         assert params.noise_mean == 75.0
-        assert params.total_noise_coins == 150
 
 
 class TestFingerprint:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.p256 import P256Group
+from repro.crypto.p256 import _A, _B, _P, P256Group
 from repro.errors import EncodingError, NotOnGroupError
 from repro.utils.rng import SeededRNG
 
@@ -15,11 +15,14 @@ def p256():
     return P256Group.instance()
 
 
+def _on_curve(x, y):
+    """y^2 == x^3 - 3x + b mod p."""
+    return (y * y - (x * x * x + _A * x + _B)) % _P == 0
+
+
 class TestDomainParameters:
     def test_generator_on_curve(self, p256):
-        x, y = p256.generator().affine()
-        # y^2 == x^3 - 3x + b mod p (checked inside _on_curve).
-        assert P256Group._on_curve(x, y)
+        assert _on_curve(*p256.generator().affine())
 
     def test_generator_order(self, p256):
         assert p256.generator() ** p256.order == p256.identity()
@@ -109,8 +112,6 @@ def _euler_root(x: int, *, strict: bool):
 
 def _euler_decompress(data: bytes):
     """Affine (x, y), or the exception class the old decoder raised."""
-    from repro.crypto.p256 import _P
-
     if data[0] not in (2, 3):
         return EncodingError
     x = int.from_bytes(data[1:], "big")
@@ -130,8 +131,6 @@ class TestSameAcceptSetAsEulersCriterion:
     def test_decompression_matches_the_euler_path(self, p256):
         import random
 
-        from repro.crypto.p256 import _P
-
         rng = random.Random("p256-accept-set")
         xs = [0, 1, 2, 3, _P - 1, _P, _P + 1, 2**256 - 1]
         xs += [rng.randrange(_P) for _ in range(150)]
@@ -149,14 +148,12 @@ class TestSameAcceptSetAsEulersCriterion:
                     outcomes.add("point")
                     point = p256.from_bytes(data)
                     assert point.affine() == expected
-                    assert P256Group._on_curve(*expected)
+                    assert _on_curve(*expected)
                     assert point.to_bytes() == data
         assert outcomes == {"point", NotOnGroupError, EncodingError}
 
     def test_hash_to_group_returns_the_same_points(self, p256):
         import hashlib
-
-        from repro.crypto.p256 import _P
 
         pinned = {  # produced by the legendre_symbol + sqrt_mod implementation
             b"": "02a00e753f91780ad3b09b54422e1077c3c51c302ad8aec89122fba11d03854d10",

@@ -5,25 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.serialization import (
-    advance_coin_transcript,
     advance_coin_transcript_frame,
     decode_bit_proof,
     decode_commitment,
     decode_one_hot_proof,
-    decode_opening_proof,
-    decode_schnorr_proof,
     encode_bit_proof,
     decode_message,
     encode_commitment,
     encode_message,
     encode_one_hot_proof,
-    encode_opening_proof,
-    encode_schnorr_proof,
 )
 from repro.crypto.sigma.onehot import prove_one_hot, verify_one_hot
-from repro.crypto.sigma.opening_pok import prove_opening, verify_opening
 from repro.crypto.sigma.or_bit import prove_bit, verify_bit
-from repro.crypto.sigma.schnorr_pok import prove_dlog, verify_dlog
 from repro.errors import EncodingError, NotOnGroupError
 from repro.utils.rng import SeededRNG
 
@@ -95,17 +88,6 @@ class TestOneHotRoundtrip:
             )
 
 
-class TestSchnorrRoundtrip:
-    def test_roundtrip_and_verifies(self, group64):
-        rng = SeededRNG("sch")
-        g = group64.generator()
-        w = group64.random_scalar(rng)
-        proof = prove_dlog(group64, g, g ** w, w, Transcript("t"), rng)
-        restored = decode_schnorr_proof(group64, encode_schnorr_proof(proof))
-        assert restored == proof
-        verify_dlog(group64, g, g ** w, restored, Transcript("t"))
-
-
 class TestAllCodecsAllBackends:
     """Satellite sweep: every codec round-trips on every group backend,
     and malformed/truncated/wrong-magic inputs raise EncodingError."""
@@ -175,23 +157,6 @@ class TestAllCodecsAllBackends:
         with pytest.raises(EncodingError):
             decode_validity_proof(pp.group, b"\x00\x00\x00\x03abc")
 
-    def test_schnorr_and_opening_roundtrip(self, pp):
-        from repro.crypto.serialization import (
-            decode_opening_proof,
-            decode_schnorr_proof,
-            encode_opening_proof,
-            encode_schnorr_proof,
-        )
-
-        rng = SeededRNG("all-so")
-        group = pp.group
-        w = group.random_scalar(rng)
-        schnorr = prove_dlog(group, pp.g, pp.g ** w, w, Transcript("t"), rng)
-        assert decode_schnorr_proof(group, encode_schnorr_proof(schnorr)) == schnorr
-        c, o = pp.commit_fresh(5, rng)
-        opening = prove_opening(pp, c, o, Transcript("t"), rng)
-        assert decode_opening_proof(group, encode_opening_proof(opening)) == opening
-
     @pytest.mark.parametrize("cut", ["truncate", "magic", "empty"])
     def test_malformed_inputs_rejected(self, pp, cut):
         from repro.crypto.serialization import decode_bit_proof, encode_bit_proof
@@ -207,25 +172,6 @@ class TestAllCodecsAllBackends:
             data = b""
         with pytest.raises((EncodingError, NotOnGroupError)):
             decode_bit_proof(pp.group, bytes(data))
-
-
-class TestOpeningRoundtrip:
-    def test_roundtrip_and_verifies(self, pedersen64):
-        rng = SeededRNG("op")
-        c, o = pedersen64.commit_fresh(9, rng)
-        proof = prove_opening(pedersen64, c, o, Transcript("t"), rng)
-        restored = decode_opening_proof(pedersen64.group, encode_opening_proof(proof))
-        assert restored == proof
-        verify_opening(pedersen64, c, restored, Transcript("t"))
-
-    def test_arity_check(self, pedersen64):
-        from repro.utils.encoding import encode_length_prefixed
-
-        with pytest.raises(EncodingError):
-            decode_opening_proof(
-                pedersen64.group,
-                encode_length_prefixed(b"repro.opening.v1", b"x"),
-            )
 
 
 class TestCoinTranscriptFastForward:
@@ -258,28 +204,17 @@ class TestCoinTranscriptFastForward:
         return coin_transcript(params, "prover-0", self.CONTEXT)
 
     def test_advance_equals_verify_then_continue(self, params):
-        first = decode_message(params.group, self._chunk_frames(params)[0])
+        """The byte-level fast-forward (no element decoding) reaches the
+        state verifying the decoded chunk leaves."""
+        frame = self._chunk_frames(params)[0]
+        first = decode_message(params.group, frame)
         advanced = self._transcript(params)
-        advance_coin_transcript(params, advanced, first)
+        advance_coin_transcript_frame(params, advanced, frame)
         verified = self._transcript(params)
         for c_row, p_row in zip(first.commitments, first.proofs):
             for commitment, proof in zip(c_row, p_row):
                 verify_bit(params.pedersen, commitment, proof, verified)
         assert advanced.challenge_bytes("probe", 16) == verified.challenge_bytes(
-            "probe", 16
-        )
-
-    def test_frame_advance_equals_decode_then_advance(self, params):
-        """The byte-level fast-forward (no element decoding) reaches the
-        same transcript state as advancing over the decoded message."""
-        frame = self._chunk_frames(params, chunks=1)[0]
-        decoded_path = self._transcript(params)
-        advance_coin_transcript(
-            params, decoded_path, decode_message(params.group, frame)
-        )
-        raw_path = self._transcript(params)
-        advance_coin_transcript_frame(params, raw_path, frame)
-        assert raw_path.challenge_bytes("probe", 16) == decoded_path.challenge_bytes(
             "probe", 16
         )
 

@@ -1,66 +1,20 @@
-"""Privacy accounting: basic and advanced composition."""
-
-import math
+"""Privacy accounting: the per-release ledger."""
 
 import pytest
 
-from repro.dp.accountant import PrivacyAccountant, advanced_composition, basic_composition
+from repro.dp.accountant import PrivacyAccountant
 from repro.errors import ParameterError
 
 
-class TestBasicComposition:
-    def test_sums(self):
-        assert basic_composition([(1.0, 0.1), (2.0, 0.2)]) == (3.0, pytest.approx(0.3))
-
-    def test_empty(self):
-        assert basic_composition([]) == (0.0, 0.0)
-
-
-class TestAdvancedComposition:
-    def test_formula(self):
-        eps, delta, k, dp = 0.1, 1e-6, 100, 1e-6
-        got_eps, got_delta = advanced_composition(eps, delta, k, dp)
-        expected = eps * math.sqrt(2 * k * math.log(1 / dp)) + k * eps * (math.exp(eps) - 1)
-        assert got_eps == pytest.approx(expected)
-        assert got_delta == pytest.approx(k * delta + dp)
-
-    def test_beats_basic_for_many_small_queries(self):
-        eps, delta, k = 0.05, 1e-8, 400
-        adv_eps, _ = advanced_composition(eps, delta, k, 1e-6)
-        basic_eps = k * eps
-        assert adv_eps < basic_eps
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            advanced_composition(0.1, 0.0, 0, 1e-6)
-        with pytest.raises(ParameterError):
-            advanced_composition(0.1, 0.0, 5, 0.0)
-
-
 class TestAccountant:
-    def test_charges_accumulate(self):
+    def test_charges_are_recorded_in_order(self):
         acc = PrivacyAccountant()
-        acc.charge(1.0, 1e-6)
+        acc.charge(1.0, 1e-6, label="a")
         acc.charge(0.5, 1e-6)
-        assert acc.total_basic() == (1.5, pytest.approx(2e-6))
-
-    def test_advanced_for_identical_charges(self):
-        acc = PrivacyAccountant()
-        for _ in range(50):
-            acc.charge(0.05, 1e-8)
-        adv_eps, _ = acc.total_advanced(1e-6)
-        assert adv_eps < 50 * 0.05
-
-    def test_advanced_mixed_falls_back(self):
-        acc = PrivacyAccountant()
-        acc.charge(0.1, 0.0)
-        acc.charge(0.2, 0.0)
-        eps, delta = acc.total_advanced(1e-6)
-        assert eps == pytest.approx(0.3)
-        assert delta == pytest.approx(1e-6)
+        assert acc.ledger() == [("a", 1.0, 1e-6), ("", 0.5, 1e-6)]
 
     def test_empty(self):
-        assert PrivacyAccountant().total_advanced(1e-6) == (0.0, 0.0)
+        assert PrivacyAccountant().ledger() == []
 
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):

@@ -107,14 +107,11 @@ class TestMechanism:
         out = mech.release(0.0, SeededRNG("u"))
         assert 0 <= out.value <= mech.nb
 
-    def test_expected_error_formula(self):
-        mech = BinomialMechanism(1.0, 2**-10)
-        assert mech.expected_error() == pytest.approx(math.sqrt(mech.nb / (2 * math.pi)))
-
     def test_error_independent_of_n(self):
         """Central-model property: Err depends only on (ε, δ)."""
         mech = BinomialMechanism(1.0, 2**-10)
         rng = SeededRNG("n-indep")
         small = sum(abs(mech.release(10.0, rng).noise) for _ in range(300)) / 300
         large = sum(abs(mech.release(1e6, rng).noise) for _ in range(300)) / 300
-        assert abs(small - large) / mech.expected_error() < 0.3
+        # E|Z - nb/2| = sqrt(nb/(2π)) asymptotically (half-normal mean).
+        assert abs(small - large) / math.sqrt(mech.nb / (2 * math.pi)) < 0.3

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dp.laplace import LaplaceMechanism, sample_laplace
-from repro.dp.mechanism import counting_query, dp_error
+from repro.dp.mechanism import counting_query
 from repro.dp.randomized_response import RandomizedResponse
 from repro.errors import ParameterError
 from repro.utils.rng import SeededRNG
@@ -41,18 +41,6 @@ class TestLaplace:
         with pytest.raises(ParameterError):
             sample_laplace(-1.0)
 
-    def test_expected_error(self):
-        assert LaplaceMechanism(2.0).expected_error() == 0.5
-
-    def test_dp_error_estimate(self):
-        mech = LaplaceMechanism(1.0)
-        err = dp_error(mech, 100.0, trials=2000, rng=SeededRNG("de"))
-        assert err == pytest.approx(1.0, rel=0.2)
-
-    def test_dp_error_invalid_trials(self):
-        with pytest.raises(ParameterError):
-            dp_error(LaplaceMechanism(1.0), 0.0, trials=0)
-
 
 class TestRandomizedResponse:
     def test_flip_probability(self):
@@ -74,13 +62,6 @@ class TestRandomizedResponse:
         dataset = [1] * 300 + [0] * 700
         estimates = [rr.run_protocol(dataset, rng).value for _ in range(80)]
         assert sum(estimates) / len(estimates) == pytest.approx(300, abs=25)
-
-    def test_error_grows_with_n(self):
-        """The O(√n) penalty of local DP (Section 7)."""
-        rr = RandomizedResponse(1.0)
-        assert rr.expected_error_for_n(10_000) > 5 * rr.expected_error_for_n(100)
-        ratio = rr.expected_error_for_n(10_000) / rr.expected_error_for_n(100)
-        assert ratio == pytest.approx(10.0, rel=0.01)  # exactly sqrt scaling
 
     def test_scalar_release_unsupported(self):
         with pytest.raises(NotImplementedError):

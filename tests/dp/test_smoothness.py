@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.dp.binomial import coins_for_privacy, epsilon_for_coins
-from repro.dp.smoothness import binomial_log_pmf, is_smooth, smoothness_delta
+from repro.dp.smoothness import binomial_log_pmf, smoothness_delta
 from repro.errors import ParameterError
 
 
@@ -55,10 +55,6 @@ class TestSmoothness:
     def test_more_coins_smoother(self):
         eps = 0.5
         assert smoothness_delta(400, eps) <= smoothness_delta(50, eps)
-
-    def test_is_smooth_wrapper(self):
-        assert is_smooth(1000, 1.0, 0.01)
-        assert not is_smooth(20, 0.01, 1e-6)
 
     def test_k_greater_than_one(self):
         """k-incremental queries: smoothness over shifts up to k."""

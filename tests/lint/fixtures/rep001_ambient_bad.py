@@ -24,3 +24,10 @@ def imported_names():
 
 def switch_it_off():
     os.environ["TUNING"] = "0"  # line 26: writing it is no better
+
+
+import os.path  # binds `os` once more, still to the os module
+
+
+def beside_os_path():
+    return os.urandom(8), os.environ["HOME"]  # line 33: both

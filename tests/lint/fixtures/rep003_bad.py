@@ -19,3 +19,12 @@ async def dial(host, port):
 
 async def wait_for_peer(listener):
     listener.accept(1)  # line 21: un-awaited accept
+
+
+import time as _t
+from subprocess import run
+
+
+async def aliased_blocking(argv):
+    _t.sleep(0.1)  # line 29: time.sleep under another name
+    return run(argv)  # line 30: subprocess.run imported by name

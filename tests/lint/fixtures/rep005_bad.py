@@ -23,3 +23,12 @@ def children_leak_on_failure(target, risky_setup):
     worker_process.start()  # line 22
     risky_setup()  # raises => the child is orphaned
     worker_process.join()
+
+
+import socket as s
+
+
+def aliased_listener(host, port):
+    listener = s.socket(s.AF_INET, s.SOCK_STREAM)  # line 32: socket.socket
+    listener.bind((host, port))
+    return None

@@ -25,3 +25,12 @@ def prepared_the_other_one(listener, _prepare_stream_socket):
     second, _ = listener.accept()
     _prepare_stream_socket(first)
     return first, second
+
+
+from socket import create_connection
+
+
+def dialled_by_its_bare_name(host, port, frame):
+    sock = create_connection((host, port))  # line 34
+    sock.sendall(frame)
+    return sock

@@ -73,8 +73,9 @@ class TestOutputFormats:
     def test_list_rules_prints_catalog(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP000", "REP001", "REP002", "REP003", "REP004", "REP005"):
+        for code in ("REP000", "REP001", "REP003", "REP004", "REP005", "REP007"):
             assert code in out
+        assert "REP002" not in out
 
 
 class TestPragmas:

@@ -11,7 +11,7 @@ from repro.mpc.adversary import (
     StuckMorraParticipant,
 )
 from repro.mpc.bus import SimulatedNetwork
-from repro.mpc.morra import MorraParticipant, morra_bits, run_morra, run_morra_batch
+from repro.mpc.morra import MorraParticipant, run_morra_batch
 from repro.utils.rng import SeededRNG
 
 Q = 2**61 - 1
@@ -23,7 +23,7 @@ def honest(name, seed=None):
 
 class TestHonestRuns:
     def test_single_value_in_range(self):
-        value = run_morra([honest("a"), honest("b")], Q)
+        (value,) = run_morra_batch([honest("a"), honest("b")], Q, 1).values
         assert 0 <= value < Q
 
     def test_batch_shape(self):
@@ -37,7 +37,7 @@ class TestHonestRuns:
 
     def test_bits_unbiased(self):
         """Chi-square test on 4000 public coins."""
-        bits = morra_bits([honest("a", "u1"), honest("b", "u2")], Q, 4000)
+        bits = run_morra_batch([honest("a", "u1"), honest("b", "u2")], Q, 4000).bits()
         assert chi_square_uniform(bits) > 0.001
 
     def test_values_uniform_coarse(self):
@@ -56,7 +56,7 @@ class TestHonestRuns:
     def test_network_traffic_recorded(self):
         net = SimulatedNetwork()
         run_morra_batch([honest("a"), honest("b")], Q, 3, network=net)
-        assert net.total_messages() == 4  # commit + reveal per party
+        assert sum(net.messages_sent.values()) == 4  # commit + reveal per party
         assert net.total_bytes() > 0
 
 
@@ -66,7 +66,7 @@ class TestAdversaries:
         the honest party (the paper's 'as long as one participant is
         honest' claim)."""
         parties = [BiasedMorraParticipant("z", 0), honest("h", "harmless")]
-        bits = morra_bits(parties, Q, 3000)
+        bits = run_morra_batch(parties, Q, 3000).bits()
         assert chi_square_uniform(bits) > 0.001
 
     def test_equivocation_detected(self):

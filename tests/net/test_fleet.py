@@ -188,10 +188,7 @@ class TestFleetLifecycle:
             # The victim's 0.5 s-per-RPC session is provably in flight
             # once fe-0's health stats report it.
             self._wait_for(
-                lambda: dispatcher.worker_stats()
-                .get("fe-0", {})
-                .get("in_flight", 0)
-                >= 1,
+                lambda: dispatcher.workers["fe-0"].stats["in_flight"] >= 1,
                 what="fe-0 to report the session in flight",
             )
             dispatcher.workers["fe-0"].process.kill()

@@ -276,10 +276,7 @@ class TestLiveFleetScrape:
             with FleetDispatcher(config, metrics=metrics) as dispatcher:
                 dispatcher.place(victim, "fe-0")
                 self._wait_for(
-                    lambda: dispatcher.worker_stats()
-                    .get("fe-0", {})
-                    .get("in_flight", 0)
-                    >= 1,
+                    lambda: dispatcher.workers["fe-0"].stats["in_flight"] >= 1,
                     what="fe-0 to report the session in flight",
                 )
                 dispatcher.workers["fe-0"].process.kill()

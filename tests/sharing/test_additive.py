@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
-from repro.sharing.additive import AdditiveSharing, reconstruct_additive, share_additive
+from repro.sharing.additive import share_additive
 from repro.utils.rng import SeededRNG
 
 Q = 2**61 - 1
@@ -19,7 +19,7 @@ class TestShareReconstruct:
     def test_roundtrip(self, value, parties):
         shares = share_additive(value, parties, Q, SeededRNG(f"{value}-{parties}"))
         assert len(shares) == parties
-        assert reconstruct_additive(shares, Q) == value
+        assert sum(shares) % Q == value
 
     def test_single_party_is_plaintext(self):
         assert share_additive(42, 1, Q, SeededRNG("s")) == [42]
@@ -29,8 +29,6 @@ class TestShareReconstruct:
             share_additive(1, 0, Q)
         with pytest.raises(ParameterError):
             share_additive(1, 2, 1)
-        with pytest.raises(ParameterError):
-            reconstruct_additive([], Q)
 
     def test_linearity(self):
         """Sharing is linear: share-wise sums reconstruct to the value sum."""
@@ -38,7 +36,7 @@ class TestShareReconstruct:
         a = share_additive(10, 3, Q, rng)
         b = share_additive(32, 3, Q, rng)
         summed = [(x + y) % Q for x, y in zip(a, b)]
-        assert reconstruct_additive(summed, Q) == 42
+        assert sum(summed) % Q == 42
 
     def test_single_share_marginal_spread(self):
         """Any one share should be spread over the field (hiding): sharing
@@ -46,20 +44,3 @@ class TestShareReconstruct:
         rng = SeededRNG("spread")
         firsts = {share_additive(7, 2, Q, rng)[0] for _ in range(50)}
         assert len(firsts) == 50
-
-
-class TestAdditiveSharingObject:
-    def test_share_vector_layout(self):
-        scheme = AdditiveSharing(parties=3, q=Q)
-        per_party = scheme.share_vector([5, 6, 7], SeededRNG("v"))
-        assert len(per_party) == 3
-        assert all(len(row) == 3 for row in per_party)
-        for j, expected in enumerate([5, 6, 7]):
-            assert sum(per_party[k][j] for k in range(3)) % Q == expected
-
-    def test_reconstruct_requires_all(self):
-        scheme = AdditiveSharing(parties=3, q=Q)
-        shares = scheme.share(9, SeededRNG("r"))
-        with pytest.raises(ParameterError):
-            scheme.reconstruct(shares[:2])
-        assert scheme.reconstruct(shares) == 9

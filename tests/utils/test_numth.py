@@ -1,4 +1,4 @@
-"""Number theory: primality, safe primes, inverses, square roots."""
+"""Number theory: primality, inverses, Legendre and Jacobi symbols."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +6,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParameterError
 from repro.utils.numth import (
     batch_inverse,
-    crt_pair,
     inverse_mod,
     is_probable_prime,
     jacobi_symbol,
     legendre_symbol,
     miller_rabin,
-    next_safe_prime,
-    random_safe_prime,
-    sqrt_mod,
 )
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 101, 257, 65537, 2**61 - 1]
 SMALL_COMPOSITES = [1, 4, 9, 15, 21, 100, 561, 1105, 6601, 2**61 - 3]
@@ -45,29 +41,6 @@ class TestPrimality:
         assert is_probable_prime(n) == by_trial
 
 
-class TestSafePrimes:
-    def test_next_safe_prime(self):
-        p = next_safe_prime(100)
-        assert p == 107  # 107 = 2*53 + 1
-        assert is_probable_prime(p) and is_probable_prime((p - 1) // 2)
-
-    def test_next_safe_prime_small_start(self):
-        assert next_safe_prime(2) == 5
-
-    def test_random_safe_prime_bits(self):
-        import random
-
-        p = random_safe_prime(24, random.Random(7))
-        assert p.bit_length() == 24
-        assert is_probable_prime(p) and is_probable_prime((p - 1) // 2)
-
-    def test_random_safe_prime_too_small(self):
-        import random
-
-        with pytest.raises(ParameterError):
-            random_safe_prime(4, random.Random(0))
-
-
 class TestInverse:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_inverse_mod_prime(self, a):
@@ -86,36 +59,19 @@ class TestInverse:
             inverse_mod(6, 9)
 
 
-class TestLegendreAndSqrt:
+class TestLegendre:
     @pytest.mark.parametrize("p", [11, 13, 101, 1_000_003, 2**61 - 1])
     def test_squares_are_residues(self, p):
         for a in (2, 3, 5, 10):
-            sq = (a * a) % p
-            assert legendre_symbol(sq, p) == 1
-            root = sqrt_mod(sq, p)
-            assert (root * root) % p == sq
+            assert legendre_symbol((a * a) % p, p) == 1
 
     def test_legendre_zero(self):
         assert legendre_symbol(0, 13) == 0
         assert legendre_symbol(26, 13) == 0
 
-    def test_non_residue_raises(self):
+    def test_non_residue(self):
         # 2 is a non-residue mod 13 (13 ≡ 5 mod 8).
         assert legendre_symbol(2, 13) == -1
-        with pytest.raises(ParameterError):
-            sqrt_mod(2, 13)
-
-    def test_tonelli_shanks_p_1_mod_4(self):
-        """Exercise the general (p % 4 == 1) branch."""
-        p = 1_000_117  # 1 mod 4
-        assert p % 4 == 1
-        for a in range(2, 40):
-            sq = (a * a) % p
-            root = sqrt_mod(sq, p)
-            assert (root * root) % p == sq
-
-    def test_sqrt_of_zero(self):
-        assert sqrt_mod(0, 13) == 0
 
 
 def _protocol_primes():
@@ -165,27 +121,6 @@ class TestJacobiSymbol:
     def test_even_or_non_positive_modulus_raises(self, n):
         with pytest.raises(ParameterError):
             jacobi_symbol(3, n)
-
-    def test_sqrt_mod_rejects_every_non_residue_like_before(self):
-        """Both branches (p ≡ 3 and p ≡ 1 mod 4): a root for exactly the
-        residues, ``ParameterError`` with the same message otherwise."""
-        for p in (11, 10_007, 13, 1_000_117):
-            for a in range(0, 60):
-                if legendre_symbol(a, p) == -1:
-                    with pytest.raises(ParameterError, match="not a quadratic residue"):
-                        sqrt_mod(a, p)
-                else:
-                    assert sqrt_mod(a, p) ** 2 % p == a % p
-
-
-class TestCrt:
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-    )
-    def test_crt_reconstructs(self, x):
-        m1, m2 = 10_007, 10_009
-        x %= m1 * m2
-        assert crt_pair(x % m1, m1, x % m2, m2) == x
 
 
 class TestBatchInverse:

@@ -1,24 +1,10 @@
-"""Stopwatch and stage timers."""
+"""Stage timers."""
 
 import time
 
 import pytest
 
-from repro.utils.timing import StageTimer, Stopwatch
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw.running():
-            time.sleep(0.01)
-        with sw.running():
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.02
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
+from repro.utils.timing import StageTimer
 
 
 class TestStageTimer:

@@ -22,11 +22,14 @@ This package closes that gap without touching the protocol engine:
   their verdicts/products into a release byte-identical to the
   unsharded path (``python -m repro serve --shards S``).
 * :mod:`repro.net.roles` — the cast every serving path shares: one
-  front-end factory (S = 0 is the plain analyst), one peer launcher,
-  the seed → RNG convention and the solo replay it is checked against.
+  front-end factory (S = 0 is the plain analyst), one peer launcher
+  (``run_role``, the only kind of peer there is — a mux's peers are
+  session-scoped ``run_role`` threads too), the seed → RNG convention
+  and the solo replay it is checked against.
 * :mod:`repro.net.aio` — async serving: an :class:`AsyncSocketTransport`
-  over asyncio streams (wire compatible with the blocking transport) and
-  a :class:`SessionMux` front-end that multiplexes N concurrent sessions
+  listener over asyncio streams (wire compatible with the blocking
+  transport, one connection per peer per session) and a
+  :class:`SessionMux` front-end that multiplexes N concurrent sessions
   in one process, each driving the unchanged engine (``python -m repro
   serve --async --sessions N``).
 * :mod:`repro.net.fleet` — the serving fleet: a
@@ -41,8 +44,6 @@ This package closes that gap without touching the protocol engine:
 """
 
 from repro.net.aio import (
-    AsyncClientRunner,
-    AsyncServerNode,
     AsyncSocketTransport,
     SessionChannel,
     SessionMux,
@@ -86,8 +87,6 @@ __all__ = [
     "SessionChannel",
     "SessionMux",
     "SessionSpec",
-    "AsyncServerNode",
-    "AsyncClientRunner",
     "FleetConfig",
     "FleetDispatcher",
     "SessionRequest",

@@ -6,16 +6,16 @@ is computing a Σ-proof or a client population is enrolling, and that
 idle time is simply lost.  This module turns the front-end into a
 multiplexer:
 
-* :class:`AsyncSocketTransport` — the TCP transport over ``asyncio``
+* :class:`AsyncSocketTransport` — the TCP listener over ``asyncio``
   streams.  Same length-prefixed frame protocol, same
   ``max_frame_bytes`` cap and whole-frame deadline semantics as the
   blocking :class:`~repro.net.transport.SocketTransport`, byte-for-byte
   wire compatible with it (session 0 traffic is the v1 format
-  unchanged).  Each connection announces a *scope* in its handshake
-  header — one session, or :data:`~repro.net.transport.SESSION_ANY` for
-  a multi-session host — and a per-connection reader task demultiplexes
-  inbound frames to per-``(peer, session)`` queues by the session id in
-  the v2 frame header (v1 frames route to session 0).
+  unchanged).  Every connection is one peer of one session: its
+  handshake header announces that session as the connection's *scope*,
+  a per-connection reader task queues its frames per ``(peer,
+  session)``, and a frame tagged with any other session aborts the
+  connection.
 * :class:`SessionChannel` — a synchronous
   :class:`~repro.net.transport.Transport` facade over one session of a
   shared :class:`AsyncSocketTransport`.  The protocol engine and the
@@ -31,16 +31,11 @@ multiplexer:
   chunk, the event loop keeps every other session's frames moving.
   Under seeded RNG each released session is byte-identical to a solo
   in-process :class:`repro.api.Session` run with the same seed.
-* :class:`AsyncServerNode` / :class:`AsyncClientRunner` — multi-session
-  peers: thin wrappers hosting one unchanged
-  :class:`~repro.net.nodes.ServerNode` /
-  :class:`~repro.net.nodes.ClientRunner` per session over one shared
-  connection.  The prover and client logic is untouched.
 
-Mixed topologies interoperate: a plain blocking
-``SocketTransport.connect(..., session=s)`` peer serves exactly session
-*s* of a mux (its scoped handshake routes it), while a session-0-only
-legacy peer works against a mux front-end with no changes at all.
+Every peer of a mux is a blocking :func:`~repro.net.roles.run_role`
+over ``roles.dial(name, host, port, session=s)``: one connection per
+peer per session, the same peer a single-session front-end gets.  A
+session-0 peer speaks the legacy v1 format and needs no change at all.
 """
 
 from __future__ import annotations
@@ -54,20 +49,17 @@ from typing import NamedTuple
 from repro.api.engine import EngineResult
 from repro.api.queries import Query
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net.nodes import ClientRunner, ServerNode
 from repro.net.roles import build_analyst
 from repro.net.transport import (
     _HANDSHAKE_MAX_BYTES,
     _LEN,
     _V2_FLAG,
     DEFAULT_MAX_FRAME_BYTES,
-    SESSION_ANY,
     HandshakeGate,
     Transport,
     check_frame_size,
     check_session_id,
     pack_frame,
-    pack_handshake,
     split_header_word,
 )
 from repro.utils.rng import RNG
@@ -78,22 +70,11 @@ __all__ = [
     "SessionMux",
     "SessionSpec",
     "ServedSession",
-    "AsyncServerNode",
-    "AsyncClientRunner",
 ]
 
 # Queue sentinel: the connection feeding this queue failed; the reason
 # lives on the connection record.
 _FAILED = object()
-
-
-class _SessionMap(dict):
-    """Per-session bookkeeping: a dict that reads ``None`` for sessions
-    it has no entry for, so ``mux.results[s]``/``mux.errors[s]`` keep the
-    pre-dynamic-mux list semantics (absent == not recorded)."""
-
-    def __missing__(self, key):
-        return None
 
 _DEFAULT_HANDSHAKE_TIMEOUT = 30.0
 
@@ -105,37 +86,31 @@ _DEFAULT_HANDSHAKE_TIMEOUT = 30.0
 # memory without bound.
 _MAX_QUEUED_FRAMES = 1024
 
-# Distinct session ids one connection may touch: far above any real
-# deployment's session count, low enough that a registered-but-hostile
-# peer spraying random session ids cannot materialize queues forever.
-_MAX_SESSIONS_PER_CONN = 4096
-
 
 class _Conn:
-    """One accepted or dialed connection: a scope, streams, a reader task."""
+    """One accepted connection: a peer, its session scope, streams, a
+    reader task."""
 
-    __slots__ = ("peer", "scope", "reader", "writer", "task", "failure", "sessions")
+    __slots__ = ("peer", "scope", "reader", "writer", "task", "failure")
 
     def __init__(self, peer, scope, reader, writer):
         self.peer = peer
-        self.scope = scope  # a session id, or SESSION_ANY
+        self.scope = scope
         self.reader = reader
         self.writer = writer
         self.task: asyncio.Task | None = None
         self.failure: str | None = None
-        self.sessions: set[int] = set()
 
 
 class AsyncSocketTransport:
-    """TCP frames over asyncio streams, demultiplexed by session id.
+    """TCP frames over asyncio streams, one connection per (peer, session).
 
-    The async counterpart of :class:`~repro.net.transport.SocketTransport`
-    — same frame protocol, caps and abort semantics — except ``send`` and
-    ``recv`` take a ``session`` and one transport carries any number of
-    concurrent sessions over its connections.  Outbound frames route to
-    the connection scoped to that exact session if one exists, else to
-    the peer's :data:`SESSION_ANY` connection; inbound frames route to
-    per-``(peer, session)`` queues by their header's session id.
+    The async counterpart of the listening
+    :class:`~repro.net.transport.SocketTransport` — same frame protocol,
+    caps and abort semantics — except ``send`` and ``recv`` take a
+    ``session`` and one listener carries any number of concurrent
+    sessions: each ``(peer, session)`` pair is the connection that peer
+    opened scoped to that session.
 
     All methods must run on the owning event loop; synchronous code uses
     a :class:`SessionChannel`.
@@ -195,33 +170,6 @@ class AsyncSocketTransport:
         transport.port = server.sockets[0].getsockname()[1]
         return transport
 
-    @classmethod
-    async def connect(
-        cls,
-        name: str,
-        peer: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        session: int = SESSION_ANY,
-        timeout: float | None = 30.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    ) -> "AsyncSocketTransport":
-        """Dial ``peer`` and handshake.  The default scope announces a
-        multi-session host; pass a session id to bind one session."""
-        transport = cls(name, max_frame_bytes=max_frame_bytes)
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
-        )
-        writer.write(pack_handshake(name, session))
-        await writer.drain()
-        transport._register(_Conn(peer, session, reader, writer))
-        return transport
-
-    def _register(self, conn: _Conn) -> None:
-        self._conns[(conn.peer, conn.scope)] = conn
-        conn.task = asyncio.ensure_future(self._reader_loop(conn))
-
     # Accepting --------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
@@ -237,7 +185,6 @@ class AsyncSocketTransport:
                 reader,
                 max_bytes=_HANDSHAKE_MAX_BYTES,
                 party="connecting peer",
-                handshake=True,
                 timeout=self._handshake_timeout(),
             )
             peer = raw.decode()
@@ -261,7 +208,8 @@ class AsyncSocketTransport:
         if not self._gate.admit(peer, scope, expected, self._conns):
             writer.close()
             return
-        self._register(_Conn(peer, scope, reader, writer))
+        conn = self._conns[(peer, scope)] = _Conn(peer, scope, reader, writer)
+        conn.task = asyncio.ensure_future(self._reader_loop(conn))
         self._accepted.put_nowait(peer)
 
     def _handshake_timeout(self) -> float:
@@ -278,7 +226,7 @@ class AsyncSocketTransport:
     ) -> list[str]:
         """Await ``count`` handshaken connections; returns their names
         (one entry per connection — a name repeats when the same peer
-        connects once per session scope).
+        connects once per session).
 
         ``expected`` entries are peer names, or ``(name, scope)`` pairs
         to additionally pin the handshake's session scope — a front-end
@@ -329,7 +277,6 @@ class AsyncSocketTransport:
         *,
         max_bytes: int,
         party: str,
-        handshake: bool = False,
         timeout: float | None = None,
     ) -> tuple[int, bytes]:
         """One (session, frame); the timeout covers the *whole* frame —
@@ -342,7 +289,7 @@ class AsyncSocketTransport:
             session = 0
             if has_session:
                 session = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
-                check_session_id(session, party=party, handshake=handshake)
+                check_session_id(session, party=party)
             check_frame_size(size, max_bytes, party)
             return session, await reader.readexactly(size)
 
@@ -356,9 +303,9 @@ class AsyncSocketTransport:
             ) from exc
 
     async def _reader_loop(self, conn: _Conn) -> None:
-        """Pump one connection into the per-(peer, session) queues.
+        """Pump one connection into its ``(peer, session)`` queue.
 
-        The ``put`` awaits when a queue is full — backpressure through
+        The ``put`` awaits when the queue is full — backpressure through
         TCP onto the sending peer, exactly what the blocking transport
         gets from never reading faster than ``recv`` is called.
         """
@@ -367,17 +314,10 @@ class AsyncSocketTransport:
                 session, frame = await self._read_wire_frame(
                     conn.reader, max_bytes=self.max_frame_bytes, party=conn.peer
                 )
-                if conn.scope != SESSION_ANY and session != conn.scope:
+                if session != conn.scope:
                     raise ProtocolAbort(
                         f"{conn.peer!r} sent a session-{session} frame on a "
                         f"session-{conn.scope} channel",
-                        party=conn.peer,
-                    )
-                conn.sessions.add(session)
-                if len(conn.sessions) > _MAX_SESSIONS_PER_CONN:
-                    raise ProtocolAbort(
-                        f"{conn.peer!r} touched more than "
-                        f"{_MAX_SESSIONS_PER_CONN} sessions",
                         party=conn.peer,
                     )
                 self.bytes_received += len(frame)
@@ -395,15 +335,15 @@ class AsyncSocketTransport:
         if conn.failure is None:
             conn.failure = reason
         conn.writer.close()
-        # Wake every receiver this connection feeds; late-created queues
-        # (and receivers behind a full queue) consult conn.failure once
-        # they drain.
-        for (peer, session), queue in self._queues.items():
-            if peer == conn.peer and self._conn_for(peer, session) is conn:
-                try:
-                    queue.put_nowait(_FAILED)
-                except asyncio.QueueFull:
-                    pass
+        # Wake the receiver this connection feeds; a late-created queue
+        # (or a receiver behind a full one) consults conn.failure once it
+        # drains.
+        queue = self._queues.get((conn.peer, conn.scope))
+        if queue is not None:
+            try:
+                queue.put_nowait(_FAILED)
+            except asyncio.QueueFull:
+                pass
 
     def _queue(self, peer: str, session: int) -> asyncio.Queue:
         queue = self._queues.get((peer, session))
@@ -411,18 +351,12 @@ class AsyncSocketTransport:
             queue = self._queues[(peer, session)] = asyncio.Queue(_MAX_QUEUED_FRAMES)
         return queue
 
-    def _conn_for(self, peer: str, session: int) -> _Conn | None:
-        conn = self._conns.get((peer, session))
-        if conn is None:
-            conn = self._conns.get((peer, SESSION_ANY))
-        return conn
-
     async def send(self, peer: str, frame: bytes, session: int = 0) -> None:
         """Deliver ``frame`` to ``peer`` within ``session`` (ordered per
         connection)."""
         if not isinstance(frame, (bytes, bytearray)):
             raise ParameterError("transports carry bytes frames only")
-        conn = self._conn_for(peer, session)
+        conn = self._conns.get((peer, session))
         if conn is None:
             raise ParameterError(
                 f"{self.name!r} has no channel to {peer!r} for session {session}"
@@ -454,7 +388,7 @@ class AsyncSocketTransport:
             if not queue.empty():
                 frame = queue.get_nowait()
             else:
-                conn = self._conn_for(peer, session)
+                conn = self._conns.get((peer, session))
                 if conn is not None and conn.failure is not None:
                     raise ProtocolAbort(conn.failure, party=peer)
                 # An already-elapsed deadline times out in wait_for too.
@@ -471,7 +405,7 @@ class AsyncSocketTransport:
                     queue.put_nowait(_FAILED)
                 except asyncio.QueueFull:
                     pass
-                conn = self._conn_for(peer, session)
+                conn = self._conns.get((peer, session))
                 reason = (conn.failure if conn is not None else None) or (
                     f"channel to {peer!r} closed"
                 )
@@ -479,18 +413,15 @@ class AsyncSocketTransport:
             return frame
 
     async def release_session(self, session: int) -> None:
-        """Forget one finished session: close its scoped connections and
-        drop its demux queues.
+        """Forget one finished session: close its connections and drop
+        its queues.
 
         A long-lived front-end (the fleet worker) serves an unbounded
         stream of sessions, each arriving with its own scoped peer
         connections; without this the ``_conns``/``_queues`` maps — and
         the dead sockets behind them — grow for the deployment's
-        lifetime.  ``SESSION_ANY`` connections are untouched: they belong
-        to every session.
+        lifetime.
         """
-        if not 0 <= session < SESSION_ANY:
-            raise ParameterError("session id out of range")
         for key, conn in list(self._conns.items()):
             if key[1] == session:
                 del self._conns[key]
@@ -540,8 +471,6 @@ class SessionChannel(Transport):
         loop: asyncio.AbstractEventLoop,
     ) -> None:
         super().__init__(aio.name)
-        if not 0 <= session < SESSION_ANY:
-            raise ParameterError("session id out of range")
         self.aio = aio
         self.session = session
         self.loop = loop
@@ -589,7 +518,7 @@ class ServedSession(NamedTuple):
 
 
 class SessionMux:
-    """A serving front-end that runs N concurrent sessions in one process.
+    """A serving front-end that runs concurrent sessions in one process.
 
     Session *s* is an asyncio task driving an unchanged
     :class:`~repro.net.nodes.AnalystNode` over ``SessionChannel(s)`` on an
@@ -599,54 +528,30 @@ class SessionMux:
     event loop keeps serving every other session's frames — the
     front-end's idle time becomes other sessions' progress.
 
-    ``run`` returns per-session outcomes; a failed session (e.g. a dead
-    prover mid-phase) records its exception without disturbing the
-    others.
-
-    Two serving modes share the machinery:
-
-    * **static** — construct with the full ``specs`` list and ``await
-      run()``, as the ``--async`` topology does: every session starts at
-      once and the executor is torn down when the batch completes;
-    * **dynamic** — construct with ``specs=None`` and call
-      :meth:`serve_session` per placement, as the fleet worker does:
-      sessions arrive as a stream, up to ``max_concurrency`` run at a
-      time, and the mux lives until :meth:`close` — holding nothing
-      about a session once its :meth:`serve_session` call is over.
-
-    ``results``, ``errors``, ``session_seconds`` and ``chunk_sizes`` are
-    what a static :meth:`run` leaves behind: dictionaries keyed by
-    session id ``0..N-1`` (so list-style indexing still reads
-    naturally), filled when the batch completes.
+    Callers place sessions with :meth:`serve_session`, up to
+    ``max_concurrency`` at a time — the ``--async`` driver gathers N of
+    them at once, a fleet worker one per placement — and the mux lives
+    until :meth:`close`, holding nothing about a session once its
+    :meth:`serve_session` call is over.
     """
 
     def __init__(
         self,
-        specs: list[SessionSpec] | None,
         transport: AsyncSocketTransport,
         servers: list[str],
         *,
         clients_peer: str = "clients",
         timeout: float | None = 60.0,
-        max_concurrency: int | None = None,
+        max_concurrency: int = 8,
         metrics=None,
     ) -> None:
-        if specs is not None and not specs:
-            raise ParameterError("need at least one session spec")
-        self.specs = list(specs) if specs is not None else None
+        if max_concurrency < 1:
+            raise ParameterError("max_concurrency must be >= 1")
         self.transport = transport
         self.servers = list(servers)
         self.clients_peer = clients_peer
         self.timeout = timeout
-        if max_concurrency is None:
-            max_concurrency = len(self.specs) if self.specs else 8
-        if max_concurrency < 1:
-            raise ParameterError("max_concurrency must be >= 1")
         self.max_concurrency = max_concurrency
-        self.results: dict[int, EngineResult] = _SessionMap()
-        self.errors: dict[int, BaseException] = _SessionMap()
-        self.session_seconds: dict[int, float] = _SessionMap()
-        self.chunk_sizes: dict[int, int | None] = _SessionMap()
         # Optional repro.net.metrics.ServingMetrics: when set, the mux
         # keeps the admitted/completed/aborted/crashed ledger and feeds
         # per-phase engine timings — the fleet worker's mux leaves this
@@ -687,12 +592,12 @@ class SessionMux:
         )
 
     async def serve_session(self, session: int, spec: SessionSpec) -> ServedSession:
-        """Serve one session to completion (dynamic mode's unit of work).
+        """Serve one session to completion.
 
         Runs the unchanged analyst on an executor thread and returns the
         outcome (or raises the failure).  Nothing about the session is
-        kept on the mux: a dynamic mux serves an unbounded stream, and
-        an ``EngineResult`` holds every retained broadcast and coin
+        kept on the mux: a fleet worker's mux serves an unbounded stream,
+        and an ``EngineResult`` holds every retained broadcast and coin
         message of its run.
         """
         loop = asyncio.get_running_loop()
@@ -715,166 +620,10 @@ class SessionMux:
             )
         return served
 
-    async def run(self) -> dict[int, EngineResult]:
-        """Serve every constructor-given session concurrently; returns the
-        results map (a failed session appears in :attr:`errors` instead)."""
-        if self.specs is None:
-            raise ParameterError(
-                "this mux is dynamic: place sessions with serve_session"
-            )
-        try:
-            outcomes = await asyncio.gather(
-                *[
-                    self.serve_session(s, spec)
-                    for s, spec in enumerate(self.specs)
-                ],
-                return_exceptions=True,
-            )
-        finally:
-            # Never block the event loop on thread teardown; session
-            # threads hold recv timeouts and die on their own.
-            self.close()
-        for s, outcome in enumerate(outcomes):
-            if isinstance(outcome, BaseException):
-                self.errors[s] = outcome
-            else:
-                self.results[s] = outcome.result
-                self.chunk_sizes[s] = outcome.chunk_size
-                self.session_seconds[s] = outcome.seconds
-        return self.results
-
     def close(self) -> None:
-        """Release the session executor (idempotent)."""
+        """Release the session executor (idempotent).  Never blocks the
+        event loop on thread teardown: session threads hold recv
+        timeouts and die on their own."""
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
-
-
-class AsyncServerNode:
-    """A multi-session prover host: one unchanged
-    :class:`~repro.net.nodes.ServerNode` per session over one shared
-    connection.  The prover logic is untouched — each session's node
-    receives its own setup frame, serves its RPCs and exits on its
-    shutdown control, all interleaved through the session channels.
-
-    ``rngs`` maps session id → prover RNG tape (a plain list means
-    sessions ``0..N-1``); to match the solo run seed each entry as
-    ``SeededRNG(seed_s).fork(name)``.  In a mixed topology the mapping
-    simply omits the sessions a scoped synchronous peer serves.
-    """
-
-    def __init__(
-        self,
-        transport: AsyncSocketTransport,
-        rngs,
-        *,
-        analyst: str = "analyst",
-        prover_factory=None,
-        timeout: float | None = 60.0,
-        reply_delay: float = 0.0,
-    ) -> None:
-        self.rngs = _as_session_map(rngs, "session rng")
-        self.transport = transport
-        self.analyst = analyst
-        self.prover_factory = prover_factory
-        self.timeout = timeout
-        self.reply_delay = reply_delay
-        self.errors: dict[int, BaseException] = {}
-
-    def _node(self, session: int, loop) -> ServerNode:
-        return ServerNode(
-            SessionChannel(self.transport, session, loop),
-            self.rngs[session],
-            analyst=self.analyst,
-            prover_factory=self.prover_factory,
-            timeout=self.timeout,
-            reply_delay=self.reply_delay,
-        )
-
-    async def run(self) -> None:
-        await _run_session_nodes(self._node, self.rngs, self.errors, "server")
-
-
-class AsyncClientRunner:
-    """Multi-session client populations: one unchanged
-    :class:`~repro.net.nodes.ClientRunner` per session.
-
-    ``populations`` maps session id → ``(query, values, rng)`` (a plain
-    list means sessions ``0..N-1``); the published releases land on
-    :attr:`releases`.
-    """
-
-    def __init__(
-        self,
-        transport: AsyncSocketTransport,
-        populations,
-        *,
-        analyst: str = "analyst",
-        timeout: float | None = 60.0,
-    ) -> None:
-        self.populations = _as_session_map(populations, "session population")
-        self.transport = transport
-        self.analyst = analyst
-        self.timeout = timeout
-        self.runners: dict[int, ClientRunner] = {}
-        self.errors: dict[int, BaseException] = {}
-
-    @property
-    def releases(self) -> dict:
-        return {
-            session: runner.release for session, runner in self.runners.items()
-        }
-
-    def _node(self, session: int, loop) -> ClientRunner:
-        query, values, rng = self.populations[session]
-        runner = ClientRunner(
-            SessionChannel(self.transport, session, loop),
-            query,
-            values,
-            rng=rng,
-            analyst=self.analyst,
-            timeout=self.timeout,
-        )
-        self.runners[session] = runner
-        return runner
-
-    async def run(self) -> None:
-        await _run_session_nodes(
-            self._node, self.populations, self.errors, "client-runner"
-        )
-
-
-def _as_session_map(entries, what) -> dict:
-    """Normalize a list (sessions 0..N-1) or mapping of per-session state."""
-    mapping = (
-        dict(entries) if hasattr(entries, "keys") else dict(enumerate(entries))
-    )
-    if not mapping:
-        raise ParameterError(f"need at least one {what}")
-    for session in mapping:
-        if not 0 <= session < SESSION_ANY:
-            raise ParameterError("session id out of range")
-    return mapping
-
-
-async def _run_session_nodes(node_factory, sessions, errors, prefix) -> None:
-    """Run one synchronous node per session on executor threads; a failed
-    session records its exception without killing its siblings."""
-    loop = asyncio.get_running_loop()
-    order = sorted(sessions)
-    executor = ThreadPoolExecutor(
-        max_workers=len(order), thread_name_prefix=f"{prefix}-session"
-    )
-    try:
-        outcomes = await asyncio.gather(
-            *[
-                loop.run_in_executor(executor, node_factory(s, loop).run)
-                for s in order
-            ],
-            return_exceptions=True,
-        )
-    finally:
-        executor.shutdown(wait=False)
-    for s, outcome in zip(order, outcomes):
-        if isinstance(outcome, BaseException):
-            errors[s] = outcome

@@ -12,7 +12,7 @@ them into a *fleet*:
   knobs.  Loadable from a JSON file (``repro serve --fleet
   --fleet-config fleet.json``).
 * :class:`FleetDispatcher` — the admission point.  Spawns one
-  front-end worker process per pool slot, each running a *dynamic*
+  front-end worker process per pool slot, each running a
   ``SessionMux`` (sessions placed one at a time, up to ``capacity``
   concurrent).  A monitor thread multiplexes every worker's command
   pipe and process sentinel: it collects outcomes, polls per-worker
@@ -27,14 +27,16 @@ them into a *fleet*:
   :class:`repro.api.Session` run with the same seed and chunking.
 
 Inside each worker a placed session gets its own *scoped* peer threads
-— K :class:`~repro.net.nodes.ServerNode`, S
-:class:`~repro.net.shard.ShardWorker` (the long-promised ``--async
---shards`` composition) and one :class:`~repro.net.nodes.ClientRunner`
-— dialing back over blocking ``SocketTransport.connect(...,
-session=s)`` channels, which the mux's async listener demultiplexes by
-handshake scope.  In a real deployment those peers are remote
-processes; session-scoped threads keep the fleet demo single-machine
-while exercising exactly the wire paths remote peers would.
+— one :func:`~repro.net.roles.run_role` per entry of the cast: K
+:class:`~repro.net.nodes.ServerNode`, S
+:class:`~repro.net.shard.ShardWorker` and one
+:class:`~repro.net.nodes.ClientRunner` — dialing back over blocking
+``roles.dial(..., session=s)`` connections, which the mux's async
+listener keys by handshake scope.  These are the peers ``--async`` runs
+too, there in one child process per cast entry.  In a real deployment
+those peers are remote processes; session-scoped threads keep the fleet
+demo single-machine while exercising exactly the wire paths remote
+peers would.
 
 Failure semantics reuse PR 5's attribution machinery: a session that
 dies mid-phase has its peers told to stop via the one-way ``abort``
@@ -117,7 +119,6 @@ class FleetConfig:
     timeout: float = 60.0
     health_interval: float = 0.25
     max_restarts: int = 2
-    reply_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.frontends < 1:
@@ -154,15 +155,15 @@ class SessionRequest:
 
     ``seed`` is the session's root seed (``None`` = system randomness,
     which also disables byte-identity verification for it);
-    ``reply_delay`` overrides the fleet-wide simulated prover latency
-    for this session (benchmark/test knob).
+    ``reply_delay`` makes this session's servers sleep that long before
+    each RPC reply — simulated prover latency, a test knob.
     """
 
     request_id: int
     query: Query
     values: list
     seed: str | None = None
-    reply_delay: float | None = None
+    reply_delay: float = 0.0
 
 
 @dataclass
@@ -222,8 +223,8 @@ def _frontend_main(name: str, conn, config: FleetConfig, slot: int) -> None:
 
 
 class _FrontEnd:
-    """One fleet worker: a dynamic :class:`SessionMux` plus the command
-    loop that binds it to the dispatcher's pipe.
+    """One fleet worker: a :class:`SessionMux` plus the command loop that
+    binds it to the dispatcher's pipe.
 
     Commands in: ``place`` (a :class:`SessionRequest`), ``steal`` (give
     back queued-but-unstarted requests), ``ping`` (report stats),
@@ -262,7 +263,6 @@ class _FrontEnd:
         # expecting right now.
         self.transport.default_expected = []
         self.mux = SessionMux(
-            None,
             self.transport,
             self.server_names,
             timeout=self.config.timeout,
@@ -456,11 +456,7 @@ class _FrontEnd:
             query=request.query,
             values=list(request.values),
             timeout=timeout,
-            reply_delay=(
-                request.reply_delay
-                if request.reply_delay is not None
-                else self.config.reply_delay
-            ),
+            reply_delay=request.reply_delay,
         )
         threads = [
             threading.Thread(
@@ -906,7 +902,6 @@ def run_fleet(
     seed: str | None = "fleet",
     host: str = "127.0.0.1",
     timeout: float = 120.0,
-    reply_delay: float = 0.0,
     verify_equivalence: bool | None = None,
     metrics: ServingMetrics | None = None,
 ) -> dict:
@@ -932,7 +927,6 @@ def run_fleet(
             chunk_size=chunk_size,
             host=host,
             timeout=timeout,
-            reply_delay=reply_delay,
         )
     values = list(values)
     if verify_equivalence is None:
@@ -1011,7 +1005,6 @@ def run_fleet(
         "nb": params.nb,
         "group": config.group,
         "chunk_size": config.chunk_size,
-        "reply_delay_s": config.reply_delay,
         "elapsed_s": elapsed,
         "sessions_per_sec": len(released_rows) / elapsed if elapsed else float("inf"),
         "released": len(released_rows),

@@ -29,13 +29,7 @@ from multiprocessing import get_context
 from repro.api.queries import CountQuery, HistogramQuery, Query
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net.aio import (
-    AsyncClientRunner,
-    AsyncServerNode,
-    AsyncSocketTransport,
-    SessionMux,
-    SessionSpec,
-)
+from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
 from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
@@ -48,19 +42,13 @@ from repro.net.metrics import MetricsServer, ServingMetrics
 from repro.net.roles import (
     build_analyst,
     dial,
-    peer_rng,
     peer_roles,
     role_names,
     root_rng,
     run_role,
     solo_release_bytes,
 )
-from repro.net.transport import (
-    SESSION_ANY,
-    InMemoryHub,
-    SocketTransport,
-    multiprocess_star,
-)
+from repro.net.transport import InMemoryHub, SocketTransport, multiprocess_star
 
 __all__ = [
     "run_distributed_session",
@@ -251,73 +239,32 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
 # Async multiplexed serving ----------------------------------------------------
 
 
-def _async_server_main(
+def _session_peer_main(
+    role: str,
     name: str,
     host: str,
     port: int,
-    seed: str | None,
     sessions: int,
-    timeout: float = 60.0,
-    reply_delay: float = 0.0,
-) -> None:
-    """Child process: one multi-session prover host over one connection."""
-
-    async def go() -> None:
-        transport = await AsyncSocketTransport.connect(name, "analyst", host, port)
-        node = AsyncServerNode(
-            transport,
-            {s: peer_rng(session_seed(seed, s), name) for s in range(sessions)},
-            timeout=timeout,
-            reply_delay=reply_delay,
-        )
-        await node.run()
-        await transport.aclose()
-
-    asyncio.run(go())
-
-
-def _async_clients_main(
-    host: str,
-    port: int,
     query: Query,
-    values,
+    values: list,
     seed: str | None,
-    sessions: int,
-    timeout: float = 60.0,
+    timeout: float,
 ) -> None:
-    """Child process: one client population per session, one connection."""
-
-    async def go() -> None:
-        transport = await AsyncSocketTransport.connect("clients", "analyst", host, port)
-        runner = AsyncClientRunner(
-            transport,
-            {
-                s: (
-                    query,
-                    session_values(list(values), s),
-                    root_rng(session_seed(seed, s)),
-                )
-                for s in range(sessions)
-            },
-            timeout=timeout,
-        )
-        await runner.run()
-        await transport.aclose()
-
-    asyncio.run(go())
-
-
-def _session_shards_main(
-    name: str, host: str, port: int, sessions: int, timeout: float = 60.0
-) -> None:
-    """Child process: one blocking shard-worker thread per session, each
-    over its own session-scoped connection (the worker itself is the
-    unchanged single-session code — scoped channels do the routing)."""
+    """Child process: peer ``name`` of every session — one blocking
+    :func:`run_role` thread per session, each over its own
+    session-scoped connection with that session's seed and values (the
+    node is the unchanged single-session code; scoped connections do the
+    routing)."""
     threads = [
         threading.Thread(
             target=run_role,
-            args=("shard", name, dial(name, host, port, session=s, timeout=timeout)),
-            kwargs=dict(timeout=timeout),
+            args=(role, name, dial(name, host, port, session=s, timeout=timeout)),
+            kwargs=dict(
+                seed=session_seed(seed, s),
+                query=query,
+                values=session_values(values, s),
+                timeout=timeout,
+            ),
             daemon=True,
         )
         for s in range(sessions)
@@ -342,31 +289,26 @@ def run_async_sessions(
     host: str = "127.0.0.1",
     port: int = 0,
     timeout: float = 120.0,
-    reply_delay: float = 0.0,
     verify_equivalence: bool | None = None,
     metrics: ServingMetrics | None = None,
 ) -> dict:
     """N concurrent sessions through one :class:`SessionMux` front-end.
 
     The topology is the socket one of :func:`run_distributed_session`,
-    made async: K :class:`AsyncServerNode` processes (each hosting one
-    prover per session over a single connection) and one
-    :class:`AsyncClientRunner` process (one population per session, with
-    session s's values rotated by s), all multiplexed by a single
-    front-end process.  Session *s* runs under seed ``{seed}/s{s}``, and
-    ``verify_equivalence`` (default: on whenever seeded) replays every
-    session through a solo in-process :class:`Session` and compares the
-    wire-encoded releases byte for byte.
+    multiplexed: one child process per peer of the cast (K servers, S
+    shard workers, the client runner), each running one
+    session-scoped :func:`run_role` thread per session — session *s*
+    under seed ``{seed}/s{s}`` with the values rotated by *s* — and one
+    front-end process serving all N sessions.  ``verify_equivalence``
+    (default: on whenever seeded) replays every session through a solo
+    in-process :class:`Session` and compares the wire-encoded releases
+    byte for byte.
 
     ``shards > 0`` backs *every* session with that many
     :class:`ShardWorker` peers — the ``--async --shards`` composition:
     one front-end multiplexes N sessions, each fanning verification
     across S session-scoped shard workers; the solo replay runs at the
     chunk size the mux reports each session actually used.
-
-    ``reply_delay`` makes every server sleep that long before each RPC
-    reply — simulated remote-prover latency, the idle time the mux
-    exists to overlap (benchmark knob, zero by default).
     """
     if sessions < 1:
         raise ParameterError("sessions must be >= 1")
@@ -382,81 +324,68 @@ def run_async_sessions(
         num_provers=num_servers, group=group, nb_override=nb_override
     )
 
+    # Every peer of every session holds one connection scoped to that
+    # session; pinning each (name, session) pair drops a hostile
+    # handshake claiming an expected name under a scope it does not own.
+    pins = [(name, s) for _, name in roles for s in range(sessions)]
+
     # Bind the listener before forking so children know the port; the
-    # asyncio server adopts this socket inside the loop.
+    # asyncio server adopts this socket inside the loop.  The children
+    # dial before the loop accepts, so the queue holds every connection:
+    # a SYN past a full queue waits for a ≈ 1 s retransmit.
     listener_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener_sock.bind((host, port))
-    listener_sock.listen(16)
+    listener_sock.listen(len(pins))
     bound_port = listener_sock.getsockname()[1]
 
     context = get_context("fork")
     processes = [
         context.Process(
-            target=_async_server_main,
-            args=(name, host, bound_port, seed, sessions, timeout, reply_delay),
+            target=_session_peer_main,
+            args=(role, name, host, bound_port, sessions, query, values, seed, timeout),
             daemon=True,
         )
-        for name in server_names
+        for role, name in roles
     ]
-    processes += [
-        context.Process(
-            target=_session_shards_main,
-            args=(name, host, bound_port, sessions, timeout),
-            daemon=True,
-        )
-        for name in shard_names
-    ]
-    processes.append(
-        context.Process(
-            target=_async_clients_main,
-            args=(host, bound_port, query, values, seed, sessions, timeout),
-            daemon=True,
-        )
-    )
-    # Servers and clients hold one SESSION_ANY connection each; every
-    # shard child holds one *scoped* connection per session.
-    expected_conns = num_servers + 1 + shards * sessions
 
-    mux_box: dict = {}
+    served: dict = {}
     start = time.perf_counter()
 
     async def front_end() -> None:
         transport = await AsyncSocketTransport.listen("analyst", sock=listener_sock)
-        mux_box["transport"] = transport
+        served["transport"] = transport
+        mux = SessionMux(
+            transport,
+            server_names,
+            timeout=timeout,
+            max_concurrency=sessions,
+            metrics=metrics,
+        )
         try:
-            # Scope-pinned expectations: the multi-session hosts may only
-            # handshake at SESSION_ANY and each shard worker only at its
-            # own session, so a hostile handshake claiming an expected
-            # name under an unoccupied scope (to hijack that session's
-            # routing) is dropped.  Lockdown afterwards — the topology is
-            # complete, late connections are not.
-            await transport.accept(
-                expected_conns,
-                timeout,
-                expected=[
-                    (name, SESSION_ANY) for name in server_names + ["clients"]
-                ]
-                + [(name, s) for name in shard_names for s in range(sessions)],
-            )
+            # Lockdown once everyone is in — the topology is complete,
+            # late connections are not.
+            await transport.accept(len(pins), timeout, expected=pins)
             transport.lockdown()
-            specs = [
-                SessionSpec(
-                    query,
-                    rng=root_rng(session_seed(seed, s)),
-                    group=group,
-                    nb_override=nb_override,
-                    chunk_size=chunk_size,
-                    shards=shard_names,
-                )
-                for s in range(sessions)
-            ]
-            mux = SessionMux(
-                specs, transport, server_names, timeout=timeout, metrics=metrics
+            served["outcomes"] = await asyncio.gather(
+                *[
+                    mux.serve_session(
+                        s,
+                        SessionSpec(
+                            query,
+                            rng=root_rng(session_seed(seed, s)),
+                            group=group,
+                            nb_override=nb_override,
+                            chunk_size=chunk_size,
+                            shards=shard_names,
+                        ),
+                    )
+                    for s in range(sessions)
+                ],
+                return_exceptions=True,
             )
-            mux_box["mux"] = mux
-            await mux.run()
         finally:
+            mux.close()
             # Unblock children before they are joined (same lifecycle rule
             # as the sync path's cleanup ordering).
             await transport.aclose()
@@ -477,19 +406,20 @@ def run_async_sessions(
         _terminate_processes(started)  # only a hung child is still alive
     elapsed = time.perf_counter() - start
 
-    mux = mux_box["mux"]
-    transport = mux_box["transport"]
-    for _, error in sorted(mux.errors.items()):
-        if error is not None:
-            raise error
+    transport = served["transport"]
+    outcomes = served["outcomes"]
+    for one in outcomes:
+        if isinstance(one, BaseException):
+            raise one
     session_rows = []
-    for s, result in sorted(mux.results.items()):
-        release_bytes = encode_message(result.release)
+    for s, one in enumerate(outcomes):
+        release = one.result.release
+        release_bytes = encode_message(release)
         row = {
             "session": s,
-            "accepted": result.release.accepted,
-            "estimate": result.release.estimate,
-            "elapsed_s": mux.session_seconds[s],
+            "accepted": release.accepted,
+            "estimate": release.estimate,
+            "elapsed_s": one.seconds,
             "release_bytes": len(release_bytes),
         }
         if verify_equivalence:
@@ -500,7 +430,7 @@ def run_async_sessions(
                 num_servers=num_servers,
                 group=group,
                 nb_override=nb_override,
-                chunk_size=mux.chunk_sizes[s],
+                chunk_size=one.chunk_size,
             )
         session_rows.append(row)
 
@@ -512,11 +442,10 @@ def run_async_sessions(
         "n_clients": len(values),
         "nb": params.nb,
         "group": group,
-        "chunk_size": mux.chunk_sizes[0],
-        "reply_delay_s": reply_delay,
+        "chunk_size": outcomes[0].chunk_size,
         "elapsed_s": elapsed,
         "sessions_per_sec": sessions / elapsed if elapsed else float("inf"),
-        "p50_session_s": statistics.median(mux.session_seconds.values()),
+        "p50_session_s": statistics.median(one.seconds for one in outcomes),
         "accepted": all(row["accepted"] for row in session_rows),
         "frontend_bytes_sent": transport.bytes_sent,
         "frontend_bytes_received": transport.bytes_received,

@@ -43,9 +43,7 @@ __all__ = [
     "multiprocess_star",
     "HandshakeGate",
     "DEFAULT_MAX_FRAME_BYTES",
-    "SESSION_ANY",
     "pack_frame",
-    "pack_handshake",
     "split_header_word",
     "check_session_id",
     "check_frame_size",
@@ -63,12 +61,13 @@ _LEN = struct.Struct(">I")
 #
 # Session 0 is always written as v1, so a session-unaware peer and a
 # session-aware one exchange byte-identical streams for the default
-# session — sync and async transports interoperate on the wire.
+# session — sync and async transports interoperate on the wire.  The
+# one-frame handshake is such a frame too: its header announces the one
+# session the connection serves (its *scope*).
 _V2_FLAG = 0x8000_0000
 
-# Handshake scope marker: a connection announcing SESSION_ANY serves
-# every session (an async multi-session host).  Never a frame's session.
-SESSION_ANY = 0xFFFF_FFFF
+# The largest session id the header's 4-byte field carries.
+_SESSION_MAX = 0xFFFF_FFFF
 
 # Upper bound on a single frame an unauthenticated TCP peer can make a
 # node buffer: well above any legitimate protocol frame (a nb=4096
@@ -103,23 +102,9 @@ def pack_frame(frame: bytes, session: int = 0) -> bytes:
         raise ParameterError("frame too large for the length prefix")
     if session == 0:
         return _LEN.pack(len(frame)) + frame
-    if not 0 < session < SESSION_ANY:
+    if not 0 < session <= _SESSION_MAX:
         raise ParameterError("session id out of range")
     return _LEN.pack(_V2_FLAG | len(frame)) + _LEN.pack(session) + frame
-
-
-def pack_handshake(name: str, session: int = 0) -> bytes:
-    """The one-frame name announcement; its header carries the scope.
-
-    Scope 0 is the v1 handshake every legacy peer already sends;
-    ``SESSION_ANY`` announces a multi-session host.
-    """
-    if not 0 <= session <= SESSION_ANY:
-        raise ParameterError("session id out of range")
-    payload = name.encode()
-    if session == 0:
-        return _LEN.pack(len(payload)) + payload
-    return _LEN.pack(_V2_FLAG | len(payload)) + _LEN.pack(session) + payload
 
 
 def split_header_word(word: int) -> tuple[int, bool]:
@@ -129,10 +114,9 @@ def split_header_word(word: int) -> tuple[int, bool]:
     return word, False
 
 
-def check_session_id(session: int, *, party: str, handshake: bool) -> None:
-    """Reject v2 session ids the format reserves (0 is always written as
-    v1; SESSION_ANY is a handshake scope, hostile in a data frame)."""
-    if session == 0 or (session == SESSION_ANY and not handshake):
+def check_session_id(session: int, *, party: str) -> None:
+    """Reject a v2 header naming session 0, which is always written as v1."""
+    if session == 0:
         raise ProtocolAbort(f"{party!r} sent an invalid v2 session id", party=party)
 
 
@@ -151,8 +135,8 @@ class HandshakeGate:
     through, so a hardening fix lands on both.
 
     ``session`` is the one session a blocking listener serves (it keys
-    connections by name and refuses foreign scopes); ``None`` is a
-    multi-session listener, which keys them by ``(name, scope)``.
+    connections by name and refuses every other scope); ``None`` is a
+    multiplexing listener, which keys them by ``(name, scope)``.
     ``expected`` entries are peer names, or ``(name, scope)`` pairs that
     pin the scope too — what stops an impostor claiming an expected
     *name* under a session scope the real peer does not occupy.  Names
@@ -173,9 +157,8 @@ class HandshakeGate:
         key: object = peer
         if self.session is None:
             key = (peer, scope)
-            if scope != SESSION_ANY:
-                label += f" (session {scope})"
-        elif scope not in (SESSION_ANY, self.session):
+            label += f" (session {scope})"
+        elif scope != self.session:
             # A peer bound to a different session has no business on a
             # single-session listener — connect it to a SessionMux.
             self.note_dropped(
@@ -402,7 +385,7 @@ class SocketTransport(Transport):
         super().__init__(name)
         if not 1 <= max_frame_bytes < _V2_FLAG:
             raise ParameterError("max_frame_bytes must be in [1, 2**31)")
-        if not 0 <= session < SESSION_ANY:
+        if not 0 <= session <= _SESSION_MAX:
             raise ParameterError("session id out of range")
         self.max_frame_bytes = max_frame_bytes
         self.session = session
@@ -439,7 +422,7 @@ class SocketTransport(Transport):
         count: int,
         timeout: float | None = 30.0,
         *,
-        expected: list[str] | None = None,
+        expected: list | None = None,
     ) -> list[str]:
         """Accept ``count`` handshaking peers; returns their names.
 
@@ -491,7 +474,6 @@ class SocketTransport(Transport):
                     handshake_timeout,
                     party="connecting peer",
                     max_bytes=_HANDSHAKE_MAX_BYTES,
-                    handshake=True,
                 )
                 peer = raw_name.decode()
             except (ProtocolAbort, UnicodeDecodeError):
@@ -529,7 +511,7 @@ class SocketTransport(Transport):
         transport = cls(name, max_frame_bytes=max_frame_bytes, session=session)
         sock = socket.create_connection((host, port), timeout=timeout)
         _prepare_stream_socket(sock)
-        sock.sendall(pack_handshake(name, session))
+        sock.sendall(pack_frame(name.encode(), session))
         transport._sockets[peer] = sock
         return transport
 
@@ -572,13 +554,8 @@ def _read_session_frame(
     *,
     party: str,
     max_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    handshake: bool = False,
 ) -> tuple[int, bytes]:
-    """One (session, frame) off a socket; v1 headers decode as session 0.
-
-    ``handshake`` admits the :data:`SESSION_ANY` scope marker, which is
-    hostile anywhere else.
-    """
+    """One (session, frame) off a socket; v1 headers decode as session 0."""
     # One monotonic deadline for the whole frame: re-arming the socket
     # timeout per recv would let a byte-trickling peer hold the read open
     # for timeout-per-byte instead of timeout-per-frame.
@@ -589,7 +566,7 @@ def _read_session_frame(
         session = 0
         if has_session:
             session = _LEN.unpack(_read_exact(sock, _LEN.size, party, deadline))[0]
-            check_session_id(session, party=party, handshake=handshake)
+            check_session_id(session, party=party)
         check_frame_size(size, max_bytes, party)
         return session, _read_exact(sock, size, party, deadline)
     except TimeoutError as exc:

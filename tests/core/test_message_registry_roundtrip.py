@@ -15,6 +15,9 @@ type automatically extends coverage: the build fails with an explicit
 and the codec bug class (field dropped in encode, order swapped in
 decode) is caught without waiting for a distributed smoke test to
 happen to send that message.
+
+The last test is the backend differential: the pure and the libsodium
+ristretto255 must agree on every frame here and on its hostile variants.
 """
 
 import dataclasses
@@ -23,7 +26,10 @@ import pytest
 
 from repro.core import messages as m
 from repro.core.params import setup
+from repro.crypto.group import GroupElement
+from repro.crypto.ristretto import RistrettoGroup
 from repro.crypto.serialization import _registry, decode_message, encode_message
+from repro.crypto.sodium import SodiumRistrettoGroup
 from repro.errors import EncodingError, NotOnGroupError
 from repro.utils.rng import SeededRNG
 
@@ -191,3 +197,59 @@ def test_hostile_frames_raise_only_decoding_errors(params, tag, mutations):
                 decode_message(params.group, frame)
             except (EncodingError, NotOnGroupError):
                 pass
+
+
+@pytest.fixture(scope="module")
+def ristretto_backends():
+    """The reference ristretto255 params and the libsodium group."""
+    native = SodiumRistrettoGroup.instance()
+    if native is None:
+        pytest.skip("libsodium with ristretto255 is not loadable on this host")
+    pure = setup(
+        1.0, 2**-10, num_provers=2, group=RistrettoGroup.instance(), nb_override=31
+    )
+    return pure, native
+
+
+def _first_element(value):
+    """The first group element of a message, in field order (or None)."""
+    if isinstance(value, GroupElement):
+        return value
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            found = _first_element(item)
+            if found is not None:
+                return found
+    return None
+
+
+def _decoded(group, frame):
+    """What ``frame`` decodes to on ``group``: the re-encoded message, or
+    the type of the exception raised."""
+    try:
+        return encode_message(decode_message(group, frame))
+    except Exception as exc:  # any type, compared across the backends
+        return type(exc)
+
+
+@pytest.mark.parametrize("tag", _TAGS)
+def test_backends_agree_on_hostile_frames(ristretto_backends, tag, mutations):
+    """ROADMAP 5(c): the pure and the libsodium ristretto255 decode every
+    builder frame, its 64 mutations and PR 17's bit-255 trap (the top bit
+    of the first element encoding set) to the same bytes or the same
+    exception type."""
+    pure, native = ristretto_backends
+    cls = _registry()[0][tag][0]
+    for message in BUILDERS[cls](pure):
+        data = encode_message(message)
+        frames = [data, *mutations(data, 64, f"backends-{tag!r}")]
+        element = _first_element(message)
+        if element is not None:
+            at = data.index(element.to_bytes()) + 31
+            trap = data[:at] + bytes([data[at] | 0x80]) + data[at + 1:]
+            assert _decoded(pure.group, trap) is NotOnGroupError
+            frames.append(trap)
+        for frame in frames:
+            assert _decoded(pure.group, frame) == _decoded(native, frame), frame.hex()

@@ -1,37 +1,28 @@
-"""Async serving: wire compat, session demux, and mux byte-identity.
+"""Async serving: wire compat, per-session connections, mux byte-identity.
 
 The acceptance bar of the async front-end: seeded releases from a
-:class:`SessionMux` with N ∈ {1, 2, 4} concurrent sessions are
+:class:`SessionMux` with N ∈ {1, 2, 4} concurrent sessions, served by
+session-scoped blocking :func:`~repro.net.roles.run_role` peers, are
 byte-identical to the corresponding solo in-process
-:class:`repro.api.Session` runs, over async-only *and* mixed sync/async
-peer topologies; and a peer that dies mid-phase yields an attributed
-:class:`ProtocolAbort` for its session only — never a hang, never
-collateral damage to the other sessions.
+:class:`repro.api.Session` runs; legacy v1 peers serve session 0
+unchanged; and every connection is one peer of one session — a frame
+tagged with another session aborts it, naming that peer.
 """
 
 import asyncio
 import socket
 import struct
 import threading
-import time
 
 import pytest
 
 from repro.api.queries import CountQuery
 from repro.api.session import Session
 from repro.crypto.serialization import encode_message
-from repro.errors import ProtocolAbort
-from repro.net.aio import (
-    AsyncClientRunner,
-    AsyncServerNode,
-    AsyncSocketTransport,
-    SessionChannel,
-    SessionMux,
-    SessionSpec,
-)
-from repro.net.nodes import ServerNode
+from repro.errors import ParameterError, ProtocolAbort
+from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
 from repro.net.roles import dial, peer_roles, run_role
-from repro.net.transport import SESSION_ANY, SocketTransport, pack_frame
+from repro.net.transport import SocketTransport, pack_frame
 from repro.utils.rng import SeededRNG
 
 DELTA = 2**-10
@@ -61,6 +52,10 @@ def _solo_release_bytes(run: str, session: int) -> bytes:
     return encode_message(solo.release().release)
 
 
+def _connect(name: str, port: int, session: int) -> SocketTransport:
+    return SocketTransport.connect(name, "analyst", port=port, session=session)
+
+
 class TestFrameFormat:
     def test_session_zero_is_the_legacy_wire_format(self):
         """v1 byte-compat: a session-0 frame is exactly the old header."""
@@ -77,18 +72,18 @@ class TestFrameFormat:
 
 class TestAsyncTransport:
     def test_roundtrip_and_session_demux(self):
-        """Frames for different sessions interleave over one connection
-        and land in the right per-session queues, in order."""
+        """One peer's connections for different sessions interleave their
+        frames; each lands in its own session's queue, in order, and a
+        reply goes out on the connection of its session."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            peer = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
-            await listener.accept(1, 5.0)
-            await peer.send("analyst", b"s2-first", session=2)
-            await peer.send("analyst", b"s0", session=0)
-            await peer.send("analyst", b"s2-second", session=2)
+            s0 = _connect("peer-1", listener.port, 0)
+            s2 = _connect("peer-1", listener.port, 2)
+            await listener.accept(2, 5.0)
+            s2.send("analyst", b"s2-first")
+            s0.send("analyst", b"s0")
+            s2.send("analyst", b"s2-second")
             assert await listener.recv("peer-1", session=0, timeout=5.0) == b"s0"
             assert (
                 await listener.recv("peer-1", session=2, timeout=5.0) == b"s2-first"
@@ -97,8 +92,9 @@ class TestAsyncTransport:
                 await listener.recv("peer-1", session=2, timeout=5.0) == b"s2-second"
             )
             await listener.send("peer-1", b"pong", session=2)
-            assert await peer.recv("analyst", session=2, timeout=5.0) == b"pong"
-            await peer.aclose()
+            assert s2.recv("analyst", timeout=5.0) == b"pong"
+            s0.close()
+            s2.close()
             await listener.aclose()
 
         asyncio.run(main())
@@ -106,14 +102,12 @@ class TestAsyncTransport:
     def test_recv_timeout_aborts_with_peer_named(self):
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            peer = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
+            peer = _connect("peer-1", listener.port, 0)
             await listener.accept(1, 5.0)
             with pytest.raises(ProtocolAbort) as err:
                 await listener.recv("peer-1", timeout=0.05)
             assert err.value.party == "peer-1"
-            await peer.aclose()
+            peer.close()
             await listener.aclose()
 
         asyncio.run(main())
@@ -121,13 +115,13 @@ class TestAsyncTransport:
     def test_closed_peer_aborts_pending_recv(self):
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            peer = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
+            peer = _connect("peer-1", listener.port, 1)
             await listener.accept(1, 5.0)
-            recv = asyncio.ensure_future(listener.recv("peer-1", timeout=10.0))
+            recv = asyncio.ensure_future(
+                listener.recv("peer-1", session=1, timeout=10.0)
+            )
             await asyncio.sleep(0.05)
-            await peer.aclose()
+            peer.close()
             with pytest.raises(ProtocolAbort) as err:
                 await recv
             assert err.value.party == "peer-1"
@@ -152,59 +146,81 @@ class TestAsyncTransport:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize(
+        "scope, foreign",
+        [(2, 3), (0, 3), (3, 0), (2, 0xFFFFFFFF)],
+        ids=["v2-to-v2", "v1-to-v2", "v2-to-v1", "v2-to-all-ones"],
+    )
+    def test_frame_from_another_session_aborts_naming_the_peer(self, scope, foreign):
+        """A connection is one peer of one session: a frame tagged with
+        any other session aborts it, attributed to that peer — whichever
+        header version either side uses."""
+
+        async def main():
+            listener = await AsyncSocketTransport.listen("analyst")
+            raw = socket.create_connection(("127.0.0.1", listener.port))
+            raw.sendall(pack_frame(b"peer-1", scope))
+            await listener.accept(1, 5.0)
+            raw.sendall(pack_frame(b"for another session", foreign))
+            with pytest.raises(ProtocolAbort) as err:
+                await listener.recv("peer-1", session=scope, timeout=5.0)
+            assert err.value.party == "peer-1"
+            assert (
+                f"session-{foreign} frame on a session-{scope} channel"
+                in str(err.value)
+            )
+            assert listener.frames_received == 0
+            raw.close()
+            await listener.aclose()
+
+        asyncio.run(main())
+
     def test_duplicate_scope_handshake_dropped_not_fatal(self):
-        """Two ANY-scope connections claiming one name: the second is
+        """Two connections claiming one (name, session): the second is
         dropped, the honest one keeps serving."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            first = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
+            first = _connect("peer-1", listener.port, 1)
             await listener.accept(1, 5.0)
-            squatter = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
-            second = await AsyncSocketTransport.connect(
-                "peer-2", "analyst", port=listener.port
-            )
+            squatter = _connect("peer-1", listener.port, 1)
+            second = _connect("peer-2", listener.port, 1)
             assert await listener.accept(1, 5.0) == ["peer-2"]
-            assert listener.dropped_handshakes == ["duplicate name 'peer-1'"]
-            await first.send("analyst", b"still-first")
-            assert await listener.recv("peer-1", timeout=5.0) == b"still-first"
+            assert listener.dropped_handshakes == [
+                "duplicate name 'peer-1' (session 1)"
+            ]
+            first.send("analyst", b"still-first")
+            assert await listener.recv("peer-1", session=1, timeout=5.0) == (
+                b"still-first"
+            )
             for transport in (first, squatter, second):
-                await transport.aclose()
+                transport.close()
             await listener.aclose()
 
         asyncio.run(main())
 
     def test_scope_pinned_expected_drops_session_impostor(self):
         """An impostor handshaking an expected *name* under a session
-        scope (to hijack that session's exact-scope routing) is dropped
-        when the front-end pins scopes; the honest ANY-scope host keeps
-        every session."""
+        scope it does not own is dropped when the front-end pins scopes;
+        the honest peer keeps its own session."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
             accept = asyncio.ensure_future(
-                listener.accept(1, 5.0, expected=[("prover-0", SESSION_ANY)])
+                listener.accept(1, 5.0, expected=[("prover-0", 3)])
             )
             await asyncio.sleep(0.05)  # the expectation filter is armed
-            impostor = SocketTransport.connect(
-                "prover-0", "analyst", port=listener.port, session=2
-            )
-            honest = await AsyncSocketTransport.connect(
-                "prover-0", "analyst", port=listener.port
-            )
+            impostor = _connect("prover-0", listener.port, 2)
+            honest = _connect("prover-0", listener.port, 3)
             assert await accept == ["prover-0"]
             assert any(
                 "unexpected name 'prover-0' (session 2)" in note
                 for note in listener.dropped_handshakes
             ), listener.dropped_handshakes
-            await listener.send("prover-0", b"hello", session=2)
-            assert await honest.recv("analyst", session=2, timeout=5.0) == b"hello"
+            await listener.send("prover-0", b"hello", session=3)
+            assert honest.recv("analyst", timeout=5.0) == b"hello"
             impostor.close()
-            await honest.aclose()
+            honest.close()
             await listener.aclose()
 
         asyncio.run(main())
@@ -215,9 +231,7 @@ class TestAsyncTransport:
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            peer = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
+            peer = _connect("peer-1", listener.port, 0)
             await listener.accept(1, 5.0)
             listener.lockdown()
             late = SocketTransport.connect("mallory", "analyst", port=listener.port)
@@ -225,7 +239,7 @@ class TestAsyncTransport:
             assert "<connection after lockdown>" in listener.dropped_handshakes
             assert not any(name == "mallory" for name, _ in listener._conns)
             late.close()
-            await peer.aclose()
+            peer.close()
             await listener.aclose()
 
         asyncio.run(main())
@@ -239,13 +253,11 @@ class TestAsyncTransport:
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
             accept = asyncio.ensure_future(
-                listener.accept(1, 5.0, expected=[("prover-0", SESSION_ANY)])
+                listener.accept(1, 5.0, expected=[("prover-0", 3)])
             )
             await asyncio.sleep(0.05)
             sneak = socket.create_connection(("127.0.0.1", listener.port))
-            honest = await AsyncSocketTransport.connect(
-                "prover-0", "analyst", port=listener.port
-            )
+            honest = _connect("prover-0", listener.port, 3)
             assert await accept == ["prover-0"]
             listener.lockdown()
             # Handshake lands only now: name expected, scope session 2.
@@ -254,171 +266,126 @@ class TestAsyncTransport:
             assert ("prover-0", 2) not in listener._conns
             assert "<connection after lockdown>" in listener.dropped_handshakes
             sneak.close()
-            await honest.aclose()
+            honest.close()
             await listener.aclose()
 
         asyncio.run(main())
 
     def test_scoped_connections_share_a_name(self):
-        """The same peer name can appear once per session scope; outbound
-        frames route to the exact scope before the ANY fallback."""
+        """The same peer name appears once per session scope; outbound
+        frames go to the connection of their session and nowhere else."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            any_scope = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
-            scoped = SocketTransport.connect(
-                "peer-1", "analyst", port=listener.port, session=3
-            )
+            one = _connect("peer-1", listener.port, 1)
+            three = _connect("peer-1", listener.port, 3)
             await listener.accept(2, 5.0)
-            await listener.send("peer-1", b"to-any", session=1)
-            await listener.send("peer-1", b"to-scoped", session=3)
-            assert await any_scope.recv("analyst", session=1, timeout=5.0) == b"to-any"
-            assert scoped.recv("analyst", timeout=5.0) == b"to-scoped"
-            scoped.close()
-            await any_scope.aclose()
+            await listener.send("peer-1", b"to-1", session=1)
+            await listener.send("peer-1", b"to-3", session=3)
+            assert one.recv("analyst", timeout=5.0) == b"to-1"
+            assert three.recv("analyst", timeout=5.0) == b"to-3"
+            with pytest.raises(ParameterError, match="no channel to 'peer-1' for session 2"):
+                await listener.send("peer-1", b"nobody", session=2)
+            one.close()
+            three.close()
             await listener.aclose()
 
         asyncio.run(main())
 
 
-def _run_mux_topology(run: str, sessions: int, sync_sessions: set[int]):
-    """One mux front-end, K server peers, one client peer; the sessions in
-    ``sync_sessions`` are served by blocking scoped SocketTransport peers
-    on threads, the rest by async multi-session hosts."""
+def _run_mux(run: str, sessions: int, opener=dial):
+    """One mux front-end; every peer of every session is a blocking
+    :func:`run_role` thread over its own connection (``opener(name,
+    host, port, session=s)``), as the ``--async`` children and a fleet
+    worker run them.  Returns what each ``serve_session`` came to."""
 
     async def main():
         listener = await AsyncSocketTransport.listen("analyst")
-        port = listener.port
-        threads = []
-        for name in SERVERS:
-            for s in sorted(sync_sessions):
-                transport = SocketTransport.connect(
-                    name, "analyst", port=port, session=s
-                )
-                node = ServerNode(
-                    transport, SeededRNG(_seed(run, s)).fork(name), timeout=30.0
-                )
-                threads.append(threading.Thread(target=node.run, daemon=True))
+        threads = [
+            threading.Thread(
+                target=run_role,
+                args=(role, name, opener(name, "127.0.0.1", listener.port, session=s)),
+                kwargs=dict(
+                    seed=_seed(run, s), query=QUERY, values=_values(s), timeout=30.0
+                ),
+                daemon=True,
+            )
+            for s in range(sessions)
+            for role, name in peer_roles(len(SERVERS), 0)
+        ]
         for thread in threads:
             thread.start()
-
-        async_sessions = [s for s in range(sessions) if s not in sync_sessions]
-        async_transports = []
-        tasks = []
-        for name in SERVERS:
-            transport = await AsyncSocketTransport.connect(
-                name, "analyst", port=port
+        mux = SessionMux(listener, SERVERS, timeout=30.0, max_concurrency=sessions)
+        try:
+            await listener.accept(len(threads), 15.0)
+            return await asyncio.gather(
+                *[
+                    mux.serve_session(
+                        s,
+                        SessionSpec(
+                            QUERY,
+                            rng=SeededRNG(_seed(run, s)),
+                            group="p64-sim",
+                            nb_override=32,
+                        ),
+                    )
+                    for s in range(sessions)
+                ],
+                return_exceptions=True,
             )
-            async_transports.append(transport)
-            if async_sessions:
-                node = AsyncServerNode(
-                    transport,
-                    {
-                        s: SeededRNG(_seed(run, s)).fork(name)
-                        for s in async_sessions
-                    },
-                    timeout=30.0,
-                )
-                tasks.append(node.run())
-        clients_transport = await AsyncSocketTransport.connect(
-            "clients", "analyst", port=port
-        )
-        async_transports.append(clients_transport)
-        runner = AsyncClientRunner(
-            clients_transport,
-            {
-                s: (QUERY, _values(s), SeededRNG(_seed(run, s)))
-                for s in range(sessions)
-            },
-            timeout=30.0,
-        )
-        tasks.append(runner.run())
-
-        expect = len(SERVERS) * (1 + len(sync_sessions)) + 1
-        await listener.accept(expect, 15.0)
-
-        mux = SessionMux(
-            [
-                SessionSpec(
-                    QUERY,
-                    rng=SeededRNG(_seed(run, s)),
-                    group="p64-sim",
-                    nb_override=32,
-                )
-                for s in range(sessions)
-            ],
-            listener,
-            SERVERS,
-            timeout=30.0,
-        )
-        await asyncio.gather(mux.run(), *tasks)
-        for thread in threads:
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-        for transport in async_transports:
-            await transport.aclose()
-        await listener.aclose()
-        return mux
+        finally:
+            mux.close()
+            await listener.aclose()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
 
     return asyncio.run(main())
 
 
 class TestSessionMuxByteIdentity:
     @pytest.mark.parametrize("sessions", [1, 2, 4])
-    def test_async_only_topology(self, sessions):
+    def test_scoped_peers(self, sessions):
         """Every mux session == its solo in-process Session, byte for byte."""
         run = f"aio-{sessions}"
-        mux = _run_mux_topology(run, sessions, sync_sessions=set())
-        for s in range(sessions):
-            assert mux.errors[s] is None, mux.errors[s]
-            release = mux.results[s].release
-            assert release.accepted
-            assert encode_message(release) == _solo_release_bytes(run, s)
-
-    @pytest.mark.parametrize("sessions", [2, 4])
-    def test_mixed_sync_async_topology(self, sessions):
-        """Session 1's provers are blocking SocketTransport peers bound to
-        that session; the rest ride async hosts.  Wire compatibility means
-        the mux cannot tell the difference — byte-identity must hold for
-        every session."""
-        run = f"mixed-{sessions}"
-        mux = _run_mux_topology(run, sessions, sync_sessions={1})
-        for s in range(sessions):
-            assert mux.errors[s] is None, mux.errors[s]
-            assert encode_message(mux.results[s].release) == _solo_release_bytes(
-                run, s
-            )
+        served = _run_mux(run, sessions)
+        for s, one in enumerate(served):
+            assert not isinstance(one, BaseException), one
+            assert one.result.release.accepted
+            assert encode_message(one.result.release) == _solo_release_bytes(run, s)
 
     def test_legacy_sync_peers_serve_session_zero(self):
         """A single-session mux over peers that speak only the v1 wire
-        format (no session binding at all) — old nodes against the new
-        front-end, byte-identical release."""
+        format (a plain ``SocketTransport.connect``, no session binding
+        at all) — old nodes against the new front-end, byte-identical
+        release."""
+
+        def legacy(name, host, port, session):
+            assert session == 0
+            return lambda: SocketTransport.connect(name, "analyst", host, port)
+
         run = "legacy"
-        mux = _run_mux_topology(run, 1, sync_sessions={0})
-        assert mux.errors[0] is None, mux.errors[0]
-        assert encode_message(mux.results[0].release) == _solo_release_bytes(run, 0)
+        (one,) = _run_mux(run, 1, opener=legacy)
+        assert not isinstance(one, BaseException), one
+        assert encode_message(one.result.release) == _solo_release_bytes(run, 0)
 
 
-class TestDynamicMuxForgets:
-    """A dynamic mux (``specs=None``, the fleet worker's) serves an
-    unbounded stream of sessions, and an ``EngineResult`` retains every
-    broadcast and coin message of its run: once ``serve_session`` is
-    over — returned or raised — the mux holds nothing keyed by that
-    session.  The maps stay the return value of the static ``run()``
-    (:class:`TestSessionMuxByteIdentity` reads them)."""
+class TestMuxForgets:
+    """A mux (the fleet worker's) serves an unbounded stream of
+    sessions, and an ``EngineResult`` retains every broadcast and coin
+    message of its run: once ``serve_session`` is over — returned or
+    raised — the mux holds nothing keyed by that session."""
 
     SID = 5
 
     def _serve(self, run: str, *, dead_prover: bool):
-        """One dynamic placement with session-scoped blocking peers, as a
-        fleet worker makes it; ``dead_prover`` replaces prover-1 with a
+        """One placement with session-scoped blocking peers, as a fleet
+        worker makes it; ``dead_prover`` replaces prover-1 with a
         connection that handshakes and hangs up."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            mux = SessionMux(None, listener, SERVERS, timeout=30.0)
+            mux = SessionMux(listener, SERVERS, timeout=30.0)
             threads = []
             for role, name in peer_roles(len(SERVERS), 0):
                 opener = dial(name, "127.0.0.1", listener.port, session=self.SID)

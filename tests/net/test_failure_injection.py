@@ -19,15 +19,10 @@ from repro.api.queries import CountQuery
 from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ProtocolAbort
-from repro.net.aio import (
-    AsyncClientRunner,
-    AsyncSocketTransport,
-    SessionChannel,
-    SessionMux,
-    SessionSpec,
-)
+from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
 from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
-from repro.net.transport import InMemoryHub
+from repro.net.roles import dial, run_role
+from repro.net.transport import InMemoryHub, SocketTransport
 from repro.utils.rng import SeededRNG
 
 DELTA = 2**-10
@@ -159,71 +154,80 @@ class TestAsyncPeerDeath:
         def seed(s):
             return f"{run}/s{s}"
 
+        def server_main(name, cls, s, port):
+            transport = SocketTransport.connect(name, "analyst", port=port, session=s)
+            try:
+                cls(transport, SeededRNG(seed(s)).fork(name), timeout=10.0).run()
+            except (ProtocolAbort, SystemExit):
+                pass  # the dying prover exits as a crashed process would
+            finally:
+                transport.close()
+
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
-            loop = asyncio.get_running_loop()
-            transports = []
-            tasks = []
-            for name in servers:
-                transport = await AsyncSocketTransport.connect(
-                    name, "analyst", port=listener.port
+            threads = []
+            for s in range(2):
+                for name in servers:
+                    cls = _DieBeforeMorra if (s, name) == (1, "prover-1") else ServerNode
+                    threads.append(
+                        threading.Thread(
+                            target=server_main,
+                            args=(name, cls, s, listener.port),
+                            daemon=True,
+                        )
+                    )
+                threads.append(
+                    threading.Thread(
+                        target=run_role,
+                        args=(
+                            "clients",
+                            "clients",
+                            dial("clients", "127.0.0.1", listener.port, session=s),
+                        ),
+                        kwargs=dict(
+                            seed=seed(s), query=QUERY, values=[1, 0, 1], timeout=10.0
+                        ),
+                        daemon=True,
+                    )
                 )
-                transports.append(transport)
-                for s in range(2):
-                    cls = (
-                        _DieBeforeMorra
-                        if (s == 1 and name == "prover-1")
-                        else ServerNode
-                    )
-                    node = cls(
-                        SessionChannel(transport, s, loop),
-                        SeededRNG(seed(s)).fork(name),
-                        timeout=10.0,
-                    )
-                    tasks.append(loop.run_in_executor(None, node.run))
-            clients = await AsyncSocketTransport.connect(
-                "clients", "analyst", port=listener.port
-            )
-            transports.append(clients)
-            runner = AsyncClientRunner(
-                clients,
-                {s: (QUERY, [1, 0, 1], SeededRNG(seed(s))) for s in range(2)},
-                timeout=10.0,
-            )
-            await listener.accept(3, 10.0)
-            mux = SessionMux(
-                [
-                    SessionSpec(
-                        QUERY,
-                        rng=SeededRNG(seed(s)),
-                        group="p64-sim",
-                        nb_override=16,
-                    )
-                    for s in range(2)
-                ],
-                listener,
-                servers,
-                timeout=3.0,
-            )
-            await asyncio.gather(mux.run(), runner.run(), return_exceptions=True)
-            await asyncio.gather(*tasks, return_exceptions=True)
-            for transport in transports:
-                await transport.aclose()
-            await listener.aclose()
-            return mux
+            for thread in threads:
+                thread.start()
+            await listener.accept(len(threads), 10.0)
+            mux = SessionMux(listener, servers, timeout=3.0)
+            try:
+                return await asyncio.gather(
+                    *[
+                        mux.serve_session(
+                            s,
+                            SessionSpec(
+                                QUERY,
+                                rng=SeededRNG(seed(s)),
+                                group="p64-sim",
+                                nb_override=16,
+                            ),
+                        )
+                        for s in range(2)
+                    ],
+                    return_exceptions=True,
+                )
+            finally:
+                mux.close()
+                await listener.aclose()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
 
         start = time.monotonic()
-        mux = asyncio.run(main())
+        healthy, dead = asyncio.run(main())
         assert time.monotonic() - start < 60.0
 
         # The dead peer's session aborted, attributed.
-        assert isinstance(mux.errors[1], ProtocolAbort)
-        assert mux.errors[1].party == "prover-1"
-        assert mux.results[1] is None
+        assert isinstance(dead, ProtocolAbort)
+        assert dead.party == "prover-1"
 
         # The healthy session is untouched: byte-identical to solo.
-        assert mux.errors[0] is None, mux.errors[0]
-        release = mux.results[0].release
+        assert not isinstance(healthy, BaseException), healthy
+        release = healthy.result.release
         assert release.accepted
         solo = Session(
             QUERY,

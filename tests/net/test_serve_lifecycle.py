@@ -16,6 +16,7 @@ Bugs fixed in the serve layer, pinned here:
   attributed party on stderr.
 """
 
+import socket
 import threading
 import time
 
@@ -97,6 +98,35 @@ class TestFailedStartupLeaks:
         assert all(not process.is_alive() for process in spawned), (
             "failed accept leaked live children"
         )
+
+    def test_async_listener_backlog_holds_every_connection(self, monkeypatch):
+        """``--async`` binds its listener before forking and the children
+        dial before the event loop accepts, so the pre-fork backlog must
+        hold every connection: one per peer per session, (K + S + 1)·N.
+        A SYN past a full queue waits for a ≈ 1 s retransmit."""
+        backlogs = []
+        real_listen = socket.socket.listen
+
+        def recording_listen(sock, *args):
+            backlogs.append(args[0] if args else None)
+            return real_listen(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", recording_listen)
+        sessions, servers, shards = 8, 2, 2
+        outcome = serve.run_async_sessions(
+            CountQuery(epsilon=1.0, delta=DELTA),
+            [1, 0, 1, 1],
+            sessions=sessions,
+            num_servers=servers,
+            shards=shards,
+            group="p64-sim",
+            nb_override=16,
+            seed="backlog",
+            timeout=60.0,
+        )
+        assert outcome["accepted"] and outcome["byte_identical"]
+        # The first listen is the pre-fork one; asyncio re-listens later.
+        assert backlogs[0] >= (servers + shards + 1) * sessions
 
     def test_successful_socket_startup_unaffected(self):
         """The guarded startup still hands back a working transport and

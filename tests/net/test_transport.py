@@ -19,6 +19,7 @@ from repro.net.transport import (
     MultiprocessTransport,
     SocketTransport,
     multiprocess_star,
+    pack_frame,
 )
 
 
@@ -148,6 +149,62 @@ class TestSocket:
         assert client.recv("analyst", timeout=5.0) == b"pong"
         client.close()
         listener.close()
+
+    @pytest.mark.parametrize("session", [0, 1, 3], ids=lambda s: f"session-{s}")
+    def test_connect_handshake_bytes(self, session):
+        """A scoped dialer's handshake is its name framed for its session:
+        the v1 header for session 0, the v2 header with the id otherwise —
+        the literal bytes every listener has always read."""
+        raw = socket.create_server(("127.0.0.1", 0))
+        peer = SocketTransport.connect(
+            "peer-1", "analyst", port=raw.getsockname()[1], session=session
+        )
+        conn, _ = raw.accept()
+        try:
+            if session == 0:
+                expected = struct.pack(">I", 6) + b"peer-1"
+            else:
+                expected = struct.pack(">II", 0x8000_0000 | 6, session) + b"peer-1"
+            conn.settimeout(5.0)
+            received = b""
+            while len(received) < len(expected):
+                chunk = conn.recv(len(expected) - len(received))
+                assert chunk, "dialer closed before its handshake"
+                received += chunk
+            assert received == expected
+        finally:
+            conn.close()
+            peer.close()
+            raw.close()
+
+    @pytest.mark.parametrize(
+        "scope, foreign",
+        [(0, 3), (3, 0), (3, 5)],
+        ids=["v1-to-v2", "v2-to-v1", "v2-to-v2"],
+    )
+    def test_scoped_dialer_aborts_on_a_frame_from_another_session(
+        self, scope, foreign
+    ):
+        """The blocking ``run_role`` side of a scoped connection: a frame
+        tagged with any other session aborts the read, naming the sender."""
+        raw = socket.create_server(("127.0.0.1", 0))
+        peer = SocketTransport.connect(
+            "peer-1", "analyst", port=raw.getsockname()[1], session=scope
+        )
+        conn, _ = raw.accept()
+        try:
+            conn.sendall(pack_frame(b"for another session", foreign))
+            with pytest.raises(ProtocolAbort) as err:
+                peer.recv("analyst", timeout=5.0)
+            assert err.value.party == "analyst"
+            assert (
+                f"session-{foreign} frame on a session-{scope} channel"
+                in str(err.value)
+            )
+        finally:
+            conn.close()
+            peer.close()
+            raw.close()
 
     def test_recv_timeout(self):
         listener = SocketTransport.listen("analyst")
@@ -306,8 +363,10 @@ class TestNoDelay:
             listener.close()
 
     def test_async_listener_and_blocking_dialer(self):
-        """The fleet / mixed-topology shape: a session-scoped blocking
-        peer dials an asyncio front-end."""
+        """Every mux peer's shape (``--async`` and the fleet): a
+        session-scoped blocking peer dials an asyncio front-end, whose
+        ``start_server`` side gets the option from asyncio's selector
+        transport — pinned, not re-coded."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
@@ -325,27 +384,6 @@ class TestNoDelay:
                 assert _nodelay(client._sockets["analyst"]) == 1
             finally:
                 client.close()
-                await listener.aclose()
-
-        asyncio.run(main())
-
-    def test_async_listener_and_async_dialer(self):
-        """asyncio's selector transport sets the option on both the
-        ``start_server`` and the ``open_connection`` side — pinned, not
-        re-coded."""
-
-        async def main():
-            listener = await AsyncSocketTransport.listen("analyst")
-            peer = await AsyncSocketTransport.connect(
-                "peer-1", "analyst", port=listener.port
-            )
-            try:
-                await listener.accept(1, 5.0)
-                for transport in (listener, peer):
-                    (conn,) = transport._conns.values()
-                    assert _nodelay(conn.writer.get_extra_info("socket")) == 1
-            finally:
-                await peer.aclose()
                 await listener.aclose()
 
         asyncio.run(main())

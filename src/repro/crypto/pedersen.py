@@ -117,6 +117,10 @@ class PedersenParams:
         # cache them instead of recomputing.
         self._const_zero = Commitment(group.identity())
         self._const_one = Commitment(self.g)
+        # pp never changes, and every coin's proof transcript absorbs it.
+        self._transcript_bytes = b"|".join(
+            [group.name.encode(), self.g.to_bytes(), self.h.to_bytes()]
+        )
 
     # Committing ----------------------------------------------------------
 
@@ -218,6 +222,4 @@ class PedersenParams:
 
     def transcript_bytes(self) -> bytes:
         """Canonical encoding of pp, bound into every proof transcript."""
-        return b"|".join(
-            [self.group.name.encode(), self.g.to_bytes(), self.h.to_bytes()]
-        )
+        return self._transcript_bytes

@@ -319,6 +319,79 @@ def _encode_coin_commitments(message) -> bytes:
     )
 
 
+# Frame sizes from shape ------------------------------------------------------
+#
+# The bus charges every message its exact frame length, and for the
+# messages a coin stream sends by the thousand — coin chunks and Morra
+# rounds — that length follows from the shape alone: every element of a
+# group encodes to the same width, a bit-proof scalar to
+# ``group.scalar_bytes`` and a ``_uint`` to its minimal big-endian length.
+# Each size function mirrors its encoder above and returns None for a
+# ragged, empty or negative message, which :func:`wire_size` then sizes
+# by encoding, so such a message fails exactly as its encoding does.
+
+_PREFIX = 4  # encode_length_prefixed's length field per part
+
+
+def _uint_size(value: int) -> int:
+    """``len(_uint(value))`` for ``value >= 0``."""
+    return (value.bit_length() + 7) // 8 or 1
+
+
+def _bit_proof_size(width: int, scalar: int) -> int:
+    """``len(encode_bit_proof(p))``: magic, d0, d1 and four scalars."""
+    return 7 * _PREFIX + len(_MAGIC_BIT) + 2 * width + 4 * scalar
+
+
+def _coin_commitments_size(message) -> int | None:
+    commitments, proofs = message.commitments, message.proofs
+    rows = len(commitments)
+    if not rows or len(proofs) != rows:
+        return None
+    lanes = len(commitments[0])
+    if not lanes or {*map(len, commitments), *map(len, proofs)} != {lanes}:
+        return None
+    element = commitments[0][0].element
+    width = len(element.to_bytes())
+    total = rows * lanes
+    return (
+        (3 + 2 * total) * _PREFIX
+        + len(message.prover_id.encode())
+        + _uint_size(rows)
+        + _uint_size(lanes)
+        + total * (width + _bit_proof_size(width, element.group.scalar_bytes))
+    )
+
+
+def _morra_commit_size(message) -> int | None:
+    digests = message.digests
+    if not digests or set(map(type, digests)) != {bytes}:
+        return None
+    return (
+        (1 + len(digests)) * _PREFIX
+        + len(message.sender.encode())
+        + sum(map(len, digests))
+    )
+
+
+def _morra_reveal_size(message) -> int | None:
+    values = message.values
+    if not values or min(values) < 0:
+        return None
+    return (
+        (1 + len(values)) * _PREFIX
+        + len(message.sender.encode())
+        + sum(map(_uint_size, values))
+    )
+
+
+_BODY_SIZES = {
+    b"coin-commitments": _coin_commitments_size,
+    b"morra-commit": _morra_commit_size,
+    b"morra-reveal": _morra_reveal_size,
+}
+
+
 def _decode_coin_commitments(group: Group, parts: list[bytes]):
     from repro.core.messages import CoinCommitmentMessage
 
@@ -655,10 +728,14 @@ def wire_size(message) -> int | None:
     """Exact encoded size of a registered message; None when unregistered.
 
     :mod:`repro.mpc.bus` uses this for traffic accounting so benchmark
-    communication-cost numbers equal real wire bytes.
+    communication-cost numbers equal real wire bytes.  Coin chunks and
+    Morra rounds are sized from their shape (see ``_BODY_SIZES``); every
+    other message, and any shape those size functions decline, is sized
+    by encoding it.
     """
     _, tags = _registry()
-    if type(message) not in tags:
+    tag = tags.get(type(message))
+    if tag is None:
         return None
     # Reuse a fan-out-cached encoding when one exists, but never insert:
     # sizing must not pin a retained message's multi-KB frame for the
@@ -666,4 +743,8 @@ def wire_size(message) -> int | None:
     entry = _ENCODE_CACHE.get(id(message))
     if entry is not None and entry[0]() is message:
         return len(entry[1])
-    return len(encode_message(message))
+    sizer = _BODY_SIZES.get(tag)
+    body = sizer(message) if sizer is not None else None
+    if body is None:
+        return len(encode_message(message))
+    return 3 * _PREFIX + len(WIRE_MAGIC) + len(tag) + body

@@ -10,15 +10,17 @@ Messages are delivered synchronously in send order per (sender, recipient)
 pair — the model every protocol in the paper assumes.  Traffic accounting
 is *exact* for every message with a wire codec in
 :mod:`repro.crypto.serialization` (the full protocol message set of ΠBin):
-the payload's real encoded frame length is charged, so communication-cost
-numbers in benchmarks equal actual wire bytes.  Sizing reuses the
-encode-once fan-out cache (:func:`repro.crypto.serialization.
-encode_message_cached`, populated when a front-end ships the same
-message to K servers or S shard workers) whenever an encoding is
-already at hand, but never inserts into it — a one-chunk session retains
-its messages, and accounting must not pin every frame alongside them.
-The accounted byte counts are identical either way.  Payloads without a
-codec fall back to a best-effort ``to_bytes``/``__len__`` estimate.
+the payload is charged its encoded frame length, so communication-cost
+numbers in benchmarks equal actual wire bytes.  That length is rarely
+built to be counted: :func:`repro.crypto.serialization.wire_size` takes
+it from an encoding already at hand in the encode-once fan-out cache
+(never inserting — a one-chunk session retains its messages, and
+accounting must not pin every frame alongside them), and otherwise
+computes it from the message's shape for coin chunks and Morra rounds,
+the messages a coin stream sends by the thousand.  Only the remaining
+types, and shapes the size functions decline, are encoded to be counted.
+The byte counts are identical on every path.  Payloads without a codec
+fall back to a best-effort ``to_bytes``/``__len__`` estimate.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from repro.errors import CommitmentOpeningError
-from repro.utils.encoding import encode_length_prefixed, int_to_bytes
+from repro.errors import CommitmentOpeningError, EncodingError
+from repro.utils.encoding import encode_length_prefixed
 from repro.utils.rng import RNG, default_rng
 
 __all__ = ["HashCommitment", "HashCommitmentScheme"]
@@ -43,6 +43,9 @@ class HashCommitmentScheme:
 
     def __init__(self, domain: bytes = b"repro.morra.commit") -> None:
         self._domain = domain
+        # The preimage is ``LP(domain, value, randomness)``; its first
+        # part is the same for every commitment of this scheme.
+        self._prefix = encode_length_prefixed(domain)
 
     @property
     def domain(self) -> bytes:
@@ -51,7 +54,20 @@ class HashCommitmentScheme:
         return self._domain
 
     def _digest(self, value: int, randomness: bytes) -> bytes:
-        payload = encode_length_prefixed(self._domain, int_to_bytes(value), randomness)
+        # ``int_to_bytes(value)`` inlined: Morra commits and opens thousands
+        # of values per release.
+        if value < 0:
+            raise EncodingError(f"cannot encode negative integer {value}")
+        width = (value.bit_length() + 7) // 8 or 1
+        payload = b"".join(
+            (
+                self._prefix,
+                width.to_bytes(4, "big"),
+                value.to_bytes(width, "big"),
+                len(randomness).to_bytes(4, "big"),
+                randomness,
+            )
+        )
         return hashlib.sha512(payload).digest()[:32]
 
     def commit(self, value: int, rng: RNG | None = None) -> tuple[HashCommitment, bytes]:

@@ -41,9 +41,13 @@ class RNG(abc.ABC):
         """Uniform integer in [0, bound) via rejection sampling."""
         if bound <= 0:
             raise ParameterError("bound must be positive")
+        # randbits inlined: one random_bytes call per attempt, same bytes.
         bits = bound.bit_length()
+        nbytes = (bits + 7) // 8
+        shift = nbytes * 8 - bits
+        random_bytes, from_bytes = self.random_bytes, int.from_bytes
         while True:
-            value = self.randbits(bits)
+            value = from_bytes(random_bytes(nbytes), "big") >> shift
             if value < bound:
                 return value
 
@@ -89,21 +93,39 @@ class SeededRNG(RNG):
 
     def __init__(self, seed: int | bytes | str) -> None:
         if isinstance(seed, int):
+            if seed < 0:
+                raise ParameterError("an int seed must be non-negative")
             seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big", signed=False)
         elif isinstance(seed, str):
             seed = seed.encode()
         self._key = hashlib.sha256(b"repro.seeded-rng" + seed).digest()
-        self._counter = 0
-        self._buffer = bytearray()
+        self._counter = 0  # blocks hashed so far
+        # Unread stream bytes are ``_buffer[_offset:]``; a draw moves the
+        # offset and slices, and only a draw that runs past the end hashes
+        # the blocks it needs.
+        self._buffer = b""
+        self._offset = 0
 
     def random_bytes(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
-            self._counter += 1
-            self._buffer += block
-        out = bytes(self._buffer[:n])
-        del self._buffer[:n]
-        return out
+        if n < 0:
+            raise ParameterError("byte count must be non-negative")
+        start = self._offset
+        end = start + n
+        if end <= len(self._buffer):
+            self._offset = end
+            return self._buffer[start:end]
+        key, counter = self._key, self._counter
+        stop = counter + (end - len(self._buffer) + 31) // 32
+        buffer = self._buffer[start:] + hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
+        if stop > counter + 1:  # a long draw joins its blocks instead of re-copying
+            buffer += b"".join(
+                hashlib.sha256(key + c.to_bytes(8, "big")).digest()
+                for c in range(counter + 1, stop)
+            )
+        self._counter = stop
+        self._buffer = buffer
+        self._offset = n
+        return buffer[:n]
 
     def fork(self, label: str) -> "SeededRNG":
         """An independent child stream, e.g. one per simulated party."""

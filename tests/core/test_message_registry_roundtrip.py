@@ -16,6 +16,11 @@ and the codec bug class (field dropped in encode, order swapped in
 decode) is caught without waiting for a distributed smoke test to
 happen to send that message.
 
+The size tests hold ``wire_size`` — which sizes coin chunks and Morra
+rounds from their shape instead of encoding them — to the encoder's
+length on every representative, on every hostile variant that decodes,
+and on the ragged and empty shapes the bus accounts.
+
 The last test is the backend differential: the pure and the libsodium
 ristretto255 must agree on every frame here and on its hostile variants.
 """
@@ -28,13 +33,20 @@ from repro.core import messages as m
 from repro.core.params import setup
 from repro.crypto.group import GroupElement
 from repro.crypto.ristretto import RistrettoGroup
-from repro.crypto.serialization import _registry, decode_message, encode_message
+from repro.crypto.serialization import (
+    _registry,
+    decode_message,
+    encode_message,
+    wire_size,
+)
 from repro.crypto.sodium import SodiumRistrettoGroup
 from repro.errors import EncodingError, NotOnGroupError
+from repro.mpc.bus import _payload_size
+from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed
 from repro.utils.rng import SeededRNG
 
 
-@pytest.fixture(scope="module", params=["p64-sim", "ristretto255"])
+@pytest.fixture(scope="module", params=["p64-sim", "p128-sim", "ristretto255"])
 def params(request):
     return setup(1.0, 2**-10, num_provers=2, group=request.param, nb_override=31)
 
@@ -197,6 +209,88 @@ def test_hostile_frames_raise_only_decoding_errors(params, tag, mutations):
                 decode_message(params.group, frame)
             except (EncodingError, NotOnGroupError):
                 pass
+
+
+@pytest.mark.parametrize("tag", _TAGS)
+def test_wire_size_equals_encoded_length(params, tag, mutations):
+    """Every representative, and every mutation of its frame that still
+    decodes, sizes to exactly the length of its (re-)encoding.  The next
+    test builds the non-canonical frames a mutation rarely hits."""
+    cls = _registry()[0][tag][0]
+    for message in BUILDERS[cls](params):
+        data = encode_message(message)
+        assert wire_size(message) == len(data)
+        for frame in mutations(data, 64, f"size-{params.group.name}-{tag!r}"):
+            try:
+                decoded = decode_message(params.group, frame)
+            except (EncodingError, NotOnGroupError):
+                continue
+            assert wire_size(decoded) == len(encode_message(decoded)), frame.hex()
+
+
+def _with_body_part(frame: bytes, replace) -> bytes:
+    """``frame`` with its body's parts passed through ``replace``."""
+    magic, tag, body = decode_length_prefixed(frame)
+    return encode_length_prefixed(
+        magic, tag, encode_length_prefixed(*replace(decode_length_prefixed(body)))
+    )
+
+
+def test_wire_size_of_non_canonical_frames(params):
+    """Decoded values need not be canonical: a bit-proof scalar one byte
+    wider than ``scalar_bytes`` and at least q, and a Morra value with
+    leading zero bytes, re-encode shorter than their frame — and the
+    shape-derived size follows the re-encoding, not the frame."""
+    group, width = params.group, params.group.scalar_bytes
+    coin = BUILDERS[m.CoinCommitmentMessage](params)[0]
+
+    def wide_scalar(parts):
+        proof = decode_length_prefixed(parts[-1])
+        proof[3] = (params.q + 5).to_bytes(width + 1, "big")
+        return [*parts[:-1], encode_length_prefixed(*proof)]
+
+    reveal = m.MorraRevealMessage(sender="verifier", values=(5, 0, params.q - 1))
+
+    def padded_values(parts):
+        return [parts[0], *(b"\x00\x00" + part for part in parts[1:])]
+
+    for frame in (
+        _with_body_part(encode_message(coin), wide_scalar),
+        _with_body_part(encode_message(reveal), padded_values),
+    ):
+        decoded = decode_message(group, frame)
+        assert len(encode_message(decoded)) < len(frame)
+        assert wire_size(decoded) == len(encode_message(decoded))
+
+
+def test_bus_sizes_ragged_and_empty_messages():
+    """Shapes the size functions decline are sized by encoding: an empty
+    one is charged its frame, a ragged or negative one fails to encode and
+    falls to the bus's estimate (0 for a dataclass).  Pinned values."""
+    params = setup(1.0, 2**-10, num_provers=2, group="p64-sim", nb_override=31)
+    coin = BUILDERS[m.CoinCommitmentMessage](params)[0]
+    (c0,), (p0,) = coin.commitments[0], coin.proofs[0]
+    cases = {
+        "empty": (m.CoinCommitmentMessage("prover-0", (), ()), 63),
+        "no-lanes": (m.CoinCommitmentMessage("prover-0", ((),), ((),)), 63),
+        "ragged-rows": (
+            m.CoinCommitmentMessage("prover-0", ((c0,), (c0, c0)), ((p0,), (p0, p0))),
+            0,
+        ),
+        "proof-rows-short": (
+            m.CoinCommitmentMessage("prover-0", ((c0,), (c0,)), ((p0,),)),
+            0,
+        ),
+        "proof-lanes-short": (
+            m.CoinCommitmentMessage("prover-0", ((c0, c0),), ((p0,),)),
+            0,
+        ),
+        "commit-empty": (m.MorraCommitMessage("verifier", ()), 49),
+        "reveal-empty": (m.MorraRevealMessage("verifier", ()), 49),
+        "reveal-negative": (m.MorraRevealMessage("verifier", (1, -1)), 0),
+    }
+    sizes = {name: _payload_size(message) for name, (message, _) in cases.items()}
+    assert sizes == {name: size for name, (_, size) in cases.items()}
 
 
 @pytest.fixture(scope="module")

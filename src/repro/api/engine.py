@@ -3,9 +3,10 @@
 One :class:`ProtocolEngine` executes one ΠBin instance — a counting
 query, a histogram, or a weighted-lane (bounded-sum) query, as described
 by its :class:`~repro.core.plan.AggregationPlan` — over the
-:mod:`repro.core.messages` types and the :mod:`repro.mpc.bus` transport.
-It is an explicit phase machine (:mod:`repro.api.phases`) with one
-pipeline, parameterised by ``chunk_size``.
+:mod:`repro.core.messages` types, charging its traffic to the
+:mod:`repro.mpc.bus` ledger.  It is an explicit phase machine
+(:mod:`repro.api.phases`) with one pipeline, parameterised by
+``chunk_size``.
 
 Clients are accepted in chunks and coins are verified in chunks: client
 validity proofs fold into per-chunk Σ-batches and running Line 13
@@ -154,7 +155,7 @@ class EngineResult:
 
 
 class ProtocolEngine:
-    """Phase machine executing one ΠBin instance over a message bus."""
+    """Phase machine executing one ΠBin instance, its traffic on a ledger."""
 
     def __init__(
         self,
@@ -165,7 +166,6 @@ class ProtocolEngine:
         verifier: PublicVerifier | None = None,
         rng: RNG | None = None,
         chunk_size: int | None = None,
-        network: SimulatedNetwork | None = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ParameterError("chunk_size must be positive")
@@ -194,10 +194,9 @@ class ProtocolEngine:
         self.verifier = verifier or PublicVerifier(
             params, fork_rng(self.rng, "verifier"), plan=self.plan
         )
-        self.network = network or SimulatedNetwork(buffering=self._retain)
+        self.network = SimulatedNetwork()
         for name in [self.verifier.name] + names:
-            if name not in self.network.parties:
-                self.network.register(name)
+            self.network.register(name)
         self.timer = StageTimer()
         self.phase = Phase.ENROLL
         self._phase_entered = time.perf_counter()

@@ -739,7 +739,7 @@ def wire_size(message) -> int | None:
         return None
     # Reuse a fan-out-cached encoding when one exists, but never insert:
     # sizing must not pin a retained message's multi-KB frame for the
-    # message's lifetime (buffered sessions keep every message queued).
+    # message's lifetime (a one-chunk session retains every message).
     entry = _ENCODE_CACHE.get(id(message))
     if entry is not None and entry[0]() is message:
         return len(entry[1])

@@ -7,8 +7,8 @@ repetition), and Damgård's trapdoor-commitment variant restores full
 soundness at 4 rounds.  This module implements the first option:
 
 * :class:`InteractiveBitProver` / :class:`InteractiveBitVerifier` — the
-  live 3-move OR protocol of Figures 5/6, messages routed through a
-  :class:`~repro.mpc.bus.SimulatedNetwork`,
+  live 3-move OR protocol of Figures 5/6, its moves exchanged by direct
+  method calls,
 * small-challenge mode with ``repetitions`` parallel runs: each run has
   soundness error 1/|C|, so t runs give |C|^-t (e.g. |C| = 2⁸, t = 8 ⇒
   2⁻⁶⁴) while remaining ZK against *arbitrary* verifiers for small |C|.

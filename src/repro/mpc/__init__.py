@@ -1,12 +1,12 @@
 """Multi-party protocol substrate.
 
-Provides the simulated network the protocols run over, the Morra
-commit-reveal coin-flipping protocol (Algorithm 1) that realizes the
-public-randomness oracle ``O_morra``, and the adversary framework for
-active (arbitrarily deviating) participants.
+Provides the traffic ledger in-process runs charge their messages to,
+the Morra commit-reveal coin-flipping protocol (Algorithm 1) that
+realizes the public-randomness oracle ``O_morra``, and the adversary
+framework for active (arbitrarily deviating) participants.
 """
 
-from repro.mpc.bus import SimulatedNetwork, Envelope
+from repro.mpc.bus import SimulatedNetwork
 from repro.mpc.party import Party
 from repro.mpc.commit import HashCommitmentScheme, HashCommitment
 from repro.mpc.morra import MorraParticipant, run_morra_batch
@@ -20,7 +20,6 @@ from repro.mpc.adversary import (
 
 __all__ = [
     "SimulatedNetwork",
-    "Envelope",
     "Party",
     "HashCommitmentScheme",
     "HashCommitment",

@@ -1,14 +1,16 @@
-"""An in-memory message bus standing in for the network.
+"""A traffic ledger standing in for the network.
 
 The paper measures local computation only ("we do not include time spent
-to communicate over the network"), so the substrate's job is fidelity of
-*semantics*, not of latency: ordered point-to-point channels, broadcast,
-and per-protocol traffic accounting (bytes and message counts), which the
-experiment drivers report alongside timings.
+to communicate over the network"), so an in-process run needs no
+delivery at all: every party is a method call on the same interpreter,
+and the public messages the board keeps are retained by the engine
+itself.  What the experiment drivers do report alongside timings is
+*traffic* — bytes and message counts per sender — so the bus is a
+ledger: it registers parties, checks that every sender and recipient is
+one, and charges each message to its sender.  It stores no payload;
+nothing sent through it outlives the call.
 
-Messages are delivered synchronously in send order per (sender, recipient)
-pair — the model every protocol in the paper assumes.  Traffic accounting
-is *exact* for every message with a wire codec in
+Accounting is *exact* for every message with a wire codec in
 :mod:`repro.crypto.serialization` (the full protocol message set of ΠBin):
 the payload is charged its encoded frame length, so communication-cost
 numbers in benchmarks equal actual wire bytes.  That length is rarely
@@ -25,22 +27,13 @@ fall back to a best-effort ``to_bytes``/``__len__`` estimate.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import EncodingError, ParameterError, ProtocolAbort
+from repro.errors import EncodingError, ParameterError
 
-__all__ = ["Envelope", "SimulatedNetwork"]
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A delivered message: sender, recipient ('*' for broadcast), payload."""
-
-    sender: str
-    recipient: str
-    payload: Any
+__all__ = ["SimulatedNetwork"]
 
 
 _wire_size = None  # resolved lazily; serialization imports core which imports us
@@ -86,23 +79,15 @@ def _estimate_size(payload: Any) -> int:
 
 @dataclass
 class SimulatedNetwork:
-    """Synchronous in-memory channels between named parties.
+    """Per-sender traffic ledger over a registry of named parties.
 
-    ``buffering=False`` turns the bus into a pure accounting transport:
-    traffic is still counted per sender, but payloads are not retained in
-    delivery queues.  The streaming session engine uses this so undrained
-    broadcast queues (every protocol message × every registered client)
-    cannot dominate peak memory; ``receive`` on a non-buffering bus is a
-    protocol abort, exactly as an unexpectedly silent peer would be.
+    ``send`` and ``broadcast`` check their parties and charge the payload
+    to the sender; neither delivers nor keeps it.
     """
 
     parties: set[str] = field(default_factory=set)
-    _queues: dict[tuple[str, str], deque] = field(default_factory=lambda: defaultdict(deque))
     bytes_sent: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     messages_sent: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    log: list[Envelope] = field(default_factory=list)
-    record_log: bool = False
-    buffering: bool = True
 
     def register(self, name: str) -> None:
         if name in self.parties:
@@ -116,49 +101,19 @@ class SimulatedNetwork:
             raise ParameterError(f"unknown party {name!r}")
 
     def send(self, sender: str, recipient: str, payload: Any) -> None:
-        """Point-to-point ordered delivery."""
+        """Account one point-to-point message."""
         self._check_party(sender)
         self._check_party(recipient)
-        if self.buffering:
-            self._queues[(sender, recipient)].append(payload)
-        self._account(sender, recipient, payload)
+        self._account(sender, payload)
 
     def broadcast(self, sender: str, payload: Any) -> None:
-        """Deliver to every other party (and the public log)."""
+        """Account one message to every other party (and the public board)."""
         self._check_party(sender)
-        if self.buffering:
-            for recipient in sorted(self.parties):
-                if recipient != sender:
-                    self._queues[(sender, recipient)].append(payload)
-        self._account(sender, "*", payload)
+        self._account(sender, payload)
 
-    def _account(self, sender: str, recipient: str, payload: Any) -> None:
+    def _account(self, sender: str, payload: Any) -> None:
         self.bytes_sent[sender] += _payload_size(payload)
         self.messages_sent[sender] += 1
-        if self.record_log:
-            self.log.append(Envelope(sender, recipient, payload))
-
-    def receive(self, recipient: str, sender: str) -> Any:
-        """Pop the next message from ``sender`` to ``recipient``.
-
-        Raises :class:`ProtocolAbort` when no message is waiting — in a
-        synchronous protocol a missing expected message *is* an abort
-        (the peer went silent).
-        """
-        self._check_party(recipient)
-        queue = self._queues[(sender, recipient)]
-        if not queue:
-            raise ProtocolAbort(
-                f"{recipient!r} expected a message from {sender!r} but none arrived",
-                party=sender,
-            )
-        return queue.popleft()
-
-    def try_receive(self, recipient: str, sender: str) -> Any | None:
-        """Non-raising :meth:`receive`; None when the queue is empty."""
-        self._check_party(recipient)
-        queue = self._queues[(sender, recipient)]
-        return queue.popleft() if queue else None
 
     def total_bytes(self) -> int:
         return sum(self.bytes_sent.values())

@@ -2,7 +2,8 @@
 
 The paper's setting is distributed — an analyst, K servers and n clients
 exchanging commitments and Σ-proofs over a network — while the simulator
-runs everything in one process over :class:`repro.mpc.bus.SimulatedNetwork`.
+runs everything in one process, its traffic only counted on the
+:class:`repro.mpc.bus.SimulatedNetwork` ledger.
 This package closes that gap without touching the protocol engine:
 
 * :mod:`repro.net.transport` — a three-method :class:`Transport` interface

@@ -52,6 +52,7 @@ import json
 import os
 import threading
 import time
+import typing
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -136,8 +137,9 @@ class FleetConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "FleetConfig":
-        """Load a config from a JSON object file; unknown keys are errors
-        (a typo silently ignored is a deployment mis-sized silently)."""
+        """Load a config from a JSON object file; unknown keys and values of
+        the wrong JSON type are errors (a typo silently ignored is a
+        deployment mis-sized silently)."""
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         if not isinstance(data, dict):
@@ -146,6 +148,17 @@ class FleetConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ParameterError(f"unknown fleet config keys: {unknown}")
+        hints = typing.get_type_hints(cls)
+        for key, value in data.items():
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            if float in allowed:
+                allowed += (int,)  # a timeout of 30 means 30.0
+            # bool is an int subclass, but true is never a size or a timeout.
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                names = " or ".join(
+                    "null" if kind is type(None) else kind.__name__ for kind in allowed
+                )
+                raise ParameterError(f"fleet config {key!r} must be {names}, got {value!r}")
         return cls(**data)
 
 

@@ -6,10 +6,9 @@ named peer.  The node protocol is synchronous and star-shaped (servers
 and clients talk to the analyst front-end), so three methods suffice and
 every implementation stays small:
 
-* :class:`InMemoryTransport` — an adapter over
-  :class:`repro.mpc.bus.SimulatedNetwork`, so in-memory node runs reuse
-  the simulator's ordered channels and its (now exact, frames are bytes)
-  traffic accounting.  Thread-safe: nodes may run on threads.
+* :class:`InMemoryTransport` — one party of an :class:`InMemoryHub`,
+  whose ordered channels are deques in one process.  Thread-safe: nodes
+  may run on threads.
 * :class:`MultiprocessTransport` — ``multiprocessing`` duplex pipes;
   :func:`multiprocess_star` builds the analyst-centred topology.
 * :class:`SocketTransport` — TCP with 4-byte big-endian length-prefixed
@@ -17,7 +16,7 @@ every implementation stays small:
 
 All transports count frames and bytes both ways; a missing peer or a
 timeout raises :class:`~repro.errors.ProtocolAbort` naming the silent
-party, exactly as the simulator's ``receive`` does.
+party.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ import socket
 import struct
 import threading
 import time
+from collections import defaultdict, deque
 from multiprocessing import Pipe
 from multiprocessing.connection import Connection
 
 from repro.errors import ParameterError, ProtocolAbort
-from repro.mpc.bus import SimulatedNetwork
 
 __all__ = [
     "Transport",
@@ -242,20 +241,19 @@ class Transport(abc.ABC):
 class InMemoryHub:
     """Shared substrate for in-memory transports (one per simulated host).
 
-    Wraps a :class:`SimulatedNetwork` — frames land in its ordered queues
-    and its per-sender byte accounting, which is exact here because every
-    payload is already encoded bytes — plus a condition variable so node
-    threads can block on ``recv``.
+    The registered names and one FIFO deque per (sender, recipient) pair,
+    guarded by a condition variable so node threads can block on
+    ``recv``.
     """
 
-    def __init__(self, network: SimulatedNetwork | None = None) -> None:
-        self.network = network if network is not None else SimulatedNetwork()
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self.queues: dict[tuple[str, str], deque] = defaultdict(deque)
         self.condition = threading.Condition()
 
     def endpoint(self, name: str) -> "InMemoryTransport":
         with self.condition:
-            if name not in self.network.parties:
-                self.network.register(name)
+            self.names.add(name)
         return InMemoryTransport(name, self)
 
 
@@ -268,7 +266,9 @@ class InMemoryTransport(Transport):
 
     def _send(self, peer: str, frame: bytes) -> None:
         with self.hub.condition:
-            self.hub.network.send(self.name, peer, frame)
+            if peer not in self.hub.names:
+                raise ParameterError(f"unknown party {peer!r}")
+            self.hub.queues[(self.name, peer)].append(frame)
             self.hub.condition.notify_all()
 
     def _recv(self, peer: str, timeout: float | None) -> bytes:
@@ -277,10 +277,10 @@ class InMemoryTransport(Transport):
         # extend the block indefinitely.
         deadline = None if timeout is None else time.monotonic() + timeout
         with self.hub.condition:
+            queue = self.hub.queues[(peer, self.name)]
             while True:
-                frame = self.hub.network.try_receive(self.name, peer)
-                if frame is not None:
-                    return frame
+                if queue:
+                    return queue.popleft()
                 if deadline is None:
                     self.hub.condition.wait()
                     continue

@@ -1,8 +1,11 @@
-"""Simulated network semantics: ordering, aborts, accounting."""
+"""The traffic ledger: party registry, exact accounting, nothing retained."""
+
+import gc
+import weakref
 
 import pytest
 
-from repro.errors import ParameterError, ProtocolAbort
+from repro.errors import ParameterError
 from repro.mpc.bus import SimulatedNetwork
 
 
@@ -12,36 +15,6 @@ def net():
     for name in ("alice", "bob", "carol"):
         network.register(name)
     return network
-
-
-class TestDelivery:
-    def test_fifo_per_channel(self, net):
-        net.send("alice", "bob", 1)
-        net.send("alice", "bob", 2)
-        assert net.receive("bob", "alice") == 1
-        assert net.receive("bob", "alice") == 2
-
-    def test_channels_independent(self, net):
-        net.send("alice", "bob", "ab")
-        net.send("carol", "bob", "cb")
-        assert net.receive("bob", "carol") == "cb"
-        assert net.receive("bob", "alice") == "ab"
-
-    def test_missing_message_aborts(self, net):
-        with pytest.raises(ProtocolAbort) as err:
-            net.receive("bob", "alice")
-        assert err.value.party == "alice"
-
-    def test_try_receive(self, net):
-        assert net.try_receive("bob", "alice") is None
-        net.send("alice", "bob", 7)
-        assert net.try_receive("bob", "alice") == 7
-
-    def test_broadcast_reaches_everyone_but_sender(self, net):
-        net.broadcast("alice", "hello")
-        assert net.receive("bob", "alice") == "hello"
-        assert net.receive("carol", "alice") == "hello"
-        assert net.try_receive("alice", "alice") is None
 
 
 class TestRegistration:
@@ -85,10 +58,28 @@ class TestAccounting:
         net.send("alice", "bob", element)
         assert net.bytes_sent["alice"] == len(element.to_bytes())
 
-    def test_log_recording(self):
-        net = SimulatedNetwork(record_log=True)
-        net.register("a")
-        net.register("b")
-        net.send("a", "b", 1)
-        assert len(net.log) == 1
-        assert net.log[0].sender == "a"
+
+class Payload:
+    """A payload that can be weakly referenced and sizes by ``to_bytes``."""
+
+    def to_bytes(self) -> bytes:
+        return b"payload"
+
+
+class TestRetention:
+    """The bus accounts a message and lets it go: a one-chunk session's
+    messages must not be pinned once per recipient by the ledger."""
+
+    @pytest.mark.parametrize("how", ["send", "broadcast"])
+    def test_accounted_payload_is_collectable(self, net, how):
+        payload = Payload()
+        ref = weakref.ref(payload)
+        if how == "send":
+            net.send("alice", "bob", payload)
+        else:
+            net.broadcast("alice", payload)
+        assert net.bytes_sent["alice"] == len(b"payload")
+        assert net.messages_sent["alice"] == 1
+        del payload
+        gc.collect()
+        assert ref() is None

@@ -105,6 +105,45 @@ class TestFleetServing:
         with pytest.raises(ParameterError, match="workers"):
             FleetConfig.from_file(str(path))
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"frontends": "2"}', "frontends"),
+            ('{"capacity": true}', "capacity"),
+            ('{"shards": 1.5}', "shards"),
+            ('{"max_restarts": null}', "max_restarts"),
+            ('{"timeout": "30"}', "timeout"),
+            ('{"health_interval": false}', "health_interval"),
+            ('{"group": 64}', "group"),
+            ('{"nb_override": "64"}', "nb_override"),
+            ('{"chunk_size": true}', "chunk_size"),
+        ],
+    )
+    def test_config_file_rejects_wrong_json_types(self, tmp_path, text, key):
+        path = tmp_path / "fleet.json"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=key):
+            FleetConfig.from_file(str(path))
+
+    def test_config_file_accepts_every_json_type_it_declares(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        path.write_text(
+            '{"timeout": 30, "health_interval": 0.5, "nb_override": null,'
+            ' "chunk_size": 8, "group": "p32-sim"}'
+        )
+        config = FleetConfig.from_file(str(path))
+        assert (config.timeout, config.health_interval) == (30, 0.5)
+        assert (config.nb_override, config.chunk_size, config.group) == (None, 8, "p32-sim")
+
+    def test_config_file_type_error_is_a_usage_exit(self, tmp_path, capsys):
+        """A mistyped config file is bad usage (exit 2), not a crash."""
+        from repro.cli import main
+
+        path = tmp_path / "fleet.json"
+        path.write_text('{"frontends": "2"}')
+        assert main(["serve", "--fleet", "--fleet-config", str(path)]) == 2
+        assert "frontends" in capsys.readouterr().err
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             FleetConfig(frontends=0)

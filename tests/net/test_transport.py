@@ -34,8 +34,27 @@ class TestInMemory:
         assert b.recv("a") == b"four"
         assert a.bytes_sent == 7 and a.frames_sent == 2
         assert b.bytes_received == 7 and b.frames_received == 2
-        # The underlying simulator accounts the exact same bytes.
-        assert hub.network.bytes_sent["a"] == 7
+        assert a.bytes_received == 0 and b.bytes_sent == 0
+
+    def test_channels_independent(self):
+        hub = InMemoryHub()
+        a = hub.endpoint("a")
+        b = hub.endpoint("b")
+        c = hub.endpoint("c")
+        a.send("b", b"ab")
+        c.send("b", b"cb")
+        b.send("a", b"ba")
+        assert b.recv("c", timeout=1.0) == b"cb"
+        assert b.recv("a", timeout=1.0) == b"ab"
+        assert a.recv("b", timeout=1.0) == b"ba"
+        with pytest.raises(ProtocolAbort):
+            c.recv("a", timeout=0.05)
+
+    def test_send_to_unknown_peer_rejected(self):
+        hub = InMemoryHub()
+        a = hub.endpoint("a")
+        with pytest.raises(ParameterError, match="nobody"):
+            a.send("nobody", b"lost")
 
     def test_timeout_aborts(self):
         hub = InMemoryHub()

@@ -499,3 +499,32 @@ def test_chunk_replies_are_waited_for_while_the_previous_chunk_is_checked(monkey
         "chunk I/O wait, pipelined / lock-step, never under 0.7: "
         + " ".join(f"{ratio:.2f}" for ratio in pairs)
     )
+
+
+def test_one_chunk_session_is_linear_in_clients():
+    """A one-chunk ``Session`` costs O(n): n = 2048 clients take about 8×
+    what n = 256 take (linear is 8×; 8.8× measured), not the ≈ 59× of a
+    bus that queued every broadcast once per registered party.  16× is
+    the do-not-regress ceiling."""
+    from repro.api.queries import CountQuery
+    from repro.api.session import Session
+
+    accepted = []
+
+    def run(n: int) -> None:
+        session = Session(
+            CountQuery(epsilon=1.0, delta=2**-10),
+            group="p64-sim",
+            nb_override=32,
+            num_provers=2,
+            rng=SeededRNG(f"linear-{n}"),
+        )
+        session.submit([i % 2 for i in range(n)])
+        accepted.append(session.release().accepted)
+
+    small = best_of(lambda: run(256))
+    large = best_of(lambda: run(2048))
+    assert all(accepted) and len(accepted) == 6
+    assert large < 16 * small, (
+        f"n=2048 took {large:.2f}s, n=256 {small:.2f}s ({large / small:.1f}x)"
+    )

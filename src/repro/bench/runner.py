@@ -494,6 +494,7 @@ def run_multiexp(
                     native_pow=kernel.native_pow,
                     op_overhead=kernel.op_overhead,
                     neg_muls=kernel.neg_muls,
+                    signed_buckets=kernel.signed_buckets,
                 ),
             }
             for algorithm in ("naive", "straus", "pippenger"):

@@ -50,7 +50,19 @@ thousands of terms.  No one algorithm is right across that range, so
     base even with Montgomery batching — which almost exactly cancels
     the saved windows (Δwindows·n ≈ 3n multiplications), so unsigned
     buckets stay faster and the selector keeps them.  The kernel hint
-    ``neg_muls`` (multiplications per negation) feeds this decision.
+    ``neg_muls`` (multiplications per negation) feeds this decision, and
+    prices Straus' one negation pass over its tables.
+
+    A kernel that declares ``modulus`` (the Schnorr groups) gets the
+    unsigned buckets as an int loop, :func:`_pippenger_residues`: no
+    ``mul`` call per bucket hit, the squarings between windows one C
+    ``pow``, and up to ``_LIST_BUCKET_MAX_BITS`` each bucket a list of
+    residues multiplied once by ``math.prod`` — an append costs a third
+    of an in-place ``* … % p`` on p64-sim, while from p128-sim up an
+    unreduced product of several residues costs more than reducing after
+    each, so wider residues multiply in place.  Its signed digits would
+    still run the kernel-call loop, so it also declares
+    ``signed_buckets = False`` and the selector keeps it unsigned.
 
 Selection is :func:`select_algorithm`: a pure function of the batch size,
 the exponent width and the kernel's hints — no file, no environment
@@ -67,20 +79,27 @@ automatic pick within 1.5× of the fastest forced tier.  Measured
 (CPython 3.11, full-width exponents, best of several runs; see
 ``benchmarks/bench_multiexp.py``):
 
-* p128-sim — naive is fastest to n ≈ 3, straus for n ≈ 4–14, pippenger
-  from n ≈ 16; the model says naive ≤ 5, straus 6–8, pippenger from 9
-  and is never more than 1.15× off the fastest tier in between.  At
-  n = 256 pippenger is 3.6× naive and 2.1× straus, at n = 4096 6.2× and
-  3.7×;
+* p64-sim (residue buckets) — naive is fastest to n ≈ 6–8, the unsigned
+  residue buckets from n ≈ 8–10; the model says naive ≤ 10 and
+  pippenger from 11, at most 1.15× off in between.  At n = 384 (a
+  stream-release chunk's batch) pippenger takes 1.4 ms against 5.1 ms
+  straus and 6.8 ms naive, and the residue loop is 1.2–1.3× the
+  kernel-call loop;
+* p128-sim (residue buckets) — naive is fastest to n ≈ 3, straus for
+  n ≈ 4–12 (level with pippenger from 8), pippenger from n ≈ 13–16; the
+  model says naive ≤ 7, straus 8–12, pippenger from 13.  At n = 256
+  pippenger is 3.7× naive and 2.2× straus;
+* p256-sim — naive to n = 2, straus for n ≈ 3–16, pippenger from
+  n ≈ 24; the model switches at 4 and 24;
 * modp-2048 — one C ``pow`` already costs ~2047 Python modmuls' worth,
   so straus (w = 6) wins from n = 2 (1.6×) and is level with pippenger
-  at n ≈ 256; pippenger is 1.15× ahead at n = 512 and 1.35× at 1024.
-  The model holds straus until n ≈ 900, so it is up to 1.3× conservative
-  in that band;
+  at n ≈ 250–300; pippenger is 1.1–1.2× ahead at n = 400.  With the
+  table-negation pass priced and the kernel's ``op_overhead`` re-fitted
+  the model switches at n = 304 (910 before);
 * ristretto255 / P-256 in pure Python — no native ``pow``, so straus wins
   from n = 2 (1.7×) and, with curve ops dwarfing bookkeeping, is level
-  with pippenger over n ≈ 64–128; the model switches at n ≈ 148, where
-  pippenger is ~1.2× ahead;
+  with pippenger over n ≈ 64–128; the model switches at n ≈ 137–146,
+  where pippenger is ~1.2× ahead;
 * ristretto255 on libsodium (:mod:`repro.crypto.sodium`) — the kernel's
   ``pow_muls`` hint prices a power at 3 of its own (17 µs) additions, so
   naive — scale each term, add it in, ≈ 70 µs a term — wins at every n
@@ -106,7 +125,9 @@ combination (the public auditor's sequential Σ-OR check).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import zip_longest
+from math import prod
 from typing import Sequence
 
 from repro.crypto.group import Group, GroupElement
@@ -122,6 +143,12 @@ __all__ = [
     "dual_power",
     "shared_base_powers",
 ]
+
+# Widest modulus whose residue buckets collect a list and reduce once
+# (see _pippenger_residues); wider ones multiply in place.  Measured,
+# list against in place: p64-sim n = 384 1.8 against 2.0 ms, n = 1024
+# 4.4 against 5.4 ms; p128-sim n = 194 3.9 against 3.6 ms.
+_LIST_BUCKET_MAX_BITS = 64
 
 # Straus' per-base wNAF window width, by max exponent bit length.  The
 # widest row is measured on modp-2048 (n = 16 / 64, w = 4 / 5 / 6 / 7:
@@ -145,7 +172,12 @@ class GenericKernel:
       :func:`select_algorithm` (is a single ``**`` a C-speed ``pow``, and
       how expensive is Python bookkeeping relative to one group op),
     * ``pow_muls`` — optional: what one ``**`` costs in units of ``mul``
-      when that is not ``bits`` (see :func:`select_algorithm`).
+      when that is not ``bits`` (see :func:`select_algorithm`),
+    * ``modulus`` — optional: raw values are residues mod this int, so
+      the unsigned bucket method runs as an int loop
+      (:func:`_pippenger_residues`) instead of calling ``mul``,
+    * ``signed_buckets`` — optional, default True: False keeps the bucket
+      method on unsigned digits (see :func:`select_algorithm`).
     """
 
     __slots__ = ("identity_raw",)
@@ -210,10 +242,16 @@ def kernel_for(group: Group):
 #   noise when it is a 2048-bit modmul or a curve addition (5–10 µs).
 
 
-def _straus_cost(n: int, bits: int, window: int, overhead: float) -> float:
-    tables = n * ((1 << (window - 2)) + 1)
+def _straus_cost(
+    n: int, bits: int, window: int, overhead: float, neg_muls: float = 0.0
+) -> float:
+    """Modeled multiplications for one Straus run at wNAF width ``window``:
+    the shared square chain, n odd-multiple tables, the one ``neg_many``
+    pass over all n·2^(w−2) table entries, and the table hits."""
+    entries = n * (1 << (window - 2))
+    tables = entries + n
     hits = n * (bits / (window + 1)) * (1.0 + 1.5 * overhead)
-    return 1.5 * bits + tables + hits
+    return 1.5 * bits + tables + neg_muls * entries + hits
 
 
 def _pippenger_cost(
@@ -232,9 +270,13 @@ def _pippenger_cost(
     return nwin * (n + (1 << (c + 1)) + 2) + bits
 
 
+@lru_cache(maxsize=4096)
 def _pippenger_window(
     n: int, bits: int, *, signed: bool = False, neg_muls: float = 0.0
 ) -> int:
+    """The cheapest window c for (n, bits) — memoised: a pure function of
+    its arguments, and its 21-way search (≈ 12 µs, paid twice per
+    automatic pick) is a quarter of a small batch's whole product."""
     best_c, best_cost = 1, float("inf")
     for c in range(1 + (1 if signed else 0), 22):
         cost = _pippenger_cost(n, bits, c, signed=signed, neg_muls=neg_muls)
@@ -279,6 +321,7 @@ def select_algorithm(
     op_overhead: float = 1.3,
     neg_muls: float | None = None,
     pow_muls: float | None = None,
+    signed_buckets: bool = True,
 ) -> str:
     """Pick the cheapest tier for ``n`` pairs of ``bits``-bit exponents.
 
@@ -290,6 +333,12 @@ def select_algorithm(
     :func:`_straus_window` gives for ``bits``, which is the width
     :func:`multi_exponentiation` then runs.  Exposed so the benchmarks
     (and curious tests) can introspect the crossover points.
+
+    ``neg_muls`` prices one negation: Straus negates every table entry
+    once, signed buckets every base; None prices Straus' pass at nothing
+    and keeps the buckets unsigned.  ``signed_buckets=False`` keeps them
+    unsigned too, for a kernel whose unsigned buckets run a faster loop
+    than its signed ones (the Schnorr residue kernels).
 
     ``pow_muls`` is for a kernel whose power is a library call priced in
     its own additions rather than in ``bits`` of them (libsodium: one
@@ -304,8 +353,8 @@ def select_algorithm(
         naive = n * (pow_muls + 1.0)
     else:
         naive = n * bits * (1.0 if native_pow else 1.3)
-    straus = _straus_cost(n, bits, _straus_window(bits), op_overhead)
-    if neg_muls is None:
+    straus = _straus_cost(n, bits, _straus_window(bits), op_overhead, neg_muls or 0.0)
+    if neg_muls is None or not signed_buckets:
         pippenger = _pippenger_cost(n, bits, _pippenger_window(n, bits))
     else:
         pippenger = _pippenger_variant(n, bits, neg_muls)[1]
@@ -413,9 +462,12 @@ def _fold_buckets(mul, buckets: list, top: int):
 
 def _pippenger(kernel, raw_bases: list, exps: list[int], bits: int) -> object:
     """Unsigned bucket decomposition: digits in [0, 2^c), 2^c − 1 buckets."""
-    mul, sqr = kernel.mul, kernel.sqr
     n = len(raw_bases)
     c = _pippenger_window(n, bits)
+    modulus = getattr(kernel, "modulus", None)
+    if modulus is not None:
+        return _pippenger_residues(raw_bases, exps, bits, c, modulus)
+    mul, sqr = kernel.mul, kernel.sqr
     mask = (1 << c) - 1
     nwin = -(-bits // c)
     acc = None  # emptiness tracked by flag value, never by identity compare
@@ -434,6 +486,44 @@ def _pippenger(kernel, raw_bases: list, exps: list[int], bits: int) -> object:
         if window_sum is not None:
             acc = window_sum if acc is None else mul(acc, window_sum)
     return acc if acc is not None else kernel.identity_raw
+
+
+def _pippenger_residues(
+    raw_bases: list[int], exps: list[int], bits: int, c: int, p: int
+) -> int:
+    """:func:`_pippenger` on residues mod ``p``: the same buckets and fold,
+    with every product an inline ``* … % p`` and the c squarings between
+    windows one C ``pow``.
+
+    Up to ``_LIST_BUCKET_MAX_BITS`` a bucket collects its residues and
+    ``math.prod`` multiplies them unreduced into the fold (an append is
+    cheaper than a reduction of a product that small); wider residues
+    multiply into their bucket in place, because an unreduced product of
+    several wide residues costs more than reducing after each one.
+    """
+    mask = (1 << c) - 1
+    listed = p.bit_length() <= _LIST_BUCKET_MAX_BITS
+    acc = 1
+    for shift in range((-(-bits // c) - 1) * c, -1, -c):
+        acc = pow(acc, 1 << c, p)
+        if listed:
+            buckets = [[] for _ in range(mask + 1)]
+            for raw, e in zip(raw_bases, exps):
+                buckets[(e >> shift) & mask].append(raw)
+            products = map(prod, buckets[:0:-1])
+        else:
+            buckets = [1] * (mask + 1)
+            for raw, e in zip(raw_bases, exps):
+                d = (e >> shift) & mask
+                if d:
+                    buckets[d] = buckets[d] * raw % p
+            products = buckets[:0:-1]
+        running = window_sum = 1
+        for held in products:
+            running = running * held % p
+            window_sum = window_sum * running % p
+        acc = acc * window_sum % p
+    return acc
 
 
 def _pippenger_signed(kernel, raw_bases: list, exps: list[int], bits: int) -> object:
@@ -530,6 +620,7 @@ def multi_exponentiation(
     bits = max(e.bit_length() for e in live_exps)
     kernel = kernel_for(group)
     neg_muls = getattr(kernel, "neg_muls", 8.0)
+    signed_buckets = getattr(kernel, "signed_buckets", True)
     if algorithm is None:
         algorithm = select_algorithm(
             len(live_bases),
@@ -538,12 +629,17 @@ def multi_exponentiation(
             op_overhead=getattr(kernel, "op_overhead", 0.1),
             neg_muls=neg_muls,
             pow_muls=getattr(kernel, "pow_muls", None),
+            signed_buckets=signed_buckets,
         )
 
     if algorithm == "naive":
         return _naive(group, live_bases, live_exps)
     if algorithm == "pippenger":
-        algorithm = _pippenger_variant(len(live_bases), bits, neg_muls)[0]
+        algorithm = (
+            _pippenger_variant(len(live_bases), bits, neg_muls)[0]
+            if signed_buckets
+            else "pippenger-unsigned"
+        )
     raw_bases = [kernel.to_raw(base) for base in live_bases]
     if algorithm == "straus":
         raw = _straus(kernel, raw_bases, live_exps, _straus_window(bits))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from typing import Sequence
 
 from repro.crypto.group import Group, GroupElement
 from repro.errors import EncodingError, NotOnGroupError, ParameterError
@@ -109,30 +110,78 @@ class SchnorrElement(GroupElement):
         return hash((id(self._group), self._value))
 
 
+# Widest modulus whose fixed-base pair is a ``_ResiduePair``.  A pair
+# walks byte digits, so its rows hold 2·256·ceil(bits/8) residues: built
+# from plain ints they cost less than the window-6 ``CombPair`` tables up
+# to ≈ 400 bits (p256-sim 13 against 14 ms) and 1.6× as much at 512
+# (69 against 42 ms, 2 MB), then 2.3× at 1024 bits (0.37 s, 8.4 MB) and
+# 2.8× at 2048 (2.5 s, 33 MB) — which modp-2048 would pay in every
+# process that builds its pair, to save 3 ms a commitment.
+_RESIDUE_PAIR_MAX_BITS = 512
+
+
 class _SchnorrKernel:
     """Raw multiexp kernel: residues as plain ints, products mod p.
 
     Table negations use Montgomery batch inversion (one ``pow(·, -1, p)``
     for an arbitrarily long list), so Straus' signed-digit tables cost
     three multiplications per entry instead of an inversion each.
+
+    ``modulus`` tells :mod:`repro.crypto.multiexp` that a raw value is a
+    residue mod that int, so its bucket method multiplies ints inline
+    instead of calling :meth:`mul` per bucket hit.  Together with the
+    fixed-base pair (:class:`_ResiduePair`, for moduli up to
+    ``_RESIDUE_PAIR_MAX_BITS``) these are the residue kernels.  Measured
+    on a 2-vCPU host, CPython 3.11, the two columns interleaved, best of
+    15 (pairs) or 30 (buckets, at the window the cost model picks):
+
+    ==============================  ===========  ===================
+    kernel                          generic      residue
+    ==============================  ===========  ===================
+    p64 pair, 128 full-width pairs  12.7 µs      5.7 µs
+    p128 pair                       31.6 µs      14.6 µs
+    p256 pair                       84.5 µs      50.3 µs
+    modp-2048 pair                  13.1 ms      10.2 ms after a 2.5 s,
+                                                 33 MB build, so it
+                                                 keeps the comb tables
+    p64 multiexp, n = 384           2.75 ms      2.16 ms (list buckets)
+    p128 multiexp, n = 194          4.09 ms      3.58 ms (in place)
+    the same, signed digits         4.58 ms      (none: the residue
+                                                 loop is unsigned,
+                                                 3.83 ms that round)
+    modp-2048 multiexp, n = 300     2.43 s       2.46 s (in place)
+    ==============================  ===========  ===================
+
+    The pair's width rule is ``_RESIDUE_PAIR_MAX_BITS`` (its build costs
+    are beside it); the buckets' is ``multiexp._LIST_BUCKET_MAX_BITS``.
     """
 
-    __slots__ = ("_group", "_p", "identity_raw", "op_overhead")
+    __slots__ = ("_group", "modulus", "identity_raw", "op_overhead")
 
     native_pow = True  # SchnorrElement.scale is CPython's C `pow`
     # Negation is a modular inversion: ~3 multiplications per element
     # even via batch_inverse, which is why signed-digit Pippenger does
     # not pay on this backend (see repro.crypto.multiexp).
     neg_muls = 3.2
+    # Signed digits run the generic kernel-call bucket loop; the unsigned
+    # residue loop beat it by 1.1–1.2× at every size the cost model
+    # priced signed digits cheaper (p64-sim n ≤ 32, p128-sim n ≤ 194).
+    signed_buckets = False
 
     def __init__(self, group: "SchnorrGroup") -> None:
         self._group = group
-        self._p = group.modulus
+        self.modulus = group.modulus
         self.identity_raw = 1
-        # Python bookkeeping (~0.5 µs/hit) relative to one modmul, which
-        # scales subquadratically with the modulus width (Karatsuba).
-        mul_us = 0.3 * (group.modulus.bit_length() / 128.0) ** 1.25
-        self.op_overhead = min(3.0, 0.5 / mul_us)
+        # What a Straus table hit costs beyond its multiplication — the
+        # Python bookkeeping of the kernel's only tier that still calls
+        # ``mul`` per hit — relative to one multiplication, fitted so the
+        # model switches tiers where the measurements against the residue
+        # buckets do: naive → Straus → Pippenger at n = 8 / 13 on p128-sim
+        # (measured ≈ 6 / 13–16), 4 / 24 on p256-sim (3 / ≈ 24), Straus →
+        # Pippenger at 304 on modp-2048 (level at ≈ 250–300); p64-sim
+        # (2.27) goes from naive straight to Pippenger at 11, where the
+        # tiers are level within 1.1×.
+        self.op_overhead = min(3.0, 1.5 * (128 / group.modulus.bit_length()) ** 0.6)
 
     @staticmethod
     def to_raw(element: "SchnorrElement") -> int:
@@ -142,13 +191,61 @@ class _SchnorrKernel:
         return SchnorrElement(self._group, raw)
 
     def mul(self, a: int, b: int) -> int:
-        return a * b % self._p
+        return a * b % self.modulus
 
     def sqr(self, a: int) -> int:
-        return a * a % self._p
+        return a * a % self.modulus
 
     def neg_many(self, raws: list[int]) -> list[int]:
-        return batch_inverse(raws, self._p)
+        return batch_inverse(raws, self.modulus)
+
+
+class _ResiduePair:
+    """``a^x · b^y`` for two fixed bases, on comb rows of plain ints.
+
+    Row ``i`` of a base holds ``base^(d·256^i)`` for every byte value d,
+    so one ``int.to_bytes`` of an exponent yields all its digits and a
+    pair costs one ``acc * row_a[dx] * row_b[dy] % p`` per byte position
+    — 8 on p64-sim, 16 on p128-sim — with no kernel call, no
+    shift-and-mask and no digit branch (a zero digit is the entry 1).
+    What :meth:`SchnorrGroup.fixed_base_pair` returns up to
+    ``_RESIDUE_PAIR_MAX_BITS``; built once per ``(group, h_label)``
+    (:func:`repro.crypto.pedersen._shared_bases`) and never written again.
+    """
+
+    __slots__ = ("_group", "_p", "_q", "_width", "_rows")
+
+    def __init__(self, a: SchnorrElement, b: SchnorrElement) -> None:
+        group = a.group
+        if b.group is not group:
+            raise ParameterError("a fixed-base pair lives in one group")
+        p = group.modulus
+        self._group, self._p, self._q = group, p, group.order
+        self._width = (group.order.bit_length() + 7) // 8
+        tables = []
+        for base in (a.value, b.value):
+            table = []
+            for _ in range(self._width):
+                row = [1, base]
+                for _ in range(254):
+                    row.append(row[-1] * base % p)
+                table.append(row)
+                base = row[-1] * base % p  # base ** 256
+            tables.append(table)
+        self._rows = list(zip(*tables))
+
+    def dual_many(self, xs: Sequence[int], ys: Sequence[int]) -> list[SchnorrElement]:
+        """``[a^x · b^y for x, y in zip(xs, ys)]``, one row walk each."""
+        group, p, q, width, rows = self._group, self._p, self._q, self._width, self._rows
+        out = []
+        for x, y in zip(xs, ys):
+            acc = 1
+            for (row_a, row_b), dx, dy in zip(
+                rows, (x % q).to_bytes(width, "little"), (y % q).to_bytes(width, "little")
+            ):
+                acc = acc * row_a[dx] * row_b[dy] % p
+            out.append(SchnorrElement(group, acc))
+        return out
 
 
 class SchnorrGroup(Group):
@@ -243,6 +340,14 @@ class SchnorrGroup(Group):
         if self._kernel is None:
             self._kernel = _SchnorrKernel(self)
         return self._kernel
+
+    def fixed_base_pair(self, a: GroupElement, b: GroupElement):
+        """Byte-digit residue rows (:class:`_ResiduePair`) up to
+        ``_RESIDUE_PAIR_MAX_BITS`` of modulus; wider groups (modp-2048)
+        keep the window-6 comb tables of :meth:`Group.fixed_base_pair`."""
+        if self._p.bit_length() <= _RESIDUE_PAIR_MAX_BITS:
+            return _ResiduePair(a, b)
+        return super().fixed_base_pair(a, b)
 
     # Named parameter sets ------------------------------------------------
 

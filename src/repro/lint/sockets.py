@@ -9,14 +9,18 @@ it a stall no equivalence test can see: the bytes are identical, only
 late.  ``TCP_NODELAY`` is therefore not an option anywhere in the
 package, and statically the discipline is checkable per function:
 
-    a name bound from ``socket.create_connection(...)`` or from a
-    listening socket's ``.accept()`` must, in the same function, be
-    passed to ``repro.net.transport._prepare_stream_socket`` or have
+    a name bound from ``socket.create_connection(...)``, from a
+    ``socket.socket(...)`` that the same function ``.connect()``s, or
+    from a listening socket's ``.accept()`` must, in the same function,
+    be passed to ``repro.net.transport._prepare_stream_socket`` or have
     ``setsockopt(..., TCP_NODELAY, ...)`` called on it.
 
 **Bind sites:** ``name = socket.create_connection(...)`` (also as a
 ``with`` item, and by any import of it: ``from socket import
-create_connection``), and ``name, _ = <listener>.accept()`` /
+create_connection``), ``name = socket.socket(...)`` followed by
+``name.connect(...)`` in the same function (a dial to an address
+resolved earlier; a socket that is bound and listens is not one), and
+``name, _ = <listener>.accept()`` /
 ``name = <listener>.accept()`` — the *zero-argument*, un-awaited
 ``accept`` of a socket; the transports' own ``accept(count, ...)``
 returns peer names and is not a bind site.  asyncio streams are exempt:
@@ -43,6 +47,8 @@ def _opens_stream_socket(ctx: ModuleContext, node: ast.expr) -> str | None:
         return None
     if ctx.origin(node.func) == "socket.create_connection":
         return "dialled"
+    if ctx.origin(node.func) == "socket.socket":
+        return "created"  # a bind site only if the function connects it
     if getattr(node.func, "attr", None) == "accept" and not node.args and not node.keywords:
         return "accepted"
     return None
@@ -57,6 +63,13 @@ def _bound_name(target: ast.expr | None, how: str) -> str | None:
 def _opened_sockets(ctx: ModuleContext, scope: ast.AST):
     """``(name, how, call)`` for every socket ``scope`` itself binds (a
     nested function is a scope of its own and reports its own sockets)."""
+    connected = {
+        node.func.value.id
+        for node in ctx.own_nodes(scope)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "connect"
+        and isinstance(node.func.value, ast.Name)
+    }
     for node in ctx.own_nodes(scope):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             value, target = node.value, node.targets[0]
@@ -66,7 +79,9 @@ def _opened_sockets(ctx: ModuleContext, scope: ast.AST):
             continue
         how = _opens_stream_socket(ctx, value)
         name = _bound_name(target, how) if how else None
-        if name is not None:
+        if how == "created":
+            how = "dialled" if name in connected else None
+        if name is not None and how is not None:
             yield name, how, value
 
 
@@ -94,8 +109,9 @@ class StreamSocketRule(Rule):
     code = "REP007"
     name = "stream-socket-unprepared"
     description = (
-        "a socket bound from socket.create_connection() or a listener's "
-        "accept() gets TCP_NODELAY in the same function (the transport "
+        "a socket bound from socket.create_connection(), a connected "
+        "socket.socket() or a listener's accept() gets TCP_NODELAY in the "
+        "same function (the transport "
         "helper, or setsockopt on it) — no frame waits on a delayed ACK"
     )
     scope = ("repro.net", "repro.loadgen")

@@ -27,7 +27,7 @@ from repro.crypto.serialization import encode_message
 from repro.errors import ReproError
 from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
 from repro.net.shard import ShardedAnalyst, ShardWorker
-from repro.net.transport import SocketTransport, Transport
+from repro.net.transport import SocketTransport, Transport, resolve
 from repro.utils.rng import RNG, SeededRNG, SystemRNG
 
 __all__ = [
@@ -76,9 +76,15 @@ def build_analyst(query: Query, transport: Transport, servers, shards=(), **opti
 
 def dial(name: str, host: str, port: int, *, session: int = 0, timeout=30.0):
     """A deferred ``SocketTransport.connect`` to the analyst, for
-    :func:`run_role` to open inside the peer's own thread or process."""
+    :func:`run_role` to open inside the peer's own thread or process.
+
+    The address is looked up here, in the process that dials: a forked
+    peer then connects without a lookup of its own, which would import
+    ``encodings.idna`` (≈ 5 ms) in every child, inside the front-end's
+    ``accept`` wait."""
+    addresses = resolve(host, port)
     return lambda: SocketTransport.connect(
-        name, "analyst", host, port, session=session, timeout=timeout
+        name, "analyst", host, port, session=session, timeout=timeout, addresses=addresses
     )
 
 

@@ -242,9 +242,7 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
 def _session_peer_main(
     role: str,
     name: str,
-    host: str,
-    port: int,
-    sessions: int,
+    openers: list,
     query: Query,
     values: list,
     seed: str | None,
@@ -252,13 +250,14 @@ def _session_peer_main(
 ) -> None:
     """Child process: peer ``name`` of every session — one blocking
     :func:`run_role` thread per session, each over its own
-    session-scoped connection with that session's seed and values (the
-    node is the unchanged single-session code; scoped connections do the
+    session-scoped connection (``openers[s]``, dialled by the parent
+    before the fork) with that session's seed and values (the node is
+    the unchanged single-session code; scoped connections do the
     routing)."""
     threads = [
         threading.Thread(
             target=run_role,
-            args=(role, name, dial(name, host, port, session=s, timeout=timeout)),
+            args=(role, name, opener),
             kwargs=dict(
                 seed=session_seed(seed, s),
                 query=query,
@@ -267,7 +266,7 @@ def _session_peer_main(
             ),
             daemon=True,
         )
-        for s in range(sessions)
+        for s, opener in enumerate(openers)
     ]
     for thread in threads:
         thread.start()
@@ -343,7 +342,15 @@ def run_async_sessions(
     processes = [
         context.Process(
             target=_session_peer_main,
-            args=(role, name, host, bound_port, sessions, query, values, seed, timeout),
+            args=(
+                role,
+                name,
+                [dial(name, host, bound_port, session=s, timeout=timeout) for s in range(sessions)],
+                query,
+                values,
+                seed,
+                timeout,
+            ),
             daemon=True,
         )
         for role, name in roles

@@ -40,6 +40,7 @@ __all__ = [
     "MultiprocessTransport",
     "SocketTransport",
     "multiprocess_star",
+    "resolve",
     "HandshakeGate",
     "DEFAULT_MAX_FRAME_BYTES",
     "pack_frame",
@@ -93,6 +94,30 @@ def _prepare_stream_socket(sock: socket.socket) -> None:
     first fires, ~40 ms later (DESIGN.md, "Frames and Nagle").
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def resolve(host: str, port: int) -> list[tuple]:
+    """The ``getaddrinfo`` answer for a TCP connection to ``(host, port)``,
+    in the order :meth:`SocketTransport.connect` tries it."""
+    return socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+
+
+def _open_stream(addresses: list[tuple], timeout: float | None) -> socket.socket:
+    """A prepared socket connected to the first of ``addresses`` that
+    accepts — ``socket.create_connection`` without its name lookup."""
+    error: OSError | None = None
+    for family, kind, proto, _, sockaddr in addresses:
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(sockaddr)
+        except OSError as exc:
+            sock.close()
+            error = exc
+            continue
+        _prepare_stream_socket(sock)
+        return sock
+    raise error if error is not None else OSError("no address to connect to")
 
 
 def pack_frame(frame: bytes, session: int = 0) -> bytes:
@@ -502,15 +527,23 @@ class SocketTransport(Transport):
         timeout: float | None = 30.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         session: int = 0,
+        addresses: list | None = None,
     ) -> "SocketTransport":
         """Connect and handshake.  ``session`` binds the channel: 0 (the
         default) emits the legacy v1 handshake and frames byte-for-byte;
         ``session=s`` announces the scope so a session-multiplexing
         listener (:class:`repro.net.aio.AsyncSocketTransport`) routes this
-        connection's traffic to session *s*."""
+        connection's traffic to session *s*.
+
+        ``addresses`` is what :func:`resolve` returned for ``(host,
+        port)``, when the caller looked the name up already; no lookup
+        runs here then.  A process's first lookup imports
+        ``encodings.idna`` (≈ 5 ms), which is why a front-end resolves
+        once before it forks its peers (:func:`repro.net.roles.dial`)."""
         transport = cls(name, max_frame_bytes=max_frame_bytes, session=session)
-        sock = socket.create_connection((host, port), timeout=timeout)
-        _prepare_stream_socket(sock)
+        if addresses is None:
+            addresses = resolve(host, port)
+        sock = _open_stream(addresses, timeout)
         sock.sendall(pack_frame(name.encode(), session))
         transport._sockets[peer] = sock
         return transport

@@ -1,10 +1,12 @@
-"""Fixed-base comb tables: cross-backend equivalence with plain ``**``.
+"""Fixed-base pairs and comb tables: cross-backend equivalence with ``**``.
 
 The Pedersen generators g/h are exponentiated millions of times per run;
-``PedersenParams`` caches comb tables for both and every hot path
-(commit, Σ-OR verify, batch-verify generator folds) goes through them.
-These tests pin the tables to the semantics of naive exponentiation on
-every group backend.
+``PedersenParams`` caches the group's fixed-base pair for both and every
+hot path (commit, Σ-OR verify, batch-verify generator folds) goes
+through it — byte-digit residue rows on the narrow Schnorr groups, comb
+tables on the Python curve kernels.  These tests pin the pair, and comb
+tables built for the same generators on every backend, to the semantics
+of naive exponentiation.
 """
 
 import pytest
@@ -33,6 +35,14 @@ def pedersen(request):
     return PedersenParams(_backends()[request.param])
 
 
+@pytest.fixture(scope="module")
+def comb_tables(pedersen):
+    """Comb tables for (g, h) on this backend: the pair's own where it is a
+    ``CombPair``, built here where the group answers with residue rows."""
+    tables = getattr(pedersen._fixed, "tables", None)
+    return tables or (FixedBaseTable(pedersen.g), FixedBaseTable(pedersen.h))
+
+
 def _exponents(pedersen, n=8):
     rng = SeededRNG(f"fixed-base-{pedersen.group.name}")
     edge = [0, 1, 2, pedersen.q - 1, pedersen.q // 2]
@@ -48,11 +58,11 @@ class TestFixedBaseTables:
         for e in _exponents(pedersen):
             assert pedersen.pow_h(e) == pedersen.h ** e
 
-    def test_dual_power_matches_naive(self, pedersen):
+    def test_dual_power_matches_naive(self, pedersen, comb_tables):
         exps = _exponents(pedersen)
+        g_table, h_table = comb_tables
         for a, b in zip(exps, reversed(exps)):
             expected = (pedersen.g ** a) * (pedersen.h ** b)
-            g_table, h_table = pedersen._fixed.tables
             assert dual_power(g_table, a, h_table, b) == expected
 
     def test_commit_is_fused_dual_power(self, pedersen):
@@ -68,9 +78,9 @@ class TestFixedBaseTables:
             pedersen.q - 2, pedersen.q - 3
         ).element
 
-    def test_power_raw_roundtrip(self, pedersen):
+    def test_power_raw_roundtrip(self, pedersen, comb_tables):
         kernel = kernel_for(pedersen.group)
-        table = pedersen._fixed.tables[0]
+        table = comb_tables[0]
         for e in _exponents(pedersen, n=3):
             assert kernel.from_raw(table.power_raw(kernel, e)) == pedersen.g ** e
 
@@ -79,10 +89,10 @@ class TestDualPowerValidation:
     def test_mismatched_groups_rejected(self):
         from repro.crypto.schnorr_group import SchnorrGroup
 
-        a = PedersenParams(SchnorrGroup.named("p64-sim"))
-        b = PedersenParams(SchnorrGroup.named("p128-sim"))
+        a = FixedBaseTable(SchnorrGroup.named("p64-sim").generator())
+        b = FixedBaseTable(SchnorrGroup.named("p128-sim").generator())
         with pytest.raises(ParameterError):
-            dual_power(a._fixed.tables[0], 1, b._fixed.tables[1], 1)
+            dual_power(a, 1, b, 1)
 
     def test_mismatched_geometry_rejected(self):
         from repro.crypto.schnorr_group import SchnorrGroup
@@ -111,9 +121,7 @@ class TestSharedTables:
         a, b = PedersenParams(group), PedersenParams(group)
         assert a._fixed is b._fixed
         assert a.h is b.h
-        g_table, h_table = a._fixed.tables
-        assert g_table.base == a.g
-        assert h_table.base == a.h
+        assert a._fixed.dual_many([1, 0], [0, 1]) == [a.g, a.h]
 
     def test_other_label_or_group_object_does_not_share(self):
         group = _adhoc_group()
@@ -121,7 +129,7 @@ class TestSharedTables:
         relabelled = PedersenParams(group, h_label=b"another.h")
         assert relabelled.h != a.h
         assert relabelled._fixed is not a._fixed
-        assert relabelled._fixed.tables[1].base == relabelled.h
+        assert relabelled._fixed.dual_many([0], [1]) == [relabelled.h]
         twin = PedersenParams(_adhoc_group())
         assert twin._fixed is not a._fixed
         assert twin.h.to_bytes() == a.h.to_bytes()

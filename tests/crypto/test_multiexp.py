@@ -237,6 +237,57 @@ class TestSelection:
         # inversion, which eats the saved windows -> unsigned holds.
         assert _pippenger_variant(4096, 127, 3.2)[0] == "pippenger-unsigned"
 
+    def test_straus_cost_counts_the_table_negation_pass(self):
+        from repro.crypto.multiexp import _straus_cost
+
+        free = _straus_cost(100, 2047, 6, 0.1, 0.0)
+        paid = _straus_cost(100, 2047, 6, 0.1, 3.2)
+        assert paid - free == pytest.approx(3.2 * 100 * 2 ** (6 - 2))
+
+    def test_modp_2048_crossover_is_pinned(self):
+        """With the negation pass priced, the modp-2048 kernel's hints put
+        Straus → Pippenger at n = 304 (measured: level at n ≈ 250–300,
+        Pippenger 1.1–1.2× ahead at 400; the model said 910 without it)."""
+        from repro.crypto.schnorr_group import SchnorrGroup
+
+        kernel = kernel_for(SchnorrGroup.named("modp-2048"))
+        hints = dict(
+            native_pow=kernel.native_pow,
+            op_overhead=kernel.op_overhead,
+            neg_muls=kernel.neg_muls,
+            signed_buckets=kernel.signed_buckets,
+        )
+        picks = [select_algorithm(n, 2047, **hints) for n in range(2, 1200)]
+        assert picks == ["straus"] * (304 - 2) + ["pippenger"] * (1200 - 304)
+
+    @pytest.mark.parametrize(
+        "name, bits, crossover",
+        [("ristretto", 252, 137), ("ristretto", 253, 146), ("p256", 256, 141)],
+    )
+    def test_curve_kernel_picks(self, name, bits, crossover):
+        """A curve's table negation is a coordinate flip (neg_muls 0.05), so
+        pricing it leaves the picks as they were — naive at n = 1, Straus,
+        then Pippenger — but for the switch, which moves 2 lower (from
+        139 / 148 / 143), inside the band where the two tiers are level."""
+        from repro.crypto.p256 import P256Group
+        from repro.crypto.ristretto import RistrettoGroup
+
+        group = RistrettoGroup.instance() if name == "ristretto" else P256Group.instance()
+        kernel = kernel_for(group)
+        picks = [
+            select_algorithm(
+                n,
+                bits,
+                native_pow=kernel.native_pow,
+                op_overhead=kernel.op_overhead,
+                neg_muls=kernel.neg_muls,
+            )
+            for n in range(1, 4097)
+        ]
+        assert picks == ["naive"] + ["straus"] * (crossover - 2) + ["pippenger"] * (
+            4097 - crossover
+        )
+
     def test_signed_cost_model_counts_the_negation_pass(self):
         from repro.crypto.multiexp import _pippenger_cost
 
@@ -300,9 +351,9 @@ class TestSelectionIsPure:
         priced, run = [], []
         straus_cost, straus = multiexp._straus_cost, multiexp._straus
 
-        def spy_cost(n, bits, window, overhead):
+        def spy_cost(n, bits, window, overhead, neg_muls):
             priced.append(window)
-            return straus_cost(n, bits, window, overhead)
+            return straus_cost(n, bits, window, overhead, neg_muls)
 
         def spy_straus(kernel, raw_bases, exps, window):
             run.append(window)

@@ -34,3 +34,10 @@ def dialled_by_its_bare_name(host, port, frame):
     sock = create_connection((host, port))  # line 34
     sock.sendall(frame)
     return sock
+
+
+def dialled_without_a_lookup(sockaddr, frame):
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)  # line 40
+    sock.connect(sockaddr)
+    sock.sendall(frame)
+    return sock

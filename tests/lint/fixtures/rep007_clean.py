@@ -40,6 +40,20 @@ def option_set_by_a_closure(host, port, run):
     return sock
 
 
+def dialled_without_a_lookup(sockaddr):
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.connect(sockaddr)
+    _prepare_stream_socket(sock)
+    return sock
+
+
+def a_listening_socket_is_not_dialled(sockaddr):
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(sockaddr)
+    listener.listen()
+    return listener
+
+
 def transport_accept_returns_names(transport):
     names = transport.accept(2, 5.0)  # peer names, not a socket
     return names

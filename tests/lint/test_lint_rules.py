@@ -152,9 +152,13 @@ class TestREP007StreamSockets:
         assert "'conn', a TCP stream socket accepted here" in blob
         assert "'second', a TCP stream socket accepted here" in blob
         assert "'first'" not in blob
-        # Line 34 dials through `from socket import create_connection`.
-        assert [f.line for f in findings] == [7, 13, 18, 25, 34]
-        assert all("create_connection" in f.code or "accept()" in f.code for f in findings)
+        # Line 34 dials through `from socket import create_connection`,
+        # line 40 connects a socket.socket() to an address resolved earlier.
+        assert [f.line for f in findings] == [7, 13, 18, 25, 34, 40]
+        assert all(
+            "create_connection" in f.code or "accept()" in f.code or "socket.socket(" in f.code
+            for f in findings
+        )
 
     def test_clean(self):
         assert run_rule("REP007", "rep007_clean.py") == []
@@ -169,7 +173,8 @@ class TestREP007StreamSockets:
 
     def test_every_socket_the_package_opens_is_prepared(self):
         """The live invariant, and that the rule sees the real sites: the
-        blocking dial and accept, the gateway accept, the load generator."""
+        blocking dial (a connected ``socket.socket``) and accept, the
+        gateway accept, the load generator."""
         import repro.loadgen
         import repro.net.gateway
         import repro.net.transport

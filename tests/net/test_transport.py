@@ -356,6 +356,41 @@ class TestSocket:
         honest.close()
         listener.close()
 
+    def test_a_forked_peer_dials_without_a_name_lookup(self):
+        """``roles.dial`` resolves in the process that calls it, so a child
+        forked afterwards connects with no ``getaddrinfo`` of its own —
+        whose first call in a process imports ``encodings.idna`` (≈ 5 ms
+        per peer per session, inside the front-end's ``accept`` wait)."""
+        from multiprocessing import get_context
+
+        from repro.net.roles import dial
+
+        listener = SocketTransport.listen("analyst")
+        opener = dial("peer-1", "127.0.0.1", listener.port)
+        reader, writer = get_context("fork").Pipe(duplex=False)
+
+        def child_main():
+            lookups = []
+            real = socket.getaddrinfo
+
+            def counting(*args, **kwargs):
+                lookups.append(args)
+                return real(*args, **kwargs)
+
+            socket.getaddrinfo = counting
+            opener().close()
+            writer.send(len(lookups))
+
+        process = get_context("fork").Process(target=child_main, daemon=True)
+        process.start()
+        try:
+            assert reader.poll(10.0)
+            assert reader.recv() == 0
+            assert listener.accept(1, timeout=5.0) == ["peer-1"]
+        finally:
+            process.join(timeout=10.0)
+            listener.close()
+
 
 def _nodelay(sock) -> int:
     return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)

@@ -528,3 +528,50 @@ def test_one_chunk_session_is_linear_in_clients():
     assert large < 16 * small, (
         f"n=2048 took {large:.2f}s, n=256 {small:.2f}s ({large / small:.1f}x)"
     )
+
+
+@pytest.mark.parametrize("name", ["p64-sim", "p128-sim"])
+def test_residue_pair_beats_the_comb_pair(name):
+    """128 full-width ``g^x·h^y`` on the byte-digit residue rows against
+    the window-6 comb tables through the kernel's ``mul``: ≈ 2.2× measured
+    on both groups (p64 12.7 → 5.7 µs, p128 31.6 → 14.6 µs); 1.3× is the
+    floor under which the pair has fallen back to per-hit calls."""
+    from repro.crypto.multiexp import CombPair
+
+    group = SchnorrGroup.named(name)
+    pedersen = PedersenParams(group)
+    residue = pedersen._fixed
+    comb = CombPair(pedersen.g, pedersen.h)
+    rng = SeededRNG(f"residue-perf-{name}")
+    xs = [rng.field_element(group.order) for _ in range(128)]
+    ys = [rng.field_element(group.order) for _ in range(128)]
+    assert residue.dual_many(xs, ys) == comb.dual_many(xs, ys)
+
+    # Best of 5 rounds, the two interleaved within a round: a host slowdown
+    # then lands on both, not on whichever ran second.
+    fast = slow = float("inf")
+    for _ in range(5):
+        fast = min(fast, best_of(lambda: residue.dual_many(xs, ys), repeats=1))
+        slow = min(slow, best_of(lambda: comb.dual_many(xs, ys), repeats=1))
+    assert fast * 1.3 < slow, (
+        f"residue pair {fast / 128 * 1e6:.1f}µs vs comb pair {slow / 128 * 1e6:.1f}µs on {name}"
+    )
+
+
+def test_modp_2048_pair_builds_no_byte_rows(monkeypatch):
+    """modp-2048's pair is the window-6 comb tables: window-8 residue rows
+    there would hold 33 MB and take ≈ 2.5 s to build in every process."""
+    from repro.crypto import multiexp, schnorr_group
+
+    def forbidden(*args):
+        raise AssertionError("modp-2048 built byte-digit residue rows")
+
+    built = []
+    monkeypatch.setattr(schnorr_group, "_ResiduePair", forbidden)
+    monkeypatch.setattr(multiexp, "CombPair", lambda a, b: built.append((a, b)) or "comb")
+    group = SchnorrGroup(
+        SchnorrGroup.named("modp-2048").modulus, name="modp-2048-build", check=False
+    )
+    g, h = group.generator(), group.hash_to_group(b"build")
+    assert group.fixed_base_pair(g, h) == "comb"
+    assert built == [(g, h)]

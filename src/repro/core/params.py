@@ -14,6 +14,7 @@ parameter sets.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from repro.crypto.group import Group
@@ -38,6 +39,10 @@ class PublicParams:
     dimension: int = 1
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ParameterError(f"epsilon must be finite and positive, got {self.epsilon!r}")
+        if not 0 < self.delta < 1:
+            raise ParameterError(f"delta must be in (0, 1), got {self.delta!r}")
         if self.num_provers < 1:
             raise ParameterError("need at least one prover (K >= 1)")
         if self.dimension < 1:

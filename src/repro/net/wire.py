@@ -1,306 +1,190 @@
-"""Node-protocol framing over the typed message registry.
+"""Node-protocol framing over the typed message registry: setup specs
+(public parameters and plans, so every process rebuilds the same
+fingerprint), enrollment bundles (a client's broadcast plus its K share
+messages), RPC/reply envelopes between :class:`~repro.net.nodes.RemoteProver`
+and :class:`~repro.net.nodes.ServerNode`, control frames and small
+list/matrix payloads.
 
-:mod:`repro.crypto.serialization` turns individual protocol messages into
-tagged frames; this module adds the small amount of structure the role
-nodes need on top of that:
-
-* **setup specs** — public parameters and aggregation plans as bytes, so
-  an analyst can ship ``pp`` to servers and clients and every process
-  reconstructs an identical (same fingerprint) parameter set,
-* **enrollment bundles** — one frame carrying a client's public broadcast
-  plus its K private share messages, the unit the serving front-end
-  ingests via ``Session.submit_prepared``,
-* **RPC envelopes** — method-tagged request/reply frames the
-  :class:`~repro.net.nodes.RemoteProver` proxy speaks to a
-  :class:`~repro.net.nodes.ServerNode`,
-* **control frames** — setup / finalize / release / shutdown signals,
-* small list/matrix helpers (client-id lists, public-bit matrices).
-
-Everything is length-prefixed and magic-tagged; malformed input raises
-:class:`~repro.errors.EncodingError`, never a crash.
+Each frame is declared once below as a :class:`~repro.crypto.schema.Record`
+and its codec derives from it.  Malformed input raises
+:class:`~repro.errors.EncodingError`, never a crash — except a plan whose
+weights ``AggregationPlan`` refuses (``ParameterError``).  Format v1
+decodes every uint here loosely (leading zero bytes, no upper limit):
+params' nb/K/M, a plan's counts and weights, int lists, a bit matrix's
+shape.
 """
 
 from __future__ import annotations
 
-import struct
+from functools import partial
 
+from repro.core.messages import ClientBroadcast, ClientShareMessage
 from repro.core.params import PublicParams, _resolve_group
-from repro.crypto.serialization import _decode_str
 from repro.core.plan import AggregationPlan
 from repro.crypto.pedersen import PedersenParams
-from repro.errors import EncodingError, ReproError
-from repro.utils.encoding import (
-    bytes_to_int,
-    decode_length_prefixed,
-    encode_length_prefixed,
-    int_to_bytes,
-)
+from repro.crypto.schema import Record, count, f64, flag, many, nested, one, raw, text, uint
+from repro.crypto.serialization import decode_message, encode_message
+from repro.errors import EncodingError, ParameterError, ReproError
+from repro.utils.encoding import decode_length_prefixed
 
 __all__ = [
-    "encode_params",
-    "decode_params",
-    "encode_plan",
-    "decode_plan",
-    "encode_enrollment",
-    "decode_enrollment",
-    "split_enrollment",
-    "encode_control",
-    "decode_control",
-    "encode_rpc",
-    "decode_rpc",
-    "encode_reply",
-    "encode_abort_reply",
-    "decode_reply",
-    "encode_str_list",
-    "decode_str_list",
-    "encode_bytes_list",
-    "decode_bytes_list",
-    "encode_int_list",
-    "decode_int_list",
-    "encode_bit_matrix",
-    "decode_bit_matrix",
+    "encode_params", "decode_params", "encode_plan", "decode_plan",
+    "encode_enrollment", "decode_enrollment", "split_enrollment",
+    "encode_control", "decode_control", "encode_rpc", "decode_rpc",
+    "encode_reply", "encode_abort_reply", "decode_reply",
+    "encode_str_list", "decode_str_list", "encode_bytes_list", "decode_bytes_list",
+    "encode_int_list", "decode_int_list", "encode_bit_matrix", "decode_bit_matrix",
     "frame_kind",
 ]
 
-_MAGIC_PARAMS = b"repro.net.params.v1"
-_MAGIC_PLAN = b"repro.net.plan.v1"
-_MAGIC_ENROLL = b"repro.net.enroll.v1"
-_MAGIC_CTRL = b"repro.net.ctrl.v1"
-_MAGIC_RPC = b"repro.net.rpc.v1"
-_MAGIC_REPLY = b"repro.net.reply.v1"
 
-_REPLY_OK = b"ok"
-_REPLY_ABORT = b"abort"
+def _listed(kind) -> Record:
+    """A body that is nothing but a list of ``kind`` values."""
+    return Record("list", many("items", kind), get=lambda items: (items,), build=list)
 
 
-def _parts(data: bytes, magic: bytes, what: str) -> list[bytes]:
-    parts = decode_length_prefixed(data)
-    if not parts or parts[0] != magic:
-        raise EncodingError(f"bad or missing {what} magic")
-    return parts[1:]
+def _framed(what: str, magic: bytes, *fields, name=None, **options) -> Record:
+    bad_magic = f"bad or missing {what} magic"
+    return Record(name or what, *fields, magic=magic, bad_magic=bad_magic, **options)
+
+
+def _params(group_name, epsilon, delta, nb, num_provers, dimension) -> PublicParams:
+    try:
+        group = _resolve_group(group_name)
+    except (ReproError, ValueError) as exc:
+        raise EncodingError(f"unknown group {group_name.encode()!r}: {exc}") from exc
+    try:  # the checks a session's own parameters pass
+        return PublicParams(PedersenParams(group), epsilon, delta, nb, num_provers, dimension)
+    except ParameterError as exc:
+        raise EncodingError(f"params spec refused: {exc}") from exc
+
+
+def _plan(validity, dimension, lane_weights, noise_weights) -> AggregationPlan:
+    lane_weights = tuple(map(tuple, lane_weights))
+    if any(len(row) != dimension for row in lane_weights):
+        raise EncodingError("plan lane weights do not match the declared dimension")
+    return AggregationPlan(lane_weights=lane_weights, noise_weights=tuple(noise_weights),
+                           validity=validity)
+
+
+def _bit_rows(bits) -> tuple[int, int, bytes]:
+    lanes = len(bits[0]) if bits else 0
+    if any(len(row) != lanes for row in bits):
+        raise EncodingError("ragged bit matrix")
+    return len(bits), lanes, _bits(bytes(bit for row in bits for bit in row))
+
+
+def _bit_matrix(rows, lanes, flat) -> list[list[int]]:
+    # Both senders (a prover's absorb-bits, a shard's bits-chunk) send at
+    # least one row and one lane; zero lanes would pass the length check
+    # below and build ``rows`` empty lists.
+    if rows < 1 or lanes < 1:
+        raise EncodingError("bit matrix needs at least one row and one lane")
+    if len(flat) != rows * lanes:
+        raise EncodingError("bit matrix payload does not match its shape")
+    flat = _bits(flat)
+    return [list(flat[j * lanes : (j + 1) * lanes]) for j in range(rows)]
+
+
+def _bits(flat: bytes) -> bytes:
+    if flat.translate(None, b"\x00\x01"):
+        raise EncodingError("bit matrix entries must be 0/1")
+    return flat
+
+
+_INT_LIST, _STR_LIST = _listed(uint("int list entry")), _listed(text("list entry"))
+_BYTES_LIST = _listed(raw())
+# Only *named* groups travel (the name is the agreement; both sides
+# re-derive generators locally), and ε/δ go as exact IEEE doubles so the
+# reconstructed fingerprint — bound into every transcript — matches.
+_PARAMS = _framed(
+    "params", b"repro.net.params.v1", one("group", text("group name")),
+    one("epsilon", f64("params epsilon/delta must be 8-byte doubles")),
+    one("delta", f64("params epsilon/delta must be 8-byte doubles")),
+    one("nb", uint("nb")), one("num_provers", uint("num_provers")),
+    one("dimension", uint("dimension")),
+    get=lambda p: (p.group.name, p.epsilon, p.delta, p.nb, p.num_provers, p.dimension),
+    build=_params, needs="params spec needs 6 fields",
+)
+_PLAN = _framed(
+    "plan", b"repro.net.plan.v1", one("validity", text("plan validity")),
+    count("lanes", uint("lanes"), least=0), one("dimension", uint("dimension")),
+    many("lane_weights", nested(_INT_LIST), "lanes"), one("noise_weights", nested(_INT_LIST)),
+    get=lambda p: (p.validity, p.dimension, p.lane_weights, p.noise_weights),
+    build=_plan, name="plan spec", needs="plan spec needs validity, shape and weights",
+)
+# A client's broadcast frame and its K share frames.  Decoding only splits
+# them: a sharded front-end forwards the broadcast to a shard verbatim, so
+# a shard validates exactly the bytes the client sent.
+_ENROLL = _framed(
+    "enrollment", b"repro.net.enroll.v1", one("broadcast", raw()), many("shares", raw(), least=1),
+    build=lambda broadcast, shares: (broadcast, list(shares)),
+    needs="enrollment needs a broadcast and >= 1 share message",
+)
+_CONTROL = _framed(
+    "control", b"repro.net.ctrl.v1", one("kind", text("control kind")), many("parts", raw()),
+    build=lambda kind, parts: (kind, list(parts)), needs="control frame needs a kind",
+)
+_RPC = _framed(
+    "rpc", b"repro.net.rpc.v1", one("method", text("rpc method")), many("parts", raw()),
+    build=lambda method, parts: (method, list(parts)), needs="rpc frame needs a method",
+)
+# (ok, parts); an abort reply carries [reason].
+_REPLY = _framed(
+    "reply", b"repro.net.reply.v1",
+    one("ok", flag(b"ok", b"abort", "reply frame needs an ok/abort status")), many("parts", raw()),
+    build=lambda ok, parts: (ok, list(parts)), needs="reply frame needs an ok/abort status",
+)
+# A public-bit matrix (rows × lanes of {0,1}) as one byte per bit.
+_BIT_MATRIX = Record(
+    "bit matrix", one("rows", uint("rows")), one("lanes", uint("lanes")), one("bits", raw()),
+    get=_bit_rows, build=_bit_matrix, needs="bit matrix needs (rows, lanes, bits)",
+)
+_KINDS = {_ENROLL.magic: "enroll", _CONTROL.magic: "ctrl", _RPC.magic: "rpc",
+          _REPLY.magic: "reply", _PARAMS.magic: "params", _PLAN.magic: "plan"}
+
+encode_params, decode_params = _PARAMS.encode, partial(_PARAMS.decode, None)
+encode_plan, decode_plan = _PLAN.encode, partial(_PLAN.decode, None)
+split_enrollment = partial(_ENROLL.decode, None)
+decode_control, decode_rpc = partial(_CONTROL.decode, None), partial(_RPC.decode, None)
+decode_reply = partial(_REPLY.decode, None)
+encode_str_list, decode_str_list = _STR_LIST.encode, partial(_STR_LIST.decode, None)
+encode_bytes_list, decode_bytes_list = _BYTES_LIST.encode, partial(_BYTES_LIST.decode, None)
+encode_int_list, decode_int_list = _INT_LIST.encode, partial(_INT_LIST.decode, None)
+encode_bit_matrix, decode_bit_matrix = _BIT_MATRIX.encode, partial(_BIT_MATRIX.decode, None)
 
 
 def frame_kind(data: bytes) -> str:
     """Classify a frame by its leading magic ('enroll', 'ctrl', ...)."""
     parts = decode_length_prefixed(data)
-    kinds = {
-        _MAGIC_ENROLL: "enroll",
-        _MAGIC_CTRL: "ctrl",
-        _MAGIC_RPC: "rpc",
-        _MAGIC_REPLY: "reply",
-        _MAGIC_PARAMS: "params",
-        _MAGIC_PLAN: "plan",
-    }
-    if not parts or parts[0] not in kinds:
+    if not parts or parts[0] not in _KINDS:
         raise EncodingError("unknown frame kind")
-    return kinds[parts[0]]
+    return _KINDS[parts[0]]
 
 
-# Parameter and plan specs -----------------------------------------------------
+def _envelope(record: Record, head, *parts: bytes) -> bytes:
+    """A control kind, RPC method or reply status, then opaque parts."""
+    return record.encode((head, parts))
 
 
-def encode_params(params: PublicParams) -> bytes:
-    """Public parameters as bytes; decoding reproduces the fingerprint.
-
-    Only *named* groups travel (the name is the agreement; both sides
-    re-derive generators locally), and ε/δ go as exact IEEE doubles so the
-    reconstructed fingerprint — bound into every transcript — matches.
-    """
-    return encode_length_prefixed(
-        _MAGIC_PARAMS,
-        params.group.name.encode(),
-        struct.pack(">d", params.epsilon),
-        struct.pack(">d", params.delta),
-        int_to_bytes(params.nb),
-        int_to_bytes(params.num_provers),
-        int_to_bytes(params.dimension),
-    )
+encode_control, encode_rpc = partial(_envelope, _CONTROL), partial(_envelope, _RPC)
+encode_reply = partial(_envelope, _REPLY, True)
 
 
-def decode_params(data: bytes) -> PublicParams:
-    parts = _parts(data, _MAGIC_PARAMS, "params")
-    if len(parts) != 6:
-        raise EncodingError("params spec needs 6 fields")
-    if len(parts[1]) != 8 or len(parts[2]) != 8:
-        raise EncodingError("params epsilon/delta must be 8-byte doubles")
-    try:
-        group = _resolve_group(_decode_str(parts[0], "group name"))
-    except (ReproError, ValueError) as exc:
-        raise EncodingError(f"unknown group {parts[0]!r}: {exc}") from exc
-    return PublicParams(
-        pedersen=PedersenParams(group),
-        epsilon=struct.unpack(">d", parts[1])[0],
-        delta=struct.unpack(">d", parts[2])[0],
-        nb=bytes_to_int(parts[3]),
-        num_provers=bytes_to_int(parts[4]),
-        dimension=bytes_to_int(parts[5]),
-    )
-
-
-def encode_plan(plan: AggregationPlan) -> bytes:
-    return encode_length_prefixed(
-        _MAGIC_PLAN,
-        plan.validity.encode(),
-        int_to_bytes(plan.lanes),
-        int_to_bytes(plan.dimension),
-        *[encode_int_list(row) for row in plan.lane_weights],
-        encode_int_list(plan.noise_weights),
-    )
-
-
-def decode_plan(data: bytes) -> AggregationPlan:
-    parts = _parts(data, _MAGIC_PLAN, "plan")
-    if len(parts) < 4:
-        raise EncodingError("plan spec needs validity, shape and weights")
-    lanes = bytes_to_int(parts[1])
-    dimension = bytes_to_int(parts[2])
-    if len(parts) != 3 + lanes + 1:
-        raise EncodingError(f"plan spec has {len(parts)} fields, expected {4 + lanes}")
-    lane_weights = tuple(tuple(decode_int_list(raw)) for raw in parts[3:-1])
-    if any(len(row) != dimension for row in lane_weights):
-        raise EncodingError("plan lane weights do not match the declared dimension")
-    return AggregationPlan(
-        lane_weights=lane_weights,
-        noise_weights=tuple(decode_int_list(parts[-1])),
-        validity=_decode_str(parts[0], "plan validity"),
-    )
-
-
-# Enrollment bundles -----------------------------------------------------------
+def encode_abort_reply(message: str) -> bytes:
+    return _envelope(_REPLY, False, message.encode())
 
 
 def encode_enrollment(broadcast, privates) -> bytes:
-    """One client's Line 2 submission: broadcast + K private shares."""
-    from repro.crypto.serialization import encode_message
-
-    return encode_length_prefixed(
-        _MAGIC_ENROLL,
-        encode_message(broadcast),
-        *[encode_message(message) for message in privates],
-    )
-
-
-def split_enrollment(data: bytes) -> tuple[bytes, list[bytes]]:
-    """An enrollment's (broadcast frame, private share frames), undecoded.
-
-    The sharded front-end forwards the broadcast frame to a shard worker
-    verbatim — splitting without decoding means the bytes a shard
-    validates are exactly the bytes the client sent, with no re-encoding
-    on the dispatch path.
-    """
-    parts = _parts(data, _MAGIC_ENROLL, "enrollment")
-    if len(parts) < 2:
-        raise EncodingError("enrollment needs a broadcast and >= 1 share message")
-    return parts[0], parts[1:]
+    return _ENROLL.encode((encode_message(broadcast), [encode_message(m) for m in privates]))
 
 
 def decode_enrollment(group, data: bytes):
-    from repro.core.messages import ClientBroadcast, ClientShareMessage
-    from repro.crypto.serialization import decode_message
-
     broadcast_frame, private_frames = split_enrollment(data)
     broadcast = decode_message(group, broadcast_frame)
-    privates = [decode_message(group, raw) for raw in private_frames]
+    privates = [decode_message(group, frame) for frame in private_frames]
     if not isinstance(broadcast, ClientBroadcast) or not all(
         isinstance(m, ClientShareMessage) for m in privates
     ):
         raise EncodingError("enrollment bundle has wrong message types")
     return broadcast, privates
-
-
-# Control and RPC envelopes ----------------------------------------------------
-
-
-def encode_control(kind: str, *parts: bytes) -> bytes:
-    return encode_length_prefixed(_MAGIC_CTRL, kind.encode(), *parts)
-
-
-def decode_control(data: bytes) -> tuple[str, list[bytes]]:
-    parts = _parts(data, _MAGIC_CTRL, "control")
-    if not parts:
-        raise EncodingError("control frame needs a kind")
-    return _decode_str(parts[0], "control kind"), parts[1:]
-
-
-def encode_rpc(method: str, *parts: bytes) -> bytes:
-    return encode_length_prefixed(_MAGIC_RPC, method.encode(), *parts)
-
-
-def decode_rpc(data: bytes) -> tuple[str, list[bytes]]:
-    parts = _parts(data, _MAGIC_RPC, "rpc")
-    if not parts:
-        raise EncodingError("rpc frame needs a method")
-    return _decode_str(parts[0], "rpc method"), parts[1:]
-
-
-def encode_reply(*parts: bytes) -> bytes:
-    return encode_length_prefixed(_MAGIC_REPLY, _REPLY_OK, *parts)
-
-
-def encode_abort_reply(message: str) -> bytes:
-    return encode_length_prefixed(_MAGIC_REPLY, _REPLY_ABORT, message.encode())
-
-
-def decode_reply(data: bytes) -> tuple[bool, list[bytes]]:
-    """Returns (ok, parts); an abort reply carries [reason]."""
-    parts = _parts(data, _MAGIC_REPLY, "reply")
-    if not parts or parts[0] not in (_REPLY_OK, _REPLY_ABORT):
-        raise EncodingError("reply frame needs an ok/abort status")
-    return parts[0] == _REPLY_OK, parts[1:]
-
-
-# Small payload helpers --------------------------------------------------------
-
-
-def encode_str_list(items) -> bytes:
-    return encode_length_prefixed(*[item.encode() for item in items])
-
-
-def decode_str_list(data: bytes) -> list[str]:
-    return [_decode_str(raw, "list entry") for raw in decode_length_prefixed(data)]
-
-
-def encode_bytes_list(items) -> bytes:
-    return encode_length_prefixed(*items)
-
-
-def decode_bytes_list(data: bytes) -> list[bytes]:
-    return decode_length_prefixed(data)
-
-
-def encode_int_list(values) -> bytes:
-    out = []
-    for value in values:
-        if value < 0:
-            raise EncodingError("int lists carry non-negative values")
-        out.append(int_to_bytes(value))
-    return encode_length_prefixed(*out)
-
-
-def decode_int_list(data: bytes) -> list[int]:
-    return [bytes_to_int(raw) for raw in decode_length_prefixed(data)]
-
-
-def encode_bit_matrix(bits: list[list[int]]) -> bytes:
-    """A public-bit matrix (rows × lanes of {0,1}) as one byte per bit."""
-    rows = len(bits)
-    lanes = len(bits[0]) if rows else 0
-    if any(len(row) != lanes for row in bits):
-        raise EncodingError("ragged bit matrix")
-    flat = bytes(bit for row in bits for bit in row)
-    if any(b not in (0, 1) for b in flat):
-        raise EncodingError("bit matrix entries must be 0/1")
-    return encode_length_prefixed(int_to_bytes(rows), int_to_bytes(lanes), flat)
-
-
-def decode_bit_matrix(data: bytes) -> list[list[int]]:
-    parts = decode_length_prefixed(data)
-    if len(parts) != 3:
-        raise EncodingError("bit matrix needs (rows, lanes, bits)")
-    rows, lanes = bytes_to_int(parts[0]), bytes_to_int(parts[1])
-    flat = parts[2]
-    if len(flat) != rows * lanes:
-        raise EncodingError("bit matrix payload does not match its shape")
-    if any(b not in (0, 1) for b in flat):
-        raise EncodingError("bit matrix entries must be 0/1")
-    return [list(flat[j * lanes : (j + 1) * lanes]) for j in range(rows)]

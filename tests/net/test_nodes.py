@@ -430,6 +430,45 @@ class TestMorraHiding:
         thread.join(timeout=10.0)
 
 
+class TestHostileRpcPayloads:
+    def test_zero_lane_bit_matrix_is_refused_before_it_is_built(self):
+        """An ``absorb-bits`` payload of rows = 2**24 and lanes = 0 passes
+        ``len(bits) == rows * lanes`` with no bits at all; decoding it used
+        to build 16.7 M empty rows inside the server (≈ 13 s).  It is now an
+        abort reply naming the shape, at once."""
+        from repro.net import wire
+        from repro.utils.encoding import encode_length_prefixed, int_to_bytes
+
+        query = CountQuery(epsilon=1.0, delta=DELTA)
+        params = query.build_params(num_provers=1, group="p64-sim", nb_override=16)
+        hub = InMemoryHub()
+        node = ServerNode(hub.endpoint("prover-0"), SeededRNG("bits").fork("prover-0"))
+        thread = threading.Thread(target=node.run, daemon=True)
+        thread.start()
+        analyst = hub.endpoint("analyst")
+        analyst.send(
+            "prover-0",
+            wire.encode_control(
+                "setup",
+                wire.encode_params(params),
+                wire.encode_plan(query.build_plan()),
+                b"prover-0",
+            ),
+        )
+        ok, _ = wire.decode_reply(analyst.recv("prover-0", 10.0))
+        assert ok
+        analyst.send("prover-0", wire.encode_rpc("begin-coin-stream", b"ctx"))
+        ok, _ = wire.decode_reply(analyst.recv("prover-0", 10.0))
+        assert ok
+        bits = encode_length_prefixed(int_to_bytes(1 << 24), int_to_bytes(0), b"")
+        analyst.send("prover-0", wire.encode_rpc("absorb-bits", bits))
+        ok, parts = wire.decode_reply(analyst.recv("prover-0", 5.0))
+        assert not ok
+        assert b"at least one row and one lane" in parts[0]
+        analyst.send("prover-0", wire.encode_control("shutdown"))
+        thread.join(timeout=10.0)
+
+
 class TestCheatingProverOverTheWire:
     def test_output_tampering_prover_caught(self):
         """A server hosting OutputTamperingProver fails Line 13 across the

@@ -251,3 +251,78 @@ class TestNodeFraming:
     def test_str_and_int_lists(self):
         assert wire.decode_str_list(wire.encode_str_list(["a", "b"])) == ["a", "b"]
         assert wire.decode_int_list(wire.encode_int_list([0, 7, 2**64])) == [0, 7, 2**64]
+
+
+def _params_frame(epsilon=1.0, delta=2**-10, nb=31, num_provers=2, dimension=1):
+    """A params frame as a hostile analyst would send it: any field value."""
+    import struct
+
+    from repro.utils.encoding import int_to_bytes
+
+    return encode_length_prefixed(
+        b"repro.net.params.v1",
+        b"p64-sim",
+        struct.pack(">d", epsilon),
+        struct.pack(">d", delta),
+        int_to_bytes(nb),
+        int_to_bytes(num_provers),
+        int_to_bytes(dimension),
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("epsilon", float("nan"), "epsilon"),
+        ("epsilon", -1.0, "epsilon"),
+        ("epsilon", float("inf"), "epsilon"),
+        ("delta", float("nan"), "delta"),
+        ("delta", -0.1, "delta"),
+        ("delta", 1.5, "delta"),
+        ("nb", 0, "nb"),
+        ("num_provers", 0, "K >= 1"),
+        ("dimension", 0, "dimension"),
+    ],
+)
+def test_params_spec_refuses_what_a_local_setup_refuses(field, value, reason):
+    """A decoded ε, δ, nb, K or M that ``setup`` or ``PublicParams`` would
+    refuse is an ``EncodingError`` — not a meaningless privacy claim a
+    client binds its proof to, and not a ``ParameterError``."""
+    assert wire.decode_params(_params_frame()).nb == 31
+    with pytest.raises(EncodingError, match=reason):
+        wire.decode_params(_params_frame(**{field: value}))
+
+
+def test_frames_keep_their_v1_bytes():
+    """Round trips cannot see two fields swap places; these pins can.  Each
+    frame is spelled out part by part as format v1 lays it out."""
+    import struct
+
+    from repro.core.messages import MorraRevealMessage, ProverOutputMessage
+    from repro.crypto.pedersen import Opening
+    from repro.utils.encoding import int_to_bytes
+
+    lp = encode_length_prefixed
+    params = setup(1.0, 2**-10, num_provers=2, group="p64-sim", nb_override=31)
+    frame = lambda tag, *body: lp(b"repro.wire.v1", tag, lp(*body))  # noqa: E731
+    pins = {
+        wire.encode_params(params): lp(
+            b"repro.net.params.v1", b"p64-sim", struct.pack(">d", params.epsilon),
+            struct.pack(">d", params.delta), b"\x1f", b"\x02", b"\x01"),
+        wire.encode_plan(AggregationPlan.weighted_sum((1, 2), 3)): lp(
+            b"repro.net.plan.v1", b"bitvec", b"\x01", b"\x02", lp(b"\x01", b"\x02"), lp(b"\x03")),
+        wire.encode_control("setup", b"a"): lp(b"repro.net.ctrl.v1", b"setup", b"a"),
+        wire.encode_rpc("absorb-bits", b"x", b""): lp(b"repro.net.rpc.v1", b"absorb-bits", b"x", b""),
+        wire.encode_reply(b"r"): lp(b"repro.net.reply.v1", b"ok", b"r"),
+        wire.encode_abort_reply("no"): lp(b"repro.net.reply.v1", b"abort", b"no"),
+        wire.encode_str_list(["a", "bc"]): lp(b"a", b"bc"),
+        wire.encode_int_list([0, 256]): lp(b"\x00", b"\x01\x00"),
+        wire.encode_bit_matrix([[1, 0], [0, 1]]): lp(b"\x02", b"\x02", b"\x01\x00\x00\x01"),
+        encode_message(ClientShareMessage("c", (Opening(5, 300),))): frame(
+            b"client-share", b"c", b"\x05", b"\x01\x2c"),
+        encode_message(ProverOutputMessage("p", (1, 2), (3, 4))): frame(
+            b"prover-output", b"p", b"\x02", b"\x01", b"\x02", b"\x03", b"\x04"),
+        encode_message(MorraRevealMessage("v", (0, 7))): frame(b"morra-reveal", b"v", b"\x00", b"\x07"),
+    }
+    for encoded, expected in pins.items():
+        assert encoded == expected

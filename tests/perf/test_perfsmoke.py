@@ -189,86 +189,103 @@ def test_fused_commit_beats_two_pows(pedersen128):
     )
 
 
-def test_signed_pippenger_not_slower_where_selected(pedersen128):
-    """Signed-digit buckets vs the unsigned buckets they replace, nb=1024.
+def _tier_log(monkeypatch) -> list[str]:
+    """The tier functions ``multi_exponentiation`` runs, in call order."""
+    from repro.crypto import multiexp
 
-    Two claims, one per backend class:
-
-    * ristretto255 (negation free): signed digits are the *selected*
-      variant and must actually be faster — the measured win is ~1.1×,
-      the do-not-regress floor is parity-with-noise.
-    * p128-sim (negation = batched inversion): the selector keeps
-      unsigned buckets, so the canary asserts the *auto* "pippenger"
-      tier is not slower than explicitly unsigned buckets — i.e. the
-      signed path is never silently chosen where it loses.
-    """
-    from repro.crypto.multiexp import _pippenger_variant, multi_exponentiation
-    from repro.crypto.ristretto import RistrettoGroup
-
-    nb = 1024
-    group = RistrettoGroup.instance()
-    rng = SeededRNG("signed-perfsmoke")
-    bases = [group.random_element(rng) for _ in range(nb)]
-    exps = [rng.field_element(group.order) for _ in range(nb)]
-    bits = max(e.bit_length() for e in exps)
-    assert _pippenger_variant(nb, bits, group.multiexp_kernel().neg_muls)[0] == (
-        "pippenger-signed"
-    )
-    unsigned = best_of(
-        lambda: multi_exponentiation(group, bases, exps, algorithm="pippenger-unsigned")
-    )
-    signed = best_of(
-        lambda: multi_exponentiation(group, bases, exps, algorithm="pippenger-signed")
-    )
-    assert signed < unsigned * 1.15, (
-        f"signed {signed * 1e3:.1f}ms vs unsigned {unsigned * 1e3:.1f}ms on ristretto"
-    )
-
-    group128 = pedersen128.group
-    rng = SeededRNG("signed-perfsmoke-128")
-    bases = [group128.random_element(rng) for _ in range(nb)]
-    exps = [rng.field_element(group128.order) for _ in range(nb)]
-    unsigned = best_of(
-        lambda: multi_exponentiation(group128, bases, exps, algorithm="pippenger-unsigned")
-    )
-    auto = best_of(
-        lambda: multi_exponentiation(group128, bases, exps, algorithm="pippenger")
-    )
-    assert auto < unsigned * 1.25, (
-        f"auto pippenger {auto * 1e3:.1f}ms vs unsigned {unsigned * 1e3:.1f}ms on p128"
-    )
+    ran: list[str] = []
+    for name in ("_naive", "_straus", "_pippenger", "_pippenger_signed"):
+        tier = getattr(multiexp, name)
+        monkeypatch.setattr(
+            multiexp, name, lambda *args, _name=name, _tier=tier: ran.append(_name) or _tier(*args)
+        )
+    return ran
 
 
 @pytest.mark.parametrize(
-    "name, n",
-    [("p128-sim", 8), ("p128-sim", 32), ("p128-sim", 256), ("p64-sim", 8), ("p64-sim", 64)],
+    "name, n, tier",
+    [
+        ("p128-sim", 8, "_straus"),
+        ("p128-sim", 32, "_pippenger"),
+        ("p128-sim", 256, "_pippenger"),
+        ("p64-sim", 8, "_naive"),
+        ("p64-sim", 64, "_pippenger"),
+        ("p128-sim", 1024, "_pippenger"),
+        ("ristretto255", 1024, "_pippenger_signed"),
+    ],
 )
-def test_automatic_tier_is_near_the_fastest_forced_tier(name, n):
-    """The cost model's constants stand alone — no measured table overrides
-    them — so the pick they make must stay within 1.5× of the best tier at
-    sizes on both sides of every crossover of the two simulation groups."""
-    from repro.crypto.multiexp import multi_exponentiation
+def test_automatic_tier_and_bucket_variant_picks(monkeypatch, name, n, tier):
+    """The cost model's pick, pinned exactly: the tier at sizes on both
+    sides of every crossover of the two simulation groups, and the bucket
+    variant at nb = 1024 — signed digits on the negation-free curve,
+    unsigned buckets on p128-sim, where negation is a batched inversion.
 
-    group = SchnorrGroup.named(name)
+    The pick is a pure function of (n, bits, kernel hints), so it is
+    asserted, not timed: the wall-clock canaries this replaces timed one
+    path against another on a host whose speed flips 1.0×↔1.5× and
+    failed in 3 of 20 runs with nothing changed."""
+    from repro.crypto.multiexp import multi_exponentiation
+    from repro.crypto.ristretto import RistrettoGroup
+
+    group = RistrettoGroup.instance() if name == "ristretto255" else SchnorrGroup.named(name)
     rng = SeededRNG(f"auto-tier-{name}-{n}")
     bases = [group.random_element(rng) for _ in range(n)]
     exps = [rng.field_element(group.order) for _ in range(n)]
-    calls = max(1, 256 // n)
+    ran = _tier_log(monkeypatch)
+    multi_exponentiation(group, bases, exps)
+    assert ran == [tier]
 
-    def run(algorithm):
-        for _ in range(calls):
-            multi_exponentiation(group, bases, exps, algorithm=algorithm)
 
-    # Best of 5 rounds, the tiers interleaved within a round: a host
-    # slowdown then lands on every tier, not on whichever ran last.
-    best = dict.fromkeys(("naive", "straus", "pippenger", None), float("inf"))
-    for _ in range(5):
-        for tier in best:
-            best[tier] = min(best[tier], best_of(lambda: run(tier), repeats=1))
-    auto = best.pop(None)
-    assert auto <= 1.5 * min(best.values()), (
-        f"auto {auto * 1e3:.2f}ms vs {({k: round(v * 1e3, 2) for k, v in best.items()})}"
-    )
+def test_signed_buckets_multiply_less_where_selected(monkeypatch):
+    """Signed-digit against unsigned buckets on ristretto255 at nb = 1024,
+    counted rather than timed: the variant the model picks there (above)
+    must be the one that multiplies less, and the model's cost of each —
+    an estimate in group multiplications, squarings included — must stay
+    an upper bound within 20 % of the count (measured 0.89 unsigned,
+    0.86 signed: the fold is priced at two products a bucket, and empty
+    buckets cost nothing)."""
+    from repro.crypto import multiexp
+    from repro.crypto.ristretto import RistrettoGroup
+
+    group = RistrettoGroup.instance()
+    rng = SeededRNG("signed-perfsmoke")
+    nb = 1024
+    bases = [group.random_element(rng) for _ in range(nb)]
+    exps = [rng.field_element(group.order) for _ in range(nb)]
+    bits = max(e.bit_length() for e in exps)
+    kernel = type(group.multiexp_kernel())
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return staticmethod(wrapper)
+
+    monkeypatch.setattr(kernel, "mul", counting(kernel.mul))
+    monkeypatch.setattr(kernel, "sqr", counting(kernel.sqr))
+    neg_muls = group.multiexp_kernel().neg_muls
+    model = {
+        "pippenger-unsigned": multiexp._pippenger_cost(
+            nb, bits, multiexp._pippenger_window(nb, bits)
+        ),
+        "pippenger-signed": multiexp._pippenger_cost(
+            nb,
+            bits,
+            multiexp._pippenger_window(nb, bits, signed=True, neg_muls=neg_muls),
+            signed=True,
+            neg_muls=neg_muls,
+        ),
+    }
+    counted = {}
+    for variant in model:
+        calls[0] = 0
+        multiexp.multi_exponentiation(group, bases, exps, algorithm=variant)
+        counted[variant] = calls[0]
+    assert counted["pippenger-signed"] < counted["pippenger-unsigned"], counted
+    for variant, cost in model.items():
+        assert 0.8 * cost <= counted[variant] <= cost, (variant, counted[variant], cost)
 
 
 def test_proving_a_coin_is_fixed_base_work_only():

@@ -186,8 +186,9 @@ class Prover(MorraParticipant):
         params = self.params
         q = params.q
         lanes = self.plan.lanes
+        choose_coin, field_element = self.choose_coin, self.rng.field_element
         flat_openings = [
-            Opening(self.choose_coin(j, lane) % q, self.rng.field_element(q))
+            Opening(choose_coin(j, lane) % q, field_element(q))
             for j in range(start, start + count)
             for lane in range(lanes)
         ]
@@ -367,11 +368,15 @@ class Prover(MorraParticipant):
             len(row) != self.plan.lanes for row in public_bits
         ):
             raise ProtocolAbort("public bit matrix has wrong shape", party=self.name)
+        adjusted_coin, noise_y, noise_z = self.adjusted_coin, self._noise_y, self._noise_z
         for o_row, b_row in zip(self._pending_openings, public_bits):
             for lane, (opening, bit) in enumerate(zip(o_row, b_row)):
-                value, randomness = self.adjusted_coin(opening, bit)
-                self._noise_y[lane] = (self._noise_y[lane] + value) % q
-                self._noise_z[lane] = (self._noise_z[lane] + randomness) % q
+                value, randomness = adjusted_coin(opening, bit)
+                noise_y[lane] += value
+                noise_z[lane] += randomness
+        for lane in range(len(noise_y)):  # one reduction per chunk, same sums
+            noise_y[lane] %= q
+            noise_z[lane] %= q
         self._coins_absorbed += len(public_bits)
         self._pending_openings = []
 

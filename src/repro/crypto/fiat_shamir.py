@@ -17,6 +17,7 @@ style of Merlin transcripts:
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 from repro.crypto.group import GroupElement
 from repro.errors import ParameterError
@@ -25,8 +26,31 @@ from repro.utils.encoding import int_to_bytes
 __all__ = ["Transcript"]
 
 
+def _frame(label: bytes) -> bytes:
+    return len(label).to_bytes(4, "big") + label
+
+
+# The protocol absorbs under a few dozen fixed labels; the bound only caps
+# what arbitrary labels can leave behind.
+@lru_cache(maxsize=1024)
+def _header(label: str) -> bytes:
+    """``len(label) ‖ label``, the first half of every absorb."""
+    return _frame(label.encode())
+
+
+@lru_cache(maxsize=1024)
+def _challenge_prefixes(label: str) -> tuple[bytes, bytes]:
+    """``(b"challenge:" + label, header of b"extracted:" + label)``."""
+    encoded = label.encode()
+    return b"challenge:" + encoded, _frame(b"extracted:" + encoded)
+
+
 class Transcript:
-    """A domain-separated running hash of protocol messages."""
+    """A domain-separated running hash of protocol messages.
+
+    Each absorb hashes ``len(label) ‖ label ‖ len(payload) ‖ payload``
+    (4-byte big-endian lengths) in one ``update``.
+    """
 
     def __init__(self, domain: bytes | str) -> None:
         if isinstance(domain, str):
@@ -34,48 +58,56 @@ class Transcript:
         if not domain:
             raise ParameterError("transcript domain must be non-empty")
         self._state = hashlib.sha512(b"repro.transcript.v1")
-        self._append_raw(b"domain", domain)
+        self._absorb(_frame(b"domain"), domain)
 
-    def _append_raw(self, label: bytes, payload: bytes) -> None:
-        self._state.update(len(label).to_bytes(4, "big"))
-        self._state.update(label)
-        self._state.update(len(payload).to_bytes(4, "big"))
-        self._state.update(payload)
+    def _absorb(self, header: bytes, payload: bytes) -> None:
+        self._state.update(b"".join((header, len(payload).to_bytes(4, "big"), payload)))
 
     # Appending ----------------------------------------------------------
 
     def append_bytes(self, label: str, payload: bytes) -> None:
-        self._append_raw(label.encode(), payload)
+        self._state.update(b"".join((_header(label), len(payload).to_bytes(4, "big"), payload)))
 
     def append_int(self, label: str, value: int, width: int | None = None) -> None:
-        self._append_raw(label.encode(), int_to_bytes(value, width))
+        self._absorb(_header(label), int_to_bytes(value, width))
 
     def append_element(self, label: str, element: GroupElement) -> None:
-        self._append_raw(label.encode(), element.to_bytes())
+        payload = element.to_bytes()
+        self._state.update(b"".join((_header(label), len(payload).to_bytes(4, "big"), payload)))
 
     def append_elements(self, label: str, elements) -> None:
         for i, element in enumerate(elements):
-            self._append_raw(f"{label}[{i}]".encode(), element.to_bytes())
+            self._absorb(_frame(f"{label}[{i}]".encode()), element.to_bytes())
 
     def append_str(self, label: str, text: str) -> None:
-        self._append_raw(label.encode(), text.encode())
+        self._absorb(_header(label), text.encode())
 
     # Challenge extraction -------------------------------------------------
 
     def challenge_bytes(self, label: str, n: int) -> bytes:
-        """Extract ``n`` challenge bytes and fold them back into the state."""
-        out = bytearray()
-        counter = 0
-        base = self._state.copy()
-        base.update(b"challenge:" + label.encode())
-        while len(out) < n:
-            block = base.copy()
-            block.update(counter.to_bytes(4, "big"))
-            out += block.digest()
-            counter += 1
-        digest = bytes(out[:n])
+        """Extract ``n`` challenge bytes and fold them back into the state.
+
+        Block ``i`` is ``SHA-512(state ‖ "challenge:" label ‖ i)``; up to
+        one digest (64 bytes) that is a single copy of the state.
+        """
+        prefix, extracted = _challenge_prefixes(label)
+        state = self._state
+        base = state.copy()
+        if 0 < n <= 64:
+            base.update(prefix + b"\0\0\0\0")
+            digest = base.digest()[:n]
+        else:
+            base.update(prefix)
+            out = bytearray()
+            counter = 0
+            while len(out) < n:
+                block = base.copy()
+                block.update(counter.to_bytes(4, "big"))
+                out += block.digest()
+                counter += 1
+            digest = bytes(out[:n])
         # Chain the extraction so later challenges depend on this one.
-        self._append_raw(b"extracted:" + label.encode(), digest)
+        state.update(b"".join((extracted, len(digest).to_bytes(4, "big"), digest)))
         return digest
 
     def challenge_scalar(self, label: str, modulus: int) -> int:
@@ -93,7 +125,7 @@ class Transcript:
         """An independent sub-transcript (e.g. per parallel repetition)."""
         child = Transcript.__new__(Transcript)
         child._state = self._state.copy()
-        child._append_raw(b"fork", label.encode())
+        child._absorb(_frame(b"fork"), label.encode())
         return child
 
     def clone(self) -> "Transcript":

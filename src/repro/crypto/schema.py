@@ -18,7 +18,7 @@ from math import prod
 
 from repro.crypto.pedersen import Commitment
 from repro.errors import EncodingError
-from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed
+from repro.utils.encoding import decode_length_prefixed, decode_utf8, encode_length_prefixed
 
 __all__ = ["Kind", "Record", "ELEMENT", "COMMITMENT", "SCALAR", "uint", "text", "f64",
            "flag", "raw", "nested", "union", "one", "count", "many"]
@@ -62,10 +62,7 @@ def uint(what: str, limit: int | None = None) -> Kind:
 
 def text(what: str) -> Kind:
     def dec(part):
-        try:
-            return part.decode()
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"{what} is not valid UTF-8") from exc
+        return decode_utf8(part, what)
 
     return Kind("text", "{v}.encode()", "{h[0]}({p})", "len({v}.encode())", helpers=(dec,))
 

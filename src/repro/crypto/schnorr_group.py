@@ -36,7 +36,6 @@ from typing import Sequence
 from repro.crypto.group import Group, GroupElement
 from repro.errors import EncodingError, NotOnGroupError, ParameterError
 from repro.utils.numth import batch_inverse, is_probable_prime, jacobi_symbol
-from repro.utils.encoding import int_to_bytes
 
 __all__ = ["SchnorrGroup", "SchnorrElement", "NAMED_GROUPS"]
 
@@ -97,7 +96,9 @@ class SchnorrElement(GroupElement):
         return SchnorrElement(self._group, pow(self._value, -1, self._group.modulus))
 
     def to_bytes(self) -> bytes:
-        return int_to_bytes(self._value, self._group.element_bytes)
+        # A residue in [1, p) is non-negative and fits element_bytes, so
+        # ``int_to_bytes``' checks could never fire here.
+        return self._value.to_bytes(self._group.element_bytes, "big")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -213,7 +214,7 @@ class _ResiduePair:
     (:func:`repro.crypto.pedersen._shared_bases`) and never written again.
     """
 
-    __slots__ = ("_group", "_p", "_q", "_width", "_rows")
+    __slots__ = ("_group", "_p", "_q", "_width", "_a", "_rows", "_b_rows")
 
     def __init__(self, a: SchnorrElement, b: SchnorrElement) -> None:
         group = a.group
@@ -222,6 +223,7 @@ class _ResiduePair:
         p = group.modulus
         self._group, self._p, self._q = group, p, group.order
         self._width = (group.order.bit_length() + 7) // 8
+        self._a = a.value
         tables = []
         for base in (a.value, b.value):
             table = []
@@ -233,17 +235,30 @@ class _ResiduePair:
                 base = row[-1] * base % p  # base ** 256
             tables.append(table)
         self._rows = list(zip(*tables))
+        self._b_rows = tables[1]
 
     def dual_many(self, xs: Sequence[int], ys: Sequence[int]) -> list[SchnorrElement]:
-        """``[a^x · b^y for x, y in zip(xs, ys)]``, one row walk each."""
-        group, p, q, width, rows = self._group, self._p, self._q, self._width, self._rows
+        """``[a^x · b^y for x, y in zip(xs, ys)]``, one row walk each.
+
+        An a-exponent of 0 or 1 — a coin's ``Com(x, r)``, a real-branch
+        announcement ``Com(0, b)``, ``pow_h`` — walks the b rows alone
+        from ``a^x``: the same residue at half the products.
+        """
+        group, p, q, width = self._group, self._p, self._q, self._width
+        rows, b_rows, a = self._rows, self._b_rows, self._a
         out = []
         for x, y in zip(xs, ys):
-            acc = 1
-            for (row_a, row_b), dx, dy in zip(
-                rows, (x % q).to_bytes(width, "little"), (y % q).to_bytes(width, "little")
-            ):
-                acc = acc * row_a[dx] * row_b[dy] % p
+            x %= q
+            if x < 2:
+                acc = a if x else 1
+                for row_b, dy in zip(b_rows, (y % q).to_bytes(width, "little")):
+                    acc = acc * row_b[dy] % p
+            else:
+                acc = 1
+                for (row_a, row_b), dx, dy in zip(
+                    rows, x.to_bytes(width, "little"), (y % q).to_bytes(width, "little")
+                ):
+                    acc = acc * row_a[dx] * row_b[dy] % p
             out.append(SchnorrElement(group, acc))
         return out
 

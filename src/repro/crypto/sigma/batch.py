@@ -76,6 +76,8 @@ class SigmaBatch:
         self.rng = default_rng(rng)
         self._bases: list[GroupElement] = []
         self._exponents: list[int] = []
+        # The folded g and h exponents, summed unreduced: only
+        # :meth:`verify` reads them, and reduces them mod q once.
         self._g_exp = 0
         self._h_exp = 0
 
@@ -90,25 +92,25 @@ class SigmaBatch:
         """
         params = self.params
         q = params.q
+        d0, d1, e0, e1 = proof.d0, proof.d1, proof.e0, proof.e1
         _bind(transcript, params, commitment)
-        transcript.append_element("d0", proof.d0)
-        transcript.append_element("d1", proof.d1)
+        transcript.append_element("d0", d0)
+        transcript.append_element("d1", d1)
         e = _challenge(transcript, params)
-        if (proof.e0 + proof.e1) % q != e:
+        if (e0 + e1) % q != e:
             raise ProofRejected("challenge split e0 + e1 != e")
 
-        gamma0 = self.rng.randbits(GAMMA_BITS)
-        gamma1 = self.rng.randbits(GAMMA_BITS)
+        randbits = self.rng.randbits
+        gamma0 = randbits(GAMMA_BITS)
+        gamma1 = randbits(GAMMA_BITS)
         # branch 0: d0 · c^{e0} · h^{-v0} == 1, weighted by γ0;
         # branch 1: d1 · c^{e1} · g^{-e1} · h^{-v1} == 1, weighted by γ1.
         # The c terms of both branches merge, and the g/h terms join the
         # accumulator-wide folded generator exponents.
-        self._bases.extend([proof.d0, proof.d1, commitment.element])
-        self._exponents.extend(
-            [gamma0, gamma1, (gamma0 * proof.e0 + gamma1 * proof.e1) % q]
-        )
-        self._g_exp = (self._g_exp - gamma1 * proof.e1) % q
-        self._h_exp = (self._h_exp - gamma0 * proof.v0 - gamma1 * proof.v1) % q
+        self._bases += (d0, d1, commitment.element)
+        self._exponents += (gamma0, gamma1, (gamma0 * e0 + gamma1 * e1) % q)
+        self._g_exp -= gamma1 * e1
+        self._h_exp -= gamma0 * proof.v0 + gamma1 * proof.v1
 
     def add_bit_proofs(
         self,
@@ -140,15 +142,14 @@ class SigmaBatch:
         transcript.append_int("dimension", len(commitments))
         for commitment, bit_proof in zip(commitments, proof.bit_proofs):
             self.add_bit_proof(commitment, bit_proof, transcript)
-        q = self.params.q
         gamma = self.rng.randbits(GAMMA_BITS)
         # Fold Π_j c_j with plain multiplications first — the coordinates
         # share one γ, so giving each its own multiexp term would cost
         # ~bits/c multiplications apiece instead of one.
         self._bases.append(self.params.group.product(c.element for c in commitments))
         self._exponents.append(gamma)
-        self._g_exp = (self._g_exp - gamma) % q
-        self._h_exp = (self._h_exp - gamma * proof.randomness_sum) % q
+        self._g_exp -= gamma
+        self._h_exp -= gamma * proof.randomness_sum
 
     def add_bit_vector(
         self,
@@ -170,8 +171,8 @@ class SigmaBatch:
             raise ProofRejected("cannot merge batches over different parameters")
         self._bases.extend(other._bases)
         self._exponents.extend(other._exponents)
-        self._g_exp = (self._g_exp + other._g_exp) % self.params.q
-        self._h_exp = (self._h_exp + other._h_exp) % self.params.q
+        self._g_exp += other._g_exp
+        self._h_exp += other._h_exp
 
     def verify(self) -> None:
         """One multi-exponentiation; raises :class:`ProofRejected` on failure.
@@ -183,7 +184,8 @@ class SigmaBatch:
         """
         params = self.params
         combined = params.group.multi_scale(self._bases, self._exponents)
-        combined = combined * params.commit(self._g_exp, self._h_exp).element
+        q = params.q
+        combined = combined * params.commit(self._g_exp % q, self._h_exp % q).element
         if not combined.is_identity():
             raise ProofRejected("batched Σ-proof verification failed")
 

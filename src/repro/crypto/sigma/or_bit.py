@@ -122,6 +122,9 @@ def branch_statements(params: PedersenParams, commitment: Commitment) -> tuple[G
     return commitment.element, commitment.element / params.g
 
 
+_BITS = frozenset((0, 1))
+
+
 def _bind(transcript: Transcript, params: PedersenParams, commitment: Commitment) -> None:
     transcript.append_bytes("pp", params.transcript_bytes())
     transcript.append_element("bit-commitment", commitment.element)
@@ -163,29 +166,34 @@ def _announce(
         if recommit
         else None
     )
-    for i, (bit, commitment) in enumerate(zip(bits, commitments)):
-        if bit not in (0, 1):
-            raise ParameterError(f"witness value {bit} is not a bit; L_Bit requires 0 or 1")
-        if expected is not None and expected[i].element != commitment.element:
-            raise ParameterError("opening does not match commitment")
+    # The loop names the first failing witness; with every x a bit and no
+    # recomputed commitment there is nothing for it to find.
+    if expected is not None or not _BITS.issuperset(bits):
+        for i, (bit, commitment) in enumerate(zip(bits, commitments)):
+            if bit not in (0, 1):
+                raise ParameterError(f"witness value {bit} is not a bit; L_Bit requires 0 or 1")
+            if expected is not None and expected[i].element != commitment.element:
+                raise ParameterError("opening does not match commitment")
 
     field_element = rng.field_element
-    states: list[tuple[int, int, int, int]] = []
+    draws: list[tuple[int, int, int]] = []
     values: list[int] = []
     randomness: list[int] = []
     for bit, opening in zip(bits, openings):
         e_sim, v_sim, b = field_element(q), field_element(q), field_element(q)
-        states.append((bit, e_sim, v_sim, b))
+        draws.append((e_sim, v_sim, b))
         # sim − x is +1 for x = 0 (simulating branch 1) and −1 for x = 1.
         values += (-e_sim if bit else e_sim, 0)
         randomness += (v_sim - opening.randomness * e_sim, b)
-    announced = params.commit_many(values, randomness)
-    out = []
-    for i, state in enumerate(states):
-        d_sim = announced[2 * i].element
-        d_real = announced[2 * i + 1].element
-        out.append((*state, d_sim, d_real) if state[0] else (*state, d_real, d_sim))
-    return out
+    # Announcements alternate simulated, real: one iterator read twice
+    # per proof pairs them up.
+    announced = iter(params.commit_many(values, randomness))
+    return [
+        (bit, e_sim, v_sim, b, sim.element, real.element)
+        if bit
+        else (bit, e_sim, v_sim, b, real.element, sim.element)
+        for bit, (e_sim, v_sim, b), sim, real in zip(bits, draws, announced, announced)
+    ]
 
 
 def _respond(
@@ -300,17 +308,16 @@ def prove_bits(
         raise ParameterError("commitments and openings length mismatch")
     q = params.q
     announced = _announce(params, commitments, openings, default_rng(rng), recommit)
+    append_element = transcript.append_element
     proofs: list[BitProof] = []
     for commitment, opening, (bit, e_sim, v_sim, b, d0, d1) in zip(
         commitments, openings, announced
     ):
         _bind(transcript, params, commitment)
-        transcript.append_element("d0", d0)
-        transcript.append_element("d1", d1)
+        append_element("d0", d0)
+        append_element("d1", d1)
         e = _challenge(transcript, params)
-        proofs.append(
-            BitProof(d0, d1, *_respond(q, opening, bit, e_sim, v_sim, b, e))
-        )
+        proofs.append(BitProof(d0, d1, *_respond(q, opening, bit, e_sim, v_sim, b, e)))
     return proofs
 
 

@@ -72,8 +72,17 @@ class HashCommitmentScheme:
 
     def commit(self, value: int, rng: RNG | None = None) -> tuple[HashCommitment, bytes]:
         """Commit to ``value``; returns (commitment, randomness)."""
-        randomness = default_rng(rng).random_bytes(_RANDOMNESS_BYTES)
-        return HashCommitment(self._digest(value, randomness)), randomness
+        (commitment,), (randomness,) = self.commit_many([value], rng)
+        return commitment, randomness
+
+    def commit_many(
+        self, values: list[int], rng: RNG | None = None
+    ) -> tuple[list[HashCommitment], list[bytes]]:
+        """Commit to each value in one pass: the randomness is drawn per
+        value in order, exactly as repeated :meth:`commit` calls draw it."""
+        random_bytes, digest = default_rng(rng).random_bytes, self._digest
+        randomness = [random_bytes(_RANDOMNESS_BYTES) for _ in values]
+        return [HashCommitment(digest(v, r)) for v, r in zip(values, randomness)], randomness
 
     def verify(self, commitment: HashCommitment, value: int, randomness: bytes) -> None:
         """Raise :class:`CommitmentOpeningError` unless the opening matches."""

@@ -48,19 +48,14 @@ class MorraParticipant(Party):
 
     def sample_values(self, q: int, count: int) -> list[int]:
         """Step 1: choose contributions (honest: uniform on Z_q)."""
-        return [self.rng.field_element(q) for _ in range(count)]
+        field_element = self.rng.field_element
+        return [field_element(q) for _ in range(count)]
 
     def commitments(
         self, scheme: HashCommitmentScheme, values: list[int]
     ) -> tuple[list[HashCommitment], list[bytes]]:
         """Step 2: commit to each contribution."""
-        commitments: list[HashCommitment] = []
-        randomness: list[bytes] = []
-        for value in values:
-            c, r = scheme.commit(value, self.rng)
-            commitments.append(c)
-            randomness.append(r)
-        return commitments, randomness
+        return scheme.commit_many(values, self.rng)
 
     def reveal(
         self, values: list[int], randomness: list[bytes], observed: dict[str, list[int]]
@@ -139,35 +134,34 @@ def run_morra_batch(
 
     # Step 3: reveal in reverse lexicographic order; verify every opening.
     revealed: dict[str, list[int]] = {}
+    verify = scheme.verify
     for participant in sorted(participants, key=lambda p: p.name, reverse=True):
-        values, rand = state[participant.name]
+        name = participant.name
+        values, rand = state[name]
         response = participant.reveal(values, rand, dict(revealed))
         if response is None:
-            raise EarlyExit("participant went silent during reveal", party=participant.name)
+            raise EarlyExit("participant went silent during reveal", party=name)
         opened_values, opened_rand = response
         if len(opened_values) != count or len(opened_rand) != count:
-            raise ProtocolAbort("malformed reveal", party=participant.name)
-        for i in range(count):
+            raise ProtocolAbort("malformed reveal", party=name)
+        for i, (commitment, value, randomness) in enumerate(
+            zip(commitments[name], opened_values, opened_rand)
+        ):
             try:
-                scheme.verify(commitments[participant.name][i], opened_values[i], opened_rand[i])
+                verify(commitment, value, randomness)
             except VerificationError as exc:
                 raise ProtocolAbort(
-                    f"opening check failed on instance {i}: {exc}",
-                    party=participant.name,
+                    f"opening check failed on instance {i}: {exc}", party=name
                 ) from exc
-            if not 0 <= opened_values[i] < q:
+            if not 0 <= value < q:
                 raise ProtocolAbort(
-                    f"revealed value out of range on instance {i}",
-                    party=participant.name,
+                    f"revealed value out of range on instance {i}", party=name
                 )
-        revealed[participant.name] = opened_values
+        revealed[name] = opened_values
         network.broadcast(
-            participant.name,
-            MorraRevealMessage(sender=participant.name, values=tuple(opened_values)),
+            name, MorraRevealMessage(sender=name, values=tuple(opened_values))
         )
 
-    # Step 4: combine.
-    totals = [
-        sum(revealed[name][i] for name in names) % q for i in range(count)
-    ]
+    # Step 4: combine, one column of contributions per instance.
+    totals = [sum(column) % q for column in zip(*(revealed[name] for name in names))]
     return MorraOutcome(tuple(totals), q)

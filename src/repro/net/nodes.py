@@ -67,7 +67,7 @@ from repro.mpc.commit import HashCommitment, HashCommitmentScheme
 from repro.mpc.morra import MorraParticipant
 from repro.net import wire
 from repro.net.transport import Transport
-from repro.utils.encoding import bytes_to_int, int_to_bytes
+from repro.utils.encoding import bytes_to_int, decode_utf8, int_to_bytes
 from repro.utils.rng import RNG, SystemRNG
 
 __all__ = [
@@ -486,7 +486,7 @@ class ServerNode:
             raise ProtocolAbort("expected a setup frame", party=self.analyst)
         params = wire.decode_params(parts[0])
         plan = wire.decode_plan(parts[1])
-        name = parts[2].decode()
+        name = decode_utf8(parts[2], "prover name")
         self.prover = self.prover_factory(name, params, self.rng, plan=plan)
         self.transport.send(self.analyst, wire.encode_reply())
 
@@ -811,7 +811,7 @@ class ClientRunner:
 
     def _check_abort(self, ctrl: str, parts: list[bytes]) -> None:
         if ctrl == "abort":
-            reason = parts[0].decode() if parts else "session aborted"
+            reason = decode_utf8(parts[0], "abort reason") if parts else "session aborted"
             raise ProtocolAbort(
                 f"session aborted by front-end: {reason}", party=self.analyst
             )

@@ -7,8 +7,9 @@ list/matrix payloads.
 
 Each frame is declared once below as a :class:`~repro.crypto.schema.Record`
 and its codec derives from it.  Malformed input raises
-:class:`~repro.errors.EncodingError`, never a crash — except a plan whose
-weights ``AggregationPlan`` refuses (``ParameterError``).  Format v1
+:class:`~repro.errors.EncodingError`, never a crash — a params or plan
+spec that parses but that ``PublicParams`` or ``AggregationPlan``
+refuses included.  Format v1
 decodes every uint here loosely (leading zero bytes, no upper limit):
 params' nb/K/M, a plan's counts and weights, int lists, a bit matrix's
 shape.
@@ -63,8 +64,11 @@ def _plan(validity, dimension, lane_weights, noise_weights) -> AggregationPlan:
     lane_weights = tuple(map(tuple, lane_weights))
     if any(len(row) != dimension for row in lane_weights):
         raise EncodingError("plan lane weights do not match the declared dimension")
-    return AggregationPlan(lane_weights=lane_weights, noise_weights=tuple(noise_weights),
-                           validity=validity)
+    try:  # the checks a query's own plan passes
+        return AggregationPlan(lane_weights=lane_weights, noise_weights=tuple(noise_weights),
+                               validity=validity)
+    except ParameterError as exc:
+        raise EncodingError(f"plan spec refused: {exc}") from exc
 
 
 def _bit_rows(bits) -> tuple[int, int, bytes]:

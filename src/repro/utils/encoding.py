@@ -15,6 +15,7 @@ __all__ = [
     "encode_length_prefixed",
     "decode_length_prefixed",
     "byte_length",
+    "decode_utf8",
 ]
 
 
@@ -42,6 +43,15 @@ def int_to_bytes(value: int, width: int | None = None) -> bytes:
 def bytes_to_int(data: bytes) -> int:
     """Inverse of :func:`int_to_bytes`."""
     return int.from_bytes(data, "big")
+
+
+def decode_utf8(data: bytes, what: str) -> str:
+    """``data`` as UTF-8 text; :class:`EncodingError` naming ``what`` if it
+    is not (a peer's bytes must never raise a bare ``UnicodeDecodeError``)."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{what} is not valid UTF-8") from exc
 
 
 def encode_length_prefixed(*parts: bytes) -> bytes:

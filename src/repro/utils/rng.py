@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import secrets
+import os
 
 from repro.errors import ParameterError
 
@@ -57,17 +57,17 @@ class RNG(abc.ABC):
             raise ParameterError("empty range")
         return start + self.randbelow(stop - start)
 
-    def field_element(self, q: int) -> int:
-        """Uniform element of Z_q."""
-        return self.randbelow(q)
+    # A uniform element of Z_q is ``randbelow(q)``: the same function, so
+    # a field element costs no extra frame.
+    field_element = randbelow
 
     def nonzero_field_element(self, q: int) -> int:
         """Uniform element of Z_q \\ {0}."""
         return 1 + self.randbelow(q - 1)
 
     def coin(self) -> int:
-        """A single unbiased bit."""
-        return self.randbits(1)
+        """A single unbiased bit: the top bit of one byte, as ``randbits(1)``."""
+        return self.random_bytes(1)[0] >> 7
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher–Yates shuffle."""
@@ -80,7 +80,8 @@ class SystemRNG(RNG):
     """Cryptographically secure randomness from the operating system."""
 
     def random_bytes(self, n: int) -> bytes:
-        return secrets.token_bytes(n)
+        # The source ``secrets.token_bytes`` reads, without its two frames.
+        return os.urandom(n)
 
 
 class SeededRNG(RNG):

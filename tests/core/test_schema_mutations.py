@@ -23,7 +23,7 @@ from repro.core.plan import AggregationPlan
 from repro.crypto.ristretto import RistrettoGroup
 from repro.crypto.serialization import _registry, decode_message, encode_message, wire_size
 from repro.crypto.sodium import SodiumRistrettoGroup
-from repro.errors import EncodingError, NotOnGroupError, ParameterError
+from repro.errors import EncodingError, NotOnGroupError
 from repro.net import wire
 from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed, int_to_bytes
 from repro.utils.rng import SeededRNG
@@ -127,12 +127,9 @@ def _wire_frames(params):
         HistogramQuery(bins=3, epsilon=1.0, delta=2**-10).build_plan(),
         BoundedSumQuery(value_bits=3, epsilon=1.0, delta=2**-10).build_plan(),
     ]
-    # A plan the frame parses but AggregationPlan refuses (a weight row
-    # of another dimension, an unknown validity) is its ParameterError.
-    plan_rejected = REJECTED + (ParameterError,)
     return [
         (wire._PARAMS, wire.encode_params(params), REJECTED),
-        *[(wire._PLAN, wire.encode_plan(plan), plan_rejected) for plan in plans],
+        *[(wire._PLAN, wire.encode_plan(plan), REJECTED) for plan in plans],
         (wire._ENROLL, wire.encode_enrollment(broadcast, privates), REJECTED),
         (wire._CONTROL, wire.encode_control("setup", b"a", b""), REJECTED),
         (wire._RPC, wire.encode_rpc("share-check", b"xyz"), REJECTED),

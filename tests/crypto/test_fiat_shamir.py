@@ -1,5 +1,8 @@
 """Transcript: domain separation, order sensitivity, challenge extraction."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.crypto.fiat_shamir import Transcript
@@ -114,3 +117,74 @@ class TestFork:
         b = Transcript("d")
         b.append_int("x", 2)
         assert challenge(a.fork("f")) != challenge(b.fork("f"))
+
+
+class _ReferenceTranscript:
+    """The transcript as first written: four ``update`` calls per absorb
+    and two state copies per challenge block."""
+
+    def __init__(self, domain: str) -> None:
+        self.state = hashlib.sha512(b"repro.transcript.v1")
+        self.absorb(b"domain", domain.encode())
+
+    def absorb(self, label: bytes, payload: bytes) -> None:
+        self.state.update(len(label).to_bytes(4, "big"))
+        self.state.update(label)
+        self.state.update(len(payload).to_bytes(4, "big"))
+        self.state.update(payload)
+
+    def challenge_bytes(self, label: str, n: int) -> bytes:
+        out = bytearray()
+        counter = 0
+        base = self.state.copy()
+        base.update(b"challenge:" + label.encode())
+        while len(out) < n:
+            block = base.copy()
+            block.update(counter.to_bytes(4, "big"))
+            out += block.digest()
+            counter += 1
+        digest = bytes(out[:n])
+        self.absorb(b"extracted:" + label.encode(), digest)
+        return digest
+
+
+class TestAgainstTheReference:
+    """Random label/payload sequences and challenge lengths 1–200 (across
+    the 64-byte digest): the one-update transcript gives the reference's
+    every challenge."""
+
+    LABELS = ["pp", "bit-commitment", "d0", "d1", "x", "é-label", "", "a" * 70]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_challenges(self, seed, group64):
+        rng = random.Random(f"transcript-reference/{seed}")
+        fast, reference = Transcript(f"d{seed}"), _ReferenceTranscript(f"d{seed}")
+        for _ in range(60):
+            label = rng.choice(self.LABELS)
+            move = rng.randrange(5)
+            if move == 0:
+                payload = rng.randbytes(rng.randrange(0, 150))
+                fast.append_bytes(label, payload)
+                reference.absorb(label.encode(), payload)
+            elif move == 1:
+                value = rng.getrandbits(rng.randrange(1, 300))
+                fast.append_int(label, value)
+                reference.absorb(label.encode(), value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big"))
+            elif move == 2:
+                element = group64.generator() ** rng.randrange(1, group64.order)
+                fast.append_element(label, element)
+                reference.absorb(label.encode(), element.to_bytes())
+            elif move == 3:
+                text = rng.choice(self.LABELS)
+                fast.append_str(label, text)
+                reference.absorb(label.encode(), text.encode())
+            else:
+                n = rng.randrange(1, 201)
+                assert fast.challenge_bytes(label, n) == reference.challenge_bytes(label, n)
+        assert fast.challenge_bytes("end", 200) == reference.challenge_bytes("end", 200)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 200])
+    def test_every_length_around_the_digest(self, n):
+        fast, reference = Transcript("d"), _ReferenceTranscript("d")
+        for label in ("c", "c", "other"):
+            assert fast.challenge_bytes(label, n) == reference.challenge_bytes(label, n)

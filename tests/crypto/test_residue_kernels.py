@@ -71,6 +71,37 @@ class TestResiduePair:
         assert pair.dual_many([], []) == []
 
 
+def _two_row_walk(pair, x: int, y: int) -> int:
+    """The pair's generic walk: both rows at every byte position."""
+    acc = 1
+    for (row_a, row_b), dx, dy in zip(
+        pair._rows,
+        (x % pair._q).to_bytes(pair._width, "little"),
+        (y % pair._q).to_bytes(pair._width, "little"),
+    ):
+        acc = acc * row_a[dx] * row_b[dy] % pair._p
+    return acc
+
+
+class TestHOnlyWalk:
+    """An a-exponent of 0 or 1 mod q walks the b rows alone; the residue
+    must be the two-row walk's, and every other exponent still takes the
+    two-row walk."""
+
+    @pytest.mark.parametrize("name", ["p64-sim", "p128-sim", "p256-sim"])
+    def test_matches_the_two_row_walk(self, name):
+        group = SchnorrGroup.named(name)
+        q = group.order
+        pair = schnorr_group._ResiduePair(group.generator(), group.hash_to_group(b"h-only"))
+        rng = SeededRNG(f"h-only/{name}")
+        g_exps = [0, 1, q, q + 1, -1] + [rng.field_element(q) for _ in range(4)]
+        h_exps = edge_exponents(q) + [rng.field_element(q) for _ in range(8)]
+        xs = [x for x in g_exps for _ in h_exps]
+        ys = h_exps * len(g_exps)
+        walked = [element.value for element in pair.dual_many(xs, ys)]
+        assert walked == [_two_row_walk(pair, x, y) for x, y in zip(xs, ys)]
+
+
 class TestResidueBuckets:
     """``algorithm="pippenger-unsigned"`` runs the residue loop on every
     Schnorr group; ``naive`` is one C ``pow`` per term."""

@@ -469,6 +469,50 @@ class TestHostileRpcPayloads:
         thread.join(timeout=10.0)
 
 
+class TestUndecodableText:
+    """A peer's text fields are decoded checked: one bad byte is an
+    ``EncodingError`` (a ``ReproError``), so ``run_role`` ends the peer
+    quietly instead of dying on a bare ``UnicodeDecodeError``."""
+
+    QUERY = CountQuery(epsilon=1.0, delta=DELTA)
+
+    def test_setup_naming_an_undecodable_prover_ends_the_server_quietly(self):
+        from repro.errors import EncodingError
+        from repro.net import wire
+        from repro.net.roles import run_role
+
+        params = self.QUERY.build_params(num_provers=1, group="p64-sim", nb_override=16)
+        setup = wire.encode_control(
+            "setup", wire.encode_params(params), wire.encode_plan(self.QUERY.build_plan()), b"\xff"
+        )
+        hub = InMemoryHub()
+        analyst = hub.endpoint("analyst")
+        node = ServerNode(hub.endpoint("prover-0"), SeededRNG("utf8"), timeout=5.0)
+        analyst.send("prover-0", setup)
+        with pytest.raises(EncodingError, match="prover name is not valid UTF-8"):
+            node.run()
+        analyst.send("prover-0", setup)
+        assert run_role("server", "prover-0", hub.endpoint("prover-0"), seed="utf8", timeout=5.0) is None
+
+    def test_abort_with_an_undecodable_reason_ends_the_clients_quietly(self):
+        from repro.errors import EncodingError
+        from repro.net import wire
+        from repro.net.roles import run_role
+
+        hub = InMemoryHub()
+        analyst = hub.endpoint("analyst")
+        runner = ClientRunner(hub.endpoint("clients"), self.QUERY, [1, 0], timeout=5.0)
+        analyst.send("clients", wire.encode_control("abort", b"\xff"))
+        with pytest.raises(EncodingError, match="abort reason is not valid UTF-8"):
+            runner.run()
+        analyst.send("clients", wire.encode_control("abort", b"\xff"))
+        outcome = run_role(
+            "clients", "clients", hub.endpoint("clients"), seed="utf8",
+            query=self.QUERY, values=[1, 0], timeout=5.0,
+        )
+        assert outcome is None
+
+
 class TestCheatingProverOverTheWire:
     def test_output_tampering_prover_caught(self):
         """A server hosting OutputTamperingProver fails Line 13 across the

@@ -6,6 +6,8 @@ truncated / wrong-magic frames raise :class:`EncodingError` (never crash,
 never decode to something else).
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -198,6 +200,22 @@ class TestNodeFraming:
             AggregationPlan.weighted_sum((1, 2, 4, 8), 15),
         ):
             assert wire.decode_plan(wire.encode_plan(plan)) == plan
+
+    @pytest.mark.parametrize(
+        "validity, dimension, weights",
+        [("bogus", 1, ((1,),)), ("bit", 2, ((1, 1),))],
+        ids=["unknown-validity", "bit-of-dimension-2"],
+    )
+    def test_plan_spec_the_plan_refuses_is_an_encoding_error(
+        self, validity, dimension, weights
+    ):
+        """A plan frame that parses but that ``AggregationPlan`` refuses
+        is malformed input like any other: ``EncodingError``."""
+        refused = SimpleNamespace(
+            validity=validity, dimension=dimension, lane_weights=weights, noise_weights=(1,)
+        )
+        with pytest.raises(EncodingError, match="plan spec refused"):
+            wire.decode_plan(wire.encode_plan(refused))
 
     def test_enrollment_roundtrip(self, params):
         broadcast, privates = _sample_enrollment(params)

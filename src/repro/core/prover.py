@@ -372,11 +372,8 @@ class Prover(MorraParticipant):
         for o_row, b_row in zip(self._pending_openings, public_bits):
             for lane, (opening, bit) in enumerate(zip(o_row, b_row)):
                 value, randomness = adjusted_coin(opening, bit)
-                noise_y[lane] += value
-                noise_z[lane] += randomness
-        for lane in range(len(noise_y)):  # one reduction per chunk, same sums
-            noise_y[lane] %= q
-            noise_z[lane] %= q
+                noise_y[lane] = (noise_y[lane] + value) % q
+                noise_z[lane] = (noise_z[lane] + randomness) % q
         self._coins_absorbed += len(public_bits)
         self._pending_openings = []
 

@@ -66,14 +66,13 @@ class Transcript:
     # Appending ----------------------------------------------------------
 
     def append_bytes(self, label: str, payload: bytes) -> None:
-        self._state.update(b"".join((_header(label), len(payload).to_bytes(4, "big"), payload)))
+        self._absorb(_header(label), payload)
 
     def append_int(self, label: str, value: int, width: int | None = None) -> None:
         self._absorb(_header(label), int_to_bytes(value, width))
 
     def append_element(self, label: str, element: GroupElement) -> None:
-        payload = element.to_bytes()
-        self._state.update(b"".join((_header(label), len(payload).to_bytes(4, "big"), payload)))
+        self._absorb(_header(label), element.to_bytes())
 
     def append_elements(self, label: str, elements) -> None:
         for i, element in enumerate(elements):
@@ -87,27 +86,19 @@ class Transcript:
     def challenge_bytes(self, label: str, n: int) -> bytes:
         """Extract ``n`` challenge bytes and fold them back into the state.
 
-        Block ``i`` is ``SHA-512(state ‖ "challenge:" label ‖ i)``; up to
-        one digest (64 bytes) that is a single copy of the state.
+        Block ``i`` is ``SHA-512(state ‖ "challenge:" label ‖ i)``, each
+        hashed on its own copy of the state: one copy per 64 bytes.
         """
         prefix, extracted = _challenge_prefixes(label)
         state = self._state
-        base = state.copy()
-        if 0 < n <= 64:
-            base.update(prefix + b"\0\0\0\0")
-            digest = base.digest()[:n]
-        else:
-            base.update(prefix)
-            out = bytearray()
-            counter = 0
-            while len(out) < n:
-                block = base.copy()
-                block.update(counter.to_bytes(4, "big"))
-                out += block.digest()
-                counter += 1
-            digest = bytes(out[:n])
+        blocks = []
+        for counter in range((n + 63) // 64):
+            block = state.copy()
+            block.update(prefix + counter.to_bytes(4, "big"))
+            blocks.append(block.digest())
+        digest = b"".join(blocks)[:n]
         # Chain the extraction so later challenges depend on this one.
-        state.update(b"".join((extracted, len(digest).to_bytes(4, "big"), digest)))
+        self._absorb(extracted, digest)
         return digest
 
     def challenge_scalar(self, label: str, modulus: int) -> int:

@@ -122,9 +122,6 @@ def branch_statements(params: PedersenParams, commitment: Commitment) -> tuple[G
     return commitment.element, commitment.element / params.g
 
 
-_BITS = frozenset((0, 1))
-
-
 def _bind(transcript: Transcript, params: PedersenParams, commitment: Commitment) -> None:
     transcript.append_bytes("pp", params.transcript_bytes())
     transcript.append_element("bit-commitment", commitment.element)
@@ -166,14 +163,11 @@ def _announce(
         if recommit
         else None
     )
-    # The loop names the first failing witness; with every x a bit and no
-    # recomputed commitment there is nothing for it to find.
-    if expected is not None or not _BITS.issuperset(bits):
-        for i, (bit, commitment) in enumerate(zip(bits, commitments)):
-            if bit not in (0, 1):
-                raise ParameterError(f"witness value {bit} is not a bit; L_Bit requires 0 or 1")
-            if expected is not None and expected[i].element != commitment.element:
-                raise ParameterError("opening does not match commitment")
+    for i, (bit, commitment) in enumerate(zip(bits, commitments)):
+        if bit not in (0, 1):
+            raise ParameterError(f"witness value {bit} is not a bit; L_Bit requires 0 or 1")
+        if expected is not None and expected[i].element != commitment.element:
+            raise ParameterError("opening does not match commitment")
 
     field_element = rng.field_element
     draws: list[tuple[int, int, int]] = []

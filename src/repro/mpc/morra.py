@@ -123,6 +123,8 @@ def run_morra_batch(
         if values is None or len(values) != count:
             raise EarlyExit("participant failed to contribute", party=participant.name)
         comms, rand = participant.commitments(scheme, values)
+        if len(comms) != count:
+            raise ProtocolAbort("malformed commit", party=participant.name)
         state[participant.name] = (values, rand)
         commitments[participant.name] = comms
         network.broadcast(

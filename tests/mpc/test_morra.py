@@ -95,6 +95,19 @@ class TestAdversaries:
         with pytest.raises(EarlyExit):
             run_morra_batch([StuckMorraParticipant("stuck"), honest("h")], Q, 2)
 
+    def test_short_commitment_list_detected(self):
+        """A party that broadcasts fewer commitments than instances aborts
+        at commit time, so no opening goes unchecked against a commitment."""
+
+        class ShortCommit(MorraParticipant):
+            def commitments(self, scheme, values):
+                comms, rand = super().commitments(scheme, values)
+                return comms[:-1], rand
+
+        with pytest.raises(ProtocolAbort) as err:
+            run_morra_batch([ShortCommit("short", rng=SeededRNG("s")), honest("h")], Q, 3)
+        assert err.value.party == "short"
+
     def test_out_of_range_reveal_detected(self):
         class OutOfRange(MorraParticipant):
             def sample_values(self, q, count):

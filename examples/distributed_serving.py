@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import CountQuery, Session  # noqa: E402
 from repro.crypto.serialization import decode_message, encode_message  # noqa: E402
-from repro.net import run_distributed_session  # noqa: E402
+from repro.net.serve import run_distributed_session  # noqa: E402
 from repro.utils.rng import SeededRNG  # noqa: E402
 
 SEED = "distributed-example"

@@ -5,6 +5,10 @@ The completeness half of Theorem 4.1 says the protocol's noise is
 helpers turn those claims into testable statistics (chi-square
 goodness-of-fit, total-variation distance) used by the test-suite and the
 zero-knowledge indistinguishability checks.
+
+scipy is imported by the two tests that need it, not here: the package
+declares no dependencies, and ``python -m repro`` imports this module
+through :mod:`repro.bench` on every run (DESIGN.md "Cold start").
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from typing import Sequence
-
-from scipy import stats
 
 from repro.dp.smoothness import binomial_log_pmf
 from repro.errors import ParameterError
@@ -30,6 +32,8 @@ def chi_square_uniform(bits: Sequence[int]) -> float:
     n = len(bits)
     if n == 0:
         raise ParameterError("empty sample")
+    from scipy import stats
+
     ones = sum(bits)
     observed = [n - ones, ones]
     result = stats.chisquare(observed, [n / 2.0, n / 2.0])
@@ -74,6 +78,8 @@ def binomial_goodness_of_fit(samples: Sequence[int], nb: int) -> float:
     expected = [e * scale for e in expected]
     if len(observed) < 2:
         return 1.0
+    from scipy import stats
+
     result = stats.chisquare(observed, expected)
     return float(result.pvalue)
 

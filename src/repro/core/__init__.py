@@ -16,6 +16,9 @@ Entry point: :class:`repro.api.Session` executes declarative queries
 (count, histogram, bounded sum, composed) over the substrate defined
 here; :class:`repro.api.ProtocolEngine` is the same run with custom
 (cheating, remote, sharded) provers or verifiers slotted in.
+
+The zero-knowledge simulators (:mod:`repro.core.simulator`) run in no
+protocol path and are not imported here.
 """
 
 from repro.core.params import PublicParams, setup
@@ -38,7 +41,6 @@ from repro.core.prover import (
     InputInjectingProver,
 )
 from repro.core.verifier import PublicVerifier
-from repro.core.simulator import simulate_curator_view, simulate_mpc_view
 from repro.core.bulletin import BulletinBoard, replay_audit
 
 __all__ = [
@@ -60,8 +62,6 @@ __all__ = [
     "InputDroppingProver",
     "InputInjectingProver",
     "PublicVerifier",
-    "simulate_curator_view",
-    "simulate_mpc_view",
     "BulletinBoard",
     "replay_audit",
 ]

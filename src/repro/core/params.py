@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.crypto.group import Group
 from repro.crypto.pedersen import PedersenParams
-from repro.crypto.ristretto import RistrettoGroup
 from repro.crypto.schnorr_group import SchnorrGroup
 from repro.dp.binomial import coins_for_privacy, epsilon_for_coins
 from repro.errors import ParameterError
@@ -96,6 +95,7 @@ def _resolve_group(group: Group | str) -> Group:
     if isinstance(group, Group):
         return group
     if group == "ristretto255":
+        from repro.crypto.ristretto import RistrettoGroup
         from repro.crypto.sodium import SodiumRistrettoGroup
 
         return SodiumRistrettoGroup.instance() or RistrettoGroup.instance()

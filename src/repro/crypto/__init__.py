@@ -16,13 +16,14 @@ library (self-tested, decided once per process, not imported here):
 to which the *name* ``"ristretto255"`` resolves in
 ``core.params._resolve_group``; and :mod:`repro.crypto.gmp`, libgmp's
 ``mpz_jacobi`` as a Schnorr element's membership test.  The classes
-above are the pure reference implementations.
+above are the pure reference implementations.  Only the Schnorr group is
+imported here: ristretto255 and P-256 load when
+``core.params._resolve_group`` first resolves their name, so a process
+that never uses a curve never compiles one.
 """
 
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.schnorr_group import SchnorrGroup
-from repro.crypto.ristretto import RistrettoGroup
-from repro.crypto.p256 import P256Group
 from repro.crypto.pedersen import PedersenParams, Commitment, Opening
 from repro.crypto.fiat_shamir import Transcript
 
@@ -30,8 +31,6 @@ __all__ = [
     "Group",
     "GroupElement",
     "SchnorrGroup",
-    "RistrettoGroup",
-    "P256Group",
     "PedersenParams",
     "Commitment",
     "Opening",

@@ -13,9 +13,10 @@ The paper verifies two things in zero knowledge with Σ-protocols:
 Batch verification (:mod:`batch`) rounds out the toolbox.  All proofs are made
 non-interactive with the Fiat–Shamir transform over
 :class:`repro.crypto.fiat_shamir.Transcript`; the
-interactive 3-move forms are also exposed because the test-suite exercises
-special soundness (extractors) and honest-verifier zero-knowledge
-(simulators) directly.
+interactive 3-move forms are in :mod:`repro.crypto.sigma.interactive`
+(not imported here: no protocol path runs them) because the test-suite
+exercises special soundness (extractors) and honest-verifier
+zero-knowledge (simulators) directly.
 """
 
 from repro.crypto.sigma.or_bit import (
@@ -33,11 +34,6 @@ from repro.crypto.sigma.bitvec import (
     verify_bit_vector,
 )
 from repro.crypto.sigma.batch import SigmaBatch, batch_verify_bits, batch_verify_one_hot
-from repro.crypto.sigma.interactive import (
-    InteractiveBitProver,
-    InteractiveBitVerifier,
-    run_interactive_bit_proof,
-)
 
 __all__ = [
     "BitProof",
@@ -55,7 +51,4 @@ __all__ = [
     "SigmaBatch",
     "batch_verify_bits",
     "batch_verify_one_hot",
-    "InteractiveBitProver",
-    "InteractiveBitVerifier",
-    "run_interactive_bit_proof",
 ]

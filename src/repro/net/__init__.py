@@ -42,55 +42,9 @@ This package closes that gap without touching the protocol engine:
 * :mod:`repro.net.serve` — the ``python -m repro serve`` demo driver: a
   full session as separate OS processes, byte-identical to the
   in-process path under seeded RNG.
+
+The package itself imports nothing: import each name from the module
+that defines it (``from repro.net.serve import run_distributed_session``),
+so that loading :mod:`repro.net.wire` does not load the serving stack
+(DESIGN.md "Cold start").
 """
-
-from repro.net.aio import (
-    AsyncSocketTransport,
-    SessionChannel,
-    SessionMux,
-    SessionSpec,
-)
-from repro.net.fleet import (
-    FleetConfig,
-    FleetDispatcher,
-    SessionOutcome,
-    SessionRequest,
-    run_fleet,
-)
-from repro.net.nodes import AnalystNode, ClientRunner, RemoteProver, ServerNode
-from repro.net.serve import run_async_sessions, run_distributed_session
-from repro.net.shard import ShardWorker, ShardedAnalyst
-from repro.net.transport import (
-    InMemoryHub,
-    InMemoryTransport,
-    MultiprocessTransport,
-    SocketTransport,
-    Transport,
-    multiprocess_star,
-)
-
-__all__ = [
-    "Transport",
-    "InMemoryHub",
-    "InMemoryTransport",
-    "MultiprocessTransport",
-    "SocketTransport",
-    "multiprocess_star",
-    "AnalystNode",
-    "ServerNode",
-    "ClientRunner",
-    "RemoteProver",
-    "ShardedAnalyst",
-    "ShardWorker",
-    "run_distributed_session",
-    "run_async_sessions",
-    "AsyncSocketTransport",
-    "SessionChannel",
-    "SessionMux",
-    "SessionSpec",
-    "FleetConfig",
-    "FleetDispatcher",
-    "SessionRequest",
-    "SessionOutcome",
-    "run_fleet",
-]

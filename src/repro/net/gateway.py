@@ -38,7 +38,6 @@ import threading
 from repro.api.queries import Query
 from repro.errors import ParameterError, ProtocolAbort, ReproError
 from repro.net.fleet import FleetDispatcher, SessionRequest
-from repro.net.transport import _prepare_stream_socket
 
 __all__ = ["FleetGateway"]
 
@@ -82,6 +81,8 @@ class FleetGateway:
     # Accept/serve loops -----------------------------------------------------
 
     def _accept_loop(self) -> None:
+        from repro.net.transport import _prepare_stream_socket
+
         while not self._closed.is_set():
             try:
                 conn, _ = self._sock.accept()

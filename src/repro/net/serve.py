@@ -13,42 +13,28 @@ the three transports:
 With a seed, the distributed release is compared byte-for-byte against
 the in-process :class:`repro.api.Session` release — the equivalence the
 redesign promises (same engine, same RNG streams, different substrate).
+
+Each driver imports the serving stack it runs inside its own body, in
+the calling process before any fork, so importing this module loads no
+transport, event loop or HTTP server, and a forked peer compiles
+nothing (DESIGN.md "Cold start").
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
-import socket
-import statistics
 import sys
 import threading
 import time
-from multiprocessing import get_context
+import typing
 
 from repro.api.queries import CountQuery, HistogramQuery, Query
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
-from repro.net.fleet import (
-    FleetConfig,
-    FleetDispatcher,
-    run_fleet,
-    session_seed,
-    session_values,
-)
-from repro.net.gateway import FleetGateway
-from repro.net.metrics import MetricsServer, ServingMetrics
-from repro.net.roles import (
-    build_analyst,
-    dial,
-    peer_roles,
-    role_names,
-    root_rng,
-    run_role,
-    solo_release_bytes,
-)
-from repro.net.transport import InMemoryHub, SocketTransport, multiprocess_star
+
+if typing.TYPE_CHECKING:
+    from repro.net.fleet import FleetConfig
+    from repro.net.metrics import ServingMetrics
 
 __all__ = [
     "run_distributed_session",
@@ -106,6 +92,14 @@ def run_distributed_session(
     the same seed *and the same effective chunk size* and compares the
     wire-encoded releases byte for byte.
     """
+    from repro.net.roles import (
+        build_analyst,
+        peer_roles,
+        role_names,
+        root_rng,
+        solo_release_bytes,
+    )
+
     if transport not in _TRANSPORTS:
         raise ParameterError(f"transport must be one of {_TRANSPORTS}")
     if shards < 0:
@@ -184,6 +178,11 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
     it is a thread or a forked process; every peer runs
     :func:`~repro.net.roles.run_role`.
     """
+    from multiprocessing import get_context
+
+    from repro.net.roles import dial, run_role
+    from repro.net.transport import InMemoryHub, SocketTransport, multiprocess_star
+
     names = [name for _, name in roles]
     spawn = get_context("fork").Process
     if transport == "memory":
@@ -254,6 +253,9 @@ def _session_peer_main(
     before the fork) with that session's seed and values (the node is
     the unchanged single-session code; scoped connections do the
     routing)."""
+    from repro.net.fleet import session_seed, session_values
+    from repro.net.roles import run_role
+
     threads = [
         threading.Thread(
             target=run_role,
@@ -309,6 +311,15 @@ def run_async_sessions(
     across S session-scoped shard workers; the solo replay runs at the
     chunk size the mux reports each session actually used.
     """
+    import asyncio
+    import socket
+    import statistics
+    from multiprocessing import get_context
+
+    from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
+    from repro.net.fleet import session_seed, session_values
+    from repro.net.roles import dial, peer_roles, role_names, root_rng, solo_release_bytes
+
     if sessions < 1:
         raise ParameterError("sessions must be >= 1")
     if shards < 0:
@@ -552,6 +563,8 @@ def _metrics_endpoint(args):
     if getattr(args, "metrics_port", None) is None:
         yield None
         return
+    from repro.net.metrics import MetricsServer, ServingMetrics
+
     metrics = ServingMetrics()
     server = MetricsServer(metrics.registry, host=args.host, port=args.metrics_port)
     print(f"metrics: http://{args.host}:{server.port}/metrics", flush=True)
@@ -614,6 +627,8 @@ def _main_async(args, query: Query, values) -> int:
 
 
 def _main_fleet(args, query: Query, values) -> int:
+    from repro.net.fleet import FleetConfig, run_fleet
+
     if getattr(args, "fleet_config", None):
         config = FleetConfig.from_file(args.fleet_config)
     else:
@@ -690,6 +705,9 @@ def _main_fleet_gateway(args, query: Query, config: FleetConfig) -> int:
     fixed batch.  Runs until ``--serve-seconds`` elapses (or forever,
     Ctrl-C to stop), then drains: everything admitted finishes, nothing
     new is let in."""
+    from repro.net.fleet import FleetDispatcher
+    from repro.net.gateway import FleetGateway
+
     with _metrics_endpoint(args) as metrics:
         dispatcher = FleetDispatcher(config, metrics=metrics)
         dispatcher.start()

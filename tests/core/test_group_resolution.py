@@ -12,6 +12,7 @@ The Schnorr groups' membership test is decided the same way: libgmp's
 self-test, ``numth.jacobi_symbol`` otherwise, opened at the first test.
 """
 
+import ast
 import ctypes
 import hashlib
 import json
@@ -276,3 +277,62 @@ def test_sim_group_session_never_opens_the_library():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "lazy-ok"
+
+
+# What an in-process p64-sim session must never load: the asyncio side
+# (event loop, thread pool, TLS, HTTP server), the serving stack that
+# only the distributed drivers run, scipy, the curves of other groups
+# and the modules kept for the paper's proofs only (DESIGN.md "Cold
+# start").
+UNUSED_BY_THE_SESSION_PATH = (
+    "asyncio",
+    "concurrent.futures",
+    "http.server",
+    "ssl",
+    "scipy",
+    "multiprocessing",
+    "repro.net.aio",
+    "repro.net.metrics",
+    "repro.net.roles",
+    "repro.net.transport",
+    "repro.crypto.p256",
+    "repro.crypto.ristretto",
+    "repro.core.simulator",
+    "repro.crypto.sigma.interactive",
+)
+
+
+def _program_imports(path: Path) -> list[str]:
+    """The ``repro`` import statements of a script, as source lines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro"
+    ]
+
+
+def test_benchmark_imports_load_only_the_session_path():
+    """Import what the named benchmark's workloads import, run a streamed
+    p64-sim session: nothing the session path does not run is loaded."""
+    imports = _program_imports(ROOT / "benchmarks" / "e2e" / "workloads.py")
+    assert any("repro.net.serve" in line for line in imports)
+    script = "\n".join(
+        ["import sys", *imports]
+        + [
+            "from repro.api import CountQuery, Session",
+            "from repro.utils.rng import SeededRNG",
+            "s = Session(CountQuery(1.0, 2**-10), num_provers=2, group='p64-sim',"
+            " nb_override=32, chunk_size=8, rng=SeededRNG('fence'))",
+            "s.submit([1, 0, 1, 1])",
+            "assert s.release().accepted",
+            f"loaded = [m for m in {UNUSED_BY_THE_SESSION_PATH!r} if m in sys.modules]",
+            "print(loaded)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

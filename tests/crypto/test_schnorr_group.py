@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import gmp, schnorr_group
 from repro.crypto.schnorr_group import NAMED_GROUPS, SchnorrGroup
 from repro.errors import EncodingError, NotOnGroupError, ParameterError
-from repro.utils.numth import is_probable_prime, legendre_symbol
+from repro.utils.numth import is_probable_prime, jacobi_symbol, legendre_symbol
 from repro.utils.rng import SeededRNG
 
 scalars = st.integers(min_value=0, max_value=2**70)
@@ -233,6 +233,56 @@ class TestMembershipAndEncoding:
     def test_cross_group_operations_rejected(self, group64, group128):
         with pytest.raises(NotOnGroupError):
             group64.generator() * group128.generator()
+
+
+def hostile_operands(p: int) -> list[int]:
+    """Values at the edges of Z*p and of GMP's 64-bit limbs."""
+    square = pow(p // 3, 2, p)
+    return [
+        0, 1, 2, square, p - square, p - 1, p, p + 1, 2 * p, p * 2**64,
+        2**64 - 1, 2**64, 2**64 + 1, 2**128 - 1, 2**128, 2**128 + 1,
+    ]
+
+
+def from_bytes_verdict(group: SchnorrGroup, data: bytes):
+    try:
+        return group.from_bytes(data).value
+    except (EncodingError, NotOnGroupError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
+class TestGmpAgainstThePureJacobi:
+    """libgmp's ``mpz_jacobi`` and ``numth.jacobi_symbol`` agree on hostile
+    operands for every named modulus, and so do the membership verdicts
+    built on them."""
+
+    @pytest.fixture(autouse=True)
+    def needs_libgmp(self):
+        if gmp._native() is None:
+            pytest.skip("libgmp is not loadable on this host")
+
+    def test_symbols_agree(self, name):
+        p = NAMED_GROUPS[name]
+        native = gmp.jacobi_modulo(p)
+        for a in hostile_operands(p):
+            assert native(a) == jacobi_symbol(a, p), (name, a)
+
+    def test_from_bytes_verdicts_agree(self, name, monkeypatch):
+        width = fresh_group(name).element_bytes
+        datas = [bytes(width - 1), bytes(width + 1), b"\xff" * width]
+        datas += [v.to_bytes(width, "big") for v in hostile_operands(NAMED_GROUPS[name]) if v < 256**width]
+        calls = []
+        pure_symbol = schnorr_group.jacobi_symbol
+        monkeypatch.setattr(
+            schnorr_group, "jacobi_symbol", lambda a, n: calls.append(n) or pure_symbol(a, n)
+        )
+        native = [from_bytes_verdict(fresh_group(name), data) for data in datas]
+        assert calls == []
+        monkeypatch.setattr(gmp, "_native", lru_cache(maxsize=1)(lambda: None))
+        pure = [from_bytes_verdict(fresh_group(name), data) for data in datas]
+        assert calls
+        assert native == pure
 
 
 class TestHashToGroup:

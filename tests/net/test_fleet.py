@@ -27,11 +27,11 @@ from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
     SessionRequest,
-    _cpu_share,
     run_fleet,
     session_seed,
     session_values,
 )
+from repro.net.frontend import _cpu_share
 from repro.utils.rng import SeededRNG
 
 DELTA = 2**-10

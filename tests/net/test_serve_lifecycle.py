@@ -16,6 +16,7 @@ Bugs fixed in the serve layer, pinned here:
   attributed party on stderr.
 """
 
+import multiprocessing
 import socket
 import threading
 import time
@@ -26,7 +27,7 @@ from repro.api.queries import CountQuery
 from repro.cli import _serve_parser
 from repro.core.messages import AuditRecord
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net import serve
+from repro.net import fleet, roles, serve, transport
 from repro.net.nodes import shutdown_peers
 from repro.net.transport import InMemoryHub
 from repro.net.wire import decode_control, encode_reply
@@ -58,30 +59,32 @@ class TestFailedStartupLeaks:
         def never_connects(*args, **kwargs):  # runs in the forked child
             time.sleep(120)
 
-        monkeypatch.setattr(serve, "run_role", never_connects)
+        # The launcher imports what it runs when it is called, so the
+        # patches go on the defining modules.
+        monkeypatch.setattr(roles, "run_role", never_connects)
         spawned = []
-        real_get_context = serve.get_context
+        real_get_context = multiprocessing.get_context
         monkeypatch.setattr(
-            serve,
+            multiprocessing,
             "get_context",
             lambda kind: _RecordingContext(real_get_context(kind), spawned),
         )
 
         listeners = []
-        real_listen = serve.SocketTransport.listen
+        real_listen = transport.SocketTransport.listen
 
         def recording_listen(*args, **kwargs):
             listeners.append(real_listen(*args, **kwargs))
             return listeners[-1]
 
-        monkeypatch.setattr(serve.SocketTransport, "listen", recording_listen)
+        monkeypatch.setattr(transport.SocketTransport, "listen", recording_listen)
 
         query = CountQuery(epsilon=1.0, delta=DELTA)
         start = time.monotonic()
         with pytest.raises(ProtocolAbort):
             serve._start_peers(
                 "socket",
-                serve.peer_roles(2, 0),
+                roles.peer_roles(2, 0),
                 query,
                 [1, 0],
                 "leak",
@@ -242,7 +245,7 @@ class TestExitCodes:
         def crash(*args, **kwargs):
             raise OSError("address already in use")
 
-        monkeypatch.setattr(serve, "run_fleet", crash)
+        monkeypatch.setattr(fleet, "run_fleet", crash)
         code = serve.main(self._args("--fleet"))
         assert code == serve.EXIT_INFRA_CRASH == 4
         err = capsys.readouterr().err

@@ -467,7 +467,6 @@ def run_multiexp(
     """
     from repro.crypto.multiexp import (
         _straus,
-        kernel_for,
         multi_exponentiation,
         select_algorithm,
     )
@@ -535,7 +534,7 @@ def run_multiexp(
         (SchnorrGroup.named("p128-sim"), signed_sizes, 3),
         (RistrettoGroup.instance(), signed_sizes[:1], 1),
     ):
-        kernel = kernel_for(group)
+        kernel = group.multiexp_kernel()
         rng = SeededRNG(f"{seed}-signed-{group.name}")
         for n in group_sizes:
             bases = [group.random_element(rng) for _ in range(n)]

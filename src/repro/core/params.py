@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.crypto.group import Group
 from repro.crypto.pedersen import PedersenParams
-from repro.crypto.schnorr_group import SchnorrGroup
+from repro.crypto.schnorr_group import NAMED_GROUPS, SchnorrGroup
 from repro.dp.binomial import coins_for_privacy, epsilon_for_coins
 from repro.errors import ParameterError
 
@@ -99,10 +99,10 @@ def _resolve_group(group: Group | str) -> Group:
         from repro.crypto.sodium import SodiumRistrettoGroup
 
         return SodiumRistrettoGroup.instance() or RistrettoGroup.instance()
-    if group == "p256":
-        from repro.crypto.p256 import P256Group
-
-        return P256Group.instance()
+    if group not in NAMED_GROUPS:
+        raise ParameterError(
+            f"unknown group {group!r}; options: {sorted(['ristretto255', *NAMED_GROUPS])}"
+        )
     return SchnorrGroup.named(group)
 
 

@@ -17,9 +17,11 @@ to which the *name* ``"ristretto255"`` resolves in
 ``core.params._resolve_group``; and :mod:`repro.crypto.gmp`, libgmp's
 ``mpz_jacobi`` as a Schnorr element's membership test.  The classes
 above are the pure reference implementations.  Only the Schnorr group is
-imported here: ristretto255 and P-256 load when
-``core.params._resolve_group`` first resolves their name, so a process
-that never uses a curve never compiles one.
+imported here: ristretto255 loads when ``core.params._resolve_group``
+first resolves its name, so a process that never uses the curve never
+compiles it.  Each named group has a reason to exist (a benchmark
+workload, a CI leg or a paper result); DESIGN.md "Which groups stay, and
+why" lists them.
 """
 
 from repro.crypto.group import Group, GroupElement

@@ -12,7 +12,13 @@ A ``Group`` exposes a cyclic group of *prime* order q with:
 * element arithmetic via :class:`GroupElement` operator overloads
   (multiplicative notation: ``*`` combines, ``**`` is scalar action, ``~``
   inverts), and
-* canonical byte encodings for Fiat–Shamir hashing.
+* canonical byte encodings for Fiat–Shamir hashing, and
+* ``multiexp_kernel()`` — the raw representation the multi-exponentiation
+  engine (:mod:`repro.crypto.multiexp`) runs on.
+
+Three backends implement it: ``SchnorrGroup`` (the modp group and the
+``p*-sim`` sizes), ``RistrettoGroup`` and ``SodiumRistrettoGroup``
+(ristretto255 in pure Python and on libsodium).
 """
 
 from __future__ import annotations
@@ -137,22 +143,39 @@ class Group(abc.ABC):
 
         Routed through the tiered engine in :mod:`repro.crypto.multiexp`
         (naive / Straus-wNAF / Pippenger, selected by batch size and
-        exponent bit length).  Backends accelerate it by providing a raw
-        kernel via :meth:`multiexp_kernel` rather than overriding this.
+        exponent bit length), on the raw kernel of :meth:`multiexp_kernel`.
         """
         from repro.crypto.multiexp import multi_exponentiation
 
         return multi_exponentiation(self, list(bases), list(exponents))
 
+    @abc.abstractmethod
     def multiexp_kernel(self):
-        """Raw-representation kernel for the multiexp engine, or None.
+        """Raw-representation kernel for :mod:`repro.crypto.multiexp`.
 
-        Backends return an object with ``identity_raw`` / ``to_raw`` /
-        ``from_raw`` / ``mul`` / ``sqr`` / ``neg_many`` (see
-        :class:`repro.crypto.multiexp.GenericKernel`) so batch products
-        run on unboxed values; None selects the generic fallback.
+        Each backend returns one cached object over its cheapest internal
+        representation (ints mod p, extended Edwards coordinates,
+        libsodium encodings), so the engine's inner loops allocate no
+        ``GroupElement`` per operation.  It provides:
+
+        * ``identity_raw`` — the raw identity value,
+        * ``to_raw`` / ``from_raw`` — convert to/from ``GroupElement``,
+        * ``mul`` / ``sqr`` — group operation / squaring on raw values,
+        * ``neg_many`` — invert a list of raw values (batched where the
+          backend can, e.g. Montgomery batch inversion mod p),
+        * ``native_pow`` / ``op_overhead`` / ``neg_muls`` — cost-model
+          hints for :func:`~repro.crypto.multiexp.select_algorithm` (is a
+          single ``**`` a C-speed ``pow``, how expensive Python bookkeeping
+          is relative to one group op, and what one negation costs in
+          group multiplications),
+        * ``pow_muls`` — optional: what one ``**`` costs in units of
+          ``mul`` when that is not ``bits``,
+        * ``modulus`` — optional: raw values are residues mod this int, so
+          the unsigned bucket method runs as an int loop instead of
+          calling ``mul``,
+        * ``signed_buckets`` — optional, default True: False keeps the
+          bucket method on unsigned digits.
         """
-        return None
 
     def fixed_base_pair(self, a: GroupElement, b: GroupElement):
         """How this backend computes ``a^x · b^y`` for two *fixed* bases.
@@ -170,21 +193,9 @@ class Group(abc.ABC):
 
         return CombPair(a, b)
 
-    def normalize_many(self, elements: Sequence[GroupElement]) -> list[GroupElement]:
-        """Normalize many elements for serialization, batched when possible.
-
-        Projective-coordinate backends override this with one Montgomery
-        batch inversion for the whole list (P-256 Jacobian → affine); the
-        default is the identity map for backends whose elements are
-        already canonical.
-        """
-        return list(elements)
-
     def product(self, elements: Iterable[GroupElement]) -> GroupElement:
         """Plain product, accumulated on the raw kernel representation."""
-        from repro.crypto.multiexp import kernel_for
-
-        kernel = kernel_for(self)
+        kernel = self.multiexp_kernel()
         to_raw, mul = kernel.to_raw, kernel.mul
         acc = None
         for element in elements:

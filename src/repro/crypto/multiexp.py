@@ -96,7 +96,7 @@ automatic pick within 1.5× of the fastest forced tier.  Measured
   at n ≈ 250–300; pippenger is 1.1–1.2× ahead at n = 400.  With the
   table-negation pass priced and the kernel's ``op_overhead`` re-fitted
   the model switches at n = 304 (910 before);
-* ristretto255 / P-256 in pure Python — no native ``pow``, so straus wins
+* ristretto255 in pure Python — no native ``pow``, so straus wins
   from n = 2 (1.7×) and, with curve ops dwarfing bookkeeping, is level
   with pippenger over n ≈ 64–128; the model switches at n ≈ 137–146,
   where pippenger is ~1.2× ahead;
@@ -106,16 +106,13 @@ automatic pick within 1.5× of the fastest forced tier.  Measured
   (n = 256: 17 ms against 253 ms straus, 203 ms pippenger): a shared
   chain built from native additions never pays.
 
-The engine is backend-agnostic but *not* object-per-operation: backends
-may expose a :meth:`~repro.crypto.group.Group.multiexp_kernel` returning
-a raw-representation kernel (ints mod p for Schnorr groups, extended
-Edwards coordinates for ristretto255, Jacobian coordinates for P-256).
-All accumulation happens on raw values — points stay in
-extended/Jacobian coordinates across the whole product, and nothing is
-normalized until the single final result is converted back to a
-``GroupElement`` (serialization-time normalization of *many* points is
-batched separately via ``Group.normalize_many``).  Groups without a
-kernel fall back to a generic kernel over ``GroupElement`` objects.
+The engine is backend-agnostic but *not* object-per-operation: every
+backend's :meth:`~repro.crypto.group.Group.multiexp_kernel` returns a
+raw-representation kernel (ints mod p for Schnorr groups, extended
+Edwards coordinates for ristretto255, encodings for libsodium).  All
+accumulation happens on raw values — points stay in extended
+coordinates across the whole product, and nothing is normalized until
+the single final result is converted back to a ``GroupElement``.
 
 Beside the product tiers sits one *exact* kernel,
 :func:`shared_base_powers`: several powers of one variable base on a
@@ -136,10 +133,8 @@ from repro.errors import ParameterError
 __all__ = [
     "multi_exponentiation",
     "select_algorithm",
-    "kernel_for",
     "FixedBaseTable",
     "CombPair",
-    "GenericKernel",
     "dual_power",
     "shared_base_powers",
 ]
@@ -154,75 +149,6 @@ _LIST_BUCKET_MAX_BITS = 64
 # widest row is measured on modp-2048 (n = 16 / 64, w = 4 / 5 / 6 / 7:
 # 108 / 100 / 96 / 102 ms and 361 / 322 / 308 / 335 ms).
 _STRAUS_WINDOWS = ((64, 3), (256, 4), (1023, 5), (1 << 30, 6))
-
-
-class GenericKernel:
-    """Fallback raw-operation kernel over plain ``GroupElement`` objects.
-
-    Backends with cheaper internal representations provide their own
-    kernel with the same interface (see ``SchnorrGroup.multiexp_kernel``)
-    so the engine's inner loops avoid per-operation object allocation:
-
-    * ``identity_raw`` — the raw identity value,
-    * ``to_raw`` / ``from_raw`` — convert to/from ``GroupElement``,
-    * ``mul`` / ``sqr`` — group operation / squaring on raw values,
-    * ``neg_many`` — invert a list of raw values (batched where the
-      backend can, e.g. Montgomery batch inversion mod p),
-    * ``native_pow`` / ``op_overhead`` — cost-model hints for
-      :func:`select_algorithm` (is a single ``**`` a C-speed ``pow``, and
-      how expensive is Python bookkeeping relative to one group op),
-    * ``pow_muls`` — optional: what one ``**`` costs in units of ``mul``
-      when that is not ``bits`` (see :func:`select_algorithm`),
-    * ``modulus`` — optional: raw values are residues mod this int, so
-      the unsigned bucket method runs as an int loop
-      (:func:`_pippenger_residues`) instead of calling ``mul``,
-    * ``signed_buckets`` — optional, default True: False keeps the bucket
-      method on unsigned digits (see :func:`select_algorithm`).
-    """
-
-    __slots__ = ("identity_raw",)
-
-    native_pow = False
-    op_overhead = 0.1
-    # Cost of one negation in group-multiplication units.  Generic
-    # backends go through GroupElement.invert, which may be a full
-    # modular inversion — keep signed buckets off unless a kernel says
-    # negation is cheap (curves: ~0; Schnorr ints: ~3 via batching).
-    neg_muls = 8.0
-
-    def __init__(self, group: Group) -> None:
-        self.identity_raw = group.identity()
-
-    @staticmethod
-    def to_raw(element: GroupElement) -> GroupElement:
-        return element
-
-    @staticmethod
-    def from_raw(raw: GroupElement) -> GroupElement:
-        return raw
-
-    @staticmethod
-    def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-        return a.combine(b)
-
-    @staticmethod
-    def sqr(a: GroupElement) -> GroupElement:
-        return a.combine(a)
-
-    @staticmethod
-    def neg_many(raws: list) -> list:
-        return [raw.invert() for raw in raws]
-
-
-def kernel_for(group: Group):
-    """The group's raw-operation kernel (cached generic fallback if none)."""
-    kernel = group.multiexp_kernel()
-    if kernel is None:
-        kernel = getattr(group, "_generic_kernel", None)
-        if kernel is None:
-            kernel = GenericKernel(group)
-            group._generic_kernel = kernel
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +544,15 @@ def multi_exponentiation(
         return group.identity()
 
     bits = max(e.bit_length() for e in live_exps)
-    kernel = kernel_for(group)
-    neg_muls = getattr(kernel, "neg_muls", 8.0)
+    kernel = group.multiexp_kernel()
+    neg_muls = kernel.neg_muls
     signed_buckets = getattr(kernel, "signed_buckets", True)
     if algorithm is None:
         algorithm = select_algorithm(
             len(live_bases),
             bits,
-            native_pow=getattr(kernel, "native_pow", False),
-            op_overhead=getattr(kernel, "op_overhead", 0.1),
+            native_pow=kernel.native_pow,
+            op_overhead=kernel.op_overhead,
             neg_muls=neg_muls,
             pow_muls=getattr(kernel, "pow_muls", None),
             signed_buckets=signed_buckets,
@@ -684,7 +610,7 @@ def shared_base_powers(
     than two C ladders there.
     """
     group = base.group
-    kernel = kernel_for(group)
+    kernel = group.multiexp_kernel()
     if kernel.native_pow:
         return [base**e for e in exponents]
     window = _SHARED_CHAIN_WINDOW
@@ -786,14 +712,14 @@ class FixedBaseTable:
 
     def power(self, exponent: int) -> GroupElement:
         """base ** exponent using only table lookups and multiplications."""
-        kernel = kernel_for(self._group)
+        kernel = self._group.multiexp_kernel()
         return kernel.from_raw(self.power_raw(kernel, exponent))
 
     def power_raw(self, kernel, exponent: int):
         """base ** exponent as a kernel-raw value (no per-window objects).
 
         The whole walk stays in the kernel's raw representation (ints for
-        Schnorr, extended/Jacobian coordinates for the curves); only the
+        Schnorr, extended coordinates for ristretto255); only the
         caller converts back, so chained fixed-base products cost one
         normalization total.
         """
@@ -853,7 +779,7 @@ def dual_power(
         raise ParameterError("dual_power requires tables over one group")
     if table_a.window != table_b.window or table_a.nwindows != table_b.nwindows:
         raise ParameterError("dual_power requires tables with matching geometry")
-    kernel = kernel_for(table_a._group)
+    kernel = table_a._group.multiexp_kernel()
     return kernel.from_raw(_comb_walk(kernel, table_a, table_b, (ea,), (eb,))[0])
 
 
@@ -872,7 +798,7 @@ class CombPair:
     def __init__(self, a: GroupElement, b: GroupElement) -> None:
         if a.group is not b.group:
             raise ParameterError("a fixed-base pair lives in one group")
-        self._kernel = kernel_for(a.group)
+        self._kernel = a.group.multiexp_kernel()
         self.tables = (FixedBaseTable(a), FixedBaseTable(b))
         for table in self.tables:
             table.raw_tables(self._kernel)

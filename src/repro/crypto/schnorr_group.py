@@ -141,7 +141,7 @@ class _SchnorrKernel:
     ==============================  ===========  ===================
     p64 pair, 128 full-width pairs  12.7 µs      5.7 µs
     p128 pair                       31.6 µs      14.6 µs
-    p256 pair                       84.5 µs      50.3 µs
+    p256-sim pair                   84.5 µs      50.3 µs
     modp-2048 pair                  13.1 ms      10.2 ms after a 2.5 s,
                                                  33 MB build, so it
                                                  keeps the comb tables

@@ -80,14 +80,8 @@ def decode_commitment(group: Group, data: bytes) -> Commitment:
 
 
 def encode_commitments(commitments) -> list[bytes]:
-    """Encode many commitments with one batched coordinate normalization:
-    projective backends (P-256) pay a field inversion per ``to_bytes``,
-    and ``Group.normalize_many`` makes a row of them one batch inversion."""
-    elements = [c.element for c in commitments]
-    if not elements:
-        return []
-    normalized = elements[0].group.normalize_many(elements)
-    return [element.to_bytes() for element in normalized]
+    """Encode many commitments, each by its element's canonical encoding."""
+    return [c.element.to_bytes() for c in commitments]
 
 
 # A wire frame is ``LP(WIRE_MAGIC, tag, body)``: versioned, tagged by the

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.group import GroupElement
-from repro.crypto.multiexp import kernel_for, shared_base_powers
+from repro.crypto.multiexp import shared_base_powers
 from repro.crypto.pedersen import Commitment, Opening, PedersenParams
 from repro.errors import ParameterError, ProofRejected
 from repro.utils.rng import RNG, default_rng
@@ -232,7 +232,7 @@ def _failed_branch(
     share nothing, and the figures' ``h^{v₁} == d₁·(c/g)^{e₁}`` costs one
     inversion instead of a second fixed-base power.
     """
-    if kernel_for(params.group).native_pow:
+    if params.group.multiexp_kernel().native_pow:
         t0, t1 = branch_statements(params, commitment)
         c_e0, right1 = t0**proof.e0, t1**proof.e1
         left1 = params.pow_h(proof.v1)

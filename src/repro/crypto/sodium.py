@@ -3,10 +3,10 @@
 The paper's Section 6 curve numbers come from a native library
 (curve25519-dalek); :mod:`repro.crypto.ristretto` is 255-bit Edwards
 arithmetic in CPython and stays the *reference* — the specification the
-tests compare against, the fallback on hosts without libsodium, and the
-shape P-256 and the Schnorr groups keep.  This module is a fifth
-:class:`~repro.crypto.group.Group`, not a second protocol path: the same
-``name``, order, generator and ``h``, hence the same parameter
+tests compare against and the fallback on hosts without libsodium.  This
+module is the third :class:`~repro.crypto.group.Group` class (after
+``SchnorrGroup`` and ``RistrettoGroup``), not a second protocol path:
+the same ``name``, order, generator and ``h``, hence the same parameter
 fingerprint, transcripts, wire bytes and releases.
 
 An element *is* its canonical 32-byte encoding.  libsodium's ristretto255

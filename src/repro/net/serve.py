@@ -131,7 +131,8 @@ def run_distributed_session(
         # analyst-side abort the children sit blocked in recv, and with
         # the sockets/pipes still open they would hold them for the full
         # join timeout.  Closing first turns their recv into an immediate
-        # ProtocolAbort, so cleanup reaps them promptly.
+        # ProtocolAbort (a pipe peer holds no copy of the analyst's ends,
+        # see _own_pipe_only), so cleanup reaps them promptly.
         analyst_transport.close()
         cleanup()
     elapsed = time.perf_counter() - start
@@ -185,6 +186,7 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
 
     names = [name for _, name in roles]
     spawn = get_context("fork").Process
+    target = run_role
     if transport == "memory":
         hub = InMemoryHub()
         analyst_transport = hub.endpoint("analyst")
@@ -192,6 +194,7 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
         spawn = threading.Thread
     elif transport == "multiprocess":
         analyst_transport, channels = multiprocess_star("analyst", names)
+        target = _own_pipe_only(run_role, [analyst_transport, *channels.values()])
     else:
         analyst_transport = SocketTransport.listen("analyst", host, port)
         channels = {
@@ -199,7 +202,7 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
         }
     workers = [
         spawn(
-            target=run_role,
+            target=target,
             args=(role, name, channels[name]),
             kwargs=dict(seed=seed, query=query, values=values, timeout=timeout),
             name=name,
@@ -233,6 +236,21 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
         _terminate_processes(workers)  # only a hung child is still alive
 
     return analyst_transport, cleanup
+
+
+def _own_pipe_only(run, inherited: list):
+    """``run`` for a forked pipe peer, which first closes every pipe end it
+    inherited but its own ``channel``.  A pipe reports EOF only once every
+    copy of the far end is closed, so while the peers hold copies of the
+    analyst's ends the analyst's close never reaches them."""
+
+    def peer_main(role, name, channel, **kwargs):
+        for transport in inherited:
+            if transport is not channel:
+                transport.close()
+        run(role, name, channel, **kwargs)
+
+    return peer_main
 
 
 # Async multiplexed serving ----------------------------------------------------

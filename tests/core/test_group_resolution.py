@@ -281,7 +281,7 @@ def test_sim_group_session_never_opens_the_library():
 
 # What an in-process p64-sim session must never load: the asyncio side
 # (event loop, thread pool, TLS, HTTP server), the serving stack that
-# only the distributed drivers run, scipy, the curves of other groups
+# only the distributed drivers run, scipy, the curve of another group
 # and the modules kept for the paper's proofs only (DESIGN.md "Cold
 # start").
 UNUSED_BY_THE_SESSION_PATH = (
@@ -295,7 +295,6 @@ UNUSED_BY_THE_SESSION_PATH = (
     "repro.net.metrics",
     "repro.net.roles",
     "repro.net.transport",
-    "repro.crypto.p256",
     "repro.crypto.ristretto",
     "repro.core.simulator",
     "repro.crypto.sigma.interactive",

@@ -1,9 +1,9 @@
 """The full ΠBin protocol on every group backend.
 
 The commitment and Σ-proof layers are written against the abstract Group
-interface; these end-to-end runs prove the claim for all four backends
-(finite-field Schnorr groups, ristretto255, NIST P-256).  Tiny nb keeps
-the elliptic runs quick.
+interface; these end-to-end runs prove the claim for every backend
+(finite-field Schnorr groups, ristretto255).  Tiny nb keeps the curve
+runs quick.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.core.params import setup
 from repro.core.prover import OutputTamperingProver
 from repro.utils.rng import SeededRNG
 
-BACKENDS = ["p64-sim", "p128-sim", "ristretto255", "p256"]
+BACKENDS = ["p64-sim", "p128-sim", "ristretto255"]
 
 
 def honest_count(bits, *, k, group, nb, seed):
@@ -34,7 +34,7 @@ def test_honest_run_on_backend(backend):
     assert 0 <= noise <= 4
 
 
-@pytest.mark.parametrize("backend", ["ristretto255", "p256"])
+@pytest.mark.parametrize("backend", ["ristretto255"])
 def test_cheater_caught_on_elliptic_backends(backend):
     params = setup(1.0, 2**-10, num_provers=1, group=backend, nb_override=4)
     cheater = OutputTamperingProver(

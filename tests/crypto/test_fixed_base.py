@@ -11,14 +11,13 @@ of naive exponentiation.
 
 import pytest
 
-from repro.crypto.multiexp import FixedBaseTable, dual_power, kernel_for
+from repro.crypto.multiexp import FixedBaseTable, dual_power
 from repro.crypto.pedersen import PedersenParams
 from repro.errors import ParameterError
 from repro.utils.rng import SeededRNG
 
 
 def _backends():
-    from repro.crypto.p256 import P256Group
     from repro.crypto.ristretto import RistrettoGroup
     from repro.crypto.schnorr_group import SchnorrGroup
 
@@ -26,11 +25,10 @@ def _backends():
         SchnorrGroup.named("p64-sim"),
         SchnorrGroup.named("p128-sim"),
         RistrettoGroup.instance(),
-        P256Group.instance(),
     ]
 
 
-@pytest.fixture(scope="module", params=range(4), ids=["p64", "p128", "ristretto", "p256"])
+@pytest.fixture(scope="module", params=range(3), ids=["p64", "p128", "ristretto"])
 def pedersen(request):
     return PedersenParams(_backends()[request.param])
 
@@ -79,7 +77,7 @@ class TestFixedBaseTables:
         ).element
 
     def test_power_raw_roundtrip(self, pedersen, comb_tables):
-        kernel = kernel_for(pedersen.group)
+        kernel = pedersen.group.multiexp_kernel()
         table = comb_tables[0]
         for e in _exponents(pedersen, n=3):
             assert kernel.from_raw(table.power_raw(kernel, e)) == pedersen.g ** e

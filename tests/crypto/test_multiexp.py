@@ -3,7 +3,7 @@
 Cross-backend property tests assert naive == straus == pippenger on
 random and edge inputs (empty batches, zero and negative exponents,
 duplicate bases, batch sizes straddling every tier boundary) for the
-Schnorr, ristretto255, and P-256 kernels plus the generic fallback.
+Schnorr and ristretto255 kernels.
 """
 
 import pytest
@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import multiexp
 from repro.crypto.multiexp import (
     FixedBaseTable,
-    GenericKernel,
-    kernel_for,
     multi_exponentiation,
     select_algorithm,
     shared_base_powers,
@@ -83,25 +81,6 @@ class TestMultiExponentiation:
         assert multi_exponentiation(ristretto, bases, exps, algorithm=algorithm) == expected
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("n", (1, 3, 13, 40))
-    def test_tiers_agree_p256(self, n, algorithm):
-        from repro.crypto.p256 import P256Group
-
-        group = P256Group.instance()
-        bases, exps = random_instance(group, n, f"p{n}")
-        expected = naive_product(group, bases, exps)
-        assert multi_exponentiation(group, bases, exps, algorithm=algorithm) == expected
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_tiers_agree_generic_kernel(self, group64, algorithm, monkeypatch):
-        # Knock out the Schnorr kernel so the GroupElement fallback runs.
-        monkeypatch.setattr(type(group64), "multiexp_kernel", lambda self: None)
-        assert isinstance(kernel_for(group64), GenericKernel)
-        bases, exps = random_instance(group64, 9, "gen")
-        expected = naive_product(group64, bases, exps)
-        assert multi_exponentiation(group64, bases, exps, algorithm=algorithm) == expected
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_empty(self, group64, algorithm):
         assert multi_exponentiation(group64, [], [], algorithm=algorithm) == group64.identity()
 
@@ -148,17 +127,11 @@ class TestSharedBasePowers:
     ``native_pow`` hint sends them: C ``pow`` per exponent on the Schnorr
     kernel, the shared squaring chain on every other kernel."""
 
-    @pytest.fixture(params=["schnorr", "schnorr-chain", "generic", "ristretto", "p256"])
+    @pytest.fixture(params=["schnorr", "schnorr-chain", "ristretto"])
     def group(self, request, group64, ristretto, monkeypatch):
-        from repro.crypto.p256 import P256Group
-
         if request.param == "schnorr-chain":  # the chain over raw ints
-            monkeypatch.setattr(type(kernel_for(group64)), "native_pow", False)
-        elif request.param == "generic":
-            monkeypatch.setattr(type(group64), "multiexp_kernel", lambda self: None)
-        return {"ristretto": ristretto, "p256": P256Group.instance()}.get(
-            request.param, group64
-        )
+            monkeypatch.setattr(type(group64.multiexp_kernel()), "native_pow", False)
+        return ristretto if request.param == "ristretto" else group64
 
     def edge_exponents(self, q):
         window = multiexp._SHARED_CHAIN_WINDOW
@@ -192,7 +165,7 @@ class TestSharedBasePowers:
     def test_native_pow_groups_never_walk_the_python_chain(self, group64, monkeypatch):
         """A Python chain over ints is ~3× slower than two C ``pow`` calls,
         so the Schnorr groups must not be sent down it."""
-        kernel = kernel_for(group64)
+        kernel = group64.multiexp_kernel()
         assert kernel.native_pow
 
         def forbidden(*args):
@@ -250,7 +223,7 @@ class TestSelection:
         Pippenger 1.1–1.2× ahead at 400; the model said 910 without it)."""
         from repro.crypto.schnorr_group import SchnorrGroup
 
-        kernel = kernel_for(SchnorrGroup.named("modp-2048"))
+        kernel = SchnorrGroup.named("modp-2048").multiexp_kernel()
         hints = dict(
             native_pow=kernel.native_pow,
             op_overhead=kernel.op_overhead,
@@ -262,18 +235,16 @@ class TestSelection:
 
     @pytest.mark.parametrize(
         "name, bits, crossover",
-        [("ristretto", 252, 137), ("ristretto", 253, 146), ("p256", 256, 141)],
+        [("ristretto", 252, 137), ("ristretto", 253, 146)],
     )
     def test_curve_kernel_picks(self, name, bits, crossover):
         """A curve's table negation is a coordinate flip (neg_muls 0.05), so
         pricing it leaves the picks as they were — naive at n = 1, Straus,
         then Pippenger — but for the switch, which moves 2 lower (from
-        139 / 148 / 143), inside the band where the two tiers are level."""
-        from repro.crypto.p256 import P256Group
+        139 / 148), inside the band where the two tiers are level."""
         from repro.crypto.ristretto import RistrettoGroup
 
-        group = RistrettoGroup.instance() if name == "ristretto" else P256Group.instance()
-        kernel = kernel_for(group)
+        kernel = RistrettoGroup.instance().multiexp_kernel()
         picks = [
             select_algorithm(
                 n,
@@ -309,7 +280,7 @@ class TestSelectionIsPure:
              "naive_ms": 1.0, "straus_ms": 2.0, "pippenger_ms": 3.0}
             for name, bits in (
                 ("p64-sim", 63), ("p128-sim", 127), ("modp-2048", 2047),
-                ("ristretto255", 253), ("p256", 256),
+                ("ristretto255", 253),
             )
         ]
         (tmp_path / "BENCH_multiexp.json").write_text(json.dumps({"rows": rows}))
@@ -317,7 +288,7 @@ class TestSelectionIsPure:
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
 
     def test_selection_ignores_a_hostile_bench_file(self, hostile_surroundings, group128):
-        kernel = kernel_for(group128)
+        kernel = group128.multiexp_kernel()
         for n in (16, 24, 32, 4096):
             assert (
                 select_algorithm(
@@ -372,19 +343,15 @@ class TestSelectionIsPure:
 
 class TestKernels:
     def test_raw_roundtrip(self, group64, ristretto):
-        from repro.crypto.p256 import P256Group
-
-        for group in (group64, ristretto, P256Group.instance()):
-            kernel = kernel_for(group)
+        for group in (group64, ristretto):
+            kernel = group.multiexp_kernel()
             element = group.random_element(SeededRNG(f"rt-{group.name}"))
             assert kernel.from_raw(kernel.to_raw(element)) == element
             assert kernel.from_raw(kernel.identity_raw) == group.identity()
 
     def test_mul_sqr_neg_consistent(self, group64, ristretto):
-        from repro.crypto.p256 import P256Group
-
-        for group in (group64, ristretto, P256Group.instance()):
-            kernel = kernel_for(group)
+        for group in (group64, ristretto):
+            kernel = group.multiexp_kernel()
             rng = SeededRNG(f"k-{group.name}")
             a, b = group.random_element(rng), group.random_element(rng)
             ra, rb = kernel.to_raw(a), kernel.to_raw(b)
@@ -392,16 +359,6 @@ class TestKernels:
             assert kernel.from_raw(kernel.sqr(ra)) == a * a
             (neg,) = kernel.neg_many([ra])
             assert kernel.from_raw(neg) == ~a
-
-    def test_p256_normalize_many(self):
-        from repro.crypto.p256 import P256Group
-
-        group = P256Group.instance()
-        rng = SeededRNG("norm")
-        points = [group.random_element(rng) ** 7 for _ in range(5)] + [group.identity()]
-        normalized = group.normalize_many(points)
-        assert [p.to_bytes() for p in normalized] == [p.to_bytes() for p in points]
-        assert all(p.Z == 1 for p in normalized if not p.is_infinity())
 
 
 class TestFixedBaseTable:
@@ -429,7 +386,7 @@ class TestFixedBaseTable:
 
     def test_raw_tables_cached(self, group64):
         table = _table64(group64)
-        kernel = kernel_for(group64)
+        kernel = group64.multiexp_kernel()
         rows = table.raw_tables(kernel)
         assert rows is table.raw_tables(kernel)
         assert kernel.from_raw(rows[0][1]) == table.base

@@ -203,7 +203,7 @@ class TestWitnessAwareAnnouncement:
     byte-for-byte what they were."""
 
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("name", ["p64-sim", "p128-sim", "p256", "ristretto255"])
+    @pytest.mark.parametrize("name", ["p64-sim", "p128-sim", "ristretto255"])
     def test_simulated_announcement_matches_reference_formula(self, name, bit):
         params = setup(1.0, 2**-10, group=name, nb_override=32).pedersen
         q = params.q

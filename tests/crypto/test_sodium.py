@@ -313,10 +313,9 @@ class TestMultiexp:
             for x, y in zip(shared_base_powers(a, exps), shared_base_powers(na, exps)):
                 assert same(x, y)
 
-    def test_product_and_normalize_many(self, native, ristretto, pairs):
+    def test_product(self, native, ristretto, pairs):
         _, pure, native_points = pairs
         assert same(ristretto.product(pure), native.product(native_points))
-        assert native.normalize_many(native_points) == native_points
 
     def test_cost_model_never_builds_a_chain_from_native_additions(self, native):
         kernel = native.multiexp_kernel()

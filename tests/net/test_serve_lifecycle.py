@@ -9,6 +9,9 @@ Bugs fixed in the serve layer, pinned here:
   peer, so one dead peer stalled teardown by timeout × remaining peers,
   and the bare ``except ReproError: pass`` discarded which peer was
   dead;
+* forked pipe peers used to inherit the analyst's pipe ends, so when the
+  analyst failed before its first frame its close reached no peer as
+  EOF and teardown waited out every peer's recv (≈ 90 s);
 * ``repro serve`` used to exit the same way for a protocol abort and
   dead infrastructure, so a supervisor (the fleet dispatcher, CI, an
   init system) could not tell "a party cheated/went silent" from "the
@@ -146,6 +149,24 @@ class TestFailedStartupLeaks:
             timeout=60.0,
         )
         assert outcome["accepted"] and outcome["byte_identical"]
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_analyst_failure_on_pipes_reaps_peers_promptly(self, shards):
+        """An unknown group fails the analyst after the peers forked and
+        before any frame: each peer must see the closed pipe at once."""
+        start = time.monotonic()
+        with pytest.raises(ParameterError):
+            serve.run_distributed_session(
+                CountQuery(epsilon=1.0, delta=DELTA),
+                [1, 0],
+                transport="multiprocess",
+                shards=shards,
+                group="nope",
+                nb_override=4,
+                seed="lifecycle",
+            )
+        elapsed = time.monotonic() - start
+        assert elapsed < 10.0, f"teardown stalled {elapsed:.1f}s"
 
 
 class TestConcurrentShutdown:

@@ -35,7 +35,7 @@ from repro.net import wire
 from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed
 from repro.utils.rng import SeededRNG
 
-BACKENDS = ["p64-sim", "ristretto255", "p256"]
+BACKENDS = ["p64-sim", "ristretto255"]
 
 
 @pytest.fixture(scope="module", params=BACKENDS)

@@ -1,9 +1,10 @@
 """Cold start: each path loads only what it runs (DESIGN.md "Cold start").
 
-Both checks run a fresh interpreter, because what matters is what a new
+Every check runs a fresh interpreter, because what matters is what a new
 process imports: the command line must work where scipy is absent (the
-package declares no dependencies), and a session's forked peers must
-import nothing, since the driver loads their modules before it forks.
+package declares no dependencies), its serving commands must not load the
+experiment drivers, and a session's forked peers must import nothing,
+since the driver loads their modules before it forks.
 The import fence of the in-process session path is
 ``tests/core/test_group_resolution.py::test_benchmark_imports_load_only_the_session_path``.
 """
@@ -41,6 +42,25 @@ def _run(*args: str) -> subprocess.CompletedProcess:
 def test_the_command_line_runs_without_scipy(argv):
     done = _run("-c", WITHOUT_SCIPY, *argv)
     assert done.returncode == 0, done.stderr
+
+
+# Runs the command line, then reports whether the experiments were loaded.
+EXPERIMENTS_LOADED = (
+    "import sys\n"
+    "from repro.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "except SystemExit:\n"
+    "    pass\n"
+    "print('repro.bench' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["serve", "--help"], ["lint", "--help"]])
+def test_serving_commands_leave_the_experiments_unloaded(argv):
+    done = _run("-c", EXPERIMENTS_LOADED, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 # One warm session per topology, then the same sessions again with an

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.schnorr_group import NAMED_GROUPS
 from repro.errors import ParameterError
 from repro.utils.numth import (
     batch_inverse,
@@ -74,22 +75,15 @@ class TestLegendre:
         assert legendre_symbol(2, 13) == -1
 
 
-def _protocol_primes():
-    from repro.crypto.p256 import _P as p256_field
-    from repro.crypto.schnorr_group import NAMED_GROUPS
-
-    return {**NAMED_GROUPS, "p256-field": p256_field}
-
-
 class TestJacobiSymbol:
     """``jacobi_symbol`` is what decides group membership of received
     bytes; Euler's criterion (``legendre_symbol``) is the reference."""
 
-    @pytest.mark.parametrize("name", sorted(_protocol_primes()))
+    @pytest.mark.parametrize("name", sorted(NAMED_GROUPS))
     def test_equals_euler_criterion_on_protocol_primes(self, name):
         import random
 
-        p = _protocol_primes()[name]
+        p = NAMED_GROUPS[name]
         rng = random.Random(f"jacobi|{name}")
         # One Euler test at 2048 bits is ~25 ms; keep that leg short.
         draws = 12 if p.bit_length() > 1024 else 200

@@ -16,6 +16,32 @@ from repro.crypto.schnorr_group import SchnorrGroup
 from repro.utils.rng import SeededRNG
 
 
+def _group_for(name: str):
+    """What ``setup(group=...)`` takes for a backend id.
+
+    ``"ristretto255"`` resolves to libsodium's backend where the host has
+    it, so the two ids below pin one implementation each: the pure-Python
+    reference, or libsodium (the test is skipped on a host without it).
+    Every other id is a group name, passed on as it is.
+    """
+    if name == "ristretto255-pure":
+        return RistrettoGroup.instance()
+    if name == "ristretto255-sodium":
+        from repro.crypto.sodium import SodiumRistrettoGroup
+
+        native = SodiumRistrettoGroup.instance()
+        if native is None:
+            pytest.skip("libsodium with ristretto255 is not loadable on this host")
+        return native
+    return name
+
+
+@pytest.fixture(scope="session")
+def group_for():
+    """``group_for(backend_id)``: see :func:`_group_for`."""
+    return _group_for
+
+
 @pytest.fixture(scope="session")
 def group64() -> SchnorrGroup:
     return SchnorrGroup.named("p64-sim")

@@ -2,7 +2,8 @@
 
 The commitment and Σ-proof layers are written against the abstract Group
 interface; these end-to-end runs prove the claim for every backend
-(finite-field Schnorr groups, ristretto255).  Tiny nb keeps the curve
+(finite-field Schnorr groups, and ristretto255 on both libsodium and
+the pure-Python reference).  Tiny nb keeps the curve
 runs quick.
 """
 
@@ -14,7 +15,7 @@ from repro.core.params import setup
 from repro.core.prover import OutputTamperingProver
 from repro.utils.rng import SeededRNG
 
-BACKENDS = ["p64-sim", "p128-sim", "ristretto255"]
+BACKENDS = ["p64-sim", "p128-sim", "p256-sim", "ristretto255", "ristretto255-pure"]
 
 
 def honest_count(bits, *, k, group, nb, seed):
@@ -27,16 +28,16 @@ def honest_count(bits, *, k, group, nb, seed):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_honest_run_on_backend(backend):
-    result = honest_count([1, 0, 1], k=1, group=backend, nb=4, seed=f"be-{backend}")
+def test_honest_run_on_backend(backend, group_for):
+    result = honest_count([1, 0, 1], k=1, group=group_for(backend), nb=4, seed=f"be-{backend}")
     assert result.release.accepted
     noise = result.release.raw[0] - 2
     assert 0 <= noise <= 4
 
 
-@pytest.mark.parametrize("backend", ["ristretto255"])
-def test_cheater_caught_on_elliptic_backends(backend):
-    params = setup(1.0, 2**-10, num_provers=1, group=backend, nb_override=4)
+@pytest.mark.parametrize("backend", ["ristretto255", "ristretto255-pure"])
+def test_cheater_caught_on_elliptic_backends(backend, group_for):
+    params = setup(1.0, 2**-10, num_provers=1, group=group_for(backend), nb_override=4)
     cheater = OutputTamperingProver(
         "prover-0", params, SeededRNG(f"ch-{backend}"), bias=3
     )

@@ -20,36 +20,22 @@ import pytest
 from repro.api.queries import BoundedSumQuery, CountQuery, HistogramQuery
 from repro.core.params import setup
 from repro.core.plan import AggregationPlan
-from repro.crypto.ristretto import RistrettoGroup
 from repro.crypto.serialization import _registry, decode_message, encode_message, wire_size
-from repro.crypto.sodium import SodiumRistrettoGroup
 from repro.errors import EncodingError, NotOnGroupError
 from repro.net import wire
 from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed, int_to_bytes
 from repro.utils.rng import SeededRNG
-
 from test_message_registry_roundtrip import BUILDERS
 
 REJECTED = (EncodingError, NotOnGroupError)
-
-
-def _group(name):
-    if name == "ristretto255-pure":
-        return RistrettoGroup.instance()
-    if name == "ristretto255-sodium":
-        native = SodiumRistrettoGroup.instance()
-        if native is None:
-            pytest.skip("libsodium with ristretto255 is not loadable on this host")
-        return native
-    return name
 
 
 @pytest.fixture(
     scope="module",
     params=["p64-sim", "p128-sim", "ristretto255-pure", "ristretto255-sodium"],
 )
-def params(request):
-    return setup(1.0, 2**-10, num_provers=2, group=_group(request.param), nb_override=31)
+def params(request, group_for):
+    return setup(1.0, 2**-10, num_provers=2, group=group_for(request.param), nb_override=31)
 
 
 def _leaf_mutations(kind, part, q):

@@ -24,11 +24,15 @@ def _backends():
     return [
         SchnorrGroup.named("p64-sim"),
         SchnorrGroup.named("p128-sim"),
+        SchnorrGroup.named("p256-sim"),
+        SchnorrGroup.named("modp-2048"),
         RistrettoGroup.instance(),
     ]
 
 
-@pytest.fixture(scope="module", params=range(3), ids=["p64", "p128", "ristretto"])
+@pytest.fixture(
+    scope="module", params=range(5), ids=["p64", "p128", "p256-sim", "modp-2048", "ristretto"]
+)
 def pedersen(request):
     return PedersenParams(_backends()[request.param])
 

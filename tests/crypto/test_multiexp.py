@@ -3,7 +3,8 @@
 Cross-backend property tests assert naive == straus == pippenger on
 random and edge inputs (empty batches, zero and negative exponents,
 duplicate bases, batch sizes straddling every tier boundary) for the
-Schnorr and ristretto255 kernels.
+Schnorr (p64-sim up to modp-2048) and ristretto255 (pure-Python and
+libsodium) kernels.
 """
 
 import pytest
@@ -81,6 +82,30 @@ class TestMultiExponentiation:
         assert multi_exponentiation(ristretto, bases, exps, algorithm=algorithm) == expected
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("n", (1, 3, 13, 40))
+    def test_tiers_agree_native_ristretto(self, n, algorithm, group_for):
+        group = group_for("ristretto255-sodium")
+        bases, exps = random_instance(group, n, f"s{n}")
+        expected = naive_product(group, bases, exps)
+        assert multi_exponentiation(group, bases, exps, algorithm=algorithm) == expected
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "name, n",
+        [("p256-sim", n) for n in (1, 3, 13, 40)] + [("modp-2048", n) for n in (1, 3, 13)],
+    )
+    def test_tiers_agree_wide_schnorr(self, name, n, algorithm):
+        """The widest residue kernels: digit counts and window sizes grow
+        with the modulus, so p64-sim alone does not walk them.  modp-2048
+        stops at 13 terms, where a naive check already costs a second."""
+        from repro.crypto.schnorr_group import SchnorrGroup
+
+        group = SchnorrGroup.named(name)
+        bases, exps = random_instance(group, n, f"w{name}{n}")
+        expected = naive_product(group, bases, exps)
+        assert multi_exponentiation(group, bases, exps, algorithm=algorithm) == expected
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_empty(self, group64, algorithm):
         assert multi_exponentiation(group64, [], [], algorithm=algorithm) == group64.identity()
 
@@ -127,10 +152,16 @@ class TestSharedBasePowers:
     ``native_pow`` hint sends them: C ``pow`` per exponent on the Schnorr
     kernel, the shared squaring chain on every other kernel."""
 
-    @pytest.fixture(params=["schnorr", "schnorr-chain", "ristretto"])
-    def group(self, request, group64, ristretto, monkeypatch):
+    @pytest.fixture(params=["schnorr", "schnorr-chain", "modp-2048", "ristretto", "sodium"])
+    def group(self, request, group64, ristretto, group_for, monkeypatch):
+        from repro.crypto.schnorr_group import SchnorrGroup
+
         if request.param == "schnorr-chain":  # the chain over raw ints
             monkeypatch.setattr(type(group64.multiexp_kernel()), "native_pow", False)
+        if request.param == "modp-2048":
+            return SchnorrGroup.named("modp-2048")
+        if request.param == "sodium":
+            return group_for("ristretto255-sodium")
         return ristretto if request.param == "ristretto" else group64
 
     def edge_exponents(self, q):

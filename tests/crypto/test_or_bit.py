@@ -203,9 +203,11 @@ class TestWitnessAwareAnnouncement:
     byte-for-byte what they were."""
 
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("name", ["p64-sim", "p128-sim", "ristretto255"])
-    def test_simulated_announcement_matches_reference_formula(self, name, bit):
-        params = setup(1.0, 2**-10, group=name, nb_override=32).pedersen
+    @pytest.mark.parametrize(
+        "name", ["p64-sim", "p128-sim", "p256-sim", "ristretto255", "ristretto255-pure"]
+    )
+    def test_simulated_announcement_matches_reference_formula(self, name, bit, group_for):
+        params = setup(1.0, 2**-10, group=group_for(name), nb_override=32).pedersen
         q = params.q
         c, o = params.commit_fresh(bit, SeededRNG(f"coin-{bit}"))
         proof = prove_bit(params, c, o, Transcript("t"), SeededRNG("prover"))

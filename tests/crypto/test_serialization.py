@@ -92,12 +92,14 @@ class TestAllCodecsAllBackends:
     """Satellite sweep: every codec round-trips on every group backend,
     and malformed/truncated/wrong-magic inputs raise EncodingError."""
 
-    @pytest.fixture(scope="class", params=["p64-sim", "ristretto255"])
-    def pp(self, request):
+    @pytest.fixture(
+        scope="class", params=["p64-sim", "p256-sim", "ristretto255", "ristretto255-pure"]
+    )
+    def pp(self, request, group_for):
         from repro.core.params import _resolve_group
         from repro.crypto.pedersen import PedersenParams
 
-        return PedersenParams(_resolve_group(request.param))
+        return PedersenParams(_resolve_group(group_for(request.param)))
 
     @given(st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=8, deadline=None)

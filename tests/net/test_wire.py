@@ -35,12 +35,12 @@ from repro.net import wire
 from repro.utils.encoding import decode_length_prefixed, encode_length_prefixed
 from repro.utils.rng import SeededRNG
 
-BACKENDS = ["p64-sim", "ristretto255"]
+BACKENDS = ["p64-sim", "p256-sim", "ristretto255", "ristretto255-pure"]
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
-def params(request):
-    return setup(1.0, 2**-10, num_provers=2, group=request.param, nb_override=31)
+def params(request, group_for):
+    return setup(1.0, 2**-10, num_provers=2, group=group_for(request.param), nb_override=31)
 
 
 def _sample_enrollment(params, seed="wire-client", query=None):

@@ -7,7 +7,9 @@ set ``REPRO_PAPER_SCALE=1`` for paper-scale runs (slow in pure Python).
 ``python -m repro serve`` runs a session as separate OS processes — an
 analyst front-end, K prover servers and a client population — over the
 ``multiprocessing``-pipe or TCP transport (see :mod:`repro.net`), and
-checks the release is byte-identical to the in-process path when seeded.
+checks the release is byte-identical to the in-process path when seeded;
+``serve --fleet`` serves many sessions at once through a pool of
+multiplexing front-ends.
 """
 
 from __future__ import annotations
@@ -45,20 +47,14 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="node substrate: threads over the in-memory bus, pipes, or TCP",
     )
     parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve over asyncio sockets: one SessionMux front-end process "
-        "multiplexes --sessions concurrent sessions (implies --transport "
-        "socket; each session is byte-identical to its solo seeded run)",
-    )
-    parser.add_argument(
         "--fleet",
         action="store_true",
-        help="serve through a dispatcher-orchestrated fleet: --frontends "
-        "SessionMux worker processes (capacity --capacity sessions each, "
-        "optionally --shards workers per session) behind one admission "
-        "point with health checks, work-stealing, drain and crash restart",
+        help="serve --sessions concurrent sessions through a "
+        "dispatcher-orchestrated fleet: --frontends SessionMux worker "
+        "processes on one CPU each (capacity --capacity sessions each; "
+        "--frontends 1 is one multiplexing front-end) behind one admission "
+        "point with health checks, work-stealing, drain and crash restart; "
+        "each session is byte-identical to its solo seeded run",
     )
     parser.add_argument(
         "--frontends",
@@ -75,22 +71,24 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fleet-config",
         default=None,
-        help="JSON fleet config file; overrides the individual fleet flags",
+        help="with --fleet: JSON fleet config file; overrides the "
+        "individual fleet flags",
     )
     parser.add_argument(
         "--sessions",
         type=int,
         default=2,
-        help="total session count N for --async / --fleet serving",
+        help="total session count N for --fleet serving",
     )
     parser.add_argument("--servers", type=int, default=2, help="prover count K")
     parser.add_argument(
         "--shards",
         type=int,
         default=0,
-        help="verification shard workers S (0 = single front-end); the "
-        "client stream and coin chunks are partitioned across S workers "
-        "and the merged release stays byte-identical to unsharded",
+        help="verification shard workers S of one session, not with "
+        "--fleet (0 = single front-end); the client stream and coin chunks "
+        "are partitioned across S workers and the merged release stays "
+        "byte-identical to unsharded",
     )
     parser.add_argument("--clients", type=int, default=8, help="client count n")
     parser.add_argument("--nb", type=int, default=64, help="noise coins per prover")
@@ -114,9 +112,9 @@ def _serve_parser() -> argparse.ArgumentParser:
         "--metrics-port",
         type=int,
         default=None,
-        help="serve Prometheus-text /metrics on this port (0 = ephemeral; "
-        "with --async or --fleet: session counters, queue gauges, "
-        "per-phase engine histograms)",
+        help="with --fleet: serve Prometheus-text /metrics on this port "
+        "(0 = ephemeral): session counters, queue gauges, per-phase engine "
+        "histograms",
     )
     parser.add_argument(
         "--listen",
@@ -130,7 +128,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         "--serve-seconds",
         type=float,
         default=None,
-        help="with --listen: serve for this long, then drain and exit "
+        help="with --fleet --listen: serve for this long, then drain and exit "
         "(default: forever, Ctrl-C to stop)",
     )
     return parser

@@ -30,15 +30,14 @@ This package closes that gap without touching the protocol engine:
 * :mod:`repro.net.aio` — async serving: an :class:`AsyncSocketTransport`
   listener over asyncio streams (wire compatible with the blocking
   transport, one connection per peer per session) and a
-  :class:`SessionMux` front-end that multiplexes N concurrent sessions
-  in one process, each driving the unchanged engine (``python -m repro
-  serve --async --sessions N``).
-* :mod:`repro.net.fleet` — the serving fleet: a
-  :class:`FleetDispatcher` admits a stream of session requests and
-  places them across a pool of :class:`SessionMux` front-end processes
-  (each optionally backed by shard workers — the ``--async --shards``
-  composition), with health checks, work-stealing, graceful drain and
-  crash restart (``python -m repro serve --fleet``).
+  :class:`SessionMux` front-end that multiplexes N concurrent unsharded
+  sessions in one process, each driving the unchanged engine.
+* :mod:`repro.net.fleet` — the serving fleet, the one way to serve many
+  sessions: a :class:`FleetDispatcher` admits a stream of session
+  requests and places them across a pool of :class:`SessionMux`
+  front-end processes, one CPU each, with health checks,
+  work-stealing, graceful drain and crash restart (``python -m repro
+  serve --fleet``; ``--frontends 1`` is one multiplexing front-end).
 * :mod:`repro.net.serve` — the ``python -m repro serve`` demo driver: a
   full session as separate OS processes, byte-identical to the
   in-process path under seeded RNG.

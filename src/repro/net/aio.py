@@ -44,12 +44,11 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.api.engine import EngineResult
 from repro.api.queries import Query
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net.roles import build_analyst
+from repro.net.nodes import AnalystNode
 from repro.net.transport import (
     _HANDSHAKE_MAX_BYTES,
     _LEN,
@@ -69,7 +68,6 @@ __all__ = [
     "SessionChannel",
     "SessionMux",
     "SessionSpec",
-    "ServedSession",
 ]
 
 # Queue sentinel: the connection feeding this queue failed; the reason
@@ -136,14 +134,13 @@ class AsyncSocketTransport:
         self._accept_expected: list | None = None
         self._accept_active = False
         self._accept_deadline: float | None = None
-        self._locked_down = False
         # Standing expectation filter, consulted whenever no accept() is
         # in flight.  A fleet front-end keeps its listener open for the
         # whole deployment (sessions arrive dynamically, each bringing
-        # scoped peer connections), so unlike the static-topology mux it
-        # cannot lock down — this filter is what keeps the idle listener
-        # from handshaking strangers between placements (default None
-        # preserves the historical allow-any behavior; [] drops all).
+        # scoped peer connections), so it cannot stop listening once a
+        # topology is complete — this filter is what keeps the idle
+        # listener from handshaking strangers between placements
+        # (default None admits any; [] drops all).
         self.default_expected: list | None = None
         self.port: int | None = None
 
@@ -156,16 +153,11 @@ class AsyncSocketTransport:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        sock=None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> "AsyncSocketTransport":
-        """Start the listener (``sock``: adopt a pre-bound listening
-        socket, e.g. one created before forking peer processes)."""
+        """Start the listener."""
         transport = cls(name, max_frame_bytes=max_frame_bytes)
-        if sock is not None:
-            server = await asyncio.start_server(transport._handle_connection, sock=sock)
-        else:
-            server = await asyncio.start_server(transport._handle_connection, host, port)
+        server = await asyncio.start_server(transport._handle_connection, host, port)
         transport._server = server
         transport.port = server.sockets[0].getsockname()[1]
         return transport
@@ -173,13 +165,6 @@ class AsyncSocketTransport:
     # Accepting --------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        if self._locked_down:
-            # Serving topologies are fixed at accept time; a connection
-            # arriving mid-session is hostile (or lost) and must not be
-            # registered, read from, or buffered.
-            self._gate.note_dropped("<connection after lockdown>")
-            writer.close()
-            return
         try:
             scope, raw = await self._read_wire_frame(
                 reader,
@@ -190,15 +175,6 @@ class AsyncSocketTransport:
             peer = raw.decode()
         except (ProtocolAbort, UnicodeDecodeError, asyncio.TimeoutError, OSError):
             self._gate.note_dropped("<unreadable handshake>")
-            writer.close()
-            return
-        if self._locked_down:
-            # Re-checked after the read: a peer that connected inside the
-            # accept window but trickled its handshake until after
-            # lockdown must not slip past the (now disarmed) expectation
-            # filter and register — e.g. claiming an expected name under
-            # a session scope to capture that session's routing.
-            self._gate.note_dropped("<connection after lockdown>")
             writer.close()
             return
         # The standing filter applies whenever no accept() is in flight.
@@ -235,8 +211,7 @@ class AsyncSocketTransport:
         decision shared with the blocking listener).  Broken or refused
         handshakes are dropped while accepting continues under one
         overall monotonic deadline, and the timeout abort names every
-        dropped handshake.  Call :meth:`lockdown` once the topology is
-        complete.
+        dropped handshake.
         """
         if self._server is None:
             raise ParameterError("accept requires a listening transport")
@@ -258,16 +233,6 @@ class AsyncSocketTransport:
             self._accept_deadline = None
             self._accept_expected = None
             self._accept_active = False
-
-    def lockdown(self) -> None:
-        """Refuse all future connections: the topology is complete.
-
-        The blocking transport never reads sockets outside ``accept``;
-        this is the async listener's equivalent — without it, the open
-        listener would keep handshaking (and buffering) strangers for as
-        long as the mux serves.
-        """
-        self._locked_down = True
 
     # Frame IO ---------------------------------------------------------------
 
@@ -491,12 +456,7 @@ class SessionSpec:
 
     ``rng`` seeds the session exactly as it would a solo
     :class:`repro.api.Session` — same fork labels, hence byte-identical
-    releases.  A non-empty ``shards`` names :class:`ShardWorker` peers
-    (scoped to this session on the shared transport) and
-    :func:`~repro.net.roles.build_analyst` drives the session through a
-    :class:`~repro.net.shard.ShardedAnalyst` — the ``--async --shards``
-    composition: one front-end multiplexes N sessions, each fanning its
-    verification across S shard workers.
+    releases.
     """
 
     query: Query
@@ -504,17 +464,6 @@ class SessionSpec:
     group: str = "modp-2048"
     nb_override: int | None = None
     chunk_size: int | None = None
-    shards: tuple[str, ...] = ()
-
-
-class ServedSession(NamedTuple):
-    """What :meth:`SessionMux.serve_session` hands back for one session."""
-
-    result: EngineResult
-    # The chunk size the session actually ran at (a sharded session picks
-    # its own default): what a solo replay must be given.
-    chunk_size: int | None
-    seconds: float
 
 
 class SessionMux:
@@ -528,10 +477,10 @@ class SessionMux:
     event loop keeps serving every other session's frames — the
     front-end's idle time becomes other sessions' progress.
 
-    Callers place sessions with :meth:`serve_session`, up to
-    ``max_concurrency`` at a time — the ``--async`` driver gathers N of
-    them at once, a fleet worker one per placement — and the mux lives
-    until :meth:`close`, holding nothing about a session once its
+    A fleet worker (:mod:`repro.net.frontend`) places sessions with
+    :meth:`serve_session`, one per placement and up to
+    ``max_concurrency`` at a time, and the mux lives until
+    :meth:`close`, holding nothing about a session once its
     :meth:`serve_session` call is over.
     """
 
@@ -540,23 +489,15 @@ class SessionMux:
         transport: AsyncSocketTransport,
         servers: list[str],
         *,
-        clients_peer: str = "clients",
         timeout: float | None = 60.0,
         max_concurrency: int = 8,
-        metrics=None,
     ) -> None:
         if max_concurrency < 1:
             raise ParameterError("max_concurrency must be >= 1")
         self.transport = transport
         self.servers = list(servers)
-        self.clients_peer = clients_peer
         self.timeout = timeout
         self.max_concurrency = max_concurrency
-        # Optional repro.net.metrics.ServingMetrics: when set, the mux
-        # keeps the admitted/completed/aborted/crashed ledger and feeds
-        # per-phase engine timings — the fleet worker's mux leaves this
-        # unset because its dispatcher owns the ledger.
-        self.metrics = metrics
         self._executor: ThreadPoolExecutor | None = None
 
     def _session_executor(self) -> ThreadPoolExecutor:
@@ -572,26 +513,19 @@ class SessionMux:
 
     def _serve_one(
         self, session: int, spec: SessionSpec, loop: asyncio.AbstractEventLoop
-    ) -> ServedSession:
-        start = time.perf_counter()
-        analyst = build_analyst(
+    ) -> EngineResult:
+        return AnalystNode(
             spec.query,
             SessionChannel(self.transport, session, loop),
             self.servers,
-            spec.shards,
             group=spec.group,
             nb_override=spec.nb_override,
             chunk_size=spec.chunk_size,
             rng=spec.rng,
-            clients_peer=self.clients_peer,
             timeout=self.timeout,
-        )
-        result = analyst.run()
-        return ServedSession(
-            result, analyst.chunk_size, time.perf_counter() - start
-        )
+        ).run()
 
-    async def serve_session(self, session: int, spec: SessionSpec) -> ServedSession:
+    async def serve_session(self, session: int, spec: SessionSpec) -> EngineResult:
         """Serve one session to completion.
 
         Runs the unchanged analyst on an executor thread and returns the
@@ -601,24 +535,9 @@ class SessionMux:
         message of its run.
         """
         loop = asyncio.get_running_loop()
-        if self.metrics is not None:
-            self.metrics.session_admitted()
-        try:
-            served = await loop.run_in_executor(
-                self._session_executor(), self._serve_one, session, spec, loop
-            )
-        except BaseException as exc:
-            if self.metrics is not None:
-                status = "aborted" if isinstance(exc, ProtocolAbort) else "crashed"
-                self.metrics.session_finished(status)
-            raise
-        if self.metrics is not None:
-            self.metrics.session_finished(
-                "released",
-                stages=dict(served.result.timer.stages),
-                elapsed_s=served.seconds,
-            )
-        return served
+        return await loop.run_in_executor(
+            self._session_executor(), self._serve_one, session, spec, loop
+        )
 
     def close(self) -> None:
         """Release the session executor (idempotent).  Never blocks the

@@ -1,25 +1,23 @@
 """A dispatcher-orchestrated serving fleet: many front-ends, one admission point.
 
 One :class:`~repro.net.aio.SessionMux` front-end overlaps N sessions'
-idle time inside a single process (PR 5); one
-:class:`~repro.net.shard.ShardedAnalyst` fans a single session's
-verification across S workers (PR 4).  Neither scales past one
-front-end process — the ROADMAP's top open item.  This module composes
-them into a *fleet*:
+idle time inside a single process.  This module runs a pool of them —
+the one way ``repro serve`` serves many sessions (``--fleet
+--frontends 1`` is a lone multiplexing front-end):
 
 * :class:`FleetConfig` — the declarative deployment: pool size,
-  per-front-end session capacity, shard count per front-end, protocol
-  knobs.  Loadable from a JSON file (``repro serve --fleet
-  --fleet-config fleet.json``).
+  per-front-end session capacity, protocol knobs.  Loadable from a JSON
+  file (``repro serve --fleet --fleet-config fleet.json``).
 * :class:`FleetDispatcher` — the admission point.  Spawns one
   front-end worker process per pool slot, each running a
   ``SessionMux`` (sessions placed one at a time, up to ``capacity``
-  concurrent).  A monitor thread multiplexes every worker's command
-  pipe and process sentinel: it collects outcomes, polls per-worker
-  liveness/stats on a health interval, steals queued sessions from a
-  hot front-end into an idle one, re-attributes a crashed worker's
-  in-flight sessions as *crashed* outcomes (never hangs), and respawns
-  the worker up to ``max_restarts`` times.
+  concurrent) on one CPU of its own.  A monitor thread multiplexes
+  every worker's command pipe and process sentinel: it collects
+  outcomes, polls per-worker liveness/stats on a health interval,
+  steals queued sessions from a hot front-end into an idle one,
+  re-attributes a crashed worker's in-flight sessions as *crashed*
+  outcomes (never hangs), and respawns the worker up to
+  ``max_restarts`` times.
 * :func:`run_fleet` — the ``repro serve --fleet`` driver: submit a
   stream of session requests, wait, drain (stop admitting, finish
   in-flight, terminate), and verify the cross-cutting invariant —
@@ -31,20 +29,20 @@ only asyncio code; this module imports it (and ``multiprocessing``)
 only when a dispatcher starts, so importing the fleet's types costs no
 event loop.  Inside each worker a placed session gets its own *scoped*
 peer threads — one :func:`~repro.net.roles.run_role` per entry of the
-cast: K :class:`~repro.net.nodes.ServerNode`, S
-:class:`~repro.net.shard.ShardWorker` and one
+cast: K :class:`~repro.net.nodes.ServerNode` and one
 :class:`~repro.net.nodes.ClientRunner` — dialing back over blocking
 ``roles.dial(..., session=s)`` connections, which the mux's async
-listener keys by handshake scope.  These are the peers ``--async`` runs
-too, there in one child process per cast entry.  In a real deployment
-those peers are remote processes; session-scoped threads keep the fleet
-demo single-machine while exercising exactly the wire paths remote
-peers would.
+listener keys by handshake scope.  That is a single-machine demo
+layout: in a real deployment those peers are remote processes, and a
+prover thread shares the front-end's memory (DESIGN.md "Serving
+fleet").  The threads exercise exactly the wire paths remote peers
+would.
 
-Failure semantics reuse PR 5's attribution machinery: a session that
-dies mid-phase has its peers told to stop via the one-way ``abort``
-control (:func:`repro.net.nodes.abort_peers` semantics) instead of
-being left to time out, and the outcome names the party.
+Failure semantics reuse the attribution machinery of the blocking
+path: a session that dies mid-phase has its peers told to stop via the
+one-way ``abort`` control (:func:`repro.net.nodes.abort_peers`
+semantics) instead of being left to time out, and the outcome names
+the party.
 """
 
 from __future__ import annotations
@@ -92,15 +90,12 @@ class FleetConfig:
     """The declarative fleet deployment.
 
     ``frontends`` front-end worker processes, each multiplexing up to
-    ``capacity`` concurrent sessions; ``shards > 0`` backs every session
-    with that many :class:`ShardWorker` peers (the ``--async --shards``
-    composition).  The remaining knobs are the familiar serving
-    parameters, applied uniformly across the pool.
+    ``capacity`` concurrent sessions.  The remaining knobs are the
+    familiar serving parameters, applied uniformly across the pool.
     """
 
     frontends: int = 2
     capacity: int = 2
-    shards: int = 0
     num_servers: int = 2
     group: str = "p64-sim"
     nb_override: int | None = 64
@@ -115,8 +110,6 @@ class FleetConfig:
             raise ParameterError("frontends must be >= 1")
         if self.capacity < 1:
             raise ParameterError("capacity must be >= 1")
-        if self.shards < 0:
-            raise ParameterError("shards must be >= 0 (0 = unsharded sessions)")
         if self.num_servers < 1:
             raise ParameterError("num_servers must be >= 1")
         if self.max_restarts < 0:
@@ -185,13 +178,28 @@ class SessionOutcome:
     accepted: bool = False
     estimate: tuple = ()
     release_frame: bytes | None = None
-    chunk_size: int | None = None
     elapsed_s: float | None = None
     party: str | None = None
     reason: str | None = None
 
 
 # Dispatcher -------------------------------------------------------------------
+
+
+def _load_before_fork(config: FleetConfig) -> None:
+    """Do in the dispatcher what would otherwise make a front-end import
+    modules on its first session, after the fork (DESIGN.md "Cold
+    start"): resolve the group and decode one element, which loads its
+    native membership test (``ctypes`` and ``crypto.gmp`` on a Schnorr
+    group), and look up the peers' address once, which loads the host
+    name's codec (``encodings.idna``).  An unknown group fails here, as
+    a usage error, before any worker starts."""
+    from repro.core.params import _resolve_group
+    from repro.net.transport import resolve
+
+    group = _resolve_group(config.group)
+    group.from_bytes(group.generator().to_bytes())
+    resolve(config.host, 0)
 
 
 class _Worker:
@@ -239,14 +247,15 @@ class FleetDispatcher:
         self,
         config: FleetConfig,
         *,
-        start_method: str = "fork",
         metrics: ServingMetrics | None = None,
     ) -> None:
         self.config = config
         self.metrics = metrics
         from multiprocessing import get_context
 
-        self._context = get_context(start_method)
+        # Forked, never spawned: a worker inherits the modules and the
+        # resolved group the dispatcher loaded (_load_before_fork).
+        self._context = get_context("fork")
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self.workers: dict[str, _Worker] = {}
@@ -261,6 +270,7 @@ class FleetDispatcher:
     # Lifecycle --------------------------------------------------------------
 
     def start(self) -> "FleetDispatcher":
+        _load_before_fork(self.config)
         with self._lock:
             for i in range(self.config.frontends):
                 self._spawn(f"fe-{i}", i)
@@ -474,7 +484,6 @@ class FleetDispatcher:
                     accepted=event["accepted"],
                     estimate=tuple(event["estimate"]),
                     release_frame=event["release"],
-                    chunk_size=event["chunk_size"],
                     elapsed_s=event["elapsed_s"],
                 )
             elif kind == "aborted":
@@ -604,23 +613,15 @@ def run_fleet(
     *,
     sessions: int = 4,
     config: FleetConfig | None = None,
-    frontends: int = 2,
-    capacity: int = 2,
-    shards: int = 0,
-    num_servers: int = 2,
-    group: str = "p64-sim",
-    nb_override: int | None = 64,
-    chunk_size: int | None = None,
     seed: str | None = "fleet",
-    host: str = "127.0.0.1",
-    timeout: float = 120.0,
     verify_equivalence: bool | None = None,
     metrics: ServingMetrics | None = None,
 ) -> dict:
-    """Serve ``sessions`` sessions through a fleet; returns a metrics dict.
+    """Serve ``sessions`` sessions through the fleet ``config`` describes
+    (default: ``FleetConfig()``); returns a metrics dict.
 
     Session *s* runs under seed ``{seed}/s{s}`` with the shared values
-    rotated by *s* — exactly the ``--async`` driver's convention — and
+    rotated by *s* (:func:`session_seed`, :func:`session_values`), and
     ``verify_equivalence`` (default: on whenever seeded) replays every
     released session through a solo in-process :class:`Session` at the
     outcome's effective chunk size and compares the wire-encoded
@@ -631,17 +632,7 @@ def run_fleet(
     if sessions < 1:
         raise ParameterError("sessions must be >= 1")
     if config is None:
-        config = FleetConfig(
-            frontends=frontends,
-            capacity=capacity,
-            shards=shards,
-            num_servers=num_servers,
-            group=group,
-            nb_override=nb_override,
-            chunk_size=chunk_size,
-            host=host,
-            timeout=timeout,
-        )
+        config = FleetConfig()
     values = list(values)
     if verify_equivalence is None:
         verify_equivalence = seed is not None
@@ -697,7 +688,7 @@ def run_fleet(
                     num_servers=config.num_servers,
                     group=config.group,
                     nb_override=config.nb_override,
-                    chunk_size=outcome.chunk_size,
+                    chunk_size=config.chunk_size,
                 )
         else:
             row.update(party=outcome.party, reason=outcome.reason)
@@ -712,7 +703,6 @@ def run_fleet(
         "transport": "fleet",
         "frontends": config.frontends,
         "capacity": config.capacity,
-        "shards": config.shards,
         "sessions": sessions,
         "num_servers": config.num_servers,
         "n_clients": len(values),

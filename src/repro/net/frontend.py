@@ -25,27 +25,26 @@ from repro.net.roles import dial, peer_roles, role_names, root_rng, run_role
 __all__ = ["frontend_main"]
 
 
-def _cpu_share(cpus: list[int], slot: int, frontends: int) -> list[int]:
-    """The CPUs of ``cpus`` that pool slot ``slot`` of ``frontends`` runs
-    on: the CPUs dealt round the front-ends — disjoint shares while there
-    are at least as many CPUs as front-ends (one front-end keeps them
-    all), one CPU each, reused round-robin, beyond that."""
-    return cpus[slot % len(cpus) :: frontends]
+def _cpu_share(cpus: list[int], slot: int) -> list[int]:
+    """The one CPU of ``cpus`` that pool slot ``slot`` runs on: each
+    front-end gets its own while there are enough, and past that the CPUs
+    are dealt round-robin, one each."""
+    return [cpus[slot % len(cpus)]]
 
 
 def frontend_main(name: str, conn, config: FleetConfig, slot: int) -> None:
     """Worker process entry: run one front-end until told to stop."""
     # A front-end is one GIL shared by a dozen threads that wake each
-    # other once per frame.  Left to float, the threads of two busy
-    # front-ends keep landing on each other's core — both run on one CPU
-    # for a second at a time while another idles — so served time
-    # depends on where the kernel last put them (DESIGN.md, "A front-end
-    # keeps to its CPUs").  Each front-end therefore confines itself to
-    # its share of the CPUs the dispatcher may use; a platform without
-    # the call is left to its scheduler.
+    # other once per frame.  Left to float, those threads hand the GIL
+    # across cores — a lone front-end's as much as two front-ends' that
+    # keep landing on each other's core — so served time depends on where
+    # the kernel last put them (DESIGN.md, "A front-end keeps to one
+    # CPU").  Each front-end therefore confines itself to one of the CPUs
+    # the dispatcher may use; a platform without the call is left to its
+    # scheduler.
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, _cpu_share(cpus, slot, config.frontends))
+        os.sched_setaffinity(0, _cpu_share(cpus, slot))
     try:
         asyncio.run(_FrontEnd(name, conn, config).run())
     finally:
@@ -71,9 +70,8 @@ class _FrontEnd:
         self.name = name
         self.conn = conn
         self.config = config
-        self.roles = peer_roles(config.num_servers, config.shards)
+        self.roles = peer_roles(config.num_servers, 0)
         self.server_names = role_names(self.roles, "server")
-        self.shard_names = tuple(role_names(self.roles, "shard"))
         self.pending: deque[SessionRequest] = deque()
         self.inflight: dict[int, asyncio.Task] = {}
         self.completed = 0
@@ -225,9 +223,8 @@ class _FrontEnd:
                 group=self.config.group,
                 nb_override=self.config.nb_override,
                 chunk_size=self.config.chunk_size,
-                shards=self.shard_names,
             )
-            served = await self.mux.serve_session(sid, spec)
+            result = await self.mux.serve_session(sid, spec)
         except ProtocolAbort as exc:
             await self._abort_session_peers(sid, str(exc))
             self.aborted += 1
@@ -255,7 +252,6 @@ class _FrontEnd:
                 }
             )
         else:
-            result = served.result
             self.completed += 1
             self._send(
                 {
@@ -265,9 +261,6 @@ class _FrontEnd:
                     "accepted": result.release.accepted,
                     "estimate": tuple(result.release.estimate),
                     "release": encode_message(result.release),
-                    # The chunk size the session ran at, so the solo
-                    # replay equivalence check can use the same.
-                    "chunk_size": served.chunk_size,
                     "elapsed_s": time.perf_counter() - start,
                     # Engine stage timings (including the per-phase
                     # ``phase:*`` entries) travel with the outcome so the

@@ -1,12 +1,12 @@
 """The cast of a served session: one front-end factory, one peer launcher.
 
-Every serving path — ``run_distributed_session``'s solo session, the
-``--async`` mux, a fleet worker — runs the same cast: an analyst
-front-end (sharded when S > 0), K prover servers, S shard workers and
-one client runner.  The paths differ only in *where* a role runs (a
-thread or a forked process) and *how* it reaches the analyst (a hub
-endpoint, an inherited pipe end, a dialled socket, scoped to its
-session when a mux serves several).  Every peer there is runs
+Every serving path — ``run_distributed_session``'s solo session and a
+fleet worker's multiplexed ones — runs the same cast: an analyst
+front-end (sharded when S > 0, which only the solo session is), K
+prover servers, S shard workers and one client runner.  The paths
+differ only in *where* a role runs (a thread or a forked process) and
+*how* it reaches the analyst (a hub endpoint, an inherited pipe end, a
+dialled socket, scoped to its session when a mux serves several).  Every peer there is runs
 :func:`run_role`.  This module holds what they share, once:
 
 * :func:`build_analyst` — the front-end for S shards (S = 0 is the plain

@@ -14,6 +14,11 @@ With a seed, the distributed release is compared byte-for-byte against
 the in-process :class:`repro.api.Session` release — the equivalence the
 redesign promises (same engine, same RNG streams, different substrate).
 
+Many sessions at once are served by ``--fleet``
+(:func:`repro.net.fleet.run_fleet`): F front-end processes behind one
+dispatcher, each multiplexing its sessions; ``--fleet --frontends 1``
+is one multiplexing front-end.
+
 Each driver imports the serving stack it runs inside its own body, in
 the calling process before any fork, so importing this module loads no
 transport, event loop or HTTP server, and a forked peer compiles
@@ -34,11 +39,9 @@ from repro.errors import ParameterError, ProtocolAbort
 
 if typing.TYPE_CHECKING:
     from repro.net.fleet import FleetConfig
-    from repro.net.metrics import ServingMetrics
 
 __all__ = [
     "run_distributed_session",
-    "run_async_sessions",
     "main",
     "EXIT_PROTOCOL_ABORT",
     "EXIT_INFRA_CRASH",
@@ -253,248 +256,6 @@ def _own_pipe_only(run, inherited: list):
     return peer_main
 
 
-# Async multiplexed serving ----------------------------------------------------
-
-
-def _session_peer_main(
-    role: str,
-    name: str,
-    openers: list,
-    query: Query,
-    values: list,
-    seed: str | None,
-    timeout: float,
-) -> None:
-    """Child process: peer ``name`` of every session — one blocking
-    :func:`run_role` thread per session, each over its own
-    session-scoped connection (``openers[s]``, dialled by the parent
-    before the fork) with that session's seed and values (the node is
-    the unchanged single-session code; scoped connections do the
-    routing)."""
-    from repro.net.fleet import session_seed, session_values
-    from repro.net.roles import run_role
-
-    threads = [
-        threading.Thread(
-            target=run_role,
-            args=(role, name, opener),
-            kwargs=dict(
-                seed=session_seed(seed, s),
-                query=query,
-                values=session_values(values, s),
-                timeout=timeout,
-            ),
-            daemon=True,
-        )
-        for s, opener in enumerate(openers)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-
-def run_async_sessions(
-    query: Query,
-    values,
-    *,
-    sessions: int = 2,
-    num_servers: int = 2,
-    shards: int = 0,
-    group: str = "p64-sim",
-    nb_override: int | None = 64,
-    chunk_size: int | None = None,
-    seed: str | None = "serve",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    timeout: float = 120.0,
-    verify_equivalence: bool | None = None,
-    metrics: ServingMetrics | None = None,
-) -> dict:
-    """N concurrent sessions through one :class:`SessionMux` front-end.
-
-    The topology is the socket one of :func:`run_distributed_session`,
-    multiplexed: one child process per peer of the cast (K servers, S
-    shard workers, the client runner), each running one
-    session-scoped :func:`run_role` thread per session — session *s*
-    under seed ``{seed}/s{s}`` with the values rotated by *s* — and one
-    front-end process serving all N sessions.  ``verify_equivalence``
-    (default: on whenever seeded) replays every session through a solo
-    in-process :class:`Session` and compares the wire-encoded releases
-    byte for byte.
-
-    ``shards > 0`` backs *every* session with that many
-    :class:`ShardWorker` peers — the ``--async --shards`` composition:
-    one front-end multiplexes N sessions, each fanning verification
-    across S session-scoped shard workers; the solo replay runs at the
-    chunk size the mux reports each session actually used.
-    """
-    import asyncio
-    import socket
-    import statistics
-    from multiprocessing import get_context
-
-    from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
-    from repro.net.fleet import session_seed, session_values
-    from repro.net.roles import dial, peer_roles, role_names, root_rng, solo_release_bytes
-
-    if sessions < 1:
-        raise ParameterError("sessions must be >= 1")
-    if shards < 0:
-        raise ParameterError("shards must be >= 0 (0 = unsharded sessions)")
-    values = list(values)
-    roles = peer_roles(num_servers, shards)
-    server_names = role_names(roles, "server")
-    shard_names = tuple(role_names(roles, "shard"))
-    if verify_equivalence is None:
-        verify_equivalence = seed is not None
-    params = query.build_params(
-        num_provers=num_servers, group=group, nb_override=nb_override
-    )
-
-    # Every peer of every session holds one connection scoped to that
-    # session; pinning each (name, session) pair drops a hostile
-    # handshake claiming an expected name under a scope it does not own.
-    pins = [(name, s) for _, name in roles for s in range(sessions)]
-
-    # Bind the listener before forking so children know the port; the
-    # asyncio server adopts this socket inside the loop.  The children
-    # dial before the loop accepts, so the queue holds every connection:
-    # a SYN past a full queue waits for a ≈ 1 s retransmit.
-    listener_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener_sock.bind((host, port))
-    listener_sock.listen(len(pins))
-    bound_port = listener_sock.getsockname()[1]
-
-    context = get_context("fork")
-    processes = [
-        context.Process(
-            target=_session_peer_main,
-            args=(
-                role,
-                name,
-                [dial(name, host, bound_port, session=s, timeout=timeout) for s in range(sessions)],
-                query,
-                values,
-                seed,
-                timeout,
-            ),
-            daemon=True,
-        )
-        for role, name in roles
-    ]
-
-    served: dict = {}
-    start = time.perf_counter()
-
-    async def front_end() -> None:
-        transport = await AsyncSocketTransport.listen("analyst", sock=listener_sock)
-        served["transport"] = transport
-        mux = SessionMux(
-            transport,
-            server_names,
-            timeout=timeout,
-            max_concurrency=sessions,
-            metrics=metrics,
-        )
-        try:
-            # Lockdown once everyone is in — the topology is complete,
-            # late connections are not.
-            await transport.accept(len(pins), timeout, expected=pins)
-            transport.lockdown()
-            served["outcomes"] = await asyncio.gather(
-                *[
-                    mux.serve_session(
-                        s,
-                        SessionSpec(
-                            query,
-                            rng=root_rng(session_seed(seed, s)),
-                            group=group,
-                            nb_override=nb_override,
-                            chunk_size=chunk_size,
-                            shards=shard_names,
-                        ),
-                    )
-                    for s in range(sessions)
-                ],
-                return_exceptions=True,
-            )
-        finally:
-            mux.close()
-            # Unblock children before they are joined (same lifecycle rule
-            # as the sync path's cleanup ordering).
-            await transport.aclose()
-
-    started: list = []
-    try:
-        for process in processes:
-            process.start()
-            started.append(process)
-        asyncio.run(front_end())
-    except BaseException:
-        _terminate_processes(started)
-        listener_sock.close()
-        raise
-    finally:
-        for process in started:
-            process.join(timeout=30.0)
-        _terminate_processes(started)  # only a hung child is still alive
-    elapsed = time.perf_counter() - start
-
-    transport = served["transport"]
-    outcomes = served["outcomes"]
-    for one in outcomes:
-        if isinstance(one, BaseException):
-            raise one
-    session_rows = []
-    for s, one in enumerate(outcomes):
-        release = one.result.release
-        release_bytes = encode_message(release)
-        row = {
-            "session": s,
-            "accepted": release.accepted,
-            "estimate": release.estimate,
-            "elapsed_s": one.seconds,
-            "release_bytes": len(release_bytes),
-        }
-        if verify_equivalence:
-            row["byte_identical"] = release_bytes == solo_release_bytes(
-                query,
-                session_values(values, s),
-                seed=session_seed(seed, s),
-                num_servers=num_servers,
-                group=group,
-                nb_override=nb_override,
-                chunk_size=one.chunk_size,
-            )
-        session_rows.append(row)
-
-    outcome = {
-        "transport": "async-socket",
-        "sessions": sessions,
-        "num_servers": num_servers,
-        "shards": shards,
-        "n_clients": len(values),
-        "nb": params.nb,
-        "group": group,
-        "chunk_size": outcomes[0].chunk_size,
-        "elapsed_s": elapsed,
-        "sessions_per_sec": sessions / elapsed if elapsed else float("inf"),
-        "p50_session_s": statistics.median(one.seconds for one in outcomes),
-        "accepted": all(row["accepted"] for row in session_rows),
-        "frontend_bytes_sent": transport.bytes_sent,
-        "frontend_bytes_received": transport.bytes_received,
-        "frontend_frames": transport.frames_sent + transport.frames_received,
-        "session_rows": session_rows,
-    }
-    if verify_equivalence:
-        outcome["byte_identical"] = all(
-            row["byte_identical"] for row in session_rows
-        )
-    return outcome
-
-
 # CLI entry --------------------------------------------------------------------
 
 
@@ -528,10 +289,9 @@ def _dispatch(args) -> int:
     else:
         query = CountQuery(epsilon=1.0, delta=2**-10)
         values = [i % 2 for i in range(args.clients)]
-    if getattr(args, "fleet", False):
+    _check_fleet_flags(args)
+    if args.fleet:
         return _main_fleet(args, query, values)
-    if getattr(args, "use_async", False):
-        return _main_async(args, query, values)
     outcome = run_distributed_session(
         query,
         values,
@@ -569,16 +329,36 @@ def _dispatch(args) -> int:
     return 0 if outcome["accepted"] else 1
 
 
+def _check_fleet_flags(args) -> None:
+    """Refuse a flag the chosen mode would ignore: ``--listen``,
+    ``--metrics-port`` and ``--fleet-config`` mean something only under
+    ``--fleet``, ``--serve-seconds`` only with ``--listen``, and
+    ``--shards`` only without ``--fleet``."""
+    if args.serve_seconds is not None and args.listen is None:
+        raise ParameterError("--serve-seconds requires --listen")
+    if args.fleet:
+        if args.shards:
+            raise ParameterError("--shards applies to one session, not to --fleet")
+        return
+    for flag, value in (
+        ("--listen", args.listen),
+        ("--metrics-port", args.metrics_port),
+        ("--fleet-config", args.fleet_config),
+    ):
+        if value is not None:
+            raise ParameterError(f"{flag} requires --fleet")
+
+
 @contextlib.contextmanager
 def _metrics_endpoint(args):
     """Optional /metrics endpoint for a serving run (``--metrics-port``).
 
-    Yields the :class:`ServingMetrics` to feed — ``None`` without the
-    flag — and closes the endpoint on exit.  Port 0 binds an ephemeral
+    Yields the :class:`~repro.net.metrics.ServingMetrics` to feed —
+    ``None`` without the flag — and closes the endpoint on exit.  Port 0 binds an ephemeral
     port; the bound port is announced on stdout either way so scrapers
     can find it.
     """
-    if getattr(args, "metrics_port", None) is None:
+    if args.metrics_port is None:
         yield None
         return
     from repro.net.metrics import MetricsServer, ServingMetrics
@@ -592,68 +372,15 @@ def _metrics_endpoint(args):
         server.close()
 
 
-def _main_async(args, query: Query, values) -> int:
-    with _metrics_endpoint(args) as metrics:
-        outcome = run_async_sessions(
-            query,
-            values,
-            sessions=args.sessions,
-            num_servers=args.servers,
-            shards=args.shards,
-            group=args.group,
-            nb_override=args.nb,
-            chunk_size=args.chunk,
-            seed=args.seed,
-            host=args.host,
-            port=args.port,
-            timeout=args.timeout,
-            metrics=metrics,
-        )
-    sharded = f", S={outcome['shards']} shards/session" if outcome["shards"] else ""
-    print(
-        f"== async multiplexed serving (N={outcome['sessions']} sessions, "
-        f"K={outcome['num_servers']}{sharded}, "
-        f"n={outcome['n_clients']} clients/session, "
-        f"nb={outcome['nb']}, {outcome['group']}) =="
-    )
-    for row in outcome["session_rows"]:
-        estimate = tuple(round(v, 2) for v in row["estimate"])
-        line = (
-            f"session {row['session']}: accepted={row['accepted']} "
-            f"estimate={estimate} elapsed={row['elapsed_s']:.2f}s"
-        )
-        if "byte_identical" in row:
-            line += f" byte_identical={row['byte_identical']}"
-        print(line)
-    print(f"wall time:         {outcome['elapsed_s']:.2f}s")
-    print(f"aggregate:         {outcome['sessions_per_sec']:.2f} sessions/s")
-    print(f"p50 session:       {outcome['p50_session_s']:.2f}s")
-    print(
-        "front-end traffic: "
-        f"{outcome['frontend_bytes_sent']} B out, "
-        f"{outcome['frontend_bytes_received']} B in, "
-        f"{outcome['frontend_frames']} frames"
-    )
-    if "byte_identical" in outcome:
-        print(
-            "byte-identical to solo in-process Sessions: "
-            f"{outcome['byte_identical']}"
-        )
-        if not outcome["byte_identical"]:
-            return 1
-    return 0 if outcome["accepted"] else 1
-
-
 def _main_fleet(args, query: Query, values) -> int:
     from repro.net.fleet import FleetConfig, run_fleet
 
-    if getattr(args, "fleet_config", None):
+    if args.fleet_config:
         config = FleetConfig.from_file(args.fleet_config)
     else:
         config = FleetConfig(
             frontends=args.frontends,
             capacity=args.capacity,
-            shards=args.shards,
             num_servers=args.servers,
             group=args.group,
             nb_override=args.nb,
@@ -661,7 +388,7 @@ def _main_fleet(args, query: Query, values) -> int:
             host=args.host,
             timeout=args.timeout,
         )
-    if getattr(args, "listen", None) is not None:
+    if args.listen is not None:
         return _main_fleet_gateway(args, query, config)
     with _metrics_endpoint(args) as metrics:
         outcome = run_fleet(
@@ -672,10 +399,9 @@ def _main_fleet(args, query: Query, values) -> int:
             seed=args.seed,
             metrics=metrics,
         )
-    sharded = f", S={outcome['shards']} shards/session" if outcome["shards"] else ""
     print(
         f"== fleet serving (F={outcome['frontends']} front-ends x "
-        f"capacity {outcome['capacity']}{sharded}, "
+        f"capacity {outcome['capacity']}, "
         f"K={outcome['num_servers']}, N={outcome['sessions']} sessions, "
         f"n={outcome['n_clients']} clients/session, "
         f"nb={outcome['nb']}, {outcome['group']}) =="
@@ -745,10 +471,9 @@ def _main_fleet_gateway(args, query: Query, config: FleetConfig) -> int:
                 f"{config.group})",
                 flush=True,
             )
-            serve_seconds = getattr(args, "serve_seconds", None)
             try:
-                if serve_seconds is not None:
-                    time.sleep(serve_seconds)
+                if args.serve_seconds is not None:
+                    time.sleep(args.serve_seconds)
                 else:
                     while True:
                         time.sleep(1.0)

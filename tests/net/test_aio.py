@@ -225,18 +225,19 @@ class TestAsyncTransport:
 
         asyncio.run(main())
 
-    def test_lockdown_refuses_late_connections(self):
-        """Once the topology is complete, a connection arriving
-        mid-session is dropped unread — never registered or buffered."""
+    def test_standing_filter_refuses_late_connections(self):
+        """Between accepts the standing filter decides: a fleet
+        front-end's empty one drops a connection arriving mid-session —
+        never registered or buffered."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
+            listener.default_expected = []
             peer = _connect("peer-1", listener.port, 0)
             await listener.accept(1, 5.0)
-            listener.lockdown()
             late = SocketTransport.connect("mallory", "analyst", port=listener.port)
             await asyncio.sleep(0.2)  # give the drop handler its turn
-            assert "<connection after lockdown>" in listener.dropped_handshakes
+            assert "unexpected name 'mallory' (session 0)" in listener.dropped_handshakes
             assert not any(name == "mallory" for name, _ in listener._conns)
             late.close()
             peer.close()
@@ -244,14 +245,15 @@ class TestAsyncTransport:
 
         asyncio.run(main())
 
-    def test_trickled_handshake_cannot_outlive_lockdown(self):
+    def test_trickled_handshake_meets_the_standing_filter(self):
         """A connection opened during the accept window whose handshake
-        only completes after lockdown is dropped — it must not slip past
-        the disarmed expectation filter and register under an expected
-        name's session scope."""
+        only completes after it is judged by the standing filter — it
+        must not slip past the disarmed accept pins and register under
+        an expected name's session scope."""
 
         async def main():
             listener = await AsyncSocketTransport.listen("analyst")
+            listener.default_expected = []
             accept = asyncio.ensure_future(
                 listener.accept(1, 5.0, expected=[("prover-0", 3)])
             )
@@ -259,12 +261,11 @@ class TestAsyncTransport:
             sneak = socket.create_connection(("127.0.0.1", listener.port))
             honest = _connect("prover-0", listener.port, 3)
             assert await accept == ["prover-0"]
-            listener.lockdown()
             # Handshake lands only now: name expected, scope session 2.
             sneak.sendall(pack_frame(b"prover-0", 2))
             await asyncio.sleep(0.2)
             assert ("prover-0", 2) not in listener._conns
-            assert "<connection after lockdown>" in listener.dropped_handshakes
+            assert "unexpected name 'prover-0' (session 2)" in listener.dropped_handshakes
             sneak.close()
             honest.close()
             await listener.aclose()
@@ -296,8 +297,8 @@ class TestAsyncTransport:
 def _run_mux(run: str, sessions: int, opener=dial):
     """One mux front-end; every peer of every session is a blocking
     :func:`run_role` thread over its own connection (``opener(name,
-    host, port, session=s)``), as the ``--async`` children and a fleet
-    worker run them.  Returns what each ``serve_session`` came to."""
+    host, port, session=s)``), as a fleet worker runs them.  Returns what
+    each ``serve_session`` came to."""
 
     async def main():
         listener = await AsyncSocketTransport.listen("analyst")
@@ -351,8 +352,8 @@ class TestSessionMuxByteIdentity:
         served = _run_mux(run, sessions)
         for s, one in enumerate(served):
             assert not isinstance(one, BaseException), one
-            assert one.result.release.accepted
-            assert encode_message(one.result.release) == _solo_release_bytes(run, s)
+            assert one.release.accepted
+            assert encode_message(one.release) == _solo_release_bytes(run, s)
 
     def test_legacy_sync_peers_serve_session_zero(self):
         """A single-session mux over peers that speak only the v1 wire
@@ -367,7 +368,7 @@ class TestSessionMuxByteIdentity:
         run = "legacy"
         (one,) = _run_mux(run, 1, opener=legacy)
         assert not isinstance(one, BaseException), one
-        assert encode_message(one.result.release) == _solo_release_bytes(run, 0)
+        assert encode_message(one.release) == _solo_release_bytes(run, 0)
 
 
 class TestMuxForgets:
@@ -437,10 +438,9 @@ class TestMuxForgets:
 
     def test_nothing_is_kept_once_a_session_is_served(self):
         mux, served = self._serve("dynamic-ok", dead_prover=False)
-        assert encode_message(served.result.release) == _solo_release_bytes(
+        assert encode_message(served.release) == _solo_release_bytes(
             "dynamic-ok", self.SID
         )
-        assert served.chunk_size is None and served.seconds > 0
         assert self._per_session_entries(mux, self.SID) == []
 
     def test_nothing_is_kept_once_a_session_has_aborted(self):

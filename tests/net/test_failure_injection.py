@@ -227,7 +227,7 @@ class TestAsyncPeerDeath:
 
         # The healthy session is untouched: byte-identical to solo.
         assert not isinstance(healthy, BaseException), healthy
-        release = healthy.result.release
+        release = healthy.release
         assert release.accepted
         solo = Session(
             QUERY,

@@ -3,14 +3,13 @@
 The fleet layer's contract, pinned end to end:
 
 * every session served through the fleet releases byte-identical to the
-  seeded in-process :class:`repro.api.Session` — including the
-  ``shards``-per-session composition;
+  seeded in-process :class:`repro.api.Session`;
 * a front-end killed mid-session costs an *attributed* ``crashed``
   outcome (party = the dead worker), never a hang, and the dispatcher
   restarts the worker and keeps serving;
 * drain finishes everything already admitted and admits nothing new;
 * a hot front-end's queued sessions are stolen onto an idle one;
-* every front-end keeps to its share of the CPUs.
+* every front-end keeps to one CPU of its own.
 """
 
 import os
@@ -38,13 +37,12 @@ DELTA = 2**-10
 QUERY = CountQuery(epsilon=1.0, delta=DELTA)
 
 
-def _solo_frame(request, outcome, num_servers=2, group="p64-sim", nb=16):
+def _solo_frame(request, num_servers=2, group="p64-sim", nb=16):
     solo = Session(
         request.query,
         num_provers=num_servers,
         group=group,
         nb_override=nb,
-        chunk_size=outcome.chunk_size,
         rng=SeededRNG(request.seed),
     )
     solo.submit(request.values)
@@ -59,13 +57,15 @@ class TestFleetServing:
             QUERY,
             [1, 0, 1, 1],
             sessions=4,
-            frontends=2,
-            capacity=2,
-            num_servers=2,
-            group="p64-sim",
-            nb_override=16,
+            config=FleetConfig(
+                frontends=2,
+                capacity=2,
+                num_servers=2,
+                group="p64-sim",
+                nb_override=16,
+                timeout=60.0,
+            ),
             seed="fleet-bytes",
-            timeout=60.0,
         )
         assert outcome["released"] == 4
         assert outcome["crashed"] == 0 and outcome["aborted"] == 0
@@ -75,34 +75,20 @@ class TestFleetServing:
             row["byte_identical"] for row in outcome["session_rows"]
         ), outcome["session_rows"]
 
-    def test_fleet_sharded_composition_byte_identical(self):
-        """The --fleet --shards composition: every session fans its
-        verification across 2 shard workers and still releases
-        byte-identical (at the pinned effective chunk size)."""
-        outcome = run_fleet(
-            QUERY,
-            [1, 0, 1, 1],
-            sessions=3,
-            frontends=2,
-            capacity=2,
-            shards=2,
-            num_servers=2,
-            group="p64-sim",
-            nb_override=16,
-            seed="fleet-shards",
-            timeout=60.0,
-        )
-        assert outcome["released"] == 3
-        assert outcome["accepted"] and outcome["byte_identical"]
-        assert len(outcome["frontends_used"]) == 2
-
     def test_config_file_round_trip_and_unknown_keys(self, tmp_path):
         path = tmp_path / "fleet.json"
-        path.write_text('{"frontends": 3, "capacity": 1, "shards": 2}')
+        path.write_text('{"frontends": 3, "capacity": 1, "num_servers": 3}')
         config = FleetConfig.from_file(str(path))
-        assert (config.frontends, config.capacity, config.shards) == (3, 1, 2)
+        assert (config.frontends, config.capacity, config.num_servers) == (3, 1, 3)
         path.write_text('{"frontends": 3, "workers": 9}')
         with pytest.raises(ParameterError, match="workers"):
+            FleetConfig.from_file(str(path))
+
+    def test_config_file_shards_key_is_unknown(self, tmp_path):
+        """A fleet session is never sharded, so ``shards`` is no key."""
+        path = tmp_path / "fleet.json"
+        path.write_text('{"frontends": 1, "shards": 2}')
+        with pytest.raises(ParameterError, match=r"unknown fleet config keys: \['shards'\]"):
             FleetConfig.from_file(str(path))
 
     @pytest.mark.parametrize(
@@ -110,7 +96,7 @@ class TestFleetServing:
         [
             ('{"frontends": "2"}', "frontends"),
             ('{"capacity": true}', "capacity"),
-            ('{"shards": 1.5}', "shards"),
+            ('{"num_servers": 1.5}', "num_servers"),
             ('{"max_restarts": null}', "max_restarts"),
             ('{"timeout": "30"}', "timeout"),
             ('{"health_interval": false}', "health_interval"),
@@ -150,28 +136,28 @@ class TestFleetServing:
         with pytest.raises(ParameterError):
             FleetConfig(capacity=0)
         with pytest.raises(ParameterError):
-            FleetConfig(shards=-1)
+            FleetConfig(num_servers=0)
 
 
 class TestCpuShares:
     def test_cpus_are_dealt_round_the_frontends(self):
-        """Disjoint shares that cover the CPUs while there are enough of
-        them, one front-end keeps them all, and beyond one-per-CPU the
-        CPUs are reused round-robin, one each."""
+        """Every front-end gets exactly one CPU — a lone one on two CPUs
+        too — its own while there are enough, and beyond one-per-CPU the
+        CPUs are reused round-robin."""
+        assert _cpu_share([0, 1], 0) == [0]
+        cpus = [0, 1, 2, 3, 4, 5, 6, 7]
+        assert [_cpu_share(cpus, s) for s in range(2)] == [[0], [1]]
         cpus = [0, 1, 2, 3, 6, 7]
-        assert _cpu_share(cpus, 0, 1) == cpus
-        assert [_cpu_share(cpus, s, 2) for s in range(2)] == [[0, 2, 6], [1, 3, 7]]
-        shares = [_cpu_share(cpus, s, 4) for s in range(4)]
-        assert shares == [[0, 6], [1, 7], [2], [3]]
-        assert [_cpu_share([4, 5], s, 5) for s in range(5)] == [[4], [5], [4], [5], [4]]
+        assert [_cpu_share(cpus, s) for s in range(4)] == [[0], [1], [2], [3]]
+        assert [_cpu_share([4, 5], s) for s in range(5)] == [[4], [5], [4], [5], [4]]
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here"
     )
     def test_each_frontend_keeps_to_its_share(self):
         """Two front-ends that have each served a session run on the
-        shares of this process's CPUs their pool slots were dealt — on a
-        host with two or more CPUs, never on each other's."""
+        one CPU of this process's that their pool slots were dealt — on
+        a host with two or more CPUs, never on each other's."""
         config = FleetConfig(
             frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
@@ -187,7 +173,7 @@ class TestCpuShares:
                 sorted(os.sched_getaffinity(dispatcher.workers[f"fe-{slot}"].process.pid))
                 for slot in range(2)
             ]
-        assert held == [_cpu_share(cpus, slot, 2) for slot in range(2)]
+        assert held == [_cpu_share(cpus, slot) for slot in range(2)]
         if len(cpus) >= 2:
             assert not set(held[0]) & set(held[1])
         assert sorted(os.sched_getaffinity(0)) == cpus  # the dispatcher floats
@@ -250,7 +236,7 @@ class TestFleetLifecycle:
             for request in (survivor, retry):
                 outcome = dispatcher.outcomes[request.request_id]
                 assert outcome.status == "released"
-                assert outcome.release_frame == _solo_frame(request, outcome)
+                assert outcome.release_frame == _solo_frame(request)
 
     def test_drain_finishes_in_flight_and_admits_nothing_new(self):
         """Drain with one session running and one queued: both finish
@@ -279,7 +265,7 @@ class TestFleetLifecycle:
                 )
             for request in (running, queued):
                 outcome = dispatcher.outcomes[request.request_id]
-                assert outcome.release_frame == _solo_frame(request, outcome)
+                assert outcome.release_frame == _solo_frame(request)
 
     def test_hot_frontend_sessions_stolen_onto_idle_one(self):
         """Pile 4 sessions onto fe-0 (capacity 1, slow RPCs) while fe-1
@@ -313,7 +299,7 @@ class TestFleetLifecycle:
             for request in requests:
                 outcome = dispatcher.outcomes[request.request_id]
                 assert outcome.status == "released"
-                assert outcome.release_frame == _solo_frame(request, outcome)
+                assert outcome.release_frame == _solo_frame(request)
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status"

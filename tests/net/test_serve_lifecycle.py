@@ -20,7 +20,6 @@ Bugs fixed in the serve layer, pinned here:
 """
 
 import multiprocessing
-import socket
 import threading
 import time
 
@@ -104,35 +103,6 @@ class TestFailedStartupLeaks:
         assert all(not process.is_alive() for process in spawned), (
             "failed accept leaked live children"
         )
-
-    def test_async_listener_backlog_holds_every_connection(self, monkeypatch):
-        """``--async`` binds its listener before forking and the children
-        dial before the event loop accepts, so the pre-fork backlog must
-        hold every connection: one per peer per session, (K + S + 1)·N.
-        A SYN past a full queue waits for a ≈ 1 s retransmit."""
-        backlogs = []
-        real_listen = socket.socket.listen
-
-        def recording_listen(sock, *args):
-            backlogs.append(args[0] if args else None)
-            return real_listen(sock, *args)
-
-        monkeypatch.setattr(socket.socket, "listen", recording_listen)
-        sessions, servers, shards = 8, 2, 2
-        outcome = serve.run_async_sessions(
-            CountQuery(epsilon=1.0, delta=DELTA),
-            [1, 0, 1, 1],
-            sessions=sessions,
-            num_servers=servers,
-            shards=shards,
-            group="p64-sim",
-            nb_override=16,
-            seed="backlog",
-            timeout=60.0,
-        )
-        assert outcome["accepted"] and outcome["byte_identical"]
-        # The first listen is the pre-fork one; asyncio re-listens later.
-        assert backlogs[0] >= (servers + shards + 1) * sessions
 
     def test_successful_socket_startup_unaffected(self):
         """The guarded startup still hands back a working transport and
@@ -257,8 +227,8 @@ class TestExitCodes:
         def abort(*args, **kwargs):
             raise ProtocolAbort("timed out accepting peers")
 
-        monkeypatch.setattr(serve, "run_async_sessions", abort)
-        code = serve.main(self._args("--async"))
+        monkeypatch.setattr(fleet, "run_fleet", abort)
+        code = serve.main(self._args("--fleet"))
         assert code == serve.EXIT_PROTOCOL_ABORT
         assert "unattributed" in capsys.readouterr().err
 
@@ -281,6 +251,34 @@ class TestExitCodes:
         code = serve.main(self._args())
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--listen", "0"],
+            ["--metrics-port", "0"],
+            ["--fleet-config", "fleet.json"],
+            ["--fleet", "--shards", "2"],
+            ["--fleet", "--serve-seconds", "5"],
+        ],
+        ids=["listen", "metrics-port", "fleet-config", "fleet-shards", "serve-seconds"],
+    )
+    def test_flag_the_mode_would_ignore_exits_2(self, monkeypatch, capsys, flags):
+        """``--listen``, ``--metrics-port`` and ``--fleet-config`` mean
+        something only under ``--fleet``, ``--serve-seconds`` only with
+        ``--listen``, ``--shards`` only without ``--fleet``: each is
+        refused before anything is served or bound, instead of running a
+        session that ignores it and exiting 0."""
+
+        def served(*args, **kwargs):
+            raise AssertionError("a session ran")
+
+        monkeypatch.setattr(serve, "run_distributed_session", served)
+        monkeypatch.setattr(fleet, "run_fleet", served)
+        code = serve.main(self._args(*flags, "--transport", "memory"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and flags[-2] in err
 
     def test_abort_and_crash_codes_are_distinct_and_nonzero(self):
         assert serve.EXIT_PROTOCOL_ABORT != serve.EXIT_INFRA_CRASH

@@ -417,7 +417,7 @@ class TestNoDelay:
             listener.close()
 
     def test_async_listener_and_blocking_dialer(self):
-        """Every mux peer's shape (``--async`` and the fleet): a
+        """Every mux peer's shape (a fleet worker's): a
         session-scoped blocking peer dials an asyncio front-end, whose
         ``start_server`` side gets the option from asyncio's selector
         transport — pinned, not re-coded."""

@@ -3,8 +3,9 @@
 Every check runs a fresh interpreter, because what matters is what a new
 process imports: the command line must work where scipy is absent (the
 package declares no dependencies), its serving commands must not load the
-experiment drivers, and a session's forked peers must import nothing,
-since the driver loads their modules before it forks.
+experiment drivers, and a session's forked peers — and a fleet worker
+serving its first session — must import nothing, since the driver loads
+their modules before it forks.
 The import fence of the in-process session path is
 ``tests/core/test_group_resolution.py::test_benchmark_imports_load_only_the_session_path``.
 """
@@ -115,5 +116,46 @@ print(json.dumps(imported))
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="peers are forked")
 def test_forked_peers_import_nothing():
     done = _run("-c", FORKED_PEERS)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+
+
+# A fresh process starts a one-front-end fleet with the audit hook on and
+# serves one session through it: the worker is forked by the dispatcher
+# and runs that session's analyst and peer threads, so everything its
+# first session needs must have been loaded before the fork.  Nothing is
+# warmed first — the dispatcher alone must do it.
+FLEET_WORKER = """
+import json, os, shutil, sys, tempfile
+from repro.api.queries import CountQuery
+from repro.net.fleet import FleetConfig, FleetDispatcher, SessionRequest
+
+parent = os.getpid()
+log = tempfile.mkdtemp()
+
+def hook(event, args):
+    if event == "import" and os.getpid() != parent:
+        with open(os.path.join(log, str(os.getpid())), "a") as fh:
+            fh.write(args[0] + "\\n")
+
+sys.addaudithook(hook)
+config = FleetConfig(frontends=1, capacity=1, nb_override=16, chunk_size=8, timeout=30.0)
+with FleetDispatcher(config) as dispatcher:
+    request = SessionRequest(0, CountQuery(1.0, 2**-10), [i % 2 for i in range(6)], seed="cold-start")
+    dispatcher.submit(request)
+    assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+    assert dispatcher.outcomes[0].status == "released", dispatcher.outcomes
+    worker = str(dispatcher.workers["fe-0"].process.pid)
+    with open(os.path.join(log, worker), "a") as fh:
+        pass  # a worker that imported nothing left no file
+imported = sorted({line.strip() for line in open(os.path.join(log, worker)) if line.strip()})
+shutil.rmtree(log)
+print(json.dumps(imported))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fleet workers are forked")
+def test_fleet_worker_first_session_imports_nothing():
+    done = _run("-c", FLEET_WORKER)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1]) == []

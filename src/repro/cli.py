@@ -9,7 +9,7 @@ analyst front-end, K prover servers and a client population — over the
 ``multiprocessing``-pipe or TCP transport (see :mod:`repro.net`), and
 checks the release is byte-identical to the in-process path when seeded;
 ``serve --fleet`` serves many sessions at once through a pool of
-multiplexing front-ends.
+front-end processes, each running several sessions concurrently.
 """
 
 from __future__ import annotations
@@ -40,33 +40,38 @@ def _serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Run one verifiable-DP session as separate OS processes",
     )
+    # The flags only one mode reads default to None, so that the other
+    # mode can refuse them when given (serve._check_fleet_flags applies
+    # the real defaults).
     parser.add_argument(
         "--transport",
         choices=("memory", "multiprocess", "socket"),
-        default="multiprocess",
-        help="node substrate: threads over the in-memory bus, pipes, or TCP",
+        default=None,
+        help="node substrate of one session, not with --fleet: threads over "
+        "the in-memory bus, pipes, or TCP (default multiprocess)",
     )
     parser.add_argument(
         "--fleet",
         action="store_true",
         help="serve --sessions concurrent sessions through a "
-        "dispatcher-orchestrated fleet: --frontends SessionMux worker "
-        "processes on one CPU each (capacity --capacity sessions each; "
-        "--frontends 1 is one multiplexing front-end) behind one admission "
-        "point with health checks, work-stealing, drain and crash restart; "
-        "each session is byte-identical to its solo seeded run",
+        "dispatcher-orchestrated fleet: --frontends worker processes on one "
+        "CPU each, each serving up to --capacity sessions at once over TCP, "
+        "every session on its own listener with its peers as threads "
+        "(--frontends 1 is one front-end), behind one admission point with "
+        "health checks, work-stealing, drain and crash restart; each "
+        "session is byte-identical to its solo seeded run",
     )
     parser.add_argument(
         "--frontends",
         type=int,
-        default=2,
-        help="fleet front-end process count F (with --fleet)",
+        default=None,
+        help="fleet front-end process count F (with --fleet; default 2)",
     )
     parser.add_argument(
         "--capacity",
         type=int,
-        default=2,
-        help="concurrent sessions per fleet front-end (with --fleet)",
+        default=None,
+        help="concurrent sessions per fleet front-end (with --fleet; default 2)",
     )
     parser.add_argument(
         "--fleet-config",
@@ -77,8 +82,8 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sessions",
         type=int,
-        default=2,
-        help="total session count N for --fleet serving",
+        default=None,
+        help="total session count N for --fleet serving (default 2)",
     )
     parser.add_argument("--servers", type=int, default=2, help="prover count K")
     parser.add_argument(
@@ -106,7 +111,12 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="RNG seed; enables the byte-identical check ('none' disables)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="socket transport host")
-    parser.add_argument("--port", type=int, default=0, help="socket port (0 = ephemeral)")
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="socket port of one session, not with --fleet (default 0 = ephemeral)",
+    )
     parser.add_argument("--timeout", type=float, default=120.0, help="per-recv timeout")
     parser.add_argument(
         "--metrics-port",

@@ -1,14 +1,14 @@
 """REP003 — no blocking calls on the event loop.
 
-The async serving stack (``net.aio``, ``net.fleet``, ``net.gateway``)
-multiplexes N sessions on one loop; a single blocking call in an
-``async def`` body stalls *every* session behind it.  The equivalence
-tests cannot see this — a blocked loop still produces byte-identical
-releases, just one session at a time — so concurrency regressions slip
-through dynamically.  Statically, the contract is simple: inside an
-``async def``, blocking work is either awaited or routed to an
-executor thread (:class:`repro.net.aio.SessionChannel` is the sync
-facade built for exactly that).
+A fleet front-end (``net.frontend``) places every session from one
+asyncio command loop; a single blocking call in an ``async def`` body
+stalls every placement, outcome and health reply behind it.  The
+equivalence tests cannot see this — a blocked loop still produces
+byte-identical releases, just one session at a time — so concurrency
+regressions slip through dynamically.  Statically, the contract is
+simple: inside an ``async def``, blocking work is either awaited or
+routed to an executor thread (``run_in_executor``, which is where a
+front-end serves each session).
 
 Flags, inside ``async def`` bodies only (nested *sync* ``def``/
 ``lambda`` bodies are skipped — they are what ``run_in_executor``
@@ -17,8 +17,8 @@ runs, so blocking calls are legal there):
 * ``time.sleep(...)`` — use ``await asyncio.sleep(...)``;
 * constructing or connecting the *sync* transports
   (``SocketTransport(...)``, ``SocketTransport.connect/listen``,
-  ``MultiprocessTransport(...)``) — the loop must speak
-  ``AsyncSocketTransport``; blocking peers belong in executor threads;
+  ``MultiprocessTransport(...)``) — blocking transports belong in
+  executor threads;
 * un-awaited calls to classically blocking I/O methods — ``.recv()``,
   ``.accept()``, ``.sendall()``, ``.recv_into()``, ``.makefile()`` —
   and blocking ``socket`` module constructors
@@ -51,9 +51,8 @@ def _blocking(name: str, call: ast.Call, awaited: bool) -> str | None:
     if name == "time.sleep":
         return "time.sleep() blocks the event loop — await asyncio.sleep() instead"
     if owner in _SYNC_TRANSPORTS and attr in {"connect", "listen"}:
-        return (f"{owner}.{attr}() is the blocking transport — the loop speaks "
-                "AsyncSocketTransport; run sync peers in executor threads via "
-                "SessionChannel")
+        return (f"{owner}.{attr}() is the blocking transport — run it in an "
+                "executor thread (run_in_executor), never on the loop")
     if module == "socket" and attr in _BLOCKING_SOCKET_FUNCS:
         return f"socket.{attr}() blocks the event loop — use asyncio.open_connection/start_server"
     if module == "subprocess" and attr in _BLOCKING_SUBPROCESS:
@@ -61,11 +60,10 @@ def _blocking(name: str, call: ast.Call, awaited: bool) -> str | None:
     if isinstance(call.func, ast.Attribute) and call.func.attr in _BLOCKING_METHODS:
         if not awaited:
             return (f"un-awaited .{call.func.attr}() in an async body — blocking I/O "
-                    "must be awaited (async transport) or routed through "
-                    "SessionChannel/run_in_executor")
+                    "must be awaited or routed through run_in_executor")
     elif attr in _SYNC_TRANSPORTS:
-        return (f"{attr}(...) constructed in an async body — the loop must use the "
-                "async transport; blocking peers belong in executor threads")
+        return (f"{attr}(...) constructed in an async body — blocking "
+                "transports belong in executor threads")
     elif name == "input":
         return "input() blocks the event loop"
     elif attr == "sleep" and isinstance(call.func, ast.Name) and not awaited:
@@ -79,11 +77,11 @@ class AsyncHygieneRule(Rule):
     name = "async-hygiene"
     description = (
         "async def bodies must not make blocking calls; blocking work is "
-        "awaited or routed through SessionChannel/executor threads"
+        "awaited or routed to executor threads"
     )
     # The check only inspects `async def` bodies, so it is safe (and
-    # cheap) to apply across the package; the async serving stack lives
-    # in net.aio / net.fleet / net.gateway.
+    # cheap) to apply across the package; the one event loop is the
+    # fleet front-end's command loop in net.frontend.
     scope = ("repro",)
 
     def check_module(self, ctx: ModuleContext) -> list[Finding]:

@@ -14,7 +14,6 @@ failure ordering; statically the discipline is checkable per function:
 **Acquire sites** (heuristic, tuned to this repo's idiom):
 
 * ``var = SocketTransport.connect/listen(...)``,
-  ``var = await AsyncSocketTransport.listen(...)``,
   ``var = MultiprocessTransport(...)``, ``var = socket.socket(...)``,
   ``var = socket.create_server/create_connection(...)`` — however the
   module or class was imported (``import socket as s; s.socket()``);
@@ -50,7 +49,6 @@ __all__ = ["ResourceLifecycleRule"]
 
 _TRANSPORT_CLASSES = {
     "SocketTransport",
-    "AsyncSocketTransport",
     "MultiprocessTransport",
 }
 _OPENER_METHODS = {"connect", "listen"}

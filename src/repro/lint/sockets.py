@@ -24,8 +24,7 @@ resolved earlier; a socket that is bound and listens is not one), and
 ``name = <listener>.accept()`` — the *zero-argument*, un-awaited
 ``accept`` of a socket; the transports' own ``accept(count, ...)``
 returns peer names and is not a bind site.  asyncio streams are exempt:
-the selector transport sets the option itself (pinned by
-``tests/net/test_transport.py::TestNoDelay``).
+the selector transport sets the option itself.
 """
 
 from __future__ import annotations

@@ -24,23 +24,21 @@ This package closes that gap without touching the protocol engine:
   unsharded path (``python -m repro serve --shards S``).
 * :mod:`repro.net.roles` — the cast every serving path shares: one
   front-end factory (S = 0 is the plain analyst), one peer launcher
-  (``run_role``, the only kind of peer there is — a mux's peers are
-  session-scoped ``run_role`` threads too), the seed → RNG convention
-  and the solo replay it is checked against.
-* :mod:`repro.net.aio` — async serving: an :class:`AsyncSocketTransport`
-  listener over asyncio streams (wire compatible with the blocking
-  transport, one connection per peer per session) and a
-  :class:`SessionMux` front-end that multiplexes N concurrent unsharded
-  sessions in one process, each driving the unchanged engine.
-* :mod:`repro.net.fleet` — the serving fleet, the one way to serve many
-  sessions: a :class:`FleetDispatcher` admits a stream of session
-  requests and places them across a pool of :class:`SessionMux`
-  front-end processes, one CPU each, with health checks,
-  work-stealing, graceful drain and crash restart (``python -m repro
-  serve --fleet``; ``--frontends 1`` is one multiplexing front-end).
+  (``run_role``, the only kind of peer there is — a fleet session's
+  peers are session-scoped ``run_role`` threads too), the seed → RNG
+  convention and the solo replay it is checked against.
 * :mod:`repro.net.serve` — the ``python -m repro serve`` demo driver: a
   full session as separate OS processes, byte-identical to the
-  in-process path under seeded RNG.
+  in-process path under seeded RNG; its ``session_peers`` (start the
+  peers, accept, tear down) is the one way any session is served.
+* :mod:`repro.net.fleet` — the serving fleet, the one way to serve many
+  sessions: a :class:`FleetDispatcher` admits a stream of session
+  requests and places them across a pool of front-end processes
+  (:mod:`repro.net.frontend`), one CPU each, with health checks,
+  work-stealing, graceful drain and crash restart (``python -m repro
+  serve --fleet``).  A front-end serves up to ``capacity`` sessions at
+  once, each on a thread of its own as the solo socket session with
+  peer threads, on a listener bound to that session.
 
 The package itself imports nothing: import each name from the module
 that defines it (``from repro.net.serve import run_distributed_session``),

@@ -1,20 +1,18 @@
 """A dispatcher-orchestrated serving fleet: many front-ends, one admission point.
 
-One :class:`~repro.net.aio.SessionMux` front-end overlaps N sessions'
-idle time inside a single process.  This module runs a pool of them —
-the one way ``repro serve`` serves many sessions (``--fleet
---frontends 1`` is a lone multiplexing front-end):
+One front-end process overlaps up to ``capacity`` sessions' idle time.
+This module runs a pool of them — the one way ``repro serve`` serves
+many sessions (``--fleet --frontends 1`` is a lone front-end):
 
 * :class:`FleetConfig` — the declarative deployment: pool size,
   per-front-end session capacity, protocol knobs.  Loadable from a JSON
   file (``repro serve --fleet --fleet-config fleet.json``).
 * :class:`FleetDispatcher` — the admission point.  Spawns one
-  front-end worker process per pool slot, each running a
-  ``SessionMux`` (sessions placed one at a time, up to ``capacity``
-  concurrent) on one CPU of its own.  A monitor thread multiplexes
-  every worker's command pipe and process sentinel: it collects
-  outcomes, polls per-worker liveness/stats on a health interval,
-  steals queued sessions from a hot front-end into an idle one,
+  front-end worker process per pool slot, each serving up to
+  ``capacity`` concurrent sessions on one CPU of its own.  A monitor
+  thread multiplexes every worker's command pipe and process sentinel:
+  it collects outcomes, polls per-worker liveness/stats on a health
+  interval, steals queued sessions from a hot front-end into an idle one,
   re-attributes a crashed worker's in-flight sessions as *crashed*
   outcomes (never hangs), and respawns the worker up to
   ``max_restarts`` times.
@@ -27,22 +25,22 @@ the one way ``repro serve`` serves many sessions (``--fleet
 Each worker is :func:`repro.net.frontend.frontend_main`, the fleet's
 only asyncio code; this module imports it (and ``multiprocessing``)
 only when a dispatcher starts, so importing the fleet's types costs no
-event loop.  Inside each worker a placed session gets its own *scoped*
-peer threads — one :func:`~repro.net.roles.run_role` per entry of the
-cast: K :class:`~repro.net.nodes.ServerNode` and one
-:class:`~repro.net.nodes.ClientRunner` — dialing back over blocking
-``roles.dial(..., session=s)`` connections, which the mux's async
-listener keys by handshake scope.  That is a single-machine demo
-layout: in a real deployment those peers are remote processes, and a
+event loop.  Inside each worker a placed session is served as the solo
+socket session (:func:`repro.net.serve.session_peers`) on a thread of
+its own: a listener bound to the session, then *scoped* peer threads —
+one :func:`~repro.net.roles.run_role` per entry of the cast: K
+:class:`~repro.net.nodes.ServerNode` and one
+:class:`~repro.net.nodes.ClientRunner` — dialing it over blocking
+``roles.dial(..., session=s)`` connections.  That is a single-machine
+demo layout: in a real deployment those peers are remote processes, and a
 prover thread shares the front-end's memory (DESIGN.md "Serving
 fleet").  The threads exercise exactly the wire paths remote peers
 would.
 
-Failure semantics reuse the attribution machinery of the blocking
-path: a session that dies mid-phase has its peers told to stop via the
-one-way ``abort`` control (:func:`repro.net.nodes.abort_peers`
-semantics) instead of being left to time out, and the outcome names
-the party.
+Failure semantics are the solo session's: a session that dies mid-phase
+has its peers told to stop via the one-way ``abort`` control
+(:func:`repro.net.nodes.abort_peers`) instead of being left to time out,
+and the outcome names the party.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ def session_values(values: list, session: int) -> list:
 class FleetConfig:
     """The declarative fleet deployment.
 
-    ``frontends`` front-end worker processes, each multiplexing up to
+    ``frontends`` front-end worker processes, each serving up to
     ``capacity`` concurrent sessions.  The remaining knobs are the
     familiar serving parameters, applied uniformly across the pool.
     """
@@ -309,8 +307,9 @@ class FleetDispatcher:
         self.stop()
 
     def _spawn(self, name: str, slot: int) -> _Worker:
-        # Imported here, before the fork: the worker inherits the asyncio
-        # side instead of compiling it (DESIGN.md "Cold start").
+        # Imported here, before the fork: the worker inherits its command
+        # loop and serving path instead of compiling them (DESIGN.md
+        # "Cold start").
         from repro.net.frontend import frontend_main
 
         parent_conn, child_conn = self._context.Pipe()

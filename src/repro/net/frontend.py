@@ -1,10 +1,14 @@
 """A fleet front-end: one worker process of a :class:`~repro.net.fleet.FleetDispatcher`.
 
-Each worker runs one :class:`~repro.net.aio.SessionMux` under asyncio and
-binds it to the dispatcher's command pipe.  It is the fleet's only
-asyncio code, so it lives apart from the dispatcher, which imports it
-before it forks a worker: the worker inherits the loaded modules and
-compiles nothing (DESIGN.md "Cold start").
+Each worker runs an asyncio command loop bound to the dispatcher's pipe,
+and serves each placed session the way
+``run_distributed_session(transport="socket")`` serves one
+(:func:`repro.net.serve.session_peers`): on a thread of the worker's
+session executor, with a listener of the session's own, peer threads
+that dial it, and an analyst doing blocking frame I/O.  The loop places
+sessions and reports outcomes; no frame crosses it.  The dispatcher
+imports this module before it forks a worker: the worker inherits the
+loaded modules and compiles nothing (DESIGN.md "Cold start").
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import os
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.crypto.serialization import encode_message
-from repro.errors import ProtocolAbort, ReproError
-from repro.net import wire
-from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
+from repro.errors import ProtocolAbort
 from repro.net.fleet import FleetConfig, SessionRequest
-from repro.net.roles import dial, peer_roles, role_names, root_rng, run_role
+from repro.net.nodes import AnalystNode, abort_peers
+from repro.net.roles import peer_roles, role_names, root_rng
+from repro.net.serve import session_peers
 
 __all__ = ["frontend_main"]
 
@@ -55,8 +60,8 @@ def frontend_main(name: str, conn, config: FleetConfig, slot: int) -> None:
 
 
 class _FrontEnd:
-    """One fleet worker: a :class:`SessionMux` plus the command loop that
-    binds it to the dispatcher's pipe.
+    """One fleet worker: the command loop that binds the dispatcher's
+    pipe to a session executor of ``capacity`` threads.
 
     Commands in: ``place`` (a :class:`SessionRequest`), ``steal`` (give
     back queued-but-unstarted requests), ``ping`` (report stats),
@@ -79,26 +84,19 @@ class _FrontEnd:
         self.draining = False
         self._next_session = 0
         self._commands: asyncio.Queue | None = None
-        self.transport: AsyncSocketTransport | None = None
-        self.mux: SessionMux | None = None
-        self._accept_lock: asyncio.Lock | None = None
+        # Sized to the capacity: a placement queued behind a full
+        # executor would leave its peers blocked in their setup recv
+        # until the protocol timeout.
+        self._executor = ThreadPoolExecutor(
+            max_workers=config.capacity, thread_name_prefix=f"{name}-session"
+        )
+        # Session id -> analyst transport of each session being served,
+        # so that stopping can tell its peers to stop waiting.
+        self._live: dict = {}
 
     async def run(self) -> None:
         loop = asyncio.get_running_loop()
         self._commands = asyncio.Queue()
-        self._accept_lock = asyncio.Lock()
-        self.transport = await AsyncSocketTransport.listen("analyst", self.config.host)
-        # The listener stays open for the worker's whole life (sessions
-        # arrive dynamically), so it cannot lock down; the standing
-        # empty filter drops every handshake that no placement is
-        # expecting right now.
-        self.transport.default_expected = []
-        self.mux = SessionMux(
-            self.transport,
-            self.server_names,
-            timeout=self.config.timeout,
-            max_concurrency=self.config.capacity,
-        )
         reader = threading.Thread(
             target=self._read_commands, args=(loop,), daemon=True
         )
@@ -127,8 +125,9 @@ class _FrontEnd:
                 await asyncio.gather(
                     *self.inflight.values(), return_exceptions=True
                 )
-            self.mux.close()
-            await self.transport.aclose()
+            # Never blocks the loop on a session thread: an aborted
+            # session's thread ends once its peers have.
+            self._executor.shutdown(wait=False)
 
     def _read_commands(self, loop) -> None:
         """Pipe → asyncio queue bridge (runs on its own thread)."""
@@ -198,116 +197,73 @@ class _FrontEnd:
     async def _serve(self, request: SessionRequest) -> None:
         sid = self._next_session
         self._next_session += 1
-        start = time.perf_counter()
-        threads: list[threading.Thread] = []
+        loop = asyncio.get_running_loop()
         try:
-            # Serialize placements through the accept: scoped peers of
-            # one session must all handshake under this session's pins
-            # before the next placement arms different ones.  The
-            # standing filter mirrors the pins from the moment the peer
-            # threads exist, so a handshake racing ahead of accept() is
-            # admitted, not dropped.
-            async with self._accept_lock:
-                pins = [(name, sid) for _, name in self.roles]
-                self.transport.default_expected = pins
-                try:
-                    threads = self._start_peers(request, sid)
-                    await self.transport.accept(
-                        len(pins), self.config.timeout, expected=pins
-                    )
-                finally:
-                    self.transport.default_expected = []
-            spec = SessionSpec(
-                request.query,
-                rng=root_rng(request.seed),
-                group=self.config.group,
-                nb_override=self.config.nb_override,
-                chunk_size=self.config.chunk_size,
-            )
-            result = await self.mux.serve_session(sid, spec)
-        except ProtocolAbort as exc:
-            await self._abort_session_peers(sid, str(exc))
-            self.aborted += 1
-            self._send(
-                {
-                    "event": "aborted",
-                    "frontend": self.name,
-                    "request_id": request.request_id,
-                    "party": exc.party,
-                    "reason": str(exc),
-                }
+            event = await loop.run_in_executor(
+                self._executor, self._run_session, request, sid
             )
         except asyncio.CancelledError:
-            await self._abort_session_peers(sid, "front-end stopping")
+            transport = self._live.get(sid)
+            if transport is not None:
+                names = [name for _, name in self.roles]
+                abort_peers(transport, names, "front-end stopping")
             raise
-        except Exception as exc:  # repro: allow[REP004] -- supervisor boundary: any unexpected failure becomes an attributed 'failed' event and the session's peers are aborted, never a hang
-            await self._abort_session_peers(sid, f"front-end failure: {exc}")
-            self.aborted += 1
-            self._send(
-                {
-                    "event": "failed",
-                    "frontend": self.name,
-                    "request_id": request.request_id,
-                    "reason": f"{type(exc).__name__}: {exc}",
-                }
-            )
-        else:
+        if event["event"] == "released":
             self.completed += 1
-            self._send(
-                {
-                    "event": "released",
-                    "frontend": self.name,
-                    "request_id": request.request_id,
-                    "accepted": result.release.accepted,
-                    "estimate": tuple(result.release.estimate),
-                    "release": encode_message(result.release),
-                    "elapsed_s": time.perf_counter() - start,
-                    # Engine stage timings (including the per-phase
-                    # ``phase:*`` entries) travel with the outcome so the
-                    # dispatcher's /metrics histograms see work done in
-                    # worker processes.
-                    "stages": dict(result.timer.stages),
-                }
-            )
-        finally:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._join_peers, threads)
-            await self.transport.release_session(sid)
+        else:
+            self.aborted += 1
+        self._send(event)
 
-    def _start_peers(self, request: SessionRequest, sid: int) -> list:
-        """One session-scoped thread per peer, each dialling back in."""
-        host, port, timeout = self.config.host, self.transport.port, self.config.timeout
-        options = dict(
-            seed=request.seed,
-            query=request.query,
-            values=list(request.values),
-            timeout=timeout,
-            reply_delay=request.reply_delay,
+    def _run_session(self, request: SessionRequest, sid: int) -> dict:
+        """Serve one placement on a session thread; returns its outcome
+        event.  The session is the solo socket session with its peers as
+        threads, on a listener bound to session ``sid``."""
+        config = self.config
+        start = time.perf_counter()
+        outcome = {"frontend": self.name, "request_id": request.request_id}
+        try:
+            with session_peers(
+                "socket",
+                self.roles,
+                request.query,
+                list(request.values),
+                request.seed,
+                config.host,
+                0,
+                config.timeout,
+                session=sid,
+                threads=True,
+                reply_delay=request.reply_delay,
+            ) as transport:
+                self._live[sid] = transport
+                try:
+                    result = AnalystNode(
+                        request.query,
+                        transport,
+                        self.server_names,
+                        group=config.group,
+                        nb_override=config.nb_override,
+                        chunk_size=config.chunk_size,
+                        rng=root_rng(request.seed),
+                        timeout=config.timeout,
+                    ).run()
+                finally:
+                    del self._live[sid]
+        except ProtocolAbort as exc:
+            outcome.update(event="aborted", party=exc.party, reason=str(exc))
+            return outcome
+        except Exception as exc:  # repro: allow[REP004] -- supervisor boundary: any unexpected failure becomes an attributed 'failed' event after session_peers aborted the session's peers, never a hang
+            outcome.update(event="failed", reason=f"{type(exc).__name__}: {exc}")
+            return outcome
+        outcome.update(
+            event="released",
+            accepted=result.release.accepted,
+            estimate=tuple(result.release.estimate),
+            release=encode_message(result.release),
+            elapsed_s=time.perf_counter() - start,
+            # Engine stage timings (including the per-phase ``phase:*``
+            # entries) travel with the outcome so the dispatcher's
+            # /metrics histograms see work done in worker processes.
+            stages=dict(result.timer.stages),
         )
-        threads = [
-            threading.Thread(
-                target=run_role,
-                args=(role, name, dial(name, host, port, session=sid, timeout=timeout)),
-                kwargs=options,
-                name=f"{self.name}-{name}-s{sid}",
-                daemon=True,
-            )
-            for role, name in self.roles
-        ]
-        for thread in threads:
-            thread.start()
-        return threads
-
-    async def _abort_session_peers(self, sid: int, reason: str) -> None:
-        """Session-scoped :func:`~repro.net.nodes.abort_peers`: tell every
-        peer of the dead session to stop waiting, best-effort."""
-        frame = wire.encode_control("abort", reason.encode())
-        for _, name in self.roles:
-            try:
-                await self.transport.send(name, frame, session=sid)
-            except (ReproError, OSError):
-                pass
-
-    def _join_peers(self, threads: list) -> None:
-        for thread in threads:
-            thread.join(timeout=5.0)
+        return outcome

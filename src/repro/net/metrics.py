@@ -14,9 +14,8 @@ whole surface with nothing beyond the standard library:
 * :class:`MetricsServer` — a daemon-thread ``http.server`` answering
   ``GET /metrics`` with the registry's rendering; ephemeral-port
   friendly (``port=0`` binds one and exposes it as ``.port``).
-* :class:`ServingMetrics` — the serving stack's instrument set, shared
-  by :class:`~repro.net.fleet.FleetDispatcher` and
-  :class:`~repro.net.aio.SessionMux`: session outcome counters
+* :class:`ServingMetrics` — the serving stack's instrument set, fed
+  by :class:`~repro.net.fleet.FleetDispatcher`: session outcome counters
   (admitted / completed / aborted / crashed / stolen), in-flight and
   per-front-end queue gauges, and per-phase engine-latency histograms
   fed by the ``phase:*`` stage entries that
@@ -299,10 +298,9 @@ class MetricsServer:
 class ServingMetrics:
     """The serving stack's instrument set over one registry.
 
-    One instance is shared by whatever serves sessions in a process — a
-    :class:`~repro.net.fleet.FleetDispatcher`, a
-    :class:`~repro.net.aio.SessionMux`, or both — so a single
-    ``/metrics`` page tells the whole story.  The outcome taxonomy is
+    One instance is fed by the :class:`~repro.net.fleet.FleetDispatcher`
+    with what every front-end reports, so a single ``/metrics`` page
+    tells the whole story.  The outcome taxonomy is
     the fleet's: ``completed`` (released), ``aborted`` (the protocol
     rejected it, attributed), ``crashed`` (infrastructure died under
     it).

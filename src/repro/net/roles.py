@@ -1,13 +1,13 @@
 """The cast of a served session: one front-end factory, one peer launcher.
 
-Every serving path — ``run_distributed_session``'s solo session and a
-fleet worker's multiplexed ones — runs the same cast: an analyst
-front-end (sharded when S > 0, which only the solo session is), K
-prover servers, S shard workers and one client runner.  The paths
+Every serving path — ``run_distributed_session``'s solo session and
+each of a fleet worker's concurrent ones — runs the same cast: an
+analyst front-end (sharded when S > 0, which only the solo session is),
+K prover servers, S shard workers and one client runner.  The paths
 differ only in *where* a role runs (a thread or a forked process) and
 *how* it reaches the analyst (a hub endpoint, an inherited pipe end, a
-dialled socket, scoped to its session when a mux serves several).  Every peer there is runs
-:func:`run_role`.  This module holds what they share, once:
+dialled socket, scoped to its session when a worker serves several).
+Every peer there is runs :func:`run_role`.  This module holds what they share, once:
 
 * :func:`build_analyst` — the front-end for S shards (S = 0 is the plain
   :class:`~repro.net.nodes.AnalystNode`);

@@ -16,8 +16,9 @@ redesign promises (same engine, same RNG streams, different substrate).
 
 Many sessions at once are served by ``--fleet``
 (:func:`repro.net.fleet.run_fleet`): F front-end processes behind one
-dispatcher, each multiplexing its sessions; ``--fleet --frontends 1``
-is one multiplexing front-end.
+dispatcher, each serving up to ``capacity`` sessions at once, every one
+of them through :func:`session_peers` as this module's socket session
+with its peers as threads; ``--fleet --frontends 1`` is one front-end.
 
 Each driver imports the serving stack it runs inside its own body, in
 the calling process before any fork, so importing this module loads no
@@ -113,10 +114,9 @@ def run_distributed_session(
         verify_equivalence = seed is not None
 
     start = time.perf_counter()
-    analyst_transport, cleanup = _start_peers(
+    with session_peers(
         transport, roles, query, values, seed, host, port, timeout
-    )
-    try:
+    ) as analyst_transport:
         analyst = build_analyst(
             query,
             analyst_transport,
@@ -129,15 +129,6 @@ def run_distributed_session(
             timeout=timeout,
         )
         result = analyst.run()
-    finally:
-        # Close the analyst transport *before* joining children: after an
-        # analyst-side abort the children sit blocked in recv, and with
-        # the sockets/pipes still open they would hold them for the full
-        # join timeout.  Closing first turns their recv into an immediate
-        # ProtocolAbort (a pipe peer holds no copy of the analyst's ends,
-        # see _own_pipe_only), so cleanup reaps them promptly.
-        analyst_transport.close()
-        cleanup()
     elapsed = time.perf_counter() - start
 
     release_bytes = encode_message(result.release)
@@ -173,14 +164,60 @@ def run_distributed_session(
     return outcome
 
 
-def _start_peers(transport, roles, query, values, seed, host, port, timeout):
+@contextlib.contextmanager
+def session_peers(
+    transport, roles, query, values, seed, host, port, timeout, **options
+):
+    """The peers of one session, started (:func:`_start_peers` takes the
+    same arguments); yields the analyst's transport.
+
+    Whatever fails inside the block, every peer is told to stop
+    (:func:`~repro.net.nodes.abort_peers`) before it is re-raised.  On
+    the way out the analyst transport is closed *before* the peers are
+    joined: after an analyst-side abort a peer may sit blocked in recv,
+    and closing first turns that recv into an immediate ProtocolAbort (a
+    pipe peer holds no copy of the analyst's ends, see
+    :func:`_own_pipe_only`), so the join reaps it promptly.
+    """
+    from repro.net.nodes import abort_peers
+
+    analyst_transport, cleanup = _start_peers(
+        transport, roles, query, values, seed, host, port, timeout, **options
+    )
+    try:
+        yield analyst_transport
+    except BaseException as exc:
+        abort_peers(analyst_transport, [name for _, name in roles], str(exc))
+        raise
+    finally:
+        analyst_transport.close()
+        cleanup()
+
+
+def _start_peers(
+    transport,
+    roles,
+    query,
+    values,
+    seed,
+    host,
+    port,
+    timeout,
+    *,
+    session: int = 0,
+    threads: bool = False,
+    reply_delay: float = 0.0,
+):
     """Start every peer of one session on ``transport``; returns the
     analyst's transport and a cleanup that joins the peers.
 
     The three transports differ only in how a peer gets its channel — a
     hub endpoint, an inherited pipe end, a socket it dials — and whether
     it is a thread or a forked process; every peer runs
-    :func:`~repro.net.roles.run_role`.
+    :func:`~repro.net.roles.run_role`.  A fleet front-end serves each of
+    its sessions here with ``threads=True`` over ``socket``: a listener
+    of the session's own, bound to ``session``, whose peers are threads
+    of the front-end.
     """
     from multiprocessing import get_context
 
@@ -188,7 +225,7 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
     from repro.net.transport import InMemoryHub, SocketTransport, multiprocess_star
 
     names = [name for _, name in roles]
-    spawn = get_context("fork").Process
+    spawn = threading.Thread if threads else get_context("fork").Process
     target = run_role
     if transport == "memory":
         hub = InMemoryHub()
@@ -199,15 +236,21 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
         analyst_transport, channels = multiprocess_star("analyst", names)
         target = _own_pipe_only(run_role, [analyst_transport, *channels.values()])
     else:
-        analyst_transport = SocketTransport.listen("analyst", host, port)
+        analyst_transport = SocketTransport.listen(
+            "analyst", host, port, session=session
+        )
         channels = {
-            name: dial(name, host, analyst_transport.port) for name in names
+            name: dial(name, host, analyst_transport.port, session=session)
+            for name in names
         }
+    options = dict(
+        seed=seed, query=query, values=values, timeout=timeout, reply_delay=reply_delay
+    )
     workers = [
         spawn(
             target=target,
             args=(role, name, channels[name]),
-            kwargs=dict(seed=seed, query=query, values=values, timeout=timeout),
+            kwargs=options,
             name=name,
             daemon=True,
         )
@@ -223,7 +266,10 @@ def _start_peers(transport, roles, query, values, seed, host, port, timeout):
             for channel in channels.values():
                 channel.close()
         elif transport == "socket":
-            analyst_transport.accept(len(workers), timeout, expected=names)
+            analyst_transport.accept(
+                len(workers), timeout, expected=[(name, session) for name in names]
+            )
+            analyst_transport.stop_listening()
     except BaseException:
         # A failed start — a fork that raises, an accept that times out
         # or is fed hostile handshakes — must not leak the children
@@ -329,24 +375,41 @@ def _dispatch(args) -> int:
     return 0 if outcome["accepted"] else 1
 
 
+# The flags only one mode reads, with their defaults: the parser leaves
+# them None, so that one given to the other mode can be refused.
+_SESSION_FLAGS = {"transport": "multiprocess", "port": 0}
+_FLEET_FLAGS = {"frontends": 2, "capacity": 2, "sessions": 2}
+
+
 def _check_fleet_flags(args) -> None:
-    """Refuse a flag the chosen mode would ignore: ``--listen``,
-    ``--metrics-port`` and ``--fleet-config`` mean something only under
-    ``--fleet``, ``--serve-seconds`` only with ``--listen``, and
-    ``--shards`` only without ``--fleet``."""
+    """Refuse a flag the chosen mode would ignore, then fill in the
+    defaults of the mode's own: ``--listen``, ``--metrics-port``,
+    ``--fleet-config``, ``--frontends``, ``--capacity`` and
+    ``--sessions`` mean something only under ``--fleet``,
+    ``--serve-seconds`` only with ``--listen``, and ``--shards``,
+    ``--transport`` and ``--port`` only without ``--fleet``."""
     if args.serve_seconds is not None and args.listen is None:
         raise ParameterError("--serve-seconds requires --listen")
     if args.fleet:
         if args.shards:
             raise ParameterError("--shards applies to one session, not to --fleet")
-        return
-    for flag, value in (
-        ("--listen", args.listen),
-        ("--metrics-port", args.metrics_port),
-        ("--fleet-config", args.fleet_config),
-    ):
-        if value is not None:
-            raise ParameterError(f"{flag} requires --fleet")
+        ignored, own = _SESSION_FLAGS, _FLEET_FLAGS
+    else:
+        for flag, value in (
+            ("--listen", args.listen),
+            ("--metrics-port", args.metrics_port),
+            ("--fleet-config", args.fleet_config),
+        ):
+            if value is not None:
+                raise ParameterError(f"{flag} requires --fleet")
+        ignored, own = _FLEET_FLAGS, _SESSION_FLAGS
+    given = [f"--{dest}" for dest in ignored if getattr(args, dest) is not None]
+    if given:
+        mode = "not with --fleet" if args.fleet else "only with --fleet"
+        raise ParameterError(f"{', '.join(given)}: {mode}")
+    for dest, default in own.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 @contextlib.contextmanager

@@ -12,7 +12,8 @@ every implementation stays small:
 * :class:`MultiprocessTransport` — ``multiprocessing`` duplex pipes;
   :func:`multiprocess_star` builds the analyst-centred topology.
 * :class:`SocketTransport` — TCP with 4-byte big-endian length-prefixed
-  frames and a one-frame name handshake.
+  frames and a one-frame name handshake; one listener per session, so a
+  fleet front-end's concurrent sessions each get their own.
 
 All transports count frames and bytes both ways; a missing peer or a
 timeout raises :class:`~repro.errors.ProtocolAbort` naming the silent
@@ -44,9 +45,6 @@ __all__ = [
     "HandshakeGate",
     "DEFAULT_MAX_FRAME_BYTES",
     "pack_frame",
-    "split_header_word",
-    "check_session_id",
-    "check_frame_size",
 ]
 
 _LEN = struct.Struct(">I")
@@ -61,9 +59,8 @@ _LEN = struct.Struct(">I")
 #
 # Session 0 is always written as v1, so a session-unaware peer and a
 # session-aware one exchange byte-identical streams for the default
-# session — sync and async transports interoperate on the wire.  The
-# one-frame handshake is such a frame too: its header announces the one
-# session the connection serves (its *scope*).
+# session.  The one-frame handshake is such a frame too: its header
+# announces the one session the connection serves (its *scope*).
 _V2_FLAG = 0x8000_0000
 
 # The largest session id the header's 4-byte field carries.
@@ -131,45 +128,18 @@ def pack_frame(frame: bytes, session: int = 0) -> bytes:
     return _LEN.pack(_V2_FLAG | len(frame)) + _LEN.pack(session) + frame
 
 
-def split_header_word(word: int) -> tuple[int, bool]:
-    """A frame header's first word → (payload size, session id follows)."""
-    if word & _V2_FLAG:
-        return word & ~_V2_FLAG, True
-    return word, False
-
-
-def check_session_id(session: int, *, party: str) -> None:
-    """Reject a v2 header naming session 0, which is always written as v1."""
-    if session == 0:
-        raise ProtocolAbort(f"{party!r} sent an invalid v2 session id", party=party)
-
-
-def check_frame_size(size: int, max_bytes: int, party: str) -> None:
-    """The announced size is untrusted: abort before any buffering."""
-    if size > max_bytes:
-        raise ProtocolAbort(
-            f"{party!r} announced an oversized frame ({size} bytes)", party=party
-        )
-
-
 class HandshakeGate:
-    """The listener-side admit/drop decision for one handshake — the one
-    copy both listeners (:class:`SocketTransport` and the asyncio
-    :class:`repro.net.aio.AsyncSocketTransport`) put every handshake
-    through, so a hardening fix lands on both.
+    """The listener-side admit/drop decision for one handshake.
 
-    ``session`` is the one session a blocking listener serves (it keys
-    connections by name and refuses every other scope); ``None`` is a
-    multiplexing listener, which keys them by ``(name, scope)``.
-    ``expected`` entries are peer names, or ``(name, scope)`` pairs that
-    pin the scope too — what stops an impostor claiming an expected
-    *name* under a session scope the real peer does not occupy.  Names
-    are first-come-first-served: a squatter racing an expected peer to
-    its name degrades to the malicious-server scenario ΠBin already
+    ``session`` is the one session the listener serves: a handshake
+    scoped to any other is refused.  ``expected`` entries are peer
+    names, or ``(name, scope)`` pairs that pin the scope too.  Names are
+    first-come-first-served: a squatter racing an expected peer to its
+    name degrades to the malicious-server scenario ΠBin already
     tolerates (DESIGN.md); a hardened deployment would authenticate.
     """
 
-    def __init__(self, session: int | None = None) -> None:
+    def __init__(self, session: int) -> None:
         self.session = session
         self.dropped: list[str] = []
         self._overflow = 0
@@ -178,13 +148,7 @@ class HandshakeGate:
         """True to register the connection; otherwise it is recorded as
         dropped and the caller closes it and keeps accepting."""
         label = repr(peer[:64])
-        key: object = peer
-        if self.session is None:
-            key = (peer, scope)
-            label += f" (session {scope})"
-        elif scope != self.session:
-            # A peer bound to a different session has no business on a
-            # single-session listener — connect it to a SessionMux.
+        if scope != self.session:
             self.note_dropped(
                 f"session-{scope} handshake from {label} "
                 f"on a session-{self.session} listener"
@@ -196,7 +160,7 @@ class HandshakeGate:
         ):
             self.note_dropped(f"unexpected name {label}")
             return False
-        if key in registered:
+        if peer in registered:
             self.note_dropped(f"duplicate name {label}")
             return False
         return True
@@ -395,9 +359,9 @@ class SocketTransport(Transport):
 
     ``session`` binds every frame this transport sends and accepts to one
     protocol session (see the v1/v2 header notes at :func:`pack_frame`).
-    The default 0 is the legacy wire format unchanged; a non-zero binding
-    lets a plain synchronous peer serve exactly one session of a
-    multiplexing :class:`repro.net.aio.SessionMux` front-end.
+    The default 0 is the legacy wire format unchanged; a fleet front-end
+    binds each concurrent session's listener and peers to that session's
+    id, so a connection dialled at the wrong session is refused.
     """
 
     def __init__(
@@ -477,7 +441,7 @@ class SocketTransport(Transport):
         while len(names) < count:
             try:
                 self._listener.settimeout(remaining())
-                sock, _ = self._listener.accept()
+                sock, address = self._listener.accept()
             except TimeoutError as exc:  # socket.timeout is an alias
                 raise ProtocolAbort(self._gate.timeout_message()) from exc  # repro: allow[REP004] -- no single culprit: the timeout message names every absent peer
             except OSError as exc:
@@ -503,9 +467,14 @@ class SocketTransport(Transport):
                 peer = raw_name.decode()
             except (ProtocolAbort, UnicodeDecodeError):
                 sock.close()
-                # Re-raises with the accept-timeout message if the overall
-                # deadline expired mid-read — that peer did nothing wrong
-                # and must not be recorded as a bad handshake.
+                # A read the overall deadline cut short is no proof of a
+                # bad handshake, but the connection held the listener
+                # until then, so the accept-timeout abort names it.
+                if deadline is not None and time.monotonic() >= deadline:
+                    self._gate.note_dropped(
+                        f"handshake from {address[0]}:{address[1]} "
+                        "unfinished at the deadline"
+                    )
                 remaining()
                 self._gate.note_dropped("<unreadable handshake>")
                 continue
@@ -531,9 +500,8 @@ class SocketTransport(Transport):
     ) -> "SocketTransport":
         """Connect and handshake.  ``session`` binds the channel: 0 (the
         default) emits the legacy v1 handshake and frames byte-for-byte;
-        ``session=s`` announces the scope so a session-multiplexing
-        listener (:class:`repro.net.aio.AsyncSocketTransport`) routes this
-        connection's traffic to session *s*.
+        ``session=s`` announces the scope, which a listener bound to
+        another session refuses.
 
         ``addresses`` is what :func:`resolve` returned for ``(host,
         port)``, when the caller looked the name up already; no lookup
@@ -577,6 +545,11 @@ class SocketTransport(Transport):
                 sock.close()
             except OSError:  # pragma: no cover - close is best effort
                 pass
+        self.stop_listening()
+
+    def stop_listening(self) -> None:
+        """Close the listening socket and keep the accepted peers: once a
+        session's peers are in, a late dial is refused, not queued."""
         if self._listener is not None:
             self._listener.close()
 
@@ -594,13 +567,20 @@ def _read_session_frame(
     # for timeout-per-byte instead of timeout-per-frame.
     deadline = None if timeout is None else time.monotonic() + timeout
     try:
-        word = _LEN.unpack(_read_exact(sock, _LEN.size, party, deadline))[0]
-        size, has_session = split_header_word(word)
+        size = _LEN.unpack(_read_exact(sock, _LEN.size, party, deadline))[0]
         session = 0
-        if has_session:
+        if size & _V2_FLAG:
+            size &= ~_V2_FLAG
             session = _LEN.unpack(_read_exact(sock, _LEN.size, party, deadline))[0]
-            check_session_id(session, party=party)
-        check_frame_size(size, max_bytes, party)
+            if session == 0:  # session 0 is always written as v1
+                raise ProtocolAbort(
+                    f"{party!r} sent an invalid v2 session id", party=party
+                )
+        # The announced size is untrusted: abort before any buffering.
+        if size > max_bytes:
+            raise ProtocolAbort(
+                f"{party!r} announced an oversized frame ({size} bytes)", party=party
+            )
         return session, _read_exact(sock, size, party, deadline)
     except TimeoutError as exc:
         raise ProtocolAbort(f"timed out waiting for {party!r}", party=party) from exc

@@ -291,7 +291,7 @@ UNUSED_BY_THE_SESSION_PATH = (
     "ssl",
     "scipy",
     "multiprocessing",
-    "repro.net.aio",
+    "repro.net.frontend",
     "repro.net.metrics",
     "repro.net.roles",
     "repro.net.transport",

@@ -144,9 +144,9 @@ class TestCollection:
         assert names == ["b.py", "a.py"]
 
     def test_module_name_resolution(self):
-        import repro.net.aio as aio
+        import repro.net.frontend as frontend
 
-        assert module_name_for(aio.__file__) == "repro.net.aio"
+        assert module_name_for(frontend.__file__) == "repro.net.frontend"
         assert module_name_for(REP001_BAD) == ""
 
     def test_rules_subset_skips_other_rules(self):

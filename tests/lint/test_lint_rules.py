@@ -64,7 +64,7 @@ class TestREP001Determinism:
     def test_scope_exempts_bench_but_not_protocol(self):
         rule = RULES["REP001"]
         assert rule.applies_to("repro.crypto.pedersen")
-        assert rule.applies_to("repro.net.aio")
+        assert rule.applies_to("repro.net.frontend")
         assert rule.applies_to("repro.core.messages")
         assert not rule.applies_to("repro.bench.runner")
         assert not rule.applies_to("repro.utils.rng")

@@ -4,12 +4,10 @@ tests/net's tamper tests cover *wrong bytes*; these cover *no bytes*: a
 prover that goes silent between COMMIT_COINS and MORRA (its coin
 commitments are in, its Morra contributions never come).  The front-end
 must raise a :class:`ProtocolAbort` naming that prover within its
-timeout — never hang — on both the blocking and the async serving paths,
-and a multiplexed front-end must contain the damage to the dead peer's
-session.
+timeout — never hang — and a fleet front-end serving several sessions
+must contain the damage to the dead peer's session.
 """
 
-import asyncio
 import threading
 import time
 
@@ -19,10 +17,10 @@ from repro.api.queries import CountQuery
 from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ProtocolAbort
-from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
+from repro.net import roles
+from repro.net.fleet import FleetConfig, FleetDispatcher, SessionRequest
 from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
-from repro.net.roles import dial, run_role
-from repro.net.transport import InMemoryHub, SocketTransport
+from repro.net.transport import InMemoryHub
 from repro.utils.rng import SeededRNG
 
 DELTA = 2**-10
@@ -142,99 +140,59 @@ class TestSyncPeerDeath:
         listener.close()
 
 
-class TestAsyncPeerDeath:
-    def test_dead_session_contained_others_release(self):
-        """Multiplexed front-end, N=2: session 1's prover-1 dies between
-        COMMIT_COINS and MORRA.  Session 1 ends in an attributed
-        ProtocolAbort; session 0 still releases byte-identical to its
-        solo run."""
-        run = "die-aio"
-        servers = ["prover-0", "prover-1"]
+class TestFrontEndPeerDeath:
+    def test_dead_session_contained_others_release(self, monkeypatch):
+        """One front-end serving two sessions at once: session 1's
+        prover-1 dies between COMMIT_COINS and MORRA.  Session 1 ends in
+        an attributed abort; session 0 still releases byte-identical to
+        its solo run."""
+        run = "die-frontend"
+        victim = f"{run}/s1"
+        real_run_role = roles.run_role
 
-        def seed(s):
-            return f"{run}/s{s}"
-
-        def server_main(name, cls, s, port):
-            transport = SocketTransport.connect(name, "analyst", port=port, session=s)
+        def run_role(role, name, transport, **kwargs):
+            # Inherited by the forked front-end, whose sessions start
+            # their peers through roles.run_role.
+            if (name, kwargs["seed"]) != ("prover-1", victim):
+                return real_run_role(role, name, transport, **kwargs)
+            transport = transport()
             try:
-                cls(transport, SeededRNG(seed(s)).fork(name), timeout=10.0).run()
+                _DieBeforeMorra(
+                    transport, roles.peer_rng(victim, name), timeout=10.0
+                ).run()
             except (ProtocolAbort, SystemExit):
                 pass  # the dying prover exits as a crashed process would
             finally:
                 transport.close()
 
-        async def main():
-            listener = await AsyncSocketTransport.listen("analyst")
-            threads = []
-            for s in range(2):
-                for name in servers:
-                    cls = _DieBeforeMorra if (s, name) == (1, "prover-1") else ServerNode
-                    threads.append(
-                        threading.Thread(
-                            target=server_main,
-                            args=(name, cls, s, listener.port),
-                            daemon=True,
-                        )
-                    )
-                threads.append(
-                    threading.Thread(
-                        target=run_role,
-                        args=(
-                            "clients",
-                            "clients",
-                            dial("clients", "127.0.0.1", listener.port, session=s),
-                        ),
-                        kwargs=dict(
-                            seed=seed(s), query=QUERY, values=[1, 0, 1], timeout=10.0
-                        ),
-                        daemon=True,
-                    )
-                )
-            for thread in threads:
-                thread.start()
-            await listener.accept(len(threads), 10.0)
-            mux = SessionMux(listener, servers, timeout=3.0)
-            try:
-                return await asyncio.gather(
-                    *[
-                        mux.serve_session(
-                            s,
-                            SessionSpec(
-                                QUERY,
-                                rng=SeededRNG(seed(s)),
-                                group="p64-sim",
-                                nb_override=16,
-                            ),
-                        )
-                        for s in range(2)
-                    ],
-                    return_exceptions=True,
-                )
-            finally:
-                mux.close()
-                await listener.aclose()
-                for thread in threads:
-                    thread.join(timeout=10.0)
-                    assert not thread.is_alive()
-
+        monkeypatch.setattr(roles, "run_role", run_role)
+        config = FleetConfig(
+            frontends=1, capacity=2, num_servers=2, nb_override=16, timeout=10.0
+        )
+        requests = [
+            SessionRequest(s, QUERY, [1, 0, 1], seed=f"{run}/s{s}") for s in range(2)
+        ]
         start = time.monotonic()
-        healthy, dead = asyncio.run(main())
+        with FleetDispatcher(config) as dispatcher:
+            for request in requests:
+                dispatcher.place(request, "fe-0")
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+            healthy, dead = (dispatcher.outcomes[s] for s in range(2))
         assert time.monotonic() - start < 60.0
 
         # The dead peer's session aborted, attributed.
-        assert isinstance(dead, ProtocolAbort)
+        assert dead.status == "aborted", dead
         assert dead.party == "prover-1"
 
         # The healthy session is untouched: byte-identical to solo.
-        assert not isinstance(healthy, BaseException), healthy
-        release = healthy.release
-        assert release.accepted
+        assert healthy.status == "released", healthy
+        assert healthy.accepted
         solo = Session(
             QUERY,
             num_provers=2,
             group="p64-sim",
             nb_override=16,
-            rng=SeededRNG(seed(0)),
+            rng=SeededRNG(f"{run}/s0"),
         )
         solo.submit([1, 0, 1])
-        assert encode_message(solo.release().release) == encode_message(release)
+        assert encode_message(solo.release().release) == healthy.release_frame

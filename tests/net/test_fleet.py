@@ -9,11 +9,15 @@ The fleet layer's contract, pinned end to end:
   restarts the worker and keeps serving;
 * drain finishes everything already admitted and admits nothing new;
 * a hot front-end's queued sessions are stolen onto an idle one;
-* every front-end keeps to one CPU of its own.
+* every front-end keeps to one CPU of its own;
+* each session has a listener of its own: a late dial is refused, and a
+  trickled handshake holds up only the session whose listener it is on.
 """
 
 import os
+import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -22,6 +26,7 @@ from repro.api.queries import CountQuery
 from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError
+from repro.net import roles, serve, transport
 from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
@@ -31,6 +36,7 @@ from repro.net.fleet import (
     session_values,
 )
 from repro.net.frontend import _cpu_share
+from repro.net.transport import SocketTransport, pack_frame
 from repro.utils.rng import SeededRNG
 
 DELTA = 2**-10
@@ -74,6 +80,32 @@ class TestFleetServing:
         assert all(
             row["byte_identical"] for row in outcome["session_rows"]
         ), outcome["session_rows"]
+
+    @pytest.mark.parametrize("sessions", [1, 2, 4])
+    def test_one_frontend_serves_concurrent_sessions_byte_identical(self, sessions):
+        """N sessions placed at once on one front-end of capacity N run
+        concurrently on its session threads, each on its own listener;
+        every release == its solo in-process Session, byte for byte."""
+        config = FleetConfig(
+            frontends=1, capacity=sessions, num_servers=2, nb_override=16, timeout=30.0
+        )
+        requests = [
+            SessionRequest(
+                s,
+                QUERY,
+                session_values([1, 0, 1, 1, 0], s),
+                seed=session_seed(f"one-frontend-{sessions}", s),
+            )
+            for s in range(sessions)
+        ]
+        with FleetDispatcher(config) as dispatcher:
+            for request in requests:
+                dispatcher.place(request, "fe-0")
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+        for request in requests:
+            outcome = dispatcher.outcomes[request.request_id]
+            assert outcome.status == "released", outcome
+            assert outcome.release_frame == _solo_frame(request)
 
     def test_config_file_round_trip_and_unknown_keys(self, tmp_path):
         path = tmp_path / "fleet.json"
@@ -301,13 +333,42 @@ class TestFleetLifecycle:
                 assert outcome.status == "released"
                 assert outcome.release_frame == _solo_frame(request)
 
+    def test_stop_with_sessions_in_flight_is_prompt(self):
+        """``stop`` (no grace) tells the peers of every session still in
+        flight to stop waiting, so the worker's session threads end and
+        it exits at once instead of serving its slow sessions out."""
+        config = FleetConfig(
+            frontends=1,
+            capacity=2,
+            num_servers=2,
+            nb_override=16,
+            timeout=30.0,
+            health_interval=0.05,
+        )
+        dispatcher = FleetDispatcher(config).start()
+        try:
+            for i in range(2):
+                request = SessionRequest(
+                    i, QUERY, [1, 0, 1], seed=f"stop/s{i}", reply_delay=0.5
+                )
+                dispatcher.place(request, "fe-0")
+            self._wait_for(
+                lambda: dispatcher.workers["fe-0"].stats["in_flight"] == 2,
+                what="both sessions in flight",
+            )
+        finally:
+            start = time.monotonic()
+            dispatcher.stop()
+        assert time.monotonic() - start < 3.0
+        assert dispatcher.workers["fe-0"].process.exitcode == 0
+
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status"
     )
     def test_worker_memory_is_flat_in_sessions_served(self):
         """A front-end forgets a session once it is served: 40 sessions
         through one worker leave its resident set after the 40th within
-        2 MB of where it stood after the 10th.  While the worker's mux
+        2 MB of where it stood after the 10th.  While the worker
         kept every ``EngineResult`` this grew ≈ 0.5 MB per session at
         nb = 128 (≈ +15 MB over the same 30 sessions)."""
         config = FleetConfig(
@@ -337,3 +398,93 @@ class TestFleetLifecycle:
                 assert dispatcher.outcomes[i].status == "released"
                 rss_after[i + 1] = worker_rss_mb(dispatcher)
         assert rss_after[40] - rss_after[10] < 2.0, rss_after
+
+
+class TestSessionListener:
+    """A fleet session is served on a listener of its own, bound to its
+    session id: the solo socket session's listen → accept → close."""
+
+    def test_a_dial_after_the_accept_is_refused(self):
+        """Once a session's peers are in its listener is closed: a late
+        connection is refused, never queued behind the session."""
+        with serve.session_peers(
+            "socket",
+            roles.peer_roles(2, 0),
+            QUERY,
+            [1, 0, 1],
+            "late-dial",
+            "127.0.0.1",
+            0,
+            10.0,
+            session=3,
+            threads=True,
+        ) as analyst:
+            assert sorted(analyst._sockets) == ["clients", "prover-0", "prover-1"]
+            with pytest.raises(ConnectionRefusedError):
+                SocketTransport.connect(
+                    "mallory", "analyst", port=analyst.port, session=3, timeout=5.0
+                )
+
+    @staticmethod
+    def _trickle(monkeypatch, session: int, pause: float) -> None:
+        """Before session ``session``'s peers dial its listener, a
+        connection reaches it first and sends a handshake for that
+        session one byte per ``pause`` seconds (inherited by the forked
+        front-end)."""
+        real_listen = SocketTransport.listen.__func__
+
+        def trickle(sock):
+            try:
+                for byte in pack_frame(b"mallory", session):
+                    time.sleep(pause)
+                    sock.sendall(bytes([byte]))
+                time.sleep(30.0)
+            except OSError:
+                pass  # the listener gave up on this connection
+            finally:
+                sock.close()
+
+        def listen(cls, *args, **kwargs):
+            listener = real_listen(cls, *args, **kwargs)
+            if kwargs.get("session") == session:
+                sock = socket.create_connection(("127.0.0.1", listener.port))
+                threading.Thread(target=trickle, args=(sock,), daemon=True).start()
+            return listener
+
+        monkeypatch.setattr(transport.SocketTransport, "listen", classmethod(listen))
+
+    def _serve_two(self, timeout: float):
+        config = FleetConfig(
+            frontends=1, capacity=2, num_servers=2, nb_override=16, timeout=timeout
+        )
+        requests = [
+            SessionRequest(s, QUERY, [1, 0, 1], seed=f"trickle/s{s}") for s in range(2)
+        ]
+        with FleetDispatcher(config) as dispatcher:
+            for request in requests:  # placed in order: session ids 0 and 1
+                dispatcher.place(request, "fe-0")
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+        return requests, [dispatcher.outcomes[s] for s in range(2)]
+
+    def test_trickled_handshake_delays_only_its_session(self, monkeypatch):
+        """A 15-byte handshake trickled over ≈ 1.5 s holds session 1's
+        serial accept until it is read and dropped (an unexpected name);
+        session 1 then completes, and session 0 never waited for it."""
+        self._trickle(monkeypatch, session=1, pause=0.1)
+        requests, (other, trickled) = self._serve_two(timeout=20.0)
+        assert other.status == trickled.status == "released", (other, trickled)
+        assert other.elapsed_s < 1.0 <= trickled.elapsed_s
+        for request, outcome in zip(requests, (other, trickled)):
+            assert outcome.release_frame == _solo_frame(request)
+
+    def test_trickle_past_the_deadline_aborts_naming_it(self, monkeypatch):
+        """A handshake still trickling at the accept deadline aborts its
+        session by that deadline, the abort naming the unfinished
+        handshake; the other session releases byte-identical."""
+        self._trickle(monkeypatch, session=1, pause=1.0)
+        requests, (other, trickled) = self._serve_two(timeout=2.0)
+        assert trickled.status == "aborted", trickled
+        assert "timed out accepting peers" in trickled.reason
+        assert "unfinished at the deadline" in trickled.reason
+        assert other.status == "released", other
+        assert other.release_frame == _solo_frame(requests[0])

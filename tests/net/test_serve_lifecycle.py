@@ -260,15 +260,33 @@ class TestExitCodes:
             ["--fleet-config", "fleet.json"],
             ["--fleet", "--shards", "2"],
             ["--fleet", "--serve-seconds", "5"],
+            ["--fleet", "--transport", "multiprocess"],
+            ["--fleet", "--port", "5"],
+            ["--frontends", "1"],
+            ["--capacity", "2"],
+            ["--sessions", "1"],
         ],
-        ids=["listen", "metrics-port", "fleet-config", "fleet-shards", "serve-seconds"],
+        ids=[
+            "listen",
+            "metrics-port",
+            "fleet-config",
+            "fleet-shards",
+            "serve-seconds",
+            "fleet-transport",
+            "fleet-port",
+            "frontends",
+            "capacity",
+            "sessions",
+        ],
     )
     def test_flag_the_mode_would_ignore_exits_2(self, monkeypatch, capsys, flags):
-        """``--listen``, ``--metrics-port`` and ``--fleet-config`` mean
-        something only under ``--fleet``, ``--serve-seconds`` only with
-        ``--listen``, ``--shards`` only without ``--fleet``: each is
-        refused before anything is served or bound, instead of running a
-        session that ignores it and exiting 0."""
+        """``--listen``, ``--metrics-port``, ``--fleet-config``,
+        ``--frontends``, ``--capacity`` and ``--sessions`` mean something
+        only under ``--fleet``, ``--serve-seconds`` only with
+        ``--listen``, ``--shards``, ``--transport`` and ``--port`` only
+        without ``--fleet``: each is refused before anything is served or
+        bound, instead of running a session that ignores it and exiting
+        0 — also when its value is the default (``--capacity 2``)."""
 
         def served(*args, **kwargs):
             raise AssertionError("a session ran")

@@ -1,6 +1,5 @@
 """Transport semantics: ordering, timeouts, accounting, process crossing."""
 
-import asyncio
 import json
 import socket
 import struct
@@ -11,7 +10,6 @@ import pytest
 
 from repro.api.queries import CountQuery
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net.aio import AsyncSocketTransport
 from repro.net.fleet import FleetConfig, FleetDispatcher
 from repro.net.gateway import FleetGateway
 from repro.net.transport import (
@@ -155,6 +153,20 @@ class TestMultiprocess:
         assert center.recv("child", timeout=10.0) == b"cba"
         process.join(timeout=10.0)
         center.close()
+
+
+class TestFrameFormat:
+    def test_session_zero_is_the_legacy_wire_format(self):
+        """v1 byte-compat: a session-0 frame is exactly the old header."""
+        assert pack_frame(b"abc", 0) == struct.pack(">I", 3) + b"abc"
+
+    def test_v2_header_carries_the_session_id(self):
+        packed = pack_frame(b"abc", 7)
+        word, session = struct.unpack(">II", packed[:8])
+        assert word & 0x80000000
+        assert word & 0x7FFFFFFF == 3
+        assert session == 7
+        assert packed[8:] == b"abc"
 
 
 class TestSocket:
@@ -415,32 +427,6 @@ class TestNoDelay:
         finally:
             client.close()
             listener.close()
-
-    def test_async_listener_and_blocking_dialer(self):
-        """Every mux peer's shape (a fleet worker's): a
-        session-scoped blocking peer dials an asyncio front-end, whose
-        ``start_server`` side gets the option from asyncio's selector
-        transport — pinned, not re-coded."""
-
-        async def main():
-            listener = await AsyncSocketTransport.listen("analyst")
-            accept = asyncio.ensure_future(listener.accept(1, 5.0))
-            client = await asyncio.get_running_loop().run_in_executor(
-                None,
-                lambda: SocketTransport.connect(
-                    "peer-1", "analyst", port=listener.port, session=2
-                ),
-            )
-            try:
-                assert await accept == ["peer-1"]
-                accepted = listener._conns[("peer-1", 2)].writer
-                assert _nodelay(accepted.get_extra_info("socket")) == 1
-                assert _nodelay(client._sockets["analyst"]) == 1
-            finally:
-                client.close()
-                await listener.aclose()
-
-        asyncio.run(main())
 
     def test_gateway_accepted_connection(self):
         """Two outcome lines finishing close together on one gateway

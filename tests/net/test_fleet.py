@@ -35,7 +35,7 @@ from repro.net.fleet import (
     session_seed,
     session_values,
 )
-from repro.net.frontend import _cpu_share
+from repro.net.frontend import _cpu_share, _FrontEnd
 from repro.net.transport import SocketTransport, pack_frame
 from repro.utils.rng import SeededRNG
 
@@ -488,3 +488,72 @@ class TestSessionListener:
         assert "unfinished at the deadline" in trickled.reason
         assert other.status == "released", other
         assert other.release_frame == _solo_frame(requests[0])
+
+
+class TestFrontEndGroups:
+    @pytest.mark.parametrize("group", ["p64-sim", "p256-sim", "ristretto255", "modp-2048"])
+    def test_session_on_each_group_is_byte_identical(self, group):
+        """A front-end's session thread serves the group of its config:
+        peers learn it from the analyst's setup, and the release is the
+        solo seeded Session's on that group, byte for byte."""
+        frontend = _FrontEnd(
+            "fe-test",
+            None,
+            FleetConfig(frontends=1, num_servers=2, nb_override=16, group=group),
+        )
+        request = SessionRequest(0, QUERY, [1, 0, 1], seed=f"groups/{group}")
+        try:
+            event = frontend._run_session(request, 3)
+        finally:
+            frontend._executor.shutdown(wait=True)
+        assert event["event"] == "released", event
+        assert event["release"] == _solo_frame(request, group=group)
+
+
+class TestFrontEndForgets:
+    """A front-end serves an unbounded stream of sessions, and an
+    ``EngineResult`` keeps every broadcast and coin message of its run:
+    once a session thread returns — released or aborted — the front-end
+    holds nothing keyed by that session."""
+
+    SID = 5
+
+    def _serve(self, run: str):
+        frontend = _FrontEnd(
+            "fe-test", None, FleetConfig(frontends=1, num_servers=2, nb_override=16)
+        )
+        request = SessionRequest(0, QUERY, [1, 0, 1], seed=run)
+        try:
+            return frontend, request, frontend._run_session(request, self.SID)
+        finally:
+            frontend._executor.shutdown(wait=True)
+
+    @staticmethod
+    def _per_session_entries(frontend, session):
+        return [
+            name
+            for name, value in vars(frontend).items()
+            if isinstance(value, dict) and session in value
+        ]
+
+    def test_nothing_is_kept_once_a_session_is_served(self):
+        frontend, request, event = self._serve("forgets-ok")
+        assert event["event"] == "released", event
+        assert event["release"] == _solo_frame(request)
+        assert self._per_session_entries(frontend, self.SID) == []
+
+    def test_nothing_is_kept_once_a_session_has_aborted(self, monkeypatch):
+        """prover-1 handshakes and hangs up: the session aborts naming
+        it, and the abort path forgets the session too."""
+        real_run_role = roles.run_role
+
+        def run_role(role, name, opener, **kwargs):
+            if name != "prover-1":
+                return real_run_role(role, name, opener, **kwargs)
+            opener().close()
+
+        monkeypatch.setattr(roles, "run_role", run_role)
+        frontend, _, event = self._serve("forgets-abort")
+        assert event["event"] == "aborted", event
+        assert event["party"] == "prover-1"
+        assert self._per_session_entries(frontend, self.SID) == []

@@ -4,7 +4,7 @@ A handshake is the one frame an unauthenticated peer sends before the
 listener knows who it is.  :meth:`SocketTransport.accept` — the one
 listener, a solo session's and each fleet session's alike — is pinned to
 the honest ``(name, scope)`` and fed seeded mutations of an honest v1
-(session 0) and v2 (session 3) handshake, each followed by a half-close
+(session 0) and v2 (session 3, and the largest id) handshake, each followed by a half-close
 so that no read waits on bytes that are not coming.  Every mutation must end in exactly
 one of two ways: one dropped-handshake note, or an admission whose
 ``(name, scope)`` is the pin.  The accept-deadline abort is the only
@@ -56,7 +56,9 @@ def _blocking_case(scope: int, frame: bytes) -> str:
         hostile.close()
 
 
-@pytest.mark.parametrize("scope", [0, 3], ids=["v1", "v2-session-3"])
+@pytest.mark.parametrize(
+    "scope", [0, 3, 0xFFFF_FFFF], ids=["v1", "v2-session-3", "v2-session-max"]
+)
 def test_mutated_handshakes_drop_once_or_admit_the_pin(scope, mutations):
     frames = mutations(pack_frame(HONEST.encode(), scope), MUTATIONS, f"handshake-{scope}")
     endings = [_blocking_case(scope, frame) for frame in frames]

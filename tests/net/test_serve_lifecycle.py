@@ -139,6 +139,44 @@ class TestFailedStartupLeaks:
         assert elapsed < 10.0, f"teardown stalled {elapsed:.1f}s"
 
 
+class TestSessionPeersTeardown:
+    """:func:`serve.session_peers` — a solo session's and each fleet
+    session's peers alike — tells every peer to stop when the analyst
+    fails inside the block, so the exit waits on no peer's recv timeout."""
+
+    @pytest.mark.parametrize(
+        "transport_name, threads",
+        [("memory", False), ("multiprocess", False), ("socket", False), ("socket", True)],
+        ids=["memory", "multiprocess", "socket", "socket-threads"],
+    )
+    def test_analyst_failure_stops_every_peer_promptly(self, transport_name, threads):
+        peer_roles = roles.peer_roles(2, 0)
+        names = {name for _, name in peer_roles}
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="analyst failed"):
+            with serve.session_peers(
+                transport_name,
+                peer_roles,
+                CountQuery(epsilon=1.0, delta=DELTA),
+                [1, 0, 1],
+                "teardown",
+                "127.0.0.1",
+                0,
+                60.0,
+                session=0 if transport_name != "socket" else 5,
+                threads=threads,
+            ):
+                raise RuntimeError("analyst failed")
+        elapsed = time.monotonic() - start
+        # Without the abort a peer waits out its 60 s recv and the
+        # cleanup's 30 s join per peer.
+        assert elapsed < 20.0, f"teardown stalled {elapsed:.1f}s"
+        assert not [t for t in threading.enumerate() if t.name in names]
+        assert not [
+            p for p in multiprocessing.active_children() if p.name in names
+        ]
+
+
 class TestConcurrentShutdown:
     def _hub_with_peers(self, alive, dead):
         hub = InMemoryHub()
@@ -262,6 +300,7 @@ class TestExitCodes:
             ["--fleet", "--serve-seconds", "5"],
             ["--fleet", "--transport", "multiprocess"],
             ["--fleet", "--port", "5"],
+            ["--fleet", "--port", "0"],
             ["--frontends", "1"],
             ["--capacity", "2"],
             ["--sessions", "1"],
@@ -274,6 +313,7 @@ class TestExitCodes:
             "serve-seconds",
             "fleet-transport",
             "fleet-port",
+            "fleet-port-zero",
             "frontends",
             "capacity",
             "sessions",
@@ -302,3 +342,21 @@ class TestExitCodes:
         assert serve.EXIT_PROTOCOL_ABORT != serve.EXIT_INFRA_CRASH
         assert serve.EXIT_PROTOCOL_ABORT not in (0, 1, 2)
         assert serve.EXIT_INFRA_CRASH not in (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "flags, defaults",
+        [
+            (["--fleet"], {"frontends": 2, "capacity": 2, "sessions": 2}),
+            ([], {"transport": "multiprocess", "port": 0}),
+        ],
+        ids=["fleet", "one-session"],
+    )
+    def test_each_mode_fills_in_its_own_defaults(self, flags, defaults):
+        """The five mode flags parse to ``None`` so that an explicit one
+        can be told from its default; once the check has passed, the
+        mode's own flags get their defaults and the other mode's stay
+        unset."""
+        args = self._args(*flags)
+        serve._check_fleet_flags(args)
+        for dest in ("transport", "port", "frontends", "capacity", "sessions"):
+            assert getattr(args, dest) == defaults.get(dest), dest

@@ -16,6 +16,7 @@ from repro.net.transport import (
     InMemoryHub,
     MultiprocessTransport,
     SocketTransport,
+    _read_session_frame,
     multiprocess_star,
     pack_frame,
 )
@@ -402,6 +403,320 @@ class TestSocket:
         finally:
             process.join(timeout=10.0)
             listener.close()
+
+
+_SESSIONS = pytest.mark.parametrize(
+    "session", [3, 0xFFFF_FFFF], ids=["session-3", "session-max"]
+)
+
+
+def _raw_peer(port: int, name: bytes, session: int) -> socket.socket:
+    """A bare socket that has sent ``name``'s handshake for ``session``."""
+    raw = socket.create_connection(("127.0.0.1", port))
+    raw.sendall(pack_frame(name, session))
+    return raw
+
+
+class TestSessionScopedSocket:
+    """A listener bound to a session — the one each fleet session gets —
+    and its session-scoped dialers: every frame carries the v2 header,
+    and a connection is one peer of that one session."""
+
+    @_SESSIONS
+    def test_roundtrip(self, session):
+        listener = SocketTransport.listen("analyst", session=session)
+        client = SocketTransport.connect(
+            "peer-1", "analyst", port=listener.port, session=session
+        )
+        try:
+            assert listener.accept(1, timeout=5.0) == ["peer-1"]
+            client.send("analyst", b"\x00" * 70000)
+            assert listener.recv("peer-1", timeout=5.0) == b"\x00" * 70000
+            listener.send("peer-1", b"pong")
+            assert client.recv("analyst", timeout=5.0) == b"pong"
+        finally:
+            client.close()
+            listener.close()
+
+    @_SESSIONS
+    def test_recv_timeout_aborts_with_peer_named(self, session):
+        listener = SocketTransport.listen("analyst", session=session)
+        client = SocketTransport.connect(
+            "peer-1", "analyst", port=listener.port, session=session
+        )
+        try:
+            listener.accept(1, timeout=5.0)
+            with pytest.raises(ProtocolAbort) as err:
+                listener.recv("peer-1", timeout=0.05)
+            assert err.value.party == "peer-1"
+        finally:
+            client.close()
+            listener.close()
+
+    @_SESSIONS
+    def test_closed_peer_aborts_pending_recv(self, session):
+        """A peer hanging up while the analyst is already blocked on it
+        ends that recv at once, not at its timeout."""
+        listener = SocketTransport.listen("analyst", session=session)
+        client = SocketTransport.connect(
+            "peer-1", "analyst", port=listener.port, session=session
+        )
+        listener.accept(1, timeout=5.0)
+        raised = []
+
+        def pending():
+            try:
+                listener.recv("peer-1", timeout=10.0)
+            except ProtocolAbort as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=pending, daemon=True)
+        start = time.monotonic()
+        thread.start()
+        try:
+            time.sleep(0.05)
+            client.close()
+            thread.join(timeout=10.0)
+            assert time.monotonic() - start < 5.0
+            (abort,) = raised
+            assert abort.party == "peer-1"
+        finally:
+            listener.close()
+
+    @_SESSIONS
+    def test_oversized_announcement_aborts_before_buffering(self, session):
+        """Only the v2 header is sent: the abort comes from the announced
+        size alone, never from waiting on the payload."""
+        listener = SocketTransport.listen(
+            "analyst", max_frame_bytes=1024, session=session
+        )
+        raw = _raw_peer(listener.port, b"peer-1", session)
+        try:
+            listener.accept(1, timeout=5.0)
+            raw.sendall(pack_frame(b"\x00" * 2048, session)[:8])
+            with pytest.raises(ProtocolAbort) as err:
+                listener.recv("peer-1", timeout=5.0)
+            assert "oversized" in str(err.value)
+            assert err.value.party == "peer-1"
+        finally:
+            raw.close()
+            listener.close()
+
+    @pytest.mark.parametrize(
+        "scope, foreign",
+        [(2, 3), (0, 3), (3, 0), (2, 0xFFFF_FFFF)],
+        ids=["v2-to-v2", "v1-to-v2", "v2-to-v1", "v2-to-all-ones"],
+    )
+    def test_frame_from_another_session_aborts_naming_the_peer(self, scope, foreign):
+        """The listener side of a scoped connection: after an honest
+        handshake, a frame tagged with any other session aborts the read,
+        attributed to that peer, whichever header version either side
+        uses — and nothing of it is counted as received."""
+        listener = SocketTransport.listen("analyst", session=scope)
+        raw = _raw_peer(listener.port, b"peer-1", scope)
+        try:
+            assert listener.accept(1, timeout=5.0) == ["peer-1"]
+            raw.sendall(pack_frame(b"for another session", foreign))
+            with pytest.raises(ProtocolAbort) as err:
+                listener.recv("peer-1", timeout=5.0)
+            assert err.value.party == "peer-1"
+            assert (
+                f"session-{foreign} frame on a session-{scope} channel"
+                in str(err.value)
+            )
+            assert listener.frames_received == 0
+        finally:
+            raw.close()
+            listener.close()
+
+    @_SESSIONS
+    def test_duplicate_name_dropped_not_fatal(self, session):
+        """Two connections claiming one name in one session: the second
+        is dropped, the honest one keeps serving."""
+        listener = SocketTransport.listen("analyst", session=session)
+        first = SocketTransport.connect(
+            "peer-1", "analyst", port=listener.port, session=session
+        )
+        assert listener.accept(1, timeout=5.0) == ["peer-1"]
+        squatter = SocketTransport.connect(
+            "peer-1", "analyst", port=listener.port, session=session
+        )
+        second = SocketTransport.connect(
+            "peer-2", "analyst", port=listener.port, session=session
+        )
+        try:
+            assert listener.accept(1, timeout=5.0) == ["peer-2"]
+            assert listener.dropped_handshakes == ["duplicate name 'peer-1'"]
+            first.send("analyst", b"still-first")
+            assert listener.recv("peer-1", timeout=5.0) == b"still-first"
+        finally:
+            for transport in (first, squatter, second, listener):
+                transport.close()
+
+    @pytest.mark.parametrize(
+        "scope, foreign",
+        [(3, 0), (3, 2), (0, 3)],
+        ids=["v1-to-v2", "v2-to-v2", "v2-to-v1"],
+    )
+    def test_handshake_for_another_session_is_dropped(self, scope, foreign):
+        """An impostor dialling an expected name under a session the
+        listener does not serve is dropped with one note; the honest peer
+        then gets the name and the session's frames."""
+        listener = SocketTransport.listen("analyst", session=scope)
+        impostor = SocketTransport.connect(
+            "prover-0", "analyst", port=listener.port, session=foreign
+        )
+        honest = SocketTransport.connect(
+            "prover-0", "analyst", port=listener.port, session=scope
+        )
+        try:
+            names = listener.accept(1, timeout=5.0, expected=[("prover-0", scope)])
+            assert names == ["prover-0"]
+            assert listener.dropped_handshakes == [
+                f"session-{foreign} handshake from 'prover-0' "
+                f"on a session-{scope} listener"
+            ]
+            listener.send("prover-0", b"hello")
+            assert honest.recv("analyst", timeout=5.0) == b"hello"
+        finally:
+            for transport in (impostor, honest, listener):
+                transport.close()
+
+    def test_sessions_on_their_own_listeners_share_peer_names(self):
+        """Two concurrent sessions on one host, as on a front-end: the
+        same peer names on two listeners, and each frame reaches only
+        the peer of its own session."""
+        listeners = {
+            s: SocketTransport.listen("analyst", session=s) for s in (1, 3)
+        }
+        peers = {
+            s: SocketTransport.connect(
+                "peer-1", "analyst", port=listeners[s].port, session=s
+            )
+            for s in (1, 3)
+        }
+        try:
+            for listener in listeners.values():
+                assert listener.accept(1, timeout=5.0) == ["peer-1"]
+            for s in (1, 3):
+                listeners[s].send("peer-1", f"to-{s}".encode())
+                peers[s].send("analyst", f"from-{s}".encode())
+            for s in (1, 3):
+                assert peers[s].recv("analyst", timeout=5.0) == f"to-{s}".encode()
+                assert listeners[s].recv("peer-1", timeout=5.0) == (
+                    f"from-{s}".encode()
+                )
+        finally:
+            for transport in (*peers.values(), *listeners.values()):
+                transport.close()
+
+    def test_stop_listening_keeps_the_accepted_peers(self):
+        """Closing the listener once a session's peers are in refuses
+        every later dial and leaves the accepted channels working."""
+        listener = SocketTransport.listen("analyst", session=3)
+        client = SocketTransport.connect(
+            "peer-1", "analyst", port=listener.port, session=3
+        )
+        try:
+            assert listener.accept(1, timeout=5.0) == ["peer-1"]
+            listener.stop_listening()
+            with pytest.raises(ConnectionRefusedError):
+                SocketTransport.connect(
+                    "peer-2", "analyst", port=listener.port, session=3, timeout=5.0
+                )
+            client.send("analyst", b"after")
+            assert listener.recv("peer-1", timeout=5.0) == b"after"
+            listener.send("peer-1", b"reply")
+            assert client.recv("analyst", timeout=5.0) == b"reply"
+        finally:
+            client.close()
+            listener.close()
+
+
+class TestSessionIdRange:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pack_frame(b"x", -1),
+            lambda: pack_frame(b"x", 0x1_0000_0000),
+            lambda: SocketTransport.listen("analyst", session=-1),
+            lambda: SocketTransport.connect(
+                "peer-1", "analyst", port=1, session=0x1_0000_0000
+            ),
+        ],
+        ids=["frame-negative", "frame-above-max", "listener-negative", "dialer-above-max"],
+    )
+    def test_session_id_outside_the_header_field_is_refused(self, make):
+        """The v2 header carries a 4-byte id: anything outside [0, 2**32)
+        is refused before a byte is packed or a socket opened."""
+        with pytest.raises(ParameterError, match="session id out of range"):
+            make()
+
+
+class TestReadSessionFrame:
+    """``_read_session_frame``, the one reader of every frame and
+    handshake on a TCP channel, fed byte streams over a socket pair."""
+
+    @staticmethod
+    def _read(stream: bytes, *, max_bytes: int = 1024, eof: bool = False):
+        ours, theirs = socket.socketpair()
+        try:
+            theirs.sendall(stream)
+            if eof:
+                theirs.shutdown(socket.SHUT_WR)
+            return _read_session_frame(ours, 5.0, party="peer-1", max_bytes=max_bytes)
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_v1_header_reads_as_session_zero(self):
+        assert self._read(struct.pack(">I", 3) + b"abc") == (0, b"abc")
+
+    @pytest.mark.parametrize("session", [1, 0xFFFF_FFFF], ids=["session-1", "session-max"])
+    def test_v2_header_reads_its_session(self, session):
+        assert self._read(pack_frame(b"abc", session)) == (session, b"abc")
+
+    def test_v2_header_naming_session_zero_aborts(self):
+        """Session 0 is always written as v1, so a v2 header carrying 0
+        comes from no honest writer."""
+        with pytest.raises(ProtocolAbort, match="invalid v2 session id") as err:
+            self._read(struct.pack(">II", 0x8000_0000 | 3, 0) + b"abc")
+        assert err.value.party == "peer-1"
+
+    @pytest.mark.parametrize("session", [0, 3], ids=["v1", "v2"])
+    def test_oversized_announcement_aborts_on_the_header_alone(self, session):
+        header = pack_frame(b"\x00" * 2048, session)[: 4 if session == 0 else 8]
+        with pytest.raises(ProtocolAbort, match=r"oversized frame \(2048 bytes\)"):
+            self._read(header, max_bytes=1024)
+
+    @pytest.mark.parametrize(
+        "stream",
+        [struct.pack(">I", 3)[:2], struct.pack(">II", 0x8000_0000 | 3, 7)[:6]],
+        ids=["inside-the-length", "inside-the-session-id"],
+    )
+    def test_eof_inside_the_header_aborts_naming_the_party(self, stream):
+        with pytest.raises(ProtocolAbort, match="closed the connection") as err:
+            self._read(stream, eof=True)
+        assert err.value.party == "peer-1"
+
+    def test_frame_arriving_a_byte_at_a_time_reads_whole(self):
+        """A header and payload split at every byte boundary still read
+        as one frame under the one deadline."""
+        ours, theirs = socket.socketpair()
+
+        def dribble():
+            for byte in pack_frame(b"abc", 7):
+                time.sleep(0.01)
+                theirs.sendall(bytes([byte]))
+
+        thread = threading.Thread(target=dribble, daemon=True)
+        thread.start()
+        try:
+            assert _read_session_frame(ours, 5.0, party="peer-1") == (7, b"abc")
+        finally:
+            thread.join(timeout=5.0)
+            ours.close()
+            theirs.close()
 
 
 def _nodelay(sock) -> int:

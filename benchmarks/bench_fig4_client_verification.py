@@ -6,6 +6,8 @@ Both costs grow with M; the Σ approach pays the public-key premium the
 paper quantifies ("approximately an order of magnitude" on their stack).
 """
 
+import time
+
 import pytest
 
 from repro.baselines.sketch import OneHotSketch
@@ -18,6 +20,18 @@ DIMENSIONS = [1, 8, 32]
 
 def one_hot(m):
     return [1] + [0] * (m - 1)
+
+
+def best_of(fn, repeats=3):
+    """Fastest of ``repeats`` timed calls of ``fn``, in seconds: the host's
+    speed flips within seconds, and a ratio of two minima is far steadier
+    than a ratio of two single shots (as ``tests/perf``'s ``best_of``)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 @pytest.mark.parametrize("m", DIMENSIONS)
@@ -56,8 +70,6 @@ def test_sigma_onehot_verify_batched(benchmark, params_128, m):
 
 def test_batched_client_validation_wins_at_scale(params_128):
     """Cross-client aggregation: 64 clients' one-hot proofs, one multiexp."""
-    import time
-
     from repro.crypto.sigma.batch import SigmaBatch
 
     m, n_clients = 8, 64
@@ -68,17 +80,18 @@ def test_batched_client_validation_wins_at_scale(params_128):
         proof = prove_one_hot(params_128.pedersen, cs, os_, Transcript(f"c{i}"), rng)
         clients.append((cs, proof))
 
-    start = time.perf_counter()
-    for i, (cs, proof) in enumerate(clients):
-        verify_one_hot(params_128.pedersen, cs, proof, Transcript(f"c{i}"))
-    sequential = time.perf_counter() - start
+    def verify_each():
+        for i, (cs, proof) in enumerate(clients):
+            verify_one_hot(params_128.pedersen, cs, proof, Transcript(f"c{i}"))
 
-    start = time.perf_counter()
-    batch = SigmaBatch(params_128.pedersen, SeededRNG("g"))
-    for i, (cs, proof) in enumerate(clients):
-        batch.add_one_hot(cs, proof, Transcript(f"c{i}"))
-    batch.verify()
-    batched = time.perf_counter() - start
+    def verify_batched():
+        batch = SigmaBatch(params_128.pedersen, SeededRNG("g"))
+        for i, (cs, proof) in enumerate(clients):
+            batch.add_one_hot(cs, proof, Transcript(f"c{i}"))
+        batch.verify()
+
+    sequential = best_of(verify_each)
+    batched = best_of(verify_batched)
     assert batched * 3 < sequential, (
         f"batched {batched * 1e3:.1f}ms vs sequential {sequential * 1e3:.1f}ms"
     )
@@ -94,20 +107,17 @@ def test_sketch_validate(benchmark, params_128, m):
 
 def test_sigma_costs_more_than_sketch(params_128):
     """The paper's headline Figure 4 comparison, asserted."""
-    import time
-
     m = 8
     rng = SeededRNG("cmp")
     cs, os_ = params_128.pedersen.commit_vector(one_hot(m), rng)
-    start = time.perf_counter()
-    proof = prove_one_hot(params_128.pedersen, cs, os_, Transcript("f4"), rng)
-    verify_one_hot(params_128.pedersen, cs, proof, Transcript("f4"))
-    sigma = time.perf_counter() - start
+
+    def sigma_round():
+        proof = prove_one_hot(params_128.pedersen, cs, os_, Transcript("f4"), rng)
+        verify_one_hot(params_128.pedersen, cs, proof, Transcript("f4"))
 
     sketch = OneHotSketch(m, params_128.q)
     packages = sketch.client_prepare(one_hot(m), rng)
-    start = time.perf_counter()
-    sketch.validate(packages, b"x")
-    lightweight = time.perf_counter() - start
+    sigma = best_of(sigma_round)
+    lightweight = best_of(lambda: sketch.validate(packages, b"x"))
 
     assert sigma > lightweight

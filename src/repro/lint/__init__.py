@@ -7,8 +7,6 @@ preserve but that dynamic tests only probe point-wise:
   from injected :mod:`repro.utils.rng` handles, read clocks
   monotonically, never iterate unordered sets, and never read the
   environment or the working directory.
-* **REP003 async hygiene** — no blocking calls inside ``async def``
-  bodies; blocking work is awaited or executor-routed.
 * **REP004 abort attribution** — ``ProtocolAbort`` raises carry
   ``party=``; no bare ``except``; broad handlers justify themselves.
 * **REP005 resource lifecycle** — started processes and opened
@@ -18,8 +16,11 @@ preserve but that dynamic tests only probe point-wise:
   function that opens it (REP006 is reserved, ROADMAP item 6(e)).
 
 REP002, wire exhaustiveness, is a test of the registry itself now
-(``tests/core/test_message_registry_roundtrip.py``); its number is not
-reused.  Every rule reads a name through one import table,
+(``tests/core/test_message_registry_roundtrip.py``).  REP003, async
+hygiene (no blocking call inside an ``async def``), retired with the
+fleet front-end's event loop: the package runs no event loop, and
+``tests/lint/test_lint_repo_clean.py`` fails if one comes back.
+Neither number is reused.  Every rule reads a name through one import table,
 :meth:`ModuleContext.origin`, so an alias or a ``from`` import does not
 hide a call.  Findings are suppressed per line with
 ``# repro: allow[RULE] -- why`` (justification mandatory); nothing is

@@ -27,7 +27,6 @@ from repro.lint.base import Finding, ModuleContext, RULES, parse_pragmas
 
 # Importing the rule modules populates the registry.
 from repro.lint import aborts as _aborts  # noqa: F401
-from repro.lint import async_hygiene as _async_hygiene  # noqa: F401
 from repro.lint import determinism as _determinism  # noqa: F401
 from repro.lint import lifecycle as _lifecycle  # noqa: F401
 from repro.lint import sockets as _sockets  # noqa: F401

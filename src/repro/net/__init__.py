@@ -34,9 +34,9 @@ This package closes that gap without touching the protocol engine:
 * :mod:`repro.net.fleet` — the serving fleet, the one way to serve many
   sessions: a :class:`FleetDispatcher` admits a stream of session
   requests and places them across a pool of front-end processes
-  (:mod:`repro.net.frontend`), one CPU each, with health checks,
-  work-stealing, graceful drain and crash restart (``python -m repro
-  serve --fleet``).  A front-end serves up to ``capacity`` sessions at
+  (:mod:`repro.net.frontend`, each a blocking command loop), one CPU
+  each, with health checks, work-stealing, graceful drain and crash
+  restart (``python -m repro serve --fleet``).  A front-end serves up to ``capacity`` sessions at
   once, each on a thread of its own as the solo socket session with
   peer threads, on a listener bound to that session.
 

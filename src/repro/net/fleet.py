@@ -22,10 +22,9 @@ many sessions (``--fleet --frontends 1`` is a lone front-end):
   every fleet-served release is byte-identical to a seeded in-process
   :class:`repro.api.Session` run with the same seed and chunking.
 
-Each worker is :func:`repro.net.frontend.frontend_main`, the fleet's
-only asyncio code; this module imports it (and ``multiprocessing``)
-only when a dispatcher starts, so importing the fleet's types costs no
-event loop.  Inside each worker a placed session is served as the solo
+Each worker is :func:`repro.net.frontend.frontend_main`, a blocking
+command loop; this module imports it (and ``multiprocessing``) only when
+a dispatcher starts, so importing the fleet's types loads neither.  Inside each worker a placed session is served as the solo
 socket session (:func:`repro.net.serve.session_peers`) on a thread of
 its own: a listener bound to the session, then *scoped* peer threads —
 one :func:`~repro.net.roles.run_role` per entry of the cast: K

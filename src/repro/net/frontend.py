@@ -1,9 +1,10 @@
 """A fleet front-end: one worker process of a :class:`~repro.net.fleet.FleetDispatcher`.
 
-Each worker runs an asyncio command loop bound to the dispatcher's pipe,
-and serves each placed session the way
-``run_distributed_session(transport="socket")`` serves one
-(:func:`repro.net.serve.session_peers`): on a thread of the worker's
+Each worker's main thread is a blocking command loop: it reads one
+queue, fed by a thread that reads the dispatcher's pipe and by the
+session threads, each posting its outcome when it ends.  A placed session
+is served the way ``run_distributed_session(transport="socket")`` serves
+one (:func:`repro.net.serve.session_peers`): on a thread of the worker's
 session executor, with a listener of the session's own, peer threads
 that dial it, and an analyst doing blocking frame I/O.  The loop places
 sessions and reports outcomes; no frame crosses it.  The dispatcher
@@ -13,8 +14,8 @@ loaded modules and compiles nothing (DESIGN.md "Cold start").
 
 from __future__ import annotations
 
-import asyncio
 import os
+import queue
 import threading
 import time
 from collections import deque
@@ -51,7 +52,7 @@ def frontend_main(name: str, conn, config: FleetConfig, slot: int) -> None:
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, _cpu_share(cpus, slot))
     try:
-        asyncio.run(_FrontEnd(name, conn, config).run())
+        _FrontEnd(name, conn, config).run()
     finally:
         try:
             conn.close()
@@ -78,12 +79,15 @@ class _FrontEnd:
         self.roles = peer_roles(config.num_servers, 0)
         self.server_names = role_names(self.roles, "server")
         self.pending: deque[SessionRequest] = deque()
-        self.inflight: dict[int, asyncio.Task] = {}
+        self.in_flight = 0
         self.completed = 0
         self.aborted = 0
         self.draining = False
         self._next_session = 0
-        self._commands: asyncio.Queue | None = None
+        # Dispatcher commands from the pipe-reader thread and session
+        # outcomes from the session threads, read by the command loop
+        # alone: the state above is that one thread's, so takes no lock.
+        self._commands: queue.Queue[dict] = queue.Queue()
         # Sized to the capacity: a placement queued behind a full
         # executor would leave its peers blocked in their setup recv
         # until the protocol timeout.
@@ -94,20 +98,17 @@ class _FrontEnd:
         # so that stopping can tell its peers to stop waiting.
         self._live: dict = {}
 
-    async def run(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._commands = asyncio.Queue()
-        reader = threading.Thread(
-            target=self._read_commands, args=(loop,), daemon=True
-        )
-        reader.start()
+    def run(self) -> None:
+        threading.Thread(target=self._read_commands, daemon=True).start()
         try:
             while True:
-                command = await self._commands.get()
+                command = self._commands.get()
                 cmd = command.get("cmd")
                 if cmd == "place":
                     self.pending.append(command["request"])
                     self._pump()
+                elif cmd == "_finished":
+                    self._finished(command["session"].result())
                 elif cmd == "steal":
                     self._steal(int(command.get("count", 1)))
                 elif cmd == "ping":
@@ -119,18 +120,16 @@ class _FrontEnd:
                 elif cmd in ("stop", "_exit"):
                     break
         finally:
-            for task in list(self.inflight.values()):
-                task.cancel()
-            if self.inflight:
-                await asyncio.gather(
-                    *self.inflight.values(), return_exceptions=True
-                )
-            # Never blocks the loop on a session thread: an aborted
-            # session's thread ends once its peers have.
+            # Tell the peers of every session still in flight to stop
+            # waiting, then leave without joining a session thread: an
+            # aborted session's thread ends once its peers have.
+            names = [name for _, name in self.roles]
+            for transport in list(self._live.values()):
+                abort_peers(transport, names, "front-end stopping")
             self._executor.shutdown(wait=False)
 
-    def _read_commands(self, loop) -> None:
-        """Pipe → asyncio queue bridge (runs on its own thread)."""
+    def _read_commands(self) -> None:
+        """Pipe → command queue bridge (runs on its own thread)."""
         while True:
             try:
                 command = self.conn.recv()
@@ -138,10 +137,7 @@ class _FrontEnd:
                 # Dispatcher gone: treat as stop so the worker exits
                 # instead of serving headless forever.
                 command = {"cmd": "stop"}
-            try:
-                loop.call_soon_threadsafe(self._commands.put_nowait, command)
-            except RuntimeError:  # loop already closed
-                return
+            self._commands.put(command)
             if command.get("cmd") == "stop":
                 return
 
@@ -156,7 +152,7 @@ class _FrontEnd:
             {
                 "event": "stats",
                 "frontend": self.name,
-                "in_flight": len(self.inflight),
+                "in_flight": self.in_flight,
                 "pending": len(self.pending),
                 "completed": self.completed,
                 "aborted": self.aborted,
@@ -174,45 +170,32 @@ class _FrontEnd:
         self._maybe_drained()
 
     def _pump(self) -> None:
-        while self.pending and len(self.inflight) < self.config.capacity:
+        while self.pending and self.in_flight < self.config.capacity:
             request = self.pending.popleft()
-            task = asyncio.ensure_future(self._serve(request))
-            self.inflight[request.request_id] = task
-            task.add_done_callback(
-                lambda t, rid=request.request_id: self._finished(rid, t)
+            session = self._executor.submit(
+                self._run_session, request, self._next_session
+            )
+            self._next_session += 1
+            self.in_flight += 1
+            # Runs on the session thread once _run_session has returned.
+            session.add_done_callback(
+                lambda done: self._commands.put({"cmd": "_finished", "session": done})
             )
 
-    def _finished(self, request_id: int, task: asyncio.Task) -> None:
-        self.inflight.pop(request_id, None)
-        if not task.cancelled():
-            task.exception()  # consumed: _serve reported the outcome itself
-        self._pump()
-        self._maybe_drained()
-
-    def _maybe_drained(self) -> None:
-        if self.draining and not self.inflight and not self.pending:
-            self._send({"event": "drained", "frontend": self.name})
-            self._commands.put_nowait({"cmd": "_exit"})
-
-    async def _serve(self, request: SessionRequest) -> None:
-        sid = self._next_session
-        self._next_session += 1
-        loop = asyncio.get_running_loop()
-        try:
-            event = await loop.run_in_executor(
-                self._executor, self._run_session, request, sid
-            )
-        except asyncio.CancelledError:
-            transport = self._live.get(sid)
-            if transport is not None:
-                names = [name for _, name in self.roles]
-                abort_peers(transport, names, "front-end stopping")
-            raise
+    def _finished(self, event: dict) -> None:
+        self.in_flight -= 1
         if event["event"] == "released":
             self.completed += 1
         else:
             self.aborted += 1
         self._send(event)
+        self._pump()
+        self._maybe_drained()
+
+    def _maybe_drained(self) -> None:
+        if self.draining and not self.in_flight and not self.pending:
+            self._send({"event": "drained", "frontend": self.name})
+            self._commands.put({"cmd": "_exit"})
 
     def _run_session(self, request: SessionRequest, sid: int) -> dict:
         """Serve one placement on a session thread; returns its outcome

@@ -168,7 +168,7 @@ def shutdown_peers(transport, peers, timeout, audit=None, *, grace=_SHUTDOWN_GRA
     return unresponsive
 
 
-def abort_peers(transport, peers, reason, *, clients_peer=None):
+def abort_peers(transport, peers, reason):
     """Tell every peer of a dead session to stop waiting, best-effort.
 
     ``shutdown`` is the *healthy* teardown: request/ack, run after a
@@ -181,8 +181,7 @@ def abort_peers(transport, peers, reason, *, clients_peer=None):
     peer is exactly who this is for.
     """
     frame = wire.encode_control("abort", reason.encode())
-    targets = list(peers) + ([clients_peer] if clients_peer is not None else [])
-    for name in targets:
+    for name in peers:
         try:
             transport.send(name, frame)
         except (ReproError, OSError):
@@ -564,7 +563,6 @@ class AnalystNode:
         nb_override: int | None = None,
         chunk_size: int | None = None,
         rng: RNG | None = None,
-        clients_peer: str = _CLIENTS,
         timeout: float | None = 60.0,
     ) -> None:
         if isinstance(query, ComposedQuery):
@@ -574,7 +572,6 @@ class AnalystNode:
         self.query = query
         self.transport = transport
         self.servers = list(servers)
-        self.clients_peer = clients_peer
         self.timeout = timeout
         self.rng = rng if rng is not None else SystemRNG()
         params = query.build_params(
@@ -603,7 +600,7 @@ class AnalystNode:
         plan_frame = wire.encode_plan(self.plan)
         peers = self._setup_peers(params_frame, plan_frame)
         self.transport.send(
-            self.clients_peer, wire.encode_control("params", params_frame, plan_frame)
+            _CLIENTS, wire.encode_control("params", params_frame, plan_frame)
         )
         self._ingest()
         self.result = self.engine.run_release()
@@ -623,7 +620,7 @@ class AnalystNode:
         # already-shipped release.
         shutdown_peers(self.transport, peers, self.timeout, self.engine.verifier.audit)
         self.transport.send(
-            self.clients_peer,
+            _CLIENTS,
             wire.encode_control("release", encode_message(self.result.release)),
         )
         return self.result
@@ -644,7 +641,7 @@ class AnalystNode:
         """
         audit = self.engine.verifier.audit
         while True:
-            frame = self.transport.recv(self.clients_peer, self.timeout)
+            frame = self.transport.recv(_CLIENTS, self.timeout)
             try:
                 kind = wire.frame_kind(frame)
             except EncodingError:
@@ -661,12 +658,12 @@ class AnalystNode:
                     return
                 raise ProtocolAbort(
                     f"unexpected control {ctrl!r} during enrollment",
-                    party=self.clients_peer,
+                    party=_CLIENTS,
                 )
             if kind != "enroll":
                 raise ProtocolAbort(
                     f"unexpected {kind!r} frame during enrollment",
-                    party=self.clients_peer,
+                    party=_CLIENTS,
                 )
             enrollment = self._validated_enrollment(frame)
             if enrollment is None:

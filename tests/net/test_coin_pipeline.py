@@ -184,7 +184,7 @@ def run_session(
     try:
         result = analyst.run()
     except ProtocolAbort:
-        abort_peers(transport, SERVERS, "test", clients_peer="clients")
+        abort_peers(transport, SERVERS + ["clients"], "test")
         raise
     finally:
         for worker in workers:

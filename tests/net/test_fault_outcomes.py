@@ -125,7 +125,7 @@ def outcome(seed, servers):
         try:
             release = analyst.run().release
         except ProtocolAbort as exc:
-            abort_peers(listener, SERVERS, "test", clients_peer="clients")
+            abort_peers(listener, SERVERS + ["clients"], "test")
             return (type(exc).__name__, exc.party), None, time.monotonic() - start
         digest = hashlib.sha256(encode_message(release)).hexdigest()[:16]
         return digest, release, time.monotonic() - start

@@ -118,9 +118,7 @@ def run_sharded_memory(
         result = analyst.run()
     except ProtocolAbort:
         # Free the peer threads instead of leaving them to time out.
-        abort_peers(
-            transport, server_names + shard_names, "test", clients_peer="clients"
-        )
+        abort_peers(transport, server_names + shard_names + ["clients"], "test")
         raise
     for thread in threads:
         thread.join(timeout=10.0)

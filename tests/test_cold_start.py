@@ -5,7 +5,7 @@ process imports: the command line must work where scipy is absent (the
 package declares no dependencies), its serving commands must not load the
 experiment drivers, and a session's forked peers — and a fleet worker
 serving its first session — must import nothing, since the driver loads
-their modules before it forks.
+their modules before it forks.  Starting a fleet loads no event loop.
 The import fence of the in-process session path is
 ``tests/core/test_group_resolution.py::test_benchmark_imports_load_only_the_session_path``.
 """
@@ -124,7 +124,8 @@ def test_forked_peers_import_nothing():
 # serves one session through it: the worker is forked by the dispatcher
 # and runs that session's analyst and peer threads, so everything its
 # first session needs must have been loaded before the fork.  Nothing is
-# warmed first — the dispatcher alone must do it.
+# warmed first — the dispatcher alone must do it.  The script also reports
+# whether the dispatcher's own process loaded asyncio.
 FLEET_WORKER = """
 import json, os, shutil, sys, tempfile
 from repro.api.queries import CountQuery
@@ -150,12 +151,24 @@ with FleetDispatcher(config) as dispatcher:
         pass  # a worker that imported nothing left no file
 imported = sorted({line.strip() for line in open(os.path.join(log, worker)) if line.strip()})
 shutil.rmtree(log)
-print(json.dumps(imported))
+print(json.dumps({"worker": imported, "asyncio": "asyncio" in sys.modules}))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="fleet workers are forked")
-def test_fleet_worker_first_session_imports_nothing():
+@pytest.fixture(scope="module")
+def fleet_worker_run():
+    if not hasattr(os, "fork"):
+        pytest.skip("fleet workers are forked")
     done = _run("-c", FLEET_WORKER)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_fleet_worker_first_session_imports_nothing(fleet_worker_run):
+    assert fleet_worker_run["worker"] == []
+
+
+def test_fleet_dispatcher_leaves_asyncio_unloaded(fleet_worker_run):
+    """A front-end is a blocking command loop: starting a fleet, and
+    serving a session through it, loads no event loop."""
+    assert fleet_worker_run["asyncio"] is False

@@ -10,15 +10,19 @@ The fleet layer's contract, pinned end to end:
 * drain finishes everything already admitted and admits nothing new;
 * a hot front-end's queued sessions are stolen onto an idle one;
 * every front-end keeps to one CPU of its own;
+* a worker's command loop places, steals, reports, drains and stops as
+  its commands say, and ``stop`` aborts the peers of every live session;
 * each session has a listener of its own: a late dial is refused, and a
   trickled handshake holds up only the session whose listener it is on.
 """
 
+import multiprocessing
 import os
 import socket
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -26,7 +30,7 @@ from repro.api.queries import CountQuery
 from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError
-from repro.net import roles, serve, transport
+from repro.net import roles, serve, transport, wire
 from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
@@ -557,3 +561,163 @@ class TestFrontEndForgets:
         assert event["event"] == "aborted", event
         assert event["party"] == "prover-1"
         assert self._per_session_entries(frontend, self.SID) == []
+
+
+class _RecordingTransport:
+    """An analyst transport that keeps every frame sent to a peer."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, name, frame):
+        self.sent.append((name, frame))
+
+
+class TestCommandLoop:
+    """The worker's command loop, driven in-process through a pipe.
+
+    Each placed session is a stand-in for ``_run_session`` that holds its
+    thread until the test opens that request's gate, then returns the
+    outcome the test chose — so what is queued, in flight and reported is
+    fixed by the commands alone, not by how fast a real session runs.
+    """
+
+    @pytest.fixture
+    def loop(self, monkeypatch):
+        here, there = multiprocessing.Pipe()
+        frontend = _FrontEnd(
+            "fe-test",
+            there,
+            FleetConfig(frontends=1, capacity=1, num_servers=2, nb_override=16),
+        )
+        gates: dict[int, threading.Event] = {}
+        outcomes: dict[int, str] = {}
+        transports: dict[int, _RecordingTransport] = {}
+
+        def gate(request_id):
+            return gates.setdefault(request_id, threading.Event())
+
+        def run_session(request, sid):
+            transport = transports[request.request_id] = _RecordingTransport()
+            frontend._live[sid] = transport
+            try:
+                gate(request.request_id).wait(10.0)
+            finally:
+                del frontend._live[sid]
+            return {
+                "event": outcomes.get(request.request_id, "released"),
+                "frontend": frontend.name,
+                "request_id": request.request_id,
+            }
+
+        monkeypatch.setattr(frontend, "_run_session", run_session)
+        thread = threading.Thread(target=frontend.run, daemon=True)
+        thread.start()
+
+        def recv():
+            assert here.poll(5.0), "no event from the command loop"
+            return here.recv()
+
+        def place(*ids):
+            for request_id in ids:
+                request = SessionRequest(request_id, QUERY, [1, 0, 1], seed=None)
+                here.send({"cmd": "place", "request": request})
+
+        loop = types.SimpleNamespace(
+            thread=thread,
+            outcomes=outcomes,
+            transports=transports,
+            send=here.send,
+            recv=recv,
+            place=place,
+            open=lambda request_id: gate(request_id).set(),
+            close=here.close,
+        )
+        try:
+            yield loop
+        finally:
+            for event in list(gates.values()):
+                event.set()
+            if thread.is_alive() and not here.closed:
+                here.send({"cmd": "stop"})
+            thread.join(5.0)
+            if not here.closed:
+                here.close()
+            there.close()
+        assert not thread.is_alive()
+
+    def test_ping_reports_what_is_queued_and_in_flight(self, loop):
+        loop.place(0, 1, 2)
+        loop.send({"cmd": "ping"})
+        assert loop.recv() == {
+            "event": "stats",
+            "frontend": "fe-test",
+            "in_flight": 1,
+            "pending": 2,
+            "completed": 0,
+            "aborted": 0,
+        }
+
+    def test_steal_gives_back_the_newest_queued_requests(self, loop):
+        """The oldest queued request is closest to a free slot here, so a
+        steal takes from the back; with nothing queued, the answer is an
+        empty list, which still clears the dispatcher's steal flag."""
+        loop.place(0, 1, 2)
+        stolen = []
+        for count in (1, 5, 1):
+            loop.send({"cmd": "steal", "count": count})
+            event = loop.recv()
+            assert event["event"] == "stolen"
+            stolen.append([r.request_id for r in event["requests"]])
+        assert stolen == [[2], [1], []]
+
+    def test_outcomes_are_sent_counted_and_free_the_slot(self, loop):
+        loop.outcomes[0] = "aborted"
+        loop.place(0, 1)
+        loop.open(0)
+        assert loop.recv() == {
+            "event": "aborted",
+            "frontend": "fe-test",
+            "request_id": 0,
+        }
+        loop.open(1)
+        assert loop.recv()["request_id"] == 1
+        loop.send({"cmd": "ping"})
+        stats = loop.recv()
+        assert (stats["in_flight"], stats["pending"]) == (0, 0)
+        assert (stats["completed"], stats["aborted"]) == (1, 1)
+
+    def test_drain_serves_what_is_queued_then_exits(self, loop):
+        loop.place(0, 1)
+        loop.send({"cmd": "drain"})
+        loop.open(0)
+        loop.open(1)
+        events = [loop.recv() for _ in range(3)]
+        assert [e.get("request_id") for e in events] == [0, 1, None]
+        assert events[-1] == {"event": "drained", "frontend": "fe-test"}
+        loop.thread.join(5.0)
+        assert not loop.thread.is_alive()
+
+    def test_stop_aborts_the_peers_of_every_live_session(self, loop):
+        """``stop`` does not wait for a session in flight: it tells that
+        session's peers — every server and the clients — to stop waiting,
+        and the loop returns while the session thread is still held."""
+        loop.place(0)
+        loop.send({"cmd": "ping"})
+        assert loop.recv()["in_flight"] == 1
+        loop.send({"cmd": "stop"})
+        loop.thread.join(5.0)
+        assert not loop.thread.is_alive()
+        abort = wire.encode_control("abort", b"front-end stopping")
+        assert loop.transports[0].sent == [
+            ("prover-0", abort),
+            ("prover-1", abort),
+            ("clients", abort),
+        ]
+
+    def test_a_closed_pipe_ends_the_loop(self, loop):
+        """A dispatcher that died without a word is a ``stop``: the worker
+        exits instead of serving headless."""
+        loop.close()
+        loop.thread.join(5.0)
+        assert not loop.thread.is_alive()

@@ -134,6 +134,7 @@ class EngineResult:
     timer: StageTimer
     network: SimulatedNetwork
     client_count: int
+    plan: AggregationPlan
     public_bits: dict[str, list[list[int]]] = field(default_factory=dict)
     broadcasts: list = field(default_factory=list)
     coin_messages: list = field(default_factory=list)
@@ -141,9 +142,18 @@ class EngineResult:
     complaints: dict[str, list[str]] = field(default_factory=dict)
 
     def to_bulletin(self, params: PublicParams):
-        """Serialize this run's public messages onto a bulletin board."""
+        """Serialize this run's public messages onto a bulletin board.
+
+        Only an identity-plan run (count, histogram) can be published:
+        the board carries no aggregation plan, and :func:`replay_audit`
+        replays the identity one."""
         from repro.core.bulletin import publish_run
 
+        if not self.plan.is_identity():
+            raise ParameterError(
+                "a v1 bulletin board carries no aggregation plan: only an "
+                "identity-plan run (count, histogram) can be published"
+            )
         return publish_run(
             params,
             self.broadcasts,
@@ -348,6 +358,7 @@ class ProtocolEngine:
             timer=self.timer,
             network=self.network,
             client_count=self._client_count,
+            plan=self.plan,
             public_bits=self._public_bits,
             broadcasts=self._broadcasts,
             coin_messages=self._coin_messages,

@@ -57,9 +57,9 @@ def _serve_parser() -> argparse.ArgumentParser:
         "dispatcher-orchestrated fleet: --frontends worker processes on one "
         "CPU each, each serving up to --capacity sessions at once over TCP, "
         "every session on its own listener with its peers as threads "
-        "(--frontends 1 is one front-end), behind one admission point with "
-        "health checks, work-stealing, drain and crash restart; each "
-        "session is byte-identical to its solo seeded run",
+        "(--frontends 1 is one front-end), behind one admission point whose "
+        "queue holds sessions until a slot is free, with drain and crash "
+        "restart; each session is byte-identical to its solo seeded run",
     )
     parser.add_argument(
         "--frontends",

@@ -35,10 +35,11 @@ This package closes that gap without touching the protocol engine:
   sessions: a :class:`FleetDispatcher` admits a stream of session
   requests and places them across a pool of front-end processes
   (:mod:`repro.net.frontend`, each a blocking command loop), one CPU
-  each, with health checks, work-stealing, graceful drain and crash
-  restart (``python -m repro serve --fleet``).  A front-end serves up to ``capacity`` sessions at
-  once, each on a thread of its own as the solo socket session with
-  peer threads, on a listener bound to that session.
+  each, holding sessions in one queue until a slot is free, with
+  graceful drain and crash restart (``python -m repro serve --fleet``).
+  A front-end serves up to ``capacity`` sessions at once, each on a
+  thread of its own as the solo socket session with peer threads, on a
+  listener bound to that session.
 
 The package itself imports nothing: import each name from the module
 that defines it (``from repro.net.serve import run_distributed_session``),

@@ -9,25 +9,28 @@ many sessions (``--fleet --frontends 1`` is a lone front-end):
   file (``repro serve --fleet --fleet-config fleet.json``).
 * :class:`FleetDispatcher` — the admission point.  Spawns one
   front-end worker process per pool slot, each serving up to
-  ``capacity`` concurrent sessions on one CPU of its own.  A monitor
-  thread multiplexes every worker's command pipe and process sentinel:
-  it collects outcomes, polls per-worker liveness/stats on a health
-  interval, steals queued sessions from a hot front-end into an idle one,
-  re-attributes a crashed worker's in-flight sessions as *crashed*
-  outcomes (never hangs), and respawns the worker up to
+  ``capacity`` concurrent sessions on one CPU of its own.  Admitted
+  sessions wait in the dispatcher's one FIFO queue until some front-end
+  has a free slot, so a session is placed only where it starts at once.
+  A monitor thread multiplexes every worker's command pipe and process
+  sentinel: it collects outcomes, places queued sessions into the slots
+  they free, re-attributes a crashed worker's placed sessions as
+  *crashed* outcomes (never hangs), and respawns the worker up to
   ``max_restarts`` times.
 * :func:`run_fleet` — the ``repro serve --fleet`` driver: submit a
-  stream of session requests, wait, drain (stop admitting, finish
-  in-flight, terminate), and verify the cross-cutting invariant —
-  every fleet-served release is byte-identical to a seeded in-process
-  :class:`repro.api.Session` run with the same seed and chunking.
+  stream of session requests, wait, drain (stop admitting, serve the
+  queue, stop each front-end once idle), and verify the cross-cutting
+  invariant — every fleet-served release is byte-identical to a seeded
+  in-process :class:`repro.api.Session` run with the same seed and
+  chunking.
 
 Each worker is :func:`repro.net.frontend.frontend_main`, a blocking
 command loop; this module imports it (and ``multiprocessing``) only when
-a dispatcher starts, so importing the fleet's types loads neither.  Inside each worker a placed session is served as the solo
-socket session (:func:`repro.net.serve.session_peers`) on a thread of
-its own: a listener bound to the session, then *scoped* peer threads —
-one :func:`~repro.net.roles.run_role` per entry of the cast: K
+a dispatcher starts, so importing the fleet's types loads neither.
+Inside each worker a placed session is served as the solo socket session
+(:func:`repro.net.serve.session_peers`) on a thread of its own: a
+listener bound to the session, then *scoped* peer threads — one
+:func:`~repro.net.roles.run_role` per entry of the cast: K
 :class:`~repro.net.nodes.ServerNode` and one
 :class:`~repro.net.nodes.ClientRunner` — dialing it over blocking
 ``roles.dial(..., session=s)`` connections.  That is a single-machine
@@ -49,10 +52,11 @@ import json
 import threading
 import time
 import typing
+from collections import deque
 from dataclasses import dataclass
 
 from repro.api.queries import Query
-from repro.errors import ParameterError, ProtocolAbort
+from repro.errors import ParameterError
 
 if typing.TYPE_CHECKING:
     from repro.net.metrics import ServingMetrics
@@ -99,7 +103,6 @@ class FleetConfig:
     chunk_size: int | None = None
     host: str = "127.0.0.1"
     timeout: float = 60.0
-    health_interval: float = 0.25
     max_restarts: int = 2
 
     def __post_init__(self) -> None:
@@ -111,8 +114,6 @@ class FleetConfig:
             raise ParameterError("num_servers must be >= 1")
         if self.max_restarts < 0:
             raise ParameterError("max_restarts must be >= 0")
-        if self.health_interval <= 0:
-            raise ParameterError("health_interval must be > 0")
 
     @classmethod
     def from_file(cls, path: str) -> "FleetConfig":
@@ -166,11 +167,12 @@ class SessionOutcome:
     ``"aborted"`` (the protocol rejected it; ``party``/``reason`` carry
     the attribution) or ``"crashed"`` (infrastructure died under it —
     e.g. its front-end process was killed; attributed to that worker,
-    never left hanging).
+    never left hanging).  ``frontend`` is ``None`` for a session that
+    was never placed: every front-end was gone while it waited.
     """
 
     request_id: int
-    frontend: str
+    frontend: str | None
     status: str
     accepted: bool = False
     estimate: tuple = ()
@@ -199,6 +201,11 @@ def _load_before_fork(config: FleetConfig) -> None:
     resolve(config.host, 0)
 
 
+# The monitor's wait on its pipes and sentinels times out only so that it
+# notices ``stop``; every outcome and exit wakes it at once.
+_MONITOR_WAIT = 0.25
+
+
 class _Worker:
     """Dispatcher-side record of one front-end process."""
 
@@ -208,15 +215,11 @@ class _Worker:
         self.process = process
         self.conn = conn
         # request_id -> SessionRequest: everything placed here that has
-        # no outcome yet.  The no-hang invariant rests on this map:
-        # every admitted request lives in exactly one worker's `placed`
-        # until its outcome is recorded.
+        # no outcome yet, never more than ``capacity`` requests.
         self.placed: dict[int, SessionRequest] = {}
-        self.stats = {"in_flight": 0, "pending": 0, "completed": 0, "aborted": 0}
-        self.draining = False
-        self.drained = False
         self.dead = False
-        self.steal_outstanding = False
+        # Told to stop once idle during a drain: its exit is clean.
+        self.retiring = False
 
     @property
     def load(self) -> int:
@@ -230,15 +233,23 @@ class _Worker:
 
 
 class FleetDispatcher:
-    """The admission point: places sessions, watches workers, never hangs.
+    """The admission point: queues sessions, places them, never hangs.
 
-    ``submit`` admits a :class:`SessionRequest` onto the least-loaded
-    live front-end; outcomes accumulate in :attr:`outcomes` (keyed by
-    request id) and :meth:`wait` blocks until every admitted request has
-    one.  A monitor thread drives health pings, work-stealing, crash
-    re-attribution and restarts.  Use as a context manager, or pair
-    :meth:`start` with :meth:`stop`.
+    ``submit`` admits a :class:`SessionRequest` into one FIFO queue, and
+    the dispatcher places the head of that queue on the least-loaded
+    live front-end with a free slot whenever one has.  Outcomes
+    accumulate in :attr:`outcomes` (keyed by request id) and
+    :meth:`wait` blocks until every admitted request has one.  The
+    no-hang invariant: every admitted request is either queued or in
+    exactly one worker's ``placed`` until its outcome is recorded.  A
+    monitor thread collects outcomes, re-attributes crashes and
+    restarts workers.  Use as a context manager, or pair :meth:`start`
+    with :meth:`stop`.
     """
+
+    # Nothing is re-placed once placed; kept for the benchmark's
+    # ``net.fleet.stolen`` line, which reads it.
+    stolen = 0
 
     def __init__(
         self,
@@ -258,8 +269,8 @@ class FleetDispatcher:
         self.workers: dict[str, _Worker] = {}
         self.outcomes: dict[int, SessionOutcome] = {}
         self.restarts: dict[str, int] = {}
-        self.stolen = 0
         self._submitted: set[int] = set()
+        self._queue: deque[SessionRequest] = deque()
         self._draining = False
         self._stopped = threading.Event()
         self._thread: threading.Thread | None = None
@@ -326,62 +337,91 @@ class FleetDispatcher:
 
     # Admission and placement ------------------------------------------------
 
-    def submit(self, request: SessionRequest) -> str:
-        """Admit one session onto the least-loaded live front-end;
-        returns the chosen front-end's name."""
+    def submit(self, request: SessionRequest) -> None:
+        """Admit one session into the queue; it is placed as soon as a
+        live front-end has a free slot."""
         with self._lock:
-            if self._draining:
-                raise ParameterError("fleet is draining; not admitting new sessions")
-            if request.request_id in self._submitted:
-                raise ParameterError(
-                    f"request id {request.request_id} already admitted"
-                )
-            worker = self._placement_target()
-            if worker is None:
-                raise ProtocolAbort("no live front-end to place the session on")  # repro: allow[REP004] -- infrastructure exhaustion, not party misbehaviour; there is no protocol party to name
-            self._place(worker, request)
-            if self.metrics is not None:
-                self.metrics.session_admitted()
-            return worker.name
+            self._admit(request)
+            self._queue.append(request)
+            self._dispatch()
 
     def place(self, request: SessionRequest, frontend: str) -> None:
-        """Pin one session onto a named front-end (tests and demos; the
-        normal path is :meth:`submit`)."""
+        """Pin one session into a free slot of a named front-end (tests
+        and demos; the normal path is :meth:`submit`)."""
         with self._lock:
             worker = self.workers.get(frontend)
-            if worker is None or worker.dead:
+            if worker is None or worker.dead or worker.retiring:
                 raise ParameterError(f"no live front-end named {frontend!r}")
+            if worker.load >= self.config.capacity:
+                raise ParameterError(
+                    f"front-end {frontend!r} is full: "
+                    f"{self.config.capacity} sessions placed"
+                )
+            self._admit(request)
             self._place(worker, request)
-            if self.metrics is not None:
-                self.metrics.session_admitted()
+            self._dispatch()
 
-    def _placement_target(self, exclude=()) -> _Worker | None:
-        live = [
-            w
-            for w in self.workers.values()
-            if not w.dead and not w.draining and w.name not in exclude
-        ]
-        if not live:
-            return None
-        return min(live, key=lambda w: (w.load, w.name))
+    def _admit(self, request: SessionRequest) -> None:
+        if self._draining:
+            raise ParameterError("fleet is draining; not admitting new sessions")
+        if request.request_id in self._submitted:
+            raise ParameterError(f"request id {request.request_id} already admitted")
+        self._submitted.add(request.request_id)
+        if self.metrics is not None:
+            self.metrics.session_admitted()
 
     def _place(self, worker: _Worker, request: SessionRequest) -> None:
         worker.placed[request.request_id] = request
-        self._submitted.add(request.request_id)
         worker.send({"cmd": "place", "request": request})
+
+    def _dispatch(self) -> None:
+        """Place queued requests, oldest first, each on the least-loaded
+        live front-end with a free slot.  With no front-end left, every
+        queued request crashes; once draining with nothing queued, each
+        idle front-end is told to stop.  Runs after every admission,
+        outcome, exit and respawn, with the lock held."""
+        live = [w for w in self.workers.values() if not w.dead and not w.retiring]
+        while self._queue:
+            free = [w for w in live if w.load < self.config.capacity]
+            if not free:
+                break
+            worker = min(free, key=lambda w: (w.load, w.name))
+            self._place(worker, self._queue.popleft())
+        if not live:
+            while self._queue:
+                self._record_outcome(
+                    SessionOutcome(
+                        self._queue.popleft().request_id,
+                        None,
+                        "crashed",
+                        reason="no live front-end left to serve the session",
+                    )
+                )
+        if self._draining and not self._queue:
+            for worker in live:
+                if not worker.placed:
+                    worker.retiring = True
+                    worker.send({"cmd": "stop"})
+        if self.metrics is not None:
+            self.metrics.queued.set(len(self._queue))
+            for worker in self.workers.values():
+                self.metrics.frontend_in_flight.set(worker.load, frontend=worker.name)
 
     # Waiting ----------------------------------------------------------------
 
     def wait(self, request_ids=None, timeout: float = 120.0) -> bool:
         """Block until every named (default: every admitted) request has
         an outcome; False on timeout."""
+        wanted = None if request_ids is None else list(request_ids)
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
-                wanted = (
-                    set(request_ids) if request_ids is not None else set(self._submitted)
-                )
-                if wanted <= set(self.outcomes):
+                if wanted is None:
+                    # Outcome keys are a subset of the admitted ids.
+                    done = len(self.outcomes) == len(self._submitted)
+                else:
+                    done = all(request_id in self.outcomes for request_id in wanted)
+                if done:
                     return True
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -389,20 +429,17 @@ class FleetDispatcher:
                 self._cond.wait(min(remaining, 0.25))
 
     def drain(self, timeout: float = 120.0) -> bool:
-        """Graceful shutdown: stop admitting, let every front-end finish
-        its pending and in-flight sessions, then reap them.  Returns
-        True once every worker exited (False on timeout; ``stop`` still
-        cleans up)."""
+        """Graceful shutdown: stop admitting, serve every queued and
+        placed session, and stop each front-end once it is idle.
+        Returns True once every worker exited (False on timeout; ``stop``
+        still cleans up)."""
         with self._lock:
             self._draining = True
-            for worker in self.workers.values():
-                if not worker.dead:
-                    worker.draining = True
-                    worker.send({"cmd": "drain"})
+            self._dispatch()
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
-                if not [w for w in self.workers.values() if not w.dead]:
+                if all(w.dead for w in self.workers.values()):
                     return True
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -414,7 +451,6 @@ class FleetDispatcher:
     def _run(self) -> None:
         from multiprocessing import connection
 
-        last_health = 0.0
         while not self._stopped.is_set():
             with self._lock:
                 live = [w for w in self.workers.values() if not w.dead]
@@ -422,10 +458,10 @@ class FleetDispatcher:
                 by_sentinel = {w.process.sentinel: w for w in live}
             handles = list(by_conn) + list(by_sentinel)
             if not handles:
-                self._stopped.wait(self.config.health_interval)
+                self._stopped.wait(_MONITOR_WAIT)
                 continue
             try:
-                ready = connection.wait(handles, timeout=self.config.health_interval)
+                ready = connection.wait(handles, timeout=_MONITOR_WAIT)
             except OSError:  # pragma: no cover - handle closed under us
                 ready = []
             with self._lock:
@@ -440,10 +476,7 @@ class FleetDispatcher:
                         # exiting, then classify the exit.
                         self._drain_events(worker)
                         self._handle_exit(worker)
-                now = time.monotonic()
-                if now - last_health >= self.config.health_interval:
-                    last_health = now
-                    self._health_tick()
+                self._dispatch()
                 self._cond.notify_all()
 
     def _drain_events(self, worker: _Worker) -> None:
@@ -462,86 +495,43 @@ class FleetDispatcher:
         """The single funnel every outcome passes through: stores it and
         keeps the metrics ledger balanced (one admitted -> exactly one
         finished, so in-flight returns to zero after a drain)."""
-        already = outcome.request_id in self.outcomes
         self.outcomes[outcome.request_id] = outcome
-        if self.metrics is not None and not already:
+        if self.metrics is not None:
             self.metrics.session_finished(
                 outcome.status, stages=stages, elapsed_s=outcome.elapsed_s
             )
 
     def _handle_event(self, worker: _Worker, event: dict) -> None:
-        kind = event.get("event")
-        if kind in ("released", "aborted", "failed"):
-            request_id = event["request_id"]
-            worker.placed.pop(request_id, None)
-            if kind == "released":
-                outcome = SessionOutcome(
-                    request_id,
-                    worker.name,
-                    "released",
-                    accepted=event["accepted"],
-                    estimate=tuple(event["estimate"]),
-                    release_frame=event["release"],
-                    elapsed_s=event["elapsed_s"],
-                )
-            elif kind == "aborted":
-                outcome = SessionOutcome(
-                    request_id,
-                    worker.name,
-                    "aborted",
-                    party=event.get("party"),
-                    reason=event.get("reason"),
-                )
-            else:
-                outcome = SessionOutcome(
-                    request_id,
-                    worker.name,
-                    "crashed",
-                    party=worker.name,
-                    reason=event.get("reason"),
-                )
-            self._record_outcome(outcome, stages=event.get("stages"))
-        elif kind == "stats":
-            worker.stats = {
-                key: event[key]
-                for key in ("in_flight", "pending", "completed", "aborted")
-            }
-            if self.metrics is not None:
-                self.metrics.frontend_stats(
-                    worker.name, event["in_flight"], event["pending"]
-                )
-        elif kind == "stolen":
-            worker.steal_outstanding = False
-            self._replace_stolen(worker, event.get("requests", []))
-        elif kind == "drained":
-            worker.drained = True
-
-    def _replace_stolen(self, worker: _Worker, requests) -> None:
-        for request in requests:
-            worker.placed.pop(request.request_id, None)
-            target = None
-            if not self._draining:
-                target = self._placement_target(exclude=(worker.name,))
-            if target is None:
-                # Nowhere better (or draining): hand it straight back —
-                # the worker serves its own queue rather than losing it.
-                target = worker if not worker.dead else self._placement_target()
-            elif target is not worker:
-                self.stolen += 1
-                if self.metrics is not None:
-                    self.metrics.stolen.inc()
-            if target is None:  # pragma: no cover - whole fleet died
-                self._record_outcome(
-                    SessionOutcome(
-                        request.request_id,
-                        worker.name,
-                        "crashed",
-                        party=worker.name,
-                        reason="no live front-end to host the stolen session",
-                    )
-                )
-                continue
-            self._place(target, request)
+        kind = event["event"]
+        request_id = event["request_id"]
+        worker.placed.pop(request_id, None)
+        if kind == "released":
+            outcome = SessionOutcome(
+                request_id,
+                worker.name,
+                "released",
+                accepted=event["accepted"],
+                estimate=tuple(event["estimate"]),
+                release_frame=event["release"],
+                elapsed_s=event["elapsed_s"],
+            )
+        elif kind == "aborted":
+            outcome = SessionOutcome(
+                request_id,
+                worker.name,
+                "aborted",
+                party=event.get("party"),
+                reason=event.get("reason"),
+            )
+        else:
+            outcome = SessionOutcome(
+                request_id,
+                worker.name,
+                "crashed",
+                party=worker.name,
+                reason=event.get("reason"),
+            )
+        self._record_outcome(outcome, stages=event.get("stages"))
 
     def _handle_exit(self, worker: _Worker) -> None:
         worker.dead = True
@@ -549,11 +539,9 @@ class FleetDispatcher:
             worker.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        if worker.drained and not worker.placed:
-            return  # clean drain exit
-        # Crash: every session placed here and not yet decided would
-        # otherwise hang its caller — re-attribute now, then respawn.
-        for request_id in list(worker.placed):
+        # A crash costs exactly the sessions placed here; queued ones
+        # wait for another front-end or for this one's respawn.
+        for request_id in worker.placed:
             self._record_outcome(
                 SessionOutcome(
                     request_id,
@@ -564,10 +552,8 @@ class FleetDispatcher:
                 )
             )
         worker.placed.clear()
-        if self.metrics is not None:
-            self.metrics.frontend_stats(worker.name, 0, 0)
-        if self._draining:
-            return
+        if self._draining and not self._queue:
+            return  # nothing left for a respawn to serve
         count = self.restarts.get(worker.name, 0)
         if count >= self.config.max_restarts:
             return
@@ -575,31 +561,6 @@ class FleetDispatcher:
         if self.metrics is not None:
             self.metrics.restarts.inc(frontend=worker.name)
         self._spawn(worker.name, worker.slot)
-
-    def _health_tick(self) -> None:
-        live = [w for w in self.workers.values() if not w.dead]
-        for worker in live:
-            worker.send({"cmd": "ping"})
-        if self._draining:
-            return
-        # Work-stealing: a front-end with sessions *queued* behind its
-        # capacity while another has free slots is mis-placed load —
-        # ask the hot one to give queued requests back for re-placement.
-        for worker in live:
-            if worker.steal_outstanding or worker.stats["pending"] <= 0:
-                continue
-            best_free, target = 0, None
-            for other in live:
-                if other is worker or other.draining:
-                    continue
-                free = self.config.capacity - other.load
-                if free > best_free:
-                    best_free, target = free, other
-            if target is not None:
-                worker.steal_outstanding = True
-                worker.send(
-                    {"cmd": "steal", "count": min(worker.stats["pending"], best_free)}
-                )
 
 
 # Driver -----------------------------------------------------------------------
@@ -715,7 +676,6 @@ def run_fleet(
         "finished": finished,
         "drained": drained,
         "restarts": dict(dispatcher.restarts),
-        "stolen": dispatcher.stolen,
         "frontends_used": sorted(
             {r["frontend"] for r in session_rows if r["frontend"] is not None}
         ),

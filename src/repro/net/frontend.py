@@ -7,9 +7,11 @@ is served the way ``run_distributed_session(transport="socket")`` serves
 one (:func:`repro.net.serve.session_peers`): on a thread of the worker's
 session executor, with a listener of the session's own, peer threads
 that dial it, and an analyst doing blocking frame I/O.  The loop places
-sessions and reports outcomes; no frame crosses it.  The dispatcher
-imports this module before it forks a worker: the worker inherits the
-loaded modules and compiles nothing (DESIGN.md "Cold start").
+sessions and reports outcomes; no frame crosses it, and nothing waits
+in it: the dispatcher places a session only into a free slot, so each
+one starts as it arrives.  The dispatcher imports this module before it
+forks a worker: the worker inherits the loaded modules and compiles
+nothing (DESIGN.md "Cold start").
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import os
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.crypto.serialization import encode_message
@@ -64,12 +65,9 @@ class _FrontEnd:
     """One fleet worker: the command loop that binds the dispatcher's
     pipe to a session executor of ``capacity`` threads.
 
-    Commands in: ``place`` (a :class:`SessionRequest`), ``steal`` (give
-    back queued-but-unstarted requests), ``ping`` (report stats),
-    ``drain`` (finish everything, then exit), ``stop`` (exit now).
-    Events out: ``released`` / ``aborted`` / ``failed`` per session,
-    ``stats`` per ping, ``stolen`` per steal, ``drained`` once idle
-    after a drain.
+    Commands in: ``place`` (a :class:`SessionRequest`, into a free
+    slot) and ``stop`` (exit now).  Events out: ``released`` /
+    ``aborted`` / ``failed``, one per session.
     """
 
     def __init__(self, name: str, conn, config: FleetConfig) -> None:
@@ -78,19 +76,14 @@ class _FrontEnd:
         self.config = config
         self.roles = peer_roles(config.num_servers, 0)
         self.server_names = role_names(self.roles, "server")
-        self.pending: deque[SessionRequest] = deque()
-        self.in_flight = 0
-        self.completed = 0
-        self.aborted = 0
-        self.draining = False
         self._next_session = 0
         # Dispatcher commands from the pipe-reader thread and session
         # outcomes from the session threads, read by the command loop
-        # alone: the state above is that one thread's, so takes no lock.
+        # alone, which is also the only thread that writes to the pipe.
         self._commands: queue.Queue[dict] = queue.Queue()
-        # Sized to the capacity: a placement queued behind a full
-        # executor would leave its peers blocked in their setup recv
-        # until the protocol timeout.
+        # Sized to the capacity, which the dispatcher never exceeds: a
+        # placement queued behind a full executor would leave its peers
+        # blocked in their setup recv until the protocol timeout.
         self._executor = ThreadPoolExecutor(
             max_workers=config.capacity, thread_name_prefix=f"{name}-session"
         )
@@ -105,19 +98,10 @@ class _FrontEnd:
                 command = self._commands.get()
                 cmd = command.get("cmd")
                 if cmd == "place":
-                    self.pending.append(command["request"])
-                    self._pump()
+                    self._start(command["request"])
                 elif cmd == "_finished":
-                    self._finished(command["session"].result())
-                elif cmd == "steal":
-                    self._steal(int(command.get("count", 1)))
-                elif cmd == "ping":
-                    self._send_stats()
-                elif cmd == "drain":
-                    self.draining = True
-                    self._pump()
-                    self._maybe_drained()
-                elif cmd in ("stop", "_exit"):
+                    self._send(command["session"].result())
+                elif cmd == "stop":
                     break
         finally:
             # Tell the peers of every session still in flight to stop
@@ -147,55 +131,13 @@ class _FrontEnd:
         except (OSError, ValueError, BrokenPipeError):
             pass  # dispatcher gone; the stop path will follow
 
-    def _send_stats(self) -> None:
-        self._send(
-            {
-                "event": "stats",
-                "frontend": self.name,
-                "in_flight": self.in_flight,
-                "pending": len(self.pending),
-                "completed": self.completed,
-                "aborted": self.aborted,
-            }
+    def _start(self, request: SessionRequest) -> None:
+        session = self._executor.submit(self._run_session, request, self._next_session)
+        self._next_session += 1
+        # Runs on the session thread once _run_session has returned.
+        session.add_done_callback(
+            lambda done: self._commands.put({"cmd": "_finished", "session": done})
         )
-
-    def _steal(self, count: int) -> None:
-        # Give back the newest queued requests (the oldest are closest
-        # to a free slot here); an empty list is a valid answer and
-        # clears the dispatcher's outstanding-steal flag.
-        taken = []
-        while self.pending and len(taken) < count:
-            taken.append(self.pending.pop())
-        self._send({"event": "stolen", "frontend": self.name, "requests": taken})
-        self._maybe_drained()
-
-    def _pump(self) -> None:
-        while self.pending and self.in_flight < self.config.capacity:
-            request = self.pending.popleft()
-            session = self._executor.submit(
-                self._run_session, request, self._next_session
-            )
-            self._next_session += 1
-            self.in_flight += 1
-            # Runs on the session thread once _run_session has returned.
-            session.add_done_callback(
-                lambda done: self._commands.put({"cmd": "_finished", "session": done})
-            )
-
-    def _finished(self, event: dict) -> None:
-        self.in_flight -= 1
-        if event["event"] == "released":
-            self.completed += 1
-        else:
-            self.aborted += 1
-        self._send(event)
-        self._pump()
-        self._maybe_drained()
-
-    def _maybe_drained(self) -> None:
-        if self.draining and not self.in_flight and not self.pending:
-            self._send({"event": "drained", "frontend": self.name})
-            self._commands.put({"cmd": "_exit"})
 
     def _run_session(self, request: SessionRequest, sid: int) -> dict:
         """Serve one placement on a session thread; returns its outcome

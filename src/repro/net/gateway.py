@@ -36,7 +36,7 @@ import socket
 import threading
 
 from repro.api.queries import Query
-from repro.errors import ParameterError, ProtocolAbort, ReproError
+from repro.errors import ParameterError, ReproError
 from repro.net.fleet import FleetDispatcher, SessionRequest
 
 __all__ = ["FleetGateway"]
@@ -152,7 +152,7 @@ class FleetGateway:
         )
         try:
             self.dispatcher.submit(request)
-        except (ParameterError, ProtocolAbort) as exc:
+        except ParameterError as exc:
             self._reply(
                 conn,
                 write_lock,

@@ -3,7 +3,7 @@
 Serving at fleet scale is only trustworthy if it is *observable while it
 happens*: an open-loop load run (``repro loadgen``) needs live counters
 to prove the fleet actually admitted/completed what the generator
-offered, and a long-lived deployment needs queue depths and per-phase
+offered, and a long-lived deployment needs its queue depth and per-phase
 engine timings without attaching a profiler.  This module provides the
 whole surface with nothing beyond the standard library:
 
@@ -16,8 +16,8 @@ whole surface with nothing beyond the standard library:
   friendly (``port=0`` binds one and exposes it as ``.port``).
 * :class:`ServingMetrics` — the serving stack's instrument set, fed
   by :class:`~repro.net.fleet.FleetDispatcher`: session outcome counters
-  (admitted / completed / aborted / crashed / stolen), in-flight and
-  per-front-end queue gauges, and per-phase engine-latency histograms
+  (admitted / completed / aborted / crashed), in-flight, queued and
+  per-front-end placed gauges, and per-phase engine-latency histograms
   fed by the ``phase:*`` stage entries that
   :class:`~repro.api.engine.ProtocolEngine` accumulates at each phase
   transition.
@@ -323,10 +323,6 @@ class ServingMetrics:
             "repro_sessions_crashed_total",
             "Sessions lost to infrastructure death (attributed, never hung)",
         )
-        self.stolen = r.counter(
-            "repro_sessions_stolen_total",
-            "Queued sessions re-placed from a hot front-end onto an idle one",
-        )
         self.restarts = r.counter(
             "repro_frontend_restarts_total",
             "Front-end worker processes respawned after a crash",
@@ -335,14 +331,13 @@ class ServingMetrics:
         self.in_flight = r.gauge(
             "repro_sessions_in_flight", "Admitted sessions without an outcome yet"
         )
+        self.queued = r.gauge(
+            "repro_sessions_queued",
+            "Admitted sessions waiting in the dispatcher for a free slot",
+        )
         self.frontend_in_flight = r.gauge(
             "repro_frontend_in_flight",
-            "Sessions currently executing on a front-end (health-ping stats)",
-            labelnames=("frontend",),
-        )
-        self.frontend_queue_depth = r.gauge(
-            "repro_frontend_queue_depth",
-            "Sessions queued behind a front-end's capacity (health-ping stats)",
+            "Sessions placed on a front-end and without an outcome yet",
             labelnames=("frontend",),
         )
         self.phase_seconds = r.histogram(
@@ -361,10 +356,10 @@ class ServingMetrics:
             self.completed,
             self.aborted,
             self.crashed,
-            self.stolen,
         ):
             counter.inc(0)
         self.in_flight.set(0)
+        self.queued.set(0)
 
     # Recording helpers -----------------------------------------------------
 
@@ -405,7 +400,3 @@ class ServingMetrics:
         for name, seconds in stages.items():
             if name.startswith("phase:"):
                 self.phase_seconds.observe(seconds, phase=name[len("phase:") :])
-
-    def frontend_stats(self, frontend: str, in_flight: int, pending: int) -> None:
-        self.frontend_in_flight.set(in_flight, frontend=frontend)
-        self.frontend_queue_depth.set(pending, frontend=frontend)

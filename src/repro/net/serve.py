@@ -490,8 +490,7 @@ def _main_fleet(args, query: Query, values) -> int:
     print(
         f"fleet health:      released={outcome['released']} "
         f"aborted={outcome['aborted']} crashed={outcome['crashed']} "
-        f"restarts={sum(outcome['restarts'].values())} "
-        f"stolen={outcome['stolen']}"
+        f"restarts={sum(outcome['restarts'].values())}"
     )
     print(f"front-ends used:   {', '.join(outcome['frontends_used']) or 'none'}")
     if "byte_identical" in outcome:

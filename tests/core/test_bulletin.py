@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.api import CountQuery, ProtocolEngine, Session
+from repro.api import BoundedSumQuery, CountQuery, ProtocolEngine, Session
 from repro.core.bulletin import BoardEntry, replay_audit
 from repro.core.client import Client, InconsistentShareClient, NonBinaryClient
 from repro.core.messages import AuditRecord, ClientStatus, ProverStatus
 from repro.core.params import setup
 from repro.core.prover import OutputTamperingProver
-from repro.errors import EncodingError
+from repro.errors import EncodingError, ParameterError
 from repro.utils.encoding import (
     decode_length_prefixed,
     encode_length_prefixed,
@@ -63,6 +63,20 @@ class TestHonestReplay:
         result = run_clients(params, clients, seed="bbh")
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.all_provers_honest()
+
+    def test_bounded_sum_run_is_refused_up_front(self):
+        """A bounded-sum run releases through a non-identity plan, which
+        a v1 board cannot carry and the replay would not apply: publishing
+        it is refused before any message is encoded."""
+        session = Session(
+            BoundedSumQuery(3, 1.0, 2**-10),
+            num_provers=1, group=GROUP, nb_override=8, rng=SeededRNG("bb-sum"),
+        )
+        session.submit([1, 5, 7])
+        result = session.release()[0].engine_result
+        assert result.release.accepted
+        with pytest.raises(ParameterError, match="no aggregation plan"):
+            result.to_bulletin(session.params)
 
     def test_board_sizes_accounted(self):
         params, result, board = run_and_publish(seed="bb3")

@@ -1,17 +1,20 @@
-"""Fleet serving: placement, byte-identity, crash restart, drain, stealing.
+"""Fleet serving: admission queue, byte-identity, crash restart, drain.
 
 The fleet layer's contract, pinned end to end:
 
 * every session served through the fleet releases byte-identical to the
   seeded in-process :class:`repro.api.Session`;
+* sessions wait in the dispatcher's one FIFO queue and are placed only
+  into a free slot: no front-end ever holds more than ``capacity``, and
+  ``place`` onto a full one is refused;
 * a front-end killed mid-session costs an *attributed* ``crashed``
-  outcome (party = the dead worker), never a hang, and the dispatcher
-  restarts the worker and keeps serving;
-* drain finishes everything already admitted and admits nothing new;
-* a hot front-end's queued sessions are stolen onto an idle one;
+  outcome (party = the dead worker) for exactly the sessions placed on
+  it, never a hang; queued sessions go to a live or respawned
+  front-end, or crash with a reason once none is left;
+* drain serves everything already admitted and admits nothing new;
 * every front-end keeps to one CPU of its own;
-* a worker's command loop places, steals, reports, drains and stops as
-  its commands say, and ``stop`` aborts the peers of every live session;
+* a worker's command loop starts what is placed, reports each outcome
+  and stops as told, and ``stop`` aborts the peers of every live session;
 * each session has a listener of its own: a late dial is refused, and a
   trickled handshake holds up only the session whose listener it is on.
 """
@@ -40,6 +43,7 @@ from repro.net.fleet import (
     session_values,
 )
 from repro.net.frontend import _cpu_share, _FrontEnd
+from repro.net.metrics import ServingMetrics
 from repro.net.transport import SocketTransport, pack_frame
 from repro.utils.rng import SeededRNG
 
@@ -135,7 +139,6 @@ class TestFleetServing:
             ('{"num_servers": 1.5}', "num_servers"),
             ('{"max_restarts": null}', "max_restarts"),
             ('{"timeout": "30"}', "timeout"),
-            ('{"health_interval": false}', "health_interval"),
             ('{"group": 64}', "group"),
             ('{"nb_override": "64"}', "nb_override"),
             ('{"chunk_size": true}', "chunk_size"),
@@ -147,14 +150,27 @@ class TestFleetServing:
         with pytest.raises(ParameterError, match=key):
             FleetConfig.from_file(str(path))
 
+    def test_config_file_health_interval_key_is_unknown(self, tmp_path, capsys):
+        """The dispatcher pings no front-end, so ``health_interval`` is no
+        key, and a config file that still sets it is bad usage (exit 2)."""
+        from repro.cli import main
+
+        path = tmp_path / "fleet.json"
+        path.write_text('{"frontends": 1, "health_interval": 0.5}')
+        with pytest.raises(
+            ParameterError, match=r"unknown fleet config keys: \['health_interval'\]"
+        ):
+            FleetConfig.from_file(str(path))
+        assert main(["serve", "--fleet", "--fleet-config", str(path)]) == 2
+        assert "health_interval" in capsys.readouterr().err
+
     def test_config_file_accepts_every_json_type_it_declares(self, tmp_path):
         path = tmp_path / "fleet.json"
         path.write_text(
-            '{"timeout": 30, "health_interval": 0.5, "nb_override": null,'
-            ' "chunk_size": 8, "group": "p32-sim"}'
+            '{"timeout": 30, "nb_override": null, "chunk_size": 8, "group": "p32-sim"}'
         )
         config = FleetConfig.from_file(str(path))
-        assert (config.timeout, config.health_interval) == (30, 0.5)
+        assert config.timeout == 30
         assert (config.nb_override, config.chunk_size, config.group) == (None, 8, "p32-sim")
 
     def test_config_file_type_error_is_a_usage_exit(self, tmp_path, capsys):
@@ -224,34 +240,29 @@ class TestFleetLifecycle:
             time.sleep(0.02)
         raise AssertionError(f"timed out waiting for {what}")
 
-    def test_killed_frontend_attributed_restarted_survivors_identical(self):
+    def test_killed_frontend_attributed_restarted_survivors_identical(
+        self, session_started
+    ):
         """Kill fe-0 with a session in flight: the session becomes an
         attributed ``crashed`` outcome (not a hang), the dispatcher
         respawns fe-0 and serves a new request through it, and fe-1's
         concurrent session stays byte-identical."""
         config = FleetConfig(
-            frontends=2,
-            capacity=1,
-            num_servers=2,
-            nb_override=16,
-            timeout=30.0,
-            health_interval=0.05,
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
         victim = SessionRequest(
             0, QUERY, [1, 0, 1], seed="fleet-kill/s0", reply_delay=0.5
         )
         survivor = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-kill/s1")
         retry = SessionRequest(2, QUERY, [1, 1, 0], seed="fleet-kill/s2")
+        started = session_started(victim.seed)
         start = time.monotonic()
         with FleetDispatcher(config) as dispatcher:
             dispatcher.place(victim, "fe-0")
             dispatcher.place(survivor, "fe-1")
             # The victim's 0.5 s-per-RPC session is provably in flight
-            # once fe-0's health stats report it.
-            self._wait_for(
-                lambda: dispatcher.workers["fe-0"].stats["in_flight"] >= 1,
-                what="fe-0 to report the session in flight",
-            )
+            # once its clients peer has started.
+            assert started[victim.seed].wait(30.0), "victim session never started"
             dispatcher.workers["fe-0"].process.kill()
             assert dispatcher.wait({0, 1}, timeout=60.0), dispatcher.outcomes
             crashed = dispatcher.outcomes[0]
@@ -274,24 +285,190 @@ class TestFleetLifecycle:
                 assert outcome.status == "released"
                 assert outcome.release_frame == _solo_frame(request)
 
-    def test_drain_finishes_in_flight_and_admits_nothing_new(self):
-        """Drain with one session running and one queued: both finish
-        and release; a post-drain submit is refused."""
+    def test_crash_costs_only_the_sessions_placed_on_it(self, session_started):
+        """Two front-ends of one slot each, four sessions, the first two
+        slow.  Killing fe-0 once both slow sessions run costs exactly
+        the one placed on it: the two still queued wait for a free slot
+        and release, like fe-1's, byte-identical to their solo runs."""
+        config = FleetConfig(
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        requests = [
+            SessionRequest(
+                i,
+                QUERY,
+                session_values([1, 0, 1], i),
+                seed=session_seed("fleet-queue-kill", i),
+                reply_delay=0.25 if i < 2 else 0.0,
+            )
+            for i in range(4)
+        ]
+        started = session_started(requests[0].seed, requests[1].seed)
+        with FleetDispatcher(config) as dispatcher:
+            for request in requests:
+                dispatcher.submit(request)
+            for request in requests[:2]:
+                assert started[request.seed].wait(30.0), f"{request.seed} never started"
+            dispatcher.workers["fe-0"].process.kill()
+            assert dispatcher.wait(timeout=90.0), dispatcher.outcomes
+        statuses = {i: dispatcher.outcomes[i].status for i in range(4)}
+        assert statuses == {0: "crashed", 1: "released", 2: "released", 3: "released"}
+        assert dispatcher.outcomes[0].party == "fe-0"
+        for request in requests[1:]:
+            assert dispatcher.outcomes[request.request_id].release_frame == _solo_frame(
+                request
+            )
+
+    def test_queued_sessions_crash_once_no_frontend_is_left(self, session_started):
+        """One front-end with no restarts, one session running and one
+        queued: killing it crashes the running one (naming fe-0) and the
+        queued one (never placed, with a reason), and ``wait`` returns."""
         config = FleetConfig(
             frontends=1,
             capacity=1,
             num_servers=2,
             nb_override=16,
             timeout=30.0,
-            health_interval=0.05,
+            max_restarts=0,
+        )
+        running = SessionRequest(
+            0, QUERY, [1, 0, 1], seed="fleet-last/s0", reply_delay=0.25
+        )
+        queued = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-last/s1")
+        started = session_started(running.seed)
+        with FleetDispatcher(config) as dispatcher:
+            dispatcher.submit(running)
+            dispatcher.submit(queued)
+            assert started[running.seed].wait(30.0), "running session never started"
+            dispatcher.workers["fe-0"].process.kill()
+            assert dispatcher.wait(timeout=30.0), dispatcher.outcomes
+            assert dispatcher.drain(timeout=10.0)
+        first, second = dispatcher.outcomes[0], dispatcher.outcomes[1]
+        assert (first.status, first.frontend, first.party) == ("crashed", "fe-0", "fe-0")
+        assert (second.status, second.frontend) == ("crashed", None)
+        assert "no live front-end" in second.reason
+        assert dispatcher.restarts == {}
+
+    def test_place_onto_a_full_frontend_is_refused(self):
+        """``place`` pins a session only into a free slot: a second one
+        onto a capacity-1 front-end is refused and never admitted."""
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        first = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-full/s0", reply_delay=0.1)
+        with FleetDispatcher(config) as dispatcher:
+            dispatcher.place(first, "fe-0")
+            with pytest.raises(ParameterError, match="full"):
+                dispatcher.place(
+                    SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-full/s1"), "fe-0"
+                )
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+            assert list(dispatcher.outcomes) == [0]
+            assert dispatcher.outcomes[0].release_frame == _solo_frame(first)
+
+    def test_more_sessions_than_slots_wait_in_submission_order(self, monkeypatch):
+        """Six sessions on two front-ends of one slot each: every placement
+        finds its front-end below capacity, the queue places them in
+        submission order — the later four into slots that outcomes freed
+        — so each front-end releases in that order, and every release is
+        byte-identical to its solo run."""
+        config = FleetConfig(
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        requests = [
+            SessionRequest(
+                i,
+                QUERY,
+                session_values([1, 0, 1, 1], i),
+                seed=session_seed("fleet-queue", i),
+            )
+            for i in range(6)
+        ]
+        placements = []
+        real_place = FleetDispatcher._place
+
+        def place(self, worker, request):
+            real_place(self, worker, request)
+            placements.append(
+                (request.request_id, worker.load, threading.current_thread().name)
+            )
+
+        monkeypatch.setattr(FleetDispatcher, "_place", place)
+        with FleetDispatcher(config) as dispatcher:
+            for request in requests:
+                dispatcher.submit(request)
+            assert dispatcher.wait(timeout=90.0), dispatcher.outcomes
+        assert [request_id for request_id, _, _ in placements] == list(range(6))
+        assert max(load for _, load, _ in placements) == 1
+        refills = [who for _, _, who in placements if who == "fleet-dispatcher"]
+        assert len(refills) == 4, placements
+        for name in ("fe-0", "fe-1"):
+            served = [i for i, o in dispatcher.outcomes.items() if o.frontend == name]
+            assert served == sorted(served) and served, dispatcher.outcomes
+        for request in requests:
+            outcome = dispatcher.outcomes[request.request_id]
+            assert outcome.status == "released", outcome
+            assert outcome.release_frame == _solo_frame(request)
+
+    def test_concurrent_submitters_never_overfill_a_frontend(self, monkeypatch):
+        """Four threads submit three sessions each, with the interpreter
+        switching threads every 10 µs, while the monitor refills slots:
+        every placement finds its front-end below capacity and each
+        request gets exactly one outcome, a release."""
+        config = FleetConfig(
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        loads = []
+        real_place = FleetDispatcher._place
+
+        def place(self, worker, request):
+            real_place(self, worker, request)
+            loads.append(worker.load)
+
+        monkeypatch.setattr(FleetDispatcher, "_place", place)
+        with FleetDispatcher(config) as dispatcher:
+
+            def submitter(first):
+                for i in range(first, first + 3):
+                    dispatcher.submit(
+                        SessionRequest(i, QUERY, [1, 0, 1], seed=f"fleet-race/s{i}")
+                    )
+
+            threads = [
+                threading.Thread(target=submitter, args=(3 * t,)) for t in range(4)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert dispatcher.wait(timeout=90.0), dispatcher.outcomes
+        assert sorted(dispatcher.outcomes) == list(range(12))
+        assert {o.status for o in dispatcher.outcomes.values()} == {"released"}
+        assert len(loads) == 12 and max(loads) == 1, loads
+
+    def test_drain_finishes_in_flight_and_admits_nothing_new(self):
+        """Drain with one session running and one queued: both finish
+        and release; a post-drain submit is refused, and the in-flight
+        and queued gauges both read 0."""
+        metrics = ServingMetrics()
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
         running = SessionRequest(
             0, QUERY, [1, 0, 1], seed="fleet-drain/s0", reply_delay=0.15
         )
         queued = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-drain/s1")
-        with FleetDispatcher(config) as dispatcher:
+        with FleetDispatcher(config, metrics=metrics) as dispatcher:
             dispatcher.submit(running)
             dispatcher.submit(queued)
+            assert metrics.queued.value() == 1
+            assert metrics.frontend_in_flight.value(frontend="fe-0") == 1
             assert dispatcher.drain(timeout=60.0)
             assert dispatcher.outcomes[0].status == "released"
             assert dispatcher.outcomes[1].status == "released"
@@ -302,64 +479,27 @@ class TestFleetLifecycle:
             for request in (running, queued):
                 outcome = dispatcher.outcomes[request.request_id]
                 assert outcome.release_frame == _solo_frame(request)
+        assert metrics.in_flight.value() == 0
+        assert metrics.queued.value() == 0
+        assert metrics.frontend_in_flight.value(frontend="fe-0") == 0
+        assert dispatcher.restarts == {}
 
-    def test_hot_frontend_sessions_stolen_onto_idle_one(self):
-        """Pile 4 sessions onto fe-0 (capacity 1, slow RPCs) while fe-1
-        idles: the dispatcher steals queued sessions across, some land
-        on fe-1, and everything still releases byte-identically."""
-        config = FleetConfig(
-            frontends=2,
-            capacity=1,
-            num_servers=2,
-            nb_override=16,
-            timeout=60.0,
-            health_interval=0.05,
-        )
-        requests = [
-            SessionRequest(
-                i,
-                QUERY,
-                session_values([1, 0, 1], i),
-                seed=session_seed("fleet-steal", i),
-                reply_delay=0.25,
-            )
-            for i in range(4)
-        ]
-        with FleetDispatcher(config) as dispatcher:
-            for request in requests:
-                dispatcher.place(request, "fe-0")
-            assert dispatcher.wait(timeout=120.0), dispatcher.outcomes
-            assert dispatcher.stolen >= 1
-            frontends = {o.frontend for o in dispatcher.outcomes.values()}
-            assert "fe-1" in frontends, dispatcher.outcomes
-            for request in requests:
-                outcome = dispatcher.outcomes[request.request_id]
-                assert outcome.status == "released"
-                assert outcome.release_frame == _solo_frame(request)
-
-    def test_stop_with_sessions_in_flight_is_prompt(self):
+    def test_stop_with_sessions_in_flight_is_prompt(self, session_started):
         """``stop`` (no grace) tells the peers of every session still in
         flight to stop waiting, so the worker's session threads end and
         it exits at once instead of serving its slow sessions out."""
         config = FleetConfig(
-            frontends=1,
-            capacity=2,
-            num_servers=2,
-            nb_override=16,
-            timeout=30.0,
-            health_interval=0.05,
+            frontends=1, capacity=2, num_servers=2, nb_override=16, timeout=30.0
         )
+        seeds = [f"stop/s{i}" for i in range(2)]
+        started = session_started(*seeds)
         dispatcher = FleetDispatcher(config).start()
         try:
-            for i in range(2):
-                request = SessionRequest(
-                    i, QUERY, [1, 0, 1], seed=f"stop/s{i}", reply_delay=0.5
-                )
+            for i, seed in enumerate(seeds):
+                request = SessionRequest(i, QUERY, [1, 0, 1], seed=seed, reply_delay=0.5)
                 dispatcher.place(request, "fe-0")
-            self._wait_for(
-                lambda: dispatcher.workers["fe-0"].stats["in_flight"] == 2,
-                what="both sessions in flight",
-            )
+            for seed in seeds:
+                assert started[seed].wait(30.0), f"{seed} never started"
         finally:
             start = time.monotonic()
             dispatcher.stop()
@@ -576,10 +716,11 @@ class _RecordingTransport:
 class TestCommandLoop:
     """The worker's command loop, driven in-process through a pipe.
 
-    Each placed session is a stand-in for ``_run_session`` that holds its
-    thread until the test opens that request's gate, then returns the
-    outcome the test chose — so what is queued, in flight and reported is
-    fixed by the commands alone, not by how fast a real session runs.
+    Each placed session is a stand-in for ``_run_session`` that marks
+    itself entered, holds its thread until the test opens that request's
+    gate, then returns the outcome the test chose — so what is in flight
+    and reported is fixed by the commands alone, not by how fast a real
+    session runs.
     """
 
     @pytest.fixture
@@ -591,15 +732,20 @@ class TestCommandLoop:
             FleetConfig(frontends=1, capacity=1, num_servers=2, nb_override=16),
         )
         gates: dict[int, threading.Event] = {}
+        entered: dict[int, threading.Event] = {}
         outcomes: dict[int, str] = {}
         transports: dict[int, _RecordingTransport] = {}
 
         def gate(request_id):
             return gates.setdefault(request_id, threading.Event())
 
+        def enter(request_id):
+            return entered.setdefault(request_id, threading.Event())
+
         def run_session(request, sid):
             transport = transports[request.request_id] = _RecordingTransport()
             frontend._live[sid] = transport
+            enter(request.request_id).set()
             try:
                 gate(request.request_id).wait(10.0)
             finally:
@@ -630,6 +776,7 @@ class TestCommandLoop:
             send=here.send,
             recv=recv,
             place=place,
+            entered=lambda request_id: enter(request_id).wait(5.0),
             open=lambda request_id: gate(request_id).set(),
             close=here.close,
         )
@@ -646,65 +793,34 @@ class TestCommandLoop:
             there.close()
         assert not thread.is_alive()
 
-    def test_ping_reports_what_is_queued_and_in_flight(self, loop):
-        loop.place(0, 1, 2)
-        loop.send({"cmd": "ping"})
-        assert loop.recv() == {
-            "event": "stats",
-            "frontend": "fe-test",
-            "in_flight": 1,
-            "pending": 2,
-            "completed": 0,
-            "aborted": 0,
-        }
-
-    def test_steal_gives_back_the_newest_queued_requests(self, loop):
-        """The oldest queued request is closest to a free slot here, so a
-        steal takes from the back; with nothing queued, the answer is an
-        empty list, which still clears the dispatcher's steal flag."""
-        loop.place(0, 1, 2)
-        stolen = []
-        for count in (1, 5, 1):
-            loop.send({"cmd": "steal", "count": count})
-            event = loop.recv()
-            assert event["event"] == "stolen"
-            stolen.append([r.request_id for r in event["requests"]])
-        assert stolen == [[2], [1], []]
-
     def test_outcomes_are_sent_counted_and_free_the_slot(self, loop):
+        """Each session's outcome goes to the dispatcher as it ends, and
+        its slot is free again: on a one-slot front-end, the next
+        placement starts once the first has reported."""
         loop.outcomes[0] = "aborted"
-        loop.place(0, 1)
+        loop.place(0)
+        assert loop.entered(0)
         loop.open(0)
         assert loop.recv() == {
             "event": "aborted",
             "frontend": "fe-test",
             "request_id": 0,
         }
+        loop.place(1)
+        assert loop.entered(1)
         loop.open(1)
-        assert loop.recv()["request_id"] == 1
-        loop.send({"cmd": "ping"})
-        stats = loop.recv()
-        assert (stats["in_flight"], stats["pending"]) == (0, 0)
-        assert (stats["completed"], stats["aborted"]) == (1, 1)
-
-    def test_drain_serves_what_is_queued_then_exits(self, loop):
-        loop.place(0, 1)
-        loop.send({"cmd": "drain"})
-        loop.open(0)
-        loop.open(1)
-        events = [loop.recv() for _ in range(3)]
-        assert [e.get("request_id") for e in events] == [0, 1, None]
-        assert events[-1] == {"event": "drained", "frontend": "fe-test"}
-        loop.thread.join(5.0)
-        assert not loop.thread.is_alive()
+        assert loop.recv() == {
+            "event": "released",
+            "frontend": "fe-test",
+            "request_id": 1,
+        }
 
     def test_stop_aborts_the_peers_of_every_live_session(self, loop):
         """``stop`` does not wait for a session in flight: it tells that
         session's peers — every server and the clients — to stop waiting,
         and the loop returns while the session thread is still held."""
         loop.place(0)
-        loop.send({"cmd": "ping"})
-        assert loop.recv()["in_flight"] == 1
+        assert loop.entered(0)
         loop.send({"cmd": "stop"})
         loop.thread.join(5.0)
         assert not loop.thread.is_alive()

@@ -74,12 +74,7 @@ class TestPlanDeterminism:
 class TestGatewayE2E:
     def _fleet_config(self):
         return FleetConfig(
-            frontends=2,
-            capacity=2,
-            num_servers=2,
-            nb_override=16,
-            timeout=60.0,
-            health_interval=0.05,
+            frontends=2, capacity=2, num_servers=2, nb_override=16, timeout=60.0
         )
 
     def test_open_loop_run_loses_nothing_and_metrics_agree(self):

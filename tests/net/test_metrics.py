@@ -215,12 +215,7 @@ class TestLiveFleetScrape:
         metrics = ServingMetrics()
         server = MetricsServer(metrics.registry)
         config = FleetConfig(
-            frontends=2,
-            capacity=2,
-            num_servers=2,
-            nb_override=16,
-            timeout=60.0,
-            health_interval=0.05,
+            frontends=2, capacity=2, num_servers=2, nb_override=16, timeout=60.0
         )
         requests = [
             SessionRequest(
@@ -250,35 +245,29 @@ class TestLiveFleetScrape:
             assert final["repro_sessions_completed_total"] == 4
             assert final["repro_sessions_crashed_total"] == 0
             assert final["repro_sessions_in_flight"] == 0
+            assert final["repro_sessions_queued"] == 0
             assert final['repro_engine_phase_seconds_count{phase="morra"}'] == 4
             assert final["repro_session_seconds_count"] == 4
         finally:
             server.close()
 
-    def test_killed_frontend_increments_crashed_and_restarts(self):
+    def test_killed_frontend_increments_crashed_and_restarts(self, session_started):
         """Kill fe-0 with a slow session provably in flight: the scrape
         shows crashed == 1, a restart for fe-0, and the ledger still
         balances (in-flight back to 0)."""
         metrics = ServingMetrics()
         server = MetricsServer(metrics.registry)
         config = FleetConfig(
-            frontends=2,
-            capacity=1,
-            num_servers=2,
-            nb_override=16,
-            timeout=30.0,
-            health_interval=0.05,
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
         victim = SessionRequest(
             0, QUERY, [1, 0, 1], seed="metrics-kill/s0", reply_delay=0.5
         )
+        started = session_started(victim.seed)
         try:
             with FleetDispatcher(config, metrics=metrics) as dispatcher:
                 dispatcher.place(victim, "fe-0")
-                self._wait_for(
-                    lambda: dispatcher.workers["fe-0"].stats["in_flight"] >= 1,
-                    what="fe-0 to report the session in flight",
-                )
+                assert started[victim.seed].wait(30.0), "victim session never started"
                 dispatcher.workers["fe-0"].process.kill()
                 assert dispatcher.wait({0}, timeout=60.0), dispatcher.outcomes
                 self._wait_for(

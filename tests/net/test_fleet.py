@@ -366,6 +366,98 @@ class TestFleetLifecycle:
             assert list(dispatcher.outcomes) == [0]
             assert dispatcher.outcomes[0].release_frame == _solo_frame(first)
 
+    def test_place_onto_an_unknown_frontend_admits_nothing(self):
+        """``place`` onto a name the pool does not have is refused before
+        admission: the same request id can still be submitted, and it
+        releases."""
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        request = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-unknown/s0")
+        with FleetDispatcher(config) as dispatcher:
+            with pytest.raises(ParameterError, match="no live front-end named 'fe-9'"):
+                dispatcher.place(request, "fe-9")
+            assert dispatcher.wait(timeout=0.0)
+            dispatcher.submit(request)
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+        assert dispatcher.outcomes[0].release_frame == _solo_frame(request)
+
+    def test_a_request_id_is_admitted_once(self):
+        """A second admission of an id already admitted — queued, placed
+        or finished — is refused, so no id can have two outcomes."""
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        first = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-dup/s0")
+        again = SessionRequest(0, QUERY, [0, 1, 1], seed="fleet-dup/again")
+        with FleetDispatcher(config) as dispatcher:
+            dispatcher.submit(first)
+            with pytest.raises(ParameterError, match="request id 0 already admitted"):
+                dispatcher.submit(again)
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+            with pytest.raises(ParameterError, match="already admitted"):
+                dispatcher.place(again, "fe-0")
+        assert list(dispatcher.outcomes) == [0]
+        assert dispatcher.outcomes[0].release_frame == _solo_frame(first)
+
+    def test_wait_names_requests_or_every_admitted_one(self):
+        """``wait()`` covers every admitted request (none admitted: done
+        at once); ``wait(ids)`` only the named ones, and an id never
+        admitted is never done."""
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        slow = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-wait/s0", reply_delay=0.5)
+        with FleetDispatcher(config) as dispatcher:
+            assert dispatcher.wait(timeout=0.0)
+            dispatcher.submit(slow)
+            assert not dispatcher.wait(timeout=0.05)
+            assert not dispatcher.wait({0}, timeout=0.05)
+            assert dispatcher.wait({0}, timeout=60.0), dispatcher.outcomes
+            assert dispatcher.wait(timeout=0.0)
+            assert not dispatcher.wait({0, 7}, timeout=0.05)
+        assert dispatcher.outcomes[0].status == "released"
+
+    def test_failed_session_is_crashed_on_its_frontend_which_serves_on(
+        self, monkeypatch
+    ):
+        """A session that fails inside the worker (not a protocol abort)
+        is a ``crashed`` outcome naming its front-end and the error; the
+        worker lives on and serves the next session byte-identical."""
+        from repro.net import frontend
+
+        real_session_peers = frontend.session_peers
+
+        def session_peers(*args, **kwargs):
+            if args[4] == "fleet-fail/s0":
+                raise RuntimeError("listener exploded")
+            return real_session_peers(*args, **kwargs)
+
+        # Patched before the fork: the worker inherits it.
+        monkeypatch.setattr(frontend, "session_peers", session_peers)
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        failing = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-fail/s0")
+        after = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-fail/s1")
+        with FleetDispatcher(config) as dispatcher:
+            dispatcher.submit(failing)
+            dispatcher.submit(after)
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+            pid = dispatcher.workers["fe-0"].process.pid
+            assert dispatcher.drain(timeout=30.0)
+        failed = dispatcher.outcomes[0]
+        assert (failed.status, failed.frontend, failed.party) == (
+            "crashed",
+            "fe-0",
+            "fe-0",
+        )
+        assert failed.reason == "RuntimeError: listener exploded"
+        assert dispatcher.outcomes[1].release_frame == _solo_frame(after)
+        assert dispatcher.restarts == {}
+        assert dispatcher.workers["fe-0"].process.pid == pid
+        assert dispatcher.workers["fe-0"].process.exitcode == 0
+
     def test_more_sessions_than_slots_wait_in_submission_order(self, monkeypatch):
         """Six sessions on two front-ends of one slot each: every placement
         finds its front-end below capacity, the queue places them in
@@ -482,6 +574,31 @@ class TestFleetLifecycle:
         assert metrics.in_flight.value() == 0
         assert metrics.queued.value() == 0
         assert metrics.frontend_in_flight.value(frontend="fe-0") == 0
+        assert dispatcher.restarts == {}
+
+    def test_drain_stops_an_idle_frontend_while_another_serves(self, session_started):
+        """Drain with one of two front-ends busy: the idle one is told to
+        stop at once and exits cleanly, unreplaced, while the busy one
+        serves its session out and then exits too."""
+        config = FleetConfig(
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        slow = SessionRequest(
+            0, QUERY, [1, 0, 1], seed="fleet-drain-idle/s0", reply_delay=0.5
+        )
+        started = session_started(slow.seed)
+        with FleetDispatcher(config) as dispatcher:
+            dispatcher.place(slow, "fe-0")
+            assert started[slow.seed].wait(30.0), "slow session never started"
+            idle = dispatcher.workers["fe-1"]
+            assert not dispatcher.drain(timeout=0.0)
+            idle.process.join(10.0)
+            assert idle.process.exitcode == 0
+            assert 0 not in dispatcher.outcomes
+            assert dispatcher.drain(timeout=60.0)
+            assert dispatcher.workers["fe-1"] is idle
+        assert dispatcher.outcomes[0].release_frame == _solo_frame(slow)
+        assert dispatcher.workers["fe-0"].process.exitcode == 0
         assert dispatcher.restarts == {}
 
     def test_stop_with_sessions_in_flight_is_prompt(self, session_started):
@@ -775,6 +892,7 @@ class TestCommandLoop:
             transports=transports,
             send=here.send,
             recv=recv,
+            quiet=lambda: not here.poll(0.3),
             place=place,
             entered=lambda request_id: enter(request_id).wait(5.0),
             open=lambda request_id: gate(request_id).set(),
@@ -814,6 +932,25 @@ class TestCommandLoop:
             "frontend": "fe-test",
             "request_id": 1,
         }
+
+    def test_only_place_and_stop_are_commands(self, loop):
+        """The loop answers no other command: a ``ping`` or ``steal`` gets
+        no reply and changes nothing, and the next placement is served
+        and reported as before."""
+        loop.send({"cmd": "ping"})
+        loop.send({"cmd": "steal", "count": 1})
+        assert loop.quiet()
+        loop.place(0)
+        assert loop.entered(0)
+        assert loop.quiet()
+        loop.open(0)
+        assert loop.recv() == {
+            "event": "released",
+            "frontend": "fe-test",
+            "request_id": 0,
+        }
+        assert loop.quiet()
+        assert loop.thread.is_alive()
 
     def test_stop_aborts_the_peers_of_every_live_session(self, loop):
         """``stop`` does not wait for a session in flight: it tells that

@@ -135,7 +135,6 @@ __all__ = [
     "select_algorithm",
     "FixedBaseTable",
     "CombPair",
-    "dual_power",
     "shared_base_powers",
 ]
 
@@ -676,12 +675,11 @@ class FixedBaseTable:
         self._group = base.group
         self._window = window
         order_bits = self._group.order.bit_length()
-        self._nwindows = (order_bits + window - 1) // window
         self._tables: list[list[GroupElement]] = []
         self._raw_tables: list[list] | None = None
         self._raw_kernel = None
         current = base
-        for _ in range(self._nwindows):
+        for _ in range((order_bits + window - 1) // window):
             row = [self._group.identity()]
             for _ in range(1, 1 << window):
                 row.append(row[-1] * current)
@@ -689,16 +687,8 @@ class FixedBaseTable:
             current = row[-1] * current  # current ** (2^window)
 
     @property
-    def base(self) -> GroupElement:
-        return self._tables[0][1]
-
-    @property
     def window(self) -> int:
         return self._window
-
-    @property
-    def nwindows(self) -> int:
-        return self._nwindows
 
     def raw_tables(self, kernel) -> list[list]:
         """The comb rows converted once to ``kernel``-raw values, so the
@@ -709,21 +699,6 @@ class FixedBaseTable:
             ]
             self._raw_kernel = kernel
         return self._raw_tables
-
-    def power(self, exponent: int) -> GroupElement:
-        """base ** exponent using only table lookups and multiplications."""
-        kernel = self._group.multiexp_kernel()
-        return kernel.from_raw(self.power_raw(kernel, exponent))
-
-    def power_raw(self, kernel, exponent: int):
-        """base ** exponent as a kernel-raw value (no per-window objects).
-
-        The whole walk stays in the kernel's raw representation (ints for
-        Schnorr, extended coordinates for ristretto255); only the
-        caller converts back, so chained fixed-base products cost one
-        normalization total.
-        """
-        return _comb_walk(kernel, self, self, (exponent,), (0,))[0]
 
 
 def _comb_walk(
@@ -740,7 +715,7 @@ def _comb_walk(
     interleave into a single raw accumulation, so a pair costs barely more
     than one fixed-base power and far less than two generic
     exponentiations; zero digits cost a mask and a branch.  The tables
-    must share one group and one geometry (checked by the public callers).
+    share one group and one geometry: :class:`CombPair` builds both.
     """
     rows_a = table_a.raw_tables(kernel)
     rows_b = table_b.raw_tables(kernel)
@@ -765,22 +740,6 @@ def _comb_walk(
             eb >>= window
         out.append(identity if acc is None else acc)
     return out
-
-
-def dual_power(
-    table_a: FixedBaseTable, ea: int, table_b: FixedBaseTable, eb: int
-) -> GroupElement:
-    """``a ** ea * b ** eb`` over two fixed-base comb tables, in one walk.
-
-    This is the shape of every Pedersen operation — ``Com(x, r) = g^x h^r``
-    — and of the folded generator terms in Σ-batch verification.
-    """
-    if table_a._group is not table_b._group:
-        raise ParameterError("dual_power requires tables over one group")
-    if table_a.window != table_b.window or table_a.nwindows != table_b.nwindows:
-        raise ParameterError("dual_power requires tables with matching geometry")
-    kernel = table_a._group.multiexp_kernel()
-    return kernel.from_raw(_comb_walk(kernel, table_a, table_b, (ea,), (eb,))[0])
 
 
 class CombPair:

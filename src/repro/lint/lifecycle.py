@@ -1,9 +1,10 @@
 """REP005 — resource release on the exception path.
 
-The exact bug class PR 5 fixed by hand in ``serve._start_peers``: a
-function starts child processes or opens a transport/listener, an
-exception fires before the happy-path cleanup, and the children/sockets
-outlive the session (CI hangs on join, ports stay bound).  Dynamic
+The exact bug class PR 5 fixed by hand in the serve layer's peer
+launcher (now ``serve.session_peers``): a function starts child
+processes or opens a transport/listener, an exception fires before the
+happy-path cleanup, and the children/sockets outlive the session (CI
+hangs on join, ports stay bound).  Dynamic
 tests only catch the leak when a test happens to force the exact
 failure ordering; statically the discipline is checkable per function:
 

@@ -29,8 +29,10 @@ This package closes that gap without touching the protocol engine:
   convention and the solo replay it is checked against.
 * :mod:`repro.net.serve` — the ``python -m repro serve`` demo driver: a
   full session as separate OS processes, byte-identical to the
-  in-process path under seeded RNG; its ``session_peers`` (start the
-  peers, accept, tear down) is the one way any session is served.
+  in-process path under seeded RNG; its ``run_distributed_session`` is
+  the one session call — the CLI's, the benchmark's and each fleet
+  session's — and ``session_peers`` (start the peers, accept, tear
+  down) its one peer launcher.
 * :mod:`repro.net.fleet` — the serving fleet, the one way to serve many
   sessions: a :class:`FleetDispatcher` admits a stream of session
   requests and places them across a pool of front-end processes
@@ -38,8 +40,8 @@ This package closes that gap without touching the protocol engine:
   each, holding sessions in one queue until a slot is free, with
   graceful drain and crash restart (``python -m repro serve --fleet``).
   A front-end serves up to ``capacity`` sessions at once, each on a
-  thread of its own as the solo socket session with peer threads, on a
-  listener bound to that session.
+  thread of its own through ``run_distributed_session`` as a socket
+  session with peer threads, on a listener bound to that session.
 
 The package itself imports nothing: import each name from the module
 that defines it (``from repro.net.serve import run_distributed_session``),

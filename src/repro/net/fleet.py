@@ -27,17 +27,19 @@ many sessions (``--fleet --frontends 1`` is a lone front-end):
 Each worker is :func:`repro.net.frontend.frontend_main`, a blocking
 command loop; this module imports it (and ``multiprocessing``) only when
 a dispatcher starts, so importing the fleet's types loads neither.
-Inside each worker a placed session is served as the solo socket session
-(:func:`repro.net.serve.session_peers`) on a thread of its own: a
+Inside each worker a placed session is served on a thread of its own by
+the one session call, :func:`repro.net.serve.run_distributed_session`,
+as the solo socket session with ``session=s`` and ``threads=True``: a
 listener bound to the session, then *scoped* peer threads — one
 :func:`~repro.net.roles.run_role` per entry of the cast: K
 :class:`~repro.net.nodes.ServerNode` and one
 :class:`~repro.net.nodes.ClientRunner` — dialing it over blocking
-``roles.dial(..., session=s)`` connections.  That is a single-machine
-demo layout: in a real deployment those peers are remote processes, and a
-prover thread shares the front-end's memory (DESIGN.md "Serving
-fleet").  The threads exercise exactly the wire paths remote peers
-would.
+``roles.dial(..., session=s)`` connections.  The worker sends back the
+session's :class:`SessionOutcome` itself, which the monitor records as
+it comes.  That is a single-machine demo layout: in a real deployment
+those peers are remote processes, and a prover thread shares the
+front-end's memory (DESIGN.md "Serving fleet").  The threads exercise
+exactly the wire paths remote peers would.
 
 Failure semantics are the solo session's: a session that dies mid-phase
 has its peers told to stop via the one-way ``abort`` control
@@ -147,16 +149,13 @@ class SessionRequest:
     """One admitted unit of work: a full protocol session.
 
     ``seed`` is the session's root seed (``None`` = system randomness,
-    which also disables byte-identity verification for it);
-    ``reply_delay`` makes this session's servers sleep that long before
-    each RPC reply — simulated prover latency, a test knob.
+    which also disables byte-identity verification for it).
     """
 
     request_id: int
     query: Query
     values: list
     seed: str | None = None
-    reply_delay: float = 0.0
 
 
 @dataclass
@@ -290,12 +289,25 @@ class FleetDispatcher:
 
     def stop(self) -> None:
         """Terminate everything still running (no grace — use
-        :meth:`drain` first for a graceful exit)."""
+        :meth:`drain` first for a graceful exit).  A session still placed
+        or queued gets a ``crashed`` outcome, "dispatcher stopped", naming
+        the front-end it was placed on (``None`` if it was queued)."""
         self._stopped.set()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        with self._lock:
+        with self._cond:
+            # No outcome is collected past this point: every session still
+            # placed or queued ends here, so that no ``wait`` outlasts stop.
+            for worker in self.workers.values():
+                for request_id in worker.placed:
+                    self._crash(request_id, worker.name, "dispatcher stopped")
+                worker.placed.clear()
+            while self._queue:
+                request = self._queue.popleft()
+                self._crash(request.request_id, None, "dispatcher stopped")
+            self._dispatch()  # the gauges now read nothing queued or placed
+            self._cond.notify_all()
             workers = list(self.workers.values())
         for worker in workers:
             if worker.process.is_alive():
@@ -388,15 +400,9 @@ class FleetDispatcher:
             worker = min(free, key=lambda w: (w.load, w.name))
             self._place(worker, self._queue.popleft())
         if not live:
+            reason = "no live front-end left to serve the session"
             while self._queue:
-                self._record_outcome(
-                    SessionOutcome(
-                        self._queue.popleft().request_id,
-                        None,
-                        "crashed",
-                        reason="no live front-end left to serve the session",
-                    )
-                )
+                self._crash(self._queue.popleft().request_id, None, reason)
         if self._draining and not self._queue:
             for worker in live:
                 if not worker.placed:
@@ -468,26 +474,28 @@ class FleetDispatcher:
                 for handle in ready:
                     worker = by_conn.get(handle)
                     if worker is not None and not worker.dead:
-                        self._drain_events(worker)
+                        self._collect_outcomes(worker)
                 for handle in ready:
                     worker = by_sentinel.get(handle)
                     if worker is not None and not worker.dead:
-                        # Flush events the worker managed to send before
-                        # exiting, then classify the exit.
-                        self._drain_events(worker)
+                        # Record the outcomes the worker managed to send
+                        # before exiting, then classify the exit.
+                        self._collect_outcomes(worker)
                         self._handle_exit(worker)
                 self._dispatch()
                 self._cond.notify_all()
 
-    def _drain_events(self, worker: _Worker) -> None:
+    def _collect_outcomes(self, worker: _Worker) -> None:
+        """Record every ``(outcome, stages)`` pair the worker has sent."""
         while True:
             try:
                 if not worker.conn.poll():
                     return
-                event = worker.conn.recv()
+                outcome, stages = worker.conn.recv()
             except (EOFError, OSError):
                 return
-            self._handle_event(worker, event)
+            worker.placed.pop(outcome.request_id, None)
+            self._record_outcome(outcome, stages)
 
     def _record_outcome(
         self, outcome: SessionOutcome, stages: dict | None = None
@@ -501,37 +509,11 @@ class FleetDispatcher:
                 outcome.status, stages=stages, elapsed_s=outcome.elapsed_s
             )
 
-    def _handle_event(self, worker: _Worker, event: dict) -> None:
-        kind = event["event"]
-        request_id = event["request_id"]
-        worker.placed.pop(request_id, None)
-        if kind == "released":
-            outcome = SessionOutcome(
-                request_id,
-                worker.name,
-                "released",
-                accepted=event["accepted"],
-                estimate=tuple(event["estimate"]),
-                release_frame=event["release"],
-                elapsed_s=event["elapsed_s"],
-            )
-        elif kind == "aborted":
-            outcome = SessionOutcome(
-                request_id,
-                worker.name,
-                "aborted",
-                party=event.get("party"),
-                reason=event.get("reason"),
-            )
-        else:
-            outcome = SessionOutcome(
-                request_id,
-                worker.name,
-                "crashed",
-                party=worker.name,
-                reason=event.get("reason"),
-            )
-        self._record_outcome(outcome, stages=event.get("stages"))
+    def _crash(self, request_id, frontend, reason, party=None) -> None:
+        """Record a ``crashed`` outcome: infrastructure, not the protocol."""
+        self._record_outcome(
+            SessionOutcome(request_id, frontend, "crashed", party=party, reason=reason)
+        )
 
     def _handle_exit(self, worker: _Worker) -> None:
         worker.dead = True
@@ -542,15 +524,8 @@ class FleetDispatcher:
         # A crash costs exactly the sessions placed here; queued ones
         # wait for another front-end or for this one's respawn.
         for request_id in worker.placed:
-            self._record_outcome(
-                SessionOutcome(
-                    request_id,
-                    worker.name,
-                    "crashed",
-                    party=worker.name,
-                    reason="front-end crashed with the session in flight",
-                )
-            )
+            reason = "front-end crashed with the session in flight"
+            self._crash(request_id, worker.name, reason, party=worker.name)
         worker.placed.clear()
         if self._draining and not self._queue:
             return  # nothing left for a respawn to serve

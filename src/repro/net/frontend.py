@@ -3,31 +3,33 @@
 Each worker's main thread is a blocking command loop: it reads one
 queue, fed by a thread that reads the dispatcher's pipe and by the
 session threads, each posting its outcome when it ends.  A placed session
-is served the way ``run_distributed_session(transport="socket")`` serves
-one (:func:`repro.net.serve.session_peers`): on a thread of the worker's
-session executor, with a listener of the session's own, peer threads
-that dial it, and an analyst doing blocking frame I/O.  The loop places
-sessions and reports outcomes; no frame crosses it, and nothing waits
-in it: the dispatcher places a session only into a free slot, so each
-one starts as it arrives.  The dispatcher imports this module before it
-forks a worker: the worker inherits the loaded modules and compiles
-nothing (DESIGN.md "Cold start").
+is served on a thread of the worker's session executor by the one
+session call, :func:`repro.net.serve.run_distributed_session`, over
+``socket`` with its peers as threads: a listener of the session's own,
+peer threads that dial it, and an analyst doing blocking frame I/O.  The
+session thread turns what that call returns or raises into a
+:class:`~repro.net.fleet.SessionOutcome`, which the loop sends to the
+dispatcher as it is.  The loop places sessions and reports outcomes; no
+frame crosses it, and nothing waits in it: the dispatcher places a
+session only into a free slot, so each one starts as it arrives.  The
+dispatcher imports this module before it forks a worker: the worker
+inherits the loaded modules and compiles nothing (DESIGN.md "Cold
+start").
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.crypto.serialization import encode_message
 from repro.errors import ProtocolAbort
-from repro.net.fleet import FleetConfig, SessionRequest
-from repro.net.nodes import AnalystNode, abort_peers
-from repro.net.roles import peer_roles, role_names, root_rng
-from repro.net.serve import session_peers
+from repro.net.fleet import FleetConfig, SessionOutcome, SessionRequest
+from repro.net.nodes import abort_peers
+from repro.net.roles import peer_roles
+from repro.net.serve import run_distributed_session
 
 __all__ = ["frontend_main"]
 
@@ -66,16 +68,15 @@ class _FrontEnd:
     pipe to a session executor of ``capacity`` threads.
 
     Commands in: ``place`` (a :class:`SessionRequest`, into a free
-    slot) and ``stop`` (exit now).  Events out: ``released`` /
-    ``aborted`` / ``failed``, one per session.
+    slot) and ``stop`` (exit now).  Out: one ``(SessionOutcome, stages)``
+    pair per session.
     """
 
     def __init__(self, name: str, conn, config: FleetConfig) -> None:
         self.name = name
         self.conn = conn
         self.config = config
-        self.roles = peer_roles(config.num_servers, 0)
-        self.server_names = role_names(self.roles, "server")
+        self.peers = [name for _, name in peer_roles(config.num_servers, 0)]
         self._next_session = 0
         # Dispatcher commands from the pipe-reader thread and session
         # outcomes from the session threads, read by the command loop
@@ -107,9 +108,8 @@ class _FrontEnd:
             # Tell the peers of every session still in flight to stop
             # waiting, then leave without joining a session thread: an
             # aborted session's thread ends once its peers have.
-            names = [name for _, name in self.roles]
             for transport in list(self._live.values()):
-                abort_peers(transport, names, "front-end stopping")
+                abort_peers(transport, self.peers, "front-end stopping")
             self._executor.shutdown(wait=False)
 
     def _read_commands(self) -> None:
@@ -125,9 +125,9 @@ class _FrontEnd:
             if command.get("cmd") == "stop":
                 return
 
-    def _send(self, event: dict) -> None:
+    def _send(self, outcome: tuple) -> None:
         try:
-            self.conn.send(event)
+            self.conn.send(outcome)
         except (OSError, ValueError, BrokenPipeError):
             pass  # dispatcher gone; the stop path will follow
 
@@ -139,56 +139,43 @@ class _FrontEnd:
             lambda done: self._commands.put({"cmd": "_finished", "session": done})
         )
 
-    def _run_session(self, request: SessionRequest, sid: int) -> dict:
-        """Serve one placement on a session thread; returns its outcome
-        event.  The session is the solo socket session with its peers as
-        threads, on a listener bound to session ``sid``."""
+    def _run_session(
+        self, request: SessionRequest, sid: int
+    ) -> tuple[SessionOutcome, dict | None]:
+        """Serve one placement on a session thread: the solo socket
+        session with its peers as threads, on a listener bound to session
+        ``sid``.  Returns its outcome and, for a release, the engine's
+        stage timings, which travel with it so that the dispatcher's
+        /metrics histograms see work done in worker processes."""
         config = self.config
-        start = time.perf_counter()
-        outcome = {"frontend": self.name, "request_id": request.request_id}
+        outcome = functools.partial(SessionOutcome, request.request_id, self.name)
         try:
-            with session_peers(
-                "socket",
-                self.roles,
+            served = run_distributed_session(
                 request.query,
-                list(request.values),
-                request.seed,
-                config.host,
-                0,
-                config.timeout,
+                request.values,
+                transport="socket",
+                num_servers=config.num_servers,
+                group=config.group,
+                nb_override=config.nb_override,
+                chunk_size=config.chunk_size,
+                seed=request.seed,
+                host=config.host,
+                timeout=config.timeout,
+                verify_equivalence=False,
                 session=sid,
                 threads=True,
-                reply_delay=request.reply_delay,
-            ) as transport:
-                self._live[sid] = transport
-                try:
-                    result = AnalystNode(
-                        request.query,
-                        transport,
-                        self.server_names,
-                        group=config.group,
-                        nb_override=config.nb_override,
-                        chunk_size=config.chunk_size,
-                        rng=root_rng(request.seed),
-                        timeout=config.timeout,
-                    ).run()
-                finally:
-                    del self._live[sid]
+                live=self._live,
+            )
         except ProtocolAbort as exc:
-            outcome.update(event="aborted", party=exc.party, reason=str(exc))
-            return outcome
-        except Exception as exc:  # repro: allow[REP004] -- supervisor boundary: any unexpected failure becomes an attributed 'failed' event after session_peers aborted the session's peers, never a hang
-            outcome.update(event="failed", reason=f"{type(exc).__name__}: {exc}")
-            return outcome
-        outcome.update(
-            event="released",
-            accepted=result.release.accepted,
-            estimate=tuple(result.release.estimate),
-            release=encode_message(result.release),
-            elapsed_s=time.perf_counter() - start,
-            # Engine stage timings (including the per-phase ``phase:*``
-            # entries) travel with the outcome so the dispatcher's
-            # /metrics histograms see work done in worker processes.
-            stages=dict(result.timer.stages),
+            return outcome("aborted", party=exc.party, reason=str(exc)), None
+        except Exception as exc:  # repro: allow[REP004] -- supervisor boundary: any unexpected failure becomes a 'crashed' outcome naming this front-end after the session's peers were told to stop, never a hang
+            reason = f"{type(exc).__name__}: {exc}"
+            return outcome("crashed", party=self.name, reason=reason), None
+        released = outcome(
+            "released",
+            accepted=served["accepted"],
+            estimate=tuple(served["estimate"]),
+            release_frame=served["release_frame"],
+            elapsed_s=served["elapsed_s"],
         )
-        return outcome
+        return released, served["stages"]

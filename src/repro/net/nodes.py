@@ -447,17 +447,12 @@ class ServerNode:
         analyst: str = _ANALYST,
         prover_factory=None,
         timeout: float | None = 60.0,
-        reply_delay: float = 0.0,
     ) -> None:
         self.transport = transport
         self.rng = rng if rng is not None else SystemRNG()
         self.analyst = analyst
         self.prover_factory = prover_factory if prover_factory is not None else Prover
         self.timeout = timeout
-        # Benchmark knob: sleep before every RPC reply, modelling a
-        # remote prover's network/compute latency (the idle time an async
-        # front-end overlaps across sessions).  Zero in production.
-        self.reply_delay = reply_delay
         self.prover: Prover | None = None
         self._morra_values: list[int] = []
         self._morra_randomness: list[bytes] = []
@@ -474,8 +469,6 @@ class ServerNode:
         )
 
     def _reply(self, frame: bytes) -> None:
-        if self.reply_delay:
-            time.sleep(self.reply_delay)
         self.transport.send(self.analyst, frame)
 
     def _setup(self) -> None:

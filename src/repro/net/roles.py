@@ -97,7 +97,6 @@ def run_role(
     query: Query | None = None,
     values=(),
     timeout: float = 60.0,
-    reply_delay: float = 0.0,
 ) -> None:
     """Build ``role``'s node on ``transport``, run it, close the transport.
 
@@ -116,7 +115,7 @@ def run_role(
     try:
         if role == "server":
             rng = peer_rng(seed, name)
-            node = ServerNode(transport, rng, timeout=timeout, reply_delay=reply_delay)
+            node = ServerNode(transport, rng, timeout=timeout)
         elif role == "shard":
             node = ShardWorker(transport, timeout=timeout)
         else:

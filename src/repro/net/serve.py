@@ -17,8 +17,9 @@ redesign promises (same engine, same RNG streams, different substrate).
 Many sessions at once are served by ``--fleet``
 (:func:`repro.net.fleet.run_fleet`): F front-end processes behind one
 dispatcher, each serving up to ``capacity`` sessions at once, every one
-of them through :func:`session_peers` as this module's socket session
-with its peers as threads; ``--fleet --frontends 1`` is one front-end.
+of them through :func:`run_distributed_session` — the one session call —
+as a socket session bound to its session id with its peers as threads;
+``--fleet --frontends 1`` is one front-end.
 
 Each driver imports the serving stack it runs inside its own body, in
 the calling process before any fork, so importing this module loads no
@@ -85,6 +86,9 @@ def run_distributed_session(
     port: int = 0,
     timeout: float = 120.0,
     verify_equivalence: bool | None = None,
+    session: int = 0,
+    threads: bool = False,
+    live: dict | None = None,
 ) -> dict:
     """Run one session as separate nodes; returns a result/metrics dict.
 
@@ -95,6 +99,13 @@ def run_distributed_session(
     replays the same query through the in-process :class:`Session` with
     the same seed *and the same effective chunk size* and compares the
     wire-encoded releases byte for byte.
+
+    A fleet front-end serves each of its sessions through this call:
+    ``session`` scopes the socket listener and every peer's handshake to
+    one session id, ``threads`` runs the peers as threads of the calling
+    process, and ``live`` (a dict) holds ``{session: analyst transport}``
+    while the analyst runs, so that a stopping front-end can tell the
+    peers of a session still in flight to stop waiting.
     """
     from repro.net.roles import (
         build_analyst,
@@ -112,23 +123,38 @@ def run_distributed_session(
     roles = peer_roles(num_servers, shards)
     if verify_equivalence is None:
         verify_equivalence = seed is not None
+    if live is None:
+        live = {}
 
     start = time.perf_counter()
     with session_peers(
-        transport, roles, query, values, seed, host, port, timeout
+        transport,
+        roles,
+        query,
+        values,
+        seed,
+        host,
+        port,
+        timeout,
+        session=session,
+        threads=threads,
     ) as analyst_transport:
-        analyst = build_analyst(
-            query,
-            analyst_transport,
-            role_names(roles, "server"),
-            role_names(roles, "shard"),
-            group=group,
-            nb_override=nb_override,
-            chunk_size=chunk_size,
-            rng=root_rng(seed),
-            timeout=timeout,
-        )
-        result = analyst.run()
+        live[session] = analyst_transport
+        try:
+            analyst = build_analyst(
+                query,
+                analyst_transport,
+                role_names(roles, "server"),
+                role_names(roles, "shard"),
+                group=group,
+                nb_override=nb_override,
+                chunk_size=chunk_size,
+                rng=root_rng(seed),
+                timeout=timeout,
+            )
+            result = analyst.run()
+        finally:
+            del live[session]
     elapsed = time.perf_counter() - start
 
     release_bytes = encode_message(result.release)
@@ -148,7 +174,10 @@ def run_distributed_session(
         "frontend_frames": analyst_transport.frames_sent
         + analyst_transport.frames_received,
         "release_bytes": len(release_bytes),
+        "release_frame": release_bytes,
         "release": result.release,
+        # Engine stage timings, ``phase:*`` entries included.
+        "stages": dict(result.timer.stages),
     }
 
     if verify_equivalence:
@@ -166,35 +195,6 @@ def run_distributed_session(
 
 @contextlib.contextmanager
 def session_peers(
-    transport, roles, query, values, seed, host, port, timeout, **options
-):
-    """The peers of one session, started (:func:`_start_peers` takes the
-    same arguments); yields the analyst's transport.
-
-    Whatever fails inside the block, every peer is told to stop
-    (:func:`~repro.net.nodes.abort_peers`) before it is re-raised.  On
-    the way out the analyst transport is closed *before* the peers are
-    joined: after an analyst-side abort a peer may sit blocked in recv,
-    and closing first turns that recv into an immediate ProtocolAbort (a
-    pipe peer holds no copy of the analyst's ends, see
-    :func:`_own_pipe_only`), so the join reaps it promptly.
-    """
-    from repro.net.nodes import abort_peers
-
-    analyst_transport, cleanup = _start_peers(
-        transport, roles, query, values, seed, host, port, timeout, **options
-    )
-    try:
-        yield analyst_transport
-    except BaseException as exc:
-        abort_peers(analyst_transport, [name for _, name in roles], str(exc))
-        raise
-    finally:
-        analyst_transport.close()
-        cleanup()
-
-
-def _start_peers(
     transport,
     roles,
     query,
@@ -206,21 +206,31 @@ def _start_peers(
     *,
     session: int = 0,
     threads: bool = False,
-    reply_delay: float = 0.0,
 ):
-    """Start every peer of one session on ``transport``; returns the
-    analyst's transport and a cleanup that joins the peers.
+    """Start every peer of one session on ``transport``; yields the
+    analyst's transport.
 
     The three transports differ only in how a peer gets its channel — a
     hub endpoint, an inherited pipe end, a socket it dials — and whether
     it is a thread or a forked process; every peer runs
-    :func:`~repro.net.roles.run_role`.  A fleet front-end serves each of
-    its sessions here with ``threads=True`` over ``socket``: a listener
-    of the session's own, bound to ``session``, whose peers are threads
-    of the front-end.
+    :func:`~repro.net.roles.run_role`.  On ``socket`` the listener and
+    every handshake are bound to ``session``; ``threads`` makes the peers
+    threads of this process (a memory peer always is one).
+
+    A failed start — a fork that raises, an accept that times out or is
+    fed hostile handshakes — stops the children already running and
+    closes the listener or pipe ends before it is re-raised.  Whatever
+    fails inside the block, every peer is told to stop
+    (:func:`~repro.net.nodes.abort_peers`) before it is re-raised.  On
+    the way out the analyst transport is closed *before* the peers are
+    joined: after an analyst-side abort a peer may sit blocked in recv,
+    and closing first turns that recv into an immediate ProtocolAbort (a
+    pipe peer holds no copy of the analyst's ends, see
+    :func:`_own_pipe_only`), so the join reaps it promptly.
     """
     from multiprocessing import get_context
 
+    from repro.net.nodes import abort_peers
     from repro.net.roles import dial, run_role
     from repro.net.transport import InMemoryHub, SocketTransport, multiprocess_star
 
@@ -243,9 +253,7 @@ def _start_peers(
             name: dial(name, host, analyst_transport.port, session=session)
             for name in names
         }
-    options = dict(
-        seed=seed, query=query, values=values, timeout=timeout, reply_delay=reply_delay
-    )
+    options = dict(seed=seed, query=query, values=values, timeout=timeout)
     workers = [
         spawn(
             target=target,
@@ -271,20 +279,19 @@ def _start_peers(
             )
             analyst_transport.stop_listening()
     except BaseException:
-        # A failed start — a fork that raises, an accept that times out
-        # or is fed hostile handshakes — must not leak the children
-        # already running or the listener/pipe ends: the cleanup closure
-        # below is only ever returned on success.
         _terminate_processes(started)
         analyst_transport.close()
         raise
-
-    def cleanup():
+    try:
+        yield analyst_transport
+    except BaseException as exc:
+        abort_peers(analyst_transport, names, str(exc))
+        raise
+    finally:
+        analyst_transport.close()
         for worker in workers:
             worker.join(timeout=30.0)
         _terminate_processes(workers)  # only a hung child is still alive
-
-    return analyst_transport, cleanup
 
 
 def _own_pipe_only(run, inherited: list):

@@ -4,14 +4,15 @@ The Pedersen generators g/h are exponentiated millions of times per run;
 ``PedersenParams`` caches the group's fixed-base pair for both and every
 hot path (commit, Σ-OR verify, batch-verify generator folds) goes
 through it — byte-digit residue rows on the narrow Schnorr groups, comb
-tables on the Python curve kernels.  These tests pin the pair, and comb
-tables built for the same generators on every backend, to the semantics
-of naive exponentiation.
+tables on the Python curve kernels.  These tests pin the pair, and a
+comb pair (:meth:`CombPair.dual_many`, the one way in to the comb walk)
+built for the same generators on every backend, to the semantics of
+naive exponentiation.
 """
 
 import pytest
 
-from repro.crypto.multiexp import FixedBaseTable, dual_power
+from repro.crypto.multiexp import CombPair
 from repro.crypto.pedersen import PedersenParams
 from repro.errors import ParameterError
 from repro.utils.rng import SeededRNG
@@ -38,11 +39,12 @@ def pedersen(request):
 
 
 @pytest.fixture(scope="module")
-def comb_tables(pedersen):
-    """Comb tables for (g, h) on this backend: the pair's own where it is a
-    ``CombPair``, built here where the group answers with residue rows."""
-    tables = getattr(pedersen._fixed, "tables", None)
-    return tables or (FixedBaseTable(pedersen.g), FixedBaseTable(pedersen.h))
+def comb_pair(pedersen):
+    """The comb pair for (g, h) on this backend: the params' own where it
+    is one, built here where the group answers with residue rows."""
+    if isinstance(pedersen._fixed, CombPair):
+        return pedersen._fixed
+    return CombPair(pedersen.g, pedersen.h)
 
 
 def _exponents(pedersen, n=8):
@@ -60,12 +62,12 @@ class TestFixedBaseTables:
         for e in _exponents(pedersen):
             assert pedersen.pow_h(e) == pedersen.h ** e
 
-    def test_dual_power_matches_naive(self, pedersen, comb_tables):
+    def test_dual_many_matches_naive(self, pedersen, comb_pair):
         exps = _exponents(pedersen)
-        g_table, h_table = comb_tables
-        for a, b in zip(exps, reversed(exps)):
-            expected = (pedersen.g ** a) * (pedersen.h ** b)
-            assert dual_power(g_table, a, h_table, b) == expected
+        expected = [
+            (pedersen.g ** a) * (pedersen.h ** b) for a, b in zip(exps, reversed(exps))
+        ]
+        assert comb_pair.dual_many(exps, exps[::-1]) == expected
 
     def test_commit_is_fused_dual_power(self, pedersen):
         rng = SeededRNG("commit")
@@ -80,30 +82,20 @@ class TestFixedBaseTables:
             pedersen.q - 2, pedersen.q - 3
         ).element
 
-    def test_power_raw_roundtrip(self, pedersen, comb_tables):
-        kernel = pedersen.group.multiexp_kernel()
-        table = comb_tables[0]
-        for e in _exponents(pedersen, n=3):
-            assert kernel.from_raw(table.power_raw(kernel, e)) == pedersen.g ** e
+    def test_a_single_power_is_the_pair_with_a_zero_exponent(self, pedersen, comb_pair):
+        exps = _exponents(pedersen, n=3)
+        assert comb_pair.dual_many(exps, [0] * len(exps)) == [pedersen.g ** e for e in exps]
+        assert comb_pair.dual_many([0] * len(exps), exps) == [pedersen.h ** e for e in exps]
 
 
-class TestDualPowerValidation:
+class TestCombPairValidation:
     def test_mismatched_groups_rejected(self):
         from repro.crypto.schnorr_group import SchnorrGroup
 
-        a = FixedBaseTable(SchnorrGroup.named("p64-sim").generator())
-        b = FixedBaseTable(SchnorrGroup.named("p128-sim").generator())
-        with pytest.raises(ParameterError):
-            dual_power(a, 1, b, 1)
-
-    def test_mismatched_geometry_rejected(self):
-        from repro.crypto.schnorr_group import SchnorrGroup
-
-        group = SchnorrGroup.named("p64-sim")
-        wide = FixedBaseTable(group.generator(), window=8)
-        narrow = FixedBaseTable(group.generator(), window=4)
-        with pytest.raises(ParameterError):
-            dual_power(wide, 1, narrow, 1)
+        a = SchnorrGroup.named("p64-sim").generator()
+        b = SchnorrGroup.named("p128-sim").generator()
+        with pytest.raises(ParameterError, match="one group"):
+            CombPair(a, b)
 
 
 def _adhoc_group(name="p128-sim"):

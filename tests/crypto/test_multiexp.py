@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import multiexp
 from repro.crypto.multiexp import (
+    CombPair,
     FixedBaseTable,
     multi_exponentiation,
     select_algorithm,
@@ -393,21 +394,20 @@ class TestKernels:
 
 
 class TestFixedBaseTable:
+    """Comb tables, reached as the Pedersen code reaches them: through
+    :meth:`CombPair.dual_many`, a single power being the pair with a
+    zero second exponent."""
+
     @given(a=scalars)
     @settings(max_examples=30)
     def test_matches_pow(self, group64, a):
-        table = _table64(group64)
-        assert table.power(a) == group64.generator() ** a
+        assert _power64(group64, a) == group64.generator() ** a
 
     def test_zero(self, group64):
-        assert _table64(group64).power(0) == group64.identity()
+        assert _power64(group64, 0) == group64.identity()
 
     def test_order_reduction(self, group64):
-        table = _table64(group64)
-        assert table.power(group64.order + 5) == group64.generator() ** 5
-
-    def test_base_property(self, group64):
-        assert _table64(group64).base == group64.generator()
+        assert _power64(group64, group64.order + 5) == group64.generator() ** 5
 
     def test_invalid_window(self, group64):
         with pytest.raises(ParameterError):
@@ -416,17 +416,21 @@ class TestFixedBaseTable:
             FixedBaseTable(group64.generator(), window=99)
 
     def test_raw_tables_cached(self, group64):
-        table = _table64(group64)
+        table, _ = _pair64(group64).tables
         kernel = group64.multiexp_kernel()
         rows = table.raw_tables(kernel)
         assert rows is table.raw_tables(kernel)
-        assert kernel.from_raw(rows[0][1]) == table.base
+        assert kernel.from_raw(rows[0][1]) == group64.generator()
 
 
 _cached = {}
 
 
-def _table64(group64):
-    if "t" not in _cached:
-        _cached["t"] = FixedBaseTable(group64.generator(), window=5)
-    return _cached["t"]
+def _pair64(group64):
+    if "pair" not in _cached:
+        _cached["pair"] = CombPair(group64.generator(), group64.hash_to_group(b"h64"))
+    return _cached["pair"]
+
+
+def _power64(group64, exponent):
+    return _pair64(group64).dual_many([exponent], [0])[0]

@@ -29,14 +29,21 @@ import types
 
 import pytest
 
+from test_fault_outcomes import CHEATERS
+
+from repro.api.engine import fork_rng
 from repro.api.queries import CountQuery
-from repro.api.session import Session
+from repro.api.session import Session, build_engine
+from repro.core.client import Client, InconsistentShareClient
+from repro.core.messages import ClientStatus, ProverStatus
+from repro.core.prover import Prover
 from repro.crypto.serialization import encode_message
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ProtocolAbort
 from repro.net import roles, serve, transport, wire
 from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
+    SessionOutcome,
     SessionRequest,
     run_fleet,
     session_seed,
@@ -44,6 +51,7 @@ from repro.net.fleet import (
 )
 from repro.net.frontend import _cpu_share, _FrontEnd
 from repro.net.metrics import ServingMetrics
+from repro.net.nodes import ServerNode
 from repro.net.transport import SocketTransport, pack_frame
 from repro.utils.rng import SeededRNG
 
@@ -241,7 +249,7 @@ class TestFleetLifecycle:
         raise AssertionError(f"timed out waiting for {what}")
 
     def test_killed_frontend_attributed_restarted_survivors_identical(
-        self, session_started
+        self, session_started, slow_replies
     ):
         """Kill fe-0 with a session in flight: the session becomes an
         attributed ``crashed`` outcome (not a hang), the dispatcher
@@ -250,11 +258,10 @@ class TestFleetLifecycle:
         config = FleetConfig(
             frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
-        victim = SessionRequest(
-            0, QUERY, [1, 0, 1], seed="fleet-kill/s0", reply_delay=0.5
-        )
+        victim = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-kill/s0")
         survivor = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-kill/s1")
         retry = SessionRequest(2, QUERY, [1, 1, 0], seed="fleet-kill/s2")
+        slow_replies(0.5, victim.seed)
         started = session_started(victim.seed)
         start = time.monotonic()
         with FleetDispatcher(config) as dispatcher:
@@ -285,7 +292,9 @@ class TestFleetLifecycle:
                 assert outcome.status == "released"
                 assert outcome.release_frame == _solo_frame(request)
 
-    def test_crash_costs_only_the_sessions_placed_on_it(self, session_started):
+    def test_crash_costs_only_the_sessions_placed_on_it(
+        self, session_started, slow_replies
+    ):
         """Two front-ends of one slot each, four sessions, the first two
         slow.  Killing fe-0 once both slow sessions run costs exactly
         the one placed on it: the two still queued wait for a free slot
@@ -299,10 +308,10 @@ class TestFleetLifecycle:
                 QUERY,
                 session_values([1, 0, 1], i),
                 seed=session_seed("fleet-queue-kill", i),
-                reply_delay=0.25 if i < 2 else 0.0,
             )
             for i in range(4)
         ]
+        slow_replies(0.25, requests[0].seed, requests[1].seed)
         started = session_started(requests[0].seed, requests[1].seed)
         with FleetDispatcher(config) as dispatcher:
             for request in requests:
@@ -319,7 +328,9 @@ class TestFleetLifecycle:
                 request
             )
 
-    def test_queued_sessions_crash_once_no_frontend_is_left(self, session_started):
+    def test_queued_sessions_crash_once_no_frontend_is_left(
+        self, session_started, slow_replies
+    ):
         """One front-end with no restarts, one session running and one
         queued: killing it crashes the running one (naming fe-0) and the
         queued one (never placed, with a reason), and ``wait`` returns."""
@@ -331,10 +342,9 @@ class TestFleetLifecycle:
             timeout=30.0,
             max_restarts=0,
         )
-        running = SessionRequest(
-            0, QUERY, [1, 0, 1], seed="fleet-last/s0", reply_delay=0.25
-        )
+        running = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-last/s0")
         queued = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-last/s1")
+        slow_replies(0.25, running.seed)
         started = session_started(running.seed)
         with FleetDispatcher(config) as dispatcher:
             dispatcher.submit(running)
@@ -349,13 +359,14 @@ class TestFleetLifecycle:
         assert "no live front-end" in second.reason
         assert dispatcher.restarts == {}
 
-    def test_place_onto_a_full_frontend_is_refused(self):
+    def test_place_onto_a_full_frontend_is_refused(self, slow_replies):
         """``place`` pins a session only into a free slot: a second one
         onto a capacity-1 front-end is refused and never admitted."""
         config = FleetConfig(
             frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
-        first = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-full/s0", reply_delay=0.1)
+        first = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-full/s0")
+        slow_replies(0.1, first.seed)
         with FleetDispatcher(config) as dispatcher:
             dispatcher.place(first, "fe-0")
             with pytest.raises(ParameterError, match="full"):
@@ -400,14 +411,15 @@ class TestFleetLifecycle:
         assert list(dispatcher.outcomes) == [0]
         assert dispatcher.outcomes[0].release_frame == _solo_frame(first)
 
-    def test_wait_names_requests_or_every_admitted_one(self):
+    def test_wait_names_requests_or_every_admitted_one(self, slow_replies):
         """``wait()`` covers every admitted request (none admitted: done
         at once); ``wait(ids)`` only the named ones, and an id never
         admitted is never done."""
         config = FleetConfig(
             frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
-        slow = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-wait/s0", reply_delay=0.5)
+        slow = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-wait/s0")
+        slow_replies(0.5, slow.seed)
         with FleetDispatcher(config) as dispatcher:
             assert dispatcher.wait(timeout=0.0)
             dispatcher.submit(slow)
@@ -424,9 +436,7 @@ class TestFleetLifecycle:
         """A session that fails inside the worker (not a protocol abort)
         is a ``crashed`` outcome naming its front-end and the error; the
         worker lives on and serves the next session byte-identical."""
-        from repro.net import frontend
-
-        real_session_peers = frontend.session_peers
+        real_session_peers = serve.session_peers
 
         def session_peers(*args, **kwargs):
             if args[4] == "fleet-fail/s0":
@@ -434,7 +444,7 @@ class TestFleetLifecycle:
             return real_session_peers(*args, **kwargs)
 
         # Patched before the fork: the worker inherits it.
-        monkeypatch.setattr(frontend, "session_peers", session_peers)
+        monkeypatch.setattr(serve, "session_peers", session_peers)
         config = FleetConfig(
             frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
@@ -544,7 +554,7 @@ class TestFleetLifecycle:
         assert {o.status for o in dispatcher.outcomes.values()} == {"released"}
         assert len(loads) == 12 and max(loads) == 1, loads
 
-    def test_drain_finishes_in_flight_and_admits_nothing_new(self):
+    def test_drain_finishes_in_flight_and_admits_nothing_new(self, slow_replies):
         """Drain with one session running and one queued: both finish
         and release; a post-drain submit is refused, and the in-flight
         and queued gauges both read 0."""
@@ -552,10 +562,9 @@ class TestFleetLifecycle:
         config = FleetConfig(
             frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
-        running = SessionRequest(
-            0, QUERY, [1, 0, 1], seed="fleet-drain/s0", reply_delay=0.15
-        )
+        running = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-drain/s0")
         queued = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-drain/s1")
+        slow_replies(0.15, running.seed)
         with FleetDispatcher(config, metrics=metrics) as dispatcher:
             dispatcher.submit(running)
             dispatcher.submit(queued)
@@ -576,16 +585,17 @@ class TestFleetLifecycle:
         assert metrics.frontend_in_flight.value(frontend="fe-0") == 0
         assert dispatcher.restarts == {}
 
-    def test_drain_stops_an_idle_frontend_while_another_serves(self, session_started):
+    def test_drain_stops_an_idle_frontend_while_another_serves(
+        self, session_started, slow_replies
+    ):
         """Drain with one of two front-ends busy: the idle one is told to
         stop at once and exits cleanly, unreplaced, while the busy one
         serves its session out and then exits too."""
         config = FleetConfig(
             frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
-        slow = SessionRequest(
-            0, QUERY, [1, 0, 1], seed="fleet-drain-idle/s0", reply_delay=0.5
-        )
+        slow = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-drain-idle/s0")
+        slow_replies(0.5, slow.seed)
         started = session_started(slow.seed)
         with FleetDispatcher(config) as dispatcher:
             dispatcher.place(slow, "fe-0")
@@ -601,7 +611,7 @@ class TestFleetLifecycle:
         assert dispatcher.workers["fe-0"].process.exitcode == 0
         assert dispatcher.restarts == {}
 
-    def test_stop_with_sessions_in_flight_is_prompt(self, session_started):
+    def test_stop_with_sessions_in_flight_is_prompt(self, session_started, slow_replies):
         """``stop`` (no grace) tells the peers of every session still in
         flight to stop waiting, so the worker's session threads end and
         it exits at once instead of serving its slow sessions out."""
@@ -609,11 +619,12 @@ class TestFleetLifecycle:
             frontends=1, capacity=2, num_servers=2, nb_override=16, timeout=30.0
         )
         seeds = [f"stop/s{i}" for i in range(2)]
+        slow_replies(0.5, *seeds)
         started = session_started(*seeds)
         dispatcher = FleetDispatcher(config).start()
         try:
             for i, seed in enumerate(seeds):
-                request = SessionRequest(i, QUERY, [1, 0, 1], seed=seed, reply_delay=0.5)
+                request = SessionRequest(i, QUERY, [1, 0, 1], seed=seed)
                 dispatcher.place(request, "fe-0")
             for seed in seeds:
                 assert started[seed].wait(30.0), f"{seed} never started"
@@ -622,6 +633,40 @@ class TestFleetLifecycle:
             dispatcher.stop()
         assert time.monotonic() - start < 3.0
         assert dispatcher.workers["fe-0"].process.exitcode == 0
+
+    def test_stop_ends_every_placed_and_queued_session(self, session_started, slow_replies):
+        """``stop`` with one slow session placed and one queued behind it
+        gives each a ``crashed`` outcome, "dispatcher stopped", naming the
+        front-end it was placed on or none: ``wait`` returns at once and
+        the /metrics ledger balances."""
+        metrics = ServingMetrics()
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        placed = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-stop/s0")
+        queued = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-stop/s1")
+        slow_replies(0.5, placed.seed)
+        started = session_started(placed.seed)
+        dispatcher = FleetDispatcher(config, metrics=metrics).start()
+        try:
+            dispatcher.submit(placed)
+            dispatcher.submit(queued)
+            assert started[placed.seed].wait(30.0), "placed session never started"
+        finally:
+            dispatcher.stop()
+        start = time.monotonic()
+        assert dispatcher.wait(timeout=2.0), dispatcher.outcomes
+        assert time.monotonic() - start < 0.5
+        ended = {
+            i: (o.status, o.frontend, o.reason) for i, o in dispatcher.outcomes.items()
+        }
+        assert ended == {
+            0: ("crashed", "fe-0", "dispatcher stopped"),
+            1: ("crashed", None, "dispatcher stopped"),
+        }
+        assert metrics.in_flight.value() == 0
+        assert metrics.queued.value() == 0
+        assert metrics.frontend_in_flight.value(frontend="fe-0") == 0
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status"
@@ -764,11 +809,12 @@ class TestFrontEndGroups:
         )
         request = SessionRequest(0, QUERY, [1, 0, 1], seed=f"groups/{group}")
         try:
-            event = frontend._run_session(request, 3)
+            outcome, stages = frontend._run_session(request, 3)
         finally:
             frontend._executor.shutdown(wait=True)
-        assert event["event"] == "released", event
-        assert event["release"] == _solo_frame(request, group=group)
+        assert outcome.status == "released", outcome
+        assert outcome.release_frame == _solo_frame(request, group=group)
+        assert "phase:morra" in stages
 
 
 class TestFrontEndForgets:
@@ -798,9 +844,9 @@ class TestFrontEndForgets:
         ]
 
     def test_nothing_is_kept_once_a_session_is_served(self):
-        frontend, request, event = self._serve("forgets-ok")
-        assert event["event"] == "released", event
-        assert event["release"] == _solo_frame(request)
+        frontend, request, (outcome, _) = self._serve("forgets-ok")
+        assert outcome.status == "released", outcome
+        assert outcome.release_frame == _solo_frame(request)
         assert self._per_session_entries(frontend, self.SID) == []
 
     def test_nothing_is_kept_once_a_session_has_aborted(self, monkeypatch):
@@ -814,10 +860,130 @@ class TestFrontEndForgets:
             opener().close()
 
         monkeypatch.setattr(roles, "run_role", run_role)
-        frontend, _, event = self._serve("forgets-abort")
-        assert event["event"] == "aborted", event
-        assert event["party"] == "prover-1"
+        frontend, _, (outcome, stages) = self._serve("forgets-abort")
+        assert (outcome.status, outcome.frontend, outcome.party) == (
+            "aborted",
+            "fe-test",
+            "prover-1",
+        )
+        assert stages is None
         assert self._per_session_entries(frontend, self.SID) == []
+
+
+class MorraEquivocatingProver(Prover):
+    """Opens its first Morra commitment to a value it never committed:
+    the session aborts naming it, in process and over the wire alike."""
+
+    def reveal(self, values, randomness, observed):
+        values, randomness = super().reveal(values, randomness, observed)
+        return [values[0] + 1, *values[1:]], randomness
+
+
+def _liar():
+    """A client whose share for prover-1 does not open its commitment."""
+    return InconsistentShareClient(
+        "client-1", [1], victim_prover=1, rng=SeededRNG("blame/liar")
+    )
+
+
+# Cell -> (the cheating prover, its factory, the cheating client-1 or None).
+BLAME_CELLS = {
+    **{
+        f"{cheat}/{name}": (cheat, factory, None)
+        for cheat in ("prover-0", "prover-1")
+        for name, factory in CHEATERS.items()
+    },
+    "prover-1/morra-equivocate": ("prover-1", MorraEquivocatingProver, None),
+    "client-1/inconsistent-share": (None, None, _liar),
+}
+
+
+def _blame_request(index: int, cell: str) -> SessionRequest:
+    client = BLAME_CELLS[cell][2]
+    values = [1, 0, 1, 1]
+    if client is not None:
+        values[1] = client()
+    return SessionRequest(index, QUERY, values, seed=f"blame/{cell}")
+
+
+def _prover(cell: str, name: str):
+    """The prover class ``name`` runs in ``cell``."""
+    cheat, factory, _ = BLAME_CELLS[cell]
+    return factory if name == cheat else Prover
+
+
+def _in_process(request: SessionRequest, cell: str):
+    """The same session run in process with the cell's cheater:
+    ``("released", release)`` or ``("aborted", party)``."""
+    rng = SeededRNG(request.seed)
+    params = QUERY.build_params(num_provers=2, group="p64-sim", nb_override=16)
+    cast = [
+        _prover(cell, name)(name, params, fork_rng(rng, name), plan=QUERY.build_plan())
+        for name in ("prover-0", "prover-1")
+    ]
+    engine = build_engine(QUERY, num_provers=2, params=params, provers=cast, rng=rng)
+    engine.submit_clients(
+        value
+        if isinstance(value, Client)
+        else QUERY.make_client(f"client-{i}", value, fork_rng(rng, f"client-{i}"))
+        for i, value in enumerate(request.values)
+    )
+    try:
+        return "released", engine.run_release().release
+    except ProtocolAbort as exc:
+        return "aborted", exc.party
+
+
+class TestFleetBlame:
+    """A cheater served through the fleet ends its session as the
+    in-process run with the same cheater and seed does: an abort names
+    the same party, and a release — whose audit names the cheater and
+    no one else — is the same bytes.  Every cell is served by one
+    front-end of two slots; a cheating prover is swapped in on its peer
+    thread, a cheating client travels in the request's values."""
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        peer = threading.local()
+        real_run_role = roles.run_role
+
+        def run_role(role, name, transport, **kwargs):
+            peer.prover = _prover(kwargs["seed"].removeprefix("blame/"), name)
+            return real_run_role(role, name, transport, **kwargs)
+
+        def server_node(*args, **kwargs):
+            return ServerNode(*args, prover_factory=peer.prover, **kwargs)
+
+        config = FleetConfig(
+            frontends=1, capacity=2, num_servers=2, nb_override=16, timeout=30.0
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            # Patched before the fork: the front-end inherits both.
+            patch.setattr(roles, "run_role", run_role)
+            patch.setattr(roles, "ServerNode", server_node)
+            with FleetDispatcher(config) as dispatcher:
+                for index, cell in enumerate(BLAME_CELLS):
+                    dispatcher.submit(_blame_request(index, cell))
+                assert dispatcher.wait(timeout=90.0), dispatcher.outcomes
+        return dispatcher.outcomes
+
+    @pytest.mark.parametrize("cell", list(BLAME_CELLS))
+    def test_outcome_is_the_in_process_one(self, served, cell):
+        index = list(BLAME_CELLS).index(cell)
+        cheat = BLAME_CELLS[cell][0]
+        status, detail = _in_process(_blame_request(index, cell), cell)
+        outcome = served[index]
+        assert (outcome.status, outcome.frontend) == (status, "fe-0"), outcome
+        if status == "aborted":
+            assert outcome.party == detail == cheat
+            return
+        assert outcome.release_frame == encode_message(detail)
+        blamed = {n for n, v in detail.audit.provers.items() if v != ProverStatus.HONEST}
+        blamed |= {n for n, v in detail.audit.clients.items() if v != ClientStatus.VALID}
+        if cheat is None:
+            assert blamed == {"client-1"}
+        else:  # biased coins are still bits: nothing to catch
+            assert blamed == (set() if cell.endswith("/biased") else {cheat})
 
 
 class _RecordingTransport:
@@ -867,11 +1033,8 @@ class TestCommandLoop:
                 gate(request.request_id).wait(10.0)
             finally:
                 del frontend._live[sid]
-            return {
-                "event": outcomes.get(request.request_id, "released"),
-                "frontend": frontend.name,
-                "request_id": request.request_id,
-            }
+            status = outcomes.get(request.request_id, "released")
+            return SessionOutcome(request.request_id, frontend.name, status), None
 
         monkeypatch.setattr(frontend, "_run_session", run_session)
         thread = threading.Thread(target=frontend.run, daemon=True)
@@ -919,19 +1082,11 @@ class TestCommandLoop:
         loop.place(0)
         assert loop.entered(0)
         loop.open(0)
-        assert loop.recv() == {
-            "event": "aborted",
-            "frontend": "fe-test",
-            "request_id": 0,
-        }
+        assert loop.recv() == (SessionOutcome(0, "fe-test", "aborted"), None)
         loop.place(1)
         assert loop.entered(1)
         loop.open(1)
-        assert loop.recv() == {
-            "event": "released",
-            "frontend": "fe-test",
-            "request_id": 1,
-        }
+        assert loop.recv() == (SessionOutcome(1, "fe-test", "released"), None)
 
     def test_only_place_and_stop_are_commands(self, loop):
         """The loop answers no other command: a ``ping`` or ``steal`` gets
@@ -944,11 +1099,7 @@ class TestCommandLoop:
         assert loop.entered(0)
         assert loop.quiet()
         loop.open(0)
-        assert loop.recv() == {
-            "event": "released",
-            "frontend": "fe-test",
-            "request_id": 0,
-        }
+        assert loop.recv() == (SessionOutcome(0, "fe-test", "released"), None)
         assert loop.quiet()
         assert loop.thread.is_alive()
 

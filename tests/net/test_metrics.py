@@ -207,7 +207,7 @@ class TestLiveFleetScrape:
             time.sleep(0.02)
         raise AssertionError(f"timed out waiting for {what}")
 
-    def test_two_frontend_fleet_scrape_counters_monotone_drain_zeroes(self):
+    def test_two_frontend_fleet_scrape_counters_monotone_drain_zeroes(self, slow_replies):
         """Serve 4 sessions over a live 2-front-end fleet while scraping
         concurrently: admitted/completed only go up between scrapes, the
         per-phase histograms fill, and after the drain the in-flight
@@ -218,11 +218,10 @@ class TestLiveFleetScrape:
             frontends=2, capacity=2, num_servers=2, nb_override=16, timeout=60.0
         )
         requests = [
-            SessionRequest(
-                i, QUERY, [1, 0, 1], seed=f"metrics-fleet/s{i}", reply_delay=0.05
-            )
+            SessionRequest(i, QUERY, [1, 0, 1], seed=f"metrics-fleet/s{i}")
             for i in range(4)
         ]
+        slow_replies(0.05, *(request.seed for request in requests))
         try:
             with FleetDispatcher(config, metrics=metrics) as dispatcher:
                 previous = _scrape(server.port)
@@ -251,7 +250,9 @@ class TestLiveFleetScrape:
         finally:
             server.close()
 
-    def test_killed_frontend_increments_crashed_and_restarts(self, session_started):
+    def test_killed_frontend_increments_crashed_and_restarts(
+        self, session_started, slow_replies
+    ):
         """Kill fe-0 with a slow session provably in flight: the scrape
         shows crashed == 1, a restart for fe-0, and the ledger still
         balances (in-flight back to 0)."""
@@ -260,9 +261,8 @@ class TestLiveFleetScrape:
         config = FleetConfig(
             frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
-        victim = SessionRequest(
-            0, QUERY, [1, 0, 1], seed="metrics-kill/s0", reply_delay=0.5
-        )
+        victim = SessionRequest(0, QUERY, [1, 0, 1], seed="metrics-kill/s0")
+        slow_replies(0.5, victim.seed)
         started = session_started(victim.seed)
         try:
             with FleetDispatcher(config, metrics=metrics) as dispatcher:

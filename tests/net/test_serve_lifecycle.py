@@ -84,7 +84,7 @@ class TestFailedStartupLeaks:
         query = CountQuery(epsilon=1.0, delta=DELTA)
         start = time.monotonic()
         with pytest.raises(ProtocolAbort):
-            serve._start_peers(
+            with serve.session_peers(
                 "socket",
                 roles.peer_roles(2, 0),
                 query,
@@ -93,7 +93,8 @@ class TestFailedStartupLeaks:
                 "127.0.0.1",
                 0,
                 1.0,
-            )
+            ):
+                pass
         assert time.monotonic() - start < 30.0
         assert len(spawned) == 3  # 2 servers + 1 client runner
         (listener,) = listeners

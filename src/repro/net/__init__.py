@@ -36,11 +36,11 @@ This package closes that gap without touching the protocol engine:
 * :mod:`repro.net.fleet` — the serving fleet, the one way to serve many
   sessions: a :class:`FleetDispatcher` admits a stream of session
   requests and places them across a pool of front-end processes
-  (:mod:`repro.net.frontend`, each a blocking command loop), one CPU
-  each, holding sessions in one queue until a slot is free, with
-  graceful drain and crash restart (``python -m repro serve --fleet``).
-  A front-end serves up to ``capacity`` sessions at once, each on a
-  thread of its own through ``run_distributed_session`` as a socket
+  (:mod:`repro.net.frontend`), one CPU each, holding sessions in one
+  queue until a slot is free, with graceful drain and crash restart
+  (``python -m repro serve --fleet``).  A front-end reads its pipe on
+  its main thread and serves up to ``capacity`` sessions at once, each
+  on a daemon thread of its own through ``run_distributed_session`` as a socket
   session with peer threads, on a listener bound to that session.
 
 The package itself imports nothing: import each name from the module

@@ -24,17 +24,18 @@ many sessions (``--fleet --frontends 1`` is a lone front-end):
   in-process :class:`repro.api.Session` run with the same seed and
   chunking.
 
-Each worker is :func:`repro.net.frontend.frontend_main`, a blocking
-command loop; this module imports it (and ``multiprocessing``) only when
-a dispatcher starts, so importing the fleet's types loads neither.
-Inside each worker a placed session is served on a thread of its own by
-the one session call, :func:`repro.net.serve.run_distributed_session`,
-as the solo socket session with ``session=s`` and ``threads=True``: a
-listener bound to the session, then *scoped* peer threads — one
+Each worker is :func:`repro.net.frontend.frontend_main`, whose main
+thread reads its pipe; this module imports it (and ``multiprocessing``)
+only when a dispatcher starts, so importing the fleet's types loads
+neither.  Inside each worker a placed session is served on a daemon
+thread of its own by the one session call,
+:func:`repro.net.serve.run_distributed_session`, as the solo socket
+session with ``session=s`` and ``threads=True``: a listener bound to
+the session, then *scoped* peer threads — one
 :func:`~repro.net.roles.run_role` per entry of the cast: K
 :class:`~repro.net.nodes.ServerNode` and one
 :class:`~repro.net.nodes.ClientRunner` — dialing it over blocking
-``roles.dial(..., session=s)`` connections.  The worker sends back the
+``roles.dial(..., session=s)`` connections.  That thread sends back the
 session's :class:`SessionOutcome` itself, which the monitor records as
 it comes.  That is a single-machine demo layout: in a real deployment
 those peers are remote processes, and a prover thread shares the
@@ -289,9 +290,10 @@ class FleetDispatcher:
 
     def stop(self) -> None:
         """Terminate everything still running (no grace — use
-        :meth:`drain` first for a graceful exit).  A session still placed
-        or queued gets a ``crashed`` outcome, "dispatcher stopped", naming
-        the front-end it was placed on (``None`` if it was queued)."""
+        :meth:`drain` first for a graceful exit) and admit nothing more.
+        A session still placed or queued gets a ``crashed`` outcome,
+        "dispatcher stopped", naming the front-end it was placed on
+        (``None`` if it was queued)."""
         self._stopped.set()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
@@ -317,6 +319,7 @@ class FleetDispatcher:
             if worker.process.is_alive():  # pragma: no cover - hung worker
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
+            worker.dead = True  # a drain after stop has nothing to wait for
             try:
                 worker.conn.close()
             except OSError:  # pragma: no cover - already closed
@@ -357,23 +360,9 @@ class FleetDispatcher:
             self._queue.append(request)
             self._dispatch()
 
-    def place(self, request: SessionRequest, frontend: str) -> None:
-        """Pin one session into a free slot of a named front-end (tests
-        and demos; the normal path is :meth:`submit`)."""
-        with self._lock:
-            worker = self.workers.get(frontend)
-            if worker is None or worker.dead or worker.retiring:
-                raise ParameterError(f"no live front-end named {frontend!r}")
-            if worker.load >= self.config.capacity:
-                raise ParameterError(
-                    f"front-end {frontend!r} is full: "
-                    f"{self.config.capacity} sessions placed"
-                )
-            self._admit(request)
-            self._place(worker, request)
-            self._dispatch()
-
     def _admit(self, request: SessionRequest) -> None:
+        if self._stopped.is_set():
+            raise ParameterError("fleet is stopped; not admitting new sessions")
         if self._draining:
             raise ParameterError("fleet is draining; not admitting new sessions")
         if request.request_id in self._submitted:

@@ -1,34 +1,32 @@
 """A fleet front-end: one worker process of a :class:`~repro.net.fleet.FleetDispatcher`.
 
-Each worker's main thread is a blocking command loop: it reads one
-queue, fed by a thread that reads the dispatcher's pipe and by the
-session threads, each posting its outcome when it ends.  A placed session
-is served on a thread of the worker's session executor by the one
-session call, :func:`repro.net.serve.run_distributed_session`, over
-``socket`` with its peers as threads: a listener of the session's own,
-peer threads that dial it, and an analyst doing blocking frame I/O.  The
-session thread turns what that call returns or raises into a
-:class:`~repro.net.fleet.SessionOutcome`, which the loop sends to the
-dispatcher as it is.  The loop places sessions and reports outcomes; no
-frame crosses it, and nothing waits in it: the dispatcher places a
-session only into a free slot, so each one starts as it arrives.  The
-dispatcher imports this module before it forks a worker: the worker
-inherits the loaded modules and compiles nothing (DESIGN.md "Cold
-start").
+Each worker's main thread reads the dispatcher's pipe itself, and each
+``place`` starts one daemon thread for that session.  The session thread
+serves the placement through the one session call,
+:func:`repro.net.serve.run_distributed_session`, over ``socket`` with
+its peers as threads: a listener of the session's own, peer threads
+that dial it, and an analyst doing blocking frame I/O.  It turns what
+that call returns or raises into a
+:class:`~repro.net.fleet.SessionOutcome` and sends it to the dispatcher
+itself.  No frame crosses the main thread, and nothing waits in it: the
+dispatcher places a session only into a free slot, so each one starts
+as it arrives.  ``stop`` or a closed pipe ends the main thread, and
+process exit ends any session still in flight: its thread and its
+peers' threads are daemons.  Until its first placement a worker runs no
+thread but its main one.  The dispatcher imports this module before it
+forks a worker: the worker inherits the loaded modules and compiles
+nothing (DESIGN.md "Cold start").
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ProtocolAbort
+from repro.net import roles  # noqa: F401 -- the session call's cast, loaded before the fork
 from repro.net.fleet import FleetConfig, SessionOutcome, SessionRequest
-from repro.net.nodes import abort_peers
-from repro.net.roles import peer_roles
 from repro.net.serve import run_distributed_session
 
 __all__ = ["frontend_main"]
@@ -54,90 +52,62 @@ def frontend_main(name: str, conn, config: FleetConfig, slot: int) -> None:
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, _cpu_share(cpus, slot))
-    try:
-        _FrontEnd(name, conn, config).run()
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - teardown race
-            pass
+    _FrontEnd(name, conn, config).run()
 
 
 class _FrontEnd:
-    """One fleet worker: the command loop that binds the dispatcher's
-    pipe to a session executor of ``capacity`` threads.
+    """One fleet worker: the dispatcher's pipe, read on the main thread,
+    and one daemon thread per placed session.
 
     Commands in: ``place`` (a :class:`SessionRequest`, into a free
     slot) and ``stop`` (exit now).  Out: one ``(SessionOutcome, stages)``
-    pair per session.
+    pair per session, sent by that session's thread.
     """
 
     def __init__(self, name: str, conn, config: FleetConfig) -> None:
         self.name = name
         self.conn = conn
         self.config = config
-        self.peers = [name for _, name in peer_roles(config.num_servers, 0)]
         self._next_session = 0
-        # Dispatcher commands from the pipe-reader thread and session
-        # outcomes from the session threads, read by the command loop
-        # alone, which is also the only thread that writes to the pipe.
-        self._commands: queue.Queue[dict] = queue.Queue()
-        # Sized to the capacity, which the dispatcher never exceeds: a
-        # placement queued behind a full executor would leave its peers
-        # blocked in their setup recv until the protocol timeout.
-        self._executor = ThreadPoolExecutor(
-            max_workers=config.capacity, thread_name_prefix=f"{name}-session"
-        )
-        # Session id -> analyst transport of each session being served,
-        # so that stopping can tell its peers to stop waiting.
-        self._live: dict = {}
+        # Session threads send their outcomes themselves, one pair at a
+        # time; the main thread closes the pipe under it too.
+        self._send_lock = threading.Lock()
 
     def run(self) -> None:
-        threading.Thread(target=self._read_commands, daemon=True).start()
         try:
             while True:
-                command = self._commands.get()
+                try:
+                    command = self.conn.recv()
+                except (EOFError, OSError):
+                    return  # dispatcher gone: exit, never serve headless
                 cmd = command.get("cmd")
                 if cmd == "place":
                     self._start(command["request"])
-                elif cmd == "_finished":
-                    self._send(command["session"].result())
                 elif cmd == "stop":
-                    break
+                    return
         finally:
-            # Tell the peers of every session still in flight to stop
-            # waiting, then leave without joining a session thread: an
-            # aborted session's thread ends once its peers have.
-            for transport in list(self._live.values()):
-                abort_peers(transport, self.peers, "front-end stopping")
-            self._executor.shutdown(wait=False)
-
-    def _read_commands(self) -> None:
-        """Pipe → command queue bridge (runs on its own thread)."""
-        while True:
-            try:
-                command = self.conn.recv()
-            except (EOFError, OSError):
-                # Dispatcher gone: treat as stop so the worker exits
-                # instead of serving headless forever.
-                command = {"cmd": "stop"}
-            self._commands.put(command)
-            if command.get("cmd") == "stop":
-                return
-
-    def _send(self, outcome: tuple) -> None:
-        try:
-            self.conn.send(outcome)
-        except (OSError, ValueError, BrokenPipeError):
-            pass  # dispatcher gone; the stop path will follow
+            # No session thread is halfway through a send when it closes.
+            with self._send_lock:
+                self.conn.close()
 
     def _start(self, request: SessionRequest) -> None:
-        session = self._executor.submit(self._run_session, request, self._next_session)
+        sid = self._next_session
         self._next_session += 1
-        # Runs on the session thread once _run_session has returned.
-        session.add_done_callback(
-            lambda done: self._commands.put({"cmd": "_finished", "session": done})
-        )
+        threading.Thread(
+            target=self._serve,
+            args=(request, sid),
+            name=f"{self.name}-session-{sid}",
+            daemon=True,
+        ).start()
+
+    def _serve(self, request: SessionRequest, sid: int) -> None:
+        """Session thread: serve one placement and send its outcome."""
+        outcome = self._run_session(request, sid)
+        with self._send_lock:
+            try:
+                self.conn.send(outcome)
+            except OSError:
+                pass  # the pipe closed first: the worker is exiting
 
     def _run_session(
         self, request: SessionRequest, sid: int
@@ -164,7 +134,6 @@ class _FrontEnd:
                 verify_equivalence=False,
                 session=sid,
                 threads=True,
-                live=self._live,
             )
         except ProtocolAbort as exc:
             return outcome("aborted", party=exc.party, reason=str(exc)), None

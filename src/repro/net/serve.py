@@ -88,7 +88,6 @@ def run_distributed_session(
     verify_equivalence: bool | None = None,
     session: int = 0,
     threads: bool = False,
-    live: dict | None = None,
 ) -> dict:
     """Run one session as separate nodes; returns a result/metrics dict.
 
@@ -102,10 +101,8 @@ def run_distributed_session(
 
     A fleet front-end serves each of its sessions through this call:
     ``session`` scopes the socket listener and every peer's handshake to
-    one session id, ``threads`` runs the peers as threads of the calling
-    process, and ``live`` (a dict) holds ``{session: analyst transport}``
-    while the analyst runs, so that a stopping front-end can tell the
-    peers of a session still in flight to stop waiting.
+    one session id, and ``threads`` runs the peers as threads of the
+    calling process.
     """
     from repro.net.roles import (
         build_analyst,
@@ -123,8 +120,6 @@ def run_distributed_session(
     roles = peer_roles(num_servers, shards)
     if verify_equivalence is None:
         verify_equivalence = seed is not None
-    if live is None:
-        live = {}
 
     start = time.perf_counter()
     with session_peers(
@@ -139,22 +134,18 @@ def run_distributed_session(
         session=session,
         threads=threads,
     ) as analyst_transport:
-        live[session] = analyst_transport
-        try:
-            analyst = build_analyst(
-                query,
-                analyst_transport,
-                role_names(roles, "server"),
-                role_names(roles, "shard"),
-                group=group,
-                nb_override=nb_override,
-                chunk_size=chunk_size,
-                rng=root_rng(seed),
-                timeout=timeout,
-            )
-            result = analyst.run()
-        finally:
-            del live[session]
+        analyst = build_analyst(
+            query,
+            analyst_transport,
+            role_names(roles, "server"),
+            role_names(roles, "shard"),
+            group=group,
+            nb_override=nb_override,
+            chunk_size=chunk_size,
+            rng=root_rng(seed),
+            timeout=timeout,
+        )
+        result = analyst.run()
     elapsed = time.perf_counter() - start
 
     release_bytes = encode_message(result.release)

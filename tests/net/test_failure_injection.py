@@ -175,7 +175,7 @@ class TestFrontEndPeerDeath:
         start = time.monotonic()
         with FleetDispatcher(config) as dispatcher:
             for request in requests:
-                dispatcher.place(request, "fe-0")
+                dispatcher.submit(request)
             assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
             healthy, dead = (dispatcher.outcomes[s] for s in range(2))
         assert time.monotonic() - start < 60.0

@@ -5,16 +5,17 @@ The fleet layer's contract, pinned end to end:
 * every session served through the fleet releases byte-identical to the
   seeded in-process :class:`repro.api.Session`;
 * sessions wait in the dispatcher's one FIFO queue and are placed only
-  into a free slot: no front-end ever holds more than ``capacity``, and
-  ``place`` onto a full one is refused;
+  into a free slot: no front-end ever holds more than ``capacity``;
 * a front-end killed mid-session costs an *attributed* ``crashed``
   outcome (party = the dead worker) for exactly the sessions placed on
   it, never a hang; queued sessions go to a live or respawned
   front-end, or crash with a reason once none is left;
-* drain serves everything already admitted and admits nothing new;
+* drain serves everything already admitted and admits nothing new, and
+  a stopped fleet admits nothing either;
 * every front-end keeps to one CPU of its own;
-* a worker's command loop starts what is placed, reports each outcome
-  and stops as told, and ``stop`` aborts the peers of every live session;
+* a worker's main thread starts one daemon thread per placement, which
+  reports its own outcome, and stops as told without waiting for a
+  session in flight;
 * each session has a listener of its own: a late dial is refused, and a
   trickled handshake holds up only the session whose listener it is on.
 """
@@ -39,7 +40,7 @@ from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.prover import Prover
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net import roles, serve, transport, wire
+from repro.net import roles, serve, transport
 from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
@@ -116,11 +117,11 @@ class TestFleetServing:
         ]
         with FleetDispatcher(config) as dispatcher:
             for request in requests:
-                dispatcher.place(request, "fe-0")
+                dispatcher.submit(request)
             assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
         for request in requests:
             outcome = dispatcher.outcomes[request.request_id]
-            assert outcome.status == "released", outcome
+            assert (outcome.status, outcome.frontend) == ("released", "fe-0"), outcome
             assert outcome.release_frame == _solo_frame(request)
 
     def test_config_file_round_trip_and_unknown_keys(self, tmp_path):
@@ -224,11 +225,14 @@ class TestCpuShares:
         cpus = sorted(os.sched_getaffinity(0))
         with FleetDispatcher(config) as dispatcher:
             for slot in range(2):
-                dispatcher.place(
-                    SessionRequest(slot, QUERY, [1, 0, 1], seed=f"fleet-cpus/s{slot}"),
-                    f"fe-{slot}",
+                dispatcher.submit(
+                    SessionRequest(slot, QUERY, [1, 0, 1], seed=f"fleet-cpus/s{slot}")
                 )
             assert dispatcher.wait({0, 1}, timeout=60.0), dispatcher.outcomes
+            assert [dispatcher.outcomes[slot].frontend for slot in range(2)] == [
+                "fe-0",
+                "fe-1",
+            ]
             held = [
                 sorted(os.sched_getaffinity(dispatcher.workers[f"fe-{slot}"].process.pid))
                 for slot in range(2)
@@ -265,8 +269,8 @@ class TestFleetLifecycle:
         started = session_started(victim.seed)
         start = time.monotonic()
         with FleetDispatcher(config) as dispatcher:
-            dispatcher.place(victim, "fe-0")
-            dispatcher.place(survivor, "fe-1")
+            dispatcher.submit(victim)
+            dispatcher.submit(survivor)
             # The victim's 0.5 s-per-RPC session is provably in flight
             # once its clients peer has started.
             assert started[victim.seed].wait(30.0), "victim session never started"
@@ -276,14 +280,18 @@ class TestFleetLifecycle:
             assert crashed.status == "crashed"
             assert crashed.party == "fe-0"
             assert crashed.frontend == "fe-0"
+            assert dispatcher.outcomes[1].frontend == "fe-1"
             # Restarted — and the respawned worker actually serves.
             self._wait_for(
                 lambda: dispatcher.restarts.get("fe-0", 0) >= 1,
                 what="fe-0 restart",
             )
-            dispatcher.place(retry, "fe-0")
+            dispatcher.submit(retry)
             assert dispatcher.wait({2}, timeout=60.0), dispatcher.outcomes
-            assert dispatcher.outcomes[2].status == "released"
+            assert (dispatcher.outcomes[2].status, dispatcher.outcomes[2].frontend) == (
+                "released",
+                "fe-0",
+            )
             # No hangs anywhere in the story.
             assert time.monotonic() - start < 90.0
             # Survivor and retry releases byte-identical to solo runs.
@@ -359,40 +367,6 @@ class TestFleetLifecycle:
         assert "no live front-end" in second.reason
         assert dispatcher.restarts == {}
 
-    def test_place_onto_a_full_frontend_is_refused(self, slow_replies):
-        """``place`` pins a session only into a free slot: a second one
-        onto a capacity-1 front-end is refused and never admitted."""
-        config = FleetConfig(
-            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
-        )
-        first = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-full/s0")
-        slow_replies(0.1, first.seed)
-        with FleetDispatcher(config) as dispatcher:
-            dispatcher.place(first, "fe-0")
-            with pytest.raises(ParameterError, match="full"):
-                dispatcher.place(
-                    SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-full/s1"), "fe-0"
-                )
-            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
-            assert list(dispatcher.outcomes) == [0]
-            assert dispatcher.outcomes[0].release_frame == _solo_frame(first)
-
-    def test_place_onto_an_unknown_frontend_admits_nothing(self):
-        """``place`` onto a name the pool does not have is refused before
-        admission: the same request id can still be submitted, and it
-        releases."""
-        config = FleetConfig(
-            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
-        )
-        request = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-unknown/s0")
-        with FleetDispatcher(config) as dispatcher:
-            with pytest.raises(ParameterError, match="no live front-end named 'fe-9'"):
-                dispatcher.place(request, "fe-9")
-            assert dispatcher.wait(timeout=0.0)
-            dispatcher.submit(request)
-            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
-        assert dispatcher.outcomes[0].release_frame == _solo_frame(request)
-
     def test_a_request_id_is_admitted_once(self):
         """A second admission of an id already admitted — queued, placed
         or finished — is refused, so no id can have two outcomes."""
@@ -407,9 +381,39 @@ class TestFleetLifecycle:
                 dispatcher.submit(again)
             assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
             with pytest.raises(ParameterError, match="already admitted"):
-                dispatcher.place(again, "fe-0")
+                dispatcher.submit(again)
         assert list(dispatcher.outcomes) == [0]
         assert dispatcher.outcomes[0].release_frame == _solo_frame(first)
+
+    def test_a_full_frontend_holds_the_next_session_in_the_queue(
+        self, session_started, slow_replies
+    ):
+        """A session submitted while a capacity-1 front-end's one slot is
+        in flight is admitted but not placed: the front-end still holds
+        only the first, and the second runs once that outcome frees the
+        slot, on the same front-end, byte-identical to its solo run."""
+        metrics = ServingMetrics()
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        first = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-full/s0")
+        second = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-full/s1")
+        slow_replies(0.2, first.seed)
+        started = session_started(first.seed)
+        with FleetDispatcher(config, metrics=metrics) as dispatcher:
+            dispatcher.submit(first)
+            assert started[first.seed].wait(30.0), "first session never started"
+            dispatcher.submit(second)
+            assert list(dispatcher.workers["fe-0"].placed) == [0]
+            assert metrics.queued.value() == 1
+            assert metrics.frontend_in_flight.value(frontend="fe-0") == 1
+            assert 1 not in dispatcher.outcomes
+            assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
+        assert list(dispatcher.outcomes) == [0, 1]
+        for request in (first, second):
+            outcome = dispatcher.outcomes[request.request_id]
+            assert (outcome.status, outcome.frontend) == ("released", "fe-0"), outcome
+            assert outcome.release_frame == _solo_frame(request)
 
     def test_wait_names_requests_or_every_admitted_one(self, slow_replies):
         """``wait()`` covers every admitted request (none admitted: done
@@ -598,7 +602,7 @@ class TestFleetLifecycle:
         slow_replies(0.5, slow.seed)
         started = session_started(slow.seed)
         with FleetDispatcher(config) as dispatcher:
-            dispatcher.place(slow, "fe-0")
+            dispatcher.submit(slow)
             assert started[slow.seed].wait(30.0), "slow session never started"
             idle = dispatcher.workers["fe-1"]
             assert not dispatcher.drain(timeout=0.0)
@@ -607,14 +611,16 @@ class TestFleetLifecycle:
             assert 0 not in dispatcher.outcomes
             assert dispatcher.drain(timeout=60.0)
             assert dispatcher.workers["fe-1"] is idle
+        assert dispatcher.outcomes[0].frontend == "fe-0"
         assert dispatcher.outcomes[0].release_frame == _solo_frame(slow)
         assert dispatcher.workers["fe-0"].process.exitcode == 0
         assert dispatcher.restarts == {}
 
     def test_stop_with_sessions_in_flight_is_prompt(self, session_started, slow_replies):
-        """``stop`` (no grace) tells the peers of every session still in
-        flight to stop waiting, so the worker's session threads end and
-        it exits at once instead of serving its slow sessions out."""
+        """``stop`` (no grace) does not wait for the sessions still in
+        flight: the worker's main thread returns, and the process exits
+        at once, cleanly, ending their daemon threads instead of serving
+        its slow sessions out."""
         config = FleetConfig(
             frontends=1, capacity=2, num_servers=2, nb_override=16, timeout=30.0
         )
@@ -624,8 +630,7 @@ class TestFleetLifecycle:
         dispatcher = FleetDispatcher(config).start()
         try:
             for i, seed in enumerate(seeds):
-                request = SessionRequest(i, QUERY, [1, 0, 1], seed=seed)
-                dispatcher.place(request, "fe-0")
+                dispatcher.submit(SessionRequest(i, QUERY, [1, 0, 1], seed=seed))
             for seed in seeds:
                 assert started[seed].wait(30.0), f"{seed} never started"
         finally:
@@ -667,6 +672,35 @@ class TestFleetLifecycle:
         assert metrics.in_flight.value() == 0
         assert metrics.queued.value() == 0
         assert metrics.frontend_in_flight.value(frontend="fe-0") == 0
+
+    def test_a_stopped_fleet_admits_nothing(self):
+        """``submit`` after ``stop`` is refused, as during a drain: no
+        session is admitted that no front-end is left to serve, so
+        ``wait`` has nothing to wait for."""
+        config = FleetConfig(
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        dispatcher = FleetDispatcher(config).start()
+        dispatcher.stop()
+        with pytest.raises(ParameterError, match="stopped"):
+            dispatcher.submit(SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-after/s0"))
+        start = time.monotonic()
+        assert dispatcher.wait(timeout=2.0)
+        assert time.monotonic() - start < 0.5
+        assert dispatcher.outcomes == {}
+
+    def test_drain_after_stop_returns_at_once(self):
+        """Every worker ``stop`` joined is dead, so a later ``drain`` has
+        no front-end left to wait for and returns True at once."""
+        config = FleetConfig(
+            frontends=2, capacity=1, num_servers=2, nb_override=16, timeout=30.0
+        )
+        dispatcher = FleetDispatcher(config).start()
+        dispatcher.stop()
+        start = time.monotonic()
+        assert dispatcher.drain(timeout=2.0)
+        assert time.monotonic() - start < 0.5
+        assert all(worker.dead for worker in dispatcher.workers.values())
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status"
@@ -768,7 +802,7 @@ class TestSessionListener:
         ]
         with FleetDispatcher(config) as dispatcher:
             for request in requests:  # placed in order: session ids 0 and 1
-                dispatcher.place(request, "fe-0")
+                dispatcher.submit(request)
             assert dispatcher.wait(timeout=60.0), dispatcher.outcomes
         return requests, [dispatcher.outcomes[s] for s in range(2)]
 
@@ -808,10 +842,7 @@ class TestFrontEndGroups:
             FleetConfig(frontends=1, num_servers=2, nb_override=16, group=group),
         )
         request = SessionRequest(0, QUERY, [1, 0, 1], seed=f"groups/{group}")
-        try:
-            outcome, stages = frontend._run_session(request, 3)
-        finally:
-            frontend._executor.shutdown(wait=True)
+        outcome, stages = frontend._run_session(request, 3)
         assert outcome.status == "released", outcome
         assert outcome.release_frame == _solo_frame(request, group=group)
         assert "phase:morra" in stages
@@ -830,10 +861,7 @@ class TestFrontEndForgets:
             "fe-test", None, FleetConfig(frontends=1, num_servers=2, nb_override=16)
         )
         request = SessionRequest(0, QUERY, [1, 0, 1], seed=run)
-        try:
-            return frontend, request, frontend._run_session(request, self.SID)
-        finally:
-            frontend._executor.shutdown(wait=True)
+        return frontend, request, frontend._run_session(request, self.SID)
 
     @staticmethod
     def _per_session_entries(frontend, session):
@@ -986,18 +1014,8 @@ class TestFleetBlame:
             assert blamed == (set() if cell.endswith("/biased") else {cheat})
 
 
-class _RecordingTransport:
-    """An analyst transport that keeps every frame sent to a peer."""
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, name, frame):
-        self.sent.append((name, frame))
-
-
 class TestCommandLoop:
-    """The worker's command loop, driven in-process through a pipe.
+    """The worker's main thread, driven in-process through a pipe.
 
     Each placed session is a stand-in for ``_run_session`` that marks
     itself entered, holds its thread until the test opens that request's
@@ -1017,7 +1035,6 @@ class TestCommandLoop:
         gates: dict[int, threading.Event] = {}
         entered: dict[int, threading.Event] = {}
         outcomes: dict[int, str] = {}
-        transports: dict[int, _RecordingTransport] = {}
 
         def gate(request_id):
             return gates.setdefault(request_id, threading.Event())
@@ -1026,13 +1043,8 @@ class TestCommandLoop:
             return entered.setdefault(request_id, threading.Event())
 
         def run_session(request, sid):
-            transport = transports[request.request_id] = _RecordingTransport()
-            frontend._live[sid] = transport
             enter(request.request_id).set()
-            try:
-                gate(request.request_id).wait(10.0)
-            finally:
-                del frontend._live[sid]
+            gate(request.request_id).wait(10.0)
             status = outcomes.get(request.request_id, "released")
             return SessionOutcome(request.request_id, frontend.name, status), None
 
@@ -1041,7 +1053,7 @@ class TestCommandLoop:
         thread.start()
 
         def recv():
-            assert here.poll(5.0), "no event from the command loop"
+            assert here.poll(5.0), "no outcome from the worker"
             return here.recv()
 
         def place(*ids):
@@ -1049,10 +1061,16 @@ class TestCommandLoop:
                 request = SessionRequest(request_id, QUERY, [1, 0, 1], seed=None)
                 here.send({"cmd": "place", "request": request})
 
+        def session_thread(sid):
+            (found,) = [
+                t for t in threading.enumerate() if t.name == f"fe-test-session-{sid}"
+            ]
+            return found
+
         loop = types.SimpleNamespace(
             thread=thread,
             outcomes=outcomes,
-            transports=transports,
+            session_thread=session_thread,
             send=here.send,
             recv=recv,
             quiet=lambda: not here.poll(0.3),
@@ -1069,6 +1087,9 @@ class TestCommandLoop:
             if thread.is_alive() and not here.closed:
                 here.send({"cmd": "stop"})
             thread.join(5.0)
+            for session in threading.enumerate():
+                if session.name.startswith("fe-test-session-"):
+                    session.join(5.0)
             if not here.closed:
                 here.close()
             there.close()
@@ -1103,21 +1124,31 @@ class TestCommandLoop:
         assert loop.quiet()
         assert loop.thread.is_alive()
 
-    def test_stop_aborts_the_peers_of_every_live_session(self, loop):
-        """``stop`` does not wait for a session in flight: it tells that
-        session's peers — every server and the clients — to stop waiting,
-        and the loop returns while the session thread is still held."""
+    def test_stop_returns_while_a_session_is_held(self, loop):
+        """``stop`` does not wait for a session in flight: the main thread
+        returns while the session's thread is still held, and that thread
+        is a daemon, so process exit ends it."""
         loop.place(0)
         assert loop.entered(0)
         loop.send({"cmd": "stop"})
         loop.thread.join(5.0)
         assert not loop.thread.is_alive()
-        abort = wire.encode_control("abort", b"front-end stopping")
-        assert loop.transports[0].sent == [
-            ("prover-0", abort),
-            ("prover-1", abort),
-            ("clients", abort),
-        ]
+        session = loop.session_thread(0)
+        assert session.is_alive() and session.daemon
+
+    def test_an_outcome_after_the_pipe_closed_is_dropped(self, loop):
+        """A session that ends once the dispatcher's pipe has closed drops
+        its outcome: its thread ends with no exception (one would fail
+        this test as an unhandled thread exception)."""
+        loop.place(0)
+        assert loop.entered(0)
+        loop.close()
+        loop.thread.join(5.0)
+        assert not loop.thread.is_alive()
+        session = loop.session_thread(0)
+        loop.open(0)
+        session.join(5.0)
+        assert not session.is_alive()
 
     def test_a_closed_pipe_ends_the_loop(self, loop):
         """A dispatcher that died without a word is a ``stop``: the worker

@@ -266,7 +266,7 @@ class TestLiveFleetScrape:
         started = session_started(victim.seed)
         try:
             with FleetDispatcher(config, metrics=metrics) as dispatcher:
-                dispatcher.place(victim, "fe-0")
+                dispatcher.submit(victim)
                 assert started[victim.seed].wait(30.0), "victim session never started"
                 dispatcher.workers["fe-0"].process.kill()
                 assert dispatcher.wait({0}, timeout=60.0), dispatcher.outcomes

@@ -169,6 +169,6 @@ def test_fleet_worker_first_session_imports_nothing(fleet_worker_run):
 
 
 def test_fleet_dispatcher_leaves_asyncio_unloaded(fleet_worker_run):
-    """A front-end is a blocking command loop: starting a fleet, and
+    """A front-end runs blocking threads only: starting a fleet, and
     serving a session through it, loads no event loop."""
     assert fleet_worker_run["asyncio"] is False

@@ -7,9 +7,11 @@ set ``REPRO_PAPER_SCALE=1`` for paper-scale runs (slow in pure Python).
 ``python -m repro serve`` runs a session as separate OS processes — an
 analyst front-end, K prover servers and a client population — over the
 ``multiprocessing``-pipe or TCP transport (see :mod:`repro.net`), and
-checks the release is byte-identical to the in-process path when seeded;
-``serve --fleet`` serves many sessions at once through a pool of
-front-end processes, each running several sessions concurrently.
+checks the release is byte-identical to the in-process path when seeded.
+``python -m repro fleet`` serves many sessions at once through a pool of
+front-end processes, each running several sessions concurrently.  Each
+command has its own flags, plus the session flags both share; a flag
+given to the other command is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -35,66 +37,9 @@ _DESCRIPTIONS = {
 }
 
 
-def _serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run one verifiable-DP session as separate OS processes",
-    )
-    # The flags only one mode reads default to None, so that the other
-    # mode can refuse them when given (serve._check_fleet_flags applies
-    # the real defaults).
-    parser.add_argument(
-        "--transport",
-        choices=("memory", "multiprocess", "socket"),
-        default=None,
-        help="node substrate of one session, not with --fleet: threads over "
-        "the in-memory bus, pipes, or TCP (default multiprocess)",
-    )
-    parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help="serve --sessions concurrent sessions through a "
-        "dispatcher-orchestrated fleet: --frontends worker processes on one "
-        "CPU each, each serving up to --capacity sessions at once over TCP, "
-        "every session on its own listener with its peers as threads "
-        "(--frontends 1 is one front-end), behind one admission point whose "
-        "queue holds sessions until a slot is free, with drain and crash "
-        "restart; each session is byte-identical to its solo seeded run",
-    )
-    parser.add_argument(
-        "--frontends",
-        type=int,
-        default=None,
-        help="fleet front-end process count F (with --fleet; default 2)",
-    )
-    parser.add_argument(
-        "--capacity",
-        type=int,
-        default=None,
-        help="concurrent sessions per fleet front-end (with --fleet; default 2)",
-    )
-    parser.add_argument(
-        "--fleet-config",
-        default=None,
-        help="with --fleet: JSON fleet config file; overrides the "
-        "individual fleet flags",
-    )
-    parser.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        help="total session count N for --fleet serving (default 2)",
-    )
+def _session_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The flags of every served session, shared by ``serve`` and ``fleet``."""
     parser.add_argument("--servers", type=int, default=2, help="prover count K")
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="verification shard workers S of one session, not with "
-        "--fleet (0 = single front-end); the client stream and coin chunks "
-        "are partitioned across S workers and the merged release stays "
-        "byte-identical to unsharded",
-    )
     parser.add_argument("--clients", type=int, default=8, help="client count n")
     parser.add_argument("--nb", type=int, default=64, help="noise coins per prover")
     parser.add_argument("--bins", type=int, default=1, help=">1 runs a histogram query")
@@ -111,44 +56,93 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="RNG seed; enables the byte-identical check ('none' disables)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="socket transport host")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="socket port of one session, not with --fleet (default 0 = ephemeral)",
-    )
     parser.add_argument("--timeout", type=float, default=120.0, help="per-recv timeout")
+    return parser
+
+
+def _serve_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro serve",
+        description="Run one verifiable-DP session as separate OS processes",
+    )
     parser.add_argument(
-        "--metrics-port",
+        "--transport",
+        choices=("memory", "multiprocess", "socket"),
+        default="multiprocess",
+        help="node substrate: threads over the in-memory bus, pipes, or TCP "
+        "(default multiprocess)",
+    )
+    parser.add_argument(
+        "--port", type=int, default=0, help="socket port (default 0 = ephemeral)"
+    )
+    parser.add_argument(
+        "--shards",
         type=int,
-        default=None,
-        help="with --fleet: serve Prometheus-text /metrics on this port "
-        "(0 = ephemeral): session counters, queue gauges, per-phase engine "
-        "histograms",
+        default=0,
+        help="verification shard workers S (0 = single front-end); the "
+        "client stream and coin chunks are partitioned across S workers and "
+        "the merged release stays byte-identical to unsharded",
+    )
+    return _session_flags(parser)
+
+
+def _fleet_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro fleet",
+        description="Serve many verifiable-DP sessions at once: --frontends "
+        "worker processes on one CPU each, each serving up to --capacity "
+        "sessions at once over TCP, every session on its own listener with "
+        "its peers as threads, behind one admission point whose queue holds "
+        "sessions until a slot is free; each session is byte-identical to "
+        "its solo seeded run",
+    )
+    parser.add_argument(
+        "--frontends",
+        type=int,
+        default=2,
+        help="front-end process count F (default 2)",
+    )
+    parser.add_argument(
+        "--capacity",
+        type=int,
+        default=2,
+        help="concurrent sessions per front-end (default 2)",
+    )
+    parser.add_argument(
+        "--sessions",
+        type=int,
+        default=2,
+        help="session count N of the batch (default 2)",
     )
     parser.add_argument(
         "--listen",
         type=int,
         default=None,
-        help="with --fleet: instead of a fixed --sessions batch, accept a "
-        "session stream on this TCP port (JSON lines; the repro loadgen "
-        "target; 0 = ephemeral)",
+        help="instead of a fixed --sessions batch, accept a session stream on "
+        "this TCP port (JSON lines; the repro loadgen target; 0 = ephemeral)",
     )
     parser.add_argument(
         "--serve-seconds",
         type=float,
         default=None,
-        help="with --fleet --listen: serve for this long, then drain and exit "
+        help="with --listen: serve for this long, then drain and exit "
         "(default: forever, Ctrl-C to stop)",
     )
-    return parser
+    parser.add_argument(
+        "--metrics-port",
+        type=int,
+        default=None,
+        help="serve Prometheus-text /metrics on this port (0 = ephemeral): "
+        "session counters, queue gauges, per-phase engine histograms",
+    )
+    return _session_flags(parser)
 
 
 def _loadgen_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
         description="Open-loop Poisson load generator against a fleet "
-        "gateway (repro serve --fleet --listen PORT)",
+        "gateway (repro fleet --listen PORT)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="gateway host")
     parser.add_argument("--port", type=int, required=True, help="gateway TCP port")
@@ -190,13 +184,14 @@ def _loadgen_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "serve":
-        from repro.net.serve import main as serve_main
+    if argv and argv[0] in ("serve", "fleet"):
+        from repro.net import serve
 
-        args = _serve_parser().parse_args(argv[1:])
+        fleet = argv[0] == "fleet"
+        args = (_fleet_parser() if fleet else _serve_parser()).parse_args(argv[1:])
         if args.seed == "none":
             args.seed = None
-        return serve_main(args)
+        return (serve.fleet_main if fleet else serve.main)(args)
     if argv and argv[0] == "loadgen":
         return _loadgen_main(_loadgen_parser().parse_args(argv[1:]))
     if argv and argv[0] == "lint":
@@ -212,11 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(_DESCRIPTIONS)
-        + ["all", "list", "serve", "loadgen", "lint"],
-        help="experiment id (see DESIGN.md), 'all'/'list', 'serve' "
-        "(multi-process serving demo), 'loadgen' (open-loop fleet load "
-        "generator), or 'lint' (protocol-invariant static analysis); run "
-        "'<name> --help' for options",
+        + ["all", "list", "serve", "fleet", "loadgen", "lint"],
+        help="experiment id (see DESIGN.md), 'all'/'list', 'serve' (one "
+        "multi-process session), 'fleet' (many sessions at once), 'loadgen' "
+        "(open-loop fleet load generator), or 'lint' (protocol-invariant "
+        "static analysis); run '<name> --help' for options",
     )
     args = parser.parse_args(argv)
 

@@ -25,7 +25,7 @@ populations rather than one frozen cohort, which is what a long-lived
 deployment actually sees.
 
 The target is a :class:`~repro.net.gateway.FleetGateway`
-(``repro serve --fleet --listen PORT``); the protocol is one JSON line
+(``repro fleet --listen PORT``); the protocol is one JSON line
 per session out, one reply line per outcome back, fully pipelined.
 """
 

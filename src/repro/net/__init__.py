@@ -27,9 +27,10 @@ This package closes that gap without touching the protocol engine:
   (``run_role``, the only kind of peer there is — a fleet session's
   peers are session-scoped ``run_role`` threads too), the seed → RNG
   convention and the solo replay it is checked against.
-* :mod:`repro.net.serve` — the ``python -m repro serve`` demo driver: a
-  full session as separate OS processes, byte-identical to the
-  in-process path under seeded RNG; its ``run_distributed_session`` is
+* :mod:`repro.net.serve` — the ``python -m repro serve`` and ``python
+  -m repro fleet`` drivers: a full session as separate OS processes,
+  byte-identical to the in-process path under seeded RNG, or many at
+  once through the fleet; its ``run_distributed_session`` is
   the one session call — the CLI's, the benchmark's and each fleet
   session's — and ``session_peers`` (start the peers, accept, tear
   down) its one peer launcher.
@@ -38,7 +39,7 @@ This package closes that gap without touching the protocol engine:
   requests and places them across a pool of front-end processes
   (:mod:`repro.net.frontend`), one CPU each, holding sessions in one
   queue until a slot is free, with graceful drain and crash restart
-  (``python -m repro serve --fleet``).  A front-end reads its pipe on
+  (``python -m repro fleet``).  A front-end reads its pipe on
   its main thread and serves up to ``capacity`` sessions at once, each
   on a daemon thread of its own through ``run_distributed_session`` as a socket
   session with peer threads, on a listener bound to that session.

@@ -1,12 +1,12 @@
 """A dispatcher-orchestrated serving fleet: many front-ends, one admission point.
 
 One front-end process overlaps up to ``capacity`` sessions' idle time.
-This module runs a pool of them — the one way ``repro serve`` serves
-many sessions (``--fleet --frontends 1`` is a lone front-end):
+This module runs a pool of them — the one way ``repro fleet`` serves
+many sessions (``fleet --frontends 1`` is a lone front-end):
 
-* :class:`FleetConfig` — the declarative deployment: pool size,
-  per-front-end session capacity, protocol knobs.  Loadable from a JSON
-  file (``repro serve --fleet --fleet-config fleet.json``).
+* :class:`FleetConfig` — the deployment: pool size, per-front-end
+  session capacity, protocol knobs; ``repro fleet`` fills it in from
+  its flags.
 * :class:`FleetDispatcher` — the admission point.  Spawns one
   front-end worker process per pool slot, each serving up to
   ``capacity`` concurrent sessions on one CPU of its own.  Admitted
@@ -16,8 +16,8 @@ many sessions (``--fleet --frontends 1`` is a lone front-end):
   sentinel: it collects outcomes, places queued sessions into the slots
   they free, re-attributes a crashed worker's placed sessions as
   *crashed* outcomes (never hangs), and respawns the worker up to
-  ``max_restarts`` times.
-* :func:`run_fleet` — the ``repro serve --fleet`` driver: submit a
+  :data:`_MAX_RESTARTS` times.
+* :func:`run_fleet` — the ``repro fleet`` driver: submit a
   stream of session requests, wait, drain (stop admitting, serve the
   queue, stop each front-end once idle), and verify the cross-cutting
   invariant — every fleet-served release is byte-identical to a seeded
@@ -50,8 +50,6 @@ and the outcome names the party.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import threading
 import time
 import typing
@@ -91,7 +89,7 @@ def session_values(values: list, session: int) -> list:
 
 @dataclass
 class FleetConfig:
-    """The declarative fleet deployment.
+    """The fleet deployment.
 
     ``frontends`` front-end worker processes, each serving up to
     ``capacity`` concurrent sessions.  The remaining knobs are the
@@ -106,7 +104,6 @@ class FleetConfig:
     chunk_size: int | None = None
     host: str = "127.0.0.1"
     timeout: float = 60.0
-    max_restarts: int = 2
 
     def __post_init__(self) -> None:
         if self.frontends < 1:
@@ -115,34 +112,6 @@ class FleetConfig:
             raise ParameterError("capacity must be >= 1")
         if self.num_servers < 1:
             raise ParameterError("num_servers must be >= 1")
-        if self.max_restarts < 0:
-            raise ParameterError("max_restarts must be >= 0")
-
-    @classmethod
-    def from_file(cls, path: str) -> "FleetConfig":
-        """Load a config from a JSON object file; unknown keys and values of
-        the wrong JSON type are errors (a typo silently ignored is a
-        deployment mis-sized silently)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ParameterError("fleet config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ParameterError(f"unknown fleet config keys: {unknown}")
-        hints = typing.get_type_hints(cls)
-        for key, value in data.items():
-            allowed = typing.get_args(hints[key]) or (hints[key],)
-            if float in allowed:
-                allowed += (int,)  # a timeout of 30 means 30.0
-            # bool is an int subclass, but true is never a size or a timeout.
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                names = " or ".join(
-                    "null" if kind is type(None) else kind.__name__ for kind in allowed
-                )
-                raise ParameterError(f"fleet config {key!r} must be {names}, got {value!r}")
-        return cls(**data)
 
 
 @dataclass
@@ -200,6 +169,9 @@ def _load_before_fork(config: FleetConfig) -> None:
     group.from_bytes(group.generator().to_bytes())
     resolve(config.host, 0)
 
+
+# How many times a front-end that exited is respawned under its name.
+_MAX_RESTARTS = 2
 
 # The monitor's wait on its pipes and sentinels times out only so that it
 # notices ``stop``; every outcome and exit wakes it at once.
@@ -519,7 +491,7 @@ class FleetDispatcher:
         if self._draining and not self._queue:
             return  # nothing left for a respawn to serve
         count = self.restarts.get(worker.name, 0)
-        if count >= self.config.max_restarts:
+        if count >= _MAX_RESTARTS:
             return
         self.restarts[worker.name] = count + 1
         if self.metrics is not None:

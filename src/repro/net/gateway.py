@@ -1,7 +1,7 @@
 """A TCP admission gateway: drive a live fleet from outside its process.
 
-``repro serve --fleet`` historically ran a fixed batch of sessions and
-exited — fine for demos, useless for load generation, where the client
+``repro fleet`` without ``--listen`` runs a fixed batch of sessions and
+exits — fine for demos, useless for load generation, where the client
 decides *when* sessions arrive.  :class:`FleetGateway` turns a running
 :class:`~repro.net.fleet.FleetDispatcher` into a server: clients connect
 over plain TCP and speak newline-delimited JSON —
@@ -120,10 +120,12 @@ class FleetGateway:
             self._discard(conn)
 
     def _handle_line(self, conn, write_lock, line: bytes):
+        client_id = None
         try:
             payload = json.loads(line)
             if not isinstance(payload, dict):
                 raise ValueError("request must be a JSON object")
+            client_id = payload.get("id")
             op = payload.get("op", "session")
             if op == "ping":
                 self._reply(conn, write_lock, {"ok": True})
@@ -133,34 +135,26 @@ class FleetGateway:
             values = payload["values"]
             if not isinstance(values, list):
                 raise ValueError("values must be a list")
-        except (ValueError, KeyError, TypeError) as exc:
-            self._reply(
-                conn,
-                write_lock,
-                {"id": None, "status": "rejected", "reason": f"bad request: {exc}"},
-            )
-            with self._lock:
-                self.rejected += 1
-            return None
+            # A worker cannot run either of these: a seed that is no
+            # string would crash the session on its front-end, and a value
+            # the query cannot encode would kill the client runner and
+            # blame ``clients``.
+            seed = payload.get("seed")
+            if seed is not None and not isinstance(seed, str):
+                raise ValueError("seed must be a string or null")
+            for value in values:
+                self.query.encode(value)
+        except (ValueError, KeyError, TypeError) as exc:  # ParameterError too
+            return self._reject(conn, write_lock, client_id, f"bad request: {exc}")
 
-        client_id = payload.get("id")
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
-        request = SessionRequest(
-            request_id, self.query, list(values), seed=payload.get("seed")
-        )
+        request = SessionRequest(request_id, self.query, list(values), seed=seed)
         try:
             self.dispatcher.submit(request)
         except ParameterError as exc:
-            self._reply(
-                conn,
-                write_lock,
-                {"id": client_id, "status": "rejected", "reason": str(exc)},
-            )
-            with self._lock:
-                self.rejected += 1
-            return None
+            return self._reject(conn, write_lock, client_id, str(exc))
         with self._lock:
             self.admitted += 1
         waiter = threading.Thread(
@@ -171,6 +165,13 @@ class FleetGateway:
         )
         waiter.start()
         return waiter
+
+    def _reject(self, conn, write_lock, client_id, reason: str) -> None:
+        self._reply(
+            conn, write_lock, {"id": client_id, "status": "rejected", "reason": reason}
+        )
+        with self._lock:
+            self.rejected += 1
 
     def _await_outcome(self, conn, write_lock, client_id, request_id: int) -> None:
         finished = self.dispatcher.wait({request_id}, timeout=self.timeout)

@@ -14,12 +14,15 @@ With a seed, the distributed release is compared byte-for-byte against
 the in-process :class:`repro.api.Session` release — the equivalence the
 redesign promises (same engine, same RNG streams, different substrate).
 
-Many sessions at once are served by ``--fleet``
-(:func:`repro.net.fleet.run_fleet`): F front-end processes behind one
-dispatcher, each serving up to ``capacity`` sessions at once, every one
-of them through :func:`run_distributed_session` — the one session call —
-as a socket session bound to its session id with its peers as threads;
-``--fleet --frontends 1`` is one front-end.
+Many sessions at once are served by ``python -m repro fleet``
+(:func:`fleet_main`, :func:`repro.net.fleet.run_fleet`): F front-end
+processes behind one dispatcher, each serving up to ``capacity``
+sessions at once, every one of them through
+:func:`run_distributed_session` — the one session call — as a socket
+session bound to its session id with its peers as threads;
+``fleet --frontends 1`` is one front-end.  Each command has its own
+argparse parser (``repro.cli``), so a flag given to the other one is
+argparse's usage error before anything is served.
 
 Each driver imports the serving stack it runs inside its own body, in
 the calling process before any fork, so importing this module loads no
@@ -45,6 +48,7 @@ if typing.TYPE_CHECKING:
 __all__ = [
     "run_distributed_session",
     "main",
+    "fleet_main",
     "EXIT_PROTOCOL_ABORT",
     "EXIT_INFRA_CRASH",
 ]
@@ -304,16 +308,36 @@ def _own_pipe_only(run, inherited: list):
 
 
 def main(args) -> int:
-    """Drive the demo from parsed CLI arguments (see ``repro.cli``).
+    """Drive ``repro serve`` — one session — from parsed CLI arguments
+    (see ``repro.cli``).
 
-    Exit codes are a supervisor contract shared by every serving mode:
-    0 released+verified, 1 rejected or byte-mismatched, 2 bad usage,
-    :data:`EXIT_PROTOCOL_ABORT` for an attributed protocol abort,
-    :data:`EXIT_INFRA_CRASH` for dead infrastructure — the attributed
-    party (or the failing layer) lands on stderr either way.
+    Exit codes are a supervisor contract shared with ``repro fleet``
+    (:func:`fleet_main`): 0 released+verified, 1 rejected or
+    byte-mismatched, 2 bad usage, :data:`EXIT_PROTOCOL_ABORT` for an
+    attributed protocol abort, :data:`EXIT_INFRA_CRASH` for dead
+    infrastructure — the attributed party (or the failing layer) lands
+    on stderr either way.
     """
+    return _exit_code(_main_session, args)
+
+
+def fleet_main(args) -> int:
+    """Drive ``repro fleet`` — many sessions at once — from parsed CLI
+    arguments, with :func:`main`'s exit codes."""
+    return _exit_code(_main_fleet, args)
+
+
+def _exit_code(drive, args) -> int:
+    """Run ``drive(args, query, values)`` on the demo population and map
+    what it raises to the exit-code contract."""
     try:
-        return _dispatch(args)
+        if args.bins > 1:
+            query: Query = HistogramQuery(bins=args.bins, epsilon=1.0, delta=2**-10)
+            values = [i % args.bins for i in range(args.clients)]
+        else:
+            query = CountQuery(epsilon=1.0, delta=2**-10)
+            values = [i % 2 for i in range(args.clients)]
+        return drive(args, query, values)
     except ProtocolAbort as exc:
         party = exc.party if exc.party is not None else "unattributed"
         print(f"protocol abort (party: {party}): {exc}", file=sys.stderr)
@@ -326,16 +350,7 @@ def main(args) -> int:
         return EXIT_INFRA_CRASH
 
 
-def _dispatch(args) -> int:
-    if args.bins > 1:
-        query: Query = HistogramQuery(bins=args.bins, epsilon=1.0, delta=2**-10)
-        values = [i % args.bins for i in range(args.clients)]
-    else:
-        query = CountQuery(epsilon=1.0, delta=2**-10)
-        values = [i % 2 for i in range(args.clients)]
-    _check_fleet_flags(args)
-    if args.fleet:
-        return _main_fleet(args, query, values)
+def _main_session(args, query: Query, values) -> int:
     outcome = run_distributed_session(
         query,
         values,
@@ -373,43 +388,6 @@ def _dispatch(args) -> int:
     return 0 if outcome["accepted"] else 1
 
 
-# The flags only one mode reads, with their defaults: the parser leaves
-# them None, so that one given to the other mode can be refused.
-_SESSION_FLAGS = {"transport": "multiprocess", "port": 0}
-_FLEET_FLAGS = {"frontends": 2, "capacity": 2, "sessions": 2}
-
-
-def _check_fleet_flags(args) -> None:
-    """Refuse a flag the chosen mode would ignore, then fill in the
-    defaults of the mode's own: ``--listen``, ``--metrics-port``,
-    ``--fleet-config``, ``--frontends``, ``--capacity`` and
-    ``--sessions`` mean something only under ``--fleet``,
-    ``--serve-seconds`` only with ``--listen``, and ``--shards``,
-    ``--transport`` and ``--port`` only without ``--fleet``."""
-    if args.serve_seconds is not None and args.listen is None:
-        raise ParameterError("--serve-seconds requires --listen")
-    if args.fleet:
-        if args.shards:
-            raise ParameterError("--shards applies to one session, not to --fleet")
-        ignored, own = _SESSION_FLAGS, _FLEET_FLAGS
-    else:
-        for flag, value in (
-            ("--listen", args.listen),
-            ("--metrics-port", args.metrics_port),
-            ("--fleet-config", args.fleet_config),
-        ):
-            if value is not None:
-                raise ParameterError(f"{flag} requires --fleet")
-        ignored, own = _FLEET_FLAGS, _SESSION_FLAGS
-    given = [f"--{dest}" for dest in ignored if getattr(args, dest) is not None]
-    if given:
-        mode = "not with --fleet" if args.fleet else "only with --fleet"
-        raise ParameterError(f"{', '.join(given)}: {mode}")
-    for dest, default in own.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-
-
 @contextlib.contextmanager
 def _metrics_endpoint(args):
     """Optional /metrics endpoint for a serving run (``--metrics-port``).
@@ -436,19 +414,18 @@ def _metrics_endpoint(args):
 def _main_fleet(args, query: Query, values) -> int:
     from repro.net.fleet import FleetConfig, run_fleet
 
-    if args.fleet_config:
-        config = FleetConfig.from_file(args.fleet_config)
-    else:
-        config = FleetConfig(
-            frontends=args.frontends,
-            capacity=args.capacity,
-            num_servers=args.servers,
-            group=args.group,
-            nb_override=args.nb,
-            chunk_size=args.chunk,
-            host=args.host,
-            timeout=args.timeout,
-        )
+    if args.serve_seconds is not None and args.listen is None:
+        raise ParameterError("--serve-seconds requires --listen")
+    config = FleetConfig(
+        frontends=args.frontends,
+        capacity=args.capacity,
+        num_servers=args.servers,
+        group=args.group,
+        nb_override=args.nb,
+        chunk_size=args.chunk,
+        host=args.host,
+        timeout=args.timeout,
+    )
     if args.listen is not None:
         return _main_fleet_gateway(args, query, config)
     with _metrics_endpoint(args) as metrics:
@@ -504,7 +481,7 @@ def _main_fleet(args, query: Query, values) -> int:
 
 
 def _main_fleet_gateway(args, query: Query, config: FleetConfig) -> int:
-    """``repro serve --fleet --listen PORT``: serve an open-ended session
+    """``repro fleet --listen PORT``: serve an open-ended session
     stream admitted over TCP (the ``repro loadgen`` target) instead of a
     fixed batch.  Runs until ``--serve-seconds`` elapses (or forever,
     Ctrl-C to stop), then drains: everything admitted finishes, nothing

@@ -40,7 +40,8 @@ from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.prover import Prover
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ProtocolAbort
-from repro.net import roles, serve, transport
+from repro.cli import main
+from repro.net import fleet, roles, serve, transport
 from repro.net.fleet import (
     FleetConfig,
     FleetDispatcher,
@@ -124,72 +125,70 @@ class TestFleetServing:
             assert (outcome.status, outcome.frontend) == ("released", "fe-0"), outcome
             assert outcome.release_frame == _solo_frame(request)
 
-    def test_config_file_round_trip_and_unknown_keys(self, tmp_path):
-        path = tmp_path / "fleet.json"
-        path.write_text('{"frontends": 3, "capacity": 1, "num_servers": 3}')
-        config = FleetConfig.from_file(str(path))
-        assert (config.frontends, config.capacity, config.num_servers) == (3, 1, 3)
-        path.write_text('{"frontends": 3, "workers": 9}')
-        with pytest.raises(ParameterError, match="workers"):
-            FleetConfig.from_file(str(path))
+    def test_fleet_flags_fill_in_the_config(self, monkeypatch):
+        """``repro fleet``'s flags are the one way to shape the fleet:
+        each lands in its ``FleetConfig`` field, with the type it has."""
+        served = {}
 
-    def test_config_file_shards_key_is_unknown(self, tmp_path):
-        """A fleet session is never sharded, so ``shards`` is no key."""
-        path = tmp_path / "fleet.json"
-        path.write_text('{"frontends": 1, "shards": 2}')
-        with pytest.raises(ParameterError, match=r"unknown fleet config keys: \['shards'\]"):
-            FleetConfig.from_file(str(path))
+        def capture(query, values, *, sessions, config, seed, metrics):
+            served.update(sessions=sessions, config=config, seed=seed)
+            raise ProtocolAbort("captured")  # exit 3: nothing is served
+
+        monkeypatch.setattr(fleet, "run_fleet", capture)
+        argv = ["fleet", "--frontends", "3", "--capacity", "1", "--servers", "3"]
+        argv += ["--timeout", "30", "--chunk", "8", "--group", "p32-sim", "--nb", "16"]
+        assert main([*argv, "--sessions", "5", "--seed", "none"]) == 3
+        assert (served["sessions"], served["seed"]) == (5, None)
+        assert served["config"] == FleetConfig(
+            frontends=3,
+            capacity=1,
+            num_servers=3,
+            group="p32-sim",
+            nb_override=16,
+            chunk_size=8,
+            timeout=30.0,
+        )
+        assert isinstance(served["config"].timeout, float)
 
     @pytest.mark.parametrize(
-        "text, key",
+        "flags, named",
         [
-            ('{"frontends": "2"}', "frontends"),
-            ('{"capacity": true}', "capacity"),
-            ('{"num_servers": 1.5}', "num_servers"),
-            ('{"max_restarts": null}', "max_restarts"),
-            ('{"timeout": "30"}', "timeout"),
-            ('{"group": 64}', "group"),
-            ('{"nb_override": "64"}', "nb_override"),
-            ('{"chunk_size": true}', "chunk_size"),
+            pytest.param(flags, named, id="-".join(flags).replace("--", ""))
+            for flags, named in [
+                (["--workers", "9"], "--workers"),
+                (["--health-interval", "0.5"], "--health-interval"),
+                (["--max-restarts", "0"], "--max-restarts"),
+                (["--frontends", "2.5"], "--frontends"),
+                (["--capacity", "true"], "--capacity"),
+                (["--servers", "1.5"], "--servers"),
+                (["--timeout", "thirty"], "--timeout"),
+                (["--nb", "x"], "--nb"),
+                (["--chunk", "true"], "--chunk"),
+                (["--frontends", "0"], "frontends must be >= 1"),
+                (["--capacity", "0"], "capacity must be >= 1"),
+                (["--servers", "0"], "num_servers must be >= 1"),
+                (["--sessions", "0"], "sessions must be >= 1"),
+                (["--group", "64"], "unknown group '64'"),
+            ]
         ],
     )
-    def test_config_file_rejects_wrong_json_types(self, tmp_path, text, key):
-        path = tmp_path / "fleet.json"
-        path.write_text(text)
-        with pytest.raises(ParameterError, match=key):
-            FleetConfig.from_file(str(path))
+    def test_a_bad_fleet_flag_exits_2_before_a_worker_starts(
+        self, monkeypatch, capsys, flags, named
+    ):
+        """A flag ``repro fleet`` does not take, a value of the wrong
+        type, or one the fleet refuses is bad usage (exit 2) naming it,
+        not a crash, and no front-end is started."""
 
-    def test_config_file_health_interval_key_is_unknown(self, tmp_path, capsys):
-        """The dispatcher pings no front-end, so ``health_interval`` is no
-        key, and a config file that still sets it is bad usage (exit 2)."""
-        from repro.cli import main
+        def spawn(*args, **kwargs):
+            raise AssertionError("a front-end started")
 
-        path = tmp_path / "fleet.json"
-        path.write_text('{"frontends": 1, "health_interval": 0.5}')
-        with pytest.raises(
-            ParameterError, match=r"unknown fleet config keys: \['health_interval'\]"
-        ):
-            FleetConfig.from_file(str(path))
-        assert main(["serve", "--fleet", "--fleet-config", str(path)]) == 2
-        assert "health_interval" in capsys.readouterr().err
-
-    def test_config_file_accepts_every_json_type_it_declares(self, tmp_path):
-        path = tmp_path / "fleet.json"
-        path.write_text(
-            '{"timeout": 30, "nb_override": null, "chunk_size": 8, "group": "p32-sim"}'
-        )
-        config = FleetConfig.from_file(str(path))
-        assert config.timeout == 30
-        assert (config.nb_override, config.chunk_size, config.group) == (None, 8, "p32-sim")
-
-    def test_config_file_type_error_is_a_usage_exit(self, tmp_path, capsys):
-        """A mistyped config file is bad usage (exit 2), not a crash."""
-        from repro.cli import main
-
-        path = tmp_path / "fleet.json"
-        path.write_text('{"frontends": "2"}')
-        assert main(["serve", "--fleet", "--fleet-config", str(path)]) == 2
-        assert "frontends" in capsys.readouterr().err
+        monkeypatch.setattr(FleetDispatcher, "_spawn", spawn)
+        try:
+            code = main(["fleet", *flags])
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        assert code == 2
+        assert named in capsys.readouterr().err
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -337,18 +336,14 @@ class TestFleetLifecycle:
             )
 
     def test_queued_sessions_crash_once_no_frontend_is_left(
-        self, session_started, slow_replies
+        self, monkeypatch, session_started, slow_replies
     ):
         """One front-end with no restarts, one session running and one
         queued: killing it crashes the running one (naming fe-0) and the
         queued one (never placed, with a reason), and ``wait`` returns."""
+        monkeypatch.setattr(fleet, "_MAX_RESTARTS", 0)
         config = FleetConfig(
-            frontends=1,
-            capacity=1,
-            num_servers=2,
-            nb_override=16,
-            timeout=30.0,
-            max_restarts=0,
+            frontends=1, capacity=1, num_servers=2, nb_override=16, timeout=30.0
         )
         running = SessionRequest(0, QUERY, [1, 0, 1], seed="fleet-last/s0")
         queued = SessionRequest(1, QUERY, [0, 1, 1], seed="fleet-last/s1")
@@ -962,6 +957,24 @@ def _in_process(request: SessionRequest, cell: str):
         return "aborted", exc.party
 
 
+def _swap_in_cheaters(patch) -> None:
+    """Make each peer's prover the one its cell gives its name: the cell
+    is read off the session seed when the peer starts.  Patched before
+    the fork, a forked front-end or peer inherits both patches."""
+    peer = threading.local()
+    real_run_role = roles.run_role
+
+    def run_role(role, name, transport, **kwargs):
+        peer.prover = _prover(kwargs["seed"].removeprefix("blame/"), name)
+        return real_run_role(role, name, transport, **kwargs)
+
+    def server_node(*args, **kwargs):
+        return ServerNode(*args, prover_factory=peer.prover, **kwargs)
+
+    patch.setattr(roles, "run_role", run_role)
+    patch.setattr(roles, "ServerNode", server_node)
+
+
 class TestFleetBlame:
     """A cheater served through the fleet ends its session as the
     in-process run with the same cheater and seed does: an abort names
@@ -972,23 +985,11 @@ class TestFleetBlame:
 
     @pytest.fixture(scope="class")
     def served(self):
-        peer = threading.local()
-        real_run_role = roles.run_role
-
-        def run_role(role, name, transport, **kwargs):
-            peer.prover = _prover(kwargs["seed"].removeprefix("blame/"), name)
-            return real_run_role(role, name, transport, **kwargs)
-
-        def server_node(*args, **kwargs):
-            return ServerNode(*args, prover_factory=peer.prover, **kwargs)
-
         config = FleetConfig(
             frontends=1, capacity=2, num_servers=2, nb_override=16, timeout=30.0
         )
         with pytest.MonkeyPatch.context() as patch:
-            # Patched before the fork: the front-end inherits both.
-            patch.setattr(roles, "run_role", run_role)
-            patch.setattr(roles, "ServerNode", server_node)
+            _swap_in_cheaters(patch)
             with FleetDispatcher(config) as dispatcher:
                 for index, cell in enumerate(BLAME_CELLS):
                     dispatcher.submit(_blame_request(index, cell))
@@ -1012,6 +1013,35 @@ class TestFleetBlame:
             assert blamed == {"client-1"}
         else:  # biased coins are still bits: nothing to catch
             assert blamed == (set() if cell.endswith("/biased") else {cheat})
+
+
+class TestForkedSocketBlame:
+    """The same cells through the solo socket session, every peer a
+    forked process: each ends as the in-process run does — the same
+    status, the same party named, the same release bytes."""
+
+    @pytest.mark.parametrize("cell", list(BLAME_CELLS))
+    def test_outcome_is_the_in_process_one(self, monkeypatch, cell):
+        _swap_in_cheaters(monkeypatch)
+        request = _blame_request(list(BLAME_CELLS).index(cell), cell)
+        try:
+            outcome = serve.run_distributed_session(
+                QUERY,
+                request.values,
+                transport="socket",
+                nb_override=16,
+                seed=request.seed,
+                timeout=30.0,
+                verify_equivalence=False,
+            )
+        except ProtocolAbort as exc:
+            served = ("aborted", exc.party)
+        else:
+            served = ("released", outcome["release_frame"])
+        status, detail = _in_process(request, cell)
+        if status == "released":
+            detail = encode_message(detail)
+        assert served == (status, detail)
 
 
 class TestCommandLoop:

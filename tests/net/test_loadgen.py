@@ -118,18 +118,34 @@ class TestGatewayE2E:
             server.close()
 
     def test_bad_requests_rejected_with_reason(self):
-        dispatcher = FleetDispatcher(self._fleet_config())
+        """A malformed line, an unknown op, a seed that is no string, and
+        values the query cannot encode are each rejected with a reason
+        before admission: none reaches a worker, whose client runner
+        would die on it and get the session blamed on the wrong party."""
+        bad = [
+            b"not json",
+            b'{"op":"bogus"}',
+            b'{"values": [1, 0, 1], "seed": [1]}',
+            b'{"values": ["x", 1]}',
+            b'{"values": [2, 1]}',
+        ]
+        metrics = ServingMetrics()
+        dispatcher = FleetDispatcher(self._fleet_config(), metrics=metrics)
         dispatcher.start()
         gateway = FleetGateway(dispatcher, QUERY, timeout=30.0)
         try:
             with socket.create_connection(("127.0.0.1", gateway.port), 10.0) as conn:
-                conn.sendall(b'not json\n{"op":"bogus"}\n{"op":"ping"}\n')
+                conn.sendall(b"\n".join([*bad, b'{"op":"ping"}']) + b"\n")
                 with conn.makefile("rb") as lines:
-                    replies = [json.loads(next(lines)) for _ in range(3)]
-            statuses = [r.get("status", "ok" if r.get("ok") else "?") for r in replies]
-            assert statuses.count("rejected") == 2
-            assert any(r.get("ok") for r in replies)
-            assert gateway.rejected == 2
+                    replies = [json.loads(next(lines)) for _ in range(len(bad) + 1)]
+            assert {"ok": True} in replies
+            rejected = [r for r in replies if r.get("status") == "rejected"]
+            assert len(rejected) == len(bad), replies
+            assert all(r["reason"].startswith("bad request: ") for r in rejected)
+            assert "seed" in rejected[2]["reason"]
+            assert gateway.rejected == len(bad) and gateway.admitted == 0
+            assert dispatcher.outcomes == {}
+            assert metrics.admitted.value() == 0
         finally:
             gateway.close()
             dispatcher.stop()

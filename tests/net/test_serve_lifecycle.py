@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.api.queries import CountQuery
-from repro.cli import _serve_parser
+from repro.cli import _fleet_parser, _serve_parser, main
 from repro.core.messages import AuditRecord
 from repro.errors import ParameterError, ProtocolAbort
 from repro.net import fleet, roles, serve, transport
@@ -241,13 +241,16 @@ class TestConcurrentShutdown:
 
 
 class TestExitCodes:
-    """`repro serve` exit codes: a supervisor must be able to tell a
-    protocol abort (restartable policy decision) from dead
+    """`repro serve` and `repro fleet` exit codes: a supervisor must be
+    able to tell a protocol abort (restartable policy decision) from dead
     infrastructure (restart the substrate) without parsing stderr —
     though stderr does name the attributed party."""
 
     def _args(self, *extra):
         return _serve_parser().parse_args(list(extra))
+
+    def _fleet_args(self, *extra):
+        return _fleet_parser().parse_args(list(extra))
 
     def test_protocol_abort_exits_3_with_party_on_stderr(
         self, monkeypatch, capsys
@@ -267,7 +270,7 @@ class TestExitCodes:
             raise ProtocolAbort("timed out accepting peers")
 
         monkeypatch.setattr(fleet, "run_fleet", abort)
-        code = serve.main(self._args("--fleet"))
+        code = serve.fleet_main(self._fleet_args())
         assert code == serve.EXIT_PROTOCOL_ABORT
         assert "unattributed" in capsys.readouterr().err
 
@@ -276,7 +279,7 @@ class TestExitCodes:
             raise OSError("address already in use")
 
         monkeypatch.setattr(fleet, "run_fleet", crash)
-        code = serve.main(self._args("--fleet"))
+        code = serve.fleet_main(self._fleet_args())
         assert code == serve.EXIT_INFRA_CRASH == 4
         err = capsys.readouterr().err
         assert "infrastructure crash" in err
@@ -292,52 +295,48 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
+        "argv",
         [
-            ["--listen", "0"],
-            ["--metrics-port", "0"],
-            ["--fleet-config", "fleet.json"],
-            ["--fleet", "--shards", "2"],
-            ["--fleet", "--serve-seconds", "5"],
-            ["--fleet", "--transport", "multiprocess"],
-            ["--fleet", "--port", "5"],
-            ["--fleet", "--port", "0"],
-            ["--frontends", "1"],
-            ["--capacity", "2"],
-            ["--sessions", "1"],
+            ["serve", "--listen", "0"],
+            ["serve", "--metrics-port", "0"],
+            ["serve", "--fleet-config", "fleet.json"],
+            ["fleet", "--fleet-config", "fleet.json"],
+            ["fleet", "--shards", "2"],
+            ["fleet", "--shards", "0"],
+            ["fleet", "--serve-seconds", "5"],
+            ["serve", "--serve-seconds", "5"],
+            ["fleet", "--transport", "multiprocess"],
+            ["fleet", "--port", "5"],
+            ["fleet", "--port", "0"],
+            ["serve", "--frontends", "1"],
+            ["serve", "--capacity", "2"],
+            ["serve", "--sessions", "1"],
+            ["serve", "--fleet"],
+            ["fleet", "--fleet"],
         ],
-        ids=[
-            "listen",
-            "metrics-port",
-            "fleet-config",
-            "fleet-shards",
-            "serve-seconds",
-            "fleet-transport",
-            "fleet-port",
-            "fleet-port-zero",
-            "frontends",
-            "capacity",
-            "sessions",
-        ],
+        ids=lambda argv: "-".join(argv).replace("--", ""),
     )
-    def test_flag_the_mode_would_ignore_exits_2(self, monkeypatch, capsys, flags):
-        """``--listen``, ``--metrics-port``, ``--fleet-config``,
-        ``--frontends``, ``--capacity`` and ``--sessions`` mean something
-        only under ``--fleet``, ``--serve-seconds`` only with
-        ``--listen``, ``--shards``, ``--transport`` and ``--port`` only
-        without ``--fleet``: each is refused before anything is served or
-        bound, instead of running a session that ignores it and exiting
-        0 — also when its value is the default (``--capacity 2``)."""
+    def test_flag_of_the_other_command_exits_2(self, monkeypatch, capsys, argv):
+        """``serve`` takes ``--transport``, ``--port`` and ``--shards``,
+        ``fleet`` takes ``--frontends``, ``--capacity``, ``--sessions``,
+        ``--listen``, ``--serve-seconds`` and ``--metrics-port``, and
+        ``--serve-seconds`` needs ``--listen``: any other is refused
+        before anything is served or bound, instead of running a session
+        that ignores it and exiting 0 — also when its value is the
+        default (``serve --capacity 2``, ``fleet --shards 0``)."""
 
         def served(*args, **kwargs):
             raise AssertionError("a session ran")
 
         monkeypatch.setattr(serve, "run_distributed_session", served)
         monkeypatch.setattr(fleet, "run_fleet", served)
-        code = serve.main(self._args(*flags, "--transport", "memory"))
+        monkeypatch.setattr(fleet.FleetDispatcher, "start", served)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
         assert code == 2
-        err = capsys.readouterr().err
-        assert "usage error" in err and flags[-2] in err
+        assert argv[1] in capsys.readouterr().err
 
     def test_abort_and_crash_codes_are_distinct_and_nonzero(self):
         assert serve.EXIT_PROTOCOL_ABORT != serve.EXIT_INFRA_CRASH
@@ -345,19 +344,36 @@ class TestExitCodes:
         assert serve.EXIT_INFRA_CRASH not in (0, 1, 2)
 
     @pytest.mark.parametrize(
-        "flags, defaults",
+        "parser, own",
         [
-            (["--fleet"], {"frontends": 2, "capacity": 2, "sessions": 2}),
-            ([], {"transport": "multiprocess", "port": 0}),
+            (
+                _fleet_parser,
+                {
+                    "frontends": 2,
+                    "capacity": 2,
+                    "sessions": 2,
+                    "listen": None,
+                    "serve_seconds": None,
+                    "metrics_port": None,
+                },
+            ),
+            (_serve_parser, {"transport": "multiprocess", "port": 0, "shards": 0}),
         ],
-        ids=["fleet", "one-session"],
+        ids=["fleet", "serve"],
     )
-    def test_each_mode_fills_in_its_own_defaults(self, flags, defaults):
-        """The five mode flags parse to ``None`` so that an explicit one
-        can be told from its default; once the check has passed, the
-        mode's own flags get their defaults and the other mode's stay
-        unset."""
-        args = self._args(*flags)
-        serve._check_fleet_flags(args)
-        for dest in ("transport", "port", "frontends", "capacity", "sessions"):
-            assert getattr(args, dest) == defaults.get(dest), dest
+    def test_each_command_has_its_own_flags_and_defaults(self, parser, own):
+        """Each command parses its own flags to their real defaults, plus
+        the session flags both take, and nothing else."""
+        args = vars(parser().parse_args([]))
+        assert {dest: args.pop(dest) for dest in own} == own
+        assert args == {
+            "servers": 2,
+            "clients": 8,
+            "nb": 64,
+            "bins": 1,
+            "group": "p64-sim",
+            "chunk": None,
+            "seed": "serve",
+            "host": "127.0.0.1",
+            "timeout": 120.0,
+        }

@@ -57,7 +57,9 @@ EXPERIMENTS_LOADED = (
 )
 
 
-@pytest.mark.parametrize("argv", [["serve", "--help"], ["lint", "--help"]])
+@pytest.mark.parametrize(
+    "argv", [["serve", "--help"], ["lint", "--help"], ["fleet", "--help"]]
+)
 def test_serving_commands_leave_the_experiments_unloaded(argv):
     done = _run("-c", EXPERIMENTS_LOADED, *argv)
     assert done.returncode == 0, done.stderr

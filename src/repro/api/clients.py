@@ -11,8 +11,8 @@ commitment homomorphically as Π_j c_j^{2^j}.
 from __future__ import annotations
 
 from repro.core.client import Client
-from repro.core.params import PublicParams
-from repro.crypto.pedersen import Commitment, Opening
+from repro.crypto.fiat_shamir import Transcript
+from repro.crypto.pedersen import Commitment, Opening, PedersenParams
 from repro.crypto.sigma.bitvec import prove_bit_vector
 
 __all__ = ["RangeClient"]
@@ -21,24 +21,11 @@ __all__ = ["RangeClient"]
 class RangeClient(Client):
     """A client whose vector is the bit decomposition of a bounded value."""
 
-    def _validity_proof(
+    def _prove_derived(
         self,
-        params: PublicParams,
-        openings_km: list[list[Opening]],
-        commitments_km: list[list[Commitment]],
+        pedersen: PedersenParams,
+        commitments: list[Commitment],
+        openings: list[Opening],
+        transcript: Transcript,
     ):
-        from repro.core.client import _client_transcript
-
-        pedersen = params.pedersen
-        derived_openings = [
-            pedersen.add_openings([openings_km[k][m] for k in range(params.num_provers)])
-            for m in range(params.dimension)
-        ]
-        derived_commitments = [
-            pedersen.product([commitments_km[k][m] for k in range(params.num_provers)])
-            for m in range(params.dimension)
-        ]
-        transcript = _client_transcript(params, self.name)
-        return prove_bit_vector(
-            pedersen, derived_commitments, derived_openings, transcript, self.rng
-        )
+        return prove_bit_vector(pedersen, commitments, openings, transcript, self.rng)

@@ -67,7 +67,7 @@ def time_sigma_prove(params: PublicParams, count: int, rng: RNG) -> tuple[StageS
     commitments, openings = _coins(params, count, rng)
     transcript = Transcript("bench.sigma")
     start = time.perf_counter()
-    proofs = prove_bits(params.pedersen, commitments, openings, transcript, rng)
+    proofs = prove_bits(params.pedersen, commitments, openings, transcript, rng, recommit=False)
     elapsed = time.perf_counter() - start
     return StageSample(elapsed, count), commitments, proofs
 

@@ -86,6 +86,10 @@ def _serve_parser() -> argparse.ArgumentParser:
     return _session_flags(parser)
 
 
+# ``repro fleet``'s batch size N when it is given neither --sessions nor --listen.
+FLEET_BATCH_SESSIONS = 2
+
+
 def _fleet_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro fleet",
@@ -108,13 +112,15 @@ def _fleet_parser() -> argparse.ArgumentParser:
         default=2,
         help="concurrent sessions per front-end (default 2)",
     )
-    parser.add_argument(
+    # A batch of --sessions or a --listen stream: argparse refuses both.
+    work = parser.add_mutually_exclusive_group()
+    work.add_argument(
         "--sessions",
         type=int,
-        default=2,
-        help="session count N of the batch (default 2)",
+        default=None,
+        help=f"session count N of the batch (default {FLEET_BATCH_SESSIONS})",
     )
-    parser.add_argument(
+    work.add_argument(
         "--listen",
         type=int,
         default=None,

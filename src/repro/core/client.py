@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.core.messages import ClientBroadcast, ClientShareMessage
 from repro.core.params import PublicParams
 from repro.crypto.fiat_shamir import Transcript
-from repro.crypto.pedersen import Commitment, Opening
+from repro.crypto.pedersen import Commitment, Opening, PedersenParams
 from repro.crypto.sigma.onehot import prove_one_hot
 from repro.crypto.sigma.or_bit import prove_bit
 from repro.errors import ParameterError
@@ -96,7 +96,14 @@ class Client(Party):
         openings_km: list[list[Opening]],
         commitments_km: list[list[Commitment]],
     ):
-        """Prove the derived (plaintext) commitments are in L."""
+        """Prove the derived (plaintext) commitments are in L.
+
+        Coordinate m's derived commitment C_m = Π_k c_{k,m} opens to the
+        sum of its share openings.  It is built from the share
+        commitments this client computed one step earlier, so the proof
+        does not recompute it (``recommit=False``); that each coordinate
+        is a bit (and the vector one-hot) is still checked.
+        """
         pedersen = params.pedersen
         dimension = params.dimension
         derived_openings = [
@@ -108,13 +115,22 @@ class Client(Party):
             for m in range(dimension)
         ]
         transcript = _client_transcript(params, self.name)
-        if dimension == 1:
+        return self._prove_derived(pedersen, derived_commitments, derived_openings, transcript)
+
+    def _prove_derived(
+        self,
+        pedersen: PedersenParams,
+        commitments: list[Commitment],
+        openings: list[Opening],
+        transcript: Transcript,
+    ):
+        """The validity proof of L over derived pairs it need not recompute:
+        Σ-OR for a bit, the one-hot proof for M > 1."""
+        if len(commitments) == 1:
             return prove_bit(
-                pedersen, derived_commitments[0], derived_openings[0], transcript, self.rng
+                pedersen, commitments[0], openings[0], transcript, self.rng, recommit=False
             )
-        return prove_one_hot(
-            pedersen, derived_commitments, derived_openings, transcript, self.rng
-        )
+        return prove_one_hot(pedersen, commitments, openings, transcript, self.rng)
 
     def submit(
         self, params: PublicParams

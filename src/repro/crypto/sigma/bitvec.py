@@ -49,14 +49,23 @@ def prove_bit_vector(
     transcript: Transcript,
     rng: RNG | None = None,
 ) -> BitVectorProof:
-    """Prove every committed coordinate is a bit (shared transcript)."""
+    """Prove every committed coordinate is a bit (shared transcript).
+
+    A coordinate that is not a bit raises :class:`ParameterError` before
+    anything is absorbed or drawn.  ``commitments`` must be the ones the
+    caller computed from ``openings``: they are not recomputed
+    (``prove_bits(…, recommit=False)``), and a pair that does not match
+    yields a proof that does not verify.
+    """
     if not commitments:
         raise ParameterError("bit vector must have at least one coordinate")
     if len(commitments) != len(openings):
         raise ParameterError("commitments and openings length mismatch")
+    if any(o.value % params.q not in (0, 1) for o in openings):
+        raise ParameterError("witness vector is not a bit vector")
     _bind_dimension(transcript, len(commitments))
     return BitVectorProof(
-        tuple(prove_bits(params, commitments, openings, transcript, rng))
+        tuple(prove_bits(params, commitments, openings, transcript, rng, recommit=False))
     )
 
 

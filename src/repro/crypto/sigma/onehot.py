@@ -55,7 +55,10 @@ def prove_one_hot(
 
     Raises :class:`ParameterError` when the witness is not actually
     one-hot — an honest client cannot accidentally produce an invalid
-    proof, and a dishonest one must forge (infeasible).
+    proof, and a dishonest one must forge (infeasible).  ``commitments``
+    must be the ones the caller computed from ``openings``: they are not
+    recomputed (``prove_bits(…, recommit=False)``), and a pair that does
+    not match yields a proof that does not verify.
     """
     if len(commitments) != len(openings):
         raise ParameterError("commitments and openings length mismatch")
@@ -66,7 +69,7 @@ def prove_one_hot(
         raise ParameterError("witness vector is not one-hot")
 
     transcript.append_int("dimension", len(commitments))
-    proofs = tuple(prove_bits(params, commitments, openings, transcript, rng))
+    proofs = tuple(prove_bits(params, commitments, openings, transcript, rng, recommit=False))
     r_sum = sum(o.randomness for o in openings) % params.q
     return OneHotProof(proofs, r_sum)
 

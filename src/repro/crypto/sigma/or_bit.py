@@ -49,11 +49,14 @@ way, and per proof costs 4 comb-walk equivalents — the witness check
 ``Com(x, r)`` (x is a bit: one walk), ``d_sim`` (a fused g/h walk: two)
 and ``d_real = Com(0, b)`` (one) — and 0 variable-base powers, all of it
 in two :meth:`PedersenParams.commit_many` passes per call.  The ΠBin
-prover computed ``Com(x, r)`` itself one step earlier, so its proofs skip
-the recomputation (``recommit=False``): each coin is committed once, and
-its proof costs the three announcement walks.  The witness-less formula
-remains in :func:`simulate_bit_transcript` (which has no witness) and as
-the oracle in ``tests/crypto/test_or_bit.py``.
+prover computed ``Com(x, r)`` itself one step earlier, and a client its
+derived commitments from the share commitments it built, so both skip
+the recomputation (``recommit=False``; :func:`prove_one_hot
+<repro.crypto.sigma.onehot.prove_one_hot>` and :func:`prove_bit_vector
+<repro.crypto.sigma.bitvec.prove_bit_vector>` always do): each coin and
+each client coordinate is committed once, and its proof costs the three
+announcement walks.  The witness-less formula remains in :func:`simulate_bit_transcript`
+(which has no witness) and as the oracle in ``tests/crypto/test_or_bit.py``.
 
 Verifying is exact: :func:`verify_bit` checks each proof's two equations
 as they stand, with no random linear combination, because its callers
@@ -150,11 +153,13 @@ def _announce(
     :meth:`PedersenParams.commit_many` pass.
 
     Recomputing ``Com(x, r)`` is the check for callers that bring their
-    own commitments (a client's validity proof, the interactive prover,
-    the benchmark stages).  A caller that computed ``c`` from these very
-    openings a moment ago — the ΠBin prover committing its coins — passes
-    ``recommit=False`` and saves one fixed-base pair per proof; the check
-    that ``x`` is a bit runs either way.
+    own commitments (the interactive prover, :func:`prove_bit` and
+    :func:`prove_bits` at their default).  A caller that computed ``c``
+    from these very openings a moment ago — the ΠBin prover committing
+    its coins, a client proving its derived commitments, the one-hot and
+    bit-vector provers, the benchmark stages — passes ``recommit=False``
+    and saves one fixed-base pair per proof; the check that ``x`` is a
+    bit runs either way.
     """
     q = params.q
     bits = [opening.value % q for opening in openings]
@@ -208,9 +213,15 @@ def prove_bit(
     opening: Opening,
     transcript: Transcript,
     rng: RNG | None = None,
+    *,
+    recommit: bool = True,
 ) -> BitProof:
-    """Non-interactive (Fiat–Shamir) proof that ``commitment`` is to a bit."""
-    return prove_bits(params, [commitment], [opening], transcript, rng)[0]
+    """Non-interactive (Fiat–Shamir) proof that ``commitment`` is to a bit.
+
+    ``recommit`` is :func:`prove_bits`'s: false for a caller that has just
+    computed ``commitment`` from ``opening`` itself.
+    """
+    return prove_bits(params, [commitment], [opening], transcript, rng, recommit=recommit)[0]
 
 
 def _failed_branch(
@@ -294,7 +305,8 @@ def prove_bits(
     ``Com(x, r) == c`` is checked by recomputing ``c`` — the guard for
     callers that bring their own commitments.  ``recommit=False`` is for
     a caller that has just computed ``commitments`` from ``openings``
-    itself (:meth:`repro.core.prover.Prover._prove_coins`): the
+    itself (:meth:`repro.core.prover.Prover._prove_coins`, a client's
+    validity proof, the one-hot and bit-vector provers): the
     recomputation could only repeat that work.  That each ``x`` is a bit
     is checked either way.
     """

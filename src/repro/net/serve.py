@@ -412,6 +412,7 @@ def _metrics_endpoint(args):
 
 
 def _main_fleet(args, query: Query, values) -> int:
+    from repro.cli import FLEET_BATCH_SESSIONS
     from repro.net.fleet import FleetConfig, run_fleet
 
     if args.serve_seconds is not None and args.listen is None:
@@ -432,7 +433,7 @@ def _main_fleet(args, query: Query, values) -> int:
         outcome = run_fleet(
             query,
             values,
-            sessions=args.sessions,
+            sessions=FLEET_BATCH_SESSIONS if args.sessions is None else args.sessions,
             config=config,
             seed=args.seed,
             metrics=metrics,

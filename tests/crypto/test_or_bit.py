@@ -7,6 +7,8 @@ from repro.core.params import setup
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.pedersen import Opening
 from repro.crypto.serialization import encode_bit_proof
+from repro.crypto.sigma.bitvec import prove_bit_vector
+from repro.crypto.sigma.onehot import prove_one_hot
 from repro.crypto.sigma.or_bit import (
     BitProof,
     branch_statements,
@@ -403,3 +405,66 @@ class TestBatchedProving:
             prove_bits(pedersen64, cs, os_, transcript, rng)
         # No proof was emitted: nothing absorbed, nothing drawn.
         assert _probe(transcript, rng) == _probe(Transcript("b"), SeededRNG("prover"))
+
+
+
+def _prove_one(params, cs, os_, transcript, rng):
+    return prove_bit(params, cs[0], os_[0], transcript, rng, recommit=False)
+
+
+PROVERS = {"bit": _prove_one, "one-hot": prove_one_hot, "bit-vector": prove_bit_vector}
+
+
+class TestWitnessChecksWithoutRecommit:
+    """Skipping the recomputation of ``Com(x, r)`` — ``prove_bit(…,
+    recommit=False)``, and the one-hot and bit-vector provers always —
+    keeps the language check: a witness outside it is refused before
+    anything is absorbed or drawn, and a legal one proves exactly as with
+    the recomputation."""
+
+    @pytest.mark.parametrize(
+        "kind, values",
+        [
+            ("bit", [2]),
+            ("bit", [-1]),
+            ("one-hot", [0, 2, 0, 0]),
+            ("one-hot", [2, -1, 0, 0]),  # sums to one, coordinates not bits
+            ("one-hot", [1, 1, 0, 0]),  # bits, not one-hot
+            ("one-hot", [0, 0, 0, 0]),
+            ("bit-vector", [1, 2, 0]),
+            ("bit-vector", [0, 0, -1]),
+        ],
+    )
+    def test_a_witness_outside_the_language_is_refused(self, pedersen64, kind, values):
+        setup_rng = SeededRNG("outside")
+        cs, os_ = zip(*(pedersen64.commit_fresh(v, setup_rng) for v in values))
+        transcript, rng = Transcript("w"), SeededRNG("prover")
+        with pytest.raises(ParameterError):
+            PROVERS[kind](pedersen64, list(cs), list(os_), transcript, rng)
+        assert _probe(transcript, rng) == _probe(Transcript("w"), SeededRNG("prover"))
+
+    @pytest.mark.parametrize(
+        "kind, label, values",
+        [
+            ("bit", None, [1]),
+            ("one-hot", "dimension", [0, 0, 1, 0]),
+            ("bit-vector", "bitvec-dimension", [1, 0, 1]),
+        ],
+    )
+    def test_a_legal_witness_proves_as_with_the_recommit(
+        self, pedersen64, kind, label, values
+    ):
+        """Against :func:`prove_bits` at its default (recomputing), after
+        the same dimension binding the one-hot and bit-vector provers make."""
+        setup_rng = SeededRNG("legal")
+        cs, os_ = zip(*(pedersen64.commit_fresh(v, setup_rng) for v in values))
+        transcript, rng = Transcript("w"), SeededRNG("prover")
+        if label is not None:
+            transcript.append_int(label, len(values))
+        expected = prove_bits(pedersen64, list(cs), list(os_), transcript, rng)
+        expected_probe = _probe(transcript, rng)
+
+        transcript, rng = Transcript("w"), SeededRNG("prover")
+        proof = PROVERS[kind](pedersen64, list(cs), list(os_), transcript, rng)
+        bit_proofs = [proof] if kind == "bit" else list(proof.bit_proofs)
+        assert (bit_proofs, _probe(transcript, rng)) == (expected, expected_probe)

@@ -20,6 +20,7 @@ Bugs fixed in the serve layer, pinned here:
 """
 
 import multiprocessing
+import socket
 import threading
 import time
 
@@ -319,11 +320,12 @@ class TestExitCodes:
     def test_flag_of_the_other_command_exits_2(self, monkeypatch, capsys, argv):
         """``serve`` takes ``--transport``, ``--port`` and ``--shards``,
         ``fleet`` takes ``--frontends``, ``--capacity``, ``--sessions``,
-        ``--listen``, ``--serve-seconds`` and ``--metrics-port``, and
-        ``--serve-seconds`` needs ``--listen``: any other is refused
-        before anything is served or bound, instead of running a session
-        that ignores it and exiting 0 — also when its value is the
-        default (``serve --capacity 2``, ``fleet --shards 0``)."""
+        ``--listen``, ``--serve-seconds`` and ``--metrics-port``,
+        ``--serve-seconds`` needs ``--listen`` and ``--sessions`` refuses
+        it: any other is refused before anything is served or bound,
+        instead of running a session that ignores it and exiting 0 — also
+        when its value is the default (``serve --capacity 2``, ``fleet
+        --shards 0``)."""
 
         def served(*args, **kwargs):
             raise AssertionError("a session ran")
@@ -338,6 +340,39 @@ class TestExitCodes:
         assert code == 2
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sessions", ["2", "5"])
+    def test_sessions_with_listen_exits_2_before_binding(self, monkeypatch, capsys, sessions):
+        """``--sessions`` sizes a batch and ``--listen`` serves a stream
+        that never reads it: together they are a usage error, refused
+        before any socket binds — also at the batch default, 2 —
+        instead of serving, admitting nothing and exiting 0."""
+
+        def bound(*args, **kwargs):
+            raise AssertionError("a socket was bound")
+
+        monkeypatch.setattr(socket.socket, "bind", bound)
+        monkeypatch.setattr(fleet.FleetDispatcher, "start", bound)
+        with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+            main(
+                ["fleet", "--frontends", "1", "--capacity", "1", "--nb", "16",
+                 "--clients", "2", "--listen", "0", "--metrics-port", "0",
+                 "--serve-seconds", "1", "--sessions", sessions]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--sessions" in err and "--listen" in err
+
+    def test_the_batch_runs_two_sessions_by_default(self, monkeypatch):
+        ran = {}
+
+        def run_fleet(query, values, *, sessions, **kwargs):
+            ran["sessions"] = sessions
+            raise ProtocolAbort("stop before serving")
+
+        monkeypatch.setattr(fleet, "run_fleet", run_fleet)
+        assert serve.fleet_main(self._fleet_args()) == serve.EXIT_PROTOCOL_ABORT
+        assert ran == {"sessions": 2}
+
     def test_abort_and_crash_codes_are_distinct_and_nonzero(self):
         assert serve.EXIT_PROTOCOL_ABORT != serve.EXIT_INFRA_CRASH
         assert serve.EXIT_PROTOCOL_ABORT not in (0, 1, 2)
@@ -351,7 +386,7 @@ class TestExitCodes:
                 {
                     "frontends": 2,
                     "capacity": 2,
-                    "sessions": 2,
+                    "sessions": None,
                     "listen": None,
                     "serve_seconds": None,
                     "metrics_port": None,

@@ -31,6 +31,15 @@ def params_128():
     return setup(1.0, PAPER_DELTA, group="p128-sim", nb_override=31)
 
 
+@pytest.fixture()
+def params_128_pure(refused_powers):
+    """p128-sim with libgmp refused for its powers: every variable-base
+    power is CPython's ``pow``, as on a host without the library."""
+    from repro.crypto.schnorr_group import SchnorrGroup
+
+    return setup(1.0, PAPER_DELTA, group=SchnorrGroup.named.__wrapped__("p128-sim"), nb_override=31)
+
+
 @pytest.fixture(scope="session")
 def params_ristretto():
     return setup(1.0, PAPER_DELTA, group="ristretto255", nb_override=31)

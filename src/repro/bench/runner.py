@@ -448,23 +448,28 @@ def run_separation(*, seed: str = "separation") -> list[dict]:
 
 def run_multiexp(
     *,
-    sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096),
+    sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096, 16384),
     wide_sizes: tuple[int, ...] = (2, 8, 32),
     signed_sizes: tuple[int, ...] = (1024, 4096),
     seed: str = "multiexp",
 ) -> list[dict]:
-    """Multiexp tier crossover: naive vs Straus-wNAF vs Pippenger.
+    """Multiexp tier crossover: naive vs libgmp vs Straus-wNAF vs Pippenger.
 
-    Times all three tiers per batch size on the 128-bit Schnorr
-    simulation group (plus a few sizes on production modp-2048) and
+    Times the tiers per batch size on the 64-, 128- and 256-bit Schnorr
+    simulation groups (plus a few sizes on production modp-2048) and
     reports the automatic selection beside them — the check on the cost
-    model's constants (rows carry the exponent width; extra row kinds:
-    ``straus-window`` sweeps the wNAF width, ``pippenger-variants``
-    compares signed-digit vs unsigned buckets — signed wins where
-    negation is free, i.e. on the curve backends, while unsigned holds on
-    the integer backends where negation is a batched modular inversion
-    worth ~3 multiplications per base).
+    model's constants.  ``naive_ms`` is a CPython ``pow`` per term, the
+    naive tier without libgmp; ``native_ms`` is the naive tier on libgmp
+    (:func:`repro.crypto.gmp.power_product`, timed at every width, so the
+    rows show where it pays: ``schnorr_group._NATIVE_POWER_MIN_BITS``) or
+    None where libgmp is refused.  Rows carry the exponent width; extra
+    row kinds: ``straus-window`` sweeps the wNAF width,
+    ``pippenger-variants`` compares signed-digit vs unsigned buckets —
+    signed wins where negation is free, i.e. on the curve backends, while
+    unsigned holds on the integer backends where negation is a batched
+    modular inversion worth ~3 multiplications per base.
     """
+    from repro.crypto.gmp import power_product
     from repro.crypto.multiexp import (
         _straus,
         multi_exponentiation,
@@ -473,15 +478,20 @@ def run_multiexp(
 
     rows: list[dict] = []
     for group_name, group_sizes, budget in (
+        ("p64-sim", sizes, 256),
         ("p128-sim", sizes, 256),
+        ("p256-sim", sizes, 64),
         ("modp-2048", wide_sizes, 2),
     ):
         group = SchnorrGroup.named(group_name)
         kernel = group.multiexp_kernel()
+        p = group.modulus
+        native = power_product(p)
         rng = SeededRNG(f"{seed}-{group_name}")
         for n in group_sizes:
             bases = [group.random_element(rng) for _ in range(n)]
             exps = [rng.field_element(group.order) for _ in range(n)]
+            raws = [base.value for base in bases]
             bits = max((e.bit_length() for e in exps), default=1)
             row: dict = {
                 "group": group_name,
@@ -493,18 +503,40 @@ def run_multiexp(
                     native_pow=kernel.native_pow,
                     op_overhead=kernel.op_overhead,
                     neg_muls=kernel.neg_muls,
+                    pow_muls=kernel.pow_muls,
                     signed_buckets=kernel.signed_buckets,
                 ),
             }
-            for algorithm in ("naive", "straus", "pippenger"):
-                reps = max(1, budget // n)
+
+            def pure_naive() -> int:
+                acc = 1
+                for raw, e in zip(raws, exps):
+                    acc = acc * pow(raw, e, p) % p
+                return acc
+
+            runs = {
+                "naive": pure_naive,
+                "native": None if native is None else lambda: native(raws, exps),
+            }
+            for algorithm in ("straus", "pippenger"):
+                runs[algorithm] = lambda algorithm=algorithm: multi_exponentiation(
+                    group, bases, exps, algorithm=algorithm
+                )
+            reps = max(1, budget // n)
+            for algorithm, run in runs.items():
+                if run is None:
+                    row[f"{algorithm}_ms"] = None
+                    continue
                 start = time.perf_counter()
                 for _ in range(reps):
-                    multi_exponentiation(group, bases, exps, algorithm=algorithm)
+                    run()
                 row[f"{algorithm}_ms"] = (time.perf_counter() - start) / reps * 1e3
-            row["speedup_vs_naive"] = row["naive_ms"] / max(
-                min(row["straus_ms"], row["pippenger_ms"]), 1e-9
+            fastest = min(
+                row[f"{tier}_ms"]
+                for tier in ("native", "straus", "pippenger")
+                if row[f"{tier}_ms"] is not None
             )
+            row["speedup_vs_naive"] = row["naive_ms"] / max(fastest, 1e-9)
             rows.append(row)
 
         # Straus wNAF width sweep: the evidence for _STRAUS_WINDOWS.

@@ -170,6 +170,9 @@ class Group(abc.ABC):
           group multiplications),
         * ``pow_muls`` — optional: what one ``**`` costs in units of
           ``mul`` when that is not ``bits``,
+        * ``pow_product`` — optional: ``(raw_bases, exponents) ↦`` the raw
+          product of powers in one native call (libgmp on the wider
+          Schnorr groups); the naive tier runs through it,
         * ``modulus`` — optional: raw values are residues mod this int, so
           the unsigned bucket method runs as an int loop instead of
           calling ``mul``,

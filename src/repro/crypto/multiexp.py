@@ -15,7 +15,10 @@ thousands of terms.  No one algorithm is right across that range, so
     at n = 2 — the selector is cost-model driven, not a fixed cutoff.)
     It is also the tier of a backend whose power is a library call far
     cheaper than ``bits`` of its own additions (libsodium's ristretto255):
-    per-term scale-and-add, at every n.
+    per-term scale-and-add, at every n.  A kernel with a ``pow_product``
+    (the Schnorr groups from 128-bit moduli, where the host has libgmp)
+    runs the whole tier as that one call — ``mpz_powm`` per term, the
+    product reduced in C — and wins up to n in the tens of thousands.
 
 ``straus``
     Straus interleaving with width-w NAF recoding and odd-multiple
@@ -70,7 +73,7 @@ variable, nothing about the host is read.  Costs are in units of one
 group multiplication, skewed by what the kernel says about itself:
 whether a single exponentiation is CPython's C ``pow`` (≈ bits
 multiplication-units per call — measured 37 µs ≈ 123 modmuls on
-p128-sim) or a library call priced in additions (``pow_muls``), how
+p128-sim) or a library call priced in multiplications (``pow_muls``), how
 expensive Python loop bookkeeping is relative to one group op, and the
 negation cost above.  Measurements validate the model, they do not
 override it: ``python -m repro multiexp`` times all three tiers per size
@@ -85,17 +88,27 @@ automatic pick within 1.5× of the fastest forced tier.  Measured
   stream-release chunk's batch) pippenger takes 1.4 ms against 5.1 ms
   straus and 6.8 ms naive, and the residue loop is 1.2–1.3× the
   kernel-call loop;
-* p128-sim (residue buckets) — naive is fastest to n ≈ 3, straus for
-  n ≈ 4–12 (level with pippenger from 8), pippenger from n ≈ 13–16; the
-  model says naive ≤ 7, straus 8–12, pippenger from 13.  At n = 256
-  pippenger is 3.7× naive and 2.2× straus;
-* p256-sim — naive to n = 2, straus for n ≈ 3–16, pippenger from
-  n ≈ 24; the model switches at 4 and 24;
-* modp-2048 — one C ``pow`` already costs ~2047 Python modmuls' worth,
-  so straus (w = 6) wins from n = 2 (1.6×) and is level with pippenger
-  at n ≈ 250–300; pippenger is 1.1–1.2× ahead at n = 400.  With the
-  table-negation pass priced and the kernel's ``op_overhead`` re-fitted
-  the model switches at n = 304 (910 before);
+* p128-sim on libgmp — the one native product (``native_ms`` in the
+  report) is fastest at every n to ≈ 16,384: n = 64 0.38 ms against
+  0.95 ms pippenger and 2.9 ms CPython ``pow`` per term, n = 1024 5.2
+  against 7.4 ms; with ``pow_muls`` = 13.8 the model says naive to
+  14,876 and pippenger from 14,877.  Without libgmp naive is fastest to
+  n ≈ 3, straus for n ≈ 4–12 (level with pippenger from 8), pippenger
+  from n ≈ 13–16; the model says naive ≤ 7, straus 8–12, pippenger from
+  13.  At n = 256 pippenger is 3.7× naive and 2.2× straus;
+* p256-sim on libgmp — the native product to n ≈ 32,768 (n = 256 4.9
+  against 10.8 ms pippenger); the model switches at 27,391.  Without
+  libgmp naive to n = 2, straus for n ≈ 3–16, pippenger from n ≈ 24; the
+  model switches at 4 and 24;
+* modp-2048 on libgmp — ≈ 2.4–3 ms a term native against 25 ms for a
+  CPython ``pow``; straus (n = 8: 74 against 37 ms native) and pippenger
+  (n = 8,192: 1.2× the native product) never catch up within a session's
+  batches; the model switches at 38,807.  Without libgmp one C ``pow``
+  already costs ~2047 Python modmuls' worth, so straus (w = 6) wins from
+  n = 2 (1.6×) and is level with pippenger at n ≈ 250–300; pippenger is
+  1.1–1.2× ahead at n = 400.  With the table-negation pass priced and
+  the kernel's ``op_overhead`` re-fitted the model switches at n = 304
+  (910 before);
 * ristretto255 in pure Python — no native ``pow``, so straus wins
   from n = 2 (1.7×) and, with curve ops dwarfing bookkeeping, is level
   with pippenger over n ≈ 64–128; the model switches at n ≈ 137–146,
@@ -160,7 +173,8 @@ _STRAUS_WINDOWS = ((64, 3), (256, 4), (1023, 5), (1 << 30, 6))
 # * ``native_pow`` — Schnorr backends dispatch single exponentiations to
 #   CPython's C ``pow`` (≈ ``bits`` multiplication-units per call), which
 #   makes the naive tier cheap; curve backends run a Python double-and-add
-#   (≈ 1.3·bits units), which does not.
+#   (≈ 1.3·bits units), which does not.  A kernel whose power is a
+#   library call (libsodium, libgmp) prices it in ``pow_muls`` instead.
 # * ``op_overhead`` — Python loop bookkeeping (dict lookups, tuple
 #   unpacking) costs a roughly fixed ~0.5 µs per table hit, which is
 #   material when a multiplication is a 128-bit modmul (~0.3 µs) and
@@ -266,11 +280,12 @@ def select_algorithm(
     than its signed ones (the Schnorr residue kernels).
 
     ``pow_muls`` is for a kernel whose power is a library call priced in
-    its own additions rather than in ``bits`` of them (libsodium: one
-    scalar multiplication ≈ 3 additions, each 4× a Python one): the naive
-    tier — scale each term, add it in — then costs ``n·(pow_muls + 1)``
-    against ≥ ``bits/window`` additions a term for anything that shares a
-    chain, so it wins at every n with full-width exponents.
+    its own multiplications rather than in ``bits`` of them (libsodium: one
+    scalar multiplication ≈ 3 additions, each 4× a Python one; libgmp on
+    the Schnorr groups from 128 bits: ``1 + bits/10``): the naive tier —
+    scale each term, multiply it in — then costs ``n·(pow_muls + 1)``
+    against ≥ ``bits/window`` multiplications a term for anything that
+    shares a chain, so it wins to large n with full-width exponents.
     """
     if n <= 1 or bits <= 1:
         return "naive"
@@ -294,7 +309,14 @@ def select_algorithm(
 # ---------------------------------------------------------------------------
 
 
-def _naive(group: Group, bases: list[GroupElement], exps: list[int]) -> GroupElement:
+def _naive(
+    group: Group, kernel, bases: list[GroupElement], exps: list[int]
+) -> GroupElement:
+    """One power per term, multiplied in; one native call where the kernel
+    has a ``pow_product``."""
+    pow_product = getattr(kernel, "pow_product", None)
+    if pow_product is not None:
+        return kernel.from_raw(pow_product([kernel.to_raw(base) for base in bases], exps))
     acc = None
     for base, e in zip(bases, exps):
         term = base ** e
@@ -558,7 +580,7 @@ def multi_exponentiation(
         )
 
     if algorithm == "naive":
-        return _naive(group, live_bases, live_exps)
+        return _naive(group, kernel, live_bases, live_exps)
     if algorithm == "pippenger":
         algorithm = (
             _pippenger_variant(len(live_bases), bits, neg_muls)[0]
@@ -604,9 +626,10 @@ def shared_base_powers(
 
     The chain runs on the kernel's raw representation and is taken only
     where a single power is itself a Python ladder (``native_pow`` False:
-    the curve backends).  The Schnorr integer groups keep CPython's C
-    ``pow`` per exponent — a Python-level chain over ints is ~3× slower
-    than two C ladders there.
+    the curve backends).  The Schnorr integer groups keep a C power per
+    exponent — CPython's ``pow``, or libgmp's ``mpz_powm`` from 128-bit
+    moduli — and a Python-level chain over ints is ~3× slower than two C
+    ladders there.
     """
     group = base.group
     kernel = group.multiexp_kernel()

@@ -23,14 +23,18 @@ Named parameter sets (exactly the keys of ``NAMED_GROUPS``):
     A 32-bit toy group, small enough for a discrete-log oracle; used only
     by the Section 5 separation demo.
 
-Exponentiation uses the built-in ``pow`` (libmpdec-free, GMP-like C path in
-CPython), which is the closest analogue of the paper's OpenSSL BigNum calls.
+A variable-base power is libgmp's ``mpz_powm`` from
+``_NATIVE_POWER_MIN_BITS`` of modulus up, where the host has it
+(:func:`repro.crypto.gmp.power_product`, opened at the group's first
+multiexp or ``**``; ≈ 10 µs against 41 µs on p128-sim, 2.4 against 25 ms
+on modp-2048), and the built-in ``pow`` otherwise — the closest analogues
+of the paper's OpenSSL BigNum calls, with the same results.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from repro.crypto.group import Group, GroupElement
@@ -88,9 +92,8 @@ class SchnorrElement(GroupElement):
         return SchnorrElement(self._group, (self._value * other._value) % self._group.modulus)
 
     def scale(self, exponent: int) -> "SchnorrElement":
-        return SchnorrElement(
-            self._group, pow(self._value, exponent % self._group.order, self._group.modulus)
-        )
+        group = self._group
+        return SchnorrElement(group, group._power(self._value, exponent % group._q))
 
     def invert(self) -> "SchnorrElement":
         return SchnorrElement(self._group, pow(self._value, -1, self._group.modulus))
@@ -119,6 +122,25 @@ class SchnorrElement(GroupElement):
 # 2.8× at 2048 (2.5 s, 33 MB) — which modp-2048 would pay in every
 # process that builds its pair, to save 3 ms a commitment.
 _RESIDUE_PAIR_MAX_BITS = 512
+
+
+# Narrowest modulus whose variable-base powers run on libgmp's
+# ``mpz_powm`` (:func:`repro.crypto.gmp.power_product`): the naive
+# multiexp tier and ``**``.  Measured on a 2-vCPU host, CPython 3.11.
+# From p128-sim up one native product beats every Python tier at every
+# batch a session makes (``python -m repro multiexp``: p128-sim n = 256
+# 1.4 ms against 2.6 ms buckets, 10.8 ms CPython ``pow``; the buckets draw
+# level only at n ≈ 16,384, on p256-sim at ≈ 32,768), and it takes 7.7 %
+# off the CPU of a p128-sim socket session (``socket-session``).  On
+# p64-sim a single power is faster too (7.4 against 14.3 µs) and the
+# product leads the buckets below n ≈ 1,000, but end to end the width 64
+# is a trade, not a gain: over ten alternating benchmark pairs it took
+# 4 % off ``stream-release``'s ``session_s`` (10 of 10) and cost it
+# 0.85 MB of ``peak_rss_mb`` (libgmp mapped into an in-process session
+# that otherwise never maps it, 10 of 10) and 5 % of ``setup_s``, and
+# ``fleet-closed`` moved less than its spread.  So p64-sim and p32-sim
+# keep CPython's ``pow``.
+_NATIVE_POWER_MIN_BITS = 128
 
 
 class _SchnorrKernel:
@@ -155,11 +177,32 @@ class _SchnorrKernel:
 
     The pair's width rule is ``_RESIDUE_PAIR_MAX_BITS`` (its build costs
     are beside it); the buckets' is ``multiexp._LIST_BUCKET_MAX_BITS``.
+
+    From ``_NATIVE_POWER_MIN_BITS`` up, where the host has libgmp, the
+    kernel also carries ``pow_product`` — the naive tier as one libgmp call
+    — and prices it with ``pow_muls``, so the cost model picks it over
+    both kernels above.  Measured with ``python -m repro multiexp`` (same
+    host):
+
+    ==============================  ============  =========  ===========
+    naive tier                      CPython pow   libgmp     best Python
+    ==============================  ============  =========  ===========
+    p128, one power (``**``)        40 µs         10 µs      —
+    p128 multiexp, n = 64           2.88 ms       0.38 ms    0.95 ms
+    p128 multiexp, n = 1024         42.3 ms       5.2 ms     7.4 ms
+    p256-sim multiexp, n = 256      41.6 ms       4.9 ms     10.8 ms
+    modp-2048, one power            25 ms         2.4 ms     —
+    modp-2048 multiexp, n = 8       234 ms        37 ms      74 ms
+    p64 multiexp, n = 384 (kept     5.1 ms        0.84 ms    1.16 ms
+    pure: see the width rule)
+    ==============================  ============  =========  ===========
     """
 
-    __slots__ = ("_group", "modulus", "identity_raw", "op_overhead")
+    __slots__ = ("_group", "modulus", "identity_raw", "op_overhead", "pow_product", "pow_muls")
 
-    native_pow = True  # SchnorrElement.scale is CPython's C `pow`
+    # SchnorrElement.scale is C: CPython's ``pow``, or libgmp's ``mpz_powm``
+    # from ``_NATIVE_POWER_MIN_BITS`` (then ``pow_product`` is set).
+    native_pow = True
     # Negation is a modular inversion: ~3 multiplications per element
     # even via batch_inverse, which is why signed-digit Pippenger does
     # not pay on this backend (see repro.crypto.multiexp).
@@ -183,6 +226,23 @@ class _SchnorrKernel:
         # (2.27) goes from naive straight to Pippenger at 11, where the
         # tiers are level within 1.1×.
         self.op_overhead = min(3.0, 1.5 * (128 / group.modulus.bit_length()) ** 0.6)
+        # ``pow_product(raw_bases, exps)`` is the product of powers as one
+        # libgmp call, where this host has it and the modulus is wide
+        # enough; the naive tier and ``**`` then run through it.  Its
+        # ``pow_muls`` — a power in units of the buckets' multiplication —
+        # is fitted so that the model hands the batch to the buckets where
+        # the two draw level: n ≈ 16,384 on p128-sim (the model switches
+        # at 14,877), ≈ 32,768 on p256-sim (27,391), and past the 8,192
+        # measured on modp-2048, where the product is still 1.2× ahead
+        # (38,807).  ``1 + bits/10`` puts a power at 13.8, 26.6 and 205.8.
+        bits = group.modulus.bit_length()
+        self.pow_product = self.pow_muls = None
+        if bits >= _NATIVE_POWER_MIN_BITS:
+            from repro.crypto.gmp import power_product
+
+            self.pow_product = power_product(group.modulus)
+            if self.pow_product is not None:
+                self.pow_muls = 1.0 + bits / 10
 
     @staticmethod
     def to_raw(element: "SchnorrElement") -> int:
@@ -338,6 +398,18 @@ class SchnorrGroup(Group):
         if value != 1 and self._symbol(value) != 1:
             raise NotOnGroupError("value is not a quadratic residue (not in Gq)")
         return SchnorrElement(self, value)
+
+    def _power(self, value: int, exponent: int) -> int:
+        """value^exponent mod p for 0 ≤ exponent < q — like :meth:`_symbol`,
+        this method runs once per group and the instance attribute it sets
+        shadows it: the kernel's one-term libgmp product where it has one
+        (from ``_NATIVE_POWER_MIN_BITS``), CPython's ``pow`` otherwise."""
+        product = self.multiexp_kernel().pow_product
+        if product is None:
+            self._power = partial(pow, mod=self._p)
+        else:
+            self._power = lambda v, e: product((v,), (e,))
+        return self._power(value, exponent)
 
     def _symbol(self, value: int) -> int:
         """(value|p) — this method runs once per group, then the instance

@@ -42,6 +42,22 @@ def group_for():
     return _group_for
 
 
+@pytest.fixture(params=["libgmp", "refused"])
+def power_loader(request) -> str:
+    """Which code computes the variable-base powers of a Schnorr group
+    built in this test (``SchnorrGroup.named.__wrapped__``) from
+    ``schnorr_group._NATIVE_POWER_MIN_BITS`` up: libgmp's ``mpz_powm``
+    (skipped on a host without it) or, with libgmp refused
+    (``refused_powers``), CPython's ``pow``."""
+    from repro.crypto import gmp
+
+    if request.param == "refused":
+        request.getfixturevalue("refused_powers")
+    elif gmp._native_powers() is None:
+        pytest.skip("libgmp is not loadable on this host")
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def group64() -> SchnorrGroup:
     return SchnorrGroup.named("p64-sim")

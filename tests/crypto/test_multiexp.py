@@ -249,21 +249,50 @@ class TestSelection:
         paid = _straus_cost(100, 2047, 6, 0.1, 3.2)
         assert paid - free == pytest.approx(3.2 * 100 * 2 ** (6 - 2))
 
-    def test_modp_2048_crossover_is_pinned(self):
-        """With the negation pass priced, the modp-2048 kernel's hints put
-        Straus → Pippenger at n = 304 (measured: level at n ≈ 250–300,
-        Pippenger 1.1–1.2× ahead at 400; the model said 910 without it)."""
+    def test_modp_2048_crossover_is_pinned(self, refused_powers):
+        """With the negation pass priced, the pure modp-2048 kernel's hints
+        put Straus → Pippenger at n = 304 (measured: level at n ≈ 250–300,
+        Pippenger 1.1–1.2× ahead at 400; the model said 910 without it).
+        With libgmp the naive tier runs up to n = 38,807 (pinned below)."""
         from repro.crypto.schnorr_group import SchnorrGroup
 
-        kernel = SchnorrGroup.named("modp-2048").multiexp_kernel()
+        kernel = SchnorrGroup.named.__wrapped__("modp-2048").multiexp_kernel()
         hints = dict(
             native_pow=kernel.native_pow,
             op_overhead=kernel.op_overhead,
             neg_muls=kernel.neg_muls,
+            pow_muls=kernel.pow_muls,
             signed_buckets=kernel.signed_buckets,
         )
         picks = [select_algorithm(n, 2047, **hints) for n in range(2, 1200)]
         assert picks == ["straus"] * (304 - 2) + ["pippenger"] * (1200 - 304)
+
+    @pytest.mark.parametrize(
+        "name, bits, crossover",
+        [("p128-sim", 127, 14877), ("p256-sim", 255, 27391), ("modp-2048", 2047, 38807)],
+    )
+    def test_native_power_crossovers_are_pinned(self, name, bits, crossover):
+        """Where libgmp computes the powers, ``pow_muls`` hands a batch from
+        the naive tier (one native product) straight to the buckets, where
+        the two draw level: measured n ≈ 16,384 on p128-sim, ≈ 32,768 on
+        p256-sim, past 8,192 on modp-2048 (``python -m repro multiexp``)."""
+        from repro.crypto import gmp
+        from repro.crypto.schnorr_group import SchnorrGroup
+
+        if gmp._native_powers() is None:
+            pytest.skip("libgmp is not loadable on this host")
+        kernel = SchnorrGroup.named(name).multiexp_kernel()
+        hints = dict(
+            native_pow=kernel.native_pow,
+            op_overhead=kernel.op_overhead,
+            neg_muls=kernel.neg_muls,
+            pow_muls=kernel.pow_muls,
+            signed_buckets=kernel.signed_buckets,
+        )
+        below = [1, 2, 3, 8, 64, 1024, crossover // 2, crossover - 1]
+        above = [crossover, crossover + 1, 2 * crossover, 1 << 20]
+        assert [select_algorithm(n, bits, **hints) for n in below] == ["naive"] * len(below)
+        assert [select_algorithm(n, bits, **hints) for n in above] == ["pippenger"] * len(above)
 
     @pytest.mark.parametrize(
         "name, bits, crossover",
@@ -319,36 +348,57 @@ class TestSelectionIsPure:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
 
-    def test_selection_ignores_a_hostile_bench_file(self, hostile_surroundings, group128):
-        kernel = group128.multiexp_kernel()
-        for n in (16, 24, 32, 4096):
-            assert (
-                select_algorithm(
-                    n,
-                    127,
-                    native_pow=kernel.native_pow,
-                    op_overhead=kernel.op_overhead,
-                    neg_muls=kernel.neg_muls,
-                )
-                == "pippenger"
+    def test_selection_ignores_a_hostile_bench_file(self, hostile_surroundings, power_loader):
+        """The p128-sim picks from the kernel's own hints: one libgmp product
+        up to the buckets' crossover where the host has it, the buckets
+        from n = 16 where libgmp is refused."""
+        from repro.crypto.schnorr_group import SchnorrGroup
+
+        kernel = SchnorrGroup.named.__wrapped__("p128-sim").multiexp_kernel()
+        sizes = (16, 24, 32, 4096, 1 << 15)
+        if power_loader == "libgmp":
+            expected = ["naive"] * 4 + ["pippenger"]
+        else:
+            expected = ["pippenger"] * 5
+        picks = [
+            select_algorithm(
+                n,
+                127,
+                native_pow=kernel.native_pow,
+                op_overhead=kernel.op_overhead,
+                neg_muls=kernel.neg_muls,
+                pow_muls=kernel.pow_muls,
+                signed_buckets=kernel.signed_buckets,
             )
+            for n in sizes
+        ]
+        assert picks == expected
 
     def test_a_batch_runs_the_tier_the_model_picked(
-        self, hostile_surroundings, group128, monkeypatch
+        self, hostile_surroundings, power_loader, monkeypatch
     ):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("n = 64 on p128-sim must run a bucket tier")
+        """n = 64 on p128-sim: one libgmp product where the host has it,
+        the buckets where libgmp is refused, and no other tier."""
+        from repro.crypto.schnorr_group import SchnorrGroup
 
-        monkeypatch.setattr(multiexp, "_naive", forbidden)
-        monkeypatch.setattr(multiexp, "_straus", forbidden)
+        picked = "_naive" if power_loader == "libgmp" else "_pippenger"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"n = 64 on p128-sim must run {picked}")
+
+        for tier in ("_naive", "_straus", "_pippenger"):
+            if tier != picked:
+                monkeypatch.setattr(multiexp, tier, forbidden)
+        group128 = SchnorrGroup.named.__wrapped__("p128-sim")
         bases, exps = random_instance(group128, 64, "pure-64")
         assert multi_exponentiation(group128, bases, exps) == naive_product(
             group128, bases, exps
         )
 
-    def test_straus_runs_at_the_width_it_was_priced_at(self, monkeypatch):
+    def test_straus_runs_at_the_width_it_was_priced_at(self, refused_powers, monkeypatch):
         """A 2047-bit batch: the window handed to ``_straus`` is the one
-        ``select_algorithm`` put into ``_straus_cost``."""
+        ``select_algorithm`` put into ``_straus_cost``.  With libgmp the
+        naive tier wins on modp-2048, so it is refused here."""
         from repro.crypto.schnorr_group import SchnorrGroup
 
         priced, run = [], []
@@ -364,7 +414,7 @@ class TestSelectionIsPure:
 
         monkeypatch.setattr(multiexp, "_straus_cost", spy_cost)
         monkeypatch.setattr(multiexp, "_straus", spy_straus)
-        group = SchnorrGroup.named("modp-2048")
+        group = SchnorrGroup.named.__wrapped__("modp-2048")
         rng = SeededRNG("priced-width")
         bases = [group.random_element(rng) for _ in range(4)]
         exps = [(1 << 2046) | rng.randbits(2046) for _ in range(4)]

@@ -203,22 +203,32 @@ def _tier_log(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "name, n, tier",
+    "name, n, native_tier, pure_tier",
     [
-        ("p128-sim", 8, "_straus"),
-        ("p128-sim", 32, "_pippenger"),
-        ("p128-sim", 256, "_pippenger"),
-        ("p64-sim", 8, "_naive"),
-        ("p64-sim", 64, "_pippenger"),
-        ("p128-sim", 1024, "_pippenger"),
-        ("ristretto255", 1024, "_pippenger_signed"),
+        ("p128-sim", 8, "_naive", "_straus"),
+        ("p128-sim", 32, "_naive", "_pippenger"),
+        ("p128-sim", 256, "_naive", "_pippenger"),
+        ("p128-sim", 1024, "_naive", "_pippenger"),
+        ("p128-sim", 16384, "_pippenger", "_pippenger"),
+        ("p64-sim", 8, "_naive", "_naive"),
+        ("p64-sim", 64, "_pippenger", "_pippenger"),
+        ("p64-sim", 384, "_pippenger", "_pippenger"),
+        ("ristretto255", 1024, "_pippenger_signed", "_pippenger_signed"),
     ],
 )
-def test_automatic_tier_and_bucket_variant_picks(monkeypatch, name, n, tier):
+def test_automatic_tier_and_bucket_variant_picks(
+    monkeypatch, power_loader, name, n, native_tier, pure_tier
+):
     """The cost model's pick, pinned exactly: the tier at sizes on both
     sides of every crossover of the two simulation groups, and the bucket
     variant at nb = 1024 — signed digits on the negation-free curve,
     unsigned buckets on p128-sim, where negation is a batched inversion.
+
+    From ``_NATIVE_POWER_MIN_BITS`` (p128-sim) up, libgmp prices a power
+    at ``pow_muls`` multiplications and the naive tier — one native
+    product — wins until the buckets' per-term cost falls below it
+    (between n = 4096 and 16384); with libgmp refused the picks are the
+    pure ones.  p64-sim is below the width rule: the same picks either way.
 
     The pick is a pure function of (n, bits, kernel hints), so it is
     asserted, not timed: the wall-clock canaries this replaces timed one
@@ -227,13 +237,16 @@ def test_automatic_tier_and_bucket_variant_picks(monkeypatch, name, n, tier):
     from repro.crypto.multiexp import multi_exponentiation
     from repro.crypto.ristretto import RistrettoGroup
 
-    group = RistrettoGroup.instance() if name == "ristretto255" else SchnorrGroup.named(name)
+    if name == "ristretto255":
+        group = RistrettoGroup.instance()
+    else:  # built anew, so its kernel asks the loader this test arranged
+        group = SchnorrGroup.named.__wrapped__(name)
     rng = SeededRNG(f"auto-tier-{name}-{n}")
     bases = [group.random_element(rng) for _ in range(n)]
     exps = [rng.field_element(group.order) for _ in range(n)]
     ran = _tier_log(monkeypatch)
     multi_exponentiation(group, bases, exps)
-    assert ran == [tier]
+    assert ran == [native_tier if power_loader == "libgmp" else pure_tier]
 
 
 def test_signed_buckets_multiply_less_where_selected(monkeypatch):
